@@ -28,8 +28,10 @@ test:
 # clean single-host run, raced, alongside the lease-protocol edge
 # cases: steal races, clock-skewed peers, fenced revived hosts,
 # epoch-floor recovery over torn leases, and the raced drain-handoff
-# takeover), the cancel/complete terminal-state race, and a fuzz smoke
-# over the trace reader.
+# takeover), the cancel/complete terminal-state race, the shader issue
+# scheduler against its reference model (raced), and fuzz smokes over
+# the trace reader and over the decoded shader interpreter against its
+# reference evaluator.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/obsv/... ./internal/chkpt/... ./internal/chaos/...
@@ -41,7 +43,9 @@ check:
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
 	BENCH_OBSV_OUT=$$(mktemp) $(GO) test -run '^TestBenchObsv$$' .
 	BENCH_HOTPATH_OUT=$$(mktemp) BENCH_HOTPATH_SMOKE=1 $(GO) test -run '^TestBenchHotpath$$' -count=1 .
+	$(GO) test -race -run '^TestSchedulerMatchesReference$$' -count=1 ./internal/gpu/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
 # lint runs the static analyzers when they are installed (neither is
 # vendored; the build must not depend on network installs). staticcheck
@@ -56,11 +60,15 @@ lint:
 
 # fuzz hammers every untrusted-input decoder: the trace reader and the
 # checkpoint container/section codec. Corrupt or truncated inputs must
-# fail with typed errors, never panic or over-allocate.
+# fail with typed errors, never panic or over-allocate. The shader
+# target is differential instead: random programs through the decoded
+# quad-at-a-time interpreter and the reference per-lane one must leave
+# every register bit-identical.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/chkpt
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/chkpt
+	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
 
 # bench writes the BENCH_obsv.json snapshot: host cycles/sec and the
 # top-5 host-time boxes for three representative scenes.

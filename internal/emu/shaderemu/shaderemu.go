@@ -89,18 +89,25 @@ type TexRequest struct {
 }
 
 // Emulator executes a program against thread state. The constant bank
-// is shared by all threads running the same batch.
+// is shared by all threads running the same batch; the decoded
+// instructions are shared by every emulator of the program.
 type Emulator struct {
 	prog   *isa.Program
+	ops    []isa.Decoded
 	consts []vmath.Vec4
 }
 
 // New creates an emulator for prog with the given constant bank
-// (nil-padded to the architectural limit).
+// (nil-padded to the architectural limit). The program must have been
+// validated: that is where it was decoded, once.
 func New(prog *isa.Program, consts []vmath.Vec4) *Emulator {
+	ops := prog.Decoded()
+	if len(ops) != len(prog.Instr) {
+		panic(fmt.Sprintf("shaderemu: program %q was not validated", prog.Name))
+	}
 	c := make([]vmath.Vec4, isa.MaxConsts)
 	copy(c, consts)
-	return &Emulator{prog: prog, consts: c}
+	return &Emulator{prog: prog, ops: ops, consts: c}
 }
 
 // Program returns the program being executed.
@@ -113,45 +120,40 @@ func (e *Emulator) NewThread() *Thread {
 	return t
 }
 
-// Step executes the instruction at t.PC and advances. It returns the
-// instruction executed for timing purposes. If the instruction is a
-// texture operation the thread blocks (t.Blocked is set) and the
-// caller must eventually call CompleteTexture; Step must not be
-// called again until then. Calling Step on a finished or blocked
-// thread panics: that is a timing-simulator bug.
-func (e *Emulator) Step(t *Thread) isa.Instruction {
+// Step executes the instruction at t.PC for the whole quad and
+// advances. It returns the decoded instruction executed, for timing
+// purposes. If the instruction is a texture operation the thread
+// blocks (t.Blocked is set) and the caller must eventually call
+// CompleteTexture; Step must not be called again until then. Calling
+// Step on a finished or blocked thread panics: that is a
+// timing-simulator bug.
+//
+// The opcode is dispatched once and every lane runs inside its case.
+// Sources are gathered, and results computed, for all four lanes —
+// active or not: texture derivatives need all four corners, and for
+// the rest an idle lane costs less than a test — but only active
+// lanes are written. The float32 expression of each opcode is part of
+// the determinism contract (DESIGN.md §10): frames are compared
+// bit-for-bit across commits.
+func (e *Emulator) Step(t *Thread) *isa.Decoded {
 	if t.Done {
 		panic("shaderemu: Step on finished thread")
 	}
 	if t.Blocked != nil {
 		panic("shaderemu: Step on thread blocked on texture")
 	}
-	in := e.prog.Instr[t.PC]
+	op := &e.ops[t.PC]
 	t.PC++
-	info := in.Op.Info()
-	switch {
-	case in.Op == isa.END:
+	switch op.Op {
+	case isa.END:
 		t.Done = true
-	case in.Op == isa.NOP:
-	case in.Op == isa.KIL:
-		for l := 0; l < Lanes; l++ {
-			if !t.Active[l] || t.Killed[l] {
-				continue
-			}
-			v := e.readSrc(t, l, in.Src[0])
-			if v[0] < 0 || v[1] < 0 || v[2] < 0 || v[3] < 0 {
-				t.Killed[l] = true
-			}
-		}
-	case info.Texture:
+		return op
+	case isa.NOP:
+		return op
+	case isa.TEX, isa.TXB, isa.TXP, isa.TXL:
 		req := &t.texReq
-		*req = TexRequest{
-			Sampler:  in.Sampler,
-			Target:   in.Target,
-			Dst:      in.Dst,
-			Saturate: in.Saturate,
-		}
-		switch in.Op {
+		*req = TexRequest{Sampler: op.Sampler, Target: op.Target, Dst: op.Dst, Saturate: op.Saturate}
+		switch op.Op {
 		case isa.TXB:
 			req.Mode = TexModeBias
 		case isa.TXP:
@@ -159,23 +161,231 @@ func (e *Emulator) Step(t *Thread) isa.Instruction {
 		case isa.TXL:
 			req.Mode = TexModeLod
 		}
-		for l := 0; l < Lanes; l++ {
-			// Coordinates are computed for every lane, even ones
-			// that are inactive or killed, because the quad's
-			// texture derivatives need all four corners.
-			req.Coord[l] = e.readSrc(t, l, in.Src[0])
+		e.gather(t, &op.Src[0], &req.Coord)
+		for l := range req.Active {
 			req.Active[l] = t.Active[l] && !t.Killed[l]
 		}
 		t.Blocked = req
-	default:
-		for l := 0; l < Lanes; l++ {
-			if !t.Active[l] {
-				continue
-			}
-			e.execALU(t, l, in)
+		return op
+	}
+
+	// Every remaining opcode reads at least one source.
+	var a, b, c, r [Lanes]vmath.Vec4
+	e.gather(t, &op.Src[0], &a)
+	if op.NSrc > 1 {
+		e.gather(t, &op.Src[1], &b)
+		if op.NSrc > 2 {
+			e.gather(t, &op.Src[2], &c)
 		}
 	}
-	return in
+	switch op.Op {
+	case isa.KIL:
+		for l, v := range a {
+			if t.Active[l] && (v[0] < 0 || v[1] < 0 || v[2] < 0 || v[3] < 0) {
+				t.Killed[l] = true
+			}
+		}
+		return op
+	case isa.MOV:
+		r = a
+	case isa.ADD:
+		for l := range r {
+			r[l] = a[l].Add(b[l])
+		}
+	case isa.SUB:
+		for l := range r {
+			r[l] = a[l].Sub(b[l])
+		}
+	case isa.MUL:
+		for l := range r {
+			r[l] = a[l].Mul(b[l])
+		}
+	case isa.MAD:
+		for l := range r {
+			r[l] = a[l].Mul(b[l]).Add(c[l])
+		}
+	case isa.DP3:
+		for l := range r {
+			r[l] = splat(a[l].Dot3(b[l]))
+		}
+	case isa.DP4:
+		for l := range r {
+			r[l] = splat(a[l].Dot4(b[l]))
+		}
+	case isa.DPH:
+		for l := range r {
+			r[l] = splat(a[l].Dot3(b[l]) + b[l][3])
+		}
+	case isa.DST:
+		for l := range r {
+			r[l] = vmath.Vec4{1, a[l][1] * b[l][1], a[l][2], b[l][3]}
+		}
+	case isa.MIN:
+		for l := range r {
+			r[l] = vecMin(a[l], b[l])
+		}
+	case isa.MAX:
+		for l := range r {
+			r[l] = vecMax(a[l], b[l])
+		}
+	case isa.SLT:
+		for l := range r {
+			for i := range r[l] {
+				if a[l][i] < b[l][i] {
+					r[l][i] = 1
+				}
+			}
+		}
+	case isa.SGE:
+		for l := range r {
+			for i := range r[l] {
+				if a[l][i] >= b[l][i] {
+					r[l][i] = 1
+				}
+			}
+		}
+	case isa.FRC:
+		for l := range r {
+			for i := range r[l] {
+				r[l][i] = a[l][i] - floorf(a[l][i])
+			}
+		}
+	case isa.FLR:
+		for l := range r {
+			for i := range r[l] {
+				r[l][i] = floorf(a[l][i])
+			}
+		}
+	case isa.ABS:
+		for l := range r {
+			for i := range r[l] {
+				r[l][i] = float32(math.Abs(float64(a[l][i])))
+			}
+		}
+	case isa.CMP:
+		for l := range r {
+			for i := range r[l] {
+				if a[l][i] < 0 {
+					r[l][i] = b[l][i]
+				} else {
+					r[l][i] = c[l][i]
+				}
+			}
+		}
+	case isa.LRP:
+		for l := range r {
+			for i := range r[l] {
+				r[l][i] = a[l][i]*b[l][i] + (1-a[l][i])*c[l][i]
+			}
+		}
+	case isa.XPD:
+		for l := range r {
+			r[l] = a[l].Cross(b[l])
+		}
+	case isa.RCP:
+		for l := range r {
+			r[l] = splat(1 / a[l][0])
+		}
+	case isa.RSQ:
+		for l := range r {
+			r[l] = splat(float32(1 / math.Sqrt(math.Abs(float64(a[l][0])))))
+		}
+	case isa.EX2:
+		for l := range r {
+			r[l] = splat(float32(math.Exp2(float64(a[l][0]))))
+		}
+	case isa.LG2:
+		for l := range r {
+			r[l] = splat(float32(math.Log2(math.Abs(float64(a[l][0])))))
+		}
+	case isa.POW:
+		for l := range r {
+			r[l] = splat(float32(math.Pow(math.Abs(float64(a[l][0])), float64(b[l][0]))))
+		}
+	case isa.SIN:
+		for l := range r {
+			r[l] = splat(float32(math.Sin(float64(a[l][0]))))
+		}
+	case isa.COS:
+		for l := range r {
+			r[l] = splat(float32(math.Cos(float64(a[l][0]))))
+		}
+	case isa.LIT:
+		for l := range r {
+			r[l] = lit(a[l])
+		}
+	default:
+		panic(fmt.Sprintf("shaderemu: unhandled opcode %v", op.Op))
+	}
+	t.store(op.Dst, op.Saturate, &r)
+	return op
+}
+
+// gather reads source operand s for all four lanes: one bank lookup,
+// then either the plain register or its swizzled, negated components,
+// read straight from the register file.
+func (e *Emulator) gather(t *Thread, s *isa.DecodedSrc, v *[Lanes]vmath.Vec4) {
+	var reg [Lanes]*vmath.Vec4
+	switch s.Bank {
+	case isa.BankInput:
+		for l := range reg {
+			reg[l] = &t.In[l][s.Index]
+		}
+	case isa.BankTemp:
+		for l := range reg {
+			reg[l] = &t.Temp[l][s.Index]
+		}
+	default:
+		for l := range reg {
+			reg[l] = &e.consts[s.Index]
+		}
+	}
+	if s.Plain {
+		for l, r := range reg {
+			v[l] = *r
+		}
+		return
+	}
+	// Decoding leaves 0..3 here; the masks let the compiler see it too.
+	x, y, z, w := s.Comp[0]&3, s.Comp[1]&3, s.Comp[2]&3, s.Comp[3]&3
+	for l, r := range reg {
+		if s.Negate {
+			v[l] = vmath.Vec4{-r[x], -r[y], -r[z], -r[w]}
+		} else {
+			v[l] = vmath.Vec4{r[x], r[y], r[z], r[w]}
+		}
+	}
+}
+
+// store writes r to destination d in every active lane, under the
+// write mask and after the optional [0,1] clamp.
+func (t *Thread) store(d isa.DstOperand, sat bool, r *[Lanes]vmath.Vec4) {
+	for l, v := range r {
+		if !t.Active[l] {
+			continue
+		}
+		if sat {
+			v = v.Clamp01()
+		}
+		var reg *vmath.Vec4
+		switch d.Bank {
+		case isa.BankTemp:
+			reg = &t.Temp[l][d.Index]
+		case isa.BankOutput:
+			reg = &t.Out[l][d.Index]
+		default:
+			panic("shaderemu: bad destination bank")
+		}
+		if d.Mask == isa.MaskXYZW {
+			*reg = v
+			continue
+		}
+		for i := range reg {
+			if d.Mask.Has(i) {
+				reg[i] = v[i]
+			}
+		}
+	}
 }
 
 // CompleteTexture writes the sampled results for the thread's pending
@@ -186,12 +396,7 @@ func (e *Emulator) CompleteTexture(t *Thread, results [Lanes]vmath.Vec4) {
 		panic("shaderemu: CompleteTexture without pending request")
 	}
 	t.Blocked = nil
-	for l := 0; l < Lanes; l++ {
-		if !t.Active[l] {
-			continue
-		}
-		e.writeDst(t, l, req.Dst, req.Saturate, results[l])
-	}
+	t.store(req.Dst, req.Saturate, &results)
 }
 
 // SampleFunc performs a texture lookup for a whole thread; used by
@@ -218,130 +423,6 @@ func (e *Emulator) Run(t *Thread, sample SampleFunc) (int, error) {
 	return steps, nil
 }
 
-func (e *Emulator) readSrc(t *Thread, lane int, s isa.SrcOperand) vmath.Vec4 {
-	var raw vmath.Vec4
-	switch s.Bank {
-	case isa.BankInput:
-		raw = t.In[lane][s.Index]
-	case isa.BankTemp:
-		raw = t.Temp[lane][s.Index]
-	case isa.BankConst:
-		raw = e.consts[s.Index]
-	}
-	var v vmath.Vec4
-	for i := 0; i < 4; i++ {
-		v[i] = raw[s.Swizzle.Comp(i)]
-	}
-	if s.Negate {
-		for i := range v {
-			v[i] = -v[i]
-		}
-	}
-	return v
-}
-
-func (e *Emulator) writeDst(t *Thread, lane int, d isa.DstOperand, sat bool, v vmath.Vec4) {
-	if sat {
-		v = v.Clamp01()
-	}
-	var reg *vmath.Vec4
-	switch d.Bank {
-	case isa.BankTemp:
-		reg = &t.Temp[lane][d.Index]
-	case isa.BankOutput:
-		reg = &t.Out[lane][d.Index]
-	default:
-		panic("shaderemu: bad destination bank")
-	}
-	for i := 0; i < 4; i++ {
-		if d.Mask.Has(i) {
-			reg[i] = v[i]
-		}
-	}
-}
-
-func (e *Emulator) execALU(t *Thread, lane int, in isa.Instruction) {
-	info := in.Op.Info()
-	var s [3]vmath.Vec4
-	for i := 0; i < info.NSrc; i++ {
-		s[i] = e.readSrc(t, lane, in.Src[i])
-	}
-	var r vmath.Vec4
-	switch in.Op {
-	case isa.MOV:
-		r = s[0]
-	case isa.ADD:
-		r = s[0].Add(s[1])
-	case isa.SUB:
-		r = s[0].Sub(s[1])
-	case isa.MUL:
-		r = s[0].Mul(s[1])
-	case isa.MAD:
-		r = s[0].Mul(s[1]).Add(s[2])
-	case isa.DP3:
-		r = splat(s[0].Dot3(s[1]))
-	case isa.DP4:
-		r = splat(s[0].Dot4(s[1]))
-	case isa.DPH:
-		r = splat(s[0].Dot3(s[1]) + s[1][3])
-	case isa.DST:
-		r = vmath.Vec4{1, s[0][1] * s[1][1], s[0][2], s[1][3]}
-	case isa.MIN:
-		r = vecMin(s[0], s[1])
-	case isa.MAX:
-		r = vecMax(s[0], s[1])
-	case isa.SLT:
-		r = vecCmp(s[0], s[1], func(a, b float32) bool { return a < b })
-	case isa.SGE:
-		r = vecCmp(s[0], s[1], func(a, b float32) bool { return a >= b })
-	case isa.FRC:
-		for i := 0; i < 4; i++ {
-			r[i] = s[0][i] - floorf(s[0][i])
-		}
-	case isa.FLR:
-		for i := 0; i < 4; i++ {
-			r[i] = floorf(s[0][i])
-		}
-	case isa.ABS:
-		for i := 0; i < 4; i++ {
-			r[i] = float32(math.Abs(float64(s[0][i])))
-		}
-	case isa.CMP:
-		for i := 0; i < 4; i++ {
-			if s[0][i] < 0 {
-				r[i] = s[1][i]
-			} else {
-				r[i] = s[2][i]
-			}
-		}
-	case isa.LRP:
-		for i := 0; i < 4; i++ {
-			r[i] = s[0][i]*s[1][i] + (1-s[0][i])*s[2][i]
-		}
-	case isa.XPD:
-		r = s[0].Cross(s[1])
-	case isa.RCP:
-		r = splat(1 / s[0][0])
-	case isa.RSQ:
-		r = splat(float32(1 / math.Sqrt(math.Abs(float64(s[0][0])))))
-	case isa.EX2:
-		r = splat(float32(math.Exp2(float64(s[0][0]))))
-	case isa.LG2:
-		r = splat(float32(math.Log2(math.Abs(float64(s[0][0])))))
-	case isa.POW:
-		r = splat(float32(math.Pow(math.Abs(float64(s[0][0])), float64(s[1][0]))))
-	case isa.SIN:
-		r = splat(float32(math.Sin(float64(s[0][0]))))
-	case isa.COS:
-		r = splat(float32(math.Cos(float64(s[0][0]))))
-	case isa.LIT:
-		r = lit(s[0])
-	default:
-		panic(fmt.Sprintf("shaderemu: unhandled opcode %v", in.Op))
-	}
-	e.writeDst(t, lane, in.Dst, in.Saturate, r)
-}
-
 func splat(f float32) vmath.Vec4 { return vmath.Vec4{f, f, f, f} }
 
 func floorf(f float32) float32 { return float32(math.Floor(float64(f))) }
@@ -365,16 +446,6 @@ func vecMax(a, b vmath.Vec4) vmath.Vec4 {
 			r[i] = a[i]
 		} else {
 			r[i] = b[i]
-		}
-	}
-	return r
-}
-
-func vecCmp(a, b vmath.Vec4, pred func(x, y float32) bool) vmath.Vec4 {
-	var r vmath.Vec4
-	for i := 0; i < 4; i++ {
-		if pred(a[i], b[i]) {
-			r[i] = 1
 		}
 	}
 	return r

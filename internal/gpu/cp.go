@@ -240,8 +240,14 @@ func (cp *CommandProcessor) canDraw() bool {
 
 func (cp *CommandProcessor) newBatch(st *DrawState) *BatchState {
 	cp.nextBatchID++
+	return newBatchState(uint64(cp.nextBatchID), st, cp.cfg)
+}
+
+// newBatchState is the only constructor of a batch, and so the only
+// place its shader emulators are made.
+func newBatchState(id uint64, st *DrawState, cfg *Config) *BatchState {
 	b := &BatchState{
-		DynObject: core.DynObject{ID: uint64(cp.nextBatchID), Tag: "batch"},
+		DynObject: core.DynObject{ID: id, Tag: "batch"},
 		State:     st,
 	}
 	// The shader emulators are built eagerly: shader units run on
@@ -252,7 +258,7 @@ func (cp *CommandProcessor) newBatch(st *DrawState) *BatchState {
 	if st.VertexProg != nil {
 		b.vtxEmu = shaderemu.New(st.VertexProg, st.VertConsts)
 	}
-	b.EarlyZ = cp.cfg.EarlyZ && st.EarlyZAllowed()
+	b.EarlyZ = cfg.EarlyZ && st.EarlyZAllowed()
 	// Hierarchical Z is only sound when the depth test culls
 	// strictly farther fragments and no stencil update depends on
 	// failing fragments (shadow volume passes update stencil on
@@ -263,7 +269,7 @@ func (cp *CommandProcessor) newBatch(st *DrawState) *BatchState {
 		(st.Stencil.SFail == fragemu.StKeep && st.Stencil.DPFail == fragemu.StKeep &&
 			(!st.TwoSidedStencil ||
 				(st.StencilBack.SFail == fragemu.StKeep && st.StencilBack.DPFail == fragemu.StKeep)))
-	b.HZ = cp.cfg.HZEnabled && b.EarlyZ && hzFunc && stencilSafe
+	b.HZ = cfg.HZEnabled && b.EarlyZ && hzFunc && stencilSafe
 	return b
 }
 

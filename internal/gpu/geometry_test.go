@@ -303,3 +303,40 @@ func TestPipelineString(t *testing.T) {
 		t.Fatal("empty description")
 	}
 }
+
+// A vertex that completes a triangle waits while triOut has no room.
+// Waiting must be free: the triangle is built when it is sent, so a
+// stalled cycle allocates nothing and draws no object ID (a doom3
+// frame stalls here for thousands of cycles per triangle emitted).
+func TestPrimAssemblyStallBuildsNothing(t *testing.T) {
+	for _, mode := range []PrimMode{Triangles, TriangleStrip, TriangleFan, Quads, QuadStrip} {
+		sim := core.NewSimulator(0)
+		in := pFlow(sim, "src", "PrimAssembly", "Streamer.VtxOut", 1, 1, 0, 8)
+		out := pFlow(sim, "PrimAssembly", "sink", "PA.TriOut", 1, 1, 0, 1)
+		pa := NewPrimAssembly(sim, in, out)
+		batch := &BatchState{State: &DrawState{Primitive: mode, Count: 8}}
+		// Nothing drains the sink: the first triangle takes the only
+		// credit and the next completing vertex stalls.
+		cycle := int64(0)
+		for seq := 0; cycle < 40; cycle++ {
+			if seq < 8 && in.CanSend(cycle, 1) {
+				in.Send(cycle, &ShadedVertex{DynObject: core.DynObject{ID: sim.IDs.Next()}, Batch: batch, Seq: seq})
+				seq++
+			}
+			pa.Clock(cycle)
+			sim.EndCycle(cycle)
+		}
+		if batch.TrisIn != 1 || batch.PADone {
+			t.Fatalf("%v: %d triangles out, PADone=%v; want the box stalled behind its first triangle", mode, batch.TrisIn, batch.PADone)
+		}
+		idsBefore := sim.IDs.Next()
+		allocs := testing.AllocsPerRun(100, func() {
+			pa.Clock(cycle)
+			sim.EndCycle(cycle)
+			cycle++
+		})
+		if ids := sim.IDs.Next() - idsBefore - 1; allocs != 0 || ids != 0 {
+			t.Errorf("%v: a stalled cycle cost %.0f allocations and %d object IDs, want none", mode, allocs, ids)
+		}
+	}
+}

@@ -196,8 +196,8 @@ type BatchState struct {
 	HZCulledQuads int
 	ZCulledQuads  int
 
-	// Per-batch shader emulators, created lazily and shared by all
-	// threads of the batch.
+	// Per-batch shader emulators, built with the batch and shared
+	// read-only by all threads of the batch.
 	fragEmu *shaderemu.Emulator
 	vtxEmu  *shaderemu.Emulator
 }

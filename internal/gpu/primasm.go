@@ -16,9 +16,9 @@ type PrimAssembly struct {
 	triOut *Flow
 
 	queue   core.FIFO[*ShadedVertex] // input queue (Table 1: 8 entries)
-	window  []*ShadedVertex // primitive assembly window
-	count   int             // vertices consumed for the current batch
-	pending *TriWork        // second triangle of a completed quad
+	window  []*ShadedVertex          // primitive assembly window
+	count   int                      // vertices consumed for the current batch
+	pending *TriWork                 // second triangle of a completed quad
 
 	statTris core.Shadow
 	statBusy core.Shadow
@@ -59,21 +59,23 @@ func (p *PrimAssembly) Clock(cycle int64) {
 	}
 	// One vertex consumed, at most one triangle emitted per cycle
 	// (Table 1). A vertex can complete a triangle only when there is
-	// room to send it.
+	// room to send it; the triangle is built only then, so a stalled
+	// cycle allocates nothing and draws no object ID.
 	v := p.queue.Peek()
-	tri, second, emits := p.assemble(v)
+	emits := completesTriangle(v.Batch.State.Primitive, p.count)
 	if emits && !p.triOut.CanSend(cycle, 1) {
 		return
 	}
 	p.queue.Pop()
 	p.vtxIn.Release(1)
-	p.commit(v)
 	if emits {
+		var tri *TriWork
+		tri, p.pending = p.assemble(v) // from the window as it is before v
 		p.triOut.Send(cycle, tri)
 		v.Batch.TrisIn++
 		p.statTris.Inc()
-		p.pending = second
 	}
+	p.commit(v)
 	p.statBusy.Inc()
 	p.finishBatch(v.Batch)
 }
@@ -88,11 +90,26 @@ func (p *PrimAssembly) finishBatch(b *BatchState) {
 	}
 }
 
-// assemble inspects (without consuming) what accepting v would emit:
-// the triangle to send now, and for quads, the second triangle held
-// for the next cycle.
-func (p *PrimAssembly) assemble(v *ShadedVertex) (*TriWork, *TriWork, bool) {
-	mode := v.Batch.State.Primitive
+// completesTriangle reports whether the vertex arriving after n others
+// of a batch completes a triangle (for quads, a pair of them).
+func completesTriangle(mode PrimMode, n int) bool {
+	switch mode {
+	case Triangles:
+		return n%3 == 2
+	case TriangleStrip, TriangleFan, QuadStrip:
+		return n >= 2
+	case Quads:
+		// Both triangles are emitted only once the quad completes (an
+		// incomplete trailing quad is discarded, per the OpenGL rule).
+		return n%4 == 3
+	}
+	return false
+}
+
+// assemble builds what v, a vertex that completesTriangle, emits: the
+// triangle to send now and, for quads, the second triangle held for
+// the next cycle. It reads the window as it is before v is committed.
+func (p *PrimAssembly) assemble(v *ShadedVertex) (tri, second *TriWork) {
 	w := p.window
 	n := p.count // vertices consumed before v
 	mk := func(a, b, c *ShadedVertex) *TriWork {
@@ -102,41 +119,25 @@ func (p *PrimAssembly) assemble(v *ShadedVertex) (*TriWork, *TriWork, bool) {
 			V:         [3]*ShadedVertex{a, b, c},
 		}
 	}
-	switch mode {
-	case Triangles:
-		if n%3 == 2 {
-			return mk(w[0], w[1], v), nil, true
-		}
+	switch v.Batch.State.Primitive {
 	case TriangleStrip:
-		if n >= 2 {
-			if n%2 == 0 {
-				return mk(w[0], w[1], v), nil, true
-			}
-			return mk(w[1], w[0], v), nil, true
-		}
-	case TriangleFan:
-		if n >= 2 {
-			return mk(w[0], w[1], v), nil, true
+		if n%2 == 1 {
+			return mk(w[1], w[0], v), nil
 		}
 	case Quads:
-		// Quad (0,1,2,3) becomes triangles (0,1,2) and (0,2,3),
-		// both emitted only once the quad completes (an incomplete
-		// trailing quad is discarded, per the OpenGL rule).
-		if n%4 == 3 {
-			return mk(w[0], w[1], w[2]), mk(w[0], w[2], v), true
-		}
+		// Quad (0,1,2,3) becomes triangles (0,1,2) and (0,2,3).
+		tri = mk(w[0], w[1], w[2])
+		return tri, mk(w[0], w[2], v)
 	case QuadStrip:
 		// Quad i has perimeter (2i, 2i+1, 2i+3, 2i+2), split along
 		// the 2i+1..2i+2 diagonal so each arriving vertex from the
-		// third on completes exactly one triangle.
-		if n >= 2 && n%2 == 0 {
-			return mk(w[0], w[1], v), nil, true // (2i, 2i+1, 2i+2)
-		}
-		if n >= 3 {
-			return mk(w[1], v, w[2]), nil, true // (2i+1, 2i+3, 2i+2)
+		// third on completes exactly one triangle: (2i, 2i+1, 2i+2),
+		// then (2i+1, 2i+3, 2i+2).
+		if n%2 == 1 {
+			return mk(w[1], v, w[2]), nil
 		}
 	}
-	return nil, nil, false
+	return mk(w[0], w[1], v), nil
 }
 
 // commit updates the assembly window after consuming v.

@@ -1,6 +1,9 @@
 package gpu
 
 import (
+	"math"
+	"math/bits"
+
 	"attila/internal/core"
 	"attila/internal/emu/fragemu"
 	"attila/internal/emu/shaderemu"
@@ -49,10 +52,10 @@ type shaderThread struct {
 	state   threadState
 	work    *ShaderWork
 	emu     *shaderemu.Emulator
+	ops     []isa.Decoded // emu's program, decoded
 	t       *shaderemu.Thread
 	ready   [isa.MaxTemps]int64 // temp register scoreboard
 	pending *TexReqMsg
-	arrival int64 // for in-order scheduling
 }
 
 // ShaderUnit is one multithreaded shader processor (paper §2.3): an
@@ -71,8 +74,9 @@ type ShaderUnit struct {
 	texRep  *Flow // from crossbar
 
 	threads []shaderThread
-	rr      int
-	seq     int64
+	sched   issueSched                // which thread issues next; holds rr
+	seq     int64                     // threads accepted so far; checkpointed beside rr
+	execLat [isa.LatTexture + 1]int64 // cycles per latency class
 
 	// Maintained thread-state class counts (updated by setState) so
 	// the per-cycle scheduler can early-out instead of scanning every
@@ -108,6 +112,13 @@ func NewShaderUnit(sim *core.Simulator, cfg *Config, idx int, vertexOnly bool,
 		cfg: cfg, idx: idx, vertexOnly: vertexOnly,
 		workIn: workIn, workOut: workOut, texReq: texReq, texRep: texRep,
 		threads: make([]shaderThread, threads),
+		sched:   newIssueSched(threads, cfg.Schedule == ScheduleInOrderQueue),
+	}
+	s.execLat = [...]int64{
+		isa.LatSimple:  int64(max(cfg.ExecLatSimple, 1)),
+		isa.LatMAD:     int64(max(cfg.ExecLatMAD, 1)),
+		isa.LatScalar:  int64(max(cfg.ExecLatScalar, 1)),
+		isa.LatTexture: 1, // unused: the texture unit decides
 	}
 	s.Init(nameIdx("Shader", idx))
 	sim.Stats.ShadowCounter(&s.statInstr, s.BoxName()+".instructions")
@@ -134,12 +145,41 @@ func (s *ShaderUnit) Clock(cycle int64) {
 	}
 }
 
-// setState moves a thread between states, keeping the class counts in
-// sync. Every state transition must go through here.
-func (s *ShaderUnit) setState(th *shaderThread, ns threadState) {
+// setState moves the thread in slot i between states, keeping the
+// class counts and the issue scheduler in sync. Every state transition
+// must go through here.
+func (s *ShaderUnit) setState(i int, ns threadState) {
+	th := &s.threads[i]
 	s.adjCount(th.state, -1)
 	s.adjCount(ns, 1)
+	if th.state == threadFree {
+		s.sched.arrive(i)
+	} else if ns == threadDone {
+		s.sched.finish(i)
+	}
 	th.state = ns
+	if ns == threadRunning {
+		s.sched.run(i, s.wake(th))
+	} else {
+		s.sched.stop(i)
+	}
+}
+
+// wake returns the first cycle the thread's next instruction may issue:
+// the latest ready[] among the temps that instruction reads or
+// overwrites, or never for a texture instruction on a unit with no
+// texture path. It changes only when the thread issues, arrives or
+// gets its texels back.
+func (s *ShaderUnit) wake(th *shaderThread) int64 {
+	op := &th.ops[th.t.PC]
+	wake := int64(0)
+	if op.Texture && s.texReq == nil {
+		wake = math.MaxInt64
+	}
+	for _, r := range op.Deps[:op.NDeps] {
+		wake = max(wake, th.ready[r])
+	}
+	return wake
 }
 
 func (s *ShaderUnit) adjCount(st threadState, d int) {
@@ -172,10 +212,7 @@ func (s *ShaderUnit) completeTextures(cycle int64) {
 		if dst.Bank == isa.BankTemp {
 			th.ready[dst.Index] = cycle + 1
 		}
-		s.setState(th, threadRunning)
-		if th.t.Done {
-			s.setState(th, threadDone)
-		}
+		s.setState(rep.Slot, threadRunning)
 		if sp := rep.spent; sp != nil {
 			rep.spent = nil
 			s.freeReqs = append(s.freeReqs, sp)
@@ -198,12 +235,13 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 			panic("gpu: shader received work with no free thread (flow credits broken)")
 		}
 		th := &s.threads[slot]
-		emu := fragEmulator(w.Batch)
+		emu := w.Batch.fragEmu
 		if w.Kind == workVertex {
-			emu = vtxEmulator(w.Batch)
+			emu = w.Batch.vtxEmu
 		}
 		th.work = w
 		th.emu = emu
+		th.ops = emu.Program().Decoded()
 		if th.t == nil {
 			th.t = emu.NewThread()
 		} else {
@@ -225,8 +263,7 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 				th.t.In[l] = w.Frag.In[l]
 			}
 		}
-		s.setState(th, threadRunning)
-		th.arrival = s.seq
+		s.setState(slot, threadRunning)
 		s.seq++
 	}
 }
@@ -264,123 +301,54 @@ func (s *ShaderUnit) sendPendingTex(cycle int64) {
 		}
 		s.texReq.Send(cycle, th.pending)
 		th.pending = nil
-		s.setState(th, threadBlockedTex)
+		s.setState(i, threadBlockedTex)
 	}
 }
 
-// pickThread selects the next thread allowed to issue. The thread
-// window configuration issues from any ready thread (hiding texture
-// latency); the in-order input queue configuration only ever executes
-// the oldest resident thread, stalling while it waits (§5).
-func (s *ShaderUnit) pickThread() int {
-	if s.running == 0 {
-		return -1
-	}
-	if s.cfg.Schedule == ScheduleInOrderQueue {
-		oldest, best := -1, int64(0)
-		for i := range s.threads {
-			th := &s.threads[i]
-			if th.state == threadFree || th.state == threadDone {
-				continue
-			}
-			if oldest < 0 || th.arrival < best {
-				oldest, best = i, th.arrival
-			}
-		}
-		if oldest >= 0 && s.threads[oldest].state == threadRunning {
-			return oldest
-		}
-		return -1
-	}
-	n := len(s.threads)
-	for k := 0; k < n; k++ {
-		i := (s.rr + k) % n
-		if s.threads[i].state == threadRunning {
-			s.rr = (i + 1) % n
-			return i
-		}
-	}
-	return -1
-}
-
+// issue executes up to ShaderIssueRate instructions this cycle, each
+// from the thread the scheduler picks.
 func (s *ShaderUnit) issue(cycle int64) int {
+	if s.running == 0 {
+		return 0
+	}
 	issued := 0
-	attempts := len(s.threads)
-	for n := 0; issued < s.cfg.ShaderIssueRate && n < attempts; n++ {
-		i := s.pickThread()
+	for attempts := len(s.threads); issued < s.cfg.ShaderIssueRate; issued++ {
+		i := s.sched.pick(cycle, &attempts)
 		if i < 0 {
 			break
 		}
-		th := &s.threads[i]
-		in := th.emu.Program().Instr[th.t.PC]
-		if !s.depsReady(cycle, th, in) {
-			// In the window configuration another thread may issue
-			// instead; round-robin already advanced, so just try
-			// again next iteration (bounded by issue rate).
-			continue
-		}
-		if in.Op.Info().Texture && (s.texReq == nil || th.pending != nil) {
-			continue
-		}
-		executed := th.emu.Step(th.t)
-		s.statInstr.Inc()
-		issued++
-		if th.t.Blocked != nil {
-			msg := s.getTexReq()
-			msg.DynObject = core.DynObject{ID: th.work.ID, Parent: th.work.Parent, Tag: "texreq"}
-			msg.Shader, msg.Slot = s.idx, i
-			msg.Req = th.t.Blocked
-			msg.Texture = th.work.Batch.State.Textures[th.t.Blocked.Sampler]
-			if s.texReq.CanSend(cycle, 1) {
-				s.texReq.Send(cycle, msg)
-				s.setState(th, threadBlockedTex)
-			} else {
-				th.pending = msg
-				s.setState(th, threadWaitSend)
-			}
-			continue
-		}
-		info := executed.Op.Info()
-		if info.HasDst && executed.Dst.Bank == isa.BankTemp {
-			th.ready[executed.Dst.Index] = cycle + int64(s.execLatency(info.LatencyClass))
-		}
-		if th.t.Done {
-			s.setState(th, threadDone)
-		}
+		s.execute(cycle, i)
 	}
 	return issued
 }
 
-func (s *ShaderUnit) execLatency(class isa.LatClass) int {
-	lat := 1
-	switch class {
-	case isa.LatSimple:
-		lat = s.cfg.ExecLatSimple
-	case isa.LatMAD:
-		lat = s.cfg.ExecLatMAD
-	case isa.LatScalar:
-		lat = s.cfg.ExecLatScalar
-	}
-	if lat < 1 {
-		lat = 1
-	}
-	return lat
-}
-
-// depsReady checks the scoreboard: all temp-register sources written
-// by earlier instructions must have completed execution.
-func (s *ShaderUnit) depsReady(cycle int64, th *shaderThread, in isa.Instruction) bool {
-	info := in.Op.Info()
-	for i := 0; i < info.NSrc; i++ {
-		if in.Src[i].Bank == isa.BankTemp && th.ready[in.Src[i].Index] > cycle {
-			return false
+// execute issues the next instruction of running thread i.
+func (s *ShaderUnit) execute(cycle int64, i int) {
+	th := &s.threads[i]
+	op := th.emu.Step(th.t)
+	s.statInstr.Inc()
+	switch {
+	case th.t.Blocked != nil:
+		msg := s.getTexReq()
+		msg.DynObject = core.DynObject{ID: th.work.ID, Parent: th.work.Parent, Tag: "texreq"}
+		msg.Shader, msg.Slot = s.idx, i
+		msg.Req = th.t.Blocked
+		msg.Texture = th.work.Batch.State.Textures[th.t.Blocked.Sampler]
+		if s.texReq.CanSend(cycle, 1) {
+			s.texReq.Send(cycle, msg)
+			s.setState(i, threadBlockedTex)
+		} else {
+			th.pending = msg
+			s.setState(i, threadWaitSend)
 		}
+	case th.t.Done:
+		s.setState(i, threadDone)
+	default:
+		if op.HasDst && op.Dst.Bank == isa.BankTemp {
+			th.ready[op.Dst.Index] = cycle + s.execLat[op.Lat]
+		}
+		s.sched.wakeAt[i] = s.wake(th)
 	}
-	// Write-after-write on a still-executing destination also stalls.
-	if info.HasDst && in.Dst.Bank == isa.BankTemp && th.ready[in.Dst.Index] > cycle {
-		return false
-	}
-	return true
 }
 
 func (s *ShaderUnit) retire(cycle int64) {
@@ -414,27 +382,133 @@ func (s *ShaderUnit) retire(cycle int64) {
 			}
 		}
 		s.workOut.Send(cycle, w)
-		s.setState(th, threadFree)
+		s.setState(i, threadFree)
 		th.work = nil
 		s.workIn.Release(1) // thread slot is free again
 	}
 }
 
-// Batch emulator caches: one ShaderEmulator per program+constants,
-// shared by every thread of the batch. The command processor builds
-// them eagerly in newBatch (shader units must not mutate shared batch
-// state in parallel mode); the lazy path below only serves test
-// harnesses that construct a BatchState directly.
-func fragEmulator(b *BatchState) *shaderemu.Emulator {
-	if b.fragEmu == nil {
-		b.fragEmu = shaderemu.New(b.State.FragmentProg, b.State.FragConsts)
-	}
-	return b.fragEmu
+// issueSched picks the thread a shader unit issues from. The thread
+// window configuration issues from any ready thread, round robin
+// (hiding texture latency); the in-order input queue configuration
+// only ever executes the oldest resident thread, stalling while it
+// waits (§5).
+//
+// Which thread issues, and where rr points afterwards, is part of the
+// determinism contract and is defined by the scheduler this one
+// replaced (kept as the reference model in scheduling_test.go): up to
+// len(threads) attempts per cycle, each taking the next running thread
+// at or after rr, moving rr past it, and issuing it if its scoreboard
+// allows. So an attempt is spent on every running thread passed over,
+// and when none can issue the attempts keep cycling over the running
+// threads until they are used up, which is where rr comes to rest.
+type issueSched struct {
+	rr     int
+	runSet []uint64 // bit i is set exactly while thread i is running
+	wakeAt []int64  // for a running thread, the first cycle it may issue
+
+	// In-order input queue only: the slots of the threads not yet
+	// finished, oldest first. Only the oldest ever executes, so threads
+	// finish in arrival order and the ring pops where it pushes.
+	order               []int32
+	orderHead, orderLen int
 }
 
-func vtxEmulator(b *BatchState) *shaderemu.Emulator {
-	if b.vtxEmu == nil {
-		b.vtxEmu = shaderemu.New(b.State.VertexProg, b.State.VertConsts)
+func newIssueSched(threads int, inOrder bool) issueSched {
+	q := issueSched{runSet: make([]uint64, (threads+63)/64), wakeAt: make([]int64, threads)}
+	if inOrder {
+		q.order = make([]int32, threads)
 	}
-	return b.vtxEmu
+	return q
+}
+
+func (q *issueSched) run(i int, wake int64) {
+	q.runSet[i>>6] |= 1 << (i & 63)
+	q.wakeAt[i] = wake
+}
+
+func (q *issueSched) stop(i int) { q.runSet[i>>6] &^= 1 << (i & 63) }
+
+func (q *issueSched) arrive(i int) {
+	if q.order != nil {
+		q.order[(q.orderHead+q.orderLen)%len(q.order)] = int32(i)
+		q.orderLen++
+	}
+}
+
+func (q *issueSched) finish(i int) {
+	if q.order == nil {
+		return
+	}
+	if q.orderLen == 0 || q.order[q.orderHead] != int32(i) {
+		panic("gpu: in-order shader thread finished out of order")
+	}
+	q.orderHead = (q.orderHead + 1) % len(q.order)
+	q.orderLen--
+}
+
+// pick returns the slot to issue from at cycle, or -1 when no thread
+// can, taking what the search cost out of the cycle's attempts.
+func (q *issueSched) pick(cycle int64, attempts *int) int {
+	if *attempts <= 0 {
+		return -1
+	}
+	if q.order != nil {
+		if q.orderLen == 0 {
+			return -1
+		}
+		i := int(q.order[q.orderHead])
+		if q.runSet[i>>6]&(1<<(i&63)) == 0 || q.wakeAt[i] > cycle {
+			return -1
+		}
+		*attempts--
+		return i
+	}
+	i, last, tried := q.scan(*attempts, cycle)
+	if tried == 0 {
+		return -1 // nothing is running
+	}
+	if i < 0 && tried < *attempts {
+		// Every running thread was tried once and the attempts go round
+		// again; the last of them decides rr.
+		_, last, _ = q.scan((*attempts-1)%tried+1, -1)
+		tried = *attempts
+	}
+	*attempts -= tried
+	if q.rr = last + 1; q.rr == len(q.wakeAt) {
+		q.rr = 0
+	}
+	return i
+}
+
+// scan visits the running threads in slot order starting at rr and
+// wrapping once, at most limit of them, looking for one that may issue
+// at cycle. It returns that slot (-1 if none), the last slot visited
+// and how many were visited.
+func (q *issueSched) scan(limit int, cycle int64) (found, last, visited int) {
+	before := uint64(1)<<(q.rr&63) - 1 // rr's word: the slots before rr
+	w := q.rr >> 6
+	word := q.runSet[w] &^ before
+	for n := len(q.runSet); ; n-- {
+		for ; word != 0; word &= word - 1 {
+			last = w<<6 + bits.TrailingZeros64(word)
+			visited++
+			if q.wakeAt[last] <= cycle {
+				return last, last, visited
+			}
+			if visited == limit {
+				return -1, last, visited
+			}
+		}
+		if n == 0 {
+			return -1, last, visited
+		}
+		if w++; w == len(q.runSet) {
+			w = 0
+		}
+		word = q.runSet[w]
+		if n == 1 { // wrapped round to rr's word
+			word &= before
+		}
+	}
 }

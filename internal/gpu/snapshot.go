@@ -401,7 +401,7 @@ func (s *ShaderUnit) SnapshotName() string { return s.BoxName() }
 // SnapshotState implements chkpt.Snapshotter: the issue round-robin
 // pointer and the arrival sequence source.
 func (s *ShaderUnit) SnapshotState(e *chkpt.Encoder) {
-	e.U32(uint32(s.rr))
+	e.U32(uint32(s.sched.rr))
 	e.I64(s.seq)
 }
 
@@ -415,7 +415,7 @@ func (s *ShaderUnit) RestoreState(d *chkpt.Decoder) error {
 	if rr < 0 || rr >= len(s.threads) {
 		return fmt.Errorf("%w: %s thread pointer %d outside %d threads", chkpt.ErrMismatch, s.BoxName(), rr, len(s.threads))
 	}
-	s.rr = rr
+	s.sched.rr = rr
 	s.seq = seq
 	return nil
 }

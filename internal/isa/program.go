@@ -78,12 +78,14 @@ type Program struct {
 	outputs  uint32 // bitmask of written output slots
 	samplers uint32 // bitmask of referenced texture units
 	hasKill  bool
+	ops      []Decoded // Instr resolved for execution, built by Validate
 }
 
 // Validate checks bank usage, register ranges and kind restrictions,
-// and computes the resource summary. Every program must end with END.
+// computes the resource summary and decodes the instructions for
+// execution. Every program must end with END.
 func (p *Program) Validate() error {
-	p.temps, p.inputs, p.outputs, p.samplers, p.hasKill = 0, 0, 0, 0, false
+	p.temps, p.inputs, p.outputs, p.samplers, p.hasKill, p.ops = 0, 0, 0, 0, false, nil
 	if len(p.Instr) == 0 {
 		return fmt.Errorf("program %q: empty", p.Name)
 	}
@@ -152,8 +154,14 @@ func (p *Program) Validate() error {
 			p.hasKill = true
 		}
 	}
+	p.ops = decode(p.Instr)
 	return nil
 }
+
+// Decoded returns the instructions resolved for execution, one per
+// entry of Instr. Validate builds the array once; every emulator and
+// shader unit running the program shares it read-only.
+func (p *Program) Decoded() []Decoded { return p.ops }
 
 // TempsUsed returns the number of temporary registers the program
 // needs per shader input; it limits how many threads a shader unit
