@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -88,6 +89,7 @@ func run() int {
 	traceSample := flag.String("trace-sample", "", "request tracing: keep 1 in N memory/shader spans, e.g. 1/64 (off by default)")
 	traceSeed := flag.Uint64("trace-seed", 1, "seed for the deterministic span sampler")
 	spansOut := flag.String("spans", "", "write the retained sampled spans as NDJSON to file")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation run to file")
 	flag.Parse()
 
 	if *in == "" {
@@ -321,12 +323,22 @@ func run() int {
 
 	fmt.Printf("%s\n", pipe)
 	fmt.Printf("trace %s: %s %dx%d, frames %d..%v\n", *in, hdr.Label, hdr.Width, hdr.Height, *start, *end)
+	var profFile *os.File
+	if *cpuProfile != "" {
+		if profFile, err = os.Create(*cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(profFile)
+		}
+		if err != nil {
+			return fail(exitUsage, err)
+		}
+	}
 	var simErr error
 	if restored {
 		simErr = pipe.ResumeContext(ctx, *maxCycles)
 	} else {
 		simErr = pipe.RunContext(ctx, cmds, *maxCycles)
 	}
+	pprof.StopCPUProfile() // no-op when none was started
 	if simErr == nil {
 		fmt.Printf("simulated %d cycles, %d frames, %.2f fps at %d MHz\n",
 			pipe.Cycles(), len(pipe.Frames()), pipe.FPS(), cfg.ClockMHz)
@@ -342,6 +354,13 @@ func run() int {
 		bus.Flush()
 	}
 	outOK := true
+	if profFile != nil {
+		if err := profFile.Close(); err != nil {
+			outOK = complain(err)
+		} else {
+			fmt.Println("wrote", *cpuProfile)
+		}
+	}
 	if sigWriter != nil {
 		if err := sigWriter.Close(); err != nil {
 			outOK = complain(err)
@@ -408,7 +427,7 @@ func run() int {
 	}
 	man.Cycles = pipe.Cycles()
 	man.Frames = int64(pipe.CP.Frames())
-	man.Outputs = collectOutputs(*sigOut, *statsOut, *summaryOut, *framesOut, *metricsOut, *spansOut, *perfettoOut, *blackbox)
+	man.Outputs = collectOutputs(*sigOut, *statsOut, *summaryOut, *framesOut, *metricsOut, *spansOut, *perfettoOut, *blackbox, *cpuProfile)
 	if eng != nil {
 		man.Checkpoints = eng.Count()
 		man.LastCheckpoint = eng.LastCycle()

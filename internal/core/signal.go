@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -19,21 +20,24 @@ import (
 // exactly one producing box and one consuming box, which may be
 // clocked on different goroutines within the same cycle. This is safe
 // because latency >= 1 keeps their ring slots disjoint: the ring has
-// maxLat+1 slots, a write at cycle C with latency L lands in slot
-// (C+L) mod (maxLat+1), and a read at cycle C touches slot C mod
-// (maxLat+1); those collide only if L == 0 mod (maxLat+1), which
-// L in [1, maxLat] rules out. The writer-only fields (wrCycle,
-// wrCount) and reader-only fields (traceBuf) are single-goroutine;
+// N slots, N the next power of two >= maxLat+1 (so a slot index is a
+// mask, not a divide), a write at cycle C with latency L lands in
+// slot (C+L) mod N, and a read at cycle C touches slot C mod N; those
+// collide only if L == 0 mod N, which L in [1, maxLat] rules out for
+// any N > maxLat. The writer-only fields (wrCycle, wrCount) and
+// reader-only fields (traceBuf) are single-goroutine;
 // produced/consumed are atomic so Pending and Traffic may be read
-// from either side. Cross-cycle accesses are ordered by the
+// from either side, and Read uses them to leave an empty wire without
+// touching the ring. Cross-cycle accesses are ordered by the
 // simulator's cycle barrier.
 type Signal struct {
 	name     string
 	bw       int
 	lat      int
 	maxLat   int
-	ring     [][]Dynamic // indexed by cycle % len(ring)
+	ring     [][]Dynamic // indexed by cycle & mask
 	stamp    []int64     // cycle each ring slot was last written for
+	mask     int64       // len(ring)-1; len(ring) is a power of two
 	wrCycle  int64       // cycle of the most recent writes (writer-only)
 	wrCount  int         // writes performed during wrCycle (writer-only)
 	produced atomic.Uint64
@@ -84,7 +88,7 @@ func NewSignal(name string, bandwidth, latency, maxLat int) *Signal {
 	if maxLat < latency {
 		maxLat = latency
 	}
-	n := maxLat + 1
+	n := ringLen(maxLat + 1)
 	return &Signal{
 		name:   name,
 		bw:     bandwidth,
@@ -92,33 +96,41 @@ func NewSignal(name string, bandwidth, latency, maxLat int) *Signal {
 		maxLat: maxLat,
 		ring:   make([][]Dynamic, n),
 		stamp:  make([]int64, n),
+		mask:   int64(n - 1),
 	}
 }
 
-// growRing widens the ring to at least n slots, re-placing any
-// in-flight objects by their arrival stamp. The simulator grows
-// cross-unit signals to maxLat+B slots before a skew-batched run:
-// with shards free-running B cycles apart, a reader up to B-1 cycles
-// behind the writer must still find slot (C+L) mod len untouched by
-// writes it has not yet observed, which needs len >= maxLat+B.
-// Growth changes no normal-path behavior — slot arithmetic stays
-// cycle mod len and every in-flight arrival keeps its stamp.
+// ringLen returns the smallest power of two >= n.
+func ringLen(n int) int {
+	return 1 << bits.Len(uint(n-1))
+}
+
+// growRing widens the ring to the next power of two >= n slots,
+// re-placing any in-flight objects by their arrival stamp. The
+// simulator grows cross-unit signals to at least maxLat+B slots
+// before a skew-batched run: with shards free-running B cycles apart,
+// a reader up to B-1 cycles behind the writer must still find slot
+// (C+L) mod len untouched by writes it has not yet observed, which
+// needs len >= maxLat+B. Growth changes no normal-path behavior —
+// slot arithmetic stays cycle mod len and every in-flight arrival
+// keeps its stamp.
 func (s *Signal) growRing(n int) {
 	if n <= len(s.ring) {
 		return
 	}
+	n = ringLen(n)
 	ring := make([][]Dynamic, n)
 	stamp := make([]int64, n)
+	mask := int64(n - 1)
 	for i, objs := range s.ring {
 		if len(objs) == 0 {
 			continue
 		}
-		slot := int(s.stamp[i] % int64(n))
+		slot := s.stamp[i] & mask
 		ring[slot] = objs
 		stamp[slot] = s.stamp[i]
 	}
-	s.ring = ring
-	s.stamp = stamp
+	s.ring, s.stamp, s.mask = ring, stamp, mask
 }
 
 // Name returns the signal's registered name.
@@ -155,7 +167,7 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 		s.wrCount = 1
 	}
 	arrive := cycle + int64(lat)
-	slot := int(arrive % int64(len(s.ring)))
+	slot := arrive & s.mask
 	if len(s.ring[slot]) > 0 && s.stamp[slot] != arrive {
 		simFail(s.name, cycle, "data lost: %d unread objects from cycle %d", len(s.ring[slot]), s.stamp[slot])
 	}
@@ -176,8 +188,20 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 // far side of the cycle barrier). This keeps the steady state
 // allocation-free: the ring reaches its high-water capacity once and
 // never reallocates.
+//
+// Nothing in flight (produced == consumed) means nothing can arrive:
+// an object arriving at cycle C was written during an earlier cycle,
+// which the barrier has made visible (skew-batched: the same
+// goroutine inside a pin unit, the batch sync across units, since
+// every cross-unit latency is at least the batch length), and a write
+// the producer is making concurrently arrives at C+1 or later. So the
+// empty-wire exit returns what the ring lookup would, in serial,
+// parallel and skew-batched runs alike.
 func (s *Signal) Read(cycle int64) []Dynamic {
-	slot := int(cycle % int64(len(s.ring)))
+	if s.produced.Load() == s.consumed.Load() {
+		return nil
+	}
+	slot := cycle & s.mask
 	if len(s.ring[slot]) == 0 || s.stamp[slot] != cycle {
 		return nil
 	}

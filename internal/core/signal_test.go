@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +230,112 @@ func TestSignalReadReusesBacking(t *testing.T) {
 	}
 	if got2 := s.Read(3); len(got2) != 1 || got2[0].(*testObj).val != 2 {
 		t.Fatalf("reused slot read: %v", got2)
+	}
+}
+
+// signalModel is the reference for the differential test: objects
+// keyed by the cycle they arrive on, nothing else.
+type signalModel map[int64][]Dynamic
+
+// lostOn reports whether a write arriving at cycle arrive lands on a
+// ring slot still holding unread objects of another cycle — the one
+// place the ring length shows through the signal's contract.
+func (m signalModel) lostOn(arrive int64, ringLen int) bool {
+	for at, objs := range m {
+		if len(objs) > 0 && at != arrive && (at-arrive)%int64(ringLen) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSignalMatchesArrivalModel drives random Write/WriteLat/Read
+// schedules through a Signal and through a map keyed by arrival cycle.
+// Bandwidths 1-4 and maxLat 1-9 cover ring lengths that are rounded up
+// to a power of two as well as exact ones. A careful reader reads every
+// cycle something arrives on and only some of the others (so the
+// empty-wire exit and the ring lookup are both taken on quiet cycles),
+// and its ring is grown mid-run with objects in flight; a careless one
+// skips arrivals too, and the data-loss error must fire exactly when a
+// later write wraps onto what it left behind.
+func TestSignalMatchesArrivalModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 400; run++ {
+		bw, maxLat := 1+rng.Intn(4), 1+rng.Intn(9)
+		lat := 1 + rng.Intn(maxLat)
+		careless := run%4 == 3
+		s := NewSignal("wire", bw, lat, maxLat)
+		model := signalModel{}
+		var ids IDSource
+		var produced, consumed uint64
+		lost := false
+		for c := int64(0); c < 300 && !lost; c++ {
+			if want := model[c]; len(want) > 0 && careless && rng.Intn(8) == 0 {
+				// left on the wire
+			} else if len(want) > 0 || rng.Intn(2) == 0 {
+				got := s.Read(c)
+				if len(got) != len(want) {
+					t.Fatalf("run %d (bw %d lat %d maxLat %d) cycle %d: read %d objects, model has %d", run, bw, lat, maxLat, c, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("run %d cycle %d: object %d differs from the model", run, c, i)
+					}
+				}
+				consumed += uint64(len(got))
+				delete(model, c)
+			}
+			if p, cn := s.Traffic(); p != produced || cn != consumed || s.Pending() != (produced != consumed) {
+				t.Fatalf("run %d cycle %d: traffic %d/%d pending %v, model %d/%d", run, c, p, cn, s.Pending(), produced, consumed)
+			}
+			for n := rng.Intn(bw + 1); n > 0 && !lost; n-- {
+				o := newObj(&ids, int(c))
+				l := lat
+				write := func() { s.Write(c, o) }
+				if rng.Intn(2) == 0 {
+					l = 1 + rng.Intn(maxLat)
+					write = func() { s.WriteLat(c, l, o) }
+				}
+				arrive := c + int64(l)
+				if model.lostOn(arrive, len(s.ring)) {
+					expectSimError(t, write)
+					lost = true
+					break
+				}
+				write()
+				produced++
+				model[arrive] = append(model[arrive], o)
+			}
+			if !careless && rng.Intn(64) == 0 {
+				// What the simulator does to cross-unit wires, here
+				// at a barrier with objects in flight.
+				s.growRing(len(s.ring) + 1 + rng.Intn(5))
+				if n := len(s.ring); n&(n-1) != 0 || int64(n-1) != s.mask {
+					t.Fatalf("run %d: ring grew to %d slots, mask %#x", run, n, s.mask)
+				}
+			}
+		}
+	}
+}
+
+// TestSignalDataLossRoundedRing: maxLat+1 = 3 slots are rounded up to
+// 4, and an unread object is still reported when the ring wraps onto
+// it, while every write before that goes through.
+func TestSignalDataLossRoundedRing(t *testing.T) {
+	var ids IDSource
+	s := NewSignal("wire", 1, 2, 0)
+	s.Write(0, newObj(&ids, 0)) // arrives cycle 2, never read
+	for c := int64(1); ; c++ {
+		if c != 2 {
+			s.Read(c)
+		}
+		if c%int64(len(s.ring)) == 0 { // arrival c+2 shares the slot of arrival 2
+			se := expectSimError(t, func() { s.Write(c, newObj(&ids, int(c))) })
+			if se.Cycle != c || !strings.Contains(se.Msg, "data lost") {
+				t.Fatalf("wrong error: %v", se)
+			}
+			return
+		}
+		s.Write(c, newObj(&ids, int(c)))
 	}
 }

@@ -451,7 +451,6 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 	// A failing cycle stops before its barrier: drain whatever trace
 	// entries its boxes produced so the trace shows the violation.
 	s.flushTraces()
-	s.Stats.FoldShadows()
 	s.Stats.Flush(s.cycle)
 	s.crash = s.buildCrashReport(err)
 	return err
@@ -541,7 +540,6 @@ func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
 	if s.wd != nil {
 		rep = s.wd.check(s, last)
 	}
-	s.Stats.FoldShadows()
 	for _, h := range s.hooks {
 		if h.local && s.skew > 1 {
 			continue // already ran per cycle on its owning shard
@@ -564,7 +562,6 @@ func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
 // equivalent automatically at every full sync; only test harnesses
 // that clock boxes manually (outside Run) need to call it themselves.
 func (s *Simulator) EndCycle(cycle int64) {
-	s.Stats.FoldShadows()
 	for _, h := range s.hooks {
 		h.fn(cycle)
 	}

@@ -129,12 +129,6 @@ func (m *StatManager) RestoreState(d *chkpt.Decoder) error {
 				return fmt.Errorf("%w: stat %q is a gauge in snapshot, a counter in machine", chkpt.ErrMismatch, name)
 			}
 			st.v = val
-		case *Shadow:
-			if isGauge {
-				return fmt.Errorf("%w: stat %q is a gauge in snapshot, a counter in machine", chkpt.ErrMismatch, name)
-			}
-			st.v = val
-			st.n = 0
 		case *Gauge:
 			if !isGauge {
 				return fmt.Errorf("%w: stat %q is a counter in snapshot, a gauge in machine", chkpt.ErrMismatch, name)

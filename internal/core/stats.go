@@ -21,8 +21,16 @@ type Stat interface {
 }
 
 // Counter is a monotonically increasing statistic (events, cycles
-// busy, bytes transferred). The zero value is unusable; create
-// counters through StatManager.Counter so they are registered.
+// busy, bytes transferred). Boxes embed their counters by value and
+// register them with StatManager.ShadowCounter, so the hot path
+// increments a plain struct field on the same cache lines as the rest
+// of the box state; StatManager.Counter allocates a free-standing one.
+// The zero value is unusable until registered.
+//
+// A counter is mutated only by its owning box and read at the cycle
+// barrier, so parallel simulation needs no locking. Every Add in the
+// tree passes an integer and totals stay well below 2^53, so the
+// float64 sum is exact in any order.
 type Counter struct {
 	name string
 	v    float64
@@ -39,40 +47,6 @@ func (c *Counter) Inc() { c.v++ }
 
 // Add adds n.
 func (c *Counter) Add(n float64) { c.v += n }
-
-// Shadow is a counter embedded by value in its owning box: the hot
-// path increments a plain struct field (same cache lines as the rest
-// of the box state, no pointer chase to a separately allocated heap
-// Counter per event), and the per-cycle delta is folded into the
-// cumulative value once at the simulator's barrier
-// (StatManager.FoldShadows).
-//
-// Value always includes the unfolded delta, so readers (the
-// watchdog's ProgressReporter counters, BusyCycles, the command
-// processor's frame count, Lookup in manual-clock test harnesses) see
-// exact values whether or not the fold for the current cycle has
-// happened yet. Counts are integers well below 2^53, so fold-once-
-// per-cycle is bit-identical to per-event increments.
-//
-// Like Counter, a Shadow is mutated only by its owning box and read
-// at the cycle barrier, so parallel simulation needs no locking.
-type Shadow struct {
-	name string
-	v    float64 // folded cumulative value, authoritative at barriers
-	n    float64 // pending delta since the last fold
-}
-
-// StatName implements Stat.
-func (s *Shadow) StatName() string { return s.name }
-
-// Value returns the cumulative value including the unfolded delta.
-func (s *Shadow) Value() float64 { return s.v + s.n }
-
-// Inc adds 1 to the local delta.
-func (s *Shadow) Inc() { s.n++ }
-
-// Add adds n to the local delta.
-func (s *Shadow) Add(v float64) { s.n += v }
 
 // Gauge is a statistic that records the latest and maximum observed
 // value (queue occupancies, threads in flight).
@@ -114,7 +88,6 @@ type StatManager struct {
 	interval int64
 	rows     []sampleRow
 	last     []float64
-	shadows  []*Shadow
 
 	lastSample int64
 	hasSample  bool
@@ -140,26 +113,12 @@ func (m *StatManager) Counter(name string) *Counter {
 	return c
 }
 
-// ShadowCounter registers sh under the given name. sh must be a
-// field of the owning box (its address must stay stable for the life
-// of the manager — never a reallocating slice element).
-func (m *StatManager) ShadowCounter(sh *Shadow, name string) {
-	*sh = Shadow{name: name}
-	m.register(sh)
-	m.shadows = append(m.shadows, sh)
-}
-
-// FoldShadows folds every shadow's pending delta into its cumulative
-// value. The simulator calls it at each cycle barrier; extra calls
-// are harmless no-ops, and Shadow.Value is exact either way — the
-// fold only guarantees checkpoints snapshot with zero pending delta.
-func (m *StatManager) FoldShadows() {
-	for _, sh := range m.shadows {
-		if sh.n != 0 {
-			sh.v += sh.n
-			sh.n = 0
-		}
-	}
+// ShadowCounter registers c, a field of the owning box, under the
+// given name (its address must stay stable for the life of the
+// manager — never a reallocating slice element).
+func (m *StatManager) ShadowCounter(c *Counter, name string) {
+	*c = Counter{name: name}
+	m.register(c)
 }
 
 // Gauge creates and registers a Gauge with the given name.

@@ -15,9 +15,9 @@ type Clipper struct {
 	triOut *Flow
 	queue  core.FIFO[*TriWork]
 
-	statIn       core.Shadow
-	statRejected core.Shadow
-	statBusy     core.Shadow
+	statIn       core.Counter
+	statRejected core.Counter
+	statBusy     core.Counter
 }
 
 // NewClipper builds the box. The output flow's signal latency models

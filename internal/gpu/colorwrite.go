@@ -32,10 +32,10 @@ type ColorWrite struct {
 
 	layoutFn func() SurfaceLayout // draw buffer (changes on swap)
 
-	statQuads core.Shadow
-	statFrags core.Shadow
-	statBusy  core.Shadow
-	statStall core.Shadow
+	statQuads core.Counter
+	statFrags core.Counter
+	statBusy  core.Counter
+	statStall core.Counter
 }
 
 // NewColorWrite builds ROPc unit idx. layoutFn returns the current

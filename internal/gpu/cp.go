@@ -56,11 +56,11 @@ type CommandProcessor struct {
 
 	finished bool
 
-	statCmds    core.Shadow
-	statBatches core.Shadow
-	statFrames  core.Shadow
-	statBytesUp core.Shadow
-	statOverlap core.Shadow
+	statCmds    core.Counter
+	statBatches core.Counter
+	statFrames  core.Counter
+	statBytesUp core.Counter
+	statOverlap core.Counter
 }
 
 // NewCommandProcessor builds the box.

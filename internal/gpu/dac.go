@@ -32,9 +32,9 @@ type DAC struct {
 
 	frames []*Frame
 
-	statBlocks  core.Shadow
-	statSynth   core.Shadow
-	statRefresh core.Shadow
+	statBlocks  core.Counter
+	statSynth   core.Counter
+	statRefresh core.Counter
 }
 
 // Frame is one dumped image.

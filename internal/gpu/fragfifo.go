@@ -68,11 +68,11 @@ type FragmentFIFO struct {
 	trVtx  *trace.Tracer
 	trFrag *trace.Tracer
 
-	statVtxThreads  core.Shadow
-	statFragThreads core.Shadow
-	statKilled      core.Shadow
-	statWindowFull  core.Shadow
-	statRegStall    core.Shadow
+	statVtxThreads  core.Counter
+	statFragThreads core.Counter
+	statKilled      core.Counter
+	statWindowFull  core.Counter
+	statRegStall    core.Counter
 	windowGauge     *core.Gauge
 }
 

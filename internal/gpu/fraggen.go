@@ -25,10 +25,10 @@ type FragmentGenerator struct {
 	scanX int      // scanline traversal
 	scanY int
 
-	statTiles core.Shadow
-	statQuads core.Shadow
-	statFrags core.Shadow
-	statBusy  core.Shadow
+	statTiles core.Counter
+	statQuads core.Counter
+	statFrags core.Counter
+	statBusy  core.Counter
 }
 
 type region struct {

@@ -24,10 +24,10 @@ type HierarchicalZ struct {
 	queue   core.FIFO[*Tile]
 	maxZ    []uint32 // per block
 
-	statTiles  core.Shadow
-	statCulled core.Shadow
-	statQuads  core.Shadow
-	statBusy   core.Shadow
+	statTiles  core.Counter
+	statCulled core.Counter
+	statQuads  core.Counter
+	statBusy   core.Counter
 }
 
 // NewHierarchicalZ builds the box. earlyZ carries one flow per ROP

@@ -21,8 +21,8 @@ type Interpolator struct {
 	queue   core.FIFO[*Quad]
 	rr      int
 
-	statQuads core.Shadow
-	statBusy  core.Shadow
+	statQuads core.Counter
+	statBusy  core.Counter
 }
 
 // NewInterpolator builds the box.

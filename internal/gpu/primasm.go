@@ -20,8 +20,8 @@ type PrimAssembly struct {
 	count   int                      // vertices consumed for the current batch
 	pending *TriWork                 // second triangle of a completed quad
 
-	statTris core.Shadow
-	statBusy core.Shadow
+	statTris core.Counter
+	statBusy core.Counter
 }
 
 // NewPrimAssembly builds the box.

@@ -21,9 +21,9 @@ type Setup struct {
 
 	fragBatch *BatchState // batch currently owning the fragment phase
 
-	statIn     core.Shadow
-	statCulled core.Shadow
-	statBusy   core.Shadow
+	statIn     core.Counter
+	statCulled core.Counter
+	statBusy   core.Counter
 }
 
 // NewSetup builds the box; the output flow's latency models the

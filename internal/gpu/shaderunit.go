@@ -93,9 +93,9 @@ type ShaderUnit struct {
 	freeReqs  []*TexReqMsg
 	spentReps []*TexRepMsg
 
-	statInstr   core.Shadow
-	statBusy    core.Shadow
-	statTexWait core.Shadow
+	statInstr   core.Counter
+	statBusy    core.Counter
+	statTexWait core.Counter
 	statThreads *core.Gauge
 }
 

@@ -28,7 +28,7 @@ func testFlow(name string, bw, maxLat, queue int) *Flow {
 	return NewFlow(core.NewSignal(name, bw, 1, maxLat), queue)
 }
 
-// barrier folds flow credits and shadow stats like the simulator's
+// barrier folds flow credits and runs end-of-cycle hooks like the simulator's
 // cycle barrier.
 func barrier(sim *core.Simulator, cycle int64, flows ...*Flow) {
 	for _, f := range flows {

@@ -47,10 +47,10 @@ type Streamer struct {
 		looked bool
 	}
 
-	statVtx       core.Shadow
-	statVCacheHit core.Shadow
-	statVCacheMis core.Shadow
-	statBusy      core.Shadow
+	statVtx       core.Counter
+	statVCacheHit core.Counter
+	statVCacheMis core.Counter
+	statBusy      core.Counter
 }
 
 type vcacheEntry struct {

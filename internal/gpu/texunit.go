@@ -109,11 +109,11 @@ type TextureUnit struct {
 	// on a different worker shard.
 	quiesced bool
 
-	statReqs     core.Shadow
-	statTexels   core.Shadow
-	statBilinear core.Shadow
-	statBusy     core.Shadow
-	statStall    core.Shadow
+	statReqs     core.Counter
+	statTexels   core.Counter
+	statBilinear core.Counter
+	statBusy     core.Counter
+	statStall    core.Counter
 }
 
 // texHooks decode compressed texture tiles into the cache on fill

@@ -48,11 +48,11 @@ type ZStencil struct {
 	flushPending bool
 	flushIssued  bool
 
-	statQuads  core.Shadow
-	statFrags  core.Shadow
-	statCulled core.Shadow
-	statBusy   core.Shadow
-	statStall  core.Shadow
+	statQuads  core.Counter
+	statFrags  core.Counter
+	statCulled core.Counter
+	statBusy   core.Counter
+	statStall  core.Counter
 }
 
 // NewZStencil builds ROPz unit idx.

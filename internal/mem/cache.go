@@ -76,6 +76,12 @@ type cacheLine struct {
 	key     uint32
 	lastUse int64
 	data    []byte
+	// flushNeed is the transaction count FlushDirty found the encoded
+	// line to need when the port was too full to take it; 0 is
+	// unknown. A memo of unchanged data, not state, and read only
+	// while the line is dirty: Write and RestoreFrom, the two ways a
+	// line becomes dirty, clear it.
+	flushNeed int
 }
 
 type missState uint8
@@ -119,12 +125,12 @@ type Cache struct {
 
 	freeMiss []*missEntry // recycled entries (keep wb/fill buffer backing)
 
-	statHits    core.Shadow
-	statMisses  core.Shadow
-	statFills   core.Shadow
-	statEvicts  core.Shadow
-	statSynth   core.Shadow
-	statStalled core.Shadow
+	statHits    core.Counter
+	statMisses  core.Counter
+	statFills   core.Counter
+	statEvicts  core.Counter
+	statSynth   core.Counter
+	statStalled core.Counter
 }
 
 // NewCache builds a cache owned by the named client. The port is
@@ -216,8 +222,10 @@ func (c *Cache) Write(key uint32, off int, src []byte) {
 	if w < 0 || !c.sets[set][w].valid {
 		panic(fmt.Sprintf("%s: Write of non-resident line %#x", c.cfg.Name, key))
 	}
-	copy(c.sets[set][w].data[off:], src)
-	c.sets[set][w].dirty = true
+	ln := &c.sets[set][w]
+	copy(ln.data[off:], src)
+	ln.dirty = true
+	ln.flushNeed = 0
 }
 
 // RequestFill queues a miss for the line. It returns false when the
@@ -400,6 +408,12 @@ func (c *Cache) PendingMisses() int { return len(c.miss) }
 // dirty bits; returns false while some line's writeback could not be
 // issued this cycle (call again next cycle). Used at frame boundaries
 // so the DAC and the functional comparison read consistent memory.
+//
+// A line the port has no room for remembers how many transactions its
+// encoded form needs, and later calls pass over it without encoding
+// until that many slots are free: a flush encodes each line on its
+// first cycle and again on the cycle it is written, not once per
+// cycle it waits.
 func (c *Cache) FlushDirty(cycle int64) bool {
 	done := true
 	for s := range c.sets {
@@ -408,9 +422,13 @@ func (c *Cache) FlushDirty(cycle int64) bool {
 			if !ln.valid || !ln.dirty {
 				continue
 			}
+			free := c.port.Free()
+			if ln.flushNeed > free {
+				done = false
+				continue
+			}
 			addr, raw := c.hooks.Encode(ln.key, ln.data)
-			need := transactionsFor(len(raw))
-			if c.port.limit-c.port.outstanding < need {
+			if ln.flushNeed = transactionsFor(len(raw)); ln.flushNeed > free {
 				done = false
 				continue
 			}

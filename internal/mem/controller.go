@@ -156,15 +156,15 @@ type Controller struct {
 	freeReps []*Reply
 	bufs     [][]byte // read-data buffers stripped from recycled replies
 
-	statReadBytes  core.Shadow
-	statWriteBytes core.Shadow
-	statPageMiss   core.Shadow
-	statTurnaround core.Shadow
-	statBusy       core.Shadow
+	statReadBytes  core.Counter
+	statWriteBytes core.Counter
+	statPageMiss   core.Counter
+	statTurnaround core.Counter
+	statBusy       core.Counter
 	// Pre-sized before registration: ShadowCounter keeps the element
 	// addresses, so these slices must never be reallocated.
-	clientRead  []core.Shadow
-	clientWrite []core.Shadow
+	clientRead  []core.Counter
+	clientWrite []core.Counter
 }
 
 type mcClient struct {
@@ -187,8 +187,8 @@ func NewController(sim *core.Simulator, cfg ControllerConfig, mem *GPUMemory, cl
 	if cfg.Channels > replyBW {
 		replyBW = cfg.Channels
 	}
-	c.clientRead = make([]core.Shadow, len(clients))
-	c.clientWrite = make([]core.Shadow, len(clients))
+	c.clientRead = make([]core.Counter, len(clients))
+	c.clientWrite = make([]core.Counter, len(clients))
 	for i, name := range clients {
 		cl := &mcClient{name: name}
 		sim.Binder.Bind(c.BoxName(), name+".MemReq", &cl.req)

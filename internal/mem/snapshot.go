@@ -201,6 +201,7 @@ func (c *Cache) RestoreFrom(d *chkpt.Decoder) error {
 			ln.key = d.U32()
 			ln.lastUse = d.I64()
 			ln.pending = false
+			ln.flushNeed = 0
 			if ln.valid {
 				data := d.Blob()
 				if d.Err() == nil && len(data) != c.cfg.LineBytes {
