@@ -29,7 +29,8 @@ test:
 # cases: steal races, clock-skewed peers, fenced revived hosts,
 # epoch-floor recovery over torn leases, and the raced drain-handoff
 # takeover), the cancel/complete terminal-state race, the shader issue
-# scheduler against its reference model (raced), and fuzz smokes over
+# scheduler, the pending texture sends and the texture unit against
+# their reference models (raced), and fuzz smokes over
 # the trace reader and over the decoded shader interpreter against its
 # reference evaluator.
 check:
@@ -43,7 +44,7 @@ check:
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
 	BENCH_OBSV_OUT=$$(mktemp) $(GO) test -run '^TestBenchObsv$$' .
 	BENCH_HOTPATH_OUT=$$(mktemp) BENCH_HOTPATH_SMOKE=1 $(GO) test -run '^TestBenchHotpath$$' -count=1 .
-	$(GO) test -race -run '^TestSchedulerMatchesReference$$' -count=1 ./internal/gpu/
+	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
@@ -99,7 +100,7 @@ bench-parallel:
 # the survivor must steal its leases, resume from checkpoints, and
 # finish with output bytes identical to a clean single-host run; then
 # a three-peer fleet drains one member mid-job and the handoff record
-# must move its lease to a live peer in under one TTL, again
-# converging byte-identically.
+# must move its lease to a live peer at the next epoch, with no expiry
+# steal, again converging byte-identically.
 fleet-smoke:
 	$(GO) test -run '^TestFleetSmokeTwoPeers$$|^TestFleetDrainHandoff$$' -count=1 -v ./internal/fleet/

@@ -37,6 +37,10 @@ func TestGoldenFrames(t *testing.T) {
 		// Computed at 6fbffd4.
 		{"spinner-3f", "spinner", gpu.Embedded(), 0, 3, 19760, "004d6e5ba483847a5d7de9e2411e6d53b216ad226860e6865ea297487ccaea11"},
 		{"doom3-2f", "doom3", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 2, 150045, "091f18c3f34f4f31722dd11168133fb9562d33c8dd959a57fb2cec94c378d20d"},
+		// The texture path over several frames (8x aniso), and with one
+		// texture unit so the miss-stall path is hot. Computed at ab1d5eb.
+		{"ut2004-3f", "ut2004", gpu.BaselineUnified(), 0, 3, 212754, "08a707f130607da4d3e4dae369a0324b2182e0123626cae5b22edeb11c6d9bb3"},
+		{"ut2004-1tu", "ut2004", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 2, 210918, "f6375ee6703cb468d0167845f6ccacd0c03fe5415137f91eac28df97c72b225c"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Workers = c.workers

@@ -26,6 +26,10 @@ type TexelRef struct {
 	Slice int
 	X, Y  int
 	W     float32 // filter weight
+	// Addr and Idx are TileAddr(Face, Level, Slice, X, Y), resolved by
+	// the planner so that fetching the texel is one tile lookup.
+	Addr uint32
+	Idx  int
 }
 
 // SamplePlan lists every texel one fragment's filtered sample needs
@@ -118,6 +122,78 @@ func (t *Texture) QuadLOD(coords [4]vmath.Vec4, mode Mode, lodArg float32) LODIn
 	return info
 }
 
+// mipLevel is one mip level a quad samples, with everything about it
+// that does not depend on the sample position.
+type mipLevel struct {
+	level, w, h, d int
+	tilesX, tilesY int     // tile grid of one slice
+	tileBytes      int     // memory footprint of one tile
+	weight         float32 // share of a lane's sample one footprint on this level carries
+	linear         bool    // bilinear footprint (else the nearest texel)
+}
+
+func (t *Texture) mipLevel(level int, weight float32, linear bool) mipLevel {
+	w, h, d := t.LevelSize(level)
+	tx, ty := t.LevelTiles(level)
+	return mipLevel{level, w, h, d, tx, ty, t.Format.TileBytes(), weight, linear}
+}
+
+// texel resolves texel (x, y) of a face and slice of the level to its
+// tile; this is the arithmetic behind TileAddr.
+func (lv *mipLevel) texel(t *Texture, face, slice, x, y int, w float32) TexelRef {
+	tile := (slice*lv.tilesY+y/TileTexels)*lv.tilesX + x/TileTexels
+	return TexelRef{
+		Face: face, Level: lv.level, Slice: slice, X: x, Y: y, W: w,
+		Addr: t.Base[face][lv.level] + uint32(tile*lv.tileBytes),
+		Idx:  y%TileTexels*TileTexels + x%TileTexels,
+	}
+}
+
+// quadLevels is the part of a sample plan that depends only on the
+// quad's LODInfo, decided once for the four lanes and every
+// anisotropic position: minification or magnification, the one or two
+// levels sampled, and the weight each level's footprint carries.
+type quadLevels struct {
+	n        int // anisotropic positions, stepped by (ds, dt)
+	ds, dt   float32
+	lv       [2]mipLevel
+	levels   int // entries of lv in use
+	bilinear int // BilinearSamples per position
+}
+
+func (t *Texture) quadLevels(info LODInfo) quadLevels {
+	q := quadLevels{n: max(info.N, 1), ds: info.DS, dt: info.DT, levels: 1, bilinear: 1}
+	weight := 1 / float32(q.n)
+	lod := info.Lod
+	switch filter := t.MinFilter; {
+	case lod <= 0:
+		q.lv[0] = t.mipLevel(0, weight, t.MagFilter.linearInLevel())
+	case !filter.mipmapped():
+		q.lv[0] = t.mipLevel(0, weight, filter.linearInLevel())
+	case filter.mipLinear():
+		// Trilinear: blend two adjacent levels.
+		floor := math.Floor(float64(lod))
+		l0 := t.clampLevel(int(floor))
+		l1 := t.clampLevel(l0 + 1)
+		frac := lod - float32(floor)
+		if l1 == l0 {
+			frac = 0
+		}
+		q.levels, q.bilinear = 0, 2
+		if frac < 1 {
+			q.lv[0] = t.mipLevel(l0, weight*(1-frac), filter.linearInLevel())
+			q.levels++
+		}
+		if frac > 0 {
+			q.lv[q.levels] = t.mipLevel(l1, weight*frac, filter.linearInLevel())
+			q.levels++
+		}
+	default:
+		q.lv[0] = t.mipLevel(t.clampLevel(int(lod+0.5)), weight, filter.linearInLevel())
+	}
+	return q
+}
+
 // Plan computes the texels needed to sample the texture at coord with
 // the quad's LOD decision. Projective division must already be
 // applied when mode was ModeProj (PrepareCoord does it).
@@ -130,23 +206,18 @@ func (t *Texture) Plan(coord vmath.Vec4, info LODInfo) SamplePlan {
 // PlanInto is Plan writing into a caller-owned plan, reusing its
 // Texels backing array so steady-state sampling does not allocate.
 func (t *Texture) PlanInto(plan *SamplePlan, coord vmath.Vec4, info LODInfo) {
-	plan.Texels = plan.Texels[:0]
-	plan.BilinearSamples = 0
-	n := info.N
-	if n < 1 {
-		n = 1
+	q := t.quadLevels(info)
+	t.planLane(plan, coord, &q)
+}
+
+// PlanQuad plans the four lanes of a quad, PrepareCoord included, with
+// one level decision. It returns the quad's bilinear-sample count.
+func (t *Texture) PlanQuad(plans *[4]SamplePlan, coords [4]vmath.Vec4, mode Mode, info LODInfo) int {
+	q := t.quadLevels(info)
+	for l := range plans {
+		t.planLane(&plans[l], PrepareCoord(coords[l], mode), &q)
 	}
-	w := 1 / float32(n)
-	// Anisotropic positions are centered on coord along the major
-	// axis: offsets -(n-1)/2 .. +(n-1)/2 steps.
-	start := -float32(n-1) / 2
-	for i := 0; i < n; i++ {
-		o := start + float32(i)
-		pos := coord
-		pos[0] += o * info.DS
-		pos[1] += o * info.DT
-		t.planIsotropic(plan, pos, info.Lod, w)
-	}
+	return 4 * q.n * q.bilinear
 }
 
 // PrepareCoord applies the projective division of TXP. Call before
@@ -158,48 +229,22 @@ func PrepareCoord(coord vmath.Vec4, mode Mode) vmath.Vec4 {
 	return coord
 }
 
-func (t *Texture) planIsotropic(plan *SamplePlan, coord vmath.Vec4, lod, weight float32) {
-	face := 0
-	s, tt, r := coord[0], coord[1], coord[2]
-	if t.Target == isa.TexCube {
-		face, s, tt = cubeFace(coord)
-	}
-
-	magnified := lod <= 0
-	filter := t.MinFilter
-	if magnified || !t.MinFilter.mipmapped() {
-		if magnified {
-			filter = t.MagFilter
+// planLane plans one lane's sample: every level of q at every
+// anisotropic position. The positions are centered on coord along the
+// major axis: offsets -(n-1)/2 .. +(n-1)/2 steps.
+func (t *Texture) planLane(plan *SamplePlan, coord vmath.Vec4, q *quadLevels) {
+	plan.Texels = plan.Texels[:0]
+	plan.BilinearSamples = q.n * q.bilinear
+	start := -float32(q.n-1) / 2
+	for i := 0; i < q.n; i++ {
+		o := start + float32(i)
+		face, s, tt := 0, coord[0]+o*q.ds, coord[1]+o*q.dt
+		if t.Target == isa.TexCube {
+			face, s, tt = cubeFace(vmath.Vec4{s, tt, coord[2], coord[3]})
 		}
-		// Single-level sample at the base level.
-		lv := 0
-		if !magnified && t.MinFilter.mipmapped() {
-			lv = t.clampLevel(int(lod + 0.5))
+		for l := range q.lv[:q.levels] {
+			t.planLevel(plan, face, &q.lv[l], s, tt, coord[2])
 		}
-		plan.BilinearSamples++
-		t.planLevel(plan, face, lv, s, tt, r, weight, filter.linearInLevel() || filter == FilterLinear)
-		return
-	}
-
-	if filter.mipLinear() {
-		// Trilinear: blend two adjacent levels.
-		l0 := t.clampLevel(int(math.Floor(float64(lod))))
-		l1 := t.clampLevel(l0 + 1)
-		frac := lod - float32(math.Floor(float64(lod)))
-		if l1 == l0 {
-			frac = 0
-		}
-		plan.BilinearSamples += 2
-		if frac < 1 {
-			t.planLevel(plan, face, l0, s, tt, r, weight*(1-frac), filter.linearInLevel())
-		}
-		if frac > 0 {
-			t.planLevel(plan, face, l1, s, tt, r, weight*frac, filter.linearInLevel())
-		}
-	} else {
-		lv := t.clampLevel(int(lod + 0.5))
-		plan.BilinearSamples++
-		t.planLevel(plan, face, lv, s, tt, r, weight, filter.linearInLevel())
 	}
 }
 
@@ -213,19 +258,19 @@ func (t *Texture) clampLevel(l int) int {
 	return l
 }
 
-func (t *Texture) planLevel(plan *SamplePlan, face, level int, s, tt, r float32, weight float32, linear bool) {
-	w, h, d := t.LevelSize(level)
+func (t *Texture) planLevel(plan *SamplePlan, face int, lv *mipLevel, s, tt, r float32) {
+	w, h := lv.w, lv.h
 	slice := 0
 	if t.Target == isa.Tex3D {
-		slice = applyWrap(t.WrapR, int(r*float32(d)), d)
+		slice = applyWrap(t.WrapR, int(r*float32(lv.d)), lv.d)
 	}
-	if !linear {
+	if !lv.linear {
 		x := applyWrap(t.WrapS, int(math.Floor(float64(s*float32(w)))), w)
 		y := 0
 		if t.Target != isa.Tex1D {
 			y = applyWrap(t.WrapT, int(math.Floor(float64(tt*float32(h)))), h)
 		}
-		plan.Texels = append(plan.Texels, TexelRef{Face: face, Level: level, Slice: slice, X: x, Y: y, W: weight})
+		plan.Texels = append(plan.Texels, lv.texel(t, face, slice, x, y, lv.weight))
 		return
 	}
 	fx := s*float32(w) - 0.5
@@ -234,33 +279,19 @@ func (t *Texture) planLevel(plan *SamplePlan, face, level int, s, tt, r float32,
 	y0 := int(math.Floor(float64(fy)))
 	ax := fx - float32(x0)
 	ay := fy - float32(y0)
+	xs := [2]int{applyWrap(t.WrapS, x0, w), applyWrap(t.WrapS, x0+1, w)}
+	var ys [2]int // a 1D texture has row 0 only
 	if t.Target == isa.Tex1D {
-		y0, ay = 0, 0
+		ay = 0
+	} else {
+		ys = [2]int{applyWrap(t.WrapT, y0, h), applyWrap(t.WrapT, y0+1, h)}
 	}
-	for dy := 0; dy < 2; dy++ {
-		for dx := 0; dx < 2; dx++ {
-			wgt := weight
-			if dx == 0 {
-				wgt *= 1 - ax
-			} else {
-				wgt *= ax
+	wx, wy := [2]float32{1 - ax, ax}, [2]float32{1 - ay, ay}
+	for dy := range ys {
+		for dx := range xs {
+			if wgt := lv.weight * wx[dx] * wy[dy]; wgt != 0 {
+				plan.Texels = append(plan.Texels, lv.texel(t, face, slice, xs[dx], ys[dy], wgt))
 			}
-			if dy == 0 {
-				wgt *= 1 - ay
-			} else {
-				wgt *= ay
-			}
-			if wgt == 0 {
-				continue
-			}
-			x := applyWrap(t.WrapS, x0+dx, w)
-			y := y0 + dy
-			if t.Target != isa.Tex1D {
-				y = applyWrap(t.WrapT, y0+dy, h)
-			} else {
-				y = 0
-			}
-			plan.Texels = append(plan.Texels, TexelRef{Face: face, Level: level, Slice: slice, X: x, Y: y, W: wgt})
 		}
 	}
 }
@@ -323,14 +354,13 @@ func (t *Texture) SampleQuad(mem MemReader, coords [4]vmath.Vec4, mode Mode) [4]
 	if mode == ModeBias || mode == ModeLod {
 		lodArg = coords[0][3] // bias/lod rides in w
 	}
-	info := t.QuadLOD(coords, mode, lodArg)
+	q := t.quadLevels(t.QuadLOD(coords, mode, lodArg))
 	var out [4]vmath.Vec4
-	for l := 0; l < 4; l++ {
-		c := PrepareCoord(coords[l], mode)
-		plan := t.Plan(c, info)
-		out[l] = FilterPlan(plan, func(ref TexelRef) RGBA {
-			return t.FetchTexel(mem, ref)
-		})
+	var plan SamplePlan
+	var r tileReader
+	for l := range out {
+		t.planLane(&plan, PrepareCoord(coords[l], mode), &q)
+		out[l] = FilterPlan(plan, func(ref TexelRef) RGBA { return r.texel(t, mem, ref) })
 	}
 	return out
 }

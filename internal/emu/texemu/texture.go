@@ -141,12 +141,9 @@ func (t *Texture) TotalBytes() int {
 // (x, y) of the given face, level and 3D slice, plus the texel's
 // index within the decoded 64-texel tile.
 func (t *Texture) TileAddr(face, level, slice, x, y int) (addr uint32, texelIdx int) {
-	tilesX, tilesY := t.LevelTiles(level)
-	tileX, tileY := x/TileTexels, y/TileTexels
-	idx := (slice*tilesY+tileY)*tilesX + tileX
-	addr = t.Base[face][level] + uint32(idx*t.Format.TileBytes())
-	texelIdx = (y%TileTexels)*TileTexels + x%TileTexels
-	return addr, texelIdx
+	lv := t.mipLevel(level, 0, false)
+	ref := lv.texel(t, face, slice, x, y, 0)
+	return ref.Addr, ref.Idx
 }
 
 // MemReader provides functional access to texture memory.
@@ -155,25 +152,45 @@ type MemReader interface {
 	ReadBytes(addr uint32, dst []byte)
 }
 
-// FetchTexel reads and decodes one texel directly from memory; the
-// functional sampling path. Timing code fetches whole tiles through
-// the texture cache instead.
-func (t *Texture) FetchTexel(mem MemReader, ref TexelRef) RGBA {
-	addr, idx := t.TileAddr(ref.Face, ref.Level, ref.Slice, ref.X, ref.Y)
-	buf := make([]byte, t.Format.TileBytes())
-	mem.ReadBytes(addr, buf)
-	var tile [TileTexels * TileTexels]RGBA
-	DecodeTile(t.Format, buf, &tile)
-	return tile[idx]
+// tileReader reads and decodes planned texels directly from memory: the
+// functional sampling path (timing code fetches tiles through the
+// texture cache instead). It keeps the tile it decoded last, so texels
+// of one footprint that share a tile cost one memory read and one
+// decode; memory must not change under it. The buffers escape through
+// MemReader, so one reader serves a whole quad.
+type tileReader struct {
+	addr  uint32
+	valid bool
+	raw   [TileTexels * TileTexels * 4]byte
+	tile  [TileTexels * TileTexels]RGBA
+}
+
+func (r *tileReader) texel(t *Texture, mem MemReader, ref TexelRef) RGBA {
+	if !r.valid || r.addr != ref.Addr {
+		raw := r.raw[:t.Format.TileBytes()]
+		mem.ReadBytes(ref.Addr, raw)
+		DecodeTile(t.Format, raw, &r.tile)
+		r.addr, r.valid = ref.Addr, true
+	}
+	return r.tile[ref.Idx]
+}
+
+// mod is the mathematical i mod n for n > 0: a mask when n is a power
+// of two, which texture sizes usually are.
+func mod(i, n int) int {
+	if n&(n-1) == 0 {
+		return i & (n - 1)
+	}
+	if i %= n; i < 0 {
+		i += n
+	}
+	return i
 }
 
 func applyWrap(w Wrap, i, n int) int {
 	switch w {
 	case WrapRepeat:
-		i %= n
-		if i < 0 {
-			i += n
-		}
+		i = mod(i, n)
 	case WrapClamp:
 		if i < 0 {
 			i = 0
@@ -182,13 +199,8 @@ func applyWrap(w Wrap, i, n int) int {
 			i = n - 1
 		}
 	case WrapMirror:
-		period := 2 * n
-		i %= period
-		if i < 0 {
-			i += period
-		}
-		if i >= n {
-			i = period - 1 - i
+		if i = mod(i, 2*n); i >= n {
+			i = 2*n - 1 - i
 		}
 	}
 	return i

@@ -9,9 +9,8 @@ import (
 	"attila/internal/jobd"
 )
 
-// drainTTL is deliberately larger than testTTL: the drain-handoff
-// bound under test is "takeover in well under one TTL", and a roomier
-// TTL separates the two regimes cleanly — the adopting peer's tick is
+// drainTTL is deliberately larger than testTTL: a roomier TTL
+// separates the two regimes cleanly — the adopting peer's tick is
 // TTL/3, so a handoff takeover lands in about a third of a TTL while
 // expire-and-steal cannot fire before a full one.
 const drainTTL = 600 * time.Millisecond
@@ -39,9 +38,9 @@ func startDrainPeer(t *testing.T, dir, id string) *Peer {
 // TestFleetDrainHandoff is the graceful-drain acceptance gate: a
 // 3-peer fleet mid-sweep loses one member to a deliberate drain, and
 // the drained peer's job must change hands through a handoff record —
-// takeover observed in under one lease TTL, instead of the ≥TTL dead
-// air expire-and-steal costs — with the sweep still converging to
-// bytes identical to a clean single-host run.
+// adopted at the next epoch, with no expiry steal of that job, instead
+// of the ≥TTL dead air expire-and-steal costs — with the sweep still
+// converging to bytes identical to a clean single-host run.
 func TestFleetDrainHandoff(t *testing.T) {
 	spec := fleetSweep("drain", "drain-1", "drain-2", "drain-3")
 	cleanDir := cleanReference(t, spec)
@@ -101,29 +100,40 @@ func TestFleetDrainHandoff(t *testing.T) {
 		t.Fatalf("drained peer offered %d handoffs, want >= 1", got)
 	}
 
-	// The lease must change hands in well under one TTL. Poll tightly;
-	// the adopting peer acts on its next tick (~TTL/3).
+	// The lease must change hands through the handoff record. The gate
+	// is that causal fact, not a stopwatch: adoption comes before the
+	// steal scan in every tick of a surviving peer, so a host too loaded
+	// to tick within a TTL still adopts first, and the takeover time
+	// (about a tick, TTL/3, on an idle host) is only logged.
 	var after lease
 	for {
 		after, err = readLease(b.leasePath(drainedJob))
 		if err == nil && after.Owner != "peer-b" {
 			break
 		}
-		if time.Since(handedOff) >= drainTTL {
-			t.Fatalf("lease for %s still %+v after a full TTL; handoff never adopted", drainedJob, after)
+		if time.Since(handedOff) >= time.Minute {
+			t.Fatalf("lease for %s still %+v a minute after the drain; handoff never adopted", drainedJob, after)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	takeover := time.Since(handedOff)
-	t.Logf("takeover of %s by %s in %v (TTL %v)", drainedJob, after.Owner, takeover, drainTTL)
-	if takeover >= drainTTL {
-		t.Fatalf("takeover took %v, want < TTL %v", takeover, drainTTL)
-	}
+	t.Logf("takeover of %s by %s in %v (TTL %v)", drainedJob, after.Owner, time.Since(handedOff), drainTTL)
+	// Exactly one change of hands, and the new owner counted it as an
+	// adoption: peer-b held one job, so that is the only handoff there
+	// was to adopt, and an expiry steal of the job, before or after,
+	// would have moved the epoch a second time.
 	if after.Epoch != before.Epoch+1 {
 		t.Fatalf("takeover epoch = %d, want %d (fencing chain must advance by exactly one)", after.Epoch, before.Epoch+1)
 	}
-	if adopted := a.ctrHandoffsAdopted.Load() + c.ctrHandoffsAdopted.Load(); adopted < 1 {
-		t.Fatalf("no surviving peer counted a handoff adoption (a=%d c=%d)",
+	adopter := a
+	if after.Owner == "peer-c" {
+		adopter = c
+	}
+	// The lease file changes before the taker counts how it took it.
+	for adopter.ctrHandoffsAdopted.Load()+adopter.ctrSteals.Load() == 0 && time.Since(handedOff) < time.Minute {
+		time.Sleep(time.Millisecond)
+	}
+	if adopted := adopter.ctrHandoffsAdopted.Load(); adopted != 1 {
+		t.Fatalf("%s took the lease but counted %d handoff adoptions (a=%d c=%d)", after.Owner, adopted,
 			a.ctrHandoffsAdopted.Load(), c.ctrHandoffsAdopted.Load())
 	}
 	if err := b.Close(); err != nil {

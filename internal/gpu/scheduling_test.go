@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"attila/internal/core"
 	"attila/internal/emu/texemu"
 	"attila/internal/isa"
 	"attila/internal/vmath"
@@ -394,5 +395,150 @@ func runSchedulerPair(t *testing.T, inOrder bool, rate, threads int, seed int64)
 	// it claims. (One thread is never passed over; in-order never moves rr.)
 	if busy == 0 || idle == 0 || (!inOrder && threads > 1 && wrapped == 0) {
 		t.Fatalf("seed %d: %d busy cycles, %d idle with threads running, %d of them wrapping", seed, busy, idle, wrapped)
+	}
+}
+
+// texSendRig is one shader unit between hand-built flows, with the
+// test standing in for the FragmentFIFO and the texture crossbar. The
+// crossbar side has a single credit, returned one cycle in three, so
+// threads pile up in threadWaitSend.
+type texSendRig struct {
+	sim                             *core.Simulator
+	s                               *ShaderUnit
+	workIn, workOut, texReq, texRep *Flow
+	owed                            int          // texReq credits not yet returned
+	replies                         []*TexRepMsg // texture replies, oldest first
+	due                             []int64      // the cycle each may be sent
+	sends                           [][2]int64   // (cycle, slot) of every request seen
+	retired                         int
+}
+
+func newTexSendRig(cfg *Config) *texSendRig {
+	r := &texSendRig{
+		sim:    core.NewSimulator(0),
+		workIn: testFlow("t.win", 8, 8, cfg.ThreadsPerShader), workOut: testFlow("t.wout", 8, 8, 8),
+		texReq: testFlow("t.treq", 4, 8, 1), texRep: testFlow("t.trep", 4, 8, 8),
+	}
+	r.s = NewShaderUnit(r.sim, cfg, 0, false, r.workIn, r.workOut, r.texReq, r.texRep)
+	return r
+}
+
+// after runs the consumer side of cycle c, once the unit was clocked.
+func (r *texSendRig) after(c int64) {
+	for _, obj := range r.texReq.Recv(c) {
+		msg := obj.(*TexReqMsg)
+		r.sends = append(r.sends, [2]int64{c, int64(msg.Slot)})
+		r.replies = append(r.replies, &TexRepMsg{Shader: msg.Shader, Slot: msg.Slot})
+		r.due = append(r.due, c+9)
+		r.owed++
+	}
+	if c%3 == 0 && r.owed > 0 {
+		r.texReq.Release(1)
+		r.owed--
+	}
+	for len(r.replies) > 0 && r.due[0] <= c && r.texRep.CanSend(c, 1) {
+		r.texRep.Send(c, r.replies[0])
+		r.replies, r.due = r.replies[1:], r.due[1:]
+	}
+	n := len(r.workOut.Recv(c))
+	r.workOut.Release(n)
+	r.retired += n
+	barrier(r.sim, c, r.workIn, r.workOut, r.texReq, r.texRep)
+}
+
+// Requests that could not be sent when they were built go out in slot
+// order as the crossbar takes them, in the same cycles as under the
+// scan the waitSend count replaced: a walk over every slot whenever any
+// thread is blocked on a texture, kept here as the model. With four
+// issues a cycle and one credit, several threads reach threadWaitSend
+// in the same cycle.
+func TestPendingTexSendsInSlotOrder(t *testing.T) {
+	cfg := BaselineUnified()
+	cfg.ThreadsPerShader, cfg.ShaderIssueRate = 12, 4
+	fp := isa.MustAssemble(isa.FragmentProgram, "fp", "TEX r0, v4, t0, 2D\nTEX r1, v4.yxzw, t0, 2D\nADD o0, r0, r1\nEND")
+	st := &DrawState{FragmentProg: fp}
+	st.Textures[0] = &texemu.Texture{}
+	batch := newBatchState(1, st, &cfg)
+
+	got, want := newTexSendRig(&cfg), newTexSendRig(&cfg)
+	refClock := func(s *ShaderUnit, cycle int64) {
+		s.completeTextures(cycle)
+		s.acceptWork(cycle)
+		if s.blocked != 0 { // sendPendingTex at ab1d5eb
+			for i := range s.threads {
+				th := &s.threads[i]
+				if th.state != threadWaitSend {
+					continue
+				}
+				if !s.texReq.CanSend(cycle, 1) {
+					break
+				}
+				s.texReq.Send(cycle, th.pending)
+				th.pending = nil
+				s.setState(i, threadBlockedTex)
+			}
+		}
+		s.issue(cycle)
+		s.retire(cycle)
+	}
+
+	const quads = 60
+	fed, together, overtaken := 0, 0, 0
+	since := make([]int64, cfg.ThreadsPerShader) // the cycle the slot's thread began waiting to send; 0: it is not
+	for c := int64(1); got.retired < quads || want.retired < quads; c++ {
+		if c > 20000 {
+			t.Fatalf("%d and %d of %d quads retired", got.retired, want.retired, quads)
+		}
+		for ; fed < quads && got.workIn.CanSend(c, 1); fed++ {
+			for _, r := range []*texSendRig{got, want} {
+				q := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}}
+				r.workIn.Send(c, &ShaderWork{Batch: batch, Kind: workFragment, Frag: q})
+			}
+		}
+		got.s.Clock(c)
+		refClock(want.s, c)
+
+		waiting, entered := 0, 0
+		for i := range got.s.threads {
+			state := got.s.threads[i].state
+			if ref := want.s.threads[i].state; state != ref {
+				t.Fatalf("cycle %d slot %d: state %d, reference %d", c, i, state, ref)
+			}
+			switch {
+			case state != threadWaitSend && since[i] != 0:
+				// Sent this cycle. Slot order, not age order: did it pass
+				// a higher slot that has waited longer and still does?
+				for j := i + 1; j < len(since); j++ {
+					if since[j] != 0 && since[j] < since[i] && got.s.threads[j].state == threadWaitSend {
+						overtaken++
+					}
+				}
+				since[i] = 0
+			case state == threadWaitSend:
+				waiting++
+				if since[i] == 0 {
+					since[i] = c
+					entered++
+				}
+			}
+		}
+		if got.s.waitSend != waiting {
+			t.Fatalf("cycle %d: waitSend = %d with %d threads waiting to send", c, got.s.waitSend, waiting)
+		}
+		if entered > 1 {
+			together++
+		}
+		got.after(c)
+		want.after(c)
+	}
+	if !slices.Equal(got.sends, want.sends) {
+		t.Fatalf("requests sent (cycle, slot):\n got %v\nwant %v", got.sends, want.sends)
+	}
+	if len(got.sends) != 2*quads || got.s.waitSend != 0 {
+		t.Fatalf("%d requests for %d quads of two, waitSend %d at the end", len(got.sends), quads, got.s.waitSend)
+	}
+	// The cases the test is about must have occurred.
+	if together == 0 || overtaken == 0 {
+		t.Fatalf("%d cycles put several threads into threadWaitSend, %d sends passed an older request in a higher slot", together, overtaken)
 	}
 }

@@ -81,10 +81,12 @@ type ShaderUnit struct {
 	// Maintained thread-state class counts (updated by setState) so
 	// the per-cycle scheduler can early-out instead of scanning every
 	// thread slot: resident = non-free, blocked = waiting on a texture
-	// request (sent or pending).
+	// request (sent or pending), waitSend = the blocked ones whose
+	// request is still pending.
 	resident int
 	running  int
 	blocked  int
+	waitSend int
 
 	// Texture message recycling (no simulation state): completed
 	// requests come back on TexRepMsg.spent; consumed replies ride out
@@ -188,9 +190,13 @@ func (s *ShaderUnit) adjCount(st threadState, d int) {
 	case threadRunning:
 		s.resident += d
 		s.running += d
-	case threadBlockedTex, threadWaitSend:
+	case threadBlockedTex:
 		s.resident += d
 		s.blocked += d
+	case threadWaitSend:
+		s.resident += d
+		s.blocked += d
+		s.waitSend += d
 	case threadDone:
 		s.resident += d
 	}
@@ -288,7 +294,7 @@ func (s *ShaderUnit) getTexReq() *TexReqMsg {
 }
 
 func (s *ShaderUnit) sendPendingTex(cycle int64) {
-	if s.blocked == 0 {
+	if s.waitSend == 0 {
 		return
 	}
 	for i := range s.threads {

@@ -5,6 +5,7 @@ import (
 	"attila/internal/emu/shaderemu"
 	"attila/internal/emu/texemu"
 	"attila/internal/mem"
+	"attila/internal/vmath"
 )
 
 // TexCrossbar routes texture requests from shader units to texture
@@ -69,13 +70,13 @@ func (x *TexCrossbar) Clock(cycle int64) {
 }
 
 // texWork is one in-flight quad sample on a texture unit. Each unit
-// owns a single instance that is reset per request, keeping the plan
-// and texel-value backing arrays across requests.
+// owns a single instance that is reset per request, keeping the plans'
+// backing arrays across requests.
 type texWork struct {
 	msg    *TexReqMsg
 	plans  [shaderLanes]texemu.SamplePlan
-	vals   [shaderLanes][]texemu.RGBA // fetched texels per lane
-	lane   int                        // next texel cursor
+	acc    [shaderLanes]vmath.Vec4 // weighted sum of the texels read so far
+	lane   int                     // next texel cursor
 	texel  int
 	looked bool // current texel's cache access already counted
 }
@@ -120,6 +121,8 @@ type TextureUnit struct {
 // (the cache stores decoded RGBA8 texels; compressed formats fetch
 // fewer bytes from memory).
 type texHooks struct {
+	// fmtOf is the format of each tile with a fill in flight: written at
+	// a texel's first miss, dropped once the tile is decoded.
 	fmtOf map[uint32]texemu.Format
 }
 
@@ -138,6 +141,7 @@ func (h *texHooks) Synthesize(key uint32, line []byte) {
 func (h *texHooks) Decode(key uint32, raw, line []byte) {
 	var tile [texemu.TileTexels * texemu.TileTexels]texemu.RGBA
 	texemu.DecodeTile(h.fmtOf[key], raw, &tile)
+	delete(h.fmtOf, key)
 	for i, c := range tile {
 		copy(line[i*4:], c[:])
 	}
@@ -214,54 +218,52 @@ func (t *TextureUnit) Clock(cycle int64) {
 	w := t.current
 	// Fetch up to TexelsPerCycle texels through the cache ports (4
 	// per cycle = one bilinear sample, matching Table 2's texture
-	// cache port configuration).
-	fetched := 0
-	for fetched < t.cfg.TexelsPerCycle {
-		ref, ok := w.peekTexel()
-		if !ok {
+	// cache port configuration), adding each to its lane's filtered
+	// sum as it arrives: the operations of texemu.FilterPlan in the
+	// same order. A texel in the tile of the one before it reuses that
+	// line without a lookup. line must not outlive this call: the next
+	// RequestFill (after which we return) or cache.Clock may evict it.
+	var line *mem.Line
+	var lineAddr uint32
+	for fetched := 0; fetched < t.cfg.TexelsPerCycle; fetched++ {
+		ref := w.peekTexel()
+		if ref == nil {
 			break
 		}
-		tex := w.msg.Texture
-		key, texelIdx := tex.TileAddr(ref.Face, ref.Level, ref.Slice, ref.X, ref.Y)
-		if !t.cache.Probe(key) {
-			t.hooks.fmtOf[key] = tex.Format
-			if !w.looked {
-				t.cache.Lookup(cycle, key) // count the miss once
+		if line == nil || ref.Addr != lineAddr {
+			line, lineAddr = t.cache.Resident(ref.Addr), ref.Addr
+		}
+		if line == nil {
+			if !w.looked { // count the miss once
+				t.cache.Miss()
+				t.hooks.fmtOf[ref.Addr] = w.msg.Texture.Format
 				w.looked = true
 			}
-			t.cache.RequestFill(cycle, key)
+			t.cache.RequestFill(cycle, ref.Addr)
 			t.statStall.Inc()
 			return
 		}
-		if !w.looked {
-			t.cache.Lookup(cycle, key) // count the hit
+		if !w.looked { // a texel that missed was counted then
+			t.cache.Hit(cycle, line)
 		}
-		var buf [4]byte
-		t.cache.Read(key, texelIdx*4, buf[:])
-		w.vals[w.lane] = append(w.vals[w.lane], texemu.RGBA(buf))
-		w.advanceTexel()
-		fetched++
+		px, acc, wgt := line.Data()[ref.Idx*4:][:4], &w.acc[w.lane], ref.W
+		acc[0] += float32(float32(px[0]) / 255 * wgt)
+		acc[1] += float32(float32(px[1]) / 255 * wgt)
+		acc[2] += float32(float32(px[2]) / 255 * wgt)
+		acc[3] += float32(float32(px[3]) / 255 * wgt)
+		w.texel++
+		w.looked = false
 		t.statTexels.Inc()
 	}
 
-	if !w.done() {
-		return
-	}
-	// All texels present: filter and reply (fixed filter latency).
-	if !t.repOut.CanSend(cycle, 1) {
+	// All texels present: reply (fixed filter latency).
+	if w.peekTexel() != nil || !t.repOut.CanSend(cycle, 1) {
 		return
 	}
 	rep := t.getRep()
 	rep.DynObject = core.DynObject{ID: w.msg.ID, Parent: w.msg.Parent, Tag: "texrep"}
 	rep.Shader, rep.Slot = w.msg.Shader, w.msg.Slot
-	for l := 0; l < shaderLanes; l++ {
-		i := 0
-		rep.Result[l] = texemu.FilterPlan(w.plans[l], func(texemu.TexelRef) texemu.RGBA {
-			v := w.vals[l][i]
-			i++
-			return v
-		})
-	}
+	rep.Result = w.acc
 	// The consumed request rides the reply back to its issuing shader.
 	rep.spent = w.msg
 	w.msg = nil
@@ -304,34 +306,18 @@ func (t *TextureUnit) startWork(msg *TexReqMsg) *texWork {
 		lodArg = msg.Req.Coord[0][3]
 	}
 	info := tex.QuadLOD(msg.Req.Coord, mode, lodArg)
-	bilinear := 0
-	for l := 0; l < shaderLanes; l++ {
-		c := texemu.PrepareCoord(msg.Req.Coord[l], mode)
-		tex.PlanInto(&w.plans[l], c, info)
-		bilinear += w.plans[l].BilinearSamples
-		w.vals[l] = w.vals[l][:0]
-	}
-	t.statBilinear.Add(float64(bilinear))
+	t.statBilinear.Add(float64(tex.PlanQuad(&w.plans, msg.Req.Coord, mode, info)))
+	w.acc = [shaderLanes]vmath.Vec4{}
 	return w
 }
 
-func (w *texWork) peekTexel() (texemu.TexelRef, bool) {
-	for w.lane < shaderLanes {
+// peekTexel returns the next texel to fetch, or nil when the request
+// has them all.
+func (w *texWork) peekTexel() *texemu.TexelRef {
+	for ; w.lane < shaderLanes; w.lane, w.texel = w.lane+1, 0 {
 		if w.texel < len(w.plans[w.lane].Texels) {
-			return w.plans[w.lane].Texels[w.texel], true
+			return &w.plans[w.lane].Texels[w.texel]
 		}
-		w.lane++
-		w.texel = 0
 	}
-	return texemu.TexelRef{}, false
-}
-
-func (w *texWork) advanceTexel() {
-	w.texel++
-	w.looked = false
-}
-
-func (w *texWork) done() bool {
-	_, more := w.peekTexel()
-	return !more
+	return nil
 }

@@ -69,7 +69,11 @@ func (PassThrough) Decode(key uint32, raw, line []byte) { copy(line, raw) }
 // Encode implements Hooks.
 func (PassThrough) Encode(key uint32, line []byte) (uint32, []byte) { return key, line }
 
-type cacheLine struct {
+// Line is one cache line. The owner box holds resident lines by
+// pointer (Resident); such a pointer is good until the owner next calls
+// RequestFill, InvalidateAll or Clock, the calls that can take a line
+// away.
+type Line struct {
 	valid   bool
 	dirty   bool
 	pending bool // reserved for a fill in flight
@@ -119,7 +123,7 @@ type Cache struct {
 	cfg     CacheConfig
 	hooks   Hooks
 	port    *Port
-	sets    [][]cacheLine
+	sets    [][]Line
 	miss    []*missEntry
 	waiting map[uint64]*missEntry // transaction id -> owning miss
 
@@ -139,9 +143,9 @@ type Cache struct {
 func NewCache(sim *core.Simulator, cfg CacheConfig, hooks Hooks) *Cache {
 	c := &Cache{cfg: cfg, hooks: hooks, waiting: make(map[uint64]*missEntry)}
 	c.port = NewPort(sim, cfg.Name, cfg.PortLimit)
-	c.sets = make([][]cacheLine, cfg.Sets)
+	c.sets = make([][]Line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Assoc)
+		c.sets[i] = make([]Line, cfg.Assoc)
 		for j := range c.sets[i] {
 			c.sets[i][j].data = make([]byte, cfg.LineBytes)
 		}
@@ -174,55 +178,75 @@ func (c *Cache) HitMissCounts() (hits, misses float64) {
 }
 
 func (c *Cache) setOf(key uint32) int {
-	return int(((key >> 5) ^ (key >> 9) ^ (key >> 13)) % uint32(c.cfg.Sets))
+	h, n := (key>>5)^(key>>9)^(key>>13), uint32(c.cfg.Sets)
+	if n&(n-1) == 0 {
+		return int(h & (n - 1))
+	}
+	return int(h % n)
 }
 
 func (c *Cache) find(key uint32) (set, way int) {
 	set = c.setOf(key)
 	for w := range c.sets[set] {
 		ln := &c.sets[set][w]
-		if (ln.valid || ln.pending) && ln.key == key {
+		if ln.key == key && (ln.valid || ln.pending) {
 			return set, w
 		}
 	}
 	return set, -1
 }
 
+// Data returns the decoded bytes the line holds.
+func (ln *Line) Data() []byte { return ln.data }
+
+// Resident returns the line holding key, or nil when it is absent or
+// still being filled, without touching statistics or LRU state.
+func (c *Cache) Resident(key uint32) *Line {
+	if set, w := c.find(key); w >= 0 && c.sets[set][w].valid {
+		return &c.sets[set][w]
+	}
+	return nil
+}
+
+// Hit counts a hit on a resident line and marks it used at cycle.
+func (c *Cache) Hit(cycle int64, ln *Line) {
+	c.statHits.Inc()
+	ln.lastUse = cycle
+}
+
+// Miss counts a miss.
+func (c *Cache) Miss() { c.statMisses.Inc() }
+
 // Lookup probes for the line, counting hit/miss statistics. It
 // returns true only when the line is resident and usable this cycle.
 func (c *Cache) Lookup(cycle int64, key uint32) bool {
-	set, w := c.find(key)
-	if w >= 0 && c.sets[set][w].valid {
-		c.statHits.Inc()
-		c.sets[set][w].lastUse = cycle
-		return true
+	ln := c.Resident(key)
+	if ln == nil {
+		c.Miss()
+		return false
 	}
-	c.statMisses.Inc()
-	return false
+	c.Hit(cycle, ln)
+	return true
 }
 
 // Probe reports residency without touching statistics or LRU state.
-func (c *Cache) Probe(key uint32) bool {
-	set, w := c.find(key)
-	return w >= 0 && c.sets[set][w].valid
-}
+func (c *Cache) Probe(key uint32) bool { return c.Resident(key) != nil }
 
 // Read copies bytes at off within the resident line into dst.
 func (c *Cache) Read(key uint32, off int, dst []byte) {
-	set, w := c.find(key)
-	if w < 0 || !c.sets[set][w].valid {
+	ln := c.Resident(key)
+	if ln == nil {
 		panic(fmt.Sprintf("%s: Read of non-resident line %#x", c.cfg.Name, key))
 	}
-	copy(dst, c.sets[set][w].data[off:])
+	copy(dst, ln.data[off:])
 }
 
 // Write stores bytes into the resident line and marks it dirty.
 func (c *Cache) Write(key uint32, off int, src []byte) {
-	set, w := c.find(key)
-	if w < 0 || !c.sets[set][w].valid {
+	ln := c.Resident(key)
+	if ln == nil {
 		panic(fmt.Sprintf("%s: Write of non-resident line %#x", c.cfg.Name, key))
 	}
-	ln := &c.sets[set][w]
 	copy(ln.data[off:], src)
 	ln.dirty = true
 	ln.flushNeed = 0
@@ -281,6 +305,9 @@ func (c *Cache) RequestFill(cycle int64, key uint32) bool {
 // Clock advances the miss state machine: collects memory replies,
 // then issues writebacks and fills in miss order.
 func (c *Cache) Clock(cycle int64) {
+	if len(c.miss) == 0 && c.port.idle() {
+		return
+	}
 	for _, rep := range c.port.Replies(cycle) {
 		e := c.waiting[rep.ReqID]
 		if e == nil {

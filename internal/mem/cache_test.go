@@ -14,7 +14,7 @@ type cacheHarness struct {
 	cycle int64
 }
 
-func newCacheHarness(t *testing.T, cfg CacheConfig, hooks Hooks) *cacheHarness {
+func newCacheHarness(t testing.TB, cfg CacheConfig, hooks Hooks) *cacheHarness {
 	t.Helper()
 	sim := core.NewSimulator(0)
 	h := &cacheHarness{sim: sim}
@@ -34,7 +34,7 @@ func (h *cacheHarness) step() {
 }
 
 // fetchLine drives the cache until key is resident.
-func (h *cacheHarness) fetchLine(t *testing.T, key uint32) {
+func (h *cacheHarness) fetchLine(t testing.TB, key uint32) {
 	t.Helper()
 	if !h.cache.RequestFill(h.cycle, key) {
 		t.Fatalf("RequestFill(%#x) rejected", key)

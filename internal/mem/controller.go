@@ -143,6 +143,7 @@ type Controller struct {
 	ids     *core.IDSource
 	clients []*mcClient
 	chans   []channelState
+	queued  int     // requests in the client queues, all clients together
 	rr      int     // round-robin arbitration pointer
 	fault   TxFault // optional chaos seam, consulted per scheduled transaction
 
@@ -209,10 +210,8 @@ func NewController(sim *core.Simulator, cfg ControllerConfig, mem *GPUMemory, cl
 // Pending reports whether any transaction is queued or in flight;
 // used by drain logic at batch boundaries.
 func (c *Controller) Pending() bool {
-	for _, cl := range c.clients {
-		if cl.queue.Len() > 0 {
-			return true
-		}
+	if c.queued > 0 {
+		return true
 	}
 	for i := range c.chans {
 		if c.chans[i].active {
@@ -260,7 +259,7 @@ func (c *Controller) channelOf(addr uint32) int {
 // Clock implements core.Box.
 func (c *Controller) Clock(cycle int64) {
 	// Accept new requests into per-client queues.
-	for ci, cl := range c.clients {
+	for _, cl := range c.clients {
 		for _, obj := range cl.req.Read(cycle) {
 			req, ok := obj.(*Request)
 			if !ok {
@@ -284,7 +283,7 @@ func (c *Controller) Clock(cycle int64) {
 				req.span.Enqueue = cycle
 			}
 			cl.queue.Push(req)
-			_ = ci
+			c.queued++
 		}
 	}
 
@@ -304,20 +303,22 @@ func (c *Controller) Clock(cycle int64) {
 		c.statBusy.Inc()
 	}
 
-	// Arbitrate free channels: round-robin over client queue heads.
-	for i := range c.chans {
-		ch := &c.chans[i]
-		if ch.active {
-			continue
+	// Arbitrate free channels: round-robin over client queue heads,
+	// while any client has a request queued.
+	for i := 0; i < len(c.chans) && c.queued > 0; i++ {
+		if ch := &c.chans[i]; !ch.active {
+			c.schedule(cycle, i, ch)
 		}
-		c.schedule(cycle, i, ch)
 	}
 }
 
 func (c *Controller) schedule(cycle int64, chIdx int, ch *channelState) {
 	n := len(c.clients)
 	for k := 0; k < n; k++ {
-		ci := (c.rr + k) % n
+		ci := c.rr + k
+		if ci >= n {
+			ci -= n
+		}
 		cl := c.clients[ci]
 		if cl.queue.Len() == 0 {
 			continue
@@ -327,6 +328,7 @@ func (c *Controller) schedule(cycle int64, chIdx int, ch *channelState) {
 			continue
 		}
 		cl.queue.Pop()
+		c.queued--
 		c.rr = (ci + 1) % n
 
 		var fa FaultAction
@@ -568,6 +570,9 @@ func (p *Port) Replies(cycle int64) []*Reply {
 	}
 	return p.out
 }
+
+// idle reports that Replies would neither find nor recycle anything.
+func (p *Port) idle() bool { return p.outstanding == 0 && len(p.out) == 0 }
 
 // Outstanding returns the number of in-flight transactions.
 func (p *Port) Outstanding() int { return p.outstanding }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"attila/internal/core"
 	"attila/internal/gpu"
@@ -81,7 +80,15 @@ func TestCycleLimitStillFlushesStats(t *testing.T) {
 func TestCancelStillFlushesStats(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		pipe, cmds := buildPipeline(t, workers, 0)
-		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		// Cancel from inside the run, a fraction of the way through it:
+		// a wall-clock timeout races the host, and a fast one finishes
+		// the scene first.
+		ctx, cancel := context.WithCancel(context.Background())
+		pipe.Sim.OnEndCycle(func(cycle int64) {
+			if cycle == 30_000 {
+				cancel()
+			}
+		})
 		err := pipe.RunContext(ctx, cmds, 2_000_000_000)
 		cancel()
 		if !errors.Is(err, core.ErrCanceled) {
