@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-gate bench-parallel fuzz fleet-smoke
+.PHONY: build test check lint bench bench-gate bench-parallel fuzz fleet-smoke profile
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,11 @@ test:
 # epoch-floor recovery over torn leases, and the raced drain-handoff
 # takeover), the cancel/complete terminal-state race, the shader issue
 # scheduler, the pending texture sends and the texture unit against
-# their reference models (raced), and fuzz smokes over
+# their reference models (raced), the park/wake protocol (the core
+# suite again, ten times over, for the lost-wake-up races; then every
+# golden scene against the every-box-every-cycle loop, the flow credit
+# fold and the FragmentFIFO dispatch against the loops they replaced,
+# all raced), and fuzz smokes over
 # the trace reader and over the decoded shader interpreter against its
 # reference evaluator.
 check:
@@ -45,6 +49,8 @@ check:
 	BENCH_OBSV_OUT=$$(mktemp) $(GO) test -run '^TestBenchObsv$$' .
 	BENCH_HOTPATH_OUT=$$(mktemp) BENCH_HOTPATH_SMOKE=1 $(GO) test -run '^TestBenchHotpath$$' -count=1 .
 	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
+	$(GO) test -race -run 'Park|Publication' -count=10 ./internal/core/
+	$(GO) test -race -run '^TestParkedClockIsNoOp$$|^TestParkingWithQueuedItemIsCaught$$|^TestFlowFoldMatchesEveryCycleModel$$|^TestDispatchMatchesOldWalk$$|^TestBlockedTriangleIsJudgedOnce$$' -count=1 ./internal/gpu/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
@@ -104,3 +110,24 @@ bench-parallel:
 # steal, again converging byte-identically.
 fleet-smoke:
 	$(GO) test -run '^TestFleetSmokeTwoPeers$$|^TestFleetDrainHandoff$$' -count=1 -v ./internal/fleet/
+
+# profile is the three commands every performance change starts and
+# ends with: generate one of the benchmark's scenes at the benchmark's
+# size as a trace, run it under the CPU profiler, and print the
+# cumulative top of the profile (DESIGN.md section 10 reads from it).
+# make profile SCENE=doom3|spinner|ut2004 [PROFILE_DIR=dir]
+SCENE ?= doom3
+PROFILE_DIR ?= /tmp/attila-profile
+profile_size_doom3 := -width 320 -height 240 -frames 3
+profile_size_spinner := -width 256 -height 192 -frames 48
+profile_size_ut2004 := -width 256 -height 192 -frames 4
+profile_config_doom3 := -config casestudy -tus 1
+profile_config_spinner := -config embedded
+profile_config_ut2004 := -config baseline-unified
+profile:
+	@test -n "$(profile_size_$(SCENE))" || { echo "make profile: SCENE must be doom3, spinner or ut2004" >&2; exit 2; }
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/ ./cmd/tracegen ./cmd/attilasim
+	$(PROFILE_DIR)/tracegen -workload $(SCENE) $(profile_size_$(SCENE)) -out $(PROFILE_DIR)/$(SCENE).attila
+	$(PROFILE_DIR)/attilasim -trace $(PROFILE_DIR)/$(SCENE).attila $(profile_config_$(SCENE)) -manifest none -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
+	$(GO) tool pprof -top -cum -nodecount 50 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).prof

@@ -42,6 +42,10 @@ type Signal struct {
 	wrCount  int         // writes performed during wrCycle (writer-only)
 	produced atomic.Uint64
 	consumed atomic.Uint64
+	// reader is the consuming box, resolved from the Binder when a Run
+	// starts: a write wakes it (sim.go, the park contract). Nil on a
+	// free-standing signal or a wire bound under a name that is no box's.
+	reader *BoxBase
 
 	// Tracing: the reader appends to traceBuf during its clock; the
 	// simulator drains every buffer into the shared tracer at the
@@ -174,6 +178,11 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 	s.stamp[slot] = arrive
 	s.ring[slot] = append(s.ring[slot], obj)
 	s.produced.Add(1)
+	// After the Add: a reader parking right now re-checks produced after
+	// it publishes its flag, so one of the two sees the other.
+	if r := s.reader; r != nil && r.parked.Load() {
+		r.Wake()
+	}
 }
 
 // Read returns the objects arriving at the given cycle, removing them

@@ -4,24 +4,67 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
 
-// Box is a timing module. Clock is called exactly once per simulated
-// cycle; a box reads its input signals, updates local state (queues,
-// registers), calls its emulator library for any rendering
-// computation, and writes its output signals.
+// Who gets clocked. The paper's loop clocks every box every cycle; this
+// one clocks the boxes that are awake. A box may end a Clock by parking
+// (BoxBase.Park), and is then skipped until something wakes it.
+//
+// The park contract: a box parks only in a state where every further
+// Clock would change nothing — no field, counter, gauge maximum,
+// signal or shared batch state — until one of the wake sources it can
+// name fires:
+//
+//	(a) a Write on one of its input wires. Each signal's consumer box is
+//	    resolved from the Binder when a Run starts; the write wakes it at
+//	    write time, not arrival time, so the simulator keeps a parking box
+//	    awake while any of its inputs has something in flight (Pending).
+//	(b) the barrier folding a Publication it reads — released credits
+//	    arriving in one of its output flows wake a producer that was
+//	    blocked on credit alone.
+//	(c) BoxBase.Wake from a box that calls it directly (same pin group).
+//
+// A box that cannot name its wake source in some state — it polls
+// shared state, counts cycles, increments a stall counter per blocked
+// cycle, or waits on a wire bound under a name that is not a box's (a
+// memory port's replies) — stays awake in that state. No counter is
+// credited in bulk on wake-up: interval statistics sample deltas, and a
+// late credit lands in the wrong row.
+//
+// Two consequences hold by construction. A spurious clock of a parked
+// box is harmless: so every Run (a restored one included) starts with
+// all boxes awake and park state is never serialized, an installed
+// ClockGate — whose decisions are keyed by (cycle, box) — keeps every
+// box awake, and a cross-shard wake that races the consumer's loop may
+// be seen this cycle or the next (the object it announces arrives no
+// earlier than that). A missed wake is a bug: across shards parking is
+// the classic lost-wake-up pattern, and shard.park and Signal.WriteLat
+// hold the two halves of the protocol that rules it out.
+
+// Box is a timing module. Clock is called once per simulated cycle
+// while the box is awake (always, for a box that never parks); a box
+// reads its input signals, updates local state (queues, registers),
+// calls its emulator library for any rendering computation, and writes
+// its output signals.
 type Box interface {
 	BoxName() string
 	Clock(cycle int64)
 }
 
-// BoxBase provides the name plumbing shared by all boxes; embed it
-// and call Init in the box constructor.
+// BoxBase provides the name plumbing and the park state shared by all
+// boxes; embed it and call Init in the box constructor.
 type BoxBase struct {
 	name string
+
+	// Park state, valid during a Run (see the park contract above).
+	sh     *shard // the shard clocking this box; nil outside Run
+	idx    int    // the box's bit in sh.awake
+	parked atomic.Bool
+	inputs []*Signal // the wires this box consumes
 }
 
 // Init sets the box name.
@@ -30,25 +73,66 @@ func (b *BoxBase) Init(name string) { b.name = name }
 // BoxName implements Box.
 func (b *BoxBase) BoxName() string { return b.name }
 
+func (b *BoxBase) boxBase() *BoxBase { return b }
+
+// Park asks the simulator to stop clocking the box once the Clock in
+// progress returns. Call it only from the box's own Clock, and only in
+// a state the park contract allows. The box still stays awake while one
+// of its input wires has an object in flight.
+func (b *BoxBase) Park() {
+	if b.sh != nil {
+		b.sh.parking = true
+	}
+}
+
+// Wake puts a parked box back in its shard's awake set, to be clocked
+// from the next cycle on (possibly this one). Safe from any goroutine.
+func (b *BoxBase) Wake() {
+	if b.parked.Load() && b.parked.CompareAndSwap(true, false) {
+		b.sh.setAwake(b.idx, true)
+	}
+}
+
 // EndCycleFunc runs after boxes have been clocked and before
 // statistics are sampled. Hooks registered with OnEndCycle run on the
 // coordinating goroutine at every full-sync boundary, in registration
 // order, in both serial and parallel mode: they are the barrier at
 // which cross-shard state is published (quiesce snapshots taken,
-// trace buffers drained, checkpoints captured). Hooks registered with
-// OnLocalCycle additionally run once per simulated cycle even inside
-// a skew batch, on the shard that owns their anchor boxes.
+// trace buffers drained, checkpoints captured).
 type EndCycleFunc func(cycle int64)
 
-// hookEntry is one registered end-of-cycle hook. Global hooks (local
-// == false) run at full syncs on the coordinator. Local hooks run
-// every simulated cycle: merged into the global sequence when the
-// skew batch is 1 (exactly the historical behavior), or on the shard
-// owning their anchor boxes when shards free-run.
-type hookEntry struct {
-	fn      EndCycleFunc
-	local   bool
-	anchors []string // box names owning the hook's state (local only)
+// Publication is state outside the signal model that one box writes
+// during a cycle and another reads from the next cycle on: released
+// flow credits, a unit's idle flag polled from another shard. The
+// writer calls Mark on a cycle it changed the state; the barrier then
+// runs the fold that makes the change visible, and wakes the reader.
+// Unmarked publications cost nothing; folds of one cycle touch disjoint
+// state, so their order is immaterial. While shards free-run under skew
+// batching the writer's shard folds at the end of each local cycle
+// instead; a latency-1 ConstrainSkew edge keeps the reader on it.
+type Publication struct {
+	fold           EndCycleFunc
+	writer, reader string
+	list           *[]*Publication // the writer's shard's publish list
+	wakes          *BoxBase        // reader, when it is a registered box
+	marked         bool
+}
+
+// Publish registers a publication written by box writer and read by
+// box reader ("" when the reader never parks on it).
+func (s *Simulator) Publish(writer, reader string, fold EndCycleFunc) *Publication {
+	p := &Publication{fold: fold, writer: writer, reader: reader, list: &s.shards[0].pubs}
+	s.pubs = append(s.pubs, p)
+	return p
+}
+
+// Mark schedules the fold for this cycle's barrier. Call it from the
+// writer box's Clock (or anything it calls).
+func (p *Publication) Mark() {
+	if !p.marked {
+		p.marked = true
+		*p.list = append(*p.list, p)
+	}
 }
 
 // Simulator owns the clock loop: a set of boxes, the signal binder,
@@ -88,21 +172,24 @@ type Simulator struct {
 	done      func() bool
 	workers   int
 	pinGroup  map[Box]string
-	hooks     []hookEntry
+	hooks     []EndCycleFunc
 	traced    []*Signal // signals with a tracer, flushed each cycle
 	tracedSet bool
+
+	// shards are the clocked partitions of the current (or last) Run, one
+	// in serial mode; before any Run an empty one holds the publish list.
+	shards []*shard
+	pubs   []*Publication // every registered publication
 
 	// Skew batching (EnableSkewBatching): skew is the batch length B
 	// computed at Run start; syncCycle is the last cycle of the batch
 	// currently being finalized, so FullSync can recognize a partial
-	// final batch. serialLocals caches the local hooks for the serial
-	// loop. constraints are the ConstrainSkew edges.
-	skewOn       bool
-	skewLimit    int
-	skew         int
-	syncCycle    int64
-	serialLocals []EndCycleFunc
-	constraints  []skewEdge
+	// final batch. constraints are the ConstrainSkew edges.
+	skewOn      bool
+	skewLimit   int
+	skew        int
+	syncCycle   int64
+	constraints []skewEdge
 
 	// Profile-guided sharding: boxCosts seeds the bin-packing
 	// partition (SetBoxCosts); reshardAt arms the one-shot warm-up
@@ -136,8 +223,6 @@ type Simulator struct {
 	stopped atomic.Bool
 	runCtx  context.Context
 	ctxDone <-chan struct{}
-
-	curBox Box // serial mode: box being clocked, for panic attribution
 }
 
 // NewSimulator creates a simulator with the given statistics sampling
@@ -148,6 +233,7 @@ func NewSimulator(statInterval int64) *Simulator {
 		Stats:     NewStatManager(statInterval),
 		skewLimit: defaultSkewLimit,
 		syncCycle: -1,
+		shards:    []*shard{{}},
 	}
 }
 
@@ -192,7 +278,8 @@ func (s *Simulator) SetClockObserver(o ClockObserver, sampleEvery int64) {
 // pass through (return true). In parallel mode BeforeClock is called
 // concurrently from different shards and must be safe for that;
 // deterministic injectors precompute their decisions from (cycle,
-// box) only. Gating is invisible when nil (the default).
+// box) only, so while a gate is installed Park is ignored and every
+// box is clocked every cycle. Gating is invisible when nil (the default).
 type ClockGate interface {
 	BeforeClock(cycle int64, box Box) bool
 }
@@ -277,30 +364,15 @@ func (s *Simulator) Pin(group string, boxes ...Box) {
 
 // OnEndCycle registers a hook to run at every full-sync boundary, on
 // the coordinating goroutine, in registration order.
-func (s *Simulator) OnEndCycle(fn EndCycleFunc) {
-	s.hooks = append(s.hooks, hookEntry{fn: fn})
-}
-
-// OnLocalCycle registers a hook that must run once per simulated
-// cycle — flow-credit folds and other state owned by specific boxes.
-// Without skew batching it behaves exactly like OnEndCycle (merged
-// into the global hook sequence in registration order). When skew
-// batching splits the run into free-running batches, the hook runs on
-// the shard owning the anchor boxes at the end of every simulated
-// cycle; all anchors must land on one shard, which the partition
-// guarantees for boxes connected by latency-1 dependencies (their
-// ConstrainSkew edge forces batch length 1 across units).
-func (s *Simulator) OnLocalCycle(fn EndCycleFunc, anchors ...string) {
-	s.hooks = append(s.hooks, hookEntry{fn: fn, local: true, anchors: anchors})
-}
+func (s *Simulator) OnEndCycle(fn EndCycleFunc) { s.hooks = append(s.hooks, fn) }
 
 // ConstrainSkew declares a cross-box dependency outside the signal
 // model: state produced by (or about) box a is observed by box b no
 // earlier than lat cycles later. The skew computation treats it like
 // a signal of that latency between the two boxes' pin units — a
-// latency-1 edge (flow credit release, barrier-published quiesce
-// flags) forces full syncs every cycle whenever the two boxes can
-// land on different shards.
+// latency-1 edge (what every Publication is: flow credit release,
+// barrier-published quiesce flags) forces full syncs every cycle
+// whenever the two boxes can land on different shards.
 func (s *Simulator) ConstrainSkew(a, b string, lat int) {
 	if lat < 1 {
 		lat = 1
@@ -433,21 +505,10 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 	}
 	s.skew = s.computeSkew()
 	s.syncCycle = -1
-	s.serialLocals = s.serialLocals[:0]
 	if s.skew > 1 {
-		for _, h := range s.hooks {
-			if h.local {
-				s.serialLocals = append(s.serialLocals, h.fn)
-			}
-		}
 		s.growCrossUnitRings()
 	}
-	var err error
-	if nw := s.resolveWorkers(); nw > 1 {
-		err = s.runParallel(maxCycles, nw)
-	} else {
-		err = s.runSerial(maxCycles)
-	}
+	err := s.run(maxCycles, max(s.resolveWorkers(), 1))
 	// A failing cycle stops before its barrier: drain whatever trace
 	// entries its boxes produced so the trace shows the violation.
 	s.flushTraces()
@@ -540,11 +601,11 @@ func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
 	if s.wd != nil {
 		rep = s.wd.check(s, last)
 	}
-	for _, h := range s.hooks {
-		if h.local && s.skew > 1 {
-			continue // already ran per cycle on its owning shard
-		}
-		h.fn(last)
+	if s.skew <= 1 { // else each shard folded its own, every local cycle
+		s.foldPublications(last)
+	}
+	for _, fn := range s.hooks {
+		fn(last)
 	}
 	s.flushTraces()
 	s.Stats.TickBatch(first, last)
@@ -557,15 +618,23 @@ func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
 	return false, nil
 }
 
-// EndCycle runs the end-of-cycle hooks (global and local, in
-// registration order) and drains signal trace buffers. Run calls the
+// EndCycle folds the marked publications, runs the end-of-cycle hooks
+// in registration order and drains signal trace buffers. Run does the
 // equivalent automatically at every full sync; only test harnesses
 // that clock boxes manually (outside Run) need to call it themselves.
 func (s *Simulator) EndCycle(cycle int64) {
-	for _, h := range s.hooks {
-		h.fn(cycle)
+	s.foldPublications(cycle)
+	for _, fn := range s.hooks {
+		fn(cycle)
 	}
 	s.flushTraces()
+}
+
+// foldPublications runs on the coordinator while no box is clocked.
+func (s *Simulator) foldPublications(cycle int64) {
+	for _, sh := range s.shards {
+		sh.foldPublications(cycle)
+	}
 }
 
 // batchEnd returns one past the last cycle of the batch starting at
@@ -615,68 +684,19 @@ func boxNameOf(b Box) string {
 	return b.BoxName()
 }
 
-func (s *Simulator) runSerial(maxCycles int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(*SimError); ok {
-				err = se
-				return
-			}
-			err = &CrashError{
-				Box: boxNameOf(s.curBox), Cycle: s.cycle,
-				Value: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	limit := s.cycle + maxCycles
-	for s.cycle < limit {
-		if s.shouldStop(s.cycle) {
-			return s.stopErr()
-		}
-		first := s.cycle
-		last := s.batchEnd(first, limit) - 1
-		for c := first; c <= last; c++ {
-			s.cycle = c
-			if s.obs != nil && c%s.obsEvery == 0 {
-				for _, b := range s.boxes {
-					s.curBox = b
-					if s.gate != nil && !s.gate.BeforeClock(c, b) {
-						continue
-					}
-					t0 := time.Now()
-					b.Clock(c)
-					s.obs.BoxClocked(0, b, time.Since(t0).Nanoseconds())
-				}
-			} else {
-				for _, b := range s.boxes {
-					s.curBox = b
-					if s.gate != nil && !s.gate.BeforeClock(c, b) {
-						continue
-					}
-					b.Clock(c)
-				}
-			}
-			s.curBox = nil
-			if s.skew > 1 {
-				for _, fn := range s.serialLocals {
-					fn(c)
-				}
-			}
-		}
-		if stop, err := s.endOfBatch(first, last); stop {
-			return err
-		}
-	}
-	return fmt.Errorf("%w after %d cycles", ErrCycleLimit, maxCycles)
-}
+// shard is one clocked partition of the machine: every box in serial
+// mode, a worker's share in parallel mode. It owns the awake set its
+// boxes park in and the publish list they mark.
+type shard struct {
+	id    int
+	boxes []Box      // registration order: pinned boxes call each other directly
+	bases []*BoxBase // bases[i] is boxes[i]'s BoxBase; nil for a Box without one
+	// awake has bit i set while boxes[i] is to be clocked. Cleared by
+	// the shard itself when a box parks, set by Wake from any goroutine.
+	awake   []atomic.Uint64
+	parking bool           // the box being clocked called Park
+	pubs    []*Publication // marked this cycle, folded at the barrier
 
-// worker is one member of the persistent pool: it owns a shard of
-// boxes (and the local hooks anchored there) and rendezvouses with
-// its peers on the shared spin barrier twice per batch.
-type worker struct {
-	shard    int
-	boxes    []Box
-	locals   []EndCycleFunc // local hooks anchored on this shard
 	skew     int
 	obs      ClockObserver // sampled box-clock timing, nil when off
 	obsEvery int64
@@ -688,95 +708,168 @@ type worker struct {
 	curCycle int64
 }
 
-// clockBatch clocks the shard through cycles [first, last]. A failing
-// box parks the shard at the join barrier like any other; the
-// coordinator inspects the recorded failure after the rendezvous.
-func (w *worker) clockBatch(first, last int64) {
+// setBoxes makes the shard clock exactly boxes, all of them awake.
+func (sh *shard) setBoxes(boxes []Box) {
+	sh.boxes = boxes
+	sh.bases = make([]*BoxBase, len(boxes))
+	sh.awake = make([]atomic.Uint64, (len(boxes)+63)/64)
+	for i, b := range boxes {
+		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
+			base := bb.boxBase()
+			base.sh, base.idx = sh, i
+			base.parked.Store(false)
+			sh.bases[i] = base
+		}
+		sh.setAwake(i, true)
+	}
+}
+
+// setAwake sets or clears box i's bit in the awake set. A CAS loop
+// rather than atomic Or/And, which the module's Go version predates.
+func (sh *shard) setAwake(i int, on bool) {
+	w, bit := &sh.awake[i>>6], uint64(1)<<(i&63)
+	for {
+		old := w.Load()
+		next := old | bit
+		if !on {
+			next = old &^ bit
+		}
+		if next == old || w.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// park takes box i out of the awake set unless one of its inputs has
+// something in flight. The order is the lost-wake-up protocol of the
+// park contract: leave the set, publish the flag, then re-check the
+// inputs; a writer that bumped produced before our re-check is seen
+// here, one that bumps it after sees the flag. (Checking first and
+// publishing second would lose a write that lands in between.)
+func (sh *shard) park(i int) {
+	base := sh.bases[i] // never nil: only a BoxBase can have asked
+	for _, in := range base.inputs {
+		if in.Pending() {
+			return // the common refusal, before any atomic write
+		}
+	}
+	sh.setAwake(i, false)
+	base.parked.Store(true)
+	for _, in := range base.inputs {
+		if in.Pending() {
+			base.Wake()
+			return
+		}
+	}
+}
+
+func (sh *shard) foldPublications(cycle int64) {
+	for i, p := range sh.pubs {
+		p.marked = false
+		p.fold(cycle)
+		if p.wakes != nil {
+			p.wakes.Wake()
+		}
+		sh.pubs[i] = nil
+	}
+	sh.pubs = sh.pubs[:0]
+}
+
+// clockBatch clocks the shard's awake boxes through cycles [first,
+// last], in registration order: the one box loop, serial and parallel,
+// sampled and not, gated and not. A failing box leaves the shard at the
+// join barrier like any other; the coordinator inspects the recorded
+// failure after the rendezvous.
+func (sh *shard) clockBatch(first, last int64) {
 	var cur Box
 	defer func() {
 		if r := recover(); r != nil {
 			if se, ok := r.(*SimError); ok {
-				w.simErr = se
+				sh.simErr = se
 				return
 			}
-			// Wrap the raw panic with box and cycle context so a
-			// parallel-mode crash names the failing box like serial
-			// mode does, and capture the stack here: it still shows
-			// the panicking frames during unwinding.
-			w.crash = &CrashError{
-				Box: boxNameOf(cur), Shard: w.shard, Cycle: w.curCycle,
+			// Wrap the raw panic with box and cycle context and capture
+			// the stack here: it still shows the panicking frames during
+			// unwinding.
+			sh.crash = &CrashError{
+				Box: boxNameOf(cur), Shard: sh.id, Cycle: sh.curCycle,
 				Value: r, Stack: debug.Stack(),
 			}
 		}
 	}()
 	for c := first; c <= last; c++ {
-		w.curCycle = c
-		if w.obs != nil && c%w.obsEvery == 0 {
-			for _, b := range w.boxes {
-				cur = b
-				if w.gate != nil && !w.gate.BeforeClock(c, b) {
+		sh.curCycle = c
+		timed := sh.obs != nil && c%sh.obsEvery == 0
+		for w := range sh.awake {
+			// A box woken after this load is clocked next cycle, which
+			// is early enough: what woke it arrives no sooner.
+			for word := sh.awake[w].Load(); word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				cur = sh.boxes[i]
+				if sh.gate != nil && !sh.gate.BeforeClock(c, cur) {
 					continue
 				}
-				t0 := time.Now()
-				b.Clock(c)
-				w.obs.BoxClocked(w.shard, b, time.Since(t0).Nanoseconds())
-			}
-		} else {
-			for _, b := range w.boxes {
-				cur = b
-				if w.gate != nil && !w.gate.BeforeClock(c, b) {
-					continue
+				if timed {
+					t0 := time.Now()
+					cur.Clock(c)
+					sh.obs.BoxClocked(sh.id, cur, time.Since(t0).Nanoseconds())
+				} else {
+					cur.Clock(c)
 				}
-				b.Clock(c)
+				if sh.parking {
+					sh.parking = false
+					if sh.gate == nil {
+						sh.park(i)
+					}
+				}
 			}
 		}
 		cur = nil
-		if w.skew > 1 {
-			for _, fn := range w.locals {
-				fn(c)
-			}
+		if sh.skew > 1 {
+			sh.foldPublications(c)
 		}
 	}
 }
 
-// localHooksByShard distributes the local hooks over the shard plan:
-// each hook lands on the shard owning its anchor boxes. Only needed
-// when shards free-run (skew > 1); with batch length 1 local hooks
-// run in the global sequence instead. An anchor set spanning shards
-// is a wiring error — latency-1-coupled boxes must share a pin unit.
-func (s *Simulator) localHooksByShard(shards [][]Box) ([][]EndCycleFunc, error) {
-	locals := make([][]EndCycleFunc, len(shards))
-	if s.skew <= 1 {
-		return locals, nil
-	}
-	shardOf := make(map[string]int)
-	for i, sh := range shards {
-		for _, b := range sh {
-			shardOf[b.BoxName()] = i
-		}
-	}
-	for _, h := range s.hooks {
-		if !h.local {
-			continue
-		}
-		target := -1
-		for _, a := range h.anchors {
-			w, ok := shardOf[a]
-			if !ok {
-				return nil, fmt.Errorf("core: local hook anchor %q is not a registered box", a)
-			}
-			if target < 0 {
-				target = w
-			} else if w != target {
-				return nil, fmt.Errorf("core: local hook anchors %v span shards under skew batching; pin them together", h.anchors)
+// wire resolves, for the shards about to be clocked, what is bound by
+// name: each signal's consumer box (woken by writes, and the wires a
+// parking box must find empty) and each publication's writer shard and
+// reader box. Publications marked but not yet folded move to their new
+// list. All boxes start awake.
+func (s *Simulator) wire(shards []*shard) error {
+	s.shards = shards
+	byName := make(map[string]*BoxBase)
+	shardOf := make(map[string]*shard)
+	for _, sh := range shards {
+		sh.pubs = sh.pubs[:0]
+		for i, b := range sh.boxes {
+			shardOf[b.BoxName()] = sh
+			if base := sh.bases[i]; base != nil {
+				byName[b.BoxName()] = base
+				base.inputs = base.inputs[:0]
 			}
 		}
-		if target < 0 {
-			target = 0 // no anchors: coordinator shard
-		}
-		locals[target] = append(locals[target], h.fn)
 	}
-	return locals, nil
+	for name, sig := range s.Binder.signals {
+		sig.reader = byName[s.Binder.consumers[name]]
+		if sig.reader != nil {
+			sig.reader.inputs = append(sig.reader.inputs, sig)
+		}
+	}
+	for _, p := range s.pubs {
+		sh, ok := shardOf[p.writer]
+		if !ok {
+			if len(shards) > 1 {
+				return fmt.Errorf("core: publication writer %q is not a registered box", p.writer)
+			}
+			sh = shards[0]
+		}
+		p.list, p.wakes = &sh.pubs, byName[p.reader]
+		if p.marked {
+			sh.pubs = append(sh.pubs, p)
+		}
+	}
+	return nil
 }
 
 // barrierBox is the pseudo-box the coordinator's join-barrier wait is
@@ -791,7 +884,10 @@ type parState struct {
 	stop        bool
 }
 
-func (s *Simulator) runParallel(maxCycles int64, nw int) (err error) {
+// run is the clock loop over nw shards. Shard 0 is clocked inline on
+// the coordinating goroutine — alone, without a barrier, in serial
+// mode — and the others on pool goroutines.
+func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 	defer func() {
 		// Coordinator-side panics (end-of-cycle hooks, the done
 		// predicate) get the same black-box treatment as box panics.
@@ -809,7 +905,7 @@ func (s *Simulator) runParallel(maxCycles int64, nw int) (err error) {
 	// temporary sampling collector (restored below).
 	var collector *costCollector
 	coster, _ := s.obs.(BoxCoster)
-	if s.reshardAt > 0 && coster == nil && s.obs == nil {
+	if nw > 1 && s.reshardAt > 0 && coster == nil && s.obs == nil {
 		collector = newCostCollector()
 		prevObs, prevEvery := s.obs, s.obsEvery
 		s.obs, s.obsEvery = collector, collectorSample
@@ -817,47 +913,50 @@ func (s *Simulator) runParallel(maxCycles int64, nw int) (err error) {
 		defer func() { s.obs, s.obsEvery = prevObs, prevEvery }()
 	}
 
-	shards := s.partition(nw)
-	locals, lerr := s.localHooksByShard(shards)
-	if lerr != nil {
-		return lerr
+	// Serial mode clocks in plain registration order; a partition
+	// groups pinned boxes, which would reorder the object IDs drawn.
+	groups := [][]Box{s.boxes}
+	if nw > 1 {
+		groups = s.partition(nw)
 	}
-	workers := make([]*worker, len(shards))
-	for i, shard := range shards {
-		workers[i] = &worker{
-			shard: i, boxes: shard, locals: locals[i], skew: s.skew,
-			obs: s.obs, obsEvery: s.obsEvery, gate: s.gate,
-		}
+	shards := make([]*shard, len(groups))
+	for i, boxes := range groups {
+		shards[i] = &shard{id: i, skew: s.skew, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate}
+		shards[i].setBoxes(boxes)
 	}
-	// Shard 0 runs inline on the coordinating goroutine — it would
-	// otherwise sleep through the whole batch — so only shards 1..n-1
-	// get pool goroutines. The one barrier object serves both
-	// rendezvous: release (coordinator has published the next batch in
-	// ps) and join (every shard finished clocking it).
-	bar := newSpinBarrier(nw)
+	if err := s.wire(shards); err != nil {
+		return err
+	}
+	// The one barrier object serves both rendezvous: release
+	// (coordinator has published the next batch in ps) and join (every
+	// shard finished clocking it).
+	var bar *spinBarrier
 	ps := &parState{}
-	for _, w := range workers[1:] {
-		go func(w *worker) {
-			for {
-				bar.await() // release: ps is published
-				if ps.stop {
-					return
+	if nw > 1 {
+		bar = newSpinBarrier(nw)
+		for _, sh := range shards[1:] {
+			go func(sh *shard) {
+				for {
+					bar.await() // release: ps is published
+					if ps.stop {
+						return
+					}
+					sh.clockBatch(ps.first, ps.last)
+					bar.await() // join: failures recorded, state readable
 				}
-				w.clockBatch(ps.first, ps.last)
-				bar.await() // join: failures recorded, state readable
-			}
-		}(w)
+			}(sh)
+		}
+		// The coordinator always exits between a join and the next
+		// release, where every pool worker is blocked in the release
+		// rendezvous: raising stop and joining it once releases them all
+		// into their return path.
+		defer func() {
+			ps.stop = true
+			bar.await()
+		}()
 	}
-	// The coordinator always exits between a join and the next
-	// release, where every pool worker is blocked in the release
-	// rendezvous: raising stop and joining it once releases them all
-	// into their return path.
-	defer func() {
-		ps.stop = true
-		bar.await()
-	}()
 
-	resharded := s.reshardAt <= 0
+	resharded := nw == 1 || s.reshardAt <= 0
 	limit := s.cycle + maxCycles
 	for s.cycle < limit {
 		if s.shouldStop(s.cycle) {
@@ -865,30 +964,34 @@ func (s *Simulator) runParallel(maxCycles int64, nw int) (err error) {
 		}
 		first := s.cycle
 		last := s.batchEnd(first, limit) - 1
-		ps.first, ps.last = first, last
-		bar.await() // release the batch
-		workers[0].clockBatch(first, last)
+		if bar != nil {
+			ps.first, ps.last = first, last
+			bar.await() // release the batch
+		}
+		shards[0].clockBatch(first, last)
 		// Join, attributing the coordinator's wait to the barrier
 		// pseudo-box on sampled batches so sync cost never pollutes
 		// the per-box host-time table that drives sharding.
-		if s.obs != nil && first%s.obsEvery == 0 {
+		switch {
+		case bar == nil:
+		case s.obs != nil && first%s.obsEvery == 0:
 			t0 := time.Now()
 			bar.await()
 			s.obs.BoxClocked(0, barrierBox, time.Since(t0).Nanoseconds())
-		} else {
+		default:
 			bar.await()
 		}
 		// Several shards may fail in the same batch; report the lowest
-		// worker index for a deterministic error. Programming errors
+		// shard index for a deterministic error. Programming errors
 		// (panics) outrank model violations.
-		for _, w := range workers {
-			if w.crash != nil {
-				return w.crash
+		for _, sh := range shards {
+			if sh.crash != nil {
+				return sh.crash
 			}
 		}
-		for _, w := range workers {
-			if w.simErr != nil {
-				return w.simErr
+		for _, sh := range shards {
+			if sh.simErr != nil {
+				return sh.simErr
 			}
 		}
 		if stop, err := s.endOfBatch(first, last); stop {
@@ -898,23 +1001,21 @@ func (s *Simulator) runParallel(maxCycles int64, nw int) (err error) {
 			// Warm-up re-shard: every pool worker is parked in the
 			// release rendezvous, so reassigning shard contents here is
 			// ordered by the next barrier. Any partition yields
-			// bit-identical results; only host time changes.
+			// bit-identical results, and re-wiring wakes every box,
+			// which is harmless; only host time changes.
 			resharded = true
-			costs := coster.BoxCosts()
-			newShards := partitionUnits(s.pinUnits(), nw, costs)
-			newLocals, lerr := s.localHooksByShard(newShards)
-			if lerr == nil {
-				for i, w := range workers {
-					w.boxes = newShards[i]
-					w.locals = newLocals[i]
-				}
+			for i, boxes := range partitionUnits(s.pinUnits(), nw, coster.BoxCosts()) {
+				shards[i].setBoxes(boxes)
+			}
+			if err := s.wire(shards); err != nil {
+				return err
 			}
 			if collector != nil {
 				// Sampling did its job; drop the collector's overhead
 				// for the rest of the run.
 				s.obs, s.obsEvery = nil, 1
-				for _, w := range workers {
-					w.obs, w.obsEvery = nil, 1
+				for _, sh := range shards {
+					sh.obs, sh.obsEvery = nil, 1
 				}
 			}
 		}

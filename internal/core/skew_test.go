@@ -222,39 +222,50 @@ func TestSkewPartialFinalBatch(t *testing.T) {
 	}
 }
 
-// Local hooks anchored to a box run once per simulated cycle on the
-// owning shard, even while shards free-run between full syncs.
-func TestOnLocalCycleRunsPerCycle(t *testing.T) {
+// markBox marks its publication on every clock.
+type markBox struct {
+	BoxBase
+	pub *Publication
+}
+
+func (m *markBox) Clock(cycle int64) { m.pub.Mark() }
+
+// A publication marked every cycle folds once per simulated cycle, on
+// the writer's shard even while shards free-run between full syncs.
+func TestPublicationFoldsPerCycle(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		sim := NewSimulator(0)
 		consumers := buildLatFanout(sim, 2, 37, 4)
+		m := &markBox{}
+		m.Init("Marker")
+		var folds atomic.Int64
+		m.pub = sim.Publish("Marker", "", func(c int64) { folds.Add(1) })
+		sim.Register(m)
 		sim.EnableSkewBatching(0)
 		sim.SetWorkers(workers)
-		var calls atomic.Int64
-		sim.OnLocalCycle(func(c int64) { calls.Add(1) }, "Producer0")
 		sim.SetDone(allReceived(consumers, 37))
 		if err := sim.Run(1000); err != nil {
 			t.Fatal(err)
 		}
-		if got := calls.Load(); got != sim.Cycle() {
-			t.Errorf("workers=%d: local hook ran %d times over %d cycles", workers, got, sim.Cycle())
+		if got := folds.Load(); got != sim.Cycle() {
+			t.Errorf("workers=%d: publication folded %d times over %d cycles", workers, got, sim.Cycle())
 		}
 	}
 }
 
-// A local hook anchored to a name that is not a registered box is a
+// A publication written by a name that is not a registered box is a
 // wiring bug; the parallel run must refuse it instead of silently
-// dropping the hook on some default shard.
-func TestOnLocalCycleUnknownAnchor(t *testing.T) {
+// putting it on some default shard's list.
+func TestPublicationUnknownWriter(t *testing.T) {
 	sim := NewSimulator(0)
 	consumers := buildLatFanout(sim, 2, 5, 4)
 	sim.EnableSkewBatching(0)
 	sim.SetWorkers(2)
-	sim.OnLocalCycle(func(c int64) {}, "NoSuchBox")
+	sim.Publish("NoSuchBox", "", func(c int64) {})
 	sim.SetDone(allReceived(consumers, 5))
 	err := sim.Run(100)
 	if err == nil || !strings.Contains(err.Error(), "NoSuchBox") {
-		t.Fatalf("want unknown-anchor error, got %v", err)
+		t.Fatalf("want unknown-writer error, got %v", err)
 	}
 }
 

@@ -91,6 +91,11 @@ type StatManager struct {
 
 	lastSample int64
 	hasSample  bool
+
+	// A memo sparing TickBatch its divisions: the batch that follows
+	// tickedTo holds no boundary while it ends before nextBoundary. Not
+	// state: zero (fresh, restored) sends the next call the long way.
+	tickedTo, nextBoundary int64
 }
 
 type sampleRow struct {
@@ -174,6 +179,11 @@ func (m *StatManager) TickBatch(first, last int64) {
 	if m.interval <= 0 {
 		return
 	}
+	if first == m.tickedTo+1 && last < m.nextBoundary {
+		m.tickedTo = last
+		return
+	}
+	m.tickedTo, m.nextBoundary = last, (last/m.interval+1)*m.interval
 	// A boundary k*interval (k >= 1) lies in [first, last] exactly
 	// when the interval count advances across the batch; prev clamps
 	// at 0 so the cycle-0 pseudo-boundary never counts.

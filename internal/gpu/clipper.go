@@ -15,6 +15,11 @@ type Clipper struct {
 	triOut *Flow
 	queue  core.FIFO[*TriWork]
 
+	// The verdict on the head of the queue, taken once: a triangle may
+	// wait there many cycles for output credit.
+	judged   *TriWork
+	rejected bool
+
 	statIn       core.Counter
 	statRejected core.Counter
 	statBusy     core.Counter
@@ -38,21 +43,27 @@ func (c *Clipper) Clock(cycle int64) {
 		c.queue.Push(obj.(*TriWork))
 	}
 	if c.queue.Len() == 0 {
+		c.Park() // until a triangle is written to triIn
 		return
 	}
 	tri := c.queue.Peek()
-	rejected := clipemu.TriviallyRejected(
-		tri.V[0].Out[isa.AttrPos],
-		tri.V[1].Out[isa.AttrPos],
-		tri.V[2].Out[isa.AttrPos])
-	if !rejected && !c.triOut.CanSend(cycle, 1) {
+	if c.judged != tri {
+		c.judged = tri
+		c.rejected = clipemu.TriviallyRejected(
+			tri.V[0].Out[isa.AttrPos],
+			tri.V[1].Out[isa.AttrPos],
+			tri.V[2].Out[isa.AttrPos])
+	}
+	if !c.rejected && !c.triOut.CanSend(cycle, 1) {
+		c.Park() // until credit folds into triOut
 		return
 	}
 	c.queue.Pop()
+	c.judged = nil
 	c.triIn.Release(1)
 	c.statIn.Inc()
 	c.statBusy.Inc()
-	if rejected {
+	if c.rejected {
 		tri.Batch.TrisRetired++
 		c.statRejected.Inc()
 		return

@@ -67,6 +67,7 @@ func (c *ColorWrite) Cache() *mem.Cache { return c.cache }
 
 // StartClear begins a fast color clear.
 func (c *ColorWrite) StartClear(value [4]byte) {
+	c.Wake()
 	c.clearPending = true
 	c.clearValue = value
 }
@@ -76,6 +77,7 @@ func (c *ColorWrite) ClearDone() bool { return !c.clearPending }
 
 // StartFlush begins writing back dirty color lines (frame end).
 func (c *ColorWrite) StartFlush() {
+	c.Wake()
 	c.flushPending = true
 	c.flushIssued = false
 }
@@ -120,6 +122,13 @@ func (c *ColorWrite) Clock(cycle int64) {
 		}
 	}
 	if c.queue.Len() == 0 {
+		// Until a quad is written to one of quadIns or the command
+		// processor starts a clear or flush. Replies to the cache's
+		// port arrive on a wire bound under the cache's name, which
+		// wakes nobody: stay awake until they are all in.
+		if c.cache.Idle() {
+			c.Park()
+		}
 		return
 	}
 
@@ -135,32 +144,34 @@ func (c *ColorWrite) Clock(cycle int64) {
 
 	layout := c.layoutFn()
 	key := layout.BlockAddr(q.X, q.Y)
-	if !c.cache.Probe(key) {
-		if !c.headLooked {
-			c.cache.Lookup(cycle, key)
+	// One lookup per quad: the line stays put until the next
+	// RequestFill or cache.Clock, neither of which is below.
+	line := c.cache.Resident(key)
+	if line == nil {
+		if !c.headLooked { // count the miss once
+			c.cache.Miss()
 			c.headLooked = true
 		}
 		c.cache.RequestFill(cycle, key)
 		c.statStall.Inc()
 		return
 	}
-	if !c.headLooked {
-		c.cache.Lookup(cycle, key)
+	if !c.headLooked { // a quad that missed was counted then
+		c.cache.Hit(cycle, line)
 	}
 
-	var buf [4]byte
 	for l := 0; l < 4; l++ {
 		if !q.Mask[l] {
 			continue
 		}
 		px, py := q.X+l%2, q.Y+l/2
 		off := layout.Offset(px, py)
-		c.cache.Read(key, off, buf[:])
+		buf := [4]byte(line.Data()[off:])
 		dst := fragemu.UnpackColor(buf)
 		blended := fragemu.Blend(st.Blend, q.Color[l], dst)
 		out := fragemu.ApplyColorMask(mask, buf, fragemu.PackColor(blended))
 		if out != buf {
-			c.cache.Write(key, off, out[:])
+			line.Write(off, out[:])
 		}
 		c.statFrags.Inc()
 	}

@@ -66,6 +66,7 @@ func (d *DAC) StartDump(layout SurfaceLayout) {
 	if d.active {
 		panic("gpu: DAC dump already in progress")
 	}
+	d.Wake()
 	d.active = true
 	d.layout = layout
 	d.image = make([]byte, layout.W*layout.H*4)
@@ -96,6 +97,11 @@ func (d *DAC) Clock(cycle int64) {
 			}
 		}
 		d.port.Replies(cycle)
+		// Without refresh nothing happens until StartDump. Counting
+		// refresh cycles needs the clock.
+		if d.refreshCycles <= 0 && d.port.Idle() {
+			d.Park()
+		}
 		return
 	}
 	for _, rep := range d.port.Replies(cycle) {

@@ -39,6 +39,7 @@ type ShaderWork struct {
 // (or in-order shader input queue) lives here.
 type FragmentFIFO struct {
 	core.BoxBase
+	sim    *core.Simulator
 	cfg    *Config
 	pool   *pipePool
 	layout SurfaceLayout
@@ -62,7 +63,11 @@ type FragmentFIFO struct {
 	windowUsed int
 	fragRegs   int // fragment/unified register pool in use
 	vtxRegs    int // vertex pool in use (non-unified)
-	rr         int
+	// rr is the dispatch round-robin pointer. It moves one shader per
+	// cycle, busy or idle, so it is kept as an offset: the scan of cycle
+	// c starts at shader (rr+c) mod n, and an idle box has no pointer to
+	// advance (see startSlot).
+	rr int
 
 	// Span tracing handles, one per work kind (nil: tracing off).
 	trVtx  *trace.Tracer
@@ -80,7 +85,7 @@ type FragmentFIFO struct {
 func NewFragmentFIFO(sim *core.Simulator, cfg *Config, pool *pipePool, layout SurfaceLayout,
 	vtxIn, fragIn, vtxOut *Flow, fragEarly, fragLate, shaderIn, shaderOut []*Flow) *FragmentFIFO {
 	f := &FragmentFIFO{
-		cfg: cfg, pool: pool, layout: layout,
+		sim: sim, cfg: cfg, pool: pool, layout: layout,
 		vtxIn: vtxIn, fragIn: fragIn, vtxOut: vtxOut,
 		fragEarly: fragEarly, fragLate: fragLate,
 		shaderIn: shaderIn, shaderOut: shaderOut,
@@ -109,6 +114,11 @@ func (f *FragmentFIFO) Clock(cycle int64) {
 	f.acceptInputs(cycle)
 	f.dispatch(cycle)
 	f.windowGauge.Set(float64(f.windowUsed))
+	// Nothing in the window (pending, in a shader or in the outbox) and
+	// nothing waiting to enter it: until an input wire carries something.
+	if f.CheckpointReady() {
+		f.Park()
+	}
 }
 
 func (f *FragmentFIFO) acceptInputs(cycle int64) {
@@ -170,10 +180,23 @@ func (f *FragmentFIFO) eligible(s int, kind workKind) bool {
 	return s >= f.cfg.NumVertexShaders
 }
 
+// startSlot returns the shader the dispatch scan of the given cycle
+// starts at.
+func (f *FragmentFIFO) startSlot(cycle int64) int {
+	return int((int64(f.rr) + cycle) % int64(len(f.shaderIn)))
+}
+
 func (f *FragmentFIFO) dispatch(cycle int64) {
+	if f.vtxPending.Len()+f.fragPending.Len() == 0 {
+		return
+	}
 	n := len(f.shaderIn)
-	for k := 0; k < n; k++ {
-		s := (f.rr + k) % n
+	s := f.startSlot(cycle)
+	// One visit per shader; a visit with nothing pending does nothing.
+	for k := 0; k < n && f.vtxPending.Len()+f.fragPending.Len() > 0; k, s = k+1, s+1 {
+		if s == n {
+			s = 0
+		}
 		if !f.shaderIn[s].CanSend(cycle, 1) {
 			continue
 		}
@@ -207,7 +230,6 @@ func (f *FragmentFIFO) dispatch(cycle int64) {
 			f.statFragThreads.Inc()
 		}
 	}
-	f.rr = (f.rr + 1) % n
 }
 
 // reserveRegs applies the §2.3 physical-register admission rule: a
@@ -238,6 +260,11 @@ func (f *FragmentFIFO) reserveRegs(w *ShaderWork) bool {
 }
 
 func (f *FragmentFIFO) collectCompletions(cycle int64) {
+	// The window holds the threads pending, in a shader and in the
+	// outbox; with none in a shader no output wire carries anything.
+	if f.windowUsed == f.vtxPending.Len()+f.fragPending.Len()+f.outbox.Len() {
+		return
+	}
 	for s := range f.shaderOut {
 		for _, obj := range f.shaderOut[s].Recv(cycle) {
 			w := obj.(*ShaderWork)

@@ -54,6 +54,7 @@ func (f *FragmentGenerator) Clock(cycle int64) {
 	}
 	if f.cur == nil {
 		if f.queue.Len() == 0 {
+			f.Park() // until a triangle is written to triIn
 			return
 		}
 		f.cur = f.queue.Pop()
@@ -84,6 +85,8 @@ func (f *FragmentGenerator) Clock(cycle int64) {
 	}
 	if worked {
 		f.statBusy.Inc()
+	} else {
+		f.Park() // the first tile found no credit: until some folds into tileOut
 	}
 }
 

@@ -80,6 +80,7 @@ func (h *HierarchicalZ) Clock(cycle int64) {
 		h.queue.Push(obj.(*Tile))
 	}
 	if h.queue.Len() == 0 {
+		h.Park() // until a tile is written to tileIn
 		return
 	}
 	worked := false
@@ -99,6 +100,8 @@ func (h *HierarchicalZ) Clock(cycle int64) {
 	// reads 100% during downstream stalls.
 	if worked {
 		h.statBusy.Inc()
+	} else {
+		h.Park() // the head tile found no credit: until some folds into an output flow
 	}
 }
 

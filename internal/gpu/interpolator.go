@@ -44,6 +44,7 @@ func (ip *Interpolator) Clock(cycle int64) {
 		}
 	}
 	if ip.queue.Len() == 0 {
+		ip.Park() // until a quad is written to one of quadIns
 		return
 	}
 	worked := false
@@ -61,6 +62,8 @@ func (ip *Interpolator) Clock(cycle int64) {
 	// blocked on a full FragmentFIFO is a stall, not work.
 	if worked {
 		ip.statBusy.Inc()
+	} else {
+		ip.Park() // no credit for the head quad: until some folds into quadOut
 	}
 }
 

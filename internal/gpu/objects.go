@@ -310,15 +310,17 @@ type TriWork struct {
 // independent of box clocking order (a producer clocked after its
 // consumer no longer sees same-cycle releases early) and race-free
 // when producer and consumer are clocked on different worker shards.
-// Flows built by the pipeline register EndCycle with
-// core.Simulator.OnEndCycle; standalone harnesses must drive it
-// themselves (e.g. via Simulator.EndCycle).
+// Flows built by the pipeline publish EndCycle through the simulator
+// (core.Simulator.Publish): the barrier folds a flow only on a cycle
+// it released credits. Flows built bare with NewFlow have no
+// publication; their harness calls EndCycle itself every cycle.
 type Flow struct {
 	sig       *core.Signal
-	cap       int   // total credits (consumer queue capacity)
-	credits   int   // producer-visible pool (producer side)
-	released  int   // returned this cycle, folded at the barrier (consumer side)
-	sentCycle int64 // producer side
+	cap       int               // total credits (consumer queue capacity)
+	credits   int               // producer-visible pool (producer side)
+	released  int               // returned this cycle, folded at the barrier (consumer side)
+	pub       *core.Publication // schedules the fold; nil on a bare flow
+	sentCycle int64             // producer side
 	sentCount int
 }
 
@@ -383,10 +385,16 @@ func (f *Flow) Recv(cycle int64) []core.Dynamic { return f.sig.Read(cycle) }
 // Release returns n credits after the consumer retires items from
 // its input queue. The credits become visible to the producer at the
 // next cycle barrier.
-func (f *Flow) Release(n int) { f.released += n }
+func (f *Flow) Release(n int) {
+	f.released += n
+	if f.pub != nil {
+		f.pub.Mark()
+	}
+}
 
 // EndCycle folds released credits into the producer-visible pool. It
-// runs at the simulator's cycle barrier (core.EndCycleFunc).
+// runs at the simulator's cycle barrier (core.EndCycleFunc); calling it
+// on a cycle nothing was released changes nothing.
 func (f *Flow) EndCycle(cycle int64) {
 	f.credits += f.released
 	f.released = 0

@@ -1,0 +1,291 @@
+package gpu
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"attila/internal/core"
+	"attila/internal/emu/rastemu"
+	"attila/internal/isa"
+	"attila/internal/vmath"
+)
+
+// insideTri is a counterclockwise triangle well inside the frustum.
+func insideTri(batch *BatchState, ids *core.IDSource) *TriWork {
+	mk := func(x, y float32) *ShadedVertex {
+		v := &ShadedVertex{Batch: batch}
+		v.Out[isa.AttrPos] = vmath.Vec4{x, y, 0, 1}
+		return v
+	}
+	return &TriWork{
+		DynObject: core.DynObject{ID: ids.Next(), Tag: "tri"},
+		Batch:     batch,
+		V:         [3]*ShadedVertex{mk(-0.5, -0.5), mk(0.5, -0.5), mk(0, 0.5)},
+	}
+}
+
+// A triangle waiting at the head of the Clipper's or Setup's queue for
+// output credit is judged once, when it gets there — not on every
+// blocked cycle, as both boxes used to (one emulator call per cycle,
+// result thrown away). The test changes the waiting triangle under the
+// box after its first blocked cycle, so that a second look would
+// reject it; the verdict that counts is the first.
+func TestBlockedTriangleIsJudgedOnce(t *testing.T) {
+	st := &DrawState{Viewport: rastemu.Viewport{W: 64, H: 64, Far: 1}}
+	for _, box := range []string{"Clipper", "TriangleSetup"} {
+		sim := core.NewSimulator(0)
+		in := pFlow(sim, "src", box, "in", 1, 1, 0, 4)
+		out := pFlow(sim, box, "sink", "out", 1, 1, 0, 1) // one credit
+		var clock func(int64)
+		var spoil func(*TriWork)
+		if box == "Clipper" {
+			clock = NewClipper(sim, in, out).Clock
+			spoil = func(tw *TriWork) { // wholly beyond the right plane
+				for _, v := range tw.V {
+					v.Out[isa.AttrPos] = vmath.Vec4{5, 0, 0, 1}
+				}
+			}
+		} else {
+			clock = NewSetup(sim, in, out).Clock
+			spoil = func(tw *TriWork) { tw.V[0].Out[isa.AttrPos][3] = 0 } // behind the eye
+		}
+		batch := &BatchState{State: st}
+		first, second := insideTri(batch, &sim.IDs), insideTri(batch, &sim.IDs)
+		var got []core.Dynamic
+		var cycle int64
+		step := func(n int) {
+			for ; n > 0; n-- {
+				got = append(got, out.Recv(cycle)...)
+				clock(cycle)
+				sim.EndCycle(cycle)
+				cycle++
+			}
+		}
+		in.Send(cycle, first)
+		step(1)
+		in.Send(cycle, second)
+		step(10) // first holds the only credit; second waits at the head
+		if len(got) != 1 || got[0].DynInfo().ID != first.ID || batch.TrisRetired != 0 {
+			t.Fatalf("%s: %d triangles out, %d retired; want the box blocked behind its first", box, len(got), batch.TrisRetired)
+		}
+		spoil(second)
+		step(10)
+		if batch.TrisRetired != 0 {
+			t.Fatalf("%s: the waiting triangle was judged again on a blocked cycle", box)
+		}
+		out.Release(1)
+		step(5)
+		if len(got) != 2 || batch.TrisRetired != 0 {
+			t.Fatalf("%s: %d triangles out, %d retired; want the waiting triangle sent on its first verdict", box, len(got), batch.TrisRetired)
+		}
+	}
+}
+
+// Flow credits against the every-cycle fold kept as the model: a toy
+// producer sends whenever CanSend allows and parks when it does not, a
+// toy consumer holds each item a while and releases its credit. With a
+// published flow (folded only on cycles with a release, the fold waking
+// the parked producer) the sends must land on the cycles they land on
+// with a bare flow folded on every cycle by a hook and nobody parking:
+// a credit is visible to the producer exactly one cycle after Release.
+
+type flowSrc struct {
+	core.BoxBase
+	out   *Flow
+	total int
+	sends []int64
+}
+
+func (p *flowSrc) Clock(cycle int64) {
+	if len(p.sends) == p.total {
+		p.Park()
+		return
+	}
+	if !p.out.CanSend(cycle, 1) {
+		p.Park() // until credit folds into out
+		return
+	}
+	p.out.Send(cycle, &ShadedVertex{Seq: len(p.sends)})
+	p.sends = append(p.sends, cycle)
+}
+
+type flowDst struct {
+	core.BoxBase
+	in       *Flow
+	hold     func(seq int) int64
+	held     []int64
+	releases []int64
+}
+
+func (c *flowDst) Clock(cycle int64) {
+	for _, o := range c.in.Recv(cycle) {
+		c.held = append(c.held, cycle+c.hold(o.(*ShadedVertex).Seq))
+	}
+	for len(c.held) > 0 && c.held[0] <= cycle {
+		c.held = c.held[1:]
+		c.in.Release(1)
+		c.releases = append(c.releases, cycle)
+	}
+	if len(c.held) == 0 {
+		c.Park()
+	}
+}
+
+type passAll struct{}
+
+func (passAll) BeforeClock(int64, core.Box) bool { return true }
+
+func TestFlowFoldMatchesEveryCycleModel(t *testing.T) {
+	const total, credits = 200, 3
+	hold := func(seq int) int64 { return int64(1 + (seq*seq)%17) } // some long: the producer starves
+	build := func(published bool) (*core.Simulator, *flowSrc, *flowDst) {
+		sim := core.NewSimulator(0)
+		var f *Flow
+		if published {
+			f = pFlow(sim, "Src", "Dst", "wire", 1, 2, 0, credits)
+		} else {
+			var bound *core.Signal
+			f = NewFlow(sim.Binder.Provide("Src", "wire", 1, 2, 0), credits)
+			sim.Binder.Bind("Dst", "wire", &bound)
+			sim.OnEndCycle(f.EndCycle) // the old per-flow hook
+			sim.SetClockGate(passAll{})
+		}
+		src := &flowSrc{out: f, total: total}
+		src.Init("Src")
+		dst := &flowDst{in: f, hold: hold}
+		dst.Init("Dst")
+		sim.Register(dst)
+		sim.Register(src)
+		sim.SetDone(func() bool { return len(dst.releases) == total })
+		return sim, src, dst
+	}
+	msim, msrc, mdst := build(false)
+	if err := msim.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	// The model itself: every send but the first few waits for a credit,
+	// and goes out the cycle after the release that frees it.
+	starved := 0
+	for i := credits; i < total; i++ {
+		switch want := mdst.releases[i-credits] + 1; {
+		case msrc.sends[i] < want:
+			t.Fatalf("model: send %d at %d, before its credit (released %d)", i, msrc.sends[i], want-1)
+		case msrc.sends[i] == want:
+			starved++
+		}
+	}
+	if starved < total/4 {
+		t.Fatalf("model: only %d sends waited for credit, the test shows nothing", starved)
+	}
+
+	check := func(name string, src *flowSrc, dst *flowDst) {
+		t.Helper()
+		if !slices.Equal(src.sends, msrc.sends) || !slices.Equal(dst.releases, mdst.releases) {
+			t.Errorf("%s: sends or releases differ from the every-cycle fold", name)
+		}
+	}
+	for _, workers := range []int{0, 2} {
+		sim, src, dst := build(true)
+		sim.SetWorkers(workers)
+		if err := sim.Run(100000); err != nil {
+			t.Fatal(err)
+		}
+		if sim.Cycle() != msim.Cycle() {
+			t.Errorf("workers=%d: %d cycles, model %d", workers, sim.Cycle(), msim.Cycle())
+		}
+		check(fmt.Sprintf("workers=%d", workers), src, dst)
+	}
+	// A harness that clocks by hand: Simulator.EndCycle folds the list.
+	sim, src, dst := build(true)
+	for c := int64(0); c < msim.Cycle(); c++ {
+		dst.Clock(c)
+		src.Clock(c)
+		sim.EndCycle(c)
+	}
+	check("manual EndCycle", src, dst)
+}
+
+// The check that TestParkedClockIsNoOp has teeth: a Clipper that parks
+// whenever it likes — here with a triangle still queued and credit to
+// send it — is caught by the same comparison, a run against the
+// every-box-every-cycle loop.
+
+type hastyClipper struct{ *Clipper }
+
+func (h hastyClipper) Clock(cycle int64) {
+	h.Clipper.Clock(cycle)
+	h.Park()
+}
+
+type triSrc struct {
+	core.BoxBase
+	out   *Flow
+	batch *BatchState
+	ids   *core.IDSource
+	left  int
+}
+
+func (s *triSrc) Clock(cycle int64) {
+	for s.left > 0 && s.out.CanSend(cycle, 1) { // two a cycle: the Clipper falls behind
+		s.out.Send(cycle, insideTri(s.batch, s.ids))
+		s.left--
+	}
+}
+
+type triDst struct {
+	core.BoxBase
+	in  *Flow
+	got []int64
+}
+
+// Clock keeps what arrives: a release would fold credit into the
+// Clipper's output flow and wake it, and the mistake would only cost
+// cycles the every-cycle loop does not spend, not hang the run.
+func (d *triDst) Clock(cycle int64) {
+	for range d.in.Recv(cycle) {
+		d.got = append(d.got, cycle)
+	}
+}
+
+func TestParkingWithQueuedItemIsCaught(t *testing.T) {
+	const tris = 6
+	run := func(hasty, allAwake bool) ([]int64, error) {
+		sim := core.NewSimulator(0)
+		in := pFlow(sim, "Src", "Clipper", "in", 2, 1, 0, tris)
+		out := pFlow(sim, "Clipper", "Dst", "out", 1, 2, 0, tris)
+		src := &triSrc{out: in, batch: &BatchState{State: &DrawState{}}, ids: &sim.IDs, left: tris}
+		src.Init("Src")
+		sim.Register(src)
+		if hasty {
+			// Built by hand: NewClipper would register the honest box.
+			c := &Clipper{triIn: in, triOut: out}
+			c.Init("Clipper")
+			sim.Register(hastyClipper{c})
+		} else {
+			NewClipper(sim, in, out)
+		}
+		dst := &triDst{in: out}
+		dst.Init("Dst")
+		sim.Register(dst)
+		if allAwake {
+			sim.SetClockGate(passAll{})
+		}
+		sim.SetDone(func() bool { return len(dst.got) == tris })
+		err := sim.Run(1000)
+		return dst.got, err
+	}
+	want, err := run(false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := run(false, false); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("honest Clipper: arrivals %v (%v), every-cycle loop %v", got, err, want)
+	}
+	if got, err := run(true, true); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("hasty Clipper, every box clocked anyway: arrivals %v (%v), want %v", got, err, want)
+	}
+	if got, err := run(true, false); err == nil && slices.Equal(got, want) {
+		t.Fatal("a Clipper parking with a queued triangle went unnoticed")
+	}
+}

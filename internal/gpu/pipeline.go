@@ -86,18 +86,17 @@ type Pipeline struct {
 
 // flow provides a signal under the producer's name and binds it for
 // the consumer, wrapping it with queue credits. Credit releases fold
-// at the simulator's cycle barrier.
+// at the simulator's cycle barrier, on cycles the consumer released
+// any, and the fold wakes a producer parked on the credit.
 func pFlow(sim *core.Simulator, producer, consumer, name string, bw, lat, maxLat, queue int) *Flow {
 	sig := sim.Binder.Provide(producer, name, bw, lat, maxLat)
 	var bound *core.Signal
 	sim.Binder.Bind(consumer, name, &bound)
 	f := NewFlow(sig, queue)
 	// Credit release is a latency-1 consumer-to-producer dependency
-	// outside the signal model: the fold must happen every simulated
-	// cycle on the shard owning both endpoints, and the declared edge
-	// keeps the skew batch at 1 whenever the two boxes could land on
-	// different shards.
-	sim.OnLocalCycle(f.EndCycle, producer, consumer)
+	// outside the signal model: the declared edge keeps the skew batch
+	// at 1 whenever the two boxes could land on different shards.
+	f.pub = sim.Publish(consumer, producer, f.EndCycle)
 	sim.ConstrainSkew(producer, consumer, 1)
 	return f
 }

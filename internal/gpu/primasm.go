@@ -43,6 +43,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 	// goes out the cycle after (one triangle per cycle, Table 1).
 	if p.pending != nil {
 		if !p.triOut.CanSend(cycle, 1) {
+			p.Park() // until credit folds into triOut
 			return
 		}
 		tri := p.pending
@@ -55,6 +56,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 		return
 	}
 	if p.queue.Len() == 0 {
+		p.Park() // until a vertex is written to vtxIn
 		return
 	}
 	// One vertex consumed, at most one triangle emitted per cycle
@@ -64,6 +66,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 	v := p.queue.Peek()
 	emits := completesTriangle(v.Batch.State.Primitive, p.count)
 	if emits && !p.triOut.CanSend(cycle, 1) {
+		p.Park() // until credit folds into triOut
 		return
 	}
 	p.queue.Pop()

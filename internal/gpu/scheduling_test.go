@@ -542,3 +542,189 @@ func TestPendingTexSendsInSlotOrder(t *testing.T) {
 		t.Fatalf("%d cycles put several threads into threadWaitSend, %d sends passed an older request in a higher slot", together, overtaken)
 	}
 }
+
+// The FragmentFIFO's dispatch against the one it replaced, kept here as
+// the model: every cycle it walked every shader unit from a pointer it
+// then advanced, pending work or not. The box now returns at once with
+// nothing pending and derives the start of the walk from the cycle
+// number, so it may sleep through idle stretches. Both sides get the
+// same bursts of vertex and fragment threads separated by long idle
+// gaps; every thread must go to the same unit on the same cycle, with
+// the same pointer on every cycle and the same stall counts.
+
+type dispatchRig struct {
+	sim      *core.Simulator
+	f        *FragmentFIFO
+	shaderIn []*Flow
+	inFlight [][]rigThread // per unit: the threads it holds
+	log      []string
+}
+
+type rigThread struct {
+	w    *ShaderWork
+	done int64
+}
+
+func newDispatchRig(t *testing.T, cfg Config) *dispatchRig {
+	t.Helper()
+	sim := core.NewSimulator(0)
+	n := cfg.NumShaders
+	if !cfg.UnifiedShaders {
+		n += cfg.NumVertexShaders
+	}
+	flows := func(name string, k int) []*Flow {
+		fs := make([]*Flow, k)
+		for i := range fs {
+			fs[i] = pFlow(sim, "FragmentFIFO", nameIdx(name+"Dst", i), nameIdx(name, i), 4, 1, 0, 64)
+		}
+		return fs
+	}
+	r := &dispatchRig{sim: sim, inFlight: make([][]rigThread, n)}
+	r.shaderIn = make([]*Flow, n)
+	shaderOut := make([]*Flow, n)
+	for i := range r.shaderIn {
+		r.shaderIn[i] = pFlow(sim, "FragmentFIFO", nameIdx("Shader", i), nameIdx("in", i), 1, 1, 0, 3)
+		shaderOut[i] = pFlow(sim, nameIdx("Shader", i), "FragmentFIFO", nameIdx("out", i), 1, 1, 0, 4)
+	}
+	r.f = NewFragmentFIFO(sim, &cfg, &pipePool{}, NewSurfaceLayout(0, 64, 64),
+		pFlow(sim, "Streamer", "FragmentFIFO", "vin", 1, 1, 0, 16),
+		pFlow(sim, "Interpolator", "FragmentFIFO", "fin", 1, 1, 0, 32),
+		pFlow(sim, "FragmentFIFO", "Streamer", "vout", 1, 1, 0, 16),
+		flows("early", cfg.NumROPs), flows("late", cfg.NumROPs), r.shaderIn, shaderOut)
+	return r
+}
+
+// shaders plays the shader units at the start of a cycle: take what was
+// dispatched the cycle before, hold it a while, then give the thread
+// slot and the registers back.
+func (r *dispatchRig) shaders(cycle int64, rng *rand.Rand) {
+	for s, in := range r.shaderIn {
+		for _, o := range in.Recv(cycle) {
+			w := o.(*ShaderWork)
+			r.log = append(r.log, fmt.Sprintf("thread %d unit %d cycle %d", w.ID, s, cycle-1))
+			r.inFlight[s] = append(r.inFlight[s], rigThread{w, cycle + int64(1+rng.Intn(40))})
+		}
+		keep := r.inFlight[s][:0]
+		for _, th := range r.inFlight[s] {
+			if th.done > cycle {
+				keep = append(keep, th)
+				continue
+			}
+			in.Release(1)
+			if th.w.VPool {
+				r.f.vtxRegs -= th.w.Regs
+			} else {
+				r.f.fragRegs -= th.w.Regs
+			}
+		}
+		r.inFlight[s] = keep
+	}
+}
+
+// oldDispatch is FragmentFIFO.dispatch as it was, with its pointer.
+func oldDispatch(f *FragmentFIFO, rr *int, cycle int64) {
+	n := len(f.shaderIn)
+	for k := 0; k < n; k++ {
+		s := (*rr + k) % n
+		if !f.shaderIn[s].CanSend(cycle, 1) {
+			continue
+		}
+		var w *ShaderWork
+		switch {
+		case f.vtxPending.Len() > 0 && f.eligible(s, workVertex):
+			w = f.vtxPending.Peek()
+			if !f.reserveRegs(w) {
+				w = nil
+			} else {
+				f.vtxPending.Pop()
+			}
+		case f.fragPending.Len() > 0 && f.eligible(s, workFragment):
+			w = f.fragPending.Peek()
+			if !f.reserveRegs(w) {
+				w = nil
+			} else {
+				f.fragPending.Pop()
+			}
+		}
+		if w == nil {
+			continue
+		}
+		f.shaderIn[s].Send(cycle, w)
+		if w.Kind == workVertex {
+			f.statVtxThreads.Inc()
+		} else {
+			f.statFragThreads.Inc()
+		}
+	}
+	*rr = (*rr + 1) % n
+}
+
+func TestDispatchMatchesOldWalk(t *testing.T) {
+	vp := isa.MustAssemble(isa.VertexProgram, "vp", "MOV r0, v0\nMOV r1, v1\nADD o0, r0, r1\nEND")
+	fp := isa.MustAssemble(isa.FragmentProgram, "fp", "MOV r0, v1\nMOV r1, v1\nMOV r2, v1\nADD r0, r0, r1\nADD o0, r0, r2\nEND")
+	batch := &BatchState{State: &DrawState{VertexProg: vp, FragmentProg: fp}}
+	unified, split := BaselineUnified(), Baseline()
+	// Few enough registers that admission stalls (regStallCycles) too.
+	unified.PhysRegsFragment, split.PhysRegsFragment, split.PhysRegsVertex = 72, 60, 24
+	for _, cfg := range []Config{unified, split} {
+		for seed := int64(1); seed <= 3; seed++ {
+			model, box := newDispatchRig(t, cfg), newDispatchRig(t, cfg)
+			rngM, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			load := rand.New(rand.NewSource(seed + 100))
+			var rr int
+			var id uint64
+			dispatched := 0
+			for cycle, burstEnd := int64(0), int64(0); cycle < 30000; cycle++ {
+				if cycle > burstEnd && load.Intn(400) == 0 { // a burst, then a long gap
+					burstEnd = cycle + int64(20+load.Intn(60))
+				}
+				model.shaders(cycle, rngM)
+				box.shaders(cycle, rngB)
+				if cycle <= burstEnd {
+					for k := load.Intn(3); k > 0; k-- {
+						id++
+						kind := workKind(load.Intn(2))
+						for _, r := range []*dispatchRig{model, box} {
+							w := &ShaderWork{DynObject: core.DynObject{ID: id}, Batch: batch, Kind: kind}
+							if kind == workVertex {
+								r.f.vtxPending.Push(w)
+							} else {
+								r.f.fragPending.Push(w)
+							}
+						}
+					}
+				}
+				if slot := box.f.startSlot(cycle); slot != rr {
+					t.Fatalf("%s seed %d cycle %d: scan starts at %d, the old pointer says %d", cfg.Name, seed, cycle, slot, rr)
+				}
+				oldDispatch(model.f, &rr, cycle)
+				box.f.dispatch(cycle)
+				for _, r := range []*dispatchRig{model, box} {
+					r.sim.EndCycle(cycle)
+				}
+				dispatched = len(model.log)
+			}
+			if dispatched < 500 {
+				t.Fatalf("%s seed %d: only %d threads dispatched, the test shows nothing", cfg.Name, seed, dispatched)
+			}
+			if !slices.Equal(box.log, model.log) {
+				t.Fatalf("%s seed %d: dispatch differs from the old walk", cfg.Name, seed)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want *core.Counter
+			}{
+				{"vertexThreads", &box.f.statVtxThreads, &model.f.statVtxThreads},
+				{"fragmentThreads", &box.f.statFragThreads, &model.f.statFragThreads},
+				{"regStallCycles", &box.f.statRegStall, &model.f.statRegStall},
+			} {
+				if c.got.Value() != c.want.Value() {
+					t.Errorf("%s seed %d: %s = %v, old walk %v", cfg.Name, seed, c.name, c.got.Value(), c.want.Value())
+				}
+			}
+			if model.f.statRegStall.Value() == 0 {
+				t.Errorf("%s seed %d: no register stall happened, the test shows less than it says", cfg.Name, seed)
+			}
+		}
+	}
+}

@@ -21,6 +21,12 @@ type Setup struct {
 
 	fragBatch *BatchState // batch currently owning the fragment phase
 
+	// The head of the queue after setup, computed once: a triangle may
+	// wait there many cycles for output credit.
+	headOf  *TriWork
+	headTri rastemu.Triangle
+	headOK  bool
+
 	statIn     core.Counter
 	statCulled core.Counter
 	statBusy   core.Counter
@@ -47,31 +53,41 @@ func (s *Setup) Clock(cycle int64) {
 	for _, obj := range s.triIn.Recv(cycle) {
 		s.queue.Push(obj.(*TriWork))
 	}
-	// Release the fragment phase when its batch fully retires.
+	if s.queue.Len() == 0 {
+		s.Park() // until a triangle is written to triIn
+		return
+	}
+	// Release the fragment phase when its batch fully retires. Only a
+	// queued triangle asks, so an empty queue need not poll.
 	if s.fragBatch != nil && s.fragBatch.Done() {
 		s.fragBatch = nil
-	}
-	if s.queue.Len() == 0 {
-		return
 	}
 	tw := s.queue.Peek()
 	if s.fragBatch == nil {
 		s.fragBatch = tw.Batch
 	}
 	if tw.Batch != s.fragBatch {
-		return // next batch waits for the fragment phase
+		// The next batch waits for the fragment phase, polling
+		// fragBatch.Done: no wake source to name, so stay awake.
+		return
 	}
 	st := tw.Batch.State
 
-	clip := [3]vmath.Vec4{}
-	for i := 0; i < 3; i++ {
-		clip[i] = tw.V[i].Out[isa.AttrPos]
+	if s.headOf != tw {
+		clip := [3]vmath.Vec4{}
+		for i := 0; i < 3; i++ {
+			clip[i] = tw.V[i].Out[isa.AttrPos]
+		}
+		s.headOf = tw
+		s.headTri, s.headOK = rastemu.Setup(clip, st.Viewport, st.CullFront, st.CullBack)
 	}
-	tri, ok := rastemu.Setup(clip, st.Viewport, st.CullFront, st.CullBack)
+	ok := s.headOK
 
 	if ok && !s.triOut.CanSend(cycle, 1) {
+		s.Park() // until credit folds into triOut
 		return
 	}
+	s.headOf = nil
 	s.queue.Pop()
 	s.triIn.Release(1)
 	s.statIn.Inc()
@@ -85,7 +101,7 @@ func (s *Setup) Clock(cycle int64) {
 	out := &SetupTri{
 		DynObject: core.DynObject{ID: tw.ID, Parent: tw.Parent, Tag: "setup"},
 		Batch:     tw.Batch,
-		Tri:       tri,
+		Tri:       s.headTri,
 	}
 	// Copy the vertex attributes the interpolator will need: the
 	// fragment program's inputs (position is handled separately).

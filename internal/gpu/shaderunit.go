@@ -144,6 +144,10 @@ func (s *ShaderUnit) Clock(cycle int64) {
 		s.statBusy.Inc()
 	} else if s.resident > 0 && s.blocked == s.resident {
 		s.statTexWait.Inc()
+	} else if s.running == 0 && s.blocked == 0 {
+		// No thread, or finished ones only, which retire above when
+		// workOut has credit: until work or credit arrives.
+		s.Park()
 	}
 }
 

@@ -379,8 +379,11 @@ func (x *TexCrossbar) RestoreState(d *chkpt.Decoder) error {
 func (f *FragmentFIFO) SnapshotName() string { return "FragmentFIFO" }
 
 // SnapshotState implements chkpt.Snapshotter: the shader dispatch
-// round-robin pointer.
-func (f *FragmentFIFO) SnapshotState(e *chkpt.Encoder) { e.U32(uint32(f.rr)) }
+// round-robin pointer, as the shader the next cycle's scan starts at —
+// what the payload has always held.
+func (f *FragmentFIFO) SnapshotState(e *chkpt.Encoder) {
+	e.U32(uint32(f.startSlot(f.sim.Cycle())))
+}
 
 // RestoreState implements chkpt.Snapshotter.
 func (f *FragmentFIFO) RestoreState(d *chkpt.Decoder) error {
@@ -388,10 +391,13 @@ func (f *FragmentFIFO) RestoreState(d *chkpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if v < 0 || v >= len(f.shaderIn) {
-		return fmt.Errorf("%w: dispatch pointer %d outside %d shaders", chkpt.ErrMismatch, v, len(f.shaderIn))
+	n := len(f.shaderIn)
+	if v < 0 || v >= n {
+		return fmt.Errorf("%w: dispatch pointer %d outside %d shaders", chkpt.ErrMismatch, v, n)
 	}
-	f.rr = v
+	// The simulator's section restores first (Snapshotters order), so
+	// Cycle is already the cycle the run resumes at.
+	f.rr = int((int64(v)-f.sim.Cycle())%int64(n)+int64(n)) % n
 	return nil
 }
 

@@ -108,6 +108,11 @@ func (s *Streamer) Clock(cycle int64) {
 	}
 
 	if s.batch == nil {
+		// Until a draw is written to cmdIn (shadeIn is silent between
+		// batches), once the fetch cache has collected its replies.
+		if len(s.cmdQ) == 0 && s.fetch.Idle() {
+			s.Park()
+		}
 		return
 	}
 	busy := false

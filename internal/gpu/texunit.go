@@ -50,6 +50,7 @@ func (x *TexCrossbar) Clock(cycle int64) {
 		}
 	}
 	// Distribute requests round-robin over TUs.
+	sent := false
 	for x.queue.Len() > 0 {
 		tu := x.rrTU % len(x.toTU)
 		if !x.toTU[tu].CanSend(cycle, 1) {
@@ -57,6 +58,7 @@ func (x *TexCrossbar) Clock(cycle int64) {
 		}
 		x.toTU[tu].Send(cycle, x.queue.Pop())
 		x.rrTU++
+		sent = true
 	}
 	// Return replies to their shaders.
 	for x.replies.Len() > 0 {
@@ -66,6 +68,12 @@ func (x *TexCrossbar) Clock(cycle int64) {
 			break
 		}
 		out.Send(cycle, x.replies.Pop())
+		sent = true
+	}
+	// Both queues empty, or their heads without credit: until a message
+	// is written to an input or credit folds into an output flow.
+	if !sent {
+		x.Park()
 	}
 }
 
@@ -107,8 +115,10 @@ type TextureUnit struct {
 	freeReps []*TexRepMsg
 	// quiesced is the barrier-published snapshot of the idle
 	// condition, read by the command processor, which may be clocked
-	// on a different worker shard.
-	quiesced bool
+	// on a different worker shard. It can only change on a cycle the
+	// unit was clocked, so Clock marks quiescePub.
+	quiesced   bool
+	quiescePub *core.Publication
 
 	statReqs     core.Counter
 	statTexels   core.Counter
@@ -156,11 +166,11 @@ func (h *texHooks) Encode(key uint32, line []byte) (uint32, []byte) {
 func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Flow) *TextureUnit {
 	t := &TextureUnit{cfg: cfg, idx: idx, reqIn: reqIn, repOut: repOut, quiesced: true}
 	t.Init(nameIdx("TextureUnit", idx))
-	// The quiesce flag is published per cycle and read by the command
-	// processor across the shard boundary: a latency-1 dependency
-	// outside the signal model, so it anchors locally and pins the
-	// skew batch to 1 between this unit and the CP's shard.
-	sim.OnLocalCycle(t.publishQuiesce, t.BoxName())
+	// The quiesce flag is read by the command processor across the
+	// shard boundary: a latency-1 dependency outside the signal model,
+	// which pins the skew batch to 1 between this unit and the CP's
+	// shard. The CP never parks on it, so the fold wakes nobody.
+	t.quiescePub = sim.Publish(t.BoxName(), "", t.publishQuiesce)
 	sim.ConstrainSkew(t.BoxName(), "CommandProcessor", 1)
 	t.hooks = &texHooks{fmtOf: make(map[uint32]texemu.Format)}
 	cc := mem.CacheConfig{
@@ -196,6 +206,7 @@ func (t *TextureUnit) publishQuiesce(cycle int64) {
 
 // Clock implements core.Box.
 func (t *TextureUnit) Clock(cycle int64) {
+	t.quiescePub.Mark()
 	t.cache.Clock(cycle)
 	for _, obj := range t.reqIn.Recv(cycle) {
 		msg := obj.(*TexReqMsg)
@@ -207,6 +218,11 @@ func (t *TextureUnit) Clock(cycle int64) {
 	}
 	if t.current == nil {
 		if t.queue.Len() == 0 {
+			// Until a request is written to reqIn; while the cache has
+			// replies to collect, stay awake (see ZStencil.Clock).
+			if t.cache.Idle() {
+				t.Park()
+			}
 			return
 		}
 		t.current = t.startWork(t.queue.Pop())

@@ -95,6 +95,7 @@ func (z *ZStencil) Cache() *mem.Cache { return z.cache }
 
 // StartClear begins a fast Z/stencil clear to the packed value.
 func (z *ZStencil) StartClear(value uint32) {
+	z.Wake()
 	z.clearPending = true
 	z.clearValue = value
 }
@@ -104,6 +105,7 @@ func (z *ZStencil) ClearDone() bool { return !z.clearPending }
 
 // StartFlush begins writing back all dirty Z cache lines.
 func (z *ZStencil) StartFlush() {
+	z.Wake()
 	z.flushPending = true
 	z.flushIssued = false
 }
@@ -150,6 +152,13 @@ func (z *ZStencil) Clock(cycle int64) {
 		}
 	}
 	if z.queue.Len() == 0 {
+		// Until a quad is written to one of quadIns or the command
+		// processor starts a clear or flush. Replies to the cache's
+		// port arrive on a wire bound under the cache's name, which
+		// wakes nobody: stay awake until they are all in.
+		if z.cache.Idle() {
+			z.Park()
+		}
 		return
 	}
 
@@ -178,17 +187,20 @@ func (z *ZStencil) Clock(cycle int64) {
 	}
 
 	key := z.layout.BlockAddr(q.X, q.Y)
-	if !z.cache.Probe(key) {
-		if !z.headLooked {
-			z.cache.Lookup(cycle, key) // count the miss once
+	// One lookup per quad: the line stays put until the next
+	// RequestFill or cache.Clock, neither of which is below.
+	line := z.cache.Resident(key)
+	if line == nil {
+		if !z.headLooked { // count the miss once
+			z.cache.Miss()
 			z.headLooked = true
 		}
 		z.cache.RequestFill(cycle, key)
 		z.statStall.Inc()
 		return
 	}
-	if !z.headLooked {
-		z.cache.Lookup(cycle, key) // count the hit
+	if !z.headLooked { // a quad that missed was counted then
+		z.cache.Hit(cycle, line)
 	}
 
 	// Test and update each live fragment. With two-sided stencil
@@ -205,12 +217,11 @@ func (z *ZStencil) Clock(cycle int64) {
 		}
 		px, py := q.X+l%2, q.Y+l/2
 		off := z.layout.Offset(px, py)
-		z.cache.Read(key, off, buf[:])
-		stored := binary.LittleEndian.Uint32(buf[:])
+		stored := binary.LittleEndian.Uint32(line.Data()[off:])
 		res := fragemu.ZStencilTest(st.Depth, stencil, q.Depth[l], stored)
 		if res.Out != stored {
 			binary.LittleEndian.PutUint32(buf[:], res.Out)
-			z.cache.Write(key, off, buf[:])
+			line.Write(off, buf[:])
 		}
 		if !res.Pass {
 			q.Mask[l] = false

@@ -196,8 +196,16 @@ func (c *Cache) find(key uint32) (set, way int) {
 	return set, -1
 }
 
-// Data returns the decoded bytes the line holds.
+// Data returns the decoded bytes the line holds, for reading; changes
+// go through Write.
 func (ln *Line) Data() []byte { return ln.data }
+
+// Write stores bytes at off in the line and marks it dirty.
+func (ln *Line) Write(off int, src []byte) {
+	copy(ln.data[off:], src)
+	ln.dirty = true
+	ln.flushNeed = 0
+}
 
 // Resident returns the line holding key, or nil when it is absent or
 // still being filled, without touching statistics or LRU state.
@@ -247,9 +255,7 @@ func (c *Cache) Write(key uint32, off int, src []byte) {
 	if ln == nil {
 		panic(fmt.Sprintf("%s: Write of non-resident line %#x", c.cfg.Name, key))
 	}
-	copy(ln.data[off:], src)
-	ln.dirty = true
-	ln.flushNeed = 0
+	ln.Write(off, src)
 }
 
 // RequestFill queues a miss for the line. It returns false when the
@@ -305,7 +311,7 @@ func (c *Cache) RequestFill(cycle int64, key uint32) bool {
 // Clock advances the miss state machine: collects memory replies,
 // then issues writebacks and fills in miss order.
 func (c *Cache) Clock(cycle int64) {
-	if len(c.miss) == 0 && c.port.idle() {
+	if c.Idle() {
 		return
 	}
 	for _, rep := range c.port.Replies(cycle) {
@@ -472,6 +478,11 @@ func (c *Cache) FlushDirty(cycle int64) bool {
 	}
 	return done
 }
+
+// Idle reports that Clock has nothing to do: no miss queued, no
+// transaction in flight and no consumed reply left to recycle. An owner
+// box with nothing else to do may park while it holds.
+func (c *Cache) Idle() bool { return len(c.miss) == 0 && c.port.Idle() }
 
 // Quiesce reports whether the cache has no misses or transactions in
 // flight.

@@ -310,6 +310,11 @@ func (c *Controller) Clock(cycle int64) {
 			c.schedule(cycle, i, ch)
 		}
 	}
+	// Nothing queued, no channel transferring: only a request on one of
+	// the client wires, all bound under this box's name, changes that.
+	if !c.Pending() {
+		c.Park()
+	}
 }
 
 func (c *Controller) schedule(cycle int64, chIdx int, ch *channelState) {
@@ -571,8 +576,8 @@ func (p *Port) Replies(cycle int64) []*Reply {
 	return p.out
 }
 
-// idle reports that Replies would neither find nor recycle anything.
-func (p *Port) idle() bool { return p.outstanding == 0 && len(p.out) == 0 }
+// Idle reports that Replies would neither find nor recycle anything.
+func (p *Port) Idle() bool { return p.outstanding == 0 && len(p.out) == 0 }
 
 // Outstanding returns the number of in-flight transactions.
 func (p *Port) Outstanding() int { return p.outstanding }
