@@ -34,7 +34,13 @@ test:
 # suite again, ten times over, for the lost-wake-up races; then every
 # golden scene against the every-box-every-cycle loop, the flow credit
 # fold and the FragmentFIFO dispatch against the loops they replaced,
-# all raced), and fuzz smokes over
+# all raced), the supervised run against what it replaced (the core and
+# mem suites above hold the watchdog's tallies to the per-cycle walk and
+# the page-marked memory snapshot to the full scan; here every golden
+# scene runs with watchdog and checkpoints armed, its checkpoint files
+# pinned, the quiesce predicate and the watchdog held to their old
+# forms at every barrier, restored serially and on two workers, raced;
+# and a polled job's progress never goes back), and fuzz smokes over
 # the trace reader and over the decoded shader interpreter against its
 # reference evaluator.
 check:
@@ -51,6 +57,8 @@ check:
 	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
 	$(GO) test -race -run 'Park|Publication' -count=10 ./internal/core/
 	$(GO) test -race -run '^TestParkedClockIsNoOp$$|^TestParkingWithQueuedItemIsCaught$$|^TestFlowFoldMatchesEveryCycleModel$$|^TestDispatchMatchesOldWalk$$|^TestBlockedTriangleIsJudgedOnce$$' -count=1 ./internal/gpu/
+	$(GO) test -race -run '^TestGoldenCheckpoints$$' -count=1 ./internal/gpu/
+	$(GO) test -race -run '^TestJobdProgressIsMonotone$$' -count=1 ./internal/jobd/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
@@ -115,9 +123,12 @@ fleet-smoke:
 # ends with: generate one of the benchmark's scenes at the benchmark's
 # size as a trace, run it under the CPU profiler, and print the
 # cumulative top of the profile (DESIGN.md section 10 reads from it).
-# make profile SCENE=doom3|spinner|ut2004 [PROFILE_DIR=dir]
+# SUPERVISED=1 runs the scene the way jobd runs a job: watchdog armed,
+# a checkpoint every 50000 cycles, spans sampled 1 in 64.
+# make profile SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
 SCENE ?= doom3
 PROFILE_DIR ?= /tmp/attila-profile
+profile_supervised := $(if $(SUPERVISED),-watchdog 50000000 -checkpoint-interval 50000 -trace-sample 1/64)
 profile_size_doom3 := -width 320 -height 240 -frames 3
 profile_size_spinner := -width 256 -height 192 -frames 48
 profile_size_ut2004 := -width 256 -height 192 -frames 4
@@ -129,5 +140,5 @@ profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/ ./cmd/tracegen ./cmd/attilasim
 	$(PROFILE_DIR)/tracegen -workload $(SCENE) $(profile_size_$(SCENE)) -out $(PROFILE_DIR)/$(SCENE).attila
-	$(PROFILE_DIR)/attilasim -trace $(PROFILE_DIR)/$(SCENE).attila $(profile_config_$(SCENE)) -manifest none -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
+	$(PROFILE_DIR)/attilasim -trace $(PROFILE_DIR)/$(SCENE).attila $(profile_config_$(SCENE)) $(profile_supervised) -manifest none -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
 	$(GO) tool pprof -top -cum -nodecount 50 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).prof

@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"syscall"
@@ -180,25 +181,38 @@ func Restore(snap *Snapshot, parts []Snapshotter, lenient bool) error {
 
 // Encode serializes the snapshot: magic, version, CRC32-Castagnoli of
 // the uncompressed payload, payload length, then the gzip-compressed
-// payload (meta + sections).
+// payload (meta + sections). The payload is never assembled: its CRC
+// and length are taken over the pieces, which then stream into the
+// compressor.
 func (s *Snapshot) Encode(w io.Writer) error {
-	var payload Encoder
-	payload.I64(s.Meta.Cycle)
-	payload.Str(s.Meta.Config)
-	payload.Str(s.Meta.Workload)
-	payload.I64(s.Meta.Epoch)
-	payload.U32(uint32(len(s.order)))
+	var meta Encoder
+	meta.I64(s.Meta.Cycle)
+	meta.Str(s.Meta.Config)
+	meta.Str(s.Meta.Workload)
+	meta.I64(s.Meta.Epoch)
+	meta.U32(uint32(len(s.order)))
+	// The payload is meta, then per section its name and length (a
+	// small prefix) and its bytes.
+	pieces := make([][]byte, 0, 1+2*len(s.order))
+	pieces = append(pieces, meta.Bytes())
 	for _, name := range s.order {
-		payload.Str(name)
-		payload.Blob(s.sections[name])
+		var prefix Encoder
+		prefix.Str(name)
+		prefix.U32(uint32(len(s.sections[name])))
+		pieces = append(pieces, prefix.Bytes(), s.sections[name])
 	}
-	raw := payload.Bytes()
+	var crc uint32
+	var size uint64
+	for _, p := range pieces {
+		crc = crc32.Update(crc, crcTable, p)
+		size += uint64(len(p))
+	}
 
 	var hdr [len(magic) + 4 + 4 + 8]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
-	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.Checksum(raw, crcTable))
-	binary.LittleEndian.PutUint64(hdr[len(magic)+8:], uint64(len(raw)))
+	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc)
+	binary.LittleEndian.PutUint64(hdr[len(magic)+8:], size)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -206,8 +220,10 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := zw.Write(raw); err != nil {
-		return err
+	for _, p := range pieces {
+		if _, err := zw.Write(p); err != nil {
+			return err
+		}
 	}
 	return zw.Close()
 }
@@ -422,6 +438,9 @@ type Encoder struct {
 
 // Bytes returns the encoded section.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Grow makes room for n more bytes, for a writer that knows its size.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U8 writes one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }

@@ -492,3 +492,75 @@ func TestEngineGateRefusesWrite(t *testing.T) {
 		t.Errorf("fenced write reached disk: meta %+v", snap.Meta)
 	}
 }
+
+// concatEncode is Snapshot.Encode of 91dbc46, kept as the model: it
+// assembled the whole payload in one buffer, took its CRC, and handed
+// it to the compressor in one Write.
+func concatEncode(t *testing.T, s *Snapshot) []byte {
+	t.Helper()
+	var payload Encoder
+	payload.I64(s.Meta.Cycle)
+	payload.Str(s.Meta.Config)
+	payload.Str(s.Meta.Workload)
+	payload.I64(s.Meta.Epoch)
+	payload.U32(uint32(len(s.order)))
+	for _, name := range s.order {
+		payload.Str(name)
+		payload.Blob(s.sections[name])
+	}
+	raw := payload.Bytes()
+
+	var buf bytes.Buffer
+	var hdr [len(magic) + 4 + 4 + 8]byte
+	copy(hdr[:], magic)
+	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
+	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.Checksum(raw, crcTable))
+	binary.LittleEndian.PutUint64(hdr[len(magic)+8:], uint64(len(raw)))
+	buf.Write(hdr[:])
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Encode streams the payload into the compressor piece by piece. The
+// file must not show it: same CRC, same length, same compressed bytes
+// as one Write of the assembled payload — over sections that are
+// empty, tiny, longer than a deflate block, compressible and not.
+func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
+	noise := make([]byte, 300_000)
+	state := uint32(1)
+	for i := range noise {
+		state = state*1664525 + 1013904223
+		noise[i] = byte(state >> 24)
+	}
+	for _, sections := range [][][]byte{
+		nil,
+		{{}},
+		{{1}, {}, {2, 3}},
+		{make([]byte, 200_000), noise, []byte("tail")},
+		{noise[:65535], noise[:65536], make([]byte, 65537), noise[:1]},
+	} {
+		snap := NewSnapshot(Meta{Cycle: 123456, Config: "64x48 {Name:baseline}", Workload: "ut2004", Epoch: 3})
+		for i, data := range sections {
+			snap.Add(string(rune('a'+i))+".section", data)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := concatEncode(t, snap); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%d sections: Encode wrote %d bytes, the concatenating Encode %d, or they differ", len(sections), buf.Len(), len(want))
+		}
+		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Errorf("%d sections: %v", len(sections), err)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 // an alternative implementation that registers the same signals.
 type Binder struct {
 	signals   map[string]*Signal
+	order     []*Signal         // registration order, for whoever visits them all
+	sorted    []*Signal         // by name, built on first use
 	producers map[string]string // signal name -> box name
 	consumers map[string]string
 	pending   map[string][]func(*Signal) // Bind calls before Provide
@@ -37,6 +39,8 @@ func (b *Binder) Provide(box, name string, bandwidth, latency, maxLat int) *Sign
 	}
 	s := NewSignal(name, bandwidth, latency, maxLat)
 	b.signals[name] = s
+	b.order = append(b.order, s)
+	b.sorted = nil
 	b.producers[name] = box
 	for _, fn := range b.pending[name] {
 		fn(s)
@@ -82,24 +86,19 @@ func (b *Binder) Validate() error {
 }
 
 // Signals returns every registered signal, sorted by name, for
-// tracing and diagnostics.
+// tracing and diagnostics. The slice is shared: do not modify it.
 func (b *Binder) Signals() []*Signal {
-	names := make([]string, 0, len(b.signals))
-	for n := range b.signals {
-		names = append(names, n)
+	if b.sorted == nil && len(b.order) > 0 {
+		b.sorted = append([]*Signal(nil), b.order...)
+		sort.Slice(b.sorted, func(i, j int) bool { return b.sorted[i].name < b.sorted[j].name })
 	}
-	sort.Strings(names)
-	out := make([]*Signal, len(names))
-	for i, n := range names {
-		out[i] = b.signals[n]
-	}
-	return out
+	return b.sorted
 }
 
 // SetTracer installs t on every currently registered signal. Install
 // after wiring is complete (Validate) so no signal is missed.
 func (b *Binder) SetTracer(t Tracer) {
-	for _, s := range b.signals {
+	for _, s := range b.order {
 		s.setTracer(t)
 	}
 }

@@ -215,7 +215,7 @@ func TestBoxThatNeverParksIsClockedEveryCycle(t *testing.T) {
 		if err := sim.Run(1000); err != nil {
 			t.Fatal(err)
 		}
-		if tick.n != sim.Cycle() {
+		if int64(tick.n) != sim.Cycle() {
 			t.Errorf("workers=%d: %d clocks over %d cycles", workers, tick.n, sim.Cycle())
 		}
 	}

@@ -46,6 +46,12 @@ type Signal struct {
 	// starts: a write wakes it (sim.go, the park contract). Nil on a
 	// free-standing signal or a wire bound under a name that is no box's.
 	reader *BoxBase
+	// prodTally and consTally are the producing and the consuming
+	// shard's running totals of wire traffic, bumped beside produced and
+	// consumed so that the watchdog reads a pair per shard, not per wire.
+	// Resolved with reader; nil on the side of an endpoint that is no
+	// registered box, which the watchdog keeps reading here.
+	prodTally, consTally *uint64
 
 	// Tracing: the reader appends to traceBuf during its clock; the
 	// simulator drains every buffer into the shared tracer at the
@@ -178,6 +184,9 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 	s.stamp[slot] = arrive
 	s.ring[slot] = append(s.ring[slot], obj)
 	s.produced.Add(1)
+	if t := s.prodTally; t != nil {
+		*t++
+	}
 	// After the Add: a reader parking right now re-checks produced after
 	// it publishes its flag, so one of the two sees the other.
 	if r := s.reader; r != nil && r.parked.Load() {
@@ -217,6 +226,9 @@ func (s *Signal) Read(cycle int64) []Dynamic {
 	out := s.ring[slot]
 	s.ring[slot] = out[:0]
 	s.consumed.Add(uint64(len(out)))
+	if t := s.consTally; t != nil {
+		*t += uint64(len(out))
+	}
 	if s.tracer != nil {
 		for _, o := range out {
 			s.traceBuf = append(s.traceBuf, traceEntry{cycle, o.DynInfo()})

@@ -180,6 +180,11 @@ type Simulator struct {
 	// in serial mode; before any Run an empty one holds the publish list.
 	shards []*shard
 	pubs   []*Publication // every registered publication
+	// What no shard tallies (see activity): the wire ends whose
+	// producer, or consumer, is no registered box, and the reporters'
+	// position registers.
+	walkProd, walkCons []*Signal
+	steps              []*int
 
 	// Skew batching (EnableSkewBatching): skew is the batch length B
 	// computed at Run start; syncCycle is the last cycle of the batch
@@ -532,9 +537,9 @@ func (s *Simulator) growCrossUnitRings() {
 			unitOf[b.BoxName()] = i
 		}
 	}
-	for name, sig := range s.Binder.signals {
-		pu, pok := unitOf[s.Binder.producers[name]]
-		cu, cok := unitOf[s.Binder.consumers[name]]
+	for _, sig := range s.Binder.order {
+		pu, pok := unitOf[s.Binder.producers[sig.name]]
+		cu, cok := unitOf[s.Binder.consumers[sig.name]]
 		if pok && cok && pu == cu {
 			continue
 		}
@@ -696,6 +701,11 @@ type shard struct {
 	awake   []atomic.Uint64
 	parking bool           // the box being clocked called Park
 	pubs    []*Publication // marked this cycle, folded at the barrier
+	// produced and consumed total the traffic of every wire this shard's
+	// boxes write and read (Signal.prodTally, consTally), progress every
+	// Progress counter of theirs. Plain: bumped by the shard's goroutine,
+	// read by the coordinator past the barrier.
+	produced, consumed, progress uint64
 
 	skew     int
 	obs      ClockObserver // sampled box-clock timing, nil when off
@@ -832,28 +842,55 @@ func (sh *shard) clockBatch(first, last int64) {
 }
 
 // wire resolves, for the shards about to be clocked, what is bound by
-// name: each signal's consumer box (woken by writes, and the wires a
-// parking box must find empty) and each publication's writer shard and
-// reader box. Publications marked but not yet folded move to their new
-// list. All boxes start awake.
+// name or by box: each signal's consumer box (woken by writes, and the
+// wires a parking box must find empty), the shard tallies that its two
+// ends and each reporter's counters count into, and each publication's
+// writer shard and reader box. Publications marked but not yet folded
+// move to their new list. All boxes start awake.
+//
+// The tallies start from what their wires and counters have counted so
+// far, so that they always add up to what those say themselves.
 func (s *Simulator) wire(shards []*shard) error {
 	s.shards = shards
 	byName := make(map[string]*BoxBase)
 	shardOf := make(map[string]*shard)
+	s.walkProd, s.walkCons, s.steps = s.walkProd[:0], s.walkCons[:0], s.steps[:0]
 	for _, sh := range shards {
 		sh.pubs = sh.pubs[:0]
+		sh.produced, sh.consumed, sh.progress = 0, 0, 0
 		for i, b := range sh.boxes {
 			shardOf[b.BoxName()] = sh
 			if base := sh.bases[i]; base != nil {
 				byName[b.BoxName()] = base
 				base.inputs = base.inputs[:0]
 			}
+			if r, ok := b.(ProgressReporter); ok {
+				counters, steps := r.ProgressTerms()
+				for _, p := range counters {
+					p.tally = &sh.progress
+					sh.progress += uint64(p.v)
+				}
+				s.steps = append(s.steps, steps...)
+			}
 		}
 	}
-	for name, sig := range s.Binder.signals {
-		sig.reader = byName[s.Binder.consumers[name]]
+	for _, sig := range s.Binder.order {
+		sig.reader = byName[s.Binder.consumers[sig.name]]
 		if sig.reader != nil {
 			sig.reader.inputs = append(sig.reader.inputs, sig)
+		}
+		sig.prodTally, sig.consTally = nil, nil
+		if sh := shardOf[s.Binder.producers[sig.name]]; sh != nil {
+			sig.prodTally = &sh.produced
+			sh.produced += sig.produced.Load()
+		} else {
+			s.walkProd = append(s.walkProd, sig)
+		}
+		if sh := shardOf[s.Binder.consumers[sig.name]]; sh != nil {
+			sig.consTally = &sh.consumed
+			sh.consumed += sig.consumed.Load()
+		} else {
+			s.walkCons = append(s.walkCons, sig)
 		}
 	}
 	for _, p := range s.pubs {
@@ -870,6 +907,29 @@ func (s *Simulator) wire(shards []*shard) error {
 		}
 	}
 	return nil
+}
+
+// activity returns the three sums of the watchdog's fingerprint: the
+// objects written to and read from all wires so far, and the reporters'
+// progress terms — what summing Signal.Traffic over the Binder and the
+// terms over the boxes gives — from the shard tallies and the few terms
+// outside them. For the coordinator, at the barrier of a Run.
+func (s *Simulator) activity() (prod, cons, silent uint64) {
+	for _, sh := range s.shards {
+		prod += sh.produced
+		cons += sh.consumed
+		silent += sh.progress
+	}
+	for _, sig := range s.walkProd {
+		prod += sig.produced.Load()
+	}
+	for _, sig := range s.walkCons {
+		cons += sig.consumed.Load()
+	}
+	for _, p := range s.steps {
+		silent += uint64(*p)
+	}
+	return prod, cons, silent
 }
 
 // barrierBox is the pseudo-box the coordinator's join-barrier wait is

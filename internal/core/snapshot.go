@@ -216,7 +216,7 @@ func (b *Binder) RestoreState(d *chkpt.Decoder) error {
 // flight — one clause of the global quiesce predicate checkpoints
 // require.
 func (b *Binder) Idle() bool {
-	for _, s := range b.signals {
+	for _, s := range b.order {
 		if s.Pending() {
 			return false
 		}

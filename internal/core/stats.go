@@ -48,6 +48,28 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds n.
 func (c *Counter) Add(n float64) { c.v += n }
 
+// Progress is a Counter each of whose steps is forward progress of the
+// machine (see ProgressReporter). It also counts into the progress
+// tally of the shard clocking its box, so that the watchdog reads one
+// word per shard for all of them. Register with ShadowProgress.
+type Progress struct {
+	Counter
+	tally *uint64 // the shard's (Simulator.wire); own before any Run
+	own   uint64
+}
+
+// Inc adds 1.
+func (p *Progress) Inc() {
+	p.v++
+	*p.tally++
+}
+
+// Add adds n.
+func (p *Progress) Add(n float64) {
+	p.v += n
+	*p.tally += uint64(n)
+}
+
 // Gauge is a statistic that records the latest and maximum observed
 // value (queue occupancies, threads in flight).
 type Gauge struct {
@@ -124,6 +146,12 @@ func (m *StatManager) Counter(name string) *Counter {
 func (m *StatManager) ShadowCounter(c *Counter, name string) {
 	*c = Counter{name: name}
 	m.register(c)
+}
+
+// ShadowProgress is ShadowCounter for a Progress field.
+func (m *StatManager) ShadowProgress(p *Progress, name string) {
+	p.tally = &p.own
+	m.ShadowCounter(&p.Counter, name)
 }
 
 // Gauge creates and registers a Gauge with the given name.

@@ -9,10 +9,14 @@ import (
 // ProgressReporter is implemented by boxes whose forward progress is
 // not fully visible as signal traffic (cache-resident texture
 // filtering, fast-clear block state updates, command stream
-// advancement). The returned counter must be non-decreasing while the
-// box makes progress; the watchdog treats any change as activity.
+// advancement). ProgressTerms names what moves when the box does: event
+// counters and position registers, each a non-negative integer that
+// only grows while a Run lasts; the watchdog treats any change as
+// activity. It is asked when a Run starts: the counters then count into
+// their shard's tally, the registers are read in place — at the cycle
+// barrier, like every reporter.
 type ProgressReporter interface {
-	ProgressCount() int64
+	ProgressTerms() (counters []*Progress, steps []*int)
 }
 
 // QueueStat describes one internal queue or credit pool of a box for
@@ -146,18 +150,25 @@ func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 const recentWindow = 32
 
 // watchdog tracks per-cycle forward progress: total signal traffic
-// plus every ProgressReporter box's counter. It runs on the
+// plus every ProgressReporter box's terms. It runs on the
 // coordinating goroutine at the cycle barrier.
+//
+// Every term of the fingerprint is an integer that never decreases, so
+// the sum moves exactly when some term does, whatever it is summed
+// from: it comes from the shard tallies (Simulator.activity), not from
+// a walk over the wires and the reporters, and equals that walk's
+// result.
 type watchdog struct {
-	window    int64
-	signals   []*Signal
-	reporters []ProgressReporter
+	window int64
 
 	lastTotal    uint64
 	lastProgress int64
 	prevProd     uint64
 	prevCons     uint64
-	recent       []ActivitySample
+	// recent is a ring of the last samples: checks counts them, the
+	// newest is recent[(checks-1)%recentWindow].
+	recent [recentWindow]ActivitySample
+	checks uint
 
 	// restored marks fingerprint state loaded from a checkpoint; the
 	// next reset keeps it so the restored run's progress view (and the
@@ -166,45 +177,27 @@ type watchdog struct {
 	restored bool
 }
 
-// reset captures the signal and reporter sets at the start of Run.
+// reset starts the progress view of a Run.
 func (w *watchdog) reset(s *Simulator) {
-	w.signals = s.Binder.Signals()
-	w.reporters = w.reporters[:0]
-	for _, b := range s.boxes {
-		if r, ok := b.(ProgressReporter); ok {
-			w.reporters = append(w.reporters, r)
-		}
-	}
+	w.checks = 0
 	if w.restored {
 		w.restored = false
-		w.recent = w.recent[:0]
 		return
 	}
 	w.lastProgress = s.cycle
 	w.lastTotal = 0
 	w.prevProd, w.prevCons = 0, 0
-	w.recent = w.recent[:0]
 }
 
 // check runs once per cycle after the barrier. It returns a report
 // when no progress has been observed for a full window.
 func (w *watchdog) check(s *Simulator, cycle int64) *DeadlockReport {
-	var prod, cons uint64
-	for _, sig := range w.signals {
-		p, c := sig.Traffic()
-		prod += p
-		cons += c
-	}
-	total := prod + cons
-	for _, r := range w.reporters {
-		total += uint64(r.ProgressCount())
-	}
-	w.recent = append(w.recent, ActivitySample{
+	prod, cons, silent := s.activity()
+	total := prod + cons + silent
+	w.recent[w.checks%recentWindow] = ActivitySample{
 		Cycle: cycle, Produced: prod - w.prevProd, Consumed: cons - w.prevCons,
-	})
-	if len(w.recent) > recentWindow {
-		w.recent = w.recent[1:]
 	}
+	w.checks++
 	w.prevProd, w.prevCons = prod, cons
 	if total != w.lastTotal {
 		w.lastTotal = total
@@ -222,9 +215,11 @@ func (w *watchdog) report(s *Simulator, cycle int64) *DeadlockReport {
 		Cycle:  cycle,
 		Since:  w.lastProgress,
 		Window: w.window,
-		Recent: append([]ActivitySample(nil), w.recent...),
 	}
-	for _, sig := range w.signals {
+	for i := w.checks - min(w.checks, recentWindow); i < w.checks; i++ {
+		r.Recent = append(r.Recent, w.recent[i%recentWindow])
+	}
+	for _, sig := range s.Binder.Signals() {
 		if !sig.Pending() {
 			continue
 		}

@@ -140,11 +140,12 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 // publishes it via ProgressReporter.
 type ticker struct {
 	BoxBase
-	n int64
+	n int
 }
 
-func (b *ticker) Clock(cycle int64)    { b.n++ }
-func (b *ticker) ProgressCount() int64 { return b.n }
+func (b *ticker) Clock(cycle int64) { b.n++ }
+
+func (b *ticker) ProgressTerms() ([]*Progress, []*int) { return nil, []*int{&b.n} }
 
 // Signal-silent progress reported through ProgressReporter must hold
 // the watchdog off.

@@ -16,13 +16,16 @@ import (
 
 const testTTL = 300 * time.Millisecond
 
-// fleetSpec mirrors the jobd test workload: multi-frame so quiesced
-// checkpoints exist mid-run, small enough that a job finishes in
-// well under a second.
+// fleetSpec is the jobd test workload at a larger frame: multi-frame so
+// quiesced checkpoints exist mid-run, small enough that a job finishes
+// in well under a second, and large enough that it lasts several lease
+// ticks (a third of testTTL each) — the fleet's faults are fired by a
+// peer's tick looking at its running jobs, and a job that is over
+// between two ticks is never seen running.
 func fleetSpec(name string) jobd.JobSpec {
 	return jobd.JobSpec{
 		Name: name, Config: "baseline", Workload: "simple",
-		Width: 96, Height: 64, Frames: 3, Aniso: 2, Seed: 1,
+		Width: 320, Height: 240, Frames: 3, Aniso: 2, Seed: 1,
 		MaxCycles: 200_000_000, TimeoutSec: -1,
 	}
 }

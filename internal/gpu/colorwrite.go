@@ -32,8 +32,8 @@ type ColorWrite struct {
 
 	layoutFn func() SurfaceLayout // draw buffer (changes on swap)
 
-	statQuads core.Counter
-	statFrags core.Counter
+	statQuads core.Progress
+	statFrags core.Progress
 	statBusy  core.Counter
 	statStall core.Counter
 }
@@ -54,8 +54,8 @@ func NewColorWrite(sim *core.Simulator, cfg *Config, idx int, pool *pipePool,
 		LineBytes: SurfaceBlockBytes, MissQ: 8, PortLimit: 8,
 	}
 	c.cache = mem.NewCache(sim, cc, &colorHooks{c: c})
-	sim.Stats.ShadowCounter(&c.statQuads, c.BoxName()+".quads")
-	sim.Stats.ShadowCounter(&c.statFrags, c.BoxName()+".fragments")
+	sim.Stats.ShadowProgress(&c.statQuads, c.BoxName()+".quads")
+	sim.Stats.ShadowProgress(&c.statFrags, c.BoxName()+".fragments")
 	sim.Stats.ShadowCounter(&c.statBusy, c.BoxName()+".busyCycles")
 	sim.Stats.ShadowCounter(&c.statStall, c.BoxName()+".stallCycles")
 	sim.Register(c)

@@ -56,10 +56,10 @@ type CommandProcessor struct {
 
 	finished bool
 
-	statCmds    core.Counter
-	statBatches core.Counter
-	statFrames  core.Counter
-	statBytesUp core.Counter
+	statCmds    core.Progress
+	statBatches core.Progress
+	statFrames  core.Progress
+	statBytesUp core.Progress
 	statOverlap core.Counter
 }
 
@@ -72,10 +72,10 @@ func NewCommandProcessor(sim *core.Simulator, cfg *Config, fb *Framebuffer,
 	}
 	cp.Init("CommandProcessor")
 	cp.port = mem.NewPort(sim, "CP", 8)
-	sim.Stats.ShadowCounter(&cp.statCmds, "CP.commands")
-	sim.Stats.ShadowCounter(&cp.statBatches, "CP.batches")
-	sim.Stats.ShadowCounter(&cp.statFrames, "CP.frames")
-	sim.Stats.ShadowCounter(&cp.statBytesUp, "CP.uploadBytes")
+	sim.Stats.ShadowProgress(&cp.statCmds, "CP.commands")
+	sim.Stats.ShadowProgress(&cp.statBatches, "CP.batches")
+	sim.Stats.ShadowProgress(&cp.statFrames, "CP.frames")
+	sim.Stats.ShadowProgress(&cp.statBytesUp, "CP.uploadBytes")
 	sim.Stats.ShadowCounter(&cp.statOverlap, "CP.overlapCycles")
 	sim.Register(cp)
 	return cp

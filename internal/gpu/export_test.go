@@ -1,0 +1,31 @@
+package gpu
+
+import "attila/internal/core"
+
+// OldProgressCount is ProgressCount as every pipeline box implemented
+// it at 91dbc46, when the watchdog called it on each reporter each
+// cycle. The external tests keep it as the model the collected
+// progress terms must add up to.
+func OldProgressCount(b core.Box) (int64, bool) {
+	switch x := b.(type) {
+	case *CommandProcessor:
+		return int64(x.statCmds.Value()+x.statBatches.Value()+x.statFrames.Value()+x.statBytesUp.Value()) + int64(x.pc), true
+	case *Streamer:
+		return int64(x.statVtx.Value() + x.statVCacheHit.Value() + x.statVCacheMis.Value()), true
+	case *FragmentGenerator:
+		return int64(x.statTiles.Value() + x.statQuads.Value()), true
+	case *HierarchicalZ:
+		return int64(x.statTiles.Value() + x.statCulled.Value()), true
+	case *FragmentFIFO:
+		return int64(x.statVtxThreads.Value() + x.statFragThreads.Value() + x.statKilled.Value()), true
+	case *ShaderUnit:
+		return int64(x.statInstr.Value()), true
+	case *TextureUnit:
+		return int64(x.statReqs.Value() + x.statTexels.Value()), true
+	case *ZStencil:
+		return int64(x.statQuads.Value() + x.statCulled.Value()), true
+	case *ColorWrite:
+		return int64(x.statQuads.Value() + x.statFrags.Value()), true
+	}
+	return 0, false
+}

@@ -73,9 +73,9 @@ type FragmentFIFO struct {
 	trVtx  *trace.Tracer
 	trFrag *trace.Tracer
 
-	statVtxThreads  core.Counter
-	statFragThreads core.Counter
-	statKilled      core.Counter
+	statVtxThreads  core.Progress
+	statFragThreads core.Progress
+	statKilled      core.Progress
 	statWindowFull  core.Counter
 	statRegStall    core.Counter
 	windowGauge     *core.Gauge
@@ -91,9 +91,9 @@ func NewFragmentFIFO(sim *core.Simulator, cfg *Config, pool *pipePool, layout Su
 		shaderIn: shaderIn, shaderOut: shaderOut,
 	}
 	f.Init("FragmentFIFO")
-	sim.Stats.ShadowCounter(&f.statVtxThreads, "FFIFO.vertexThreads")
-	sim.Stats.ShadowCounter(&f.statFragThreads, "FFIFO.fragmentThreads")
-	sim.Stats.ShadowCounter(&f.statKilled, "FFIFO.killedQuads")
+	sim.Stats.ShadowProgress(&f.statVtxThreads, "FFIFO.vertexThreads")
+	sim.Stats.ShadowProgress(&f.statFragThreads, "FFIFO.fragmentThreads")
+	sim.Stats.ShadowProgress(&f.statKilled, "FFIFO.killedQuads")
 	sim.Stats.ShadowCounter(&f.statWindowFull, "FFIFO.windowFullCycles")
 	sim.Stats.ShadowCounter(&f.statRegStall, "FFIFO.regStallCycles")
 	f.windowGauge = sim.Stats.Gauge("FFIFO.windowOccupancy")

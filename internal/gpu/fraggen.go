@@ -25,8 +25,8 @@ type FragmentGenerator struct {
 	scanX int      // scanline traversal
 	scanY int
 
-	statTiles core.Counter
-	statQuads core.Counter
+	statTiles core.Progress
+	statQuads core.Progress
 	statFrags core.Counter
 	statBusy  core.Counter
 }
@@ -39,8 +39,8 @@ type region struct {
 func NewFragmentGenerator(sim *core.Simulator, cfg *Config, pool *pipePool, triIn, tileOut *Flow) *FragmentGenerator {
 	f := &FragmentGenerator{cfg: cfg, ids: &sim.IDs, pool: pool, triIn: triIn, tileOut: tileOut}
 	f.Init("FragmentGenerator")
-	sim.Stats.ShadowCounter(&f.statTiles, "FGen.tiles")
-	sim.Stats.ShadowCounter(&f.statQuads, "FGen.quads")
+	sim.Stats.ShadowProgress(&f.statTiles, "FGen.tiles")
+	sim.Stats.ShadowProgress(&f.statQuads, "FGen.quads")
 	sim.Stats.ShadowCounter(&f.statFrags, "FGen.fragments")
 	sim.Stats.ShadowCounter(&f.statBusy, "FGen.busyCycles")
 	sim.Register(f)

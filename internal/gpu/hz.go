@@ -24,8 +24,8 @@ type HierarchicalZ struct {
 	queue   core.FIFO[*Tile]
 	maxZ    []uint32 // per block
 
-	statTiles  core.Counter
-	statCulled core.Counter
+	statTiles  core.Progress
+	statCulled core.Progress
 	statQuads  core.Counter
 	statBusy   core.Counter
 }
@@ -44,8 +44,8 @@ func NewHierarchicalZ(sim *core.Simulator, cfg *Config, pool *pipePool, layout S
 	for i := range h.maxZ {
 		h.maxZ[i] = fragemu.MaxDepth
 	}
-	sim.Stats.ShadowCounter(&h.statTiles, "HZ.tiles")
-	sim.Stats.ShadowCounter(&h.statCulled, "HZ.culledTiles")
+	sim.Stats.ShadowProgress(&h.statTiles, "HZ.tiles")
+	sim.Stats.ShadowProgress(&h.statCulled, "HZ.culledTiles")
 	sim.Stats.ShadowCounter(&h.statQuads, "HZ.quadsOut")
 	sim.Stats.ShadowCounter(&h.statBusy, "HZ.busyCycles")
 	sim.Register(h)

@@ -23,22 +23,9 @@ func (everyBox) BeforeClock(int64, core.Box) bool { return true }
 // TestGoldenFrames scene. TestParkingWithQueuedItemIsCaught shows the
 // comparison catches a box that parks too soon.
 func TestParkedClockIsNoOp(t *testing.T) {
-	for _, c := range []struct {
-		name, generator string
-		cfg             gpu.Config
-		workers, frames int
-	}{
-		{"ut2004-tex", "ut2004", gpu.BaselineUnified(), 0, 1},
-		{"doom3-stencil", "doom3", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 1},
-		{"spinner-geom", "spinner", gpu.Embedded(), 0, 1},
-		{"ut2004-par2", "ut2004", gpu.BaselineUnified(), 2, 1},
-		{"ut2004-inorder", "ut2004", gpu.CaseStudy(2, gpu.ScheduleInOrderQueue), 0, 1},
-		{"spinner-3f", "spinner", gpu.Embedded(), 0, 3},
-		{"doom3-2f", "doom3", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 2},
-		{"ut2004-3f", "ut2004", gpu.BaselineUnified(), 0, 3},
-		{"ut2004-1tu", "ut2004", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 2},
-		{"baseline-split", "ut2004", gpu.Baseline(), 2, 1}, // dedicated vertex shaders
-	} {
+	// The golden scenes, and one with dedicated vertex shaders.
+	for _, c := range append(goldenScenes[:len(goldenScenes):len(goldenScenes)],
+		goldenScene{"baseline-split", "ut2004", gpu.Baseline(), 2, 1}) {
 		t.Run(c.name, func(t *testing.T) {
 			type outputs struct {
 				cycles       int64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"attila/internal/chkpt"
 	"attila/internal/core"
 	"attila/internal/isa"
 	"attila/internal/mem"
@@ -79,6 +80,10 @@ type Pipeline struct {
 	ffifo    *FragmentFIFO
 	mc       *mem.Controller
 	spans    *trace.Collector
+
+	// Resolved once by resolveCheckpointing.
+	ready []checkpointReady
+	parts []chkpt.Snapshotter
 
 	alloc *mem.Allocator
 	w, h  int
@@ -297,6 +302,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 	sim.SetAutoReshard(8192)
 
 	sim.SetDone(p.CP.Finished)
+	p.resolveCheckpointing()
 	return p, nil
 }
 

@@ -5,17 +5,19 @@ import "attila/internal/core"
 // This file implements the watchdog's core.ProgressReporter and
 // core.StallReporter interfaces for the pipeline boxes.
 //
-// ProgressCount publishes forward progress that is invisible as
+// ProgressTerms names the forward progress that is invisible as
 // signal traffic: command-stream advancement, cache-hit texture
 // filtering, shader instruction execution, quads retired into the
 // framebuffer caches. Only genuinely forward-moving counters qualify
-// — busy/stall counters tick while deadlocked and would mask a hang.
+// — busy/stall counters tick while deadlocked and would mask a hang —
+// and each is a core.Progress, which counts into the tally the watchdog
+// reads.
 //
 // Queues snapshots each box's input queues and the credit pools of
 // its *output* flows (the producer's view of downstream backpressure),
-// so each Flow appears in exactly one box's report. Both methods run
-// on the coordinator at the cycle barrier, never concurrently with
-// box clocks.
+// so each Flow appears in exactly one box's report. It runs on the
+// coordinator at the cycle barrier, never concurrently with box
+// clocks.
 
 func flowStats(flows ...*Flow) []core.QueueStat {
 	out := make([]core.QueueStat, 0, len(flows))
@@ -27,10 +29,10 @@ func flowStats(flows ...*Flow) []core.QueueStat {
 	return out
 }
 
-// ProgressCount implements core.ProgressReporter: command retirement
+// ProgressTerms implements core.ProgressReporter: command retirement
 // and bus upload streaming advance without signal traffic.
-func (c *CommandProcessor) ProgressCount() int64 {
-	return int64(c.statCmds.Value()+c.statBatches.Value()+c.statFrames.Value()+c.statBytesUp.Value()) + int64(c.pc)
+func (c *CommandProcessor) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&c.statCmds, &c.statBatches, &c.statFrames, &c.statBytesUp}, []*int{&c.pc}
 }
 
 // Queues implements core.StallReporter.
@@ -42,10 +44,10 @@ func (c *CommandProcessor) Queues() []core.QueueStat {
 	return append(qs, c.drawOut.QueueStat())
 }
 
-// ProgressCount implements core.ProgressReporter: vertex-cache hits
+// ProgressTerms implements core.ProgressReporter: vertex-cache hits
 // commit vertices without shader traffic.
-func (s *Streamer) ProgressCount() int64 {
-	return int64(s.statVtx.Value() + s.statVCacheHit.Value() + s.statVCacheMis.Value())
+func (s *Streamer) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&s.statVtx, &s.statVCacheHit, &s.statVCacheMis}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -76,10 +78,10 @@ func (s *Setup) Queues() []core.QueueStat {
 	return append(qs, s.triOut.QueueStat())
 }
 
-// ProgressCount implements core.ProgressReporter: recursive-descent
+// ProgressTerms implements core.ProgressReporter: recursive-descent
 // traversal can spend cycles on empty regions between tile emissions.
-func (g *FragmentGenerator) ProgressCount() int64 {
-	return int64(g.statTiles.Value() + g.statQuads.Value())
+func (g *FragmentGenerator) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&g.statTiles, &g.statQuads}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -88,10 +90,10 @@ func (g *FragmentGenerator) Queues() []core.QueueStat {
 	return append(qs, g.tileOut.QueueStat())
 }
 
-// ProgressCount implements core.ProgressReporter: HZ-culled tiles
+// ProgressTerms implements core.ProgressReporter: HZ-culled tiles
 // retire quads with no downstream traffic.
-func (h *HierarchicalZ) ProgressCount() int64 {
-	return int64(h.statTiles.Value() + h.statCulled.Value())
+func (h *HierarchicalZ) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&h.statTiles, &h.statCulled}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -107,10 +109,10 @@ func (ip *Interpolator) Queues() []core.QueueStat {
 	return append(qs, ip.quadOut.QueueStat())
 }
 
-// ProgressCount implements core.ProgressReporter: thread launches and
+// ProgressTerms implements core.ProgressReporter: thread launches and
 // in-place fragment kills.
-func (f *FragmentFIFO) ProgressCount() int64 {
-	return int64(f.statVtxThreads.Value() + f.statFragThreads.Value() + f.statKilled.Value())
+func (f *FragmentFIFO) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&f.statVtxThreads, &f.statFragThreads, &f.statKilled}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -129,9 +131,11 @@ func (f *FragmentFIFO) Queues() []core.QueueStat {
 	return append(qs, flowStats(f.shaderIn...)...)
 }
 
-// ProgressCount implements core.ProgressReporter: instruction
+// ProgressTerms implements core.ProgressReporter: instruction
 // execution is signal-silent.
-func (s *ShaderUnit) ProgressCount() int64 { return int64(s.statInstr.Value()) }
+func (s *ShaderUnit) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&s.statInstr}, nil
+}
 
 // Queues implements core.StallReporter.
 func (s *ShaderUnit) Queues() []core.QueueStat {
@@ -155,10 +159,10 @@ func (x *TexCrossbar) Queues() []core.QueueStat {
 	return append(qs, flowStats(x.toShader...)...)
 }
 
-// ProgressCount implements core.ProgressReporter: cache-hit filtering
+// ProgressTerms implements core.ProgressReporter: cache-hit filtering
 // consumes texels with no memory traffic.
-func (t *TextureUnit) ProgressCount() int64 {
-	return int64(t.statReqs.Value() + t.statTexels.Value())
+func (t *TextureUnit) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&t.statReqs, &t.statTexels}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -167,10 +171,10 @@ func (t *TextureUnit) Queues() []core.QueueStat {
 	return append(qs, t.repOut.QueueStat())
 }
 
-// ProgressCount implements core.ProgressReporter: culled quads retire
+// ProgressTerms implements core.ProgressReporter: culled quads retire
 // with no output traffic, and fast clears flip block states in place.
-func (z *ZStencil) ProgressCount() int64 {
-	return int64(z.statQuads.Value() + z.statCulled.Value())
+func (z *ZStencil) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&z.statQuads, &z.statCulled}, nil
 }
 
 // Queues implements core.StallReporter.
@@ -179,10 +183,10 @@ func (z *ZStencil) Queues() []core.QueueStat {
 	return append(qs, flowStats(z.earlyOut, z.lateOut)...)
 }
 
-// ProgressCount implements core.ProgressReporter: quads retire into
+// ProgressTerms implements core.ProgressReporter: quads retire into
 // the color cache with no further signal traffic.
-func (c *ColorWrite) ProgressCount() int64 {
-	return int64(c.statQuads.Value() + c.statFrags.Value())
+func (c *ColorWrite) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&c.statQuads, &c.statFrags}, nil
 }
 
 // Queues implements core.StallReporter.

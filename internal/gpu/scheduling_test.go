@@ -714,8 +714,8 @@ func TestDispatchMatchesOldWalk(t *testing.T) {
 				name      string
 				got, want *core.Counter
 			}{
-				{"vertexThreads", &box.f.statVtxThreads, &model.f.statVtxThreads},
-				{"fragmentThreads", &box.f.statFragThreads, &model.f.statFragThreads},
+				{"vertexThreads", &box.f.statVtxThreads.Counter, &model.f.statVtxThreads.Counter},
+				{"fragmentThreads", &box.f.statFragThreads.Counter, &model.f.statFragThreads.Counter},
 				{"regStallCycles", &box.f.statRegStall, &model.f.statRegStall},
 			} {
 				if c.got.Value() != c.want.Value() {

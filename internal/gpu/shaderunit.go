@@ -95,7 +95,7 @@ type ShaderUnit struct {
 	freeReqs  []*TexReqMsg
 	spentReps []*TexRepMsg
 
-	statInstr   core.Counter
+	statInstr   core.Progress
 	statBusy    core.Counter
 	statTexWait core.Counter
 	statThreads *core.Gauge
@@ -123,7 +123,7 @@ func NewShaderUnit(sim *core.Simulator, cfg *Config, idx int, vertexOnly bool,
 		isa.LatTexture: 1, // unused: the texture unit decides
 	}
 	s.Init(nameIdx("Shader", idx))
-	sim.Stats.ShadowCounter(&s.statInstr, s.BoxName()+".instructions")
+	sim.Stats.ShadowProgress(&s.statInstr, s.BoxName()+".instructions")
 	sim.Stats.ShadowCounter(&s.statBusy, s.BoxName()+".busyCycles")
 	sim.Stats.ShadowCounter(&s.statTexWait, s.BoxName()+".texWaitCycles")
 	s.statThreads = sim.Stats.Gauge(s.BoxName() + ".threads")

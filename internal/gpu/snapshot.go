@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"attila/internal/chkpt"
+	"attila/internal/core"
 	"attila/internal/mem"
 )
 
@@ -440,44 +441,52 @@ func (t *TextureUnit) RestoreState(d *chkpt.Decoder) error { return t.cache.Rest
 // ---- Pipeline-level API ----
 
 // Quiesced reports whether the machine is at a checkpointable safe
-// point: the command processor between commands, every signal drained,
-// the memory controller idle and every box's private idle condition
-// met. Called at the cycle barrier on the coordinating goroutine.
+// point: the command processor between commands, the memory controller
+// idle, every box's private idle condition met and every signal
+// drained. Called at the cycle barrier on the coordinating goroutine,
+// on every cycle from the one a checkpoint falls due to the next safe
+// point — most of a frame — so the clauses run cheapest and most often
+// false first: the command processor is between commands with nothing
+// in flight on a handful of cycles per frame.
 func (p *Pipeline) Quiesced() bool {
-	if !p.Sim.Binder.Idle() || p.mc.Pending() {
+	if !p.CP.SafePoint() || p.mc.Pending() {
 		return false
 	}
-	for _, b := range p.Sim.Boxes() {
-		if q, ok := b.(checkpointReady); ok && !q.CheckpointReady() {
+	for _, q := range p.ready {
+		if !q.CheckpointReady() {
 			return false
 		}
 	}
-	return true
+	return p.Sim.Binder.Idle()
 }
 
-// Snapshotters returns the parts of the machine serialized into a
-// checkpoint, in a fixed order: framework state (cycle, stats,
-// signals), the memory system, then every box that carries persistent
-// state, in registration order.
-func (p *Pipeline) Snapshotters() []chkpt.Snapshotter {
-	parts := []chkpt.Snapshotter{
+// resolveCheckpointing picks, once the machine is assembled, the boxes
+// the quiesce predicate asks (the command processor is asked first, by
+// name) and the parts a checkpoint serializes, in a fixed order:
+// framework state (cycle, stats, signals), the memory system, then
+// every box that carries persistent state, in registration order.
+func (p *Pipeline) resolveCheckpointing() {
+	p.parts = []chkpt.Snapshotter{
 		p.Sim, p.Sim.Stats, p.Sim.Binder,
 		p.Mem, p.alloc, p.mc, p.FB,
 	}
-	// Some of the explicit parts (the memory controller) are also
-	// registered boxes; skip anything already captured.
-	seen := make(map[string]bool, len(parts))
-	for _, s := range parts {
-		seen[s.SnapshotName()] = true
-	}
 	for _, b := range p.Sim.Boxes() {
-		if s, ok := b.(chkpt.Snapshotter); ok && !seen[s.SnapshotName()] {
-			seen[s.SnapshotName()] = true
-			parts = append(parts, s)
+		if q, ok := b.(checkpointReady); ok && b != core.Box(p.CP) {
+			p.ready = append(p.ready, q)
+		}
+		// The memory controller is both a box and an explicit part.
+		if s, ok := b.(chkpt.Snapshotter); ok && b != core.Box(p.mc) {
+			p.parts = append(p.parts, s)
 		}
 	}
-	return parts
+	// Callers append their own parts; never into this array.
+	p.parts = p.parts[:len(p.parts):len(p.parts)]
 }
+
+// Snapshotters returns the parts of the machine serialized into a
+// checkpoint, in capture order. The slice is shared: append to it, do
+// not modify it.
+func (p *Pipeline) Snapshotters() []chkpt.Snapshotter { return p.parts }
 
 // ConfigFingerprint identifies the machine configuration a checkpoint
 // belongs to. Host-only knobs (worker count, watchdog window) are

@@ -47,9 +47,9 @@ type Streamer struct {
 		looked bool
 	}
 
-	statVtx       core.Counter
-	statVCacheHit core.Counter
-	statVCacheMis core.Counter
+	statVtx       core.Progress
+	statVCacheHit core.Progress
+	statVCacheMis core.Progress
 	statBusy      core.Counter
 }
 
@@ -73,9 +73,9 @@ func NewStreamer(sim *core.Simulator, cfg *Config, gm *mem.GPUMemory,
 		LineBytes: 64, MissQ: 8, PortLimit: 8,
 	}
 	s.fetch = mem.NewCache(sim, fc, mem.PassThrough{})
-	sim.Stats.ShadowCounter(&s.statVtx, "Streamer.vertices")
-	sim.Stats.ShadowCounter(&s.statVCacheHit, "Streamer.vcacheHits")
-	sim.Stats.ShadowCounter(&s.statVCacheMis, "Streamer.vcacheMisses")
+	sim.Stats.ShadowProgress(&s.statVtx, "Streamer.vertices")
+	sim.Stats.ShadowProgress(&s.statVCacheHit, "Streamer.vcacheHits")
+	sim.Stats.ShadowProgress(&s.statVCacheMis, "Streamer.vcacheMisses")
 	sim.Stats.ShadowCounter(&s.statBusy, "Streamer.busyCycles")
 	sim.Register(s)
 	return s

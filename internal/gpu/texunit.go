@@ -120,8 +120,8 @@ type TextureUnit struct {
 	quiesced   bool
 	quiescePub *core.Publication
 
-	statReqs     core.Counter
-	statTexels   core.Counter
+	statReqs     core.Progress
+	statTexels   core.Progress
 	statBilinear core.Counter
 	statBusy     core.Counter
 	statStall    core.Counter
@@ -178,8 +178,8 @@ func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Fl
 		LineBytes: texemu.TileTexels * texemu.TileTexels * 4, MissQ: 8, PortLimit: 8,
 	}
 	t.cache = mem.NewCache(sim, cc, t.hooks)
-	sim.Stats.ShadowCounter(&t.statReqs, t.BoxName()+".requests")
-	sim.Stats.ShadowCounter(&t.statTexels, t.BoxName()+".texels")
+	sim.Stats.ShadowProgress(&t.statReqs, t.BoxName()+".requests")
+	sim.Stats.ShadowProgress(&t.statTexels, t.BoxName()+".texels")
 	sim.Stats.ShadowCounter(&t.statBilinear, t.BoxName()+".bilinearSamples")
 	sim.Stats.ShadowCounter(&t.statBusy, t.BoxName()+".busyCycles")
 	sim.Stats.ShadowCounter(&t.statStall, t.BoxName()+".missStallCycles")

@@ -48,9 +48,9 @@ type ZStencil struct {
 	flushPending bool
 	flushIssued  bool
 
-	statQuads  core.Counter
+	statQuads  core.Progress
 	statFrags  core.Counter
-	statCulled core.Counter
+	statCulled core.Progress
 	statBusy   core.Counter
 	statStall  core.Counter
 }
@@ -73,9 +73,9 @@ func NewZStencil(sim *core.Simulator, cfg *Config, idx int, pool *pipePool, layo
 		LineBytes: SurfaceBlockBytes, MissQ: 8, PortLimit: 8,
 	}
 	z.cache = mem.NewCache(sim, cc, &zHooks{z: z})
-	sim.Stats.ShadowCounter(&z.statQuads, z.BoxName()+".quads")
+	sim.Stats.ShadowProgress(&z.statQuads, z.BoxName()+".quads")
 	sim.Stats.ShadowCounter(&z.statFrags, z.BoxName()+".fragments")
-	sim.Stats.ShadowCounter(&z.statCulled, z.BoxName()+".culledQuads")
+	sim.Stats.ShadowProgress(&z.statCulled, z.BoxName()+".culledQuads")
 	sim.Stats.ShadowCounter(&z.statBusy, z.BoxName()+".busyCycles")
 	sim.Stats.ShadowCounter(&z.statStall, z.BoxName()+".stallCycles")
 	sim.Register(z)

@@ -404,3 +404,55 @@ func getJSON(t *testing.T, url string, v any) {
 		t.Fatal(err)
 	}
 }
+
+// The barrier hook publishes a running job's cycle every progressEvery
+// cycles and once more when the run ends: whoever polls the job sees
+// a cycle that never goes back, on the cadence while the job runs, and
+// the run's cycle count once it is done; the checkpoint cycle moves
+// with the captures.
+func TestJobdProgressIsMonotone(t *testing.T) {
+	total, _ := cleanRun(t)
+	s := New(Options{OutDir: t.TempDir(), Workers: 1, Retries: -1, CheckpointInterval: total / 4, Logf: t.Logf})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.SubmitJob(testSpec("watched")); err != nil {
+		t.Fatal(err)
+	}
+	var last JobStatus
+	distinct := 0
+	for {
+		st, err := s.JobStatus("watched")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cycle < last.Cycle || st.CheckpointCycle < last.CheckpointCycle {
+			t.Fatalf("progress went back: cycle %d after %d, checkpoint %d after %d",
+				st.Cycle, last.Cycle, st.CheckpointCycle, last.CheckpointCycle)
+		}
+		if st.Cycle != last.Cycle {
+			distinct++
+		}
+		if st.State.terminal() {
+			last = st
+			break
+		}
+		// Off the cadence only once the run has ended, just before the
+		// state says so.
+		if st.Cycle%progressEvery != 0 && st.Cycle != total {
+			t.Fatalf("a running job shows cycle %d, off the %d-cycle cadence", st.Cycle, progressEvery)
+		}
+		last = st
+		time.Sleep(50 * time.Microsecond)
+	}
+	if last.State != StateDone || last.Cycles != total || last.Cycle != last.Cycles {
+		t.Fatalf("finished %s: progress %d, cycles %d, the clean run took %d", last.State, last.Cycle, last.Cycles, total)
+	}
+	if last.CheckpointCycle <= 0 || last.CheckpointCycle >= total {
+		t.Errorf("last checkpoint at cycle %d of %d", last.CheckpointCycle, total)
+	}
+	if distinct < 3 {
+		t.Errorf("saw %d distinct progress values, the test shows less than it says", distinct)
+	}
+}

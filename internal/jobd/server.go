@@ -142,6 +142,11 @@ const (
 	causeHalt   // host killed (chaos killhost); vanish without a trace
 )
 
+// progressEvery is how many cycles pass between two publications of a
+// running job's cycle (a power of two): the cadence at which the clock
+// loop itself polls its context.
+const progressEvery = 1 << 10
+
 // Job is one supervised run. Mutable fields are guarded by the
 // server's mutex except the atomics, which the simulation's cycle hook
 // writes and the HTTP layer reads live.
@@ -1196,13 +1201,23 @@ func (s *Server) attempt(j *Job, attempt int) error {
 	// The cycle hook runs on the coordinating goroutine at every
 	// barrier: it publishes live progress and implements worker-kill
 	// chaos, cancellation, fairness preemption and drain — the latter
-	// two by forcing a checkpoint and stopping once it lands.
+	// two by forcing a checkpoint and stopping once it lands. Progress
+	// is for whoever polls the job from outside: the cycle is published
+	// every progressEvery cycles and when the run ends, the checkpoint
+	// cycle when a capture moved it. Every decision below stays per
+	// cycle.
 	dispatchStart := int64(-1)
 	preemptReq := int64(-1)
 	killArmed := kill != nil
+	reached := j.progress.Load() // a run that reaches no barrier leaves it be
+	var ckptSeen int64
 	pipe.Sim.OnEndCycle(func(cycle int64) {
-		j.progress.Store(cycle)
-		if lc := eng.LastCycle(); lc > 0 {
+		reached = cycle
+		if cycle&(progressEvery-1) == 0 {
+			j.progress.Store(cycle)
+		}
+		if lc := eng.LastCycle(); lc != ckptSeen {
+			ckptSeen = lc
 			j.ckptCycle.Store(lc)
 		}
 		if dispatchStart < 0 {
@@ -1266,6 +1281,7 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		runErr = pipe.RunContext(ctx, cmds, spec.MaxCycles)
 	}
 	if runErr != nil {
+		j.progress.Store(reached)
 		if errors.Is(runErr, core.ErrCanceled) && ctx.Err() != nil {
 			j.cause.CompareAndSwap(causeNone, causeTimeout)
 		}

@@ -157,8 +157,8 @@ type Controller struct {
 	freeReps []*Reply
 	bufs     [][]byte // read-data buffers stripped from recycled replies
 
-	statReadBytes  core.Counter
-	statWriteBytes core.Counter
+	statReadBytes  core.Progress
+	statWriteBytes core.Progress
 	statPageMiss   core.Counter
 	statTurnaround core.Counter
 	statBusy       core.Counter
@@ -198,8 +198,8 @@ func NewController(sim *core.Simulator, cfg ControllerConfig, mem *GPUMemory, cl
 		sim.Stats.ShadowCounter(&c.clientRead[i], "MC."+name+".readBytes")
 		sim.Stats.ShadowCounter(&c.clientWrite[i], "MC."+name+".writeBytes")
 	}
-	sim.Stats.ShadowCounter(&c.statReadBytes, "MC.readBytes")
-	sim.Stats.ShadowCounter(&c.statWriteBytes, "MC.writeBytes")
+	sim.Stats.ShadowProgress(&c.statReadBytes, "MC.readBytes")
+	sim.Stats.ShadowProgress(&c.statWriteBytes, "MC.writeBytes")
 	sim.Stats.ShadowCounter(&c.statPageMiss, "MC.pageMisses")
 	sim.Stats.ShadowCounter(&c.statTurnaround, "MC.turnarounds")
 	sim.Stats.ShadowCounter(&c.statBusy, "MC.busyCycles")
@@ -221,11 +221,11 @@ func (c *Controller) Pending() bool {
 	return false
 }
 
-// ProgressCount implements core.ProgressReporter: transferred bytes
+// ProgressTerms implements core.ProgressReporter: transferred bytes
 // advance while a long transaction occupies its channel with no signal
 // traffic.
-func (c *Controller) ProgressCount() int64 {
-	return int64(c.statReadBytes.Value() + c.statWriteBytes.Value())
+func (c *Controller) ProgressTerms() ([]*core.Progress, []*int) {
+	return []*core.Progress{&c.statReadBytes, &c.statWriteBytes}, nil
 }
 
 // Queues implements core.StallReporter: per-client request queue

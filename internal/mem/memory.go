@@ -18,11 +18,25 @@ const TransactionSize = 64
 // renderer and the DAC verification dump read it directly).
 type GPUMemory struct {
 	data []byte
+	// written has bit p set once anything was written to page p (see
+	// gpuMemPage): an unmarked page is all zero, so a snapshot visits
+	// marked pages only. WriteBytes, Write32 and RestoreState are the
+	// only writers of data, and each marks what it writes.
+	written []uint64
 }
 
 // NewGPUMemory allocates size bytes of GPU memory.
 func NewGPUMemory(size int) *GPUMemory {
-	return &GPUMemory{data: make([]byte, size)}
+	pages := (size + gpuMemPage - 1) / gpuMemPage
+	return &GPUMemory{data: make([]byte, size), written: make([]uint64, (pages+63)/64)}
+}
+
+// touch marks the pages of the n > 0 bytes at addr as written.
+func (m *GPUMemory) touch(addr uint32, n int) {
+	last := (addr + uint32(n) - 1) / gpuMemPage
+	for p := addr / gpuMemPage; p <= last; p++ {
+		m.written[p>>6] |= 1 << (p & 63)
+	}
 }
 
 // Size returns the memory capacity in bytes.
@@ -43,6 +57,10 @@ func (m *GPUMemory) ReadBytes(addr uint32, dst []byte) {
 // WriteBytes copies src into memory.
 func (m *GPUMemory) WriteBytes(addr uint32, src []byte) {
 	m.check(addr, len(src))
+	if len(src) == 0 {
+		return
+	}
+	m.touch(addr, len(src))
 	copy(m.data[addr:], src)
 }
 
@@ -56,6 +74,7 @@ func (m *GPUMemory) Read32(addr uint32) uint32 {
 // Write32 writes a little-endian 32-bit word.
 func (m *GPUMemory) Write32(addr uint32, v uint32) {
 	m.check(addr, 4)
+	m.touch(addr, 4)
 	m.data[addr] = byte(v)
 	m.data[addr+1] = byte(v >> 8)
 	m.data[addr+2] = byte(v >> 16)

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"attila/internal/chkpt"
 )
@@ -20,24 +22,43 @@ const gpuMemPage = 64 << 10
 // SnapshotName implements chkpt.Snapshotter.
 func (m *GPUMemory) SnapshotName() string { return "mem.GPU" }
 
-// SnapshotState writes the memory image sparsely: total size, then
-// (pageIndex, bytes) for every page with nonzero content.
-func (m *GPUMemory) SnapshotState(e *chkpt.Encoder) {
-	e.U64(uint64(len(m.data)))
-	count := 0
-	for off := 0; off < len(m.data); off += gpuMemPage {
-		if !isZero(m.data[off:minInt(off+gpuMemPage, len(m.data))]) {
-			count++
+// page returns page idx of the memory; the last one may be short.
+func (m *GPUMemory) page(idx int) []byte {
+	off := idx * gpuMemPage
+	return m.data[off:min(off+gpuMemPage, len(m.data))]
+}
+
+// writtenPages returns the indices of the pages marked written, in
+// order.
+func (m *GPUMemory) writtenPages() []int {
+	var pages []int
+	for w, word := range m.written {
+		for ; word != 0; word &= word - 1 {
+			pages = append(pages, w<<6+bits.TrailingZeros64(word))
 		}
 	}
-	e.U32(uint32(count))
-	for off := 0; off < len(m.data); off += gpuMemPage {
-		page := m.data[off:minInt(off+gpuMemPage, len(m.data))]
-		if isZero(page) {
-			continue
+	return pages
+}
+
+// SnapshotState writes the memory image sparsely: total size, then
+// (pageIndex, bytes) for every page with nonzero content. Only pages
+// marked written can have any, so the cost follows what the run wrote,
+// not the memory's size; a page written with zeros alone is still left
+// out.
+func (m *GPUMemory) SnapshotState(e *chkpt.Encoder) {
+	pages := m.writtenPages()
+	nonzero := pages[:0]
+	for _, idx := range pages {
+		if !isZero(m.page(idx)) {
+			nonzero = append(nonzero, idx)
 		}
-		e.U32(uint32(off / gpuMemPage))
-		e.Blob(page)
+	}
+	e.Grow(8 + 4 + len(nonzero)*(4+4+gpuMemPage))
+	e.U64(uint64(len(m.data)))
+	e.U32(uint32(len(nonzero)))
+	for _, idx := range nonzero {
+		e.U32(uint32(idx))
+		e.Blob(m.page(idx))
 	}
 }
 
@@ -55,9 +76,11 @@ func (m *GPUMemory) RestoreState(d *chkpt.Decoder) error {
 	if n > maxPages {
 		return fmt.Errorf("%w: %d pages exceeds the %d-page memory", chkpt.ErrCorrupt, n, maxPages)
 	}
-	for i := range m.data {
-		m.data[i] = 0
+	// Back to all zero: only marked pages can hold anything else.
+	for _, idx := range m.writtenPages() {
+		clear(m.page(idx))
 	}
+	clear(m.written)
 	for i := 0; i < n; i++ {
 		idx := int(d.U32())
 		page := d.Blob()
@@ -68,25 +91,24 @@ func (m *GPUMemory) RestoreState(d *chkpt.Decoder) error {
 		if idx >= maxPages || off+len(page) > len(m.data) || len(page) > gpuMemPage {
 			return fmt.Errorf("%w: page %d/%d bytes outside memory", chkpt.ErrCorrupt, idx, len(page))
 		}
-		copy(m.data[off:], page)
+		m.WriteBytes(uint32(off), page)
 	}
 	return nil
 }
 
+// isZero tests eight bytes at a time.
 func isZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, v := range b {
 		if v != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SnapshotName implements chkpt.Snapshotter.
