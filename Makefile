@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench bench-gate bench-parallel fuzz fleet-smoke profile
+.PHONY: build test check lint bench fuzz fleet-smoke profile
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,7 @@ test:
 # shared state live), the watchdog/cancellation/metrics paths raced
 # through the GPU pipeline, the checkpoint round trip (restore must be
 # bit-identical in serial and parallel mode) with the chaos smoke, a
-# bench smoke, the hot-path allocation gate (1 iteration, allocation
-# check only — wall-clock gating needs `make bench-gate`), a race run
-# of the pooled-pipeline serial/parallel equality test, the jobd
+# race run of the pooled-pipeline serial/parallel equality test, the jobd
 # service smoke (submit -> chaos kill/panic/yank -> auto-resume ->
 # byte-identical convergence, plus the SIGTERM drain/resume path,
 # raced), the span-tracing determinism suite (serial-vs-parallel and
@@ -52,8 +50,6 @@ check:
 	$(GO) test -race -run '^TestTracing(SerialVsParallel|CheckpointRoundTrip)$$' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
-	BENCH_OBSV_OUT=$$(mktemp) $(GO) test -run '^TestBenchObsv$$' .
-	BENCH_HOTPATH_OUT=$$(mktemp) BENCH_HOTPATH_SMOKE=1 $(GO) test -run '^TestBenchHotpath$$' -count=1 .
 	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
 	$(GO) test -race -run 'Park|Publication' -count=10 ./internal/core/
 	$(GO) test -race -run '^TestParkedClockIsNoOp$$|^TestParkingWithQueuedItemIsCaught$$|^TestFlowFoldMatchesEveryCycleModel$$|^TestDispatchMatchesOldWalk$$|^TestBlockedTriangleIsJudgedOnce$$' -count=1 ./internal/gpu/
@@ -85,28 +81,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/chkpt
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
 
-# bench writes the BENCH_obsv.json snapshot: host cycles/sec and the
-# top-5 host-time boxes for three representative scenes.
+# bench runs the repository's one benchmark (bench/README.md): six
+# workloads, end-to-end host-speed metrics and the per-layer ladder.
 bench:
-	BENCH_OBSV_OUT=BENCH_obsv.json $(GO) test -run '^TestBenchObsv$$' -v .
-
-# bench-gate reruns the Table 1 baseline workload (serial and 4
-# workers), gates serial throughput (>10% regression) and allocations
-# (>25%) against the committed BENCH_hotpath.json, requires the
-# parallel-4w case to reach >= 1.2x serial throughput when at least 4
-# CPUs are online (on fewer cores the shards timeshare and the
-# comparison is meaningless), and rewrites the snapshot in place.
-# Commit the updated file to ratify a deliberate performance change.
-# The tracing alloc budget rides along: the marginal heap cost per
-# sampled span must stay within a few allocations, and tracing-off
-# runs are what the BENCH_hotpath.json gate itself measures.
-bench-gate:
-	BENCH_HOTPATH_OUT=BENCH_hotpath.json $(GO) test -run '^TestBenchHotpath$$' -count=1 -v .
-	$(GO) test -run '^TestTracingAllocBudget$$' -count=1 -v .
-
-# bench-parallel reproduces the BENCH_parallel.json snapshot.
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1Baseline' -benchtime 3x .
+	$(GO) run ./bench
 
 # fleet-smoke is the quick partial-failure drill, one crash and one
 # graceful exit: two in-process fleet peers split a sweep, one is

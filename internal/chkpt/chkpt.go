@@ -629,14 +629,6 @@ type Engine struct {
 	// Quiesced reports whether the machine is at a safe point. Called
 	// at the barrier only.
 	Quiesced func() bool
-	// SafeCycle, when non-nil, additionally gates captures to
-	// full-sync cycles: under skew batching, shards free-run between
-	// full syncs and a snapshot at a skewed cycle would capture shards
-	// at different points in simulated time. Wire it to
-	// core.Simulator.FullSync. A refused cycle does not advance the
-	// interval clock, so the capture simply happens at the next
-	// eligible full sync.
-	SafeCycle func(cycle int64) bool
 	// Capture serializes the machine. Called at the barrier only, and
 	// only when Quiesced returned true.
 	Capture func() (*Snapshot, error)
@@ -670,9 +662,6 @@ func (e *Engine) ForceNext() { e.force.Store(true) }
 func (e *Engine) EndCycle(cycle int64) {
 	forced := e.force.Load()
 	if !forced && (e.Interval <= 0 || cycle-e.last < e.Interval) {
-		return
-	}
-	if e.SafeCycle != nil && !e.SafeCycle(cycle) {
 		return
 	}
 	if !e.Quiesced() {

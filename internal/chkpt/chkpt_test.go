@@ -269,52 +269,6 @@ func TestEngineForceNext(t *testing.T) {
 	}
 }
 
-// SafeCycle gates captures to full-sync cycles: an interval-eligible
-// cycle that is not a full sync must be refused WITHOUT advancing the
-// interval clock, so the capture happens at the next safe cycle, and
-// the interval still meters the distance between captures.
-func TestEngineSafeCycle(t *testing.T) {
-	dir := t.TempDir()
-	eng := &Engine{
-		Interval: 7,
-		Path:     filepath.Join(dir, "safe.ckpt"),
-		Quiesced: func() bool { return true },
-		// Full syncs every 5 cycles (a skew batch of 5): the interval
-		// of 7 is deliberately not divisible by it.
-		SafeCycle: func(c int64) bool { return (c+1)%5 == 0 },
-		Capture: func() (*Snapshot, error) {
-			return Capture(Meta{}, testParts()), nil
-		},
-	}
-	// Cycles 7 and 8 are past the interval but skewed: refused. Cycle
-	// 9 is the next full sync: captured.
-	for c := int64(0); c <= 8; c++ {
-		eng.EndCycle(c)
-	}
-	if eng.Count() != 0 {
-		t.Fatalf("captured at a skewed cycle: count %d last %d", eng.Count(), eng.LastCycle())
-	}
-	eng.EndCycle(9)
-	if eng.Count() != 1 || eng.LastCycle() != 9 {
-		t.Fatalf("count %d last %d, want 1 at cycle 9", eng.Count(), eng.LastCycle())
-	}
-	// Cycle 14 is a full sync but only 5 cycles past the last capture:
-	// the interval holds it off; 19 is the next eligible full sync.
-	for c := int64(10); c <= 18; c++ {
-		eng.EndCycle(c)
-	}
-	if eng.Count() != 1 {
-		t.Fatalf("interval not honored after a refusal: count %d last %d", eng.Count(), eng.LastCycle())
-	}
-	eng.EndCycle(19)
-	if eng.Count() != 2 || eng.LastCycle() != 19 {
-		t.Fatalf("count %d last %d, want 2 at cycle 19", eng.Count(), eng.LastCycle())
-	}
-	if eng.Err() != nil {
-		t.Fatal(eng.Err())
-	}
-}
-
 // FuzzRead feeds arbitrary bytes to the checkpoint reader: it must
 // return a typed error or a valid snapshot, never panic, and never
 // allocate beyond the caps regardless of what length fields claim.

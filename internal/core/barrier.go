@@ -21,8 +21,8 @@ import (
 // spinBudget iterations (yielding the processor periodically, so a
 // host with fewer cores than participants still makes progress) and
 // then parks on a condition variable. The same barrier object serves
-// both the release rendezvous (coordinator publishes the next batch)
-// and the join rendezvous (all shards finished the batch) — the two
+// both the release rendezvous (coordinator publishes the next cycle)
+// and the join rendezvous (all shards finished the cycle) — the two
 // are simply alternating generations.
 //
 // Memory ordering: a participant's writes before await happen-before

@@ -121,7 +121,6 @@ func buildParkPair(sim *Simulator, i, total, bw, maxLat, credits int, gap, hold 
 		src.credits += sink.released
 		sink.released = 0
 	})
-	sim.ConstrainSkew(src.BoxName(), sink.BoxName(), 1)
 	sim.Register(sink) // sink first: order must not matter
 	sim.Register(src)
 	return parkPair{src, sink}

@@ -10,10 +10,9 @@ import (
 
 // BarrierBoxName is the pseudo-box under which the parallel
 // coordinator reports its join-barrier wait time to the clock
-// observer. Keeping sync cost out of the real boxes' attribution
-// matters now that per-box host time drives the shard partition; the
+// observer, so sync cost stays out of the real boxes' attribution. The
 // parenthesized name cannot collide with a registered box (box names
-// are identifiers) and cost models must ignore it (see BoxCoster).
+// are identifiers).
 const BarrierBoxName = "(barrier)"
 
 // pseudoBox satisfies Box for observer-only entities like the
@@ -22,58 +21,6 @@ type pseudoBox struct{ name string }
 
 func (p pseudoBox) BoxName() string { return p.name }
 func (p pseudoBox) Clock(int64)     {}
-
-// BoxCoster is implemented by clock observers (the obsv profiler)
-// that can estimate per-box host cost. BoxCosts returns mean
-// nanoseconds per Clock call keyed by box name; boxes absent from the
-// map get a uniform default. Implementations must exclude
-// BarrierBoxName — barrier wait is sync cost, not box cost, and
-// counting it would re-skew the very partition this interface feeds.
-type BoxCoster interface {
-	BoxCosts() map[string]float64
-}
-
-// costCollector is the fallback cost source for the warm-up re-shard
-// when no user observer implements BoxCoster: a minimal ClockObserver
-// accumulating mean ns per Clock call. It is installed only for the
-// warm-up window of a parallel run and dropped at the re-shard.
-type costCollector struct {
-	mu   sync.Mutex
-	ns   map[string]int64
-	hits map[string]int64
-}
-
-// collectorSample is the sampling period of the warm-up collector:
-// frequent enough to rank boxes within a few thousand cycles, cheap
-// enough to not distort the run it is measuring.
-const collectorSample = 16
-
-func newCostCollector() *costCollector {
-	return &costCollector{ns: make(map[string]int64), hits: make(map[string]int64)}
-}
-
-func (c *costCollector) BoxClocked(shard int, box Box, hostNs int64) {
-	name := box.BoxName()
-	c.mu.Lock()
-	c.ns[name] += hostNs
-	c.hits[name]++
-	c.mu.Unlock()
-}
-
-func (c *costCollector) BoxCosts() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.ns))
-	for name, ns := range c.ns {
-		if name == BarrierBoxName {
-			continue
-		}
-		if h := c.hits[name]; h > 0 {
-			out[name] = float64(ns) / float64(h)
-		}
-	}
-	return out
-}
 
 // pinUnit is one indivisible scheduling unit of the partition: a pin
 // group or a single unpinned box, anchored at its first registration
@@ -132,17 +79,13 @@ func costOf(costs map[string]float64, b Box) float64 {
 // order and the cost model, never on scheduling. Within a shard,
 // boxes stay in registration order.
 func (s *Simulator) partition(nw int) [][]Box {
-	return partitionUnits(s.pinUnits(), nw, s.boxCosts)
-}
-
-func partitionUnits(units []pinUnit, nw int, costs map[string]float64) [][]Box {
+	units := s.pinUnits()
 	if nw > len(units) {
 		nw = len(units)
 	}
 	for i := range units {
-		units[i].cost = 0
 		for _, b := range units[i].boxes {
-			units[i].cost += costOf(costs, b)
+			units[i].cost += costOf(s.boxCosts, b)
 		}
 	}
 	order := make([]int, len(units))
@@ -178,83 +121,6 @@ func partitionUnits(units []pinUnit, nw int, costs map[string]float64) [][]Box {
 	return shards
 }
 
-// skewEdge is one cross-box dependency outside the signal model,
-// registered with ConstrainSkew: state written by (or about) box a is
-// observed by box b after lat cycles.
-type skewEdge struct {
-	a, b string
-	lat  int
-}
-
-// minWriteLat is the tightest latency any write on this signal can
-// carry: signals allowing per-write latency overrides (maxLat beyond
-// the default) are conservatively treated as latency 1.
-func (s *Signal) minWriteLat() int {
-	if s.maxLat > s.lat {
-		return 1
-	}
-	return s.lat
-}
-
-// defaultSkewLimit caps the free-run batch even when the topology
-// would allow more: beyond this, barrier savings are negligible and
-// full-sync work (watchdog, metrics, checkpoints) gets too coarse.
-const defaultSkewLimit = 64
-
-// computeSkew derives the skew batch length B from the pin-unit
-// topology: the minimum latency of any signal or ConstrainSkew edge
-// crossing unit boundaries. Shards free-running B cycles between full
-// syncs can never observe a cross-shard value early, because any
-// cross-unit write lands at least B cycles ahead of its read. The
-// result is partition- and mode-independent (it depends on units, not
-// shards), so serial and parallel runs batch identically — which is
-// what keeps their outputs bit-identical. A topology with no
-// cross-unit edges degenerates to B=1: nothing constrains skew, but
-// nothing bounds it either, so the conservative choice keeps full
-// syncs (and the done predicate) per-cycle.
-func (s *Simulator) computeSkew() int {
-	if !s.skewOn {
-		return 1
-	}
-	unitOf := make(map[string]int)
-	for i, u := range s.pinUnits() {
-		for _, b := range u.boxes {
-			unitOf[b.BoxName()] = i
-		}
-	}
-	crossUnit := func(a, b string) bool {
-		ua, aok := unitOf[a]
-		ub, bok := unitOf[b]
-		// Unknown endpoints (a signal provided under a non-box name)
-		// are conservatively treated as crossing.
-		return !aok || !bok || ua != ub
-	}
-	minLat := 0
-	for name, sig := range s.Binder.signals {
-		if !crossUnit(s.Binder.producers[name], s.Binder.consumers[name]) {
-			continue
-		}
-		if l := sig.minWriteLat(); minLat == 0 || l < minLat {
-			minLat = l
-		}
-	}
-	for _, e := range s.constraints {
-		if !crossUnit(e.a, e.b) {
-			continue
-		}
-		if minLat == 0 || e.lat < minLat {
-			minLat = e.lat
-		}
-	}
-	if minLat <= 1 {
-		return 1
-	}
-	if minLat > s.skewLimit {
-		minLat = s.skewLimit
-	}
-	return minLat
-}
-
 // warnedWorkers dedupes the worker-sizing warnings: one line per
 // distinct situation per process, not one per Run (sweeps and test
 // suites would otherwise drown in them).
@@ -267,10 +133,9 @@ func warnWorkersOnce(key, msg string, args ...any) {
 }
 
 // resolveWorkers translates the configured worker count into the
-// effective shard count for this Run: -1 auto-sizes to
-// runtime.GOMAXPROCS(0), and any request is clamped to both the
-// schedulable processors and the shardable unit count (extra workers
-// would only add barrier participants). A request exceeding the
+// effective shard count for this Run: the request is clamped to both
+// the schedulable processors and the shardable unit count (extra
+// workers would only add barrier participants). A request exceeding the
 // online CPUs is honored up to GOMAXPROCS but flagged, since such a
 // run measures scheduling overhead, not parallel speedup.
 func (s *Simulator) resolveWorkers() int {
@@ -278,9 +143,6 @@ func (s *Simulator) resolveWorkers() int {
 	units := len(s.pinUnits())
 	maxProcs := runtime.GOMAXPROCS(0)
 	n := req
-	if req < 0 {
-		n = maxProcs
-	}
 	if n > units {
 		n = units
 	}
@@ -300,9 +162,6 @@ func (s *Simulator) resolveWorkers() int {
 			"requested", req, "effective", n,
 			"gomaxprocs", maxProcs, "cpus_online", runtime.NumCPU(),
 			"shardable_units", units)
-	}
-	if n < 0 {
-		n = 0
 	}
 	return n
 }

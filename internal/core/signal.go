@@ -115,34 +115,6 @@ func ringLen(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// growRing widens the ring to the next power of two >= n slots,
-// re-placing any in-flight objects by their arrival stamp. The
-// simulator grows cross-unit signals to at least maxLat+B slots
-// before a skew-batched run: with shards free-running B cycles apart,
-// a reader up to B-1 cycles behind the writer must still find slot
-// (C+L) mod len untouched by writes it has not yet observed, which
-// needs len >= maxLat+B. Growth changes no normal-path behavior —
-// slot arithmetic stays cycle mod len and every in-flight arrival
-// keeps its stamp.
-func (s *Signal) growRing(n int) {
-	if n <= len(s.ring) {
-		return
-	}
-	n = ringLen(n)
-	ring := make([][]Dynamic, n)
-	stamp := make([]int64, n)
-	mask := int64(n - 1)
-	for i, objs := range s.ring {
-		if len(objs) == 0 {
-			continue
-		}
-		slot := s.stamp[i] & mask
-		ring[slot] = objs
-		stamp[slot] = s.stamp[i]
-	}
-	s.ring, s.stamp, s.mask = ring, stamp, mask
-}
-
 // Name returns the signal's registered name.
 func (s *Signal) Name() string { return s.name }
 
@@ -209,12 +181,10 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 //
 // Nothing in flight (produced == consumed) means nothing can arrive:
 // an object arriving at cycle C was written during an earlier cycle,
-// which the barrier has made visible (skew-batched: the same
-// goroutine inside a pin unit, the batch sync across units, since
-// every cross-unit latency is at least the batch length), and a write
-// the producer is making concurrently arrives at C+1 or later. So the
-// empty-wire exit returns what the ring lookup would, in serial,
-// parallel and skew-batched runs alike.
+// which the barrier has made visible, and a write the producer is
+// making concurrently arrives at C+1 or later. So the empty-wire exit
+// returns what the ring lookup would, in serial and parallel runs
+// alike.
 func (s *Signal) Read(cycle int64) []Dynamic {
 	if s.produced.Load() == s.consumed.Load() {
 		return nil

@@ -95,7 +95,7 @@ func (b *BoxBase) Wake() {
 
 // EndCycleFunc runs after boxes have been clocked and before
 // statistics are sampled. Hooks registered with OnEndCycle run on the
-// coordinating goroutine at every full-sync boundary, in registration
+// coordinating goroutine at the end of every cycle, in registration
 // order, in both serial and parallel mode: they are the barrier at
 // which cross-shard state is published (quiesce snapshots taken,
 // trace buffers drained, checkpoints captured).
@@ -107,9 +107,7 @@ type EndCycleFunc func(cycle int64)
 // writer calls Mark on a cycle it changed the state; the barrier then
 // runs the fold that makes the change visible, and wakes the reader.
 // Unmarked publications cost nothing; folds of one cycle touch disjoint
-// state, so their order is immaterial. While shards free-run under skew
-// batching the writer's shard folds at the end of each local cycle
-// instead; a latency-1 ConstrainSkew edge keeps the reader on it.
+// state, so their order is immaterial.
 type Publication struct {
 	fold           EndCycleFunc
 	writer, reader string
@@ -140,23 +138,15 @@ func (p *Publication) Mark() {
 // everything in one simulated GPU.
 //
 // By default all boxes are clocked serially from one goroutine. With
-// SetWorkers(n > 1), boxes are partitioned into shards that are
-// clocked concurrently and synchronized on a sense-reversing spin
-// barrier. Because every signal has latency >= 1 (a cycle's reads
-// never observe that cycle's writes) and all non-signal cross-box
-// state is only touched at sync boundaries, parallel runs are
-// bit-identical to serial runs. Boxes that share mutable state
+// SetWorkers(n > 1), boxes are partitioned once per Run into shards
+// that are clocked concurrently and meet on a sense-reversing spin
+// barrier at the end of every cycle. Because every signal has latency
+// >= 1 (a cycle's reads never observe that cycle's writes) and all
+// non-signal cross-box state is only touched at that barrier, parallel
+// runs are bit-identical to serial runs. Boxes that share mutable state
 // directly (method calls, shared counters) must be kept on one shard
-// with Pin; cross-box dependencies outside the signal model are
-// declared with ConstrainSkew.
-//
-// With EnableSkewBatching, shards additionally free-run for B cycles
-// between full syncs, where B is the minimum latency of any signal or
-// constraint edge crossing pin-unit boundaries — the paper's
-// observation that a wire with latency L needs cross-shard
-// synchronization only every L cycles. B is derived from the box/pin
-// topology alone, so serial and parallel runs batch identically and
-// stay bit-identical.
+// with Pin; state one box writes and a box of another shard reads goes
+// through a Publication.
 //
 // Run failures are classified into typed errors — ErrCycleLimit,
 // ErrDeadlock, ErrPanic, ErrCanceled, *SimError — and every abnormal
@@ -186,21 +176,8 @@ type Simulator struct {
 	walkProd, walkCons []*Signal
 	steps              []*int
 
-	// Skew batching (EnableSkewBatching): skew is the batch length B
-	// computed at Run start; syncCycle is the last cycle of the batch
-	// currently being finalized, so FullSync can recognize a partial
-	// final batch. constraints are the ConstrainSkew edges.
-	skewOn      bool
-	skewLimit   int
-	skew        int
-	syncCycle   int64
-	constraints []skewEdge
-
-	// Profile-guided sharding: boxCosts seeds the bin-packing
-	// partition (SetBoxCosts); reshardAt arms the one-shot warm-up
-	// re-shard (SetAutoReshard).
-	boxCosts  map[string]float64
-	reshardAt int64
+	// boxCosts seeds the bin-packing partition (SetBoxCosts).
+	boxCosts map[string]float64
 
 	wd     *watchdog
 	crash  *CrashReport
@@ -218,7 +195,7 @@ type Simulator struct {
 	gate ClockGate
 
 	// Cooperative cancellation: Stop (or a context watcher) raises
-	// stopped; the clock loop polls it once per batch. The atomic is
+	// stopped; the clock loop polls it once per cycle. The atomic is
 	// the only cross-goroutine state — the cancellation cause is
 	// derived from the context itself when the loop stops, so the
 	// watcher goroutine never writes a plain field the loop might be
@@ -234,11 +211,9 @@ type Simulator struct {
 // interval (0 disables interval sampling).
 func NewSimulator(statInterval int64) *Simulator {
 	return &Simulator{
-		Binder:    NewBinder(),
-		Stats:     NewStatManager(statInterval),
-		skewLimit: defaultSkewLimit,
-		syncCycle: -1,
-		shards:    []*shard{{}},
+		Binder: NewBinder(),
+		Stats:  NewStatManager(statInterval),
+		shards: []*shard{{}},
 	}
 }
 
@@ -305,28 +280,21 @@ func (s *Simulator) WatchdogProgress() (lastProgress int64, fingerprint uint64, 
 	return s.wd.lastProgress, s.wd.lastTotal, true
 }
 
-// SetDone installs the termination predicate checked at every full
-// sync (typically "command processor has retired all commands"). The
-// predicate runs at the sync boundary, never concurrently with box
-// clocks.
+// SetDone installs the termination predicate checked at the end of
+// every cycle (typically "command processor has retired all
+// commands"). The predicate runs at the cycle barrier, never
+// concurrently with box clocks.
 func (s *Simulator) SetDone(done func() bool) { s.done = done }
 
-// SetWorkers selects the execution mode: 0 or 1 clocks all boxes
-// serially (the default), n > 1 clocks box shards on n goroutines,
-// and -1 auto-sizes to the schedulable processors. The effective
-// count is clamped to runtime.GOMAXPROCS(0) and to the number of
-// shardable units (see EffectiveWorkers); results are identical in
-// every mode.
-func (s *Simulator) SetWorkers(n int) {
-	if n < -1 {
-		n = -1
-	}
-	s.workers = n
-}
+// SetWorkers selects the execution mode: n <= 1 clocks all boxes
+// serially (the default), n > 1 clocks box shards on n goroutines. The
+// effective count is clamped to runtime.GOMAXPROCS(0) and to the
+// number of shardable units (see EffectiveWorkers); results are
+// identical in every mode.
+func (s *Simulator) SetWorkers(n int) { s.workers = max(n, 0) }
 
-// Workers returns the configured worker count (0 or 1 means serial,
-// -1 auto-sizes). See EffectiveWorkers for the clamped value a Run
-// will actually use.
+// Workers returns the configured worker count (0 or 1 means serial).
+// See EffectiveWorkers for the clamped value a Run will actually use.
 func (s *Simulator) Workers() int { return s.workers }
 
 // EffectiveWorkers returns the shard count Run will use right now:
@@ -338,7 +306,7 @@ func (s *Simulator) EffectiveWorkers() int { return s.resolveWorkers() }
 // ProgressReporter counter changes for window consecutive cycles, Run
 // aborts with a *DeadlockError carrying a structured report instead
 // of spinning to the cycle budget. Pass 0 to disable (the default).
-// The watchdog runs at full syncs and does not perturb timing.
+// The watchdog runs at the cycle barrier and does not perturb timing.
 func (s *Simulator) SetWatchdog(window int64) {
 	if window <= 0 {
 		s.wd = nil
@@ -348,7 +316,7 @@ func (s *Simulator) SetWatchdog(window int64) {
 }
 
 // Stop requests cooperative cancellation: the clock loop returns an
-// ErrCanceled-wrapping error at the next sync boundary, with all
+// ErrCanceled-wrapping error at the next cycle barrier, with all
 // statistics and traces produced so far flushed. Safe to call from
 // any goroutine (e.g. a signal handler).
 func (s *Simulator) Stop() { s.stopped.Store(true) }
@@ -367,86 +335,15 @@ func (s *Simulator) Pin(group string, boxes ...Box) {
 	}
 }
 
-// OnEndCycle registers a hook to run at every full-sync boundary, on
-// the coordinating goroutine, in registration order.
+// OnEndCycle registers a hook to run at the end of every cycle, on the
+// coordinating goroutine, in registration order.
 func (s *Simulator) OnEndCycle(fn EndCycleFunc) { s.hooks = append(s.hooks, fn) }
-
-// ConstrainSkew declares a cross-box dependency outside the signal
-// model: state produced by (or about) box a is observed by box b no
-// earlier than lat cycles later. The skew computation treats it like
-// a signal of that latency between the two boxes' pin units — a
-// latency-1 edge (what every Publication is: flow credit release,
-// barrier-published quiesce flags) forces full syncs every cycle
-// whenever the two boxes can land on different shards.
-func (s *Simulator) ConstrainSkew(a, b string, lat int) {
-	if lat < 1 {
-		lat = 1
-	}
-	s.constraints = append(s.constraints, skewEdge{a: a, b: b, lat: lat})
-}
-
-// EnableSkewBatching lets shards free-run between full syncs for up
-// to the computed latency bound (see SkewBatch), capped at limit
-// (<= 0 selects the default cap of 64 cycles). Off by default: the
-// batch length is then 1 and every cycle is a full sync, the
-// historical behavior. Batching never changes simulation results —
-// the batch length is derived from the pin topology, identically in
-// serial and parallel mode — but it does coarsen full-sync
-// consumers: the watchdog, the metrics bus and the checkpoint engine
-// observe the run every B cycles.
-func (s *Simulator) EnableSkewBatching(limit int) {
-	if limit <= 0 {
-		limit = defaultSkewLimit
-	}
-	s.skewOn = true
-	s.skewLimit = limit
-}
-
-// SkewBatch returns the skew batch length B the current topology
-// yields: 1 unless EnableSkewBatching is on and every cross-unit
-// dependency has latency >= 2.
-func (s *Simulator) SkewBatch() int {
-	if s.skew > 0 {
-		return s.skew
-	}
-	return s.computeSkew()
-}
-
-// FullSync reports whether the given cycle is a full-sync boundary of
-// the current run — a cycle at which global hooks run and the whole
-// machine state is barrier-published. Checkpoint engines use it to
-// refuse captures at skewed cycles. Every cycle is a full sync when
-// skew batching is off or the computed batch is 1.
-func (s *Simulator) FullSync(cycle int64) bool {
-	if s.skew <= 1 {
-		return true
-	}
-	if cycle == s.syncCycle {
-		return true // partial final batch ends at the cycle limit
-	}
-	return (cycle+1)%int64(s.skew) == 0
-}
 
 // SetBoxCosts seeds the partition's cost model: estimated relative
 // host cost per Clock call, keyed by box name (boxes absent from the
 // map count as 1). The partition packs pin units onto shards by
 // summed cost. Pass nil to restore uniform costs.
 func (s *Simulator) SetBoxCosts(costs map[string]float64) { s.boxCosts = costs }
-
-// SetAutoReshard arms the warm-up re-shard of parallel runs: after
-// warmupCycles, the next full sync re-partitions the boxes using
-// measured per-box host time — from the attached ClockObserver when
-// it implements BoxCoster (the obsv profiler does), else from a
-// temporary sampling collector installed just for the warm-up — and
-// the run continues on the rebalanced shards. Results are unchanged
-// by construction: any partition is bit-identical. Pass 0 to disable
-// (the default).
-func (s *Simulator) SetAutoReshard(warmupCycles int64) {
-	if warmupCycles < 0 {
-		warmupCycles = 0
-	}
-	s.reshardAt = warmupCycles
-}
 
 // Cycle returns the current simulation cycle.
 func (s *Simulator) Cycle() int64 { return s.cycle }
@@ -508,11 +405,6 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 	if s.wd != nil {
 		s.wd.reset(s)
 	}
-	s.skew = s.computeSkew()
-	s.syncCycle = -1
-	if s.skew > 1 {
-		s.growCrossUnitRings()
-	}
 	err := s.run(maxCycles, max(s.resolveWorkers(), 1))
 	// A failing cycle stops before its barrier: drain whatever trace
 	// entries its boxes produced so the trace shows the violation.
@@ -522,43 +414,18 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 	return err
 }
 
-// growCrossUnitRings widens the ring of every signal crossing
-// pin-unit boundaries to maxLat+B slots: with shards free-running B
-// cycles apart, a reader up to B-1 cycles behind the writer must
-// still find every in-flight arrival in its own slot. Ring growth
-// only re-places in-flight objects by arrival stamp; normal-path
-// behavior is unchanged (the slot arithmetic stays cycle mod len).
-// Every cross-unit signal is grown — not just cross-shard ones — so a
-// warm-up re-shard never needs to touch rings mid-run.
-func (s *Simulator) growCrossUnitRings() {
-	unitOf := make(map[string]int)
-	for i, u := range s.pinUnits() {
-		for _, b := range u.boxes {
-			unitOf[b.BoxName()] = i
-		}
-	}
-	for _, sig := range s.Binder.order {
-		pu, pok := unitOf[s.Binder.producers[sig.name]]
-		cu, cok := unitOf[s.Binder.consumers[sig.name]]
-		if pok && cok && pu == cu {
-			continue
-		}
-		sig.growRing(sig.maxLat + s.skew)
-	}
-}
-
 // ctxPollMask: the loop does a non-blocking poll of the run context
 // every 1024 cycles, so cancellation latency is bounded in simulated
 // cycles (the watcher goroutine bounds it in wall time).
 const ctxPollMask = 1<<10 - 1
 
-// shouldStop is the per-batch cancellation check at the top of both
-// run loops.
+// shouldStop is the per-cycle cancellation check at the top of the run
+// loop.
 func (s *Simulator) shouldStop(cycle int64) bool {
 	if s.stopped.Load() {
 		return true
 	}
-	if s.ctxDone != nil && cycle&ctxPollMask < int64(s.skewOrOne()) {
+	if s.ctxDone != nil && cycle&ctxPollMask == 0 {
 		select {
 		case <-s.ctxDone:
 			s.stopped.Store(true)
@@ -567,13 +434,6 @@ func (s *Simulator) shouldStop(cycle int64) bool {
 		}
 	}
 	return false
-}
-
-func (s *Simulator) skewOrOne() int {
-	if s.skew > 1 {
-		return s.skew
-	}
-	return 1
 }
 
 // stopErr builds the cancellation error, folding in the context
@@ -587,33 +447,25 @@ func (s *Simulator) stopErr() error {
 	return fmt.Errorf("%w at cycle %d", ErrCanceled, s.cycle)
 }
 
-// endOfBatch runs the shared full-sync tail after the batch of cycles
-// [first, last] has been clocked: watchdog, barrier hooks, stats,
-// termination check. With skew batching off, first == last and this
-// is exactly the historical per-cycle barrier. It returns (true, err)
-// when the run loop should return err.
-func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
+// endOfCycle is the barrier's tail on the coordinator, after every
+// shard has clocked the cycle: watchdog, publication fold, hooks,
+// traces, stats, termination check. It returns (true, err) when the
+// run loop should return err.
+func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
 	// Advance the counter before the barrier hooks run: a checkpoint
 	// captured in a hook must record the next cycle to execute, not
-	// re-execute the batch on resume. Hooks still observe last as
+	// re-execute this one on resume. Hooks still observe cycle as
 	// their argument. The watchdog check also precedes the hooks so
 	// the captured watchdog fingerprint is the post-barrier state — a
 	// restored run continues the progress tracking exactly where the
 	// uninterrupted run left it.
-	s.cycle = last + 1
-	s.syncCycle = last
+	s.cycle = cycle + 1
 	var rep *DeadlockReport
 	if s.wd != nil {
-		rep = s.wd.check(s, last)
+		rep = s.wd.check(s, cycle)
 	}
-	if s.skew <= 1 { // else each shard folded its own, every local cycle
-		s.foldPublications(last)
-	}
-	for _, fn := range s.hooks {
-		fn(last)
-	}
-	s.flushTraces()
-	s.Stats.TickBatch(first, last)
+	s.EndCycle(cycle)
+	s.Stats.Tick(cycle)
 	if s.done() {
 		return true, nil
 	}
@@ -624,38 +476,17 @@ func (s *Simulator) endOfBatch(first, last int64) (bool, error) {
 }
 
 // EndCycle folds the marked publications, runs the end-of-cycle hooks
-// in registration order and drains signal trace buffers. Run does the
-// equivalent automatically at every full sync; only test harnesses
-// that clock boxes manually (outside Run) need to call it themselves.
+// in registration order and drains signal trace buffers. Run does it
+// at the end of every cycle; only test harnesses that clock boxes
+// manually (outside Run) need to call it themselves.
 func (s *Simulator) EndCycle(cycle int64) {
-	s.foldPublications(cycle)
+	for _, sh := range s.shards {
+		sh.foldPublications(cycle)
+	}
 	for _, fn := range s.hooks {
 		fn(cycle)
 	}
 	s.flushTraces()
-}
-
-// foldPublications runs on the coordinator while no box is clocked.
-func (s *Simulator) foldPublications(cycle int64) {
-	for _, sh := range s.shards {
-		sh.foldPublications(cycle)
-	}
-}
-
-// batchEnd returns one past the last cycle of the batch starting at
-// first: batches are aligned to absolute multiples of the batch
-// length (so checkpoint-restored runs re-batch identically) and
-// clipped to the cycle limit.
-func (s *Simulator) batchEnd(first, limit int64) int64 {
-	b := int64(s.skew)
-	if b <= 1 {
-		return first + 1
-	}
-	end := first - first%b + b
-	if end > limit {
-		end = limit
-	}
-	return end
 }
 
 // refreshTraced caches the traced-signal list. Sorted by signal name
@@ -707,15 +538,13 @@ type shard struct {
 	// read by the coordinator past the barrier.
 	produced, consumed, progress uint64
 
-	skew     int
 	obs      ClockObserver // sampled box-clock timing, nil when off
 	obsEvery int64
 	gate     ClockGate // fault injection, nil when off
 	// Failure state, written before the join barrier and read by the
 	// coordinator after it (the barrier orders both).
-	simErr   *SimError
-	crash    *CrashError
-	curCycle int64
+	simErr *SimError
+	crash  *CrashError
 }
 
 // setBoxes makes the shard clock exactly boxes, all of them awake.
@@ -773,6 +602,7 @@ func (sh *shard) park(i int) {
 	}
 }
 
+// foldPublications runs on the coordinator while no box is clocked.
 func (sh *shard) foldPublications(cycle int64) {
 	for i, p := range sh.pubs {
 		p.marked = false
@@ -785,12 +615,12 @@ func (sh *shard) foldPublications(cycle int64) {
 	sh.pubs = sh.pubs[:0]
 }
 
-// clockBatch clocks the shard's awake boxes through cycles [first,
-// last], in registration order: the one box loop, serial and parallel,
-// sampled and not, gated and not. A failing box leaves the shard at the
-// join barrier like any other; the coordinator inspects the recorded
-// failure after the rendezvous.
-func (sh *shard) clockBatch(first, last int64) {
+// clock clocks the shard's awake boxes through cycle c, in
+// registration order: the one box loop, serial and parallel, sampled
+// and not, gated and not. A failing box leaves the shard at the join
+// barrier like any other; the coordinator inspects the recorded failure
+// after the rendezvous.
+func (sh *shard) clock(c int64) {
 	var cur Box
 	defer func() {
 		if r := recover(); r != nil {
@@ -802,41 +632,34 @@ func (sh *shard) clockBatch(first, last int64) {
 			// the stack here: it still shows the panicking frames during
 			// unwinding.
 			sh.crash = &CrashError{
-				Box: boxNameOf(cur), Shard: sh.id, Cycle: sh.curCycle,
+				Box: boxNameOf(cur), Shard: sh.id, Cycle: c,
 				Value: r, Stack: debug.Stack(),
 			}
 		}
 	}()
-	for c := first; c <= last; c++ {
-		sh.curCycle = c
-		timed := sh.obs != nil && c%sh.obsEvery == 0
-		for w := range sh.awake {
-			// A box woken after this load is clocked next cycle, which
-			// is early enough: what woke it arrives no sooner.
-			for word := sh.awake[w].Load(); word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				cur = sh.boxes[i]
-				if sh.gate != nil && !sh.gate.BeforeClock(c, cur) {
-					continue
-				}
-				if timed {
-					t0 := time.Now()
-					cur.Clock(c)
-					sh.obs.BoxClocked(sh.id, cur, time.Since(t0).Nanoseconds())
-				} else {
-					cur.Clock(c)
-				}
-				if sh.parking {
-					sh.parking = false
-					if sh.gate == nil {
-						sh.park(i)
-					}
+	timed := sh.obs != nil && c%sh.obsEvery == 0
+	for w := range sh.awake {
+		// A box woken after this load is clocked next cycle, which is
+		// early enough: what woke it arrives no sooner.
+		for word := sh.awake[w].Load(); word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			cur = sh.boxes[i]
+			if sh.gate != nil && !sh.gate.BeforeClock(c, cur) {
+				continue
+			}
+			if timed {
+				t0 := time.Now()
+				cur.Clock(c)
+				sh.obs.BoxClocked(sh.id, cur, time.Since(t0).Nanoseconds())
+			} else {
+				cur.Clock(c)
+			}
+			if sh.parking {
+				sh.parking = false
+				if sh.gate == nil {
+					sh.park(i)
 				}
 			}
-		}
-		cur = nil
-		if sh.skew > 1 {
-			sh.foldPublications(c)
 		}
 	}
 }
@@ -940,13 +763,14 @@ var barrierBox = pseudoBox{name: BarrierBoxName}
 // plain fields published by the release barrier (written only while
 // every worker is blocked in it) and read by workers after it opens.
 type parState struct {
-	first, last int64
-	stop        bool
+	cycle int64
+	stop  bool
 }
 
-// run is the clock loop over nw shards. Shard 0 is clocked inline on
-// the coordinating goroutine — alone, without a barrier, in serial
-// mode — and the others on pool goroutines.
+// run is the clock loop over nw shards, built here once and kept for
+// the whole Run. Shard 0 is clocked inline on the coordinating
+// goroutine — alone, without a barrier, in serial mode — and the others
+// on pool goroutines.
 func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 	defer func() {
 		// Coordinator-side panics (end-of-cycle hooks, the done
@@ -960,19 +784,6 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 		}
 	}()
 
-	// Warm-up cost measurement for the auto re-shard: use the attached
-	// observer when it can already cost boxes, otherwise install a
-	// temporary sampling collector (restored below).
-	var collector *costCollector
-	coster, _ := s.obs.(BoxCoster)
-	if nw > 1 && s.reshardAt > 0 && coster == nil && s.obs == nil {
-		collector = newCostCollector()
-		prevObs, prevEvery := s.obs, s.obsEvery
-		s.obs, s.obsEvery = collector, collectorSample
-		coster = collector
-		defer func() { s.obs, s.obsEvery = prevObs, prevEvery }()
-	}
-
 	// Serial mode clocks in plain registration order; a partition
 	// groups pinned boxes, which would reorder the object IDs drawn.
 	groups := [][]Box{s.boxes}
@@ -981,14 +792,14 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 	}
 	shards := make([]*shard, len(groups))
 	for i, boxes := range groups {
-		shards[i] = &shard{id: i, skew: s.skew, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate}
+		shards[i] = &shard{id: i, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate}
 		shards[i].setBoxes(boxes)
 	}
 	if err := s.wire(shards); err != nil {
 		return err
 	}
 	// The one barrier object serves both rendezvous: release
-	// (coordinator has published the next batch in ps) and join (every
+	// (coordinator has published the next cycle in ps) and join (every
 	// shard finished clocking it).
 	var bar *spinBarrier
 	ps := &parState{}
@@ -1001,7 +812,7 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 					if ps.stop {
 						return
 					}
-					sh.clockBatch(ps.first, ps.last)
+					sh.clock(ps.cycle)
 					bar.await() // join: failures recorded, state readable
 				}
 			}(sh)
@@ -1016,32 +827,30 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 		}()
 	}
 
-	resharded := nw == 1 || s.reshardAt <= 0
 	limit := s.cycle + maxCycles
 	for s.cycle < limit {
-		if s.shouldStop(s.cycle) {
+		cycle := s.cycle
+		if s.shouldStop(cycle) {
 			return s.stopErr()
 		}
-		first := s.cycle
-		last := s.batchEnd(first, limit) - 1
 		if bar != nil {
-			ps.first, ps.last = first, last
-			bar.await() // release the batch
+			ps.cycle = cycle
+			bar.await() // release the cycle
 		}
-		shards[0].clockBatch(first, last)
+		shards[0].clock(cycle)
 		// Join, attributing the coordinator's wait to the barrier
-		// pseudo-box on sampled batches so sync cost never pollutes
-		// the per-box host-time table that drives sharding.
+		// pseudo-box on sampled cycles so sync cost never pollutes the
+		// per-box host-time table.
 		switch {
 		case bar == nil:
-		case s.obs != nil && first%s.obsEvery == 0:
+		case s.obs != nil && cycle%s.obsEvery == 0:
 			t0 := time.Now()
 			bar.await()
 			s.obs.BoxClocked(0, barrierBox, time.Since(t0).Nanoseconds())
 		default:
 			bar.await()
 		}
-		// Several shards may fail in the same batch; report the lowest
+		// Several shards may fail in the same cycle; report the lowest
 		// shard index for a deterministic error. Programming errors
 		// (panics) outrank model violations.
 		for _, sh := range shards {
@@ -1054,30 +863,8 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 				return sh.simErr
 			}
 		}
-		if stop, err := s.endOfBatch(first, last); stop {
+		if stop, err := s.endOfCycle(cycle); stop {
 			return err
-		}
-		if !resharded && s.cycle >= s.reshardAt && coster != nil {
-			// Warm-up re-shard: every pool worker is parked in the
-			// release rendezvous, so reassigning shard contents here is
-			// ordered by the next barrier. Any partition yields
-			// bit-identical results, and re-wiring wakes every box,
-			// which is harmless; only host time changes.
-			resharded = true
-			for i, boxes := range partitionUnits(s.pinUnits(), nw, coster.BoxCosts()) {
-				shards[i].setBoxes(boxes)
-			}
-			if err := s.wire(shards); err != nil {
-				return err
-			}
-			if collector != nil {
-				// Sampling did its job; drop the collector's overhead
-				// for the rest of the run.
-				s.obs, s.obsEvery = nil, 1
-				for _, sh := range shards {
-					sh.obs, sh.obsEvery = nil, 1
-				}
-			}
 		}
 	}
 	return fmt.Errorf("%w after %d cycles", ErrCycleLimit, maxCycles)

@@ -114,9 +114,9 @@ type StatManager struct {
 	lastSample int64
 	hasSample  bool
 
-	// A memo sparing TickBatch its divisions: the batch that follows
-	// tickedTo holds no boundary while it ends before nextBoundary. Not
-	// state: zero (fresh, restored) sends the next call the long way.
+	// A memo sparing Tick its divisions: the cycle that follows tickedTo
+	// is no boundary while it comes before nextBoundary. Not state: zero
+	// (fresh, restored) sends the next call the long way.
 	tickedTo, nextBoundary int64
 }
 
@@ -195,32 +195,18 @@ func (m *StatManager) Names() []string {
 
 // Tick is called once per cycle and records a sample row whenever the
 // sampling interval elapses.
-func (m *StatManager) Tick(cycle int64) { m.TickBatch(cycle, cycle) }
-
-// TickBatch is the batched form of Tick, called by the simulator at
-// each full sync covering cycles [first, last]: it records one sample
-// row when the batch contains a sampling boundary. With first == last
-// it is exactly Tick; with skew batching the row is stamped at the
-// batch's last cycle, identically in serial and parallel mode (batch
-// boundaries are derived from the topology, not the worker count).
-func (m *StatManager) TickBatch(first, last int64) {
+func (m *StatManager) Tick(cycle int64) {
 	if m.interval <= 0 {
 		return
 	}
-	if first == m.tickedTo+1 && last < m.nextBoundary {
-		m.tickedTo = last
+	if cycle == m.tickedTo+1 && cycle < m.nextBoundary {
+		m.tickedTo = cycle
 		return
 	}
-	m.tickedTo, m.nextBoundary = last, (last/m.interval+1)*m.interval
-	// A boundary k*interval (k >= 1) lies in [first, last] exactly
-	// when the interval count advances across the batch; prev clamps
-	// at 0 so the cycle-0 pseudo-boundary never counts.
-	prev := first - 1
-	if prev < 0 {
-		prev = 0
-	}
-	if last/m.interval > prev/m.interval {
-		m.sample(last)
+	m.tickedTo, m.nextBoundary = cycle, (cycle/m.interval+1)*m.interval
+	// Cycle 0 is no boundary: no interval has elapsed yet.
+	if cycle > 0 && cycle%m.interval == 0 {
+		m.sample(cycle)
 	}
 }
 

@@ -183,15 +183,6 @@ func (m *machine) drained() bool {
 	return m.prod.sent == m.prod.count && m.grind.quota == 0 && m.port.left == 0 && m.sim.Binder.Idle()
 }
 
-// lopsided is a clock observer whose costs put the producer alone on a
-// shard, so the warm-up re-shard moves boxes.
-type lopsided struct{}
-
-func (lopsided) BoxClocked(int, Box, int64) {}
-func (lopsided) BoxCosts() map[string]float64 {
-	return map[string]float64{"Producer": 1000}
-}
-
 // shadow runs the model beside the simulator's watchdog: at every
 // barrier the two must agree on the last progress cycle, the
 // fingerprint and the checkpoint section. The caller resets the model
@@ -239,10 +230,11 @@ func runToDeadlock(t *testing.T, label string, m *machine, model *walkWatchdog, 
 // credit deadlock: on a machine that deadlocks at once (so that the
 // window sizes leave the trailing samples partly filled, just wrapped
 // and wrapped many times), then across a first Run that drains, a
-// second Run on the same simulator, the same second phase on a
-// simulator restored from the first's sections, and (with two workers)
-// a warm-up re-shard that moves boxes between shards. The deadlock
-// reports, trailing samples included, must come out equal.
+// second Run on the same simulator (whose shards are built anew and
+// take over the tallies), and the same second phase on a simulator
+// restored from the first's sections. The deadlock reports, trailing
+// samples included, must come out equal. The partition is made once:
+// with two workers every box ends each cycle on the shard it started on.
 func TestWatchdogMatchesPerCycleWalk(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		for _, window := range []int64{8, 32, 2000} {
@@ -259,22 +251,17 @@ func TestWatchdogMatchesPerCycleWalk(t *testing.T) {
 
 			a := buildMachine(workers)
 			a.sim.SetWatchdog(window)
-			if workers > 1 {
-				a.sim.SetClockObserver(lopsided{}, 1<<20)
-				a.sim.SetAutoReshard(16)
-			}
 			a.load(40, 25, 9, 0)
 			a.sim.SetDone(a.drained)
 			modelA := &walkWatchdog{window: window}
 			lastA := shadow(t, label+" machine A", a.sim, modelA)
-			var moved bool
 			if workers > 1 {
 				before := map[string]int{}
 				a.sim.OnEndCycle(func(cycle int64) {
 					for _, sh := range a.sim.shards {
 						for _, b := range sh.boxes {
 							if was, ok := before[b.BoxName()]; ok && was != sh.id {
-								moved = true
+								t.Fatalf("%s cycle %d: %s moved from shard %d to shard %d", label, cycle, b.BoxName(), was, sh.id)
 							}
 							before[b.BoxName()] = sh.id
 						}
@@ -284,9 +271,6 @@ func TestWatchdogMatchesPerCycleWalk(t *testing.T) {
 			modelA.reset(a.sim)
 			if err := a.sim.Run(10_000); err != nil {
 				t.Fatalf("%s: phase 1: %v", label, err)
-			}
-			if workers > 1 && a.sim.EffectiveWorkers() > 1 && !moved {
-				t.Errorf("%s: the re-shard moved no box, the test shows less than it says", label)
 			}
 			if n := len(a.sim.walkProd); n != 1 {
 				t.Fatalf("%s: %d wires produce outside the tallies, the port wire should", label, n)

@@ -109,7 +109,7 @@ type fleetIndex struct {
 	ticks int
 
 	queueShards map[string]fileMeta // shard dir name -> dir metadata
-	queueJobs   map[string]string   // job -> shard name ("" = legacy flat file)
+	queueJobs   map[string]string   // job -> shard name
 
 	leaseMeta map[string]fileMeta
 	leases    map[string]lease       // job -> last parsed lease
@@ -161,8 +161,7 @@ func (ix *fleetIndex) refresh(now time.Time) {
 
 // refreshQueue walks queue/: shard directories are relisted only when
 // their own mtime changed (an entry was added or removed — specs are
-// immutable), legacy flat files are indexed by name. force relists
-// every shard.
+// immutable). force relists every shard.
 func (ix *fleetIndex) refreshQueue(force bool) {
 	root := filepath.Join(ix.p.opts.Dir, "queue")
 	entries, err := os.ReadDir(root)
@@ -170,34 +169,21 @@ func (ix *fleetIndex) refreshQueue(force bool) {
 		return
 	}
 	seenShard := make(map[string]bool)
-	seenFlat := make(map[string]bool)
 	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
 		name := e.Name()
-		if e.IsDir() {
-			seenShard[name] = true
-			m, ok := metaOf(e)
-			if !ok {
-				continue
-			}
-			if old, had := ix.queueShards[name]; had && old == m && !force {
-				continue
-			}
-			ix.queueShards[name] = m
-			ix.relistShard(root, name)
+		seenShard[name] = true
+		m, ok := metaOf(e)
+		if !ok {
 			continue
 		}
-		if skipEntry(name) {
+		if old, had := ix.queueShards[name]; had && old == m && !force {
 			continue
 		}
-		if job, ok := jobName(name, ".json"); ok {
-			seenFlat[job] = true
-			ix.queueJobs[job] = ""
-		}
-	}
-	for job, shard := range ix.queueJobs {
-		if shard == "" && !seenFlat[job] {
-			delete(ix.queueJobs, job)
-		}
+		ix.queueShards[name] = m
+		ix.relistShard(root, name)
 	}
 	for shard := range ix.queueShards {
 		if !seenShard[shard] {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"attila/internal/chkpt"
+	"attila/internal/fsatomic"
 	"attila/internal/jobd"
 )
 
@@ -134,7 +135,7 @@ func TestScanSkipsOrphanQueueFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(p.queuePath(norm[0].Name), append(specJSON, '\n')); err != nil {
+	if err := fsatomic.WriteFile(p.queuePath(norm[0].Name), append(specJSON, '\n')); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +314,7 @@ func TestGCLeaseDirMarkers(t *testing.T) {
 
 	// Handoff GC: a record addressed to someone else whose lease
 	// already reached the offered epoch is consumed debris.
-	if err := writeFileAtomic(p.handoffPath("job"), []byte(`{"job":"job","from":"janitor","to":"someone-else","epoch":2}`)); err != nil {
+	if err := fsatomic.WriteFile(p.handoffPath("job"), []byte(`{"job":"job","from":"janitor","to":"someone-else","epoch":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(100 * time.Millisecond)

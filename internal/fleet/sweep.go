@@ -67,12 +67,6 @@ func (p *Peer) queuePath(job string) string {
 	return filepath.Join(p.opts.Dir, "queue", queueShard(job), job+".json")
 }
 
-// legacyQueuePath is the pre-sharding flat layout; readJobSpec falls
-// back to it so a fleet upgraded mid-sweep keeps draining old queues.
-func (p *Peer) legacyQueuePath(job string) string {
-	return filepath.Join(p.opts.Dir, "queue", job+".json")
-}
-
 func (p *Peer) resultPath(job string) string {
 	return filepath.Join(p.opts.Dir, "results", job+".json")
 }
@@ -166,9 +160,6 @@ func (p *Peer) readSweepRecord(name string) (sweepRecord, error) {
 
 func (p *Peer) readJobSpec(job string) (jobd.JobSpec, error) {
 	data, err := os.ReadFile(p.queuePath(job))
-	if os.IsNotExist(err) {
-		data, err = os.ReadFile(p.legacyQueuePath(job))
-	}
 	if err != nil {
 		return jobd.JobSpec{}, err
 	}
@@ -190,7 +181,7 @@ func (p *Peer) writeResult(job string, st jobd.JobStatus) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(p.resultPath(job), append(data, '\n'))
+	return fsatomic.WriteFile(p.resultPath(job), append(data, '\n'))
 }
 
 func (p *Peer) readResult(job string) (Result, error) {
@@ -229,7 +220,7 @@ func (p *Peer) finalizeSweeps() {
 			p.finalized[name] = true
 			continue // already finalized with identical bytes
 		}
-		if werr := writeFileAtomic(path, summary); werr != nil {
+		if werr := fsatomic.WriteFile(path, summary); werr != nil {
 			p.logf("fleet: %s: sweep %s summary write failed: %v", p.opts.PeerID, name, werr)
 		} else {
 			p.finalized[name] = true
@@ -304,10 +295,4 @@ func (p *Peer) WaitSweep(ctx context.Context, name string) (SweepResult, error) 
 		case <-time.After(tick):
 		}
 	}
-}
-
-// writeFileAtomic delegates to the repo-wide fsync'd implementation;
-// kept as a named wrapper so every fleet write site reads the same.
-func writeFileAtomic(path string, data []byte) error {
-	return fsatomic.WriteFile(path, data)
 }

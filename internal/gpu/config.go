@@ -141,12 +141,12 @@ type Config struct {
 
 	// Workers selects the host-side clocking mode: 0 or 1 clocks
 	// every box on one goroutine; >1 shards the boxes over that many
-	// persistent workers synchronized on a spin barrier; -1
-	// auto-sizes to the schedulable processors. Requests are clamped
-	// to runtime.GOMAXPROCS(0) and to the shardable unit count, with
-	// a structured warning when they exceed the online CPUs. Results
-	// are bit-identical in every mode — the knob only trades host
-	// time. Presets leave it 0 (serial).
+	// persistent workers synchronized on a spin barrier every cycle.
+	// Requests are clamped to runtime.GOMAXPROCS(0) and to the
+	// shardable unit count, with a structured warning when they
+	// exceed the online CPUs. Results are bit-identical in every mode
+	// — the knob only trades host time, and on every host measured it
+	// loses some (DESIGN.md section 6). Presets leave it 0 (serial).
 	Workers int
 
 	// WatchdogWindow arms the no-progress watchdog: a run with no
@@ -308,7 +308,7 @@ func (c *Config) Validate() error {
 		{c.Memory.Channels >= 1, "memory channels must be >= 1"},
 		{c.GPUMemBytes >= 1<<20, "GPU memory too small"},
 		{c.StatInterval >= 0, "StatInterval must be >= 0"},
-		{c.Workers >= -1, "Workers must be >= -1 (-1 auto-sizes to CPUs)"},
+		{c.Workers >= 0, "Workers must be >= 0"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

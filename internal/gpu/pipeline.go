@@ -98,11 +98,7 @@ func pFlow(sim *core.Simulator, producer, consumer, name string, bw, lat, maxLat
 	var bound *core.Signal
 	sim.Binder.Bind(consumer, name, &bound)
 	f := NewFlow(sig, queue)
-	// Credit release is a latency-1 consumer-to-producer dependency
-	// outside the signal model: the declared edge keeps the skew batch
-	// at 1 whenever the two boxes could land on different shards.
 	f.pub = sim.Publish(consumer, producer, f.EndCycle)
-	sim.ConstrainSkew(producer, consumer, 1)
 	return f
 }
 
@@ -265,9 +261,8 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 	// updates from Z-stencil, GPU memory touched by the streamer and
 	// the controller) and therefore form one indivisible unit. Shader
 	// units, the texture crossbar and the texture units interact with
-	// the rest of the chip only through signals, so each may be
-	// clocked on its own worker — they are also where the host time
-	// goes, which is what makes the parallel mode pay off.
+	// the rest of the chip only through signals and flow credits, so
+	// each may be clocked on its own worker.
 	pinned := []core.Box{p.streamer, pa, clip, p.setupBox, fgen, p.hz}
 	for _, z := range p.ropzs {
 		pinned = append(pinned, z)
@@ -281,16 +276,10 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 	sim.SetWorkers(cfg.Workers)
 	sim.SetWatchdog(cfg.WatchdogWindow)
 
-	// Parallel-mode tuning. Skew batching is armed but computes a
-	// batch of 1 for this topology: every flow declares a latency-1
-	// credit edge, so cross-shard free-running is provably unsafe here
-	// and the simulator keeps per-cycle full syncs (bit-identity with
-	// the serial run is the contract). The cost seeds mirror the
-	// profiled host-time ranking (texture units ~2x shaders ~2x fixed
-	// pipeline) so the initial bin-packing partition spreads the
-	// expensive free boxes instead of dealing them round-robin; the
-	// warm-up re-shard then rebalances from measured per-box time.
-	sim.EnableSkewBatching(0)
+	// The cost seeds mirror the profiled host-time ranking (texture
+	// units ~2x shaders ~2x fixed pipeline) so the bin-packing partition
+	// spreads the expensive free boxes instead of dealing them
+	// round-robin.
 	costs := make(map[string]float64, nShaders+nTU)
 	for i := 0; i < nShaders; i++ {
 		costs[nameIdx("Shader", i)] = 2
@@ -299,7 +288,6 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 		costs[nameIdx("TextureUnit", i)] = 4
 	}
 	sim.SetBoxCosts(costs)
-	sim.SetAutoReshard(8192)
 
 	sim.SetDone(p.CP.Finished)
 	p.resolveCheckpointing()

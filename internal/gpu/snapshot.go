@@ -521,10 +521,9 @@ func (p *Pipeline) Checkpoint(workload string) (*chkpt.Snapshot, error) {
 // with the machine. Returns the engine for progress/error inspection.
 func (p *Pipeline) EnableCheckpoints(path, workload string, interval int64, extra ...chkpt.Snapshotter) *chkpt.Engine {
 	eng := &chkpt.Engine{
-		Interval:  interval,
-		Path:      path,
-		Quiesced:  p.Quiesced,
-		SafeCycle: p.Sim.FullSync,
+		Interval: interval,
+		Path:     path,
+		Quiesced: p.Quiesced,
 		Capture: func() (*chkpt.Snapshot, error) {
 			meta := chkpt.Meta{
 				Cycle:    p.Sim.Cycle(),

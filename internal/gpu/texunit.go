@@ -167,11 +167,9 @@ func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Fl
 	t := &TextureUnit{cfg: cfg, idx: idx, reqIn: reqIn, repOut: repOut, quiesced: true}
 	t.Init(nameIdx("TextureUnit", idx))
 	// The quiesce flag is read by the command processor across the
-	// shard boundary: a latency-1 dependency outside the signal model,
-	// which pins the skew batch to 1 between this unit and the CP's
-	// shard. The CP never parks on it, so the fold wakes nobody.
+	// shard boundary, outside the signal model. The CP never parks on
+	// it, so the fold wakes nobody.
 	t.quiescePub = sim.Publish(t.BoxName(), "", t.publishQuiesce)
-	sim.ConstrainSkew(t.BoxName(), "CommandProcessor", 1)
 	t.hooks = &texHooks{fmtOf: make(map[uint32]texemu.Format)}
 	cc := mem.CacheConfig{
 		Name: nameIdx("TexCache", idx), Sets: cfg.TexCacheSets, Assoc: cfg.TexCacheAssoc,

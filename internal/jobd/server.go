@@ -1676,18 +1676,11 @@ func (s *Server) writeDurable(op, path string, data []byte) error {
 		if i > 0 {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if err = writeFileAtomic(path, data); err == nil {
+		if err = fsatomic.WriteFile(path, data); err == nil {
 			return nil
 		}
 	}
 	return &DiskError{Op: op, Path: path, Err: err}
-}
-
-// writeFileAtomic delegates to the repo-wide fsync'd atomic writer
-// (temp + fsync + rename + parent-dir fsync), the same implementation
-// the fleet's lease and heartbeat files go through.
-func writeFileAtomic(path string, data []byte) error {
-	return fsatomic.WriteFile(path, data)
 }
 
 // RunSweep is the one-shot mode: run the sweep to completion on a

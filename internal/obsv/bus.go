@@ -189,11 +189,8 @@ func (b *Bus) Window() int64 { return b.window }
 
 // endCycle is the bus's barrier hook: it publishes the cycle counter
 // and takes a full sample whenever a window boundary has been crossed
-// since the previous hook. Under skew batching the hook fires only at
-// full syncs (every B cycles), so the boundary test tracks the last
-// hooked cycle instead of testing (cycle+1) %% window == 0 — for
-// per-cycle hooks the two are identical, and either way the sample
-// cycles are a pure function of simulation state, not worker count.
+// since the previous hook. The sample cycles are a pure function of
+// simulation state, not worker count.
 func (b *Bus) endCycle(cycle int64) {
 	b.curCycle.Store(cycle)
 	prev := b.lastHook

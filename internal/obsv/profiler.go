@@ -108,24 +108,6 @@ func (p *Profiler) Report() []BoxTime {
 	return rows
 }
 
-// BoxCosts implements core.BoxCoster: mean sampled nanoseconds per
-// Clock call, keyed by box name, for the simulator's profile-guided
-// shard partition. The barrier pseudo-box is excluded — barrier wait
-// is synchronization cost, not box cost, and feeding it back into the
-// partition would skew the very balance it measures.
-func (p *Profiler) BoxCosts() map[string]float64 {
-	out := make(map[string]float64)
-	for _, r := range p.Report() {
-		if r.Box == core.BarrierBoxName {
-			continue
-		}
-		if r.Samples > 0 {
-			out[r.Box] = r.MeanNs
-		}
-	}
-	return out
-}
-
 // Top returns the n most expensive boxes (all rows when n <= 0).
 func (p *Profiler) Top(n int) []BoxTime {
 	rows := p.Report()

@@ -179,7 +179,7 @@ func TestTracingCheckpointRoundTrip(t *testing.T) {
 // by the sampled span count. Pooled span records and the
 // pre-allocated ring keep this to a couple of allocations per sampled
 // span (ring growth, map fills); per-span JSON costs only happen at
-// export, outside the measured window. Part of `make bench-gate`.
+// export, outside the measured window.
 func TestTracingAllocBudget(t *testing.T) {
 	p := benchParams()
 	cfg := gpu.Baseline()
@@ -199,7 +199,7 @@ func TestTracingAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := mallocsDuring(func() {
+		a := mallocsDuring(func() {
 			if err := pipe.Run(cmds, p.MaxCycles); err != nil {
 				t.Fatal(err)
 			}
