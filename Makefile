@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench fuzz fleet-smoke profile
+.PHONY: build test check lint bench fuzz fleet-smoke profile loc
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,15 @@ test:
 # detector over the packages that run under the parallel clock loop
 # (including the observability layer, whose bus and profiler read
 # shared state live), the watchdog/cancellation/metrics paths raced
-# through the GPU pipeline, the checkpoint round trip (restore must be
+# through the GPU pipeline, the one run assembler against the three
+# hand-wired assemblies it replaced and the one durable writer (both in
+# the first line), the checkpoint round trip (restore must be
 # bit-identical in serial and parallel mode) with the chaos smoke, a
 # race run of the pooled-pipeline serial/parallel equality test, the jobd
 # service smoke (submit -> chaos kill/panic/yank -> auto-resume ->
-# byte-identical convergence, plus the SIGTERM drain/resume path,
-# raced), the span-tracing determinism suite (serial-vs-parallel and
+# byte-identical convergence, plus the SIGTERM drain/resume path and
+# the replay on a fresh machine when a checkpoint is refused, raced),
+# the span-tracing determinism suite (serial-vs-parallel and
 # checkpoint byte-identity of the sampled spans and latency windows),
 # the fleet-metrics merge under concurrent job completion, the
 # OpenMetrics self-lint over /metrics.prom (simulator and fleet
@@ -43,12 +46,12 @@ test:
 # reference evaluator.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/obsv/... ./internal/chkpt/... ./internal/chaos/...
+	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/obsv/... ./internal/chkpt/... ./internal/chaos/... ./internal/run/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Watchdog|Deadlock|Cancel|ParallelMetrics' ./internal/gpu/ .
 	$(GO) test -race -run 'Checkpoint|Chaos' -count=1 .
 	$(GO) test -race -run '^TestParallelMatchesSerial$$' -count=1 .
 	$(GO) test -race -run '^TestTracing(SerialVsParallel|CheckpointRoundTrip)$$' -count=1 .
-	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
+	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
 	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
 	$(GO) test -race -run 'Park|Publication' -count=10 ./internal/core/
@@ -80,6 +83,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/chkpt
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/chkpt
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
+
+# loc prints non-test Go lines per directory (cmd/*, internal/*, the
+# root package) and their total: the number ROADMAP's line targets are
+# tracked with.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
+	total=0; \
+	for d in cmd/* internal/* .; do \
+		if [ $$d = . ]; then n=$$(count . -maxdepth 1); d="(root)"; else n=$$(count $$d); fi; \
+		total=$$((total + n)); printf '%7d  %s\n' $$n "$$d"; \
+	done; \
+	printf '%7d  total\n' $$total
 
 # bench runs the repository's one benchmark (bench/README.md): six
 # workloads, end-to-end host-speed metrics and the per-layer ladder.

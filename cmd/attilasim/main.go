@@ -33,29 +33,20 @@ import (
 	"time"
 
 	"attila/internal/chaos"
-	"attila/internal/chkpt"
 	"attila/internal/core"
 	"attila/internal/gpu"
 	"attila/internal/obsv"
 	spantrace "attila/internal/obsv/trace"
 	"attila/internal/refrender"
+	"attila/internal/run"
 	"attila/internal/trace"
 )
 
-// Exit codes.
-const (
-	exitOK          = 0
-	exitSimFailure  = 1
-	exitDeadlock    = 2
-	exitInterrupted = 3
-	exitUsage       = 4
-)
-
 func main() {
-	os.Exit(run())
+	os.Exit(simulate())
 }
 
-func run() int {
+func simulate() int {
 	in := flag.String("trace", "", "input trace file")
 	preset := flag.String("config", "baseline-unified", "config preset: baseline|baseline-unified|casestudy|embedded|highend")
 	tus := flag.Int("tus", 0, "override texture unit count (casestudy sweep)")
@@ -93,14 +84,14 @@ func run() int {
 	flag.Parse()
 
 	if *in == "" {
-		return fail(exitUsage, errors.New("need -trace (generate one with tracegen)"))
+		return fail(run.ExitUsage, errors.New("need -trace (generate one with tracegen)"))
 	}
 	sampleRate, err := spantrace.ParseSampleRate(*traceSample)
 	if err != nil {
-		return fail(exitUsage, err)
+		return fail(run.ExitUsage, err)
 	}
 	if *spansOut != "" && sampleRate == 0 {
-		return fail(exitUsage, errors.New("-spans needs -trace-sample (e.g. -trace-sample 1/64)"))
+		return fail(run.ExitUsage, errors.New("-spans needs -trace-sample (e.g. -trace-sample 1/64)"))
 	}
 
 	var plan *chaos.Plan
@@ -108,7 +99,7 @@ func run() int {
 		var err error
 		plan, err = chaos.Parse(*chaosSpec)
 		if err != nil {
-			return fail(exitUsage, err)
+			return fail(run.ExitUsage, err)
 		}
 	}
 
@@ -129,7 +120,7 @@ func run() int {
 	case "highend":
 		cfg = gpu.HighEnd()
 	default:
-		return fail(exitUsage, fmt.Errorf("unknown config preset %q", *preset))
+		return fail(run.ExitUsage, fmt.Errorf("unknown config preset %q", *preset))
 	}
 	cfg.Schedule = mode
 	if *tus > 0 {
@@ -146,7 +137,7 @@ func run() int {
 
 	f, err := os.Open(*in)
 	if err != nil {
-		return fail(exitUsage, err)
+		return fail(run.ExitUsage, err)
 	}
 	defer f.Close()
 	var src io.Reader = f
@@ -158,47 +149,54 @@ func run() int {
 	}
 	r, err := trace.NewReader(src)
 	if err != nil {
-		return fail(exitUsage, traceErr(*in, err))
+		return fail(run.ExitUsage, traceErr(*in, err))
 	}
 	r.SetSkipCorrupt(*skipCorrupt)
 	hdr := r.Header()
 	cmds, err := r.ReadAll(*start, *end)
 	if err != nil {
-		return fail(exitUsage, traceErr(*in, err))
+		return fail(run.ExitUsage, traceErr(*in, err))
 	}
 	if regions, skippedBytes := r.Skipped(); regions > 0 {
 		fmt.Printf("trace %s: skipped %d corrupt region(s), %d bytes — output may not match the capture\n",
 			*in, regions, skippedBytes)
 	}
 
-	pipe, err := gpu.New(cfg, hdr.Width, hdr.Height)
-	if err != nil {
-		return fail(exitUsage, err)
+	man := obsv.NewManifest("attilasim", flag.CommandLine)
+	man.Trace = *in
+	man.Config = *preset
+	// What to run and what to hang on it; internal/run builds the machine
+	// and attaches the observers in its one order. The workload
+	// fingerprint ties a checkpoint to the command stream it indexes into;
+	// restoring against a different trace or frame range is refused
+	// before any state is touched.
+	workload := fmt.Sprintf("%s %dx%d frames[%d:%d] cmds=%d", hdr.Label, hdr.Width, hdr.Height, *start, *end, len(cmds))
+	ckptPath := *ckptOut
+	if ckptPath == "" && *ckptInterval > 0 {
+		ckptPath = *in + ".ckpt"
 	}
-	// Request tracing attaches first: its fold hook must run before the
-	// metrics bus samples and before the checkpoint engine captures.
-	var col *spantrace.Collector
-	if sampleRate > 0 {
-		col = pipe.EnableSpanTracing(spantrace.Options{SampleRate: sampleRate, Seed: *traceSeed})
+	spec := run.Spec{
+		Config: cfg, Width: hdr.Width, Height: hdr.Height,
+		Source:      run.Commands(cmds, workload),
+		MaxCycles:   *maxCycles,
+		Spans:       spantrace.Options{SampleRate: sampleRate, Seed: *traceSeed},
+		Chaos:       plan,
+		Checkpoint:  run.Checkpoint{Path: ckptPath, Interval: *ckptInterval},
+		RestoreFrom: *restoreFrom,
 	}
 	var sigWriter *core.SigTraceWriter
 	if *sigOut != "" {
 		sf, err := os.Create(*sigOut)
 		if err != nil {
-			return fail(exitUsage, err)
+			return fail(run.ExitUsage, err)
 		}
 		defer sf.Close()
 		sigWriter = core.NewSigTraceWriter(sf)
-		pipe.TraceSignals(sigWriter)
+		spec.SigTrace = sigWriter
 	}
-
 	// Observability: the metrics bus samples at the cycle barrier, the
 	// profiler times sampled box clocks, and the status server makes
 	// both (plus the crash black box) reachable while the run is live.
-	man := obsv.NewManifest("attilasim", flag.CommandLine)
-	man.Trace = *in
-	man.Config = *preset
-	var bus *obsv.Bus
 	if *httpAddr != "" || *metricsOut != "" || *perfettoOut != "" {
 		goalFrames := int64(hdr.Frames - *start)
 		if *end >= 0 && *end < hdr.Frames {
@@ -211,71 +209,29 @@ func run() int {
 		if window <= 0 {
 			window = cfg.StatInterval // 0 falls through to the bus default
 		}
-		bus = obsv.NewBus(pipe.Sim, obsv.BusOptions{
-			Window:     window,
-			Frames:     func() int64 { return int64(pipe.CP.Frames()) },
-			Goal:       *maxCycles,
-			GoalFrames: goalFrames,
-			Spans:      col,
-		})
+		spec.Bus = &obsv.BusOptions{Window: window, Goal: *maxCycles, GoalFrames: goalFrames}
 	}
+	if *profileBoxes {
+		spec.Profiler = obsv.NewProfiler()
+	}
+	// A -restore that cannot be honored is an input error: unlike the
+	// retry loops, this run was asked for that checkpoint.
+	sess, err := run.Start(spec)
+	if err != nil {
+		return fail(run.ExitUsage, err)
+	}
+	pipe, col, bus, eng, prof := sess.Pipe, sess.Spans, sess.Bus, sess.Engine, spec.Profiler
+	restored := *restoreFrom != ""
 	if col != nil {
 		man.Tracing = &obsv.TracingConfig{SampleRate: sampleRate, Seed: *traceSeed, Buckets: spantrace.NumBuckets}
 	}
-	var prof *obsv.Profiler
-	if *profileBoxes {
-		prof = obsv.NewProfiler()
-		prof.Attach(pipe.Sim)
-	}
-	// Chaos: the injector gates box clocks, mistreats MC transactions
-	// and corrupts signal payloads according to the parsed plan, all
-	// deterministically from the plan's seed.
 	if plan != nil {
-		inj := chaos.NewInjector(plan, pipe.Sim.Binder)
-		pipe.Sim.SetClockGate(inj)
-		pipe.MemController().SetFault(inj)
-		pipe.Sim.OnEndCycle(inj.EndCycle)
 		fmt.Println("chaos:", plan)
 	}
-
-	// Checkpoint/restore. The workload fingerprint ties a checkpoint to
-	// the command stream it indexes into; restoring against a different
-	// trace or frame range is refused before any state is touched.
-	workload := fmt.Sprintf("%s %dx%d frames[%d:%d] cmds=%d", hdr.Label, hdr.Width, hdr.Height, *start, *end, len(cmds))
-	var busExtra []chkpt.Snapshotter
-	if col != nil {
-		busExtra = append(busExtra, col)
-	}
-	if bus != nil {
-		busExtra = append(busExtra, bus)
-	}
-	restored := false
-	var restoredCycle int64
-	if *restoreFrom != "" {
-		snap, err := chkpt.ReadFile(*restoreFrom)
-		if err != nil {
-			return fail(exitUsage, fmt.Errorf("restore %s: %w", *restoreFrom, err))
-		}
-		if snap.Meta.Workload != workload {
-			return fail(exitUsage, fmt.Errorf("restore %s: checkpoint is for workload %q, this run is %q",
-				*restoreFrom, snap.Meta.Workload, workload))
-		}
-		if err := pipe.RestoreCheckpoint(snap, cmds, busExtra...); err != nil {
-			return fail(exitUsage, fmt.Errorf("restore %s: %w", *restoreFrom, err))
-		}
-		restored = true
-		restoredCycle = snap.Meta.Cycle
+	if restored {
 		man.RestoredFrom = *restoreFrom
-		man.RestoredCycle = restoredCycle
-		fmt.Printf("restored %s: resuming at cycle %d\n", *restoreFrom, restoredCycle)
-	}
-	ckptPath := *ckptOut
-	if ckptPath == "" && *ckptInterval > 0 {
-		ckptPath = *in + ".ckpt"
-	}
-	var eng *chkpt.Engine
-	if *ckptInterval > 0 {
-		eng = pipe.EnableCheckpoints(ckptPath, workload, *ckptInterval, busExtra...)
+		man.RestoredCycle = sess.RestoredCycle
+		fmt.Printf("restored %s: resuming at cycle %d\n", *restoreFrom, sess.RestoredCycle)
 	}
 
 	var srv *obsv.Server
@@ -291,7 +247,7 @@ func run() int {
 					Path:          ckptPath,
 					Interval:      *ckptInterval,
 					RestoredFrom:  *restoreFrom,
-					RestoredCycle: restoredCycle,
+					RestoredCycle: sess.RestoredCycle,
 				}
 				if eng != nil {
 					st.Count = eng.Count()
@@ -304,7 +260,7 @@ func run() int {
 			},
 		})
 		if err := srv.Start(); err != nil {
-			return fail(exitUsage, err)
+			return fail(run.ExitUsage, err)
 		}
 		fmt.Println("status server listening on", srv.Addr())
 	}
@@ -329,15 +285,10 @@ func run() int {
 			err = pprof.StartCPUProfile(profFile)
 		}
 		if err != nil {
-			return fail(exitUsage, err)
+			return fail(run.ExitUsage, err)
 		}
 	}
-	var simErr error
-	if restored {
-		simErr = pipe.ResumeContext(ctx, *maxCycles)
-	} else {
-		simErr = pipe.RunContext(ctx, cmds, *maxCycles)
-	}
+	simErr := sess.Run(ctx)
 	pprof.StopCPUProfile() // no-op when none was started
 	if simErr == nil {
 		fmt.Printf("simulated %d cycles, %d frames, %.2f fps at %d MHz\n",
@@ -350,9 +301,6 @@ func run() int {
 	// Flush every requested output whether or not the run succeeded;
 	// a partial stats CSV from a hung run is exactly what the flags
 	// were for. Output problems never mask the simulation verdict.
-	if bus != nil {
-		bus.Flush()
-	}
 	outOK := true
 	if profFile != nil {
 		if err := profFile.Close(); err != nil {
@@ -414,16 +362,16 @@ func run() int {
 
 	// Settle the verdict, then record it in the manifest so the output
 	// directory stays self-describing even for failed runs.
-	code := exitOK
+	code := run.ExitOK
 	switch {
 	case simErr != nil:
-		fmt.Fprintln(os.Stderr, "attilasim:", describe(simErr))
-		code = verdict(simErr)
+		fmt.Fprintln(os.Stderr, "attilasim:", run.Describe(simErr))
+		code = run.ExitCode(simErr)
 	case *verify:
 		code = runVerify(cfg, hdr, cmds, pipe)
 	}
-	if code == exitOK && !outOK {
-		code = exitUsage
+	if code == run.ExitOK && !outOK {
+		code = run.ExitUsage
 	}
 	man.Cycles = pipe.Cycles()
 	man.Frames = int64(pipe.CP.Frames())
@@ -521,29 +469,6 @@ func manifestPath(flagVal string, outputs []string) string {
 	}
 }
 
-// verdict maps a simulation error to the process exit code.
-func verdict(err error) int {
-	switch {
-	case errors.Is(err, core.ErrDeadlock):
-		return exitDeadlock
-	case errors.Is(err, core.ErrCanceled):
-		return exitInterrupted
-	default:
-		// Model violations, panics, cycle budget exhaustion.
-		return exitSimFailure
-	}
-}
-
-// describe expands structured failures: a deadlock error prints the
-// watchdog's full report, not just the one-line summary.
-func describe(err error) error {
-	var de *core.DeadlockError
-	if errors.As(err, &de) {
-		return fmt.Errorf("%w\n%s", err, de.Report)
-	}
-	return err
-}
-
 // traceErr prefixes reader failures with actionable advice keyed on
 // the typed sentinel.
 func traceErr(path string, err error) error {
@@ -560,12 +485,12 @@ func traceErr(path string, err error) error {
 func runVerify(cfg gpu.Config, hdr trace.Header, cmds []gpu.Command, pipe *gpu.Pipeline) int {
 	ref := refrender.New(cfg.GPUMemBytes, hdr.Width, hdr.Height)
 	if err := ref.Execute(cmds); err != nil {
-		return fail(exitUsage, err)
+		return fail(run.ExitUsage, err)
 	}
 	refFrames := ref.Frames()
 	simFrames := pipe.Frames()
 	if len(refFrames) != len(simFrames) {
-		return fail(exitSimFailure, fmt.Errorf("verify: frame counts %d vs %d", len(simFrames), len(refFrames)))
+		return fail(run.ExitSimFailure, fmt.Errorf("verify: frame counts %d vs %d", len(simFrames), len(refFrames)))
 	}
 	bad := 0
 	for i := range simFrames {
@@ -576,10 +501,10 @@ func runVerify(cfg gpu.Config, hdr trace.Header, cmds []gpu.Command, pipe *gpu.P
 		}
 	}
 	if bad != 0 {
-		return exitSimFailure
+		return run.ExitSimFailure
 	}
 	fmt.Println("verify: all frames match the functional reference bit-exactly")
-	return exitOK
+	return run.ExitOK
 }
 
 func writeFrames(dir string, start int, frames []*gpu.Frame) bool {

@@ -32,13 +32,13 @@ import (
 	"time"
 
 	"attila/internal/chaos"
-	"attila/internal/core"
 	"attila/internal/experiments"
 	"attila/internal/fleet"
 	"attila/internal/gpu"
 	"attila/internal/jobd"
 	"attila/internal/obsv"
 	"attila/internal/obsv/trace"
+	"attila/internal/run"
 )
 
 func main() {
@@ -58,7 +58,7 @@ func main() {
 	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint every run at this cycle cadence so retries resume instead of replaying (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for per-run checkpoint files (default: system temp, removed afterwards)")
 	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome, per-run attempt counts)")
-	retryBackoffMax := flag.Duration("retry-backoff-max", experiments.DefaultRetryBackoffMax, "cap for the doubling retry backoff (jitter is seeded)")
+	retryBackoffMax := flag.Duration("retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling retry backoff (jitter is seeded)")
 
 	// Job-server mode (internal/jobd).
 	serveAddr := flag.String("serve", "", "serve the supervised job API (and status server) on this address, e.g. :6060")
@@ -102,7 +102,7 @@ func main() {
 			traceSample: rate, traceSeed: *traceSeed,
 			fleetDir: *fleetDir, peerID: *peerID, leaseTTL: *leaseTTL,
 			maxClaims: *maxClaims,
-			tenant: *tenant, priority: *priority,
+			tenant:    *tenant, priority: *priority,
 		}))
 	}
 
@@ -126,7 +126,7 @@ func main() {
 	var prof *obsv.Profiler
 	if *profileBoxes {
 		prof = obsv.NewProfiler()
-		p.Observe = func(pipe *gpu.Pipeline) { prof.Attach(pipe.Sim) }
+		p.Profiler = prof
 	}
 	p.Retries = *retries
 	p.RetryBackoff = *retryBackoff
@@ -150,7 +150,7 @@ func main() {
 	man := obsv.NewManifest("experiments", flag.CommandLine)
 	exitCode := 0
 	var firstErr error
-	run := func(name string, fn func() error) {
+	experiment := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
@@ -159,34 +159,23 @@ func main() {
 		}
 		fmt.Printf("== %s ==\n", name)
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, run.Describe(err))
 			firstErr = err
-			switch {
-			case errors.Is(err, core.ErrCanceled):
-				exitCode = 3
-			case errors.Is(err, core.ErrDeadlock):
-				var de *core.DeadlockError
-				if errors.As(err, &de) {
-					fmt.Fprint(os.Stderr, de.Report)
-				}
-				exitCode = 2
-			default:
-				exitCode = 1
-			}
+			exitCode = run.ExitCode(err)
 			return
 		}
 		fmt.Println()
 	}
 
-	run("table1", func() error {
+	experiment("table1", func() error {
 		experiments.Table1(os.Stdout, gpu.Baseline())
 		return nil
 	})
-	run("table2", func() error {
+	experiment("table2", func() error {
 		experiments.Table2(os.Stdout, gpu.Baseline())
 		return nil
 	})
-	run("fig7", func() error {
+	experiment("fig7", func() error {
 		rows, err := experiments.Fig7(p, os.Stdout)
 		if err != nil {
 			return err
@@ -198,7 +187,7 @@ func main() {
 		}
 		return nil
 	})
-	run("fig8", func() error {
+	experiment("fig8", func() error {
 		rows, series, err := experiments.Fig8(p, os.Stdout)
 		if err != nil {
 			return err
@@ -216,7 +205,7 @@ func main() {
 		}
 		return nil
 	})
-	run("fig9", func() error {
+	experiment("fig9", func() error {
 		series, err := experiments.Fig9(p, os.Stdout)
 		if err != nil {
 			return err
@@ -232,7 +221,7 @@ func main() {
 		}
 		return nil
 	})
-	run("fig10", func() error {
+	experiment("fig10", func() error {
 		res, err := experiments.Fig10(p)
 		if err != nil {
 			return err
@@ -266,7 +255,7 @@ func main() {
 		}
 		return nil
 	})
-	run("scaling", func() error {
+	experiment("scaling", func() error {
 		rows, err := experiments.Scaling(p, os.Stdout)
 		if err != nil {
 			return err
@@ -281,7 +270,7 @@ func main() {
 		}
 		return nil
 	})
-	run("embedded", func() error {
+	experiment("embedded", func() error {
 		row, err := experiments.Embedded(p)
 		if err != nil {
 			return err
@@ -290,7 +279,7 @@ func main() {
 			row.Workload, row.Cycles, row.FPS, gpu.Embedded().ClockMHz)
 		return nil
 	})
-	run("ablation", func() error {
+	experiment("ablation", func() error {
 		rows, err := experiments.Ablation(p, os.Stdout)
 		if err != nil {
 			return err

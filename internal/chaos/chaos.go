@@ -230,10 +230,9 @@ func (p *Plan) String() string {
 // OnTransaction, which the memory controller calls from a single
 // goroutine (one box, one shard).
 type Injector struct {
-	plan     *Plan
-	binder   *core.Binder
-	rng      *rand.Rand
-	disabled atomic.Bool
+	plan   *Plan
+	binder *core.Binder
+	rng    *rand.Rand
 
 	injected  atomic.Int64 // total faults applied
 	memFaults atomic.Int64
@@ -250,18 +249,11 @@ func NewInjector(plan *Plan, binder *core.Binder) *Injector {
 	}
 }
 
-// Disable turns every fault off — used when replaying from a
-// checkpoint, so a retried run cannot re-hit the same injected fault.
-func (in *Injector) Disable() { in.disabled.Store(true) }
-
 // Injected returns how many faults have been applied so far.
 func (in *Injector) Injected() int64 { return in.injected.Load() }
 
 // BeforeClock implements core.ClockGate.
 func (in *Injector) BeforeClock(cycle int64, box core.Box) bool {
-	if in.disabled.Load() {
-		return true
-	}
 	if p := in.plan.Panic; p != nil && cycle == p.Cycle && box.BoxName() == p.Box {
 		in.injected.Add(1)
 		panic(&injectedPanic{cycle: cycle, box: p.Box})
@@ -277,7 +269,7 @@ func (in *Injector) BeforeClock(cycle int64, box core.Box) bool {
 // OnTransaction implements mem.TxFault.
 func (in *Injector) OnTransaction(cycle int64, client string, addr uint32, write bool) mem.FaultAction {
 	m := in.plan.Mem
-	if m == nil || in.disabled.Load() {
+	if m == nil {
 		return mem.FaultAction{}
 	}
 	if in.rng.Float64() >= m.Rate {
@@ -301,7 +293,7 @@ func (in *Injector) OnTransaction(cycle int64, client string, addr uint32, write
 // safe.
 func (in *Injector) EndCycle(cycle int64) {
 	s := in.plan.Signal
-	if s == nil || cycle != s.Cycle || in.disabled.Load() || in.binder == nil {
+	if s == nil || cycle != s.Cycle || in.binder == nil {
 		return
 	}
 	for _, sig := range in.binder.Signals() {

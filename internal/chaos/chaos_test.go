@@ -292,39 +292,6 @@ func TestSignalFault(t *testing.T) {
 	}
 }
 
-// Disable must turn every fault off: the same panic plan that kills a
-// run on attempt one is inert on a replay.
-func TestInjectorDisable(t *testing.T) {
-	sim := core.NewSimulator(0)
-	f := &feeder{ids: &sim.IDs}
-	f.Init("Feeder")
-	s := &sink{}
-	s.Init("Sink")
-	f.out = sim.Binder.Provide("Feeder", "pipe", 1, 2, 0)
-	sim.Binder.Bind("Sink", "pipe", &s.in)
-	sim.Register(f)
-	sim.Register(s)
-	done := false
-	sim.SetDone(func() bool { return done })
-	sim.OnEndCycle(func(cycle int64) { done = cycle >= 100 })
-
-	plan, err := chaos.Parse("panic@cycle=50:Sink,signal=pipe@60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := chaos.NewInjector(plan, sim.Binder)
-	inj.Disable()
-	sim.SetClockGate(inj)
-	sim.OnEndCycle(inj.EndCycle)
-
-	if err := sim.Run(1000); err != nil {
-		t.Fatalf("disabled injector still faulted: %v", err)
-	}
-	if inj.Injected() != 0 {
-		t.Errorf("disabled injector recorded %d faults", inj.Injected())
-	}
-}
-
 // TestParseServerFleetFaults: the fleet-level faults (killhost,
 // pauseheart, leaseyank) parse, render, and answer their accessors;
 // malformed specs fail with a diagnostic.

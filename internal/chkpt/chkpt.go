@@ -15,8 +15,9 @@
 // bit-identically (stats CSV, frame hashes, metrics NDJSON), serial
 // or parallel.
 //
-// The package is stdlib-only and imports nothing from the simulator,
-// so every layer (core, mem, gpu, obsv) can depend on it.
+// The package imports nothing from the simulator (only the standard
+// library and the stdlib-only fsatomic writer), so every layer (core,
+// mem, gpu, obsv) can depend on it.
 package chkpt
 
 import (
@@ -29,11 +30,11 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync/atomic"
-	"syscall"
+
+	"attila/internal/fsatomic"
 )
 
 // Typed failure taxonomy. Every decode failure wraps one of these
@@ -228,57 +229,15 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return zw.Close()
 }
 
-// WriteFile writes the snapshot atomically and durably: to a temp
-// file in the destination directory, fsync'd before the rename, and
-// the parent directory fsync'd after it. A crash mid-write never
-// clobbers the previous checkpoint, and a power loss after the rename
-// cannot surface a zero-length "latest" checkpoint — without the
-// fsyncs the rename can reach disk before the data does. The parent
-// directory is created if missing, so a checkpoint destination that
-// was removed mid-run (disk yanked, cleanup raced) heals on the next
-// capture instead of failing forever.
+// WriteFile writes the snapshot atomically and durably through the
+// repository's one durable writer (fsatomic.WriteTo), the encoder
+// streaming into its temp file: a crash mid-write never clobbers the
+// previous checkpoint, a power loss after the rename cannot surface a
+// zero-length "latest" checkpoint, and a destination directory that was
+// removed mid-run (disk yanked, cleanup raced) heals on the next capture
+// instead of failing forever.
 func (s *Snapshot) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	err = s.Encode(tmp)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename is durable.
-// Filesystems that cannot sync a directory handle report EINVAL; the
-// rename is still atomic there, so that case is not an error.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil && errors.Is(err, syscall.EINVAL) {
-		return nil
-	}
-	return err
+	return fsatomic.WriteTo(path, s.Encode)
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -11,17 +11,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"attila/internal/chaos"
-	"attila/internal/chkpt"
 	"attila/internal/core"
 	"attila/internal/gpu"
+	"attila/internal/obsv"
 	"attila/internal/refrender"
+	"attila/internal/run"
 	"attila/internal/workload"
 )
 
@@ -46,11 +47,9 @@ type RunParams struct {
 	// signal handler, a timeout) stops the current run at a cycle
 	// boundary and surfaces core.ErrCanceled.
 	Ctx context.Context
-	// Observe, when non-nil, is called on every freshly built pipeline
-	// before its simulation starts — the hook the observability layer
-	// (internal/obsv) uses to attach a profiler or metrics bus to each
-	// run of a sweep.
-	Observe func(*gpu.Pipeline)
+	// Profiler, when non-nil, is attached to every run of the sweep;
+	// attribution is keyed by box name, so the runs aggregate.
+	Profiler *obsv.Profiler
 	// Retries bounds how many times a failed run is re-attempted
 	// (0 = fail on the first error, the historical behavior). Retries
 	// resume from the run's last checkpoint when CheckpointInterval is
@@ -58,10 +57,10 @@ type RunParams struct {
 	Retries int
 	// RetryBackoff is the wait before the first retry; each further
 	// retry doubles it, capped at RetryBackoffMax, with seeded jitter
-	// (see RetryDelay). 0 retries immediately.
+	// (see run.RetryDelay). 0 retries immediately.
 	RetryBackoff time.Duration
 	// RetryBackoffMax caps the doubling backoff; <= 0 selects
-	// DefaultRetryBackoffMax.
+	// run.DefaultRetryBackoffMax.
 	RetryBackoffMax time.Duration
 	// CheckpointInterval, when > 0, checkpoints every run at this cycle
 	// cadence so a retry can resume instead of replaying.
@@ -70,7 +69,7 @@ type RunParams struct {
 	// the run completes). Empty selects the system temp directory.
 	CheckpointDir string
 	// Chaos, when non-nil, injects the plan's faults into the FIRST
-	// attempt of every run. Retries run with faults disabled, so a
+	// attempt of every run. Retries build no injector, so a
 	// chaos-killed sweep recovers deterministically.
 	Chaos *chaos.Plan
 	// Attempts, when non-nil, records per-run attempt counts keyed by
@@ -96,24 +95,42 @@ func (p RunParams) workloadParams() workload.Params {
 	return workload.Params{Width: p.Width, Height: p.Height, Frames: p.Frames, Aniso: p.Aniso, Seed: p.Seed}
 }
 
-// runOne builds the named workload for a fresh pipeline and simulates
-// it, returning the pipeline for statistics inspection. With Retries
-// set, a failed simulation is re-attempted — resuming from the run's
-// last checkpoint when checkpointing is on — with exponential backoff
-// between attempts and chaos faults disabled on every attempt but the
-// first.
+// runOne is runSession for the figures that only read the finished
+// pipeline.
 func runOne(cfg gpu.Config, name string, p RunParams) (*gpu.Pipeline, error) {
+	sess, err := runSession(cfg, name, p)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Pipe, nil
+}
+
+// runSession simulates the named workload on a fresh machine and
+// returns the finished session. With Retries set, a failed simulation
+// is re-attempted — resuming from the run's last checkpoint when
+// checkpointing is on — with exponential backoff between attempts and
+// chaos faults on the first attempt only.
+func runSession(cfg gpu.Config, name string, p RunParams) (*run.Session, error) {
 	cfg.Workers = p.Workers
 	cfg.WatchdogWindow = p.WatchdogWindow
-	runName := sanitizeRunName(cfg.Name + "-" + name)
-	var ckptPath string
+	runName := run.SanitizeName(cfg.Name + "-" + name)
+	spec := run.Spec{
+		Config: cfg, Width: p.Width, Height: p.Height,
+		Source:    run.Workload(name, p.workloadParams()),
+		MaxCycles: p.MaxCycles,
+		Profiler:  p.Profiler,
+		Chaos:     p.Chaos,
+	}
 	if p.CheckpointInterval > 0 {
 		dir := p.CheckpointDir
 		if dir == "" {
 			dir = os.TempDir()
 		}
-		ckptPath = filepath.Join(dir, "attila-"+runName+".ckpt")
-		defer os.Remove(ckptPath)
+		spec.Checkpoint = run.Checkpoint{
+			Path:     filepath.Join(dir, "attila-"+runName+".ckpt"),
+			Interval: p.CheckpointInterval,
+		}
+		defer os.Remove(spec.Checkpoint.Path)
 	}
 	// The jitter rng is seeded from the chaos plan when one is active
 	// so chaos runs schedule their retries deterministically, else from
@@ -127,14 +144,24 @@ func runOne(cfg gpu.Config, name string, p RunParams) (*gpu.Pipeline, error) {
 		if p.Attempts != nil {
 			p.Attempts[runName] = attempt
 		}
-		pipe, err := p.attemptOne(cfg, name, attempt, ckptPath)
+		if attempt > 1 {
+			// A retry runs clean and resumes from the last checkpoint; with
+			// none usable (the fault hit before the first capture, or the
+			// file is damaged) it replays from the start.
+			spec.Chaos = nil
+			spec.RestoreFrom = spec.Checkpoint.Path
+		}
+		sess, err := run.StartOrReplay(spec, log.Printf)
 		if err == nil {
-			return pipe, nil
+			err = sess.Run(p.context())
+		}
+		if err == nil {
+			return sess, nil
 		}
 		if attempt > p.Retries || errors.Is(err, core.ErrCanceled) {
 			return nil, err
 		}
-		if d := RetryDelay(p.RetryBackoff, p.RetryBackoffMax, attempt, rng); d > 0 {
+		if d := run.RetryDelay(p.RetryBackoff, p.RetryBackoffMax, attempt, rng); d > 0 {
 			select {
 			case <-p.context().Done():
 				return nil, err
@@ -142,63 +169,6 @@ func runOne(cfg gpu.Config, name string, p RunParams) (*gpu.Pipeline, error) {
 			}
 		}
 	}
-}
-
-// attemptOne is one try of a run: build the pipeline, wire chaos on
-// the first attempt only, resume from the checkpoint when one exists,
-// else simulate from the start.
-func (p RunParams) attemptOne(cfg gpu.Config, name string, attempt int, ckptPath string) (*gpu.Pipeline, error) {
-	pipe, err := gpu.New(cfg, p.Width, p.Height)
-	if err != nil {
-		return nil, err
-	}
-	if p.Observe != nil {
-		p.Observe(pipe)
-	}
-	if p.Chaos != nil && attempt == 1 {
-		inj := chaos.NewInjector(p.Chaos, pipe.Sim.Binder)
-		pipe.Sim.SetClockGate(inj)
-		pipe.MemController().SetFault(inj)
-		pipe.Sim.OnEndCycle(inj.EndCycle)
-	}
-	// The workload build is deterministic (same seed, fresh pipeline),
-	// so every attempt sees the identical command stream a checkpoint
-	// indexes into.
-	cmds, _, err := workload.Build(name, pipe, p.workloadParams())
-	if err != nil {
-		return nil, err
-	}
-	if ckptPath != "" {
-		pipe.EnableCheckpoints(ckptPath, name, p.CheckpointInterval)
-	}
-	if attempt > 1 && ckptPath != "" {
-		if snap, rerr := chkpt.ReadFile(ckptPath); rerr == nil && snap.Meta.Workload == name {
-			if rerr := pipe.RestoreCheckpoint(snap, cmds); rerr == nil {
-				if err := pipe.ResumeContext(p.context(), p.MaxCycles); err != nil {
-					return nil, err
-				}
-				return pipe, nil
-			}
-		}
-		// No usable checkpoint (the fault hit before the first one was
-		// written, or the file is damaged): replay from the start.
-	}
-	if err := pipe.RunContext(p.context(), cmds, p.MaxCycles); err != nil {
-		return nil, err
-	}
-	return pipe, nil
-}
-
-// sanitizeRunName makes a run name safe as a file-name component.
-func sanitizeRunName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }
 
 func stat(p *gpu.Pipeline, name string) float64 {
@@ -468,27 +438,15 @@ type Fig10Result struct {
 // GeForce 5900; see DESIGN.md for the substitution).
 func Fig10(p RunParams) (*Fig10Result, error) {
 	cfg := gpu.CaseStudy(3, gpu.ScheduleWindow)
-	cfg.Workers = p.Workers
-	cfg.WatchdogWindow = p.WatchdogWindow
-	pipe, err := gpu.New(cfg, p.Width, p.Height)
-	if err != nil {
-		return nil, err
-	}
-	if p.Observe != nil {
-		p.Observe(pipe)
-	}
-	cmds, _, err := workload.Build("doom3", pipe, p.workloadParams())
+	sess, err := runSession(cfg, "doom3", p)
 	if err != nil {
 		return nil, err
 	}
 	ref := refrender.New(cfg.GPUMemBytes, p.Width, p.Height)
-	if err := ref.Execute(cmds); err != nil {
+	if err := ref.Execute(sess.Commands); err != nil {
 		return nil, err
 	}
-	if err := pipe.RunContext(p.context(), cmds, p.MaxCycles); err != nil {
-		return nil, err
-	}
-	simFrames := pipe.Frames()
+	simFrames := sess.Pipe.Frames()
 	refFrames := ref.Frames()
 	if len(simFrames) == 0 || len(simFrames) != len(refFrames) {
 		return nil, fmt.Errorf("fig10: frame counts %d vs %d", len(simFrames), len(refFrames))

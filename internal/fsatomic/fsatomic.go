@@ -1,30 +1,36 @@
 // Package fsatomic provides the single durable atomic-write primitive
-// every control-plane file in this repository goes through: lease
-// files, heartbeats, queue specs, sweep records, results, and the jobd
-// state file. The sequence is write-to-temp, fsync the temp, rename
-// over the target, then fsync the parent directory so the rename
-// itself survives a power cut. Skipping either fsync reintroduces the
-// torn-lease bug this package exists to close: after a crash the
-// rename can surface an empty or partial file that readers then treat
-// as corrupt — and a corrupt lease is stealable, so a live owner loses
-// its jobs to a failure that never happened.
-//
-// The checkpoint container (internal/chkpt) keeps its own copy of this
-// sequence because it streams gzip through the temp file rather than
-// buffering the payload; both implementations must stay semantically
-// identical.
+// every file that must survive a crash goes through: checkpoints, run
+// manifests, lease files, heartbeats, queue specs, sweep records,
+// results, and the jobd state file. The sequence is write-to-temp,
+// fsync the temp, rename over the target, then fsync the parent
+// directory so the rename itself survives a power cut. Skipping either
+// fsync reintroduces the torn-lease bug this package exists to close:
+// after a crash the rename can surface an empty or partial file that
+// readers then treat as corrupt — and a corrupt lease is stealable, so a
+// live owner loses its jobs to a failure that never happened.
 package fsatomic
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
 )
 
-// WriteFile atomically and durably replaces path with data. The parent
-// directory is created if missing. On any error the temp file is
-// removed and the previous contents of path (if any) are untouched.
+// WriteFile atomically and durably replaces path with data.
 func WriteFile(path string, data []byte) error {
+	return WriteTo(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteTo atomically and durably replaces path with whatever write
+// streams into w (the checkpoint container gzips straight into the temp
+// file). The parent directory is created if missing. On any error,
+// write's included, the temp file is removed and the previous contents
+// of path (if any) are untouched.
+func WriteTo(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -33,24 +39,18 @@ func WriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer os.Remove(tmp.Name()) // gone already once the rename succeeded
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	return SyncDir(dir)
@@ -59,8 +59,7 @@ func WriteFile(path string, data []byte) error {
 // SyncDir fsyncs a directory so a preceding rename is durable. Some
 // filesystems (and some CI sandboxes) refuse fsync on directories with
 // EINVAL or ENOTSUP; that is tolerated — the rename is still atomic,
-// just not guaranteed durable, which matches the behavior of the
-// checkpoint writer on the same filesystem.
+// just not guaranteed durable.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -2,6 +2,8 @@ package fsatomic
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,6 +47,32 @@ func TestWriteFileLeavesNoTempDebris(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("want exactly [f.json], got %v", names)
+	}
+}
+
+// A streaming writer that fails half way must leave the previous file
+// and nothing else: the torn bytes never reach the target name.
+func TestWriteToFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if err := WriteFile(path, []byte("previous")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encoder failed")
+	err := WriteTo(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a chec")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteTo returned %v, want the writer's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+		t.Fatalf("after failed WriteTo: got %q err %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed WriteTo left debris: %v", entries)
 	}
 }
 

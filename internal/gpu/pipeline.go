@@ -79,7 +79,6 @@ type Pipeline struct {
 	tus      []*TextureUnit
 	ffifo    *FragmentFIFO
 	mc       *mem.Controller
-	spans    *trace.Collector
 
 	// Resolved once by resolveCheckpointing.
 	ready []checkpointReady
@@ -328,13 +327,8 @@ func (p *Pipeline) EnableSpanTracing(opts trace.Options) *trace.Collector {
 	p.ffifo.SetTracers(col.Client("FFIFO.vtx"), col.Client("FFIFO.frag"))
 	p.Sim.OnEndCycle(col.EndCycle)
 	p.Sim.SetFlightRecorder(col.Recent)
-	p.spans = col
 	return col
 }
-
-// Spans returns the span collector installed by EnableSpanTracing,
-// or nil when tracing is off.
-func (p *Pipeline) Spans() *trace.Collector { return p.spans }
 
 // Alloc reserves GPU memory for driver objects (buffers, textures).
 func (p *Pipeline) Alloc(n int, align uint32) (uint32, error) {

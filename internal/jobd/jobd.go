@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"attila/internal/gpu"
+	"attila/internal/run"
 	"attila/internal/workload"
 )
 
@@ -191,7 +192,7 @@ type TenantClass struct {
 type SweepSpec struct {
 	Name string `json:"name"`
 	// Defaults fills zero fields of every job in the sweep.
-	Defaults JobSpec `json:"defaults,omitempty"`
+	Defaults JobSpec   `json:"defaults,omitempty"`
 	Jobs     []JobSpec `json:"jobs"`
 }
 
@@ -205,7 +206,7 @@ func NormalizeSweep(spec SweepSpec) ([]JobSpec, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("jobd: sweep needs a name")
 	}
-	if spec.Name != sanitizeName(spec.Name) {
+	if spec.Name != run.SanitizeName(spec.Name) {
 		return nil, fmt.Errorf("jobd: sweep name %q: only [a-zA-Z0-9.-] allowed", spec.Name)
 	}
 	if len(spec.Jobs) == 0 {
@@ -284,7 +285,7 @@ func (s JobSpec) normalize(sweepDefaults JobSpec) (JobSpec, error) {
 	if strings.TrimSpace(s.Name) == "" {
 		return s, fmt.Errorf("jobd: job needs a name")
 	}
-	if s.Name != sanitizeName(s.Name) {
+	if s.Name != run.SanitizeName(s.Name) {
 		return s, fmt.Errorf("jobd: job name %q: only [a-zA-Z0-9.-] allowed", s.Name)
 	}
 	if _, err := ResolveConfig(s.Config); err != nil {
@@ -296,7 +297,7 @@ func (s JobSpec) normalize(sweepDefaults JobSpec) (JobSpec, error) {
 	if s.Width <= 0 || s.Height <= 0 || s.Frames <= 0 {
 		return s, fmt.Errorf("jobd: job %s: width/height/frames must be positive", s.Name)
 	}
-	if s.Tenant != "" && s.Tenant != sanitizeName(s.Tenant) {
+	if s.Tenant != "" && s.Tenant != run.SanitizeName(s.Tenant) {
 		return s, fmt.Errorf("jobd: tenant %q: only [a-zA-Z0-9.-] allowed", s.Tenant)
 	}
 	return s, nil
@@ -337,16 +338,4 @@ func ResolveConfig(name string) (gpu.Config, error) {
 		return gpu.CaseStudy(tus, mode), nil
 	}
 	return gpu.Config{}, fmt.Errorf("jobd: unknown config %q (want baseline, baseline-unified, highend, embedded, or casestudy:<tus>:<mode>)", name)
-}
-
-// sanitizeName keeps only file-name-safe runes.
-func sanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

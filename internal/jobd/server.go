@@ -16,13 +16,11 @@ import (
 	"time"
 
 	"attila/internal/chaos"
-	"attila/internal/chkpt"
 	"attila/internal/core"
-	"attila/internal/experiments"
 	"attila/internal/fsatomic"
-	"attila/internal/gpu"
 	"attila/internal/obsv"
 	"attila/internal/obsv/trace"
+	"attila/internal/run"
 	"attila/internal/workload"
 )
 
@@ -51,7 +49,7 @@ type Options struct {
 	Retries int
 	// RetryBackoff is the base delay before the first retry, doubling
 	// per attempt up to RetryBackoffMax with seeded jitter
-	// (experiments.RetryDelay). Zero retries immediately.
+	// (run.RetryDelay). Zero retries immediately.
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 	// CheckpointInterval is the per-job checkpoint cadence in cycles;
@@ -1072,7 +1070,7 @@ func (s *Server) supervise(j *Job) {
 		s.mu.Unlock()
 		s.logf("jobd: job %s attempt %d failed (%s): %v; retrying from checkpoint",
 			j.Spec.Name, attempt, kind, runErr)
-		if d := experiments.RetryDelay(s.opts.RetryBackoff, s.opts.RetryBackoffMax, attempt, rng); d > 0 {
+		if d := run.RetryDelay(s.opts.RetryBackoff, s.opts.RetryBackoffMax, attempt, rng); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-s.stopCh:
@@ -1112,9 +1110,10 @@ func classifyFailure(err error, cause int32) string {
 	}
 }
 
-// attempt runs one try of the job: build a fresh pipeline, wire chaos
-// on the first attempt, resume from the job's checkpoint when one
-// exists, and record live progress/preemption through the cycle hook.
+// attempt runs one try of the job on a fresh machine (run.Start): chaos
+// on the first attempt only, resumed from the job's checkpoint when a
+// usable one exists, with live progress, kill, cancel, preemption and
+// drain riding the cycle hook.
 func (s *Server) attempt(j *Job, attempt int) error {
 	spec := j.Spec
 	cfg, err := ResolveConfig(spec.Config)
@@ -1130,30 +1129,47 @@ func (s *Server) attempt(j *Job, attempt int) error {
 	default:
 		cfg.WatchdogWindow = 0
 	}
-	pipe, err := gpu.New(cfg, spec.Width, spec.Height)
-	if err != nil {
-		return err
-	}
-	cmds, _, err := workload.Build(spec.Workload, pipe, workload.Params{
-		Width: spec.Width, Height: spec.Height,
-		Frames: spec.Frames, Aniso: spec.Aniso, Seed: spec.Seed,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Span tracing must attach before the checkpoint engine so the
-	// collector's fold hook runs before each quiesced capture.
-	var col *trace.Collector
-	var extra []chkpt.Snapshotter
-	if s.opts.TraceSample > 0 {
-		col = pipe.EnableSpanTracing(trace.Options{SampleRate: s.opts.TraceSample, Seed: s.opts.TraceSeed})
-		extra = append(extra, col)
-	}
-
 	ckptPath := s.ckptPath(j)
+	rs := run.Spec{
+		Config: cfg, Width: spec.Width, Height: spec.Height,
+		Source: run.Workload(spec.Workload, workload.Params{
+			Width: spec.Width, Height: spec.Height,
+			Frames: spec.Frames, Aniso: spec.Aniso, Seed: spec.Seed,
+		}),
+		MaxCycles:  spec.MaxCycles,
+		Spans:      trace.Options{SampleRate: s.opts.TraceSample, Seed: s.opts.TraceSeed},
+		Checkpoint: run.Checkpoint{Path: ckptPath, Interval: s.opts.CheckpointInterval},
+	}
 	s.mu.Lock()
 	resumable := j.resumable
+	s.mu.Unlock()
+	if attempt > 1 || resumable {
+		// No usable checkpoint (the fault hit before the first capture,
+		// the file was destroyed, its spans were sampled at another rate)
+		// means a replay from the start, on a machine the refused restore
+		// never touched.
+		rs.RestoreFrom = ckptPath
+	} else {
+		// A fresh job must not resume from a stale checkpoint left by an
+		// earlier life under the same name.
+		os.Remove(ckptPath)
+	}
+	// Chaos faults arm on the first attempt only, so a recovered job
+	// cannot re-hit its injected fault.
+	var kill *chaos.KillFault
+	if attempt == 1 {
+		rs.Chaos = s.opts.Chaos.PanicPlan(spec.Name)
+		kill = s.opts.Chaos.KillFor(spec.Name)
+	}
+	sess, err := run.StartOrReplay(rs, s.logf)
+	if err != nil {
+		return err
+	}
+	pipe, eng, col := sess.Pipe, sess.Engine, sess.Spans
+	if sess.RestoredCycle > 0 {
+		s.logf("jobd: job %s resuming from checkpoint at cycle %d", spec.Name, sess.RestoredCycle)
+	}
+	s.mu.Lock()
 	j.stopFn = pipe.Sim.Stop
 	s.mu.Unlock()
 	defer func() {
@@ -1161,34 +1177,15 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		j.stopFn = nil
 		s.mu.Unlock()
 	}()
-	if attempt == 1 && !resumable {
-		// A fresh job must not resume from a stale checkpoint left by
-		// an earlier life under the same name.
-		os.Remove(ckptPath)
-	}
-	eng := pipe.EnableCheckpoints(ckptPath, spec.Workload, s.opts.CheckpointInterval, extra...)
 	// Fencing: every checkpoint write consults the fleet lease first
 	// and stamps its epoch, so a host that lost its lease (stolen,
 	// yanked, or paused past TTL) can never publish a stale-epoch
 	// checkpoint over the new owner's.
 	if s.opts.Fence != nil {
-		name := spec.Name
-		eng.Gate = func() error { return s.opts.Fence(name) }
+		eng.Gate = func() error { return s.opts.Fence(spec.Name) }
 	}
 	if s.opts.LeaseEpoch != nil {
-		name := spec.Name
-		eng.Epoch = func() int64 { return s.opts.LeaseEpoch(name) }
-	}
-
-	// Chaos faults arm on the first attempt only, so a recovered job
-	// cannot re-hit its injected fault.
-	if plan := s.opts.Chaos.PanicPlan(spec.Name); plan != nil && attempt == 1 {
-		inj := chaos.NewInjector(plan, pipe.Sim.Binder)
-		pipe.Sim.SetClockGate(inj)
-	}
-	var kill *chaos.KillFault
-	if attempt == 1 {
-		kill = s.opts.Chaos.KillFor(spec.Name)
+		eng.Epoch = func() int64 { return s.opts.LeaseEpoch(spec.Name) }
 	}
 
 	ctx := context.Background()
@@ -1263,24 +1260,7 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		}
 	})
 
-	resumed := false
-	if attempt > 1 || resumable {
-		if snap, rerr := chkpt.ReadFile(ckptPath); rerr == nil && snap.Meta.Workload == spec.Workload {
-			if pipe.RestoreCheckpoint(snap, cmds, extra...) == nil {
-				resumed = true
-				s.logf("jobd: job %s resuming from checkpoint at cycle %d", spec.Name, snap.Meta.Cycle)
-			}
-		}
-		// No usable checkpoint (the fault hit before the first capture,
-		// or the file was destroyed): replay from the start.
-	}
-	var runErr error
-	if resumed {
-		runErr = pipe.ResumeContext(ctx, spec.MaxCycles)
-	} else {
-		runErr = pipe.RunContext(ctx, cmds, spec.MaxCycles)
-	}
-	if runErr != nil {
+	if runErr := sess.Run(ctx); runErr != nil {
 		j.progress.Store(reached)
 		if errors.Is(runErr, core.ErrCanceled) && ctx.Err() != nil {
 			j.cause.CompareAndSwap(causeNone, causeTimeout)

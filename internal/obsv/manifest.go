@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"attila/internal/fsatomic"
 )
 
 // Manifest records everything needed to reproduce and audit a run:
@@ -177,13 +179,15 @@ func (m *Manifest) AbsorbPrevious(prev *Manifest) {
 	m.Attempt = pa + 1
 }
 
-// WriteFile serializes the manifest as indented JSON at path.
+// WriteFile serializes the manifest as indented JSON at path,
+// atomically: a kill mid-write leaves the previous manifest, never a
+// torn one that a later -restore would fail to fold into its history.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return fsatomic.WriteFile(path, append(data, '\n'))
 }
 
 // GitDescribe returns the VCS revision baked into the binary by the

@@ -1,4 +1,4 @@
-package experiments
+package run
 
 import (
 	"math/rand"
