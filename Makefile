@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench fuzz fleet-smoke profile loc
+.PHONY: build test check lint bench fuzz fleet-smoke profile awake loc
 
 build:
 	$(GO) build ./...
@@ -32,12 +32,16 @@ test:
 # takeover), the cancel/complete terminal-state race, the shader issue
 # scheduler, the pending texture sends and the texture unit against
 # their reference models (raced), the park/wake protocol (the core
-# suite again, ten times over, for the lost-wake-up races; then every
-# golden scene against the every-box-every-cycle loop, the flow credit
-# fold and the FragmentFIFO dispatch against the loops they replaced,
-# all raced), the supervised run against what it replaced (the core and
-# mem suites above hold the watchdog's tallies to the per-cycle walk and
-# the page-marked memory snapshot to the full scan; here every golden
+# suite again, ten times over, for the lost-wake-up races, with the
+# accruing stall counters against the every-cycle loop at every
+# statistics interval; then every golden scene against the
+# every-box-every-cycle loop at every barrier, the stalled boxes counted
+# asleep, the two missed wakes read off the watchdog's report, the
+# texture units' quiesce flag, the flow credit fold and the FragmentFIFO
+# dispatch against what they replaced, all raced), the supervised run
+# against what it replaced (the core and mem suites above hold the
+# watchdog's tallies to the per-cycle walk and the page-marked memory
+# snapshot to the full scan; here every golden
 # scene runs with watchdog and checkpoints armed, its checkpoint files
 # pinned, the quiesce predicate and the watchdog held to their old
 # forms at every barrier, restored serially and on two workers, raced;
@@ -54,8 +58,8 @@ check:
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
 	$(GO) test -race -run '^TestSchedulerMatchesReference$$|^TestPendingTexSendsInSlotOrder$$|^TestTextureUnit(MatchesReference|FillFormatsBounded)$$' -count=1 ./internal/gpu/
-	$(GO) test -race -run 'Park|Publication' -count=10 ./internal/core/
-	$(GO) test -race -run '^TestParkedClockIsNoOp$$|^TestParkingWithQueuedItemIsCaught$$|^TestFlowFoldMatchesEveryCycleModel$$|^TestDispatchMatchesOldWalk$$|^TestBlockedTriangleIsJudgedOnce$$' -count=1 ./internal/gpu/
+	$(GO) test -race -run 'Park|Publication|Accru' -count=10 ./internal/core/
+	$(GO) test -race -run '^TestParkedClockIsNoOp$$|^TestStalledBoxesSleep$$|^TestParkingWithQueuedItemIsCaught$$|^TestMissedReplyWakeIsReadable$$|^TestFlushOfCleanCacheCompletes$$|^TestQuiesceFlagMatchesEveryClockModel$$|^TestFlowFoldMatchesEveryCycleModel$$|^TestDispatchMatchesOldWalk$$|^TestBlockedTriangleIsJudgedOnce$$' -count=1 ./internal/gpu/
 	$(GO) test -race -run '^TestGoldenCheckpoints$$' -count=1 ./internal/gpu/
 	$(GO) test -race -run '^TestJobdProgressIsMonotone$$' -count=1 ./internal/jobd/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
@@ -119,6 +123,12 @@ fleet-smoke:
 # SUPERVISED=1 runs the scene the way jobd runs a job: watchdog armed,
 # a checkpoint every 50000 cycles, spans sampled 1 in 64.
 # make profile SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
+#
+# awake is the same run under -profile-boxes, reduced to the table
+# DESIGN.md section 10 "What a quiet cycle costs" keeps: per box, the
+# share of cycles it was clocked on (its samples over the sampled
+# cycles), and their sum, the box clocks an average cycle makes.
+# make awake SCENE=doom3|spinner|ut2004 [PROFILE_DIR=dir]
 SCENE ?= doom3
 PROFILE_DIR ?= /tmp/attila-profile
 profile_supervised := $(if $(SUPERVISED),-watchdog 50000000 -checkpoint-interval 50000 -trace-sample 1/64)
@@ -128,10 +138,21 @@ profile_size_ut2004 := -width 256 -height 192 -frames 4
 profile_config_doom3 := -config casestudy -tus 1
 profile_config_spinner := -config embedded
 profile_config_ut2004 := -config baseline-unified
-profile:
-	@test -n "$(profile_size_$(SCENE))" || { echo "make profile: SCENE must be doom3, spinner or ut2004" >&2; exit 2; }
+profile_run = $(PROFILE_DIR)/attilasim -trace $(PROFILE_DIR)/$(SCENE).attila $(profile_config_$(SCENE)) $(profile_supervised) -manifest none
+define profile_scene
+	@test -n "$(profile_size_$(SCENE))" || { echo "make $@: SCENE must be doom3, spinner or ut2004" >&2; exit 2; }
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/ ./cmd/tracegen ./cmd/attilasim
 	$(PROFILE_DIR)/tracegen -workload $(SCENE) $(profile_size_$(SCENE)) -out $(PROFILE_DIR)/$(SCENE).attila
-	$(PROFILE_DIR)/attilasim -trace $(PROFILE_DIR)/$(SCENE).attila $(profile_config_$(SCENE)) $(profile_supervised) -manifest none -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
+endef
+profile:
+	$(profile_scene)
+	$(profile_run) -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
 	$(GO) tool pprof -top -cum -nodecount 50 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).prof
+awake:
+	$(profile_scene)
+	@$(profile_run) -profile-boxes | awk ' \
+		/^simulated / { cycles = $$2; sampled = int((cycles + 63) / 64) } \
+		table && NF == 6 { printf "%-22s %5.1f%%\n", $$1, 100 * $$5 / sampled; clocks += $$5 } \
+		/^box / { table = 1 } \
+		END { printf "%-22s %6.2f box clocks per cycle (%d cycles, 1 in 64 sampled)\n", "all boxes", clocks / sampled, cycles }'

@@ -17,6 +17,7 @@ type Binder struct {
 	sorted    []*Signal         // by name, built on first use
 	producers map[string]string // signal name -> box name
 	consumers map[string]string
+	owners    map[string]string          // Own: name -> the box that clocks it
 	pending   map[string][]func(*Signal) // Bind calls before Provide
 }
 
@@ -26,6 +27,7 @@ func NewBinder() *Binder {
 		signals:   make(map[string]*Signal),
 		producers: make(map[string]string),
 		consumers: make(map[string]string),
+		owners:    make(map[string]string),
 		pending:   make(map[string][]func(*Signal)),
 	}
 }
@@ -62,6 +64,21 @@ func (b *Binder) Bind(box, name string, dst **Signal) {
 		return
 	}
 	b.pending[name] = append(b.pending[name], func(s *Signal) { *dst = s })
+}
+
+// Own declares that the wires provided and bound under name — a part
+// that is no box itself, such as a cache's memory port — are written
+// and read by box, which clocks that part: a write on a wire bound
+// under name wakes box. Wire and section names do not change.
+func (b *Binder) Own(box, name string) { b.owners[name] = box }
+
+// boxOf resolves the name a wire end was registered under to the box
+// at that end.
+func (b *Binder) boxOf(name string) string {
+	if owner, ok := b.owners[name]; ok {
+		return owner
+	}
+	return name
 }
 
 // Validate returns an error when any signal is missing a producer or

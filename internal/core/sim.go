@@ -12,38 +12,54 @@ import (
 
 // Who gets clocked. The paper's loop clocks every box every cycle; this
 // one clocks the boxes that are awake. A box may end a Clock by parking
-// (BoxBase.Park), and is then skipped until something wakes it.
+// (BoxBase.Park, BoxBase.ParkCounting), and is then skipped until
+// something wakes it.
 //
 // The park contract: a box parks only in a state where every further
-// Clock would change nothing — no field, counter, gauge maximum,
-// signal or shared batch state — until one of the wake sources it can
-// name fires:
+// Clock would change nothing — no field, gauge maximum, signal or
+// shared batch state — except add a fixed amount to the counters it
+// names to ParkCounting, until one of the wake sources it can name
+// fires:
 //
 //	(a) a Write on one of its input wires. Each signal's consumer box is
-//	    resolved from the Binder when a Run starts; the write wakes it at
-//	    write time, not arrival time, so the simulator keeps a parking box
-//	    awake while any of its inputs has something in flight (Pending).
+//	    resolved from the Binder when a Run starts (through Binder.Own
+//	    for a wire bound under the name of something the box clocks, a
+//	    cache's memory port); the write wakes it at write time, not
+//	    arrival time, so the simulator keeps a parking box awake while
+//	    any of its inputs has something in flight (Pending).
 //	(b) the barrier folding a Publication it reads — released credits
 //	    arriving in one of its output flows wake a producer that was
 //	    blocked on credit alone.
 //	(c) BoxBase.Wake from a box that calls it directly (same pin group).
 //
+// A stalled box sleeps too. A counter named to ParkCounting accrues
+// from the cycle after the park was granted: Counter.Value adds its
+// rate times the cycles gone by, read off the simulator's cycle
+// register, which the barrier advances before anything samples a
+// statistic — so the interval CSV, the summary, a checkpoint's stats
+// section and every BusyCycles reader see at each barrier the number the
+// skipped Clocks would have written, with no timer and no credit paid
+// late. The shard folds the sum into the counter before the box's next
+// Clock, and the end of a Run folds what is still accruing. The accrual
+// starts only with a granted park: one refused for an input in flight
+// leaves the box awake to count for itself next cycle.
+//
 // A box that cannot name its wake source in some state — it polls
-// shared state, counts cycles, increments a stall counter per blocked
-// cycle, or waits on a wire bound under a name that is not a box's (a
-// memory port's replies) — stays awake in that state. No counter is
-// credited in bulk on wake-up: interval statistics sample deltas, and a
-// late credit lands in the wrong row.
+// shared state or waits out a number of cycles (a busy memory channel,
+// an instruction's latency, the display refresh) — stays awake in that
+// state.
 //
 // Two consequences hold by construction. A spurious clock of a parked
 // box is harmless: so every Run (a restored one included) starts with
 // all boxes awake and park state is never serialized, an installed
 // ClockGate — whose decisions are keyed by (cycle, box) — keeps every
-// box awake, and a cross-shard wake that races the consumer's loop may
-// be seen this cycle or the next (the object it announces arrives no
-// earlier than that). A missed wake is a bug: across shards parking is
-// the classic lost-wake-up pattern, and shard.park and Signal.WriteLat
-// hold the two halves of the protocol that rules it out.
+// box awake and no counter accruing, and a cross-shard wake that races
+// the consumer's loop may be seen this cycle or the next (the object it
+// announces arrives no earlier than that). A missed wake is a bug:
+// across shards parking is the classic lost-wake-up pattern, and
+// shard.park and Signal.WriteLat hold the two halves of the protocol
+// that rules it out; the watchdog's report says which boxes were parked
+// since when, counting what (DeadlockReport).
 
 // Box is a timing module. Clock is called once per simulated cycle
 // while the box is awake (always, for a box that never parks); a box
@@ -65,6 +81,17 @@ type BoxBase struct {
 	idx    int    // the box's bit in sh.awake
 	parked atomic.Bool
 	inputs []*Signal // the wires this box consumes
+	// counting holds what the Clock in progress named to ParkCounting,
+	// and, once the park is granted, what accrues until the next Clock.
+	counting []accrual
+	parkedAt int64 // cycle of the Clock that last parked the box
+}
+
+// accrual is one counter a parked box would have added perCycle to on
+// every Clock it is spared.
+type accrual struct {
+	c        *Counter
+	perCycle float64
 }
 
 // Init sets the box name.
@@ -82,6 +109,21 @@ func (b *BoxBase) boxBase() *BoxBase { return b }
 func (b *BoxBase) Park() {
 	if b.sh != nil {
 		b.sh.parking = true
+	}
+}
+
+// ParkCounting is Park for a state in which every further Clock would
+// also add perCycle to c (a stall counter, one per blocked cycle): c
+// accrues at that rate from the next cycle until the box is clocked
+// again, if the park is granted. Call it once per such counter, each
+// counter at most once in a Clock.
+func (b *BoxBase) ParkCounting(c *Counter, perCycle int) {
+	if b.sh == nil {
+		return
+	}
+	b.sh.parking = true
+	if perCycle != 0 {
+		b.counting = append(b.counting, accrual{c, float64(perCycle)})
 	}
 }
 
@@ -406,6 +448,7 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 		s.wd.reset(s)
 	}
 	err := s.run(maxCycles, max(s.resolveWorkers(), 1))
+	s.endParks()
 	// A failing cycle stops before its barrier: drain whatever trace
 	// entries its boxes produced so the trace shows the violation.
 	s.flushTraces()
@@ -529,9 +572,15 @@ type shard struct {
 	bases []*BoxBase // bases[i] is boxes[i]'s BoxBase; nil for a Box without one
 	// awake has bit i set while boxes[i] is to be clocked. Cleared by
 	// the shard itself when a box parks, set by Wake from any goroutine.
-	awake   []atomic.Uint64
-	parking bool           // the box being clocked called Park
-	pubs    []*Publication // marked this cycle, folded at the barrier
+	awake []atomic.Uint64
+	// accruing has bit i set while boxes[i] is parked with counters
+	// accruing (bases[i].counting), to be folded before its next Clock:
+	// accruing & awake is who that is. Plain: the shard's goroutine alone
+	// touches it during a Run.
+	accruing []uint64
+	now      *int64         // the simulator's cycle register, which accruing counters read
+	parking  bool           // the box being clocked called Park
+	pubs     []*Publication // marked this cycle, folded at the barrier
 	// produced and consumed total the traffic of every wire this shard's
 	// boxes write and read (Signal.prodTally, consTally), progress every
 	// Progress counter of theirs. Plain: bumped by the shard's goroutine,
@@ -552,6 +601,7 @@ func (sh *shard) setBoxes(boxes []Box) {
 	sh.boxes = boxes
 	sh.bases = make([]*BoxBase, len(boxes))
 	sh.awake = make([]atomic.Uint64, (len(boxes)+63)/64)
+	sh.accruing = make([]uint64, len(sh.awake))
 	for i, b := range boxes {
 		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
 			base := bb.boxBase()
@@ -579,17 +629,18 @@ func (sh *shard) setAwake(i int, on bool) {
 	}
 }
 
-// park takes box i out of the awake set unless one of its inputs has
-// something in flight. The order is the lost-wake-up protocol of the
-// park contract: leave the set, publish the flag, then re-check the
-// inputs; a writer that bumped produced before our re-check is seen
-// here, one that bumps it after sees the flag. (Checking first and
-// publishing second would lose a write that lands in between.)
-func (sh *shard) park(i int) {
+// park takes box i out of the awake set, and reports it did, unless one
+// of its inputs has something in flight. The order is the lost-wake-up
+// protocol of the park contract: leave the set, publish the flag, then
+// re-check the inputs; a writer that bumped produced before our
+// re-check is seen here, one that bumps it after sees the flag.
+// (Checking first and publishing second would lose a write that lands
+// in between.)
+func (sh *shard) park(i int) bool {
 	base := sh.bases[i] // never nil: only a BoxBase can have asked
 	for _, in := range base.inputs {
 		if in.Pending() {
-			return // the common refusal, before any atomic write
+			return false // the common refusal, before any atomic write
 		}
 	}
 	sh.setAwake(i, false)
@@ -597,7 +648,59 @@ func (sh *shard) park(i int) {
 	for _, in := range base.inputs {
 		if in.Pending() {
 			base.Wake()
-			return
+			return false
+		}
+	}
+	return true
+}
+
+// parkAfter settles what box i's Clock of cycle c asked for: the park,
+// and with a granted one the accrual of the counters it named, from
+// cycle c+1 on — the Clock itself counted c. A refused park (or any,
+// under a gate) leaves the box awake to count for itself.
+func (sh *shard) parkAfter(i int, c int64) {
+	base := sh.bases[i]
+	if sh.gate != nil || !sh.park(i) {
+		base.counting = base.counting[:0]
+		return
+	}
+	base.parkedAt = c
+	if len(base.counting) == 0 {
+		return
+	}
+	for _, a := range base.counting {
+		a.c.rate, a.c.since, a.c.now = a.perCycle, c+1, sh.now
+	}
+	sh.accruing[i>>6] |= 1 << (i & 63)
+}
+
+// settle ends box i's accrual before it is clocked at cycle c (or with
+// the Run, c the cycle it would next have run): the skipped cycles
+// fold into the counters.
+func (sh *shard) settle(i int, c int64) {
+	base := sh.bases[i]
+	for _, a := range base.counting {
+		a.c.settle(c)
+	}
+	base.counting = base.counting[:0]
+	sh.accruing[i>>6] &^= 1 << (i & 63)
+}
+
+// endParks ends the park state of a Run with it: what still accrues is
+// folded through the last cycle clocked, and no box keeps a shard to
+// park in, so a later Run (or a harness clocking by hand) starts from
+// plain counters and boxes that are all awake.
+func (s *Simulator) endParks() {
+	for _, sh := range s.shards {
+		for i, base := range sh.bases {
+			if base == nil {
+				continue
+			}
+			if sh.accruing[i>>6]&(1<<(i&63)) != 0 {
+				sh.settle(i, s.cycle)
+			}
+			base.parked.Store(false)
+			base.sh = nil
 		}
 	}
 }
@@ -641,7 +744,13 @@ func (sh *shard) clock(c int64) {
 	for w := range sh.awake {
 		// A box woken after this load is clocked next cycle, which is
 		// early enough: what woke it arrives no sooner.
-		for word := sh.awake[w].Load(); word != 0; word &= word - 1 {
+		word := sh.awake[w].Load()
+		// The sleepers among them wake up to settled counters. (Under a
+		// gate nothing accrues, so none of these is skipped below.)
+		for woken := sh.accruing[w] & word; woken != 0; woken &= woken - 1 {
+			sh.settle(w<<6+bits.TrailingZeros64(woken), c)
+		}
+		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			cur = sh.boxes[i]
 			if sh.gate != nil && !sh.gate.BeforeClock(c, cur) {
@@ -656,9 +765,7 @@ func (sh *shard) clock(c int64) {
 			}
 			if sh.parking {
 				sh.parking = false
-				if sh.gate == nil {
-					sh.park(i)
-				}
+				sh.parkAfter(i, c)
 			}
 		}
 	}
@@ -666,10 +773,11 @@ func (sh *shard) clock(c int64) {
 
 // wire resolves, for the shards about to be clocked, what is bound by
 // name or by box: each signal's consumer box (woken by writes, and the
-// wires a parking box must find empty), the shard tallies that its two
-// ends and each reporter's counters count into, and each publication's
-// writer shard and reader box. Publications marked but not yet folded
-// move to their new list. All boxes start awake.
+// wires a parking box must find empty; Binder.Own names the box behind
+// a wire end registered under another name), the shard tallies that its
+// two ends and each reporter's counters count into, and each
+// publication's writer shard and reader box. Publications marked but
+// not yet folded move to their new list. All boxes start awake.
 //
 // The tallies start from what their wires and counters have counted so
 // far, so that they always add up to what those say themselves.
@@ -698,18 +806,20 @@ func (s *Simulator) wire(shards []*shard) error {
 		}
 	}
 	for _, sig := range s.Binder.order {
-		sig.reader = byName[s.Binder.consumers[sig.name]]
+		producer := s.Binder.boxOf(s.Binder.producers[sig.name])
+		consumer := s.Binder.boxOf(s.Binder.consumers[sig.name])
+		sig.reader = byName[consumer]
 		if sig.reader != nil {
 			sig.reader.inputs = append(sig.reader.inputs, sig)
 		}
 		sig.prodTally, sig.consTally = nil, nil
-		if sh := shardOf[s.Binder.producers[sig.name]]; sh != nil {
+		if sh := shardOf[producer]; sh != nil {
 			sig.prodTally = &sh.produced
 			sh.produced += sig.produced.Load()
 		} else {
 			s.walkProd = append(s.walkProd, sig)
 		}
-		if sh := shardOf[s.Binder.consumers[sig.name]]; sh != nil {
+		if sh := shardOf[consumer]; sh != nil {
 			sig.consTally = &sh.consumed
 			sh.consumed += sig.consumed.Load()
 		} else {
@@ -792,7 +902,7 @@ func (s *Simulator) run(maxCycles int64, nw int) (err error) {
 	}
 	shards := make([]*shard, len(groups))
 	for i, boxes := range groups {
-		shards[i] = &shard{id: i, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate}
+		shards[i] = &shard{id: i, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate, now: &s.cycle}
 		shards[i].setBoxes(boxes)
 	}
 	if err := s.wire(shards); err != nil {

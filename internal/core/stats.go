@@ -31,16 +31,43 @@ type Stat interface {
 // barrier, so parallel simulation needs no locking. Every Add in the
 // tree passes an integer and totals stay well below 2^53, so the
 // float64 sum is exact in any order.
+//
+// A counter accrues while its box is parked counting it
+// (BoxBase.ParkCounting): Value adds rate for every cycle since, read
+// off the simulator's cycle register, until the box's next Clock folds
+// the sum into v. Inc and Add know nothing of it.
 type Counter struct {
 	name string
 	v    float64
+
+	rate  float64 // added per cycle from since on; 0 when not accruing
+	since int64   // the first cycle the parked box does not count itself
+	now   *int64  // the simulator's cycle register, valid while rate != 0
 }
 
 // StatName implements Stat.
 func (c *Counter) StatName() string { return c.name }
 
 // Value implements Stat.
-func (c *Counter) Value() float64 { return c.v }
+func (c *Counter) Value() float64 {
+	if c.rate != 0 {
+		return c.v + c.accrued(*c.now)
+	}
+	return c.v
+}
+
+// accrued is what the skipped Clocks of cycles since..upTo-1 would have
+// added. A run that fails in the middle of a cycle leaves the register
+// one short of the since of a box that parked in it: no cycle skipped.
+func (c *Counter) accrued(upTo int64) float64 {
+	return c.rate * float64(max(upTo-c.since, 0))
+}
+
+// settle folds the accrual through cycle upTo-1 into v and ends it.
+func (c *Counter) settle(upTo int64) {
+	c.v += c.accrued(upTo)
+	c.rate = 0
+}
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.v++ }

@@ -55,10 +55,16 @@ type SignalState struct {
 	InFlight []string `json:"inFlight,omitempty"` // "tag#id @arrival" per stuck object
 }
 
-// BoxState is the deadlock-report snapshot of one box's queues.
+// BoxState is the deadlock-report snapshot of one box: its queues and,
+// when it was not being clocked, since which Clock it is parked and the
+// counters accruing meanwhile — a box parked over an occupied queue,
+// beside a wire holding an object for it, is a missed wake.
 type BoxState struct {
-	Name   string      `json:"name"`
-	Queues []QueueStat `json:"queues"`
+	Name     string      `json:"name"`
+	Queues   []QueueStat `json:"queues"`
+	Parked   bool        `json:"parked,omitempty"`
+	ParkedAt int64       `json:"parkedAt,omitempty"`
+	Accruing []string    `json:"accruing,omitempty"`
 }
 
 // ActivitySample records one cycle of signal traffic, for the
@@ -102,7 +108,15 @@ func (r *DeadlockReport) String() string {
 	if len(r.Boxes) > 0 {
 		sb.WriteString("stalled box queues and credit pools:\n")
 		for _, b := range r.Boxes {
-			fmt.Fprintf(&sb, "  %s\n", b.Name)
+			fmt.Fprintf(&sb, "  %s", b.Name)
+			if b.Parked {
+				fmt.Fprintf(&sb, "  (parked since cycle %d", b.ParkedAt)
+				if len(b.Accruing) > 0 {
+					fmt.Fprintf(&sb, ", counting %s", strings.Join(b.Accruing, " "))
+				}
+				sb.WriteByte(')')
+			}
+			sb.WriteByte('\n')
 			for _, q := range b.Queues {
 				if q.Capacity > 0 {
 					fmt.Fprintf(&sb, "    %-32s %d/%d\n", q.Name, q.Occupied, q.Capacity)
@@ -229,22 +243,26 @@ func (w *watchdog) report(s *Simulator, cycle int64) *DeadlockReport {
 		})
 	}
 	for _, b := range s.boxes {
-		sr, ok := b.(StallReporter)
-		if !ok {
-			continue
+		st := BoxState{Name: b.BoxName()}
+		if sr, ok := b.(StallReporter); ok {
+			st.Queues = sr.Queues()
 		}
-		qs := sr.Queues()
-		occupied := false
-		for _, q := range qs {
-			if q.Occupied > 0 {
-				occupied = true
-				break
+		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
+			if base := bb.boxBase(); base.parked.Load() {
+				st.Parked, st.ParkedAt = true, base.parkedAt
+				for _, a := range base.counting {
+					st.Accruing = append(st.Accruing, a.c.name)
+				}
 			}
 		}
-		if !occupied {
-			continue
+		// A box holding something, or counting stall cycles in its sleep.
+		stalled := len(st.Accruing) > 0
+		for _, q := range st.Queues {
+			stalled = stalled || q.Occupied > 0
 		}
-		r.Boxes = append(r.Boxes, BoxState{Name: b.BoxName(), Queues: qs})
+		if stalled {
+			r.Boxes = append(r.Boxes, st)
+		}
 	}
 	return r
 }

@@ -50,7 +50,7 @@ func NewColorWrite(sim *core.Simulator, cfg *Config, idx int, pool *pipePool,
 	}
 	c.Init(nameIdx("ColorWrite", idx))
 	cc := mem.CacheConfig{
-		Name: nameIdx("ColorCache", idx), Sets: cfg.ColorCacheSets, Assoc: cfg.ColorCacheAssoc,
+		Name: nameIdx("ColorCache", idx), Owner: c.BoxName(), Sets: cfg.ColorCacheSets, Assoc: cfg.ColorCacheAssoc,
 		LineBytes: SurfaceBlockBytes, MissQ: 8, PortLimit: 8,
 	}
 	c.cache = mem.NewCache(sim, cc, &colorHooks{c: c})
@@ -102,14 +102,8 @@ func (c *ColorWrite) Clock(cycle int64) {
 		return
 	}
 	if c.flushPending {
-		if c.queue.Len() == 0 {
-			if !c.flushIssued {
-				if c.cache.FlushDirty(cycle) {
-					c.flushIssued = true
-				}
-			} else if c.cache.Quiesce() {
-				c.flushPending = false
-			}
+		if c.queue.Len() == 0 && stepFlush(&c.BoxBase, c.cache, cycle, &c.flushIssued) {
+			c.flushPending = false
 		}
 		return
 	}
@@ -122,11 +116,9 @@ func (c *ColorWrite) Clock(cycle int64) {
 		}
 	}
 	if c.queue.Len() == 0 {
-		// Until a quad is written to one of quadIns or the command
-		// processor starts a clear or flush. Replies to the cache's
-		// port arrive on a wire bound under the cache's name, which
-		// wakes nobody: stay awake until they are all in.
-		if c.cache.Idle() {
+		// Until a quad is written to one of quadIns, a reply to the
+		// cache's port, or the command processor starts a clear or flush.
+		if c.cache.Still() {
 			c.Park()
 		}
 		return
@@ -152,8 +144,9 @@ func (c *ColorWrite) Clock(cycle int64) {
 			c.cache.Miss()
 			c.headLooked = true
 		}
-		c.cache.RequestFill(cycle, key)
+		queued := c.cache.RequestFill(cycle, key)
 		c.statStall.Inc()
+		parkOnMiss(&c.BoxBase, c.cache, queued, &c.statStall)
 		return
 	}
 	if !c.headLooked { // a quad that missed was counted then

@@ -29,3 +29,10 @@ func OldProgressCount(b core.Box) (int64, bool) {
 	}
 	return 0, false
 }
+
+// TextureUnits exposes the pipeline's texture units, and LiveIdle the
+// condition a unit's published quiesce flag snapshots, to the external
+// tests.
+func (p *Pipeline) TextureUnits() []*TextureUnit { return p.tus }
+
+func (t *TextureUnit) LiveIdle() bool { return t.idle() }

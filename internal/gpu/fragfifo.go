@@ -69,6 +69,12 @@ type FragmentFIFO struct {
 	// advance (see startSlot).
 	rr int
 
+	// What the Clock in progress did: moved is set by a work item
+	// received, admitted, dispatched, completed or routed; refused
+	// counts the register reservations its dispatch scan was denied.
+	moved   bool
+	refused int
+
 	// Span tracing handles, one per work kind (nil: tracing off).
 	trVtx  *trace.Tracer
 	trFrag *trace.Tracer
@@ -109,15 +115,23 @@ func (f *FragmentFIFO) SetTracers(vtx, frag *trace.Tracer) {
 
 // Clock implements core.Box.
 func (f *FragmentFIFO) Clock(cycle int64) {
+	f.moved, f.refused = false, 0
 	f.collectCompletions(cycle)
 	f.drainOutbox(cycle)
 	f.acceptInputs(cycle)
 	f.dispatch(cycle)
 	f.windowGauge.Set(float64(f.windowUsed))
-	// Nothing in the window (pending, in a shader or in the outbox) and
-	// nothing waiting to enter it: until an input wire carries something.
-	if f.CheckpointReady() {
-		f.Park()
+	// Nothing moved: every queue head waits for credit, registers or a
+	// slot of the window, and the next Clock finds them waiting still,
+	// counts the full window again and is refused the same reservations
+	// (with no dispatch the scan visits every shader, whichever it starts
+	// at) — until a wire carries something in or credit folds into an
+	// output flow. An empty box counts nothing.
+	if !f.moved {
+		if f.windowUsed >= f.cfg.WindowThreads {
+			f.ParkCounting(&f.statWindowFull, 1)
+		}
+		f.ParkCounting(&f.statRegStall, f.refused)
 	}
 }
 
@@ -133,6 +147,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 			w.span = f.trVtx.Start(trace.KindVertex, cycle, 0)
 		}
 		f.vtxArrived.Push(w)
+		f.moved = true
 	}
 	for _, obj := range f.fragIn.Recv(cycle) {
 		q := obj.(*Quad)
@@ -143,6 +158,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 			w.span = f.trFrag.Start(trace.KindFrag, cycle, 0)
 		}
 		f.fragArrived.Push(w)
+		f.moved = true
 	}
 	// Admit into the window, vertices first (geometry starvation
 	// stalls the whole pipeline).
@@ -154,6 +170,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 		f.vtxPending.Push(w)
 		f.vtxIn.Release(1)
 		f.windowUsed++
+		f.moved = true
 	}
 	for f.windowUsed < f.cfg.WindowThreads && f.fragArrived.Len() > 0 {
 		w := f.fragArrived.Pop()
@@ -163,6 +180,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 		f.fragPending.Push(w)
 		f.fragIn.Release(1)
 		f.windowUsed++
+		f.moved = true
 	}
 	if f.windowUsed >= f.cfg.WindowThreads {
 		f.statWindowFull.Inc()
@@ -224,6 +242,7 @@ func (f *FragmentFIFO) dispatch(cycle int64) {
 			w.span.Sched = cycle
 		}
 		f.shaderIn[s].Send(cycle, w)
+		f.moved = true
 		if w.Kind == workVertex {
 			f.statVtxThreads.Inc()
 		} else {
@@ -244,12 +263,14 @@ func (f *FragmentFIFO) reserveRegs(w *ShaderWork) bool {
 	if usesVPool {
 		if f.vtxRegs+need > f.cfg.PhysRegsVertex {
 			f.statRegStall.Inc()
+			f.refused++
 			return false
 		}
 		f.vtxRegs += need
 	} else {
 		if f.fragRegs+need > f.cfg.PhysRegsFragment {
 			f.statRegStall.Inc()
+			f.refused++
 			return false
 		}
 		f.fragRegs += need
@@ -278,6 +299,7 @@ func (f *FragmentFIFO) collectCompletions(cycle int64) {
 				f.fragRegs -= w.Regs
 			}
 			f.outbox.Push(w)
+			f.moved = true
 		}
 	}
 }
@@ -290,6 +312,7 @@ func (f *FragmentFIFO) drainOutbox(cycle int64) {
 		}
 		f.outbox.Pop()
 		f.windowUsed--
+		f.moved = true
 		if sp := w.span; sp != nil {
 			w.span = nil
 			sp.Finish(cycle)

@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"attila/internal/core"
@@ -338,5 +340,65 @@ func TestPrimAssemblyStallBuildsNothing(t *testing.T) {
 		if ids := sim.IDs.Next() - idsBefore - 1; allocs != 0 || ids != 0 {
 			t.Errorf("%v: a stalled cycle cost %.0f allocations and %d object IDs, want none", mode, allocs, ids)
 		}
+	}
+}
+
+// attrLinesMapModel is Streamer.attrLines as it was at 626197c: a map
+// and a fresh slice per vertex.
+func attrLinesMapModel(st *DrawState, idx uint32) []uint32 {
+	seen := map[uint32]bool{}
+	var lines []uint32
+	for slot := range st.Attribs {
+		a := &st.Attribs[slot]
+		if !a.Enabled {
+			continue
+		}
+		base := a.Addr + idx*a.Stride
+		end := base + uint32(a.Size*4) - 1
+		for line := base &^ 63; line <= end&^63; line += 64 {
+			if !seen[line] {
+				seen[line] = true
+				lines = append(lines, line)
+			}
+		}
+	}
+	return lines
+}
+
+// The Streamer keeps a vertex's fetch lines in a scratch slice with a
+// linear search for duplicates: the same lines in the same order as the
+// map gave, over interleaved, separate, overlapping and line-straddling
+// attribute layouts, vertex after vertex in one scratch, allocating
+// nothing once the scratch has grown.
+func TestAttrLinesMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := &Streamer{}
+	for layout := 0; layout < 200; layout++ {
+		st := &DrawState{}
+		interleaved := layout%2 == 0
+		buf, stride := uint32(rng.Intn(1<<16))*4, uint32(16+rng.Intn(40))*4
+		for slot := range st.Attribs {
+			a := &st.Attribs[slot]
+			a.Enabled = rng.Intn(3) > 0
+			a.Size = 1 + rng.Intn(4)
+			if interleaved { // one buffer, offsets within a shared stride
+				a.Stride = stride
+				a.Addr = buf + uint32(rng.Intn(24))*4
+			} else {
+				a.Stride = uint32(a.Size+rng.Intn(3)) * 4
+				a.Addr = uint32(rng.Intn(1<<16)) * 4
+			}
+		}
+		s.batch = &BatchState{State: st}
+		for v := 0; v < 50; v++ {
+			idx := uint32(rng.Intn(4096))
+			s.fetchSt.lines = s.attrLines(idx)
+			if want := attrLinesMapModel(st, idx); !slices.Equal(s.fetchSt.lines, want) {
+				t.Fatalf("layout %d vertex %d: lines %#x, map model %#x", layout, idx, s.fetchSt.lines, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.fetchSt.lines = s.attrLines(17) }); n != 0 {
+		t.Errorf("attrLines allocates %v times per vertex", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"attila/internal/emu/shaderemu"
 	"attila/internal/emu/texemu"
 	"attila/internal/isa"
+	"attila/internal/mem"
 	"attila/internal/vmath"
 )
 
@@ -353,6 +354,11 @@ func (f *Flow) CanSend(cycle int64, n int) bool {
 	return used+n <= f.sig.Bandwidth()
 }
 
+// OutOfCredit reports that nothing can be sent until the consumer
+// releases a credit, whose fold wakes the producer: a producer with
+// credit left may have run out of bandwidth for one cycle only.
+func (f *Flow) OutOfCredit() bool { return f.credits == 0 }
+
 func (f *Flow) note(cycle int64) {
 	if cycle != f.sentCycle {
 		f.sentCycle = cycle
@@ -398,6 +404,45 @@ func (f *Flow) Release(n int) {
 func (f *Flow) EndCycle(cycle int64) {
 	f.credits += f.released
 	f.released = 0
+}
+
+// parkOnMiss parks a unit whose Clock ended stalled on its head item —
+// a line missing from its cache; or, asking nothing of the cache
+// (fillQueued true), no credit to forward it — if nothing moved in the
+// cache this cycle: until a reply is written to the cache's port,
+// something to the unit's own inputs, or credit folds into its output.
+// It sleeps through cycles like this one, each adding one to the stall
+// counters named and, when the fill could not even be queued and is
+// retried every cycle, to the cache's count of refusals. A cache that
+// moved may have more to do next cycle: the unit stays awake for it.
+func parkOnMiss(b *core.BoxBase, cache *mem.Cache, fillQueued bool, stalls ...*core.Counter) {
+	if !cache.Still() {
+		return
+	}
+	for _, c := range stalls {
+		b.ParkCounting(c, 1)
+	}
+	if !fillQueued {
+		b.ParkCounting(cache.MissStalls(), 1)
+	}
+}
+
+// stepFlush advances a ROP's flush of its cache by a cycle — issue the
+// dirty lines as the port takes them, then wait for the last
+// acknowledgement — and reports it over. A flush counts nothing while it
+// waits, and waits until a reply is written to the cache's port.
+func stepFlush(b *core.BoxBase, cache *mem.Cache, cycle int64, issued *bool) (done bool) {
+	switch {
+	case !*issued:
+		if *issued = cache.FlushDirty(cycle); !*issued && cache.Still() {
+			b.Park() // no room on the port for the next line
+		}
+	case cache.Quiesce():
+		return true
+	case cache.Still():
+		b.Park()
+	}
+	return false
 }
 
 // SurfaceLayout maps framebuffer pixels to tiled GPU memory: 8x8

@@ -1,13 +1,17 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"attila/internal/core"
+	"attila/internal/emu/fragemu"
 	"attila/internal/emu/rastemu"
 	"attila/internal/isa"
+	"attila/internal/mem"
 	"attila/internal/vmath"
 )
 
@@ -271,6 +275,7 @@ func TestParkingWithQueuedItemIsCaught(t *testing.T) {
 		if allAwake {
 			sim.SetClockGate(passAll{})
 		}
+		sim.SetWatchdog(100)
 		sim.SetDone(func() bool { return len(dst.got) == tris })
 		err := sim.Run(1000)
 		return dst.got, err
@@ -285,7 +290,153 @@ func TestParkingWithQueuedItemIsCaught(t *testing.T) {
 	if got, err := run(true, true); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("hasty Clipper, every box clocked anyway: arrivals %v (%v), want %v", got, err, want)
 	}
-	if got, err := run(true, false); err == nil && slices.Equal(got, want) {
+	got, err := run(true, false)
+	if err == nil && slices.Equal(got, want) {
 		t.Fatal("a Clipper parking with a queued triangle went unnoticed")
+	}
+	// The hang reads off the watchdog's report: the Clipper holds a
+	// triangle and is not being clocked.
+	var de *core.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("hasty Clipper: %v, want the watchdog's report", err)
+	}
+	var clipper *core.BoxState
+	for i := range de.Report.Boxes {
+		if de.Report.Boxes[i].Name == "Clipper" {
+			clipper = &de.Report.Boxes[i]
+		}
+	}
+	if clipper == nil || !clipper.Parked || clipper.Queues[0].Occupied == 0 || len(clipper.Accruing) != 0 {
+		t.Fatalf("report does not show the Clipper parked over its queue: %+v", clipper)
+	}
+	if text := de.Report.String(); !strings.Contains(text, fmt.Sprintf("Clipper  (parked since cycle %d)", clipper.ParkedAt)) {
+		t.Errorf("report text does not name the Clipper as parked:\n%s", text)
+	}
+}
+
+// The twin for the states that wait on a cache: a Z and stencil test
+// unit given one quad whose line misses (a quarter-compressed block:
+// one transaction, one reply). With the cache's port resolved to its
+// owner the reply wakes the unit and the quad is tested. With the
+// resolution switched off — the port declared owned by a box that does
+// not exist, which is the wiring of 626197c, when a reply woke nobody
+// and a unit with a transaction out had to stay awake — the unit parks
+// on the miss and is never clocked again. That hang must read off the
+// watchdog's report: the unit parked, counting its stallCycles, beside
+// the reply wire holding the object it waits for. (A fill of several
+// transactions fails sooner and louder: the second reply finds the
+// first unread, which the wire reports as lost data.)
+
+// zRig is a Z and stencil test unit with its cache and a memory
+// controller, fed by a box that, on cycle 1, sends it a quad or (given
+// none) starts a flush.
+type zRig struct {
+	core.BoxBase
+	sim  *core.Simulator
+	z    *ZStencil
+	out  *Flow
+	quad *Quad
+}
+
+func (r *zRig) Clock(cycle int64) {
+	switch {
+	case cycle != 1:
+	case r.quad != nil:
+		r.out.Send(cycle, r.quad)
+	default:
+		r.z.StartFlush()
+	}
+}
+
+func newZRig(t *testing.T, quad bool) *zRig {
+	cfg := Baseline()
+	r := &zRig{sim: core.NewSimulator(0)}
+	r.out = pFlow(r.sim, "Src", "ZStencil0", "in", 4, 1, 0, 8)
+	early := pFlow(r.sim, "ZStencil0", "Dst", "early", 1, 2, 0, 8)
+	late := pFlow(r.sim, "ZStencil0", "Dst", "late", 1, 2, 0, 8)
+	r.z = NewZStencil(r.sim, &cfg, 0, &pipePool{}, NewSurfaceLayout(0, 64, 48), []*Flow{r.out}, early, late)
+	// Block 0 as a flush would have left it: equal values, quarter size.
+	var vals [fragemu.ZBlockElems]uint32
+	level, block, _ := fragemu.CompressZBlock(&vals, nil)
+	if level != fragemu.CompQuarter {
+		t.Fatalf("uniform block compressed to level %v", level)
+	}
+	gm := mem.NewGPUMemory(1 << 20)
+	gm.WriteBytes(0, block)
+	r.z.states[0] = zStateQuarter
+	mem.NewController(r.sim, cfg.Memory, gm, []string{"ZCache0"})
+	if quad {
+		st := &DrawState{Depth: fragemu.DepthState{Enabled: true, Func: fragemu.CmpAlways}}
+		r.quad = &Quad{Batch: &BatchState{State: st}, Tri: &SetupTri{}, Mask: [4]bool{true, true, true, true}}
+	}
+	r.Init("Src")
+	r.sim.Register(r)
+	r.sim.SetWatchdog(500)
+	return r
+}
+
+func TestMissedReplyWakeIsReadable(t *testing.T) {
+	run := func(resolve bool) (*core.Simulator, error) {
+		r := newZRig(t, true)
+		if !resolve {
+			r.sim.Binder.Own("Nobody", "ZCache0")
+		}
+		r.sim.SetDone(func() bool { return r.z.statQuads.Value() == 1 })
+		return r.sim, r.sim.Run(100000)
+	}
+	if _, err := run(true); err != nil {
+		t.Fatalf("reply wire resolved to the unit: %v", err)
+	}
+	sim, err := run(false)
+	var de *core.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("reply wire resolved to nobody: %v, want the watchdog's report", err)
+	}
+	var unit *core.BoxState
+	for i := range de.Report.Boxes {
+		if de.Report.Boxes[i].Name == "ZStencil0" {
+			unit = &de.Report.Boxes[i]
+		}
+	}
+	if unit == nil || !unit.Parked || !slices.Equal(unit.Accruing, []string{"ZStencil0.stallCycles"}) {
+		t.Fatalf("report does not show ZStencil0 parked counting its stall cycles: %+v", unit)
+	}
+	stuck := false
+	for _, s := range de.Report.Signal {
+		stuck = stuck || s.Name == "MC.ZCache0.Reply" && s.Produced > s.Consumed
+	}
+	if !stuck {
+		t.Errorf("report does not show MC.ZCache0.Reply holding an object: %+v", de.Report.Signal)
+	}
+	text := de.Report.String()
+	for _, want := range []string{
+		"MC.ZCache0.Reply",
+		fmt.Sprintf("ZStencil0  (parked since cycle %d, counting ZStencil0.stallCycles)", unit.ParkedAt),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("report text lacks %q:\n%s", want, text)
+		}
+	}
+	// The sleeping unit's counter reads what the every-cycle loop would
+	// have written: a stall cycle for every cycle from the quad's arrival
+	// on cycle 2 to the one the watchdog fired on.
+	if got, want := sim.Crash().Stats["ZStencil0.stallCycles"], float64(de.Report.Cycle-1); got != want {
+		t.Errorf("ZStencil0.stallCycles = %v at the watchdog's cycle %d, want %v", got, de.Report.Cycle, want)
+	}
+}
+
+// A flush that finds nothing dirty has issued everything it will on its
+// first cycle and is over on its second: the unit must not park between
+// the two, where no acknowledgement will ever wake it (the benchmark's
+// doom3 scene hung on exactly this while the flush states were being
+// taught to sleep; no golden scene swaps with a clean cache).
+func TestFlushOfCleanCacheCompletes(t *testing.T) {
+	r := newZRig(t, false)
+	r.sim.SetDone(func() bool { return r.sim.Cycle() > 2 && r.z.FlushDone() })
+	if err := r.sim.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.sim.Cycle(); got > 10 {
+		t.Errorf("flush of a clean cache took until cycle %d", got)
 	}
 }

@@ -144,6 +144,12 @@ func (s *ShaderUnit) Clock(cycle int64) {
 		s.statBusy.Inc()
 	} else if s.resident > 0 && s.blocked == s.resident {
 		s.statTexWait.Inc()
+		// Every thread waits for its texels, a cycle like this one for
+		// each it sleeps through: until a reply or new work is written, or
+		// credit folds into texReq for the requests still to be sent.
+		if s.waitSend == 0 || s.texReq.OutOfCredit() {
+			s.ParkCounting(&s.statTexWait, 1)
+		}
 	} else if s.running == 0 && s.blocked == 0 {
 		// No thread, or finished ones only, which retire above when
 		// workOut has credit: until work or credit arrives.

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"slices"
+
 	"attila/internal/core"
 	"attila/internal/isa"
 	"attila/internal/mem"
@@ -69,7 +71,7 @@ func NewStreamer(sim *core.Simulator, cfg *Config, gm *mem.GPUMemory,
 	}
 	s.Init("Streamer")
 	fc := mem.CacheConfig{
-		Name: "Streamer", Sets: cfg.VertexFetchLines / 2, Assoc: 2,
+		Name: "Streamer", Sets: cfg.VertexFetchLines / 2, Assoc: 2, // the box's own name: no Owner
 		LineBytes: 64, MissQ: 8, PortLimit: 8,
 	}
 	s.fetch = mem.NewCache(sim, fc, mem.PassThrough{})
@@ -109,8 +111,8 @@ func (s *Streamer) Clock(cycle int64) {
 
 	if s.batch == nil {
 		// Until a draw is written to cmdIn (shadeIn is silent between
-		// batches), once the fetch cache has collected its replies.
-		if len(s.cmdQ) == 0 && s.fetch.Idle() {
+		// batches) or a reply to the fetch cache's port.
+		if len(s.cmdQ) == 0 && s.fetch.Still() {
 			s.Park()
 		}
 		return
@@ -142,6 +144,11 @@ func (s *Streamer) Clock(cycle int64) {
 	}
 	if busy {
 		s.statBusy.Inc()
+	} else if s.batch != nil && s.seq >= s.batch.State.Count && s.group == nil && s.fetch.Still() {
+		// Every vertex fetched and sent for shading, the next to commit
+		// not back yet or Primitive Assembly out of credit: until a group
+		// is written to shadeIn or credit folds into vtxOut.
+		s.Park()
 	}
 }
 
@@ -292,11 +299,11 @@ func (s *Streamer) fetchIndex(cycle int64, seq int) (idx uint32, stall bool) {
 }
 
 // attrLines returns the unique 64-byte lines covering the vertex's
-// enabled attributes.
+// enabled attributes, in order of first use, in the box's scratch: one
+// fetch is in flight at a time, and a vertex covers a handful of lines.
 func (s *Streamer) attrLines(idx uint32) []uint32 {
 	st := s.batch.State
-	seen := map[uint32]bool{}
-	var lines []uint32
+	lines := s.fetchSt.lines[:0]
 	for slot := range st.Attribs {
 		a := &st.Attribs[slot]
 		if !a.Enabled {
@@ -305,8 +312,7 @@ func (s *Streamer) attrLines(idx uint32) []uint32 {
 		base := a.Addr + idx*a.Stride
 		end := base + uint32(a.Size*4) - 1
 		for line := base &^ 63; line <= end&^63; line += 64 {
-			if !seen[line] {
-				seen[line] = true
+			if !slices.Contains(lines, line) {
 				lines = append(lines, line)
 			}
 		}

@@ -115,8 +115,9 @@ type TextureUnit struct {
 	freeReps []*TexRepMsg
 	// quiesced is the barrier-published snapshot of the idle
 	// condition, read by the command processor, which may be clocked
-	// on a different worker shard. It can only change on a cycle the
-	// unit was clocked, so Clock marks quiescePub.
+	// on a different worker shard. Nothing but the unit's own Clock
+	// changes the condition, so Clock marks quiescePub when it ends with
+	// the condition other than published: a few times a frame.
 	quiesced   bool
 	quiescePub *core.Publication
 
@@ -172,7 +173,7 @@ func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Fl
 	t.quiescePub = sim.Publish(t.BoxName(), "", t.publishQuiesce)
 	t.hooks = &texHooks{fmtOf: make(map[uint32]texemu.Format)}
 	cc := mem.CacheConfig{
-		Name: nameIdx("TexCache", idx), Sets: cfg.TexCacheSets, Assoc: cfg.TexCacheAssoc,
+		Name: nameIdx("TexCache", idx), Owner: t.BoxName(), Sets: cfg.TexCacheSets, Assoc: cfg.TexCacheAssoc,
 		LineBytes: texemu.TileTexels * texemu.TileTexels * 4, MissQ: 8, PortLimit: 8,
 	}
 	t.cache = mem.NewCache(sim, cc, t.hooks)
@@ -196,15 +197,24 @@ func (t *TextureUnit) Cache() *mem.Cache { return t.cache }
 // is drained, which is the only state in which it is consulted.
 func (t *TextureUnit) Quiesce() bool { return t.quiesced }
 
+// idle is the live idle condition.
+func (t *TextureUnit) idle() bool {
+	return t.current == nil && t.queue.Len() == 0 && t.cache.Quiesce()
+}
+
 // publishQuiesce snapshots the live idle condition at the cycle
 // barrier (core.EndCycleFunc).
-func (t *TextureUnit) publishQuiesce(cycle int64) {
-	t.quiesced = t.current == nil && t.queue.Len() == 0 && t.cache.Quiesce()
-}
+func (t *TextureUnit) publishQuiesce(cycle int64) { t.quiesced = t.idle() }
 
 // Clock implements core.Box.
 func (t *TextureUnit) Clock(cycle int64) {
-	t.quiescePub.Mark()
+	t.clock(cycle)
+	if t.idle() != t.quiesced {
+		t.quiescePub.Mark()
+	}
+}
+
+func (t *TextureUnit) clock(cycle int64) {
 	t.cache.Clock(cycle)
 	for _, obj := range t.reqIn.Recv(cycle) {
 		msg := obj.(*TexReqMsg)
@@ -216,9 +226,9 @@ func (t *TextureUnit) Clock(cycle int64) {
 	}
 	if t.current == nil {
 		if t.queue.Len() == 0 {
-			// Until a request is written to reqIn; while the cache has
-			// replies to collect, stay awake (see ZStencil.Clock).
-			if t.cache.Idle() {
+			// Until a request is written to reqIn or a reply to the
+			// cache's port.
+			if t.cache.Still() {
 				t.Park()
 			}
 			return
@@ -253,8 +263,10 @@ func (t *TextureUnit) Clock(cycle int64) {
 				t.hooks.fmtOf[ref.Addr] = w.msg.Texture.Format
 				w.looked = true
 			}
-			t.cache.RequestFill(cycle, ref.Addr)
+			queued := t.cache.RequestFill(cycle, ref.Addr)
 			t.statStall.Inc()
+			// The cycles slept through are busy, miss-stalled ones.
+			parkOnMiss(&t.BoxBase, t.cache, queued, &t.statBusy, &t.statStall)
 			return
 		}
 		if !w.looked { // a texel that missed was counted then

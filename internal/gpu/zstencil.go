@@ -69,7 +69,7 @@ func NewZStencil(sim *core.Simulator, cfg *Config, idx int, pool *pipePool, layo
 		z.states[i] = zStateUncompressed
 	}
 	cc := mem.CacheConfig{
-		Name: nameIdx("ZCache", idx), Sets: cfg.ZCacheSets, Assoc: cfg.ZCacheAssoc,
+		Name: nameIdx("ZCache", idx), Owner: z.BoxName(), Sets: cfg.ZCacheSets, Assoc: cfg.ZCacheAssoc,
 		LineBytes: SurfaceBlockBytes, MissQ: 8, PortLimit: 8,
 	}
 	z.cache = mem.NewCache(sim, cc, &zHooks{z: z})
@@ -132,14 +132,8 @@ func (z *ZStencil) Clock(cycle int64) {
 		return
 	}
 	if z.flushPending {
-		if z.queue.Len() == 0 {
-			if !z.flushIssued {
-				if z.cache.FlushDirty(cycle) {
-					z.flushIssued = true
-				}
-			} else if z.cache.Quiesce() {
-				z.flushPending = false
-			}
+		if z.queue.Len() == 0 && stepFlush(&z.BoxBase, z.cache, cycle, &z.flushIssued) {
+			z.flushPending = false
 		}
 		return
 	}
@@ -152,11 +146,9 @@ func (z *ZStencil) Clock(cycle int64) {
 		}
 	}
 	if z.queue.Len() == 0 {
-		// Until a quad is written to one of quadIns or the command
-		// processor starts a clear or flush. Replies to the cache's
-		// port arrive on a wire bound under the cache's name, which
-		// wakes nobody: stay awake until they are all in.
-		if z.cache.Idle() {
+		// Until a quad is written to one of quadIns, a reply to the
+		// cache's port, or the command processor starts a clear or flush.
+		if z.cache.Still() {
 			z.Park()
 		}
 		return
@@ -164,24 +156,19 @@ func (z *ZStencil) Clock(cycle int64) {
 
 	// One quad per cycle (4 fragments, Table 1).
 	q := z.queue.Peek()
-	if q.ZDone {
-		// Tested on an earlier cycle but the output was full: only
-		// retry the forward, never the (stencil-updating) test.
-		if z.forward(cycle, q) {
-			z.pop()
-			z.statBusy.Inc()
-		} else {
-			z.statStall.Inc()
-		}
-		return
-	}
 	st := q.Batch.State
-	if !st.Depth.Enabled && !st.Stencil.Enabled {
+	if q.ZDone || !st.Depth.Enabled && !st.Stencil.Enabled {
+		// Nothing to test, or tested on an earlier cycle but the output
+		// was full: only retry the forward, never the (stencil-updating)
+		// test.
 		if z.forward(cycle, q) {
 			z.pop()
 			z.statBusy.Inc()
 		} else {
 			z.statStall.Inc()
+			// No credit to forward the quad: until some folds into the
+			// output flow.
+			parkOnMiss(&z.BoxBase, z.cache, true, &z.statStall)
 		}
 		return
 	}
@@ -195,8 +182,9 @@ func (z *ZStencil) Clock(cycle int64) {
 			z.cache.Miss()
 			z.headLooked = true
 		}
-		z.cache.RequestFill(cycle, key)
+		queued := z.cache.RequestFill(cycle, key)
 		z.statStall.Inc()
+		parkOnMiss(&z.BoxBase, z.cache, queued, &z.statStall)
 		return
 	}
 	if !z.headLooked { // a quad that missed was counted then

@@ -10,7 +10,10 @@ import (
 // CacheConfig describes one of the GPU's small caches (Table 2:
 // texture, Z and color caches are all 16 KB, 4-way, 256-byte lines).
 type CacheConfig struct {
-	Name      string
+	Name string
+	// Owner is the box that clocks the cache: the port's wires are
+	// registered under Name, and a reply written to it wakes Owner.
+	Owner     string
 	Sets      int
 	Assoc     int
 	LineBytes int // decoded line size held in the cache
@@ -129,6 +132,11 @@ type Cache struct {
 
 	freeMiss []*missEntry // recycled entries (keep wb/fill buffer backing)
 
+	// moved is set by whatever changes what the next Clock finds: a reply
+	// taken, a transaction issued, a line synthesized, a miss queued. Clock
+	// clears it on entry (see Still).
+	moved bool
+
 	statHits    core.Counter
 	statMisses  core.Counter
 	statFills   core.Counter
@@ -143,6 +151,9 @@ type Cache struct {
 func NewCache(sim *core.Simulator, cfg CacheConfig, hooks Hooks) *Cache {
 	c := &Cache{cfg: cfg, hooks: hooks, waiting: make(map[uint64]*missEntry)}
 	c.port = NewPort(sim, cfg.Name, cfg.PortLimit)
+	if cfg.Owner != "" {
+		sim.Binder.Own(cfg.Owner, cfg.Name)
+	}
 	c.sets = make([][]Line, cfg.Sets)
 	for i := range c.sets {
 		c.sets[i] = make([]Line, cfg.Assoc)
@@ -225,6 +236,10 @@ func (c *Cache) Hit(cycle int64, ln *Line) {
 // Miss counts a miss.
 func (c *Cache) Miss() { c.statMisses.Inc() }
 
+// MissStalls is the counter of refused RequestFill calls, for an owner
+// box that parks retrying one every cycle (core.BoxBase.ParkCounting).
+func (c *Cache) MissStalls() *core.Counter { return &c.statStalled }
+
 // Lookup probes for the line, counting hit/miss statistics. It
 // returns true only when the line is resident and usable this cycle.
 func (c *Cache) Lookup(cycle int64, key uint32) bool {
@@ -305,16 +320,19 @@ func (c *Cache) RequestFill(cycle int64, key uint32) bool {
 	ln.pending = true
 	ln.key = key
 	c.miss = append(c.miss, entry)
+	c.moved = true
 	return true
 }
 
 // Clock advances the miss state machine: collects memory replies,
 // then issues writebacks and fills in miss order.
 func (c *Cache) Clock(cycle int64) {
-	if c.Idle() {
+	c.moved = false
+	if len(c.miss) == 0 && c.port.Idle() {
 		return
 	}
 	for _, rep := range c.port.Replies(cycle) {
+		c.moved = true
 		e := c.waiting[rep.ReqID]
 		if e == nil {
 			continue // flush writeback acknowledgements
@@ -354,6 +372,7 @@ func (c *Cache) Clock(cycle int64) {
 			addr, raw := c.hooks.Encode(e.wbKey, e.wbData)
 			pieces = transactionsFor(len(raw))
 			e.wbLeft = pieces
+			c.moved = true
 			for off := 0; off < len(raw); off += TransactionSize {
 				end := off + TransactionSize
 				if end > len(raw) {
@@ -378,6 +397,7 @@ func (c *Cache) Clock(cycle int64) {
 			ln.lastUse = cycle
 			c.statSynth.Inc()
 			c.removeMiss(e)
+			c.moved = true
 			// c.miss mutated; restart next cycle to keep it simple.
 			return
 		}
@@ -392,6 +412,7 @@ func (c *Cache) Clock(cycle int64) {
 			e.fillBuf = make([]byte, plan.FetchBytes)
 		}
 		e.fillLeft = pieces
+		c.moved = true
 		for off := 0; off < plan.FetchBytes; off += TransactionSize {
 			size := plan.FetchBytes - off
 			if size > TransactionSize {
@@ -474,15 +495,19 @@ func (c *Cache) FlushDirty(cycle int64) bool {
 			}
 			ln.dirty = false
 			c.statEvicts.Inc()
+			c.moved = true
 		}
 	}
 	return done
 }
 
-// Idle reports that Clock has nothing to do: no miss queued, no
-// transaction in flight and no consumed reply left to recycle. An owner
-// box with nothing else to do may park while it holds.
-func (c *Cache) Idle() bool { return len(c.miss) == 0 && c.port.Idle() }
+// Still reports that since the start of its last Clock the cache took
+// no reply, issued no transaction, synthesized no line and queued no
+// miss: the next Clock finds what that one found, and so does a
+// RequestFill or FlushDirty repeated after it. The owner box may park
+// while it holds, waiting for whatever else it waits for; a reply
+// written to the port wakes it (CacheConfig.Owner).
+func (c *Cache) Still() bool { return !c.moved }
 
 // Quiesce reports whether the cache has no misses or transactions in
 // flight.
