@@ -63,25 +63,11 @@ func reportPipe(b *testing.B, pipe *gpu.Pipeline, frames int) {
 
 func BenchmarkTable1Baseline(b *testing.B) {
 	p := benchParams()
-	// serial vs parallel clock the identical simulation (bit-equal
-	// stats and frames); ns/op is the host-speed comparison.
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"parallel-4w", 4},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := gpu.Baseline()
-			cfg.Workers = c.workers
-			var last *gpu.Pipeline
-			for i := 0; i < b.N; i++ {
-				last = runWorkloadOnce(b, cfg, "simple", p)
-			}
-			reportPipe(b, last, p.Frames)
-		})
+	var last *gpu.Pipeline
+	for i := 0; i < b.N; i++ {
+		last = runWorkloadOnce(b, gpu.Baseline(), "simple", p)
 	}
+	reportPipe(b, last, p.Frames)
 }
 
 func BenchmarkTable2Caches(b *testing.B) {

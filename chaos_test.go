@@ -16,11 +16,10 @@ import (
 
 // chaosRun builds a baseline pipeline, wires the parsed plan into it,
 // and runs the simple workload to whatever end the faults dictate.
-func chaosRun(t *testing.T, spec string, workers int, watchdog int64) error {
+func chaosRun(t *testing.T, spec string, watchdog int64) error {
 	t.Helper()
 	p := benchParams()
 	cfg := gpu.Baseline()
-	cfg.Workers = workers
 	cfg.WatchdogWindow = watchdog
 	pipe, err := gpu.New(cfg, p.Width, p.Height)
 	if err != nil {
@@ -44,29 +43,27 @@ func chaosRun(t *testing.T, spec string, workers int, watchdog int64) error {
 }
 
 func TestChaosPanicFault(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		err := chaosRun(t, "seed=7,panic@cycle=2000:CommandProcessor", workers, 0)
-		if !errors.Is(err, core.ErrPanic) {
-			t.Fatalf("workers=%d: got %v, want ErrPanic", workers, err)
-		}
-		var ce *core.CrashError
-		if !errors.As(err, &ce) {
-			t.Fatalf("workers=%d: no CrashError in %v", workers, err)
-		}
-		if ce.Box != "CommandProcessor" {
-			t.Errorf("workers=%d: crashed box %q, want CommandProcessor", workers, ce.Box)
-		}
-		if ce.Cycle != 2000 {
-			t.Errorf("workers=%d: crash at cycle %d, want 2000", workers, ce.Cycle)
-		}
+	err := chaosRun(t, "seed=7,panic@cycle=2000:CommandProcessor", 0)
+	if !errors.Is(err, core.ErrPanic) {
+		t.Fatalf("got %v, want ErrPanic", err)
+	}
+	var ce *core.CrashError
+	if !errors.As(err, &ce) {
+		t.Fatalf("no CrashError in %v", err)
+	}
+	if ce.Box != "CommandProcessor" {
+		t.Errorf("crashed box %q, want CommandProcessor", ce.Box)
+	}
+	if ce.Cycle != 2000 {
+		t.Errorf("crash at cycle %d, want 2000", ce.Cycle)
 	}
 }
 
 // Same plan, same workload: the fault reproduces identically.
 func TestChaosDeterminism(t *testing.T) {
 	spec := "seed=3,panic@cycle=1500:Streamer"
-	first := chaosRun(t, spec, 0, 0)
-	second := chaosRun(t, spec, 0, 0)
+	first := chaosRun(t, spec, 0)
+	second := chaosRun(t, spec, 0)
 	if first == nil || second == nil {
 		t.Fatalf("expected injected failures, got %v and %v", first, second)
 	}
@@ -81,7 +78,7 @@ func TestChaosDeterminism(t *testing.T) {
 // is in flight toward it, which the signal model reports as its own
 // violation (*SimError) before the watchdog can fire.
 func TestChaosStallFault(t *testing.T) {
-	err := chaosRun(t, "stall=CommandProcessor:0-0", 0, 20_000)
+	err := chaosRun(t, "stall=CommandProcessor:0-0", 20_000)
 	if !errors.Is(err, core.ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
 	}
@@ -89,7 +86,7 @@ func TestChaosStallFault(t *testing.T) {
 
 // Dropping every memory transaction starves whoever issued it.
 func TestChaosMemDropFault(t *testing.T) {
-	err := chaosRun(t, "mem=drop:1", 0, 20_000)
+	err := chaosRun(t, "mem=drop:1", 20_000)
 	if !errors.Is(err, core.ErrDeadlock) {
 		t.Fatalf("got %v, want ErrDeadlock", err)
 	}
@@ -99,7 +96,7 @@ func TestChaosMemDropFault(t *testing.T) {
 // wedge or corrupt the run: with the fault bounded to a low rate, the
 // run still completes and renders.
 func TestChaosMemDelayCompletes(t *testing.T) {
-	if err := chaosRun(t, "seed=11,mem=delay:0.01:32", 0, 100_000); err != nil {
+	if err := chaosRun(t, "seed=11,mem=delay:0.01:32", 100_000); err != nil {
 		t.Fatalf("delayed transactions should still complete: %v", err)
 	}
 }

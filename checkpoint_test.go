@@ -4,9 +4,10 @@ package attila_test
 // state at a quiesced mid-run barrier, restore it into a freshly
 // built pipeline, run to completion, and require every observable —
 // stats CSV, stats summary, rendered frame hashes, metrics NDJSON —
-// to be byte-identical to the uninterrupted run. Exercised serially,
-// in parallel (Workers=4), and across the serial/parallel boundary:
-// a checkpoint from a serial run must restore into a parallel one.
+// to be byte-identical to the uninterrupted run. The parallel4 rows
+// set the ignored Workers: 4 (ROADMAP item 7) on one side or both: a
+// checkpoint from a config that asked for workers — as old ones did —
+// restores like any other.
 
 import (
 	"bytes"

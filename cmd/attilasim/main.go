@@ -61,7 +61,6 @@ func simulate() int {
 	sigOut := flag.String("sigtrace", "", "write a signal trace file (large!)")
 	verify := flag.Bool("verify", false, "compare frames against the functional reference")
 	maxCycles := flag.Int64("max-cycles", 2_000_000_000, "cycle budget")
-	workers := flag.Int("workers", 0, "host worker shards for the clock loop (0/1 = serial; clamped to GOMAXPROCS and shardable units; results identical)")
 	watchdog := flag.Int64("watchdog", 0, "abort with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the simulation (0 = none)")
 	blackbox := flag.String("blackbox", "", "write a JSON crash report here when the run fails")
@@ -132,7 +131,6 @@ func simulate() int {
 	if *rops > 0 {
 		cfg.NumROPs = *rops
 	}
-	cfg.Workers = *workers
 	cfg.WatchdogWindow = *watchdog
 
 	f, err := os.Open(*in)

@@ -48,7 +48,6 @@ func main() {
 	frames := flag.Int("frames", 2, "frames per trace")
 	aniso := flag.Int("aniso", 8, "max anisotropy (paper: 8)")
 	out := flag.String("out", "", "directory for PPM frame dumps (fig10)")
-	workers := flag.Int("workers", 0, "host worker shards for the clock loop (0/1 = serial; results identical)")
 	watchdog := flag.Int64("watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit across all experiments (0 = none)")
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes across all runs (sampled; prints a ranked table)")
@@ -120,7 +119,6 @@ func main() {
 
 	p := experiments.DefaultRunParams()
 	p.Width, p.Height, p.Frames, p.Aniso = *width, *height, *frames, *aniso
-	p.Workers = *workers
 	p.WatchdogWindow = *watchdog
 	p.Ctx = ctx
 	var prof *obsv.Profiler

@@ -13,9 +13,9 @@ import (
 // TestGoldenFrames pins the DAC output and cycle count of the
 // benchmark's generator scenes at smoke size (64x48; one frame, plus
 // two multi-frame rows). The other gates compare the timing simulator
-// to the reference renderer or serial to parallel — two runs of the
-// same commit, which share the shader emulator — so a functional or
-// scheduling drift that both sides follow passes them all. The
+// to the reference renderer — two runs of the same commit, which share
+// the shader emulator — so a functional or scheduling drift that both
+// sides follow passes them all. The
 // one-frame values were computed at commit a9fa157 and must only
 // change with a stated reason.
 //
@@ -40,6 +40,8 @@ func TestGoldenFrames(t *testing.T) {
 			"8aee43101c856d10cdaa36761d671fb7d622590938d57054c364070e70177186", "37099cde543a8df52fb4931cf897023b48439a45d58fd8ff93a68e3dfb0af11e"},
 		{"spinner-geom", "spinner", gpu.Embedded(), 0, 1, 9575, "2e69afe4a9b0357ec98c731f12e7ee847c6bc4998419a4a111cc721c04efc247",
 			"2c4d07a4a42e99e104d6432eb00e220c782dd7713804c97a8593d027240a229b", "c9abc95eeff44ac6b1d23cd0a1f7f5a25f3418129ae9d33a5f687945a2a550be"},
+		// The benchmark's ut2004-par2 still sets the ignored Workers: 2
+		// (ROADMAP item 7): its values are ut2004-tex's.
 		{"ut2004-par2", "ut2004", gpu.BaselineUnified(), 2, 1, 95853, "5bdb8d73f6606bcc5a215f48989e3b40d2fe6ff8477f1e64192bf7a9d039d556",
 			"8b4fcae16d84cdf9402c83c5f03703cebf3deecd98050f3d2149ef402b923926", "a868a08b1f887d4d61bae9e3f38accfca08e01b62444e194583b5c5b95efd3ce"},
 		// Not a benchmark scene: the in-order input queue has no other

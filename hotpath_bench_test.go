@@ -33,7 +33,6 @@ func mallocsDuring(f func()) uint64 {
 // allocs/cycle); before the purge it was ~2.5 per cycle, every cycle.
 func TestPipelineRunAllocBudget(t *testing.T) {
 	cfg := gpu.Baseline()
-	cfg.Workers = 0
 	measure := func(frames int) (allocs uint64, cycles int64) {
 		p := benchParams()
 		p.Frames = frames

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"attila/internal/core"
 	"attila/internal/mem"
@@ -223,19 +222,14 @@ func (p *Plan) String() string {
 
 // Injector applies a plan to a running simulation. It implements
 // core.ClockGate (panic and stall faults) and mem.TxFault (memory
-// faults); signal faults hook the cycle barrier via EndCycle.
-//
-// Concurrency: BeforeClock runs on every worker shard, but only reads
-// immutable plan fields and atomics. The rng is touched only by
-// OnTransaction, which the memory controller calls from a single
-// goroutine (one box, one shard).
+// faults); signal faults hook the cycle barrier via EndCycle. All three
+// run in the simulator's clock loop.
 type Injector struct {
 	plan   *Plan
 	binder *core.Binder
 	rng    *rand.Rand
 
-	injected  atomic.Int64 // total faults applied
-	memFaults atomic.Int64
+	injected int64 // total faults applied
 }
 
 // NewInjector builds an injector for the plan. binder is used to look
@@ -250,17 +244,17 @@ func NewInjector(plan *Plan, binder *core.Binder) *Injector {
 }
 
 // Injected returns how many faults have been applied so far.
-func (in *Injector) Injected() int64 { return in.injected.Load() }
+func (in *Injector) Injected() int64 { return in.injected }
 
 // BeforeClock implements core.ClockGate.
 func (in *Injector) BeforeClock(cycle int64, box core.Box) bool {
 	if p := in.plan.Panic; p != nil && cycle == p.Cycle && box.BoxName() == p.Box {
-		in.injected.Add(1)
+		in.injected++
 		panic(&injectedPanic{cycle: cycle, box: p.Box})
 	}
 	if s := in.plan.Stall; s != nil && box.BoxName() == s.Box &&
 		cycle >= s.From && (s.To == 0 || cycle <= s.To) {
-		in.injected.Add(1)
+		in.injected++
 		return false
 	}
 	return true
@@ -275,8 +269,7 @@ func (in *Injector) OnTransaction(cycle int64, client string, addr uint32, write
 	if in.rng.Float64() >= m.Rate {
 		return mem.FaultAction{}
 	}
-	in.injected.Add(1)
-	in.memFaults.Add(1)
+	in.injected++
 	switch m.Mode {
 	case "drop":
 		return mem.FaultAction{Drop: true}
@@ -288,9 +281,7 @@ func (in *Injector) OnTransaction(cycle int64, client string, addr uint32, write
 }
 
 // EndCycle applies the signal fault at its cycle barrier; register it
-// with core.Simulator.OnEndCycle. It runs on the coordinating
-// goroutine, the only place touching a signal's ring cross-wise is
-// safe.
+// with core.Simulator.OnEndCycle.
 func (in *Injector) EndCycle(cycle int64) {
 	s := in.plan.Signal
 	if s == nil || cycle != s.Cycle || in.binder == nil {
@@ -299,7 +290,7 @@ func (in *Injector) EndCycle(cycle int64) {
 	for _, sig := range in.binder.Signals() {
 		if sig.Name() == s.Name {
 			if sig.CorruptOne() {
-				in.injected.Add(1)
+				in.injected++
 			}
 			return
 		}

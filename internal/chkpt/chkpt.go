@@ -3,8 +3,8 @@
 // sections, a bounded binary codec for writing them, and a cycle
 // barrier engine that captures checkpoints at quiesced safe points.
 //
-// The design leans on the same property that makes the parallel clock
-// loop bit-identical to the serial one: at a cycle barrier where the
+// The design leans on the same property that makes clocking order
+// irrelevant (every signal has latency >= 1): at a cycle barrier where the
 // pipeline is globally quiesced (no objects in flight on any signal,
 // no outstanding memory transactions, no batch being rendered), the
 // entire machine state is the *persistent* state of each box — caches,

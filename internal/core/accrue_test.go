@@ -58,7 +58,7 @@ type stallSink struct {
 	hold     int64
 	lanes    int
 	pub      *Publication
-	released int // written here, folded into the source at the barrier
+	released int // written here, folded into the source at the end of the cycle
 
 	held      []int64 // release cycles of the objects being worked on
 	got       int
@@ -110,7 +110,7 @@ func buildStallPair(sim *Simulator, i int, sinkFirst bool, src *stallSource, sin
 	wire := fmt.Sprintf("wire%d", i)
 	src.out = sim.Binder.Provide(src.BoxName(), wire, 1, 1, src.lat)
 	sim.Binder.Bind(sink.BoxName(), wire, &sink.in)
-	sink.pub = sim.Publish(sink.BoxName(), src.BoxName(), func(int64) {
+	sink.pub = sim.Publish(src.BoxName(), func(int64) {
 		src.credits += sink.released
 		sink.released = 0
 	})
@@ -173,8 +173,8 @@ type accrueOutputs struct {
 	// how often one had asked to park and was awake at the barrier all
 	// the same (refused, or woken in the cycle it parked).
 	sleptCounting, askedInVain int
-	// Serial runs, the sinks clocked after their source: parks refused
-	// for an object in flight (nothing is written after the sink's Clock,
+	// The sinks clocked after their source: parks refused for an object
+	// in flight (nothing is written after the sink's Clock,
 	// so the wire is at the barrier what the park found), and how many of
 	// them started an accrual all the same.
 	refused, refusedAccruing int
@@ -184,17 +184,16 @@ type accrueOutputs struct {
 
 // runStallMachine runs the machine to the end — in two Runs when
 // splitAt > 0, the first stopped by its budget after cycle splitAt.
-func runStallMachine(t *testing.T, interval int64, workers int, gated bool, at, splitAt int64) accrueOutputs {
+func runStallMachine(t *testing.T, interval int64, gated bool, at, splitAt int64) accrueOutputs {
 	t.Helper()
 	sim, pairs := buildStallMachine(interval)
-	sim.SetWorkers(workers)
 	if gated {
 		sim.SetClockGate(passGate{})
 	}
 	out := accrueOutputs{sleeping: -1}
 	sim.OnEndCycle(func(cycle int64) {
 		for i, p := range pairs {
-			asleep := p.sink.parked.Load()
+			asleep := p.sink.parked
 			if asleep && len(p.sink.counting) > 0 {
 				out.sleptCounting++
 				if i == 1 && out.sleeping < 0 && cycle > 100 {
@@ -205,7 +204,7 @@ func runStallMachine(t *testing.T, interval int64, workers int, gated bool, at, 
 			if asked && !asleep {
 				out.askedInVain++
 			}
-			if workers == 0 && i >= 2 && asked && p.sink.in.Pending() {
+			if i >= 2 && asked && p.sink.in.Pending() {
 				out.refused++
 				if len(p.sink.counting) > 0 || p.sink.starved.rate != 0 {
 					out.refusedAccruing++
@@ -226,7 +225,7 @@ func runStallMachine(t *testing.T, interval int64, workers int, gated bool, at, 
 		}
 	}
 	if err := sim.Run(1_000_000); err != nil {
-		t.Fatalf("interval=%d workers=%d gated=%v: %v", interval, workers, gated, err)
+		t.Fatalf("interval=%d gated=%v: %v", interval, gated, err)
 	}
 	var csv, summary bytes.Buffer
 	if err := sim.Stats.WriteCSV(&csv); err != nil {
@@ -243,12 +242,12 @@ func runStallMachine(t *testing.T, interval int64, workers int, gated bool, at, 
 // interval CSV at intervals fine enough to show a credit paid one cycle
 // late, the summary, and — at a barrier where a box is parked counting —
 // Stats.Snapshot and the core checkpoint sections, byte-equal to the
-// every-cycle model, serial and on two workers; so must a second Run on
-// a simulator whose first ended with a box parked counting.
+// every-cycle model; so must a second Run on a simulator whose first
+// ended with a box parked counting.
 func TestAccruingCounterMatchesEveryCycleLoop(t *testing.T) {
 	for _, interval := range []int64{1, 3, 7, 64} {
 		// Find a barrier the machine sleeps through, then compare there.
-		probe := runStallMachine(t, interval, 0, false, -1, 0)
+		probe := runStallMachine(t, interval, false, -1, 0)
 		if probe.sleeping < 0 {
 			t.Fatal("Sink1 never slept counting: the test shows nothing")
 		}
@@ -258,31 +257,29 @@ func TestAccruingCounterMatchesEveryCycleLoop(t *testing.T) {
 		}
 		at := probe.sleeping
 		for _, splitAt := range []int64{0, at} {
-			model := runStallMachine(t, interval, 0, true, at, splitAt)
+			model := runStallMachine(t, interval, true, at, splitAt)
 			if model.sleptCounting != 0 {
 				t.Fatal("a box parked under the gate: the model is not the every-cycle loop")
 			}
-			for _, workers := range []int{0, 2} {
-				name := fmt.Sprintf("interval=%d workers=%d split=%d", interval, workers, splitAt)
-				got := runStallMachine(t, interval, workers, false, at, splitAt)
-				if got.refusedAccruing != 0 {
-					t.Errorf("%s: %d of %d refused parks started an accrual", name, got.refusedAccruing, got.refused)
-				}
-				if got.cycles != model.cycles {
-					t.Errorf("%s: %d cycles, model %d", name, got.cycles, model.cycles)
-				}
-				if got.csv != model.csv {
-					t.Errorf("%s: interval CSV differs from the every-cycle model%s", name, firstDiff(got.csv, model.csv))
-				}
-				if got.summary != model.summary {
-					t.Errorf("%s: summary differs from the every-cycle model%s", name, firstDiff(got.summary, model.summary))
-				}
-				if !reflect.DeepEqual(got.atSnapshot, model.atSnapshot) {
-					t.Errorf("%s: Stats.Snapshot at a sleeping barrier (cycle %d) differs from the model", name, at)
-				}
-				if len(got.atSections) != 3 || !reflect.DeepEqual(got.atSections, model.atSections) {
-					t.Errorf("%s: checkpoint sections at a sleeping barrier (cycle %d) differ from the model", name, at)
-				}
+			name := fmt.Sprintf("interval=%d split=%d", interval, splitAt)
+			got := runStallMachine(t, interval, false, at, splitAt)
+			if got.refusedAccruing != 0 {
+				t.Errorf("%s: %d of %d refused parks started an accrual", name, got.refusedAccruing, got.refused)
+			}
+			if got.cycles != model.cycles {
+				t.Errorf("%s: %d cycles, model %d", name, got.cycles, model.cycles)
+			}
+			if got.csv != model.csv {
+				t.Errorf("%s: interval CSV differs from the every-cycle model%s", name, firstDiff(got.csv, model.csv))
+			}
+			if got.summary != model.summary {
+				t.Errorf("%s: summary differs from the every-cycle model%s", name, firstDiff(got.summary, model.summary))
+			}
+			if !reflect.DeepEqual(got.atSnapshot, model.atSnapshot) {
+				t.Errorf("%s: Stats.Snapshot at a sleeping barrier (cycle %d) differs from the model", name, at)
+			}
+			if len(got.atSections) != 3 || !reflect.DeepEqual(got.atSections, model.atSections) {
+				t.Errorf("%s: checkpoint sections at a sleeping barrier (cycle %d) differ from the model", name, at)
 			}
 		}
 	}
@@ -301,7 +298,7 @@ func firstDiff(got, want string) string {
 
 // After a Run nothing accrues: what was accruing is folded, Value no
 // longer follows the cycle register, and a box clocked by hand parks in
-// no stale shard.
+// no stale simulator.
 func TestRunEndSettlesAccruals(t *testing.T) {
 	sim, pairs := buildStallMachine(0)
 	if err := sim.Run(1_000_000); err != nil {
@@ -309,8 +306,8 @@ func TestRunEndSettlesAccruals(t *testing.T) {
 	}
 	sink := pairs[0].sink
 	before := sink.starved.Value()
-	if sink.starved.rate != 0 || sink.sh != nil || sink.parked.Load() {
-		t.Fatalf("after Run: rate %v, shard %v, parked %v", sink.starved.rate, sink.sh, sink.parked.Load())
+	if sink.starved.rate != 0 || sink.sim != nil || sink.parked {
+		t.Fatalf("after Run: rate %v, simulator %v, parked %v", sink.starved.rate, sink.sim, sink.parked)
 	}
 	sim.cycle += 1000
 	if got := sink.starved.Value(); got != before {

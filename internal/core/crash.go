@@ -18,12 +18,10 @@ var ErrPanic = errors.New("core: box panic")
 var ErrCanceled = errors.New("core: run canceled")
 
 // CrashError is a box panic recovered by the clock loop: the
-// simulator's black box records which box on which shard failed at
-// which cycle, with the panicking goroutine's stack. It unwraps to
-// ErrPanic.
+// simulator's black box records which box failed at which cycle, with
+// the panicking goroutine's stack. It unwraps to ErrPanic.
 type CrashError struct {
 	Box   string // failing box, "" when the panic escaped a hook or predicate
-	Shard int    // worker shard (0 in serial mode and for the inline shard)
 	Cycle int64
 	Value any    // the original panic value
 	Stack []byte // stack of the panicking goroutine
@@ -35,7 +33,7 @@ func (e *CrashError) Error() string {
 	if where == "" {
 		where = "coordinator"
 	}
-	return fmt.Sprintf("core: panic in %s (shard %d) at cycle %d: %v", where, e.Shard, e.Cycle, e.Value)
+	return fmt.Sprintf("core: panic in %s at cycle %d: %v", where, e.Cycle, e.Value)
 }
 
 // Unwrap makes errors.Is(err, ErrPanic) true.
@@ -59,7 +57,6 @@ type FlightEvent struct {
 type CrashReport struct {
 	Kind     string             `json:"kind"` // "panic", "model", "deadlock" or "canceled"
 	Box      string             `json:"box,omitempty"`
-	Shard    int                `json:"shard"`
 	Cycle    int64              `json:"cycle"`
 	Err      string             `json:"error"`
 	Stack    string             `json:"stack,omitempty"`
@@ -107,7 +104,6 @@ func (s *Simulator) buildCrashReport(err error) *CrashReport {
 	case errors.As(err, &ce):
 		r.Kind = "panic"
 		r.Box = ce.Box
-		r.Shard = ce.Shard
 		r.Cycle = ce.Cycle
 		r.Stack = string(ce.Stack)
 	case errors.As(err, &se):

@@ -8,16 +8,11 @@
 // both on every access, turning modelling mistakes into immediate,
 // loud simulation errors instead of silent timing bugs.
 //
-// The framework is deterministic: the simulator clocks every box once
-// per cycle, and because every signal has a latency of at least one
-// cycle, the order in which boxes are clocked within a cycle cannot
-// affect results. The same property makes the optional parallel
-// execution mode (Simulator.SetWorkers) bit-identical to serial runs:
-// box shards are clocked concurrently and synchronize at one barrier
-// per cycle, where all cross-shard state is published.
+// The framework is deterministic: one loop on one goroutine clocks the
+// boxes once per cycle, and because every signal has a latency of at
+// least one cycle, the order in which boxes are clocked within a cycle
+// cannot affect results.
 package core
-
-import "sync/atomic"
 
 // DynObject carries the bookkeeping the framework keeps for every
 // object travelling through signals: a unique identifier, the
@@ -43,17 +38,16 @@ type Dynamic interface {
 	DynInfo() *DynObject
 }
 
-// IDSource hands out unique object identifiers. The zero value is
-// ready to use, and Next is safe to call from concurrently clocked
-// boxes in parallel simulation mode. Identifiers are unique but their
-// assignment order across shards is scheduling-dependent; nothing in
-// the timing model depends on identifier values.
+// IDSource hands out unique object identifiers, in the order boxes
+// ask for them. The zero value is ready to use; nothing in the timing
+// model depends on identifier values.
 type IDSource struct {
-	next atomic.Uint64
+	next uint64
 }
 
 // Next returns a fresh identifier. Identifier 0 is never returned so
 // it can mean "no parent".
 func (s *IDSource) Next() uint64 {
-	return s.next.Add(1)
+	s.next++
+	return s.next
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -77,7 +74,7 @@ type parkSink struct {
 	in       *Signal
 	hold     int64
 	pub      *Publication
-	released int // written here, folded into the source at the barrier
+	released int // written here, folded into the source at the end of the cycle
 
 	held   []int64 // release cycles of the objects still held
 	got    []seen
@@ -117,7 +114,7 @@ func buildParkPair(sim *Simulator, i, total, bw, maxLat, credits int, gap, hold 
 	wire := fmt.Sprintf("wire%d", i)
 	src.out = sim.Binder.Provide(src.BoxName(), wire, bw, 1, maxLat)
 	sim.Binder.Bind(sink.BoxName(), wire, &sink.in)
-	sink.pub = sim.Publish(sink.BoxName(), src.BoxName(), func(int64) {
+	sink.pub = sim.Publish(src.BoxName(), func(int64) {
 		src.credits += sink.released
 		sink.released = 0
 	})
@@ -139,7 +136,7 @@ type parkRun struct {
 	clocks int // box clocks, all boxes
 }
 
-func runParkMachine(t *testing.T, workers int, allAwake bool) parkRun {
+func runParkMachine(t *testing.T, allAwake bool) parkRun {
 	t.Helper()
 	sim := NewSimulator(0)
 	const total = 120
@@ -149,7 +146,6 @@ func runParkMachine(t *testing.T, workers int, allAwake bool) parkRun {
 		buildParkPair(sim, 2, total, 2, 9, 2, 200, 11), // credit-blocked most of the time
 		buildParkPair(sim, 3, total, 4, 4, 64, 500, 1), // never blocked, very long gaps
 	}
-	sim.SetWorkers(workers)
 	if allAwake {
 		sim.SetClockGate(passGate{})
 	}
@@ -162,7 +158,7 @@ func runParkMachine(t *testing.T, workers int, allAwake bool) parkRun {
 		return true
 	})
 	if err := sim.Run(1_000_000); err != nil {
-		t.Fatalf("workers=%d allAwake=%v: %v", workers, allAwake, err)
+		t.Fatalf("allAwake=%v: %v", allAwake, err)
 	}
 	r := parkRun{cycles: sim.Cycle()}
 	for _, p := range pairs {
@@ -179,111 +175,56 @@ func runParkMachine(t *testing.T, workers int, allAwake bool) parkRun {
 // Parking must change nothing the machine computes: every object is
 // read on its arrival cycle (the sink panics otherwise), every send
 // happens on the cycle the every-box-every-cycle loop makes it, a
-// credit-blocked source resumes on the cycle after the release — in
-// serial and with two workers — while most box clocks are skipped.
+// credit-blocked source resumes on the cycle after the release — while
+// most box clocks are skipped.
 func TestParkWakeMatchesEveryCycleLoop(t *testing.T) {
-	model := runParkMachine(t, 0, true)
-	for _, workers := range []int{0, 2} {
-		got := runParkMachine(t, workers, false)
-		if got.cycles != model.cycles {
-			t.Errorf("workers=%d: %d cycles, model %d", workers, got.cycles, model.cycles)
-		}
-		if !reflect.DeepEqual(got.got, model.got) {
-			t.Errorf("workers=%d: observations differ from the every-cycle model", workers)
-		}
-		if !reflect.DeepEqual(got.sends, model.sends) {
-			t.Errorf("workers=%d: send cycles differ from the every-cycle model", workers)
-		}
-		if workers == 0 && got.clocks*2 > model.clocks {
-			t.Errorf("parking skipped too little: %d box clocks, model %d", got.clocks, model.clocks)
-		}
+	model := runParkMachine(t, true)
+	got := runParkMachine(t, false)
+	if got.cycles != model.cycles {
+		t.Errorf("%d cycles, model %d", got.cycles, model.cycles)
+	}
+	if !reflect.DeepEqual(got.got, model.got) {
+		t.Error("observations differ from the every-cycle model")
+	}
+	if !reflect.DeepEqual(got.sends, model.sends) {
+		t.Error("send cycles differ from the every-cycle model")
+	}
+	if got.clocks*2 > model.clocks {
+		t.Errorf("parking skipped too little: %d box clocks, model %d", got.clocks, model.clocks)
 	}
 }
 
 // A box that never calls Park is clocked every cycle exactly as before
 // (the benchmark's idle kernel counts on it).
 func TestBoxThatNeverParksIsClockedEveryCycle(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		sim := NewSimulator(0)
-		consumers := buildFanout(sim, 3, 10)
-		tick := &ticker{}
-		tick.Init("Ticker")
-		sim.Register(tick)
-		sim.SetWorkers(workers)
-		sim.SetDone(allReceived(consumers, 10))
-		if err := sim.Run(1000); err != nil {
-			t.Fatal(err)
-		}
-		if int64(tick.n) != sim.Cycle() {
-			t.Errorf("workers=%d: %d clocks over %d cycles", workers, tick.n, sim.Cycle())
-		}
+	sim := NewSimulator(0)
+	consumers := buildFanout(sim, 3, 10)
+	tick := &ticker{}
+	tick.Init("Ticker")
+	sim.Register(tick)
+	sim.SetDone(allReceived(consumers, 10))
+	if err := sim.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if int64(tick.n) != sim.Cycle() {
+		t.Errorf("%d clocks over %d cycles", tick.n, sim.Cycle())
 	}
 }
 
-// The lost-wake-up interleaving, forced: one goroutine parks the
-// consumer while another writes to its input wire, released together.
-// Whatever the order, an object in flight must leave the consumer in
-// the awake set. shard.park publishes the flag before it re-checks the
-// wire; with the two steps swapped (check, then publish) a write that
-// lands between them wakes nobody and this test fails within a few
-// thousand rounds on two CPUs.
-func TestParkRacingWriteIsNeverLost(t *testing.T) {
-	sink := &parkSink{}
-	sink.Init("Sink")
-	sig := NewSignal("wire", 1, 1, 0)
-	sig.reader = &sink.BoxBase
-	sink.inputs = []*Signal{sig}
-	sh := &shard{}
-	sh.setBoxes([]Box{sink})
-
-	const rounds = 200000
-	var start, done atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the producer's shard
-		defer wg.Done()
-		for r := int64(1); r <= rounds; r++ {
-			spinUntil(&start, r)
-			sig.Write(r, &parkObj{})
-			done.Add(1)
-		}
-	}()
-	for r := int64(1); r <= rounds; r++ {
-		start.Store(r)
-		sh.park(0)
-		spinUntil(&done, r)
-		if awake := sh.awake[0].Load()&1 != 0; !awake || sink.parked.Load() {
-			t.Fatalf("round %d: object in flight, consumer parked (awake bit %v, flag %v)", r, awake, sink.parked.Load())
-		}
-		if got := sig.Read(r + 1); len(got) != 1 {
-			t.Fatalf("round %d: read %d objects", r, len(got))
-		}
-	}
-	wg.Wait()
-}
-
-// spinUntil busy-waits (so the two sides overlap when they have a CPU
-// each) and yields now and then (so they finish when they share one).
-func spinUntil(v *atomic.Int64, want int64) {
-	for i := 1; v.Load() != want; i++ {
-		if i%256 == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// The two orders that need no race to test.
+// A write wakes a parked box, and a box cannot park while an object is
+// in flight to it, whichever comes first.
 func TestParkAndWriteInEitherOrder(t *testing.T) {
 	sink := &parkSink{}
 	sink.Init("Sink")
+	sim := NewSimulator(0)
+	sim.Register(sink)
+	sim.wire()
 	sig := NewSignal("wire", 1, 3, 0)
 	sig.reader = &sink.BoxBase
 	sink.inputs = []*Signal{sig}
-	sh := &shard{}
-	sh.setBoxes([]Box{sink})
-	awake := func() bool { return sh.awake[0].Load()&1 != 0 }
+	awake := func() bool { return sim.awake[0]&1 != 0 }
 
-	sh.park(0)
+	sim.park(0)
 	if awake() {
 		t.Fatal("empty wire: box did not park")
 	}
@@ -291,35 +232,18 @@ func TestParkAndWriteInEitherOrder(t *testing.T) {
 	if !awake() {
 		t.Fatal("write to a parked box's wire did not wake it")
 	}
-	sh.park(0) // write, then park: refused while the object is in flight
+	sim.park(0) // write, then park: refused while the object is in flight
 	if !awake() {
 		t.Fatal("box parked with an object in flight")
 	}
 	sig.Read(13)
-	sh.park(0)
+	sim.park(0)
 	if awake() {
 		t.Fatal("drained wire: box did not park")
 	}
 	sink.Wake()
 	sink.Wake() // idempotent
-	if !awake() || sink.parked.Load() {
+	if !awake() || sink.parked {
 		t.Fatal("Wake did not return the box to the awake set")
-	}
-}
-
-// Stress through the real loop: two shards, each holding the producer
-// of one wire and the consumer of the other, both parking whenever
-// they may and writing at full rate.
-func TestParkWakeCrossShardStress(t *testing.T) {
-	sim := NewSimulator(0)
-	const total = 5000
-	a := buildParkPair(sim, 0, total, 2, 3, 3, 0, 1)
-	b := buildParkPair(sim, 1, total, 1, 2, 2, 1, 2)
-	sim.Pin("left", a.src, b.sink)
-	sim.Pin("right", b.src, a.sink)
-	sim.SetWorkers(2)
-	sim.SetDone(func() bool { return len(a.sink.got) == total && len(b.sink.got) == total })
-	if err := sim.Run(1_000_000); err != nil {
-		t.Fatal(err)
 	}
 }

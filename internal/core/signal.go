@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Signal models a wire between two boxes. A signal is created with a
@@ -16,20 +15,13 @@ import (
 // may override the latency per write with WriteLat, up to the MaxLat
 // the signal was created with.
 //
-// Concurrency contract (parallel simulation mode): a signal has
-// exactly one producing box and one consuming box, which may be
-// clocked on different goroutines within the same cycle. This is safe
-// because latency >= 1 keeps their ring slots disjoint: the ring has
-// N slots, N the next power of two >= maxLat+1 (so a slot index is a
-// mask, not a divide), a write at cycle C with latency L lands in
+// Latency >= 1 keeps a cycle's writes apart from its reads: the ring
+// has N slots, N the next power of two >= maxLat+1 (so a slot index is
+// a mask, not a divide), a write at cycle C with latency L lands in
 // slot (C+L) mod N, and a read at cycle C touches slot C mod N; those
 // collide only if L == 0 mod N, which L in [1, maxLat] rules out for
-// any N > maxLat. The writer-only fields (wrCycle, wrCount) and
-// reader-only fields (traceBuf) are single-goroutine;
-// produced/consumed are atomic so Pending and Traffic may be read
-// from either side, and Read uses them to leave an empty wire without
-// touching the ring. Cross-cycle accesses are ordered by the
-// simulator's cycle barrier.
+// any N > maxLat. produced/consumed count the traffic, and Read uses
+// them to leave an empty wire without touching the ring.
 type Signal struct {
 	name     string
 	bw       int
@@ -38,25 +30,24 @@ type Signal struct {
 	ring     [][]Dynamic // indexed by cycle & mask
 	stamp    []int64     // cycle each ring slot was last written for
 	mask     int64       // len(ring)-1; len(ring) is a power of two
-	wrCycle  int64       // cycle of the most recent writes (writer-only)
-	wrCount  int         // writes performed during wrCycle (writer-only)
-	produced atomic.Uint64
-	consumed atomic.Uint64
+	wrCycle  int64       // cycle of the most recent writes
+	wrCount  int         // writes performed during wrCycle
+	produced uint64
+	consumed uint64
 	// reader is the consuming box, resolved from the Binder when a Run
 	// starts: a write wakes it (sim.go, the park contract). Nil on a
 	// free-standing signal or a wire bound under a name that is no box's.
 	reader *BoxBase
-	// prodTally and consTally are the producing and the consuming
-	// shard's running totals of wire traffic, bumped beside produced and
-	// consumed so that the watchdog reads a pair per shard, not per wire.
-	// Resolved with reader; nil on the side of an endpoint that is no
-	// registered box, which the watchdog keeps reading here.
+	// prodTally and consTally are the simulator's running totals of wire
+	// traffic, bumped beside produced and consumed so that the watchdog
+	// reads one pair, not one per wire. Resolved with reader; nil on a
+	// free-standing signal.
 	prodTally, consTally *uint64
 
 	// Tracing: the reader appends to traceBuf during its clock; the
-	// simulator drains every buffer into the shared tracer at the
-	// cycle barrier, in signal-name order, so the trace is identical
-	// for any worker count.
+	// simulator drains every buffer into the shared tracer at the end of
+	// the cycle, in signal-name order, so the trace does not depend on
+	// the order boxes are clocked in.
 	tracer   Tracer
 	traceBuf []traceEntry
 }
@@ -85,8 +76,8 @@ func simFail(where string, cycle int64, format string, args ...any) {
 }
 
 // NewSignal creates a signal. Latency must be at least 1 cycle: the
-// framework relies on it for determinism and for race-free parallel
-// clocking. maxLat extends the ring for WriteLat; pass 0 to allow
+// framework relies on it for determinism (clocking order cannot
+// matter). maxLat extends the ring for WriteLat; pass 0 to allow
 // only the default latency.
 func NewSignal(name string, bandwidth, latency, maxLat int) *Signal {
 	if bandwidth < 1 {
@@ -155,13 +146,11 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 	}
 	s.stamp[slot] = arrive
 	s.ring[slot] = append(s.ring[slot], obj)
-	s.produced.Add(1)
+	s.produced++
 	if t := s.prodTally; t != nil {
 		*t++
 	}
-	// After the Add: a reader parking right now re-checks produced after
-	// it publishes its flag, so one of the two sees the other.
-	if r := s.reader; r != nil && r.parked.Load() {
+	if r := s.reader; r != nil {
 		r.Wake()
 	}
 }
@@ -174,19 +163,17 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 // The returned slice's backing array is owned by the signal and
 // reused for later writes into the same ring slot; the consumer must
 // finish with it during the clock cycle it was read on (which every
-// box does — the earliest conflicting write lands at cycle+1, on the
-// far side of the cycle barrier). This keeps the steady state
+// box does — the earliest conflicting write lands at cycle+1). This
+// keeps the steady state
 // allocation-free: the ring reaches its high-water capacity once and
 // never reallocates.
 //
 // Nothing in flight (produced == consumed) means nothing can arrive:
 // an object arriving at cycle C was written during an earlier cycle,
-// which the barrier has made visible, and a write the producer is
-// making concurrently arrives at C+1 or later. So the empty-wire exit
-// returns what the ring lookup would, in serial and parallel runs
-// alike.
+// and a write made this cycle arrives at C+1 or later. So the empty-wire
+// exit returns what the ring lookup would.
 func (s *Signal) Read(cycle int64) []Dynamic {
-	if s.produced.Load() == s.consumed.Load() {
+	if s.produced == s.consumed {
 		return nil
 	}
 	slot := cycle & s.mask
@@ -195,7 +182,7 @@ func (s *Signal) Read(cycle int64) []Dynamic {
 	}
 	out := s.ring[slot]
 	s.ring[slot] = out[:0]
-	s.consumed.Add(uint64(len(out)))
+	s.consumed += uint64(len(out))
 	if t := s.consTally; t != nil {
 		*t += uint64(len(out))
 	}
@@ -209,12 +196,12 @@ func (s *Signal) Read(cycle int64) []Dynamic {
 
 // Pending reports whether any objects are still in flight (written
 // but not yet read). Used by drain logic and the end-of-simulation
-// assertion; safe to call from either side of the wire.
-func (s *Signal) Pending() bool { return s.produced.Load() != s.consumed.Load() }
+// assertion.
+func (s *Signal) Pending() bool { return s.produced != s.consumed }
 
 // Traffic returns the total objects produced and consumed so far.
 func (s *Signal) Traffic() (produced, consumed uint64) {
-	return s.produced.Load(), s.consumed.Load()
+	return s.produced, s.consumed
 }
 
 // inFlightMax bounds how many stuck objects InFlight lists per signal.
@@ -222,8 +209,8 @@ const inFlightMax = 8
 
 // InFlight describes the unread objects still on the wire, one entry
 // per object formatted "tag#id @arrival", capped at inFlightMax with a
-// trailing "+N more" marker. Intended for deadlock reports; call only
-// at the cycle barrier (it reads ring slots both sides touch).
+// trailing "+N more" marker. Intended for deadlock reports; call at the
+// end of a cycle.
 func (s *Signal) InFlight() []string {
 	var out []string
 	total := 0
@@ -251,8 +238,7 @@ func (s *Signal) InFlight() []string {
 // chaos engine's signal-corruption fault: the consumer's next Read
 // delivers the nil Dynamic and its type switch or method call panics,
 // which the simulator converts into a *CrashError naming the consumer
-// box. Call only at the cycle barrier (it touches ring slots both
-// sides of the wire use).
+// box. Call at the end of a cycle.
 func (s *Signal) CorruptOne() bool {
 	for slot, objs := range s.ring {
 		if len(objs) > 0 {
@@ -266,9 +252,9 @@ func (s *Signal) CorruptOne() bool {
 // Tracer receives every object as it leaves a signal, one call per
 // object. The signal trace file consumed by the Signal Trace
 // Visualizer (cmd/sigtrace) is produced through this interface.
-// Tracers are shared by every signal, so the framework buffers trace
-// entries per signal and drains them single-threaded at each cycle
-// barrier: a Tracer implementation needs no locking of its own.
+// Tracers are shared by every signal; the framework buffers trace
+// entries per signal and drains them in signal-name order at the end
+// of each cycle.
 type Tracer interface {
 	Trace(cycle int64, signal string, obj *DynObject)
 }
@@ -276,8 +262,7 @@ type Tracer interface {
 func (s *Signal) setTracer(t Tracer) { s.tracer = t }
 
 // flushTrace drains the buffered trace entries into the tracer. The
-// simulator calls it at the cycle barrier, never concurrently with
-// the consumer's Read.
+// simulator calls it at the end of every cycle.
 func (s *Signal) flushTrace() {
 	if s.tracer == nil || len(s.traceBuf) == 0 {
 		return

@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// One clock loop. A Run clocks the boxes on the goroutine that called
+// it, in registration order; the only other goroutine is the context
+// watcher, which touches nothing but the stopped flag. Every signal has
+// latency >= 1, so a cycle's reads never observe that cycle's writes and
+// the order boxes are clocked in within a cycle cannot change a result.
+// State outside the signal model that one box writes and another reads
+// goes through a Publication, folded at the end of the cycle: the same
+// one-cycle visibility a wire of latency 1 has. The end of a cycle is
+// what the rest of the tree calls the barrier: publications folded,
+// hooks run, statistics sampled, checkpoints captured.
+//
 // Who gets clocked. The paper's loop clocks every box every cycle; this
 // one clocks the boxes that are awake. A box may end a Clock by parking
 // (BoxBase.Park, BoxBase.ParkCounting), and is then skipped until
@@ -27,19 +38,19 @@ import (
 //	    cache's memory port); the write wakes it at write time, not
 //	    arrival time, so the simulator keeps a parking box awake while
 //	    any of its inputs has something in flight (Pending).
-//	(b) the barrier folding a Publication it reads — released credits
-//	    arriving in one of its output flows wake a producer that was
-//	    blocked on credit alone.
-//	(c) BoxBase.Wake from a box that calls it directly (same pin group).
+//	(b) the end of the cycle folding a Publication it reads — released
+//	    credits arriving in one of its output flows wake a producer that
+//	    was blocked on credit alone.
+//	(c) BoxBase.Wake from a box that calls it directly.
 //
 // A stalled box sleeps too. A counter named to ParkCounting accrues
 // from the cycle after the park was granted: Counter.Value adds its
 // rate times the cycles gone by, read off the simulator's cycle
-// register, which the barrier advances before anything samples a
-// statistic — so the interval CSV, the summary, a checkpoint's stats
+// register, which the end of the cycle advances before anything samples
+// a statistic — so the interval CSV, the summary, a checkpoint's stats
 // section and every BusyCycles reader see at each barrier the number the
 // skipped Clocks would have written, with no timer and no credit paid
-// late. The shard folds the sum into the counter before the box's next
+// late. The loop folds the sum into the counter before the box's next
 // Clock, and the end of a Run folds what is still accruing. The accrual
 // starts only with a granted park: one refused for an input in flight
 // leaves the box awake to count for itself next cycle.
@@ -49,17 +60,12 @@ import (
 // an instruction's latency, the display refresh) — stays awake in that
 // state.
 //
-// Two consequences hold by construction. A spurious clock of a parked
-// box is harmless: so every Run (a restored one included) starts with
-// all boxes awake and park state is never serialized, an installed
-// ClockGate — whose decisions are keyed by (cycle, box) — keeps every
-// box awake and no counter accruing, and a cross-shard wake that races
-// the consumer's loop may be seen this cycle or the next (the object it
-// announces arrives no earlier than that). A missed wake is a bug:
-// across shards parking is the classic lost-wake-up pattern, and
-// shard.park and Signal.WriteLat hold the two halves of the protocol
-// that rules it out; the watchdog's report says which boxes were parked
-// since when, counting what (DeadlockReport).
+// A spurious clock of a parked box is harmless, so every Run (a
+// restored one included) starts with all boxes awake and park state is
+// never serialized, and an installed ClockGate — whose decisions are
+// keyed by (cycle, box) — keeps every box awake and no counter accruing.
+// A missed wake is a bug; the watchdog's report says which boxes were
+// parked since when, counting what (DeadlockReport).
 
 // Box is a timing module. Clock is called once per simulated cycle
 // while the box is awake (always, for a box that never parks); a box
@@ -77,9 +83,9 @@ type BoxBase struct {
 	name string
 
 	// Park state, valid during a Run (see the park contract above).
-	sh     *shard // the shard clocking this box; nil outside Run
-	idx    int    // the box's bit in sh.awake
-	parked atomic.Bool
+	sim    *Simulator // the simulator clocking this box; nil outside Run
+	idx    int        // the box's bit in sim.awake
+	parked bool
 	inputs []*Signal // the wires this box consumes
 	// counting holds what the Clock in progress named to ParkCounting,
 	// and, once the park is granted, what accrues until the next Clock.
@@ -107,8 +113,8 @@ func (b *BoxBase) boxBase() *BoxBase { return b }
 // a state the park contract allows. The box still stays awake while one
 // of its input wires has an object in flight.
 func (b *BoxBase) Park() {
-	if b.sh != nil {
-		b.sh.parking = true
+	if b.sim != nil {
+		b.sim.parking = true
 	}
 }
 
@@ -118,77 +124,65 @@ func (b *BoxBase) Park() {
 // again, if the park is granted. Call it once per such counter, each
 // counter at most once in a Clock.
 func (b *BoxBase) ParkCounting(c *Counter, perCycle int) {
-	if b.sh == nil {
+	if b.sim == nil {
 		return
 	}
-	b.sh.parking = true
+	b.sim.parking = true
 	if perCycle != 0 {
 		b.counting = append(b.counting, accrual{c, float64(perCycle)})
 	}
 }
 
-// Wake puts a parked box back in its shard's awake set, to be clocked
-// from the next cycle on (possibly this one). Safe from any goroutine.
+// Wake puts a parked box back in the awake set, to be clocked from the
+// next cycle on (this one, if the walk has not reached its word yet).
 func (b *BoxBase) Wake() {
-	if b.parked.Load() && b.parked.CompareAndSwap(true, false) {
-		b.sh.setAwake(b.idx, true)
+	if b.parked {
+		b.parked = false
+		b.sim.awake[b.idx>>6] |= 1 << (b.idx & 63)
 	}
 }
 
 // EndCycleFunc runs after boxes have been clocked and before
-// statistics are sampled. Hooks registered with OnEndCycle run on the
-// coordinating goroutine at the end of every cycle, in registration
-// order, in both serial and parallel mode: they are the barrier at
-// which cross-shard state is published (quiesce snapshots taken,
-// trace buffers drained, checkpoints captured).
+// statistics are sampled. Hooks registered with OnEndCycle run at the
+// end of every cycle, in registration order: quiesce snapshots taken,
+// trace buffers drained, checkpoints captured.
 type EndCycleFunc func(cycle int64)
 
 // Publication is state outside the signal model that one box writes
 // during a cycle and another reads from the next cycle on: released
-// flow credits, a unit's idle flag polled from another shard. The
-// writer calls Mark on a cycle it changed the state; the barrier then
-// runs the fold that makes the change visible, and wakes the reader.
-// Unmarked publications cost nothing; folds of one cycle touch disjoint
-// state, so their order is immaterial.
+// flow credits, a unit's idle flag the command processor polls. The
+// writer calls Mark on a cycle it changed the state; the end of the
+// cycle then runs the fold that makes the change visible, and wakes the
+// reader. Unmarked publications cost nothing; folds of one cycle touch
+// disjoint state, so their order is immaterial.
 type Publication struct {
-	fold           EndCycleFunc
-	writer, reader string
-	list           *[]*Publication // the writer's shard's publish list
-	wakes          *BoxBase        // reader, when it is a registered box
-	marked         bool
+	fold   EndCycleFunc
+	reader string
+	sim    *Simulator
+	wakes  *BoxBase // reader, when it is a registered box
+	marked bool
 }
 
-// Publish registers a publication written by box writer and read by
-// box reader ("" when the reader never parks on it).
-func (s *Simulator) Publish(writer, reader string, fold EndCycleFunc) *Publication {
-	p := &Publication{fold: fold, writer: writer, reader: reader, list: &s.shards[0].pubs}
+// Publish registers a publication read by box reader ("" when the
+// reader never parks on it).
+func (s *Simulator) Publish(reader string, fold EndCycleFunc) *Publication {
+	p := &Publication{fold: fold, reader: reader, sim: s}
 	s.pubs = append(s.pubs, p)
 	return p
 }
 
-// Mark schedules the fold for this cycle's barrier. Call it from the
+// Mark schedules the fold for the end of this cycle. Call it from the
 // writer box's Clock (or anything it calls).
 func (p *Publication) Mark() {
 	if !p.marked {
 		p.marked = true
-		*p.list = append(*p.list, p)
+		p.sim.marked = append(p.sim.marked, p)
 	}
 }
 
 // Simulator owns the clock loop: a set of boxes, the signal binder,
 // the statistics manager, and an object-identifier source shared by
 // everything in one simulated GPU.
-//
-// By default all boxes are clocked serially from one goroutine. With
-// SetWorkers(n > 1), boxes are partitioned once per Run into shards
-// that are clocked concurrently and meet on a sense-reversing spin
-// barrier at the end of every cycle. Because every signal has latency
-// >= 1 (a cycle's reads never observe that cycle's writes) and all
-// non-signal cross-box state is only touched at that barrier, parallel
-// runs are bit-identical to serial runs. Boxes that share mutable state
-// directly (method calls, shared counters) must be kept on one shard
-// with Pin; state one box writes and a box of another shard reads goes
-// through a Publication.
 //
 // Run failures are classified into typed errors — ErrCycleLimit,
 // ErrDeadlock, ErrPanic, ErrCanceled, *SimError — and every abnormal
@@ -202,24 +196,28 @@ type Simulator struct {
 	boxes     []Box
 	cycle     int64
 	done      func() bool
-	workers   int
-	pinGroup  map[Box]string
 	hooks     []EndCycleFunc
 	traced    []*Signal // signals with a tracer, flushed each cycle
 	tracedSet bool
 
-	// shards are the clocked partitions of the current (or last) Run, one
-	// in serial mode; before any Run an empty one holds the publish list.
-	shards []*shard
-	pubs   []*Publication // every registered publication
-	// What no shard tallies (see activity): the wire ends whose
-	// producer, or consumer, is no registered box, and the reporters'
-	// position registers.
-	walkProd, walkCons []*Signal
-	steps              []*int
+	// The clocked state of a Run (see the park contract): bases[i] is
+	// boxes[i]'s BoxBase (nil for a Box without one); awake has bit i set
+	// while boxes[i] is to be clocked, accruing while it is parked with
+	// counters accruing (bases[i].counting), to be folded before its next
+	// Clock — accruing & awake is who that is.
+	bases    []*BoxBase
+	awake    []uint64
+	accruing []uint64
+	parking  bool // the box being clocked called Park
 
-	// boxCosts seeds the bin-packing partition (SetBoxCosts).
-	boxCosts map[string]float64
+	pubs   []*Publication // every registered publication
+	marked []*Publication // marked this cycle, folded at its end
+
+	// The watchdog's fingerprint, kept as it moves (see activity): every
+	// wire's traffic (Signal.prodTally, consTally), every Progress counter
+	// of a reporter box, and the reporters' position registers.
+	produced, consumed, progress uint64
+	steps                        []*int
 
 	wd     *watchdog
 	crash  *CrashReport
@@ -227,8 +225,7 @@ type Simulator struct {
 
 	// Host-time attribution (SetClockObserver): on cycles where
 	// cycle%obsEvery == 0 every box clock is individually timed and
-	// reported. Nil obs (the default) costs one branch per shard per
-	// cycle and nothing else.
+	// reported. Nil obs (the default) costs one branch per cycle.
 	obs      ClockObserver
 	obsEvery int64
 
@@ -238,8 +235,8 @@ type Simulator struct {
 
 	// Cooperative cancellation: Stop (or a context watcher) raises
 	// stopped; the clock loop polls it once per cycle. The atomic is
-	// the only cross-goroutine state — the cancellation cause is
-	// derived from the context itself when the loop stops, so the
+	// the only state another goroutine touches — the cancellation cause
+	// is derived from the context itself when the loop stops, so the
 	// watcher goroutine never writes a plain field the loop might be
 	// writing too. The loop additionally polls the context directly
 	// every ctxPollMask+1 cycles, bounding cancellation latency in
@@ -255,7 +252,6 @@ func NewSimulator(statInterval int64) *Simulator {
 	return &Simulator{
 		Binder: NewBinder(),
 		Stats:  NewStatManager(statInterval),
-		shards: []*shard{{}},
 	}
 }
 
@@ -263,28 +259,28 @@ func NewSimulator(statInterval int64) *Simulator {
 func (s *Simulator) Register(b Box) { s.boxes = append(s.boxes, b) }
 
 // Boxes returns the registered boxes in registration order. The slice
-// is a copy; the boxes are shared — read their state only at the
-// cycle barrier (an OnEndCycle hook) or outside Run.
+// is a copy; the boxes are shared — read their state only at the end of
+// a cycle (an OnEndCycle hook) or outside Run.
 func (s *Simulator) Boxes() []Box { return append([]Box(nil), s.boxes...) }
 
+// BarrierBoxName names the pseudo-box the parallel clock loop, now
+// gone, reported its barrier wait under. No code path reports it; the
+// benchmark's box classes still name it (ROADMAP item 7 retires it).
+const BarrierBoxName = "(barrier)"
+
 // ClockObserver receives sampled host-time measurements of individual
-// box clocks (see SetClockObserver). In parallel mode BoxClocked is
-// called concurrently from different shards; implementations must be
-// safe for that. The coordinator additionally reports its barrier
-// wait under the BarrierBoxName pseudo-box, so sync cost never skews
-// the per-box attribution.
+// box clocks (see SetClockObserver).
 type ClockObserver interface {
-	// BoxClocked reports that box's Clock call on the given shard took
-	// hostNs wall-clock nanoseconds.
-	BoxClocked(shard int, box Box, hostNs int64)
+	// BoxClocked reports that box's Clock call took hostNs wall-clock
+	// nanoseconds.
+	BoxClocked(box Box, hostNs int64)
 }
 
 // SetClockObserver installs an observer that times every box's Clock
 // call on cycles where cycle%sampleEvery == 0 (sampleEvery <= 1 times
 // every cycle). Pass nil to remove the observer (the default). A
 // sampled cycle costs two monotonic clock reads per box; unsampled
-// cycles pay one branch per shard. Observation never changes
-// simulation results.
+// cycles pay one branch. Observation never changes simulation results.
 func (s *Simulator) SetClockObserver(o ClockObserver, sampleEvery int64) {
 	if sampleEvery < 1 {
 		sampleEvery = 1
@@ -297,11 +293,10 @@ func (s *Simulator) SetClockObserver(o ClockObserver, sampleEvery int64) {
 // engine): BeforeClock runs immediately before each box's Clock call
 // and may skip the clock (return false — a stalled box), panic (an
 // injected crash, attributed to the gated box like any box panic), or
-// pass through (return true). In parallel mode BeforeClock is called
-// concurrently from different shards and must be safe for that;
-// deterministic injectors precompute their decisions from (cycle,
-// box) only, so while a gate is installed Park is ignored and every
-// box is clocked every cycle. Gating is invisible when nil (the default).
+// pass through (return true). Deterministic injectors precompute their
+// decisions from (cycle, box) only, so while a gate is installed Park
+// is ignored and every box is clocked every cycle. Gating is invisible
+// when nil (the default).
 type ClockGate interface {
 	BeforeClock(cycle int64, box Box) bool
 }
@@ -313,8 +308,7 @@ func (s *Simulator) SetClockGate(g ClockGate) { s.gate = g }
 // progress: the last cycle with observed activity and the cumulative
 // activity fingerprint (total signal traffic plus every
 // ProgressReporter counter). ok is false when no watchdog is armed.
-// The state is barrier-published: call only from the coordinating
-// goroutine (an OnEndCycle hook, or outside Run).
+// Call from an OnEndCycle hook, or outside Run.
 func (s *Simulator) WatchdogProgress() (lastProgress int64, fingerprint uint64, ok bool) {
 	if s.wd == nil {
 		return 0, 0, false
@@ -324,31 +318,18 @@ func (s *Simulator) WatchdogProgress() (lastProgress int64, fingerprint uint64, 
 
 // SetDone installs the termination predicate checked at the end of
 // every cycle (typically "command processor has retired all
-// commands"). The predicate runs at the cycle barrier, never
-// concurrently with box clocks.
+// commands").
 func (s *Simulator) SetDone(done func() bool) { s.done = done }
 
-// SetWorkers selects the execution mode: n <= 1 clocks all boxes
-// serially (the default), n > 1 clocks box shards on n goroutines. The
-// effective count is clamped to runtime.GOMAXPROCS(0) and to the
-// number of shardable units (see EffectiveWorkers); results are
-// identical in every mode.
-func (s *Simulator) SetWorkers(n int) { s.workers = max(n, 0) }
-
-// Workers returns the configured worker count (0 or 1 means serial).
-// See EffectiveWorkers for the clamped value a Run will actually use.
-func (s *Simulator) Workers() int { return s.workers }
-
-// EffectiveWorkers returns the shard count Run will use right now:
-// the configured worker count resolved against GOMAXPROCS and the
-// shardable unit count (0 or 1 means serial).
-func (s *Simulator) EffectiveWorkers() int { return s.resolveWorkers() }
+// SetWorkers once chose the parallel clock loop; it is gone, and n is
+// ignored. Kept for the benchmark's idle kernel (ROADMAP item 7).
+func (s *Simulator) SetWorkers(n int) {}
 
 // SetWatchdog arms the progress watchdog: if no signal traffic and no
 // ProgressReporter counter changes for window consecutive cycles, Run
 // aborts with a *DeadlockError carrying a structured report instead
 // of spinning to the cycle budget. Pass 0 to disable (the default).
-// The watchdog runs at the cycle barrier and does not perturb timing.
+// The watchdog runs at the end of the cycle and does not perturb timing.
 func (s *Simulator) SetWatchdog(window int64) {
 	if window <= 0 {
 		s.wd = nil
@@ -358,34 +339,14 @@ func (s *Simulator) SetWatchdog(window int64) {
 }
 
 // Stop requests cooperative cancellation: the clock loop returns an
-// ErrCanceled-wrapping error at the next cycle barrier, with all
+// ErrCanceled-wrapping error before it starts the next cycle, with all
 // statistics and traces produced so far flushed. Safe to call from
 // any goroutine (e.g. a signal handler).
 func (s *Simulator) Stop() { s.stopped.Store(true) }
 
-// Pin assigns boxes to a named affinity group: all boxes pinned to
-// the same group are clocked on the same worker, in registration
-// order relative to each other. Pin boxes that share mutable state
-// outside the signal model (direct method calls, a shared batch
-// descriptor); unpinned boxes may each be clocked on any worker.
-func (s *Simulator) Pin(group string, boxes ...Box) {
-	if s.pinGroup == nil {
-		s.pinGroup = make(map[Box]string)
-	}
-	for _, b := range boxes {
-		s.pinGroup[b] = group
-	}
-}
-
-// OnEndCycle registers a hook to run at the end of every cycle, on the
-// coordinating goroutine, in registration order.
+// OnEndCycle registers a hook to run at the end of every cycle, in
+// registration order.
 func (s *Simulator) OnEndCycle(fn EndCycleFunc) { s.hooks = append(s.hooks, fn) }
-
-// SetBoxCosts seeds the partition's cost model: estimated relative
-// host cost per Clock call, keyed by box name (boxes absent from the
-// map count as 1). The partition packs pin units onto shards by
-// summed cost. Pass nil to restore uniform costs.
-func (s *Simulator) SetBoxCosts(costs map[string]float64) { s.boxCosts = costs }
 
 // Cycle returns the current simulation cycle.
 func (s *Simulator) Cycle() int64 { return s.cycle }
@@ -447,10 +408,10 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 	if s.wd != nil {
 		s.wd.reset(s)
 	}
-	err := s.run(maxCycles, max(s.resolveWorkers(), 1))
+	err := s.run(maxCycles)
 	s.endParks()
-	// A failing cycle stops before its barrier: drain whatever trace
-	// entries its boxes produced so the trace shows the violation.
+	// A failing cycle stops before its end: drain whatever trace entries
+	// its boxes produced so the trace shows the violation.
 	s.flushTraces()
 	s.Stats.Flush(s.cycle)
 	s.crash = s.buildCrashReport(err)
@@ -490,18 +451,95 @@ func (s *Simulator) stopErr() error {
 	return fmt.Errorf("%w at cycle %d", ErrCanceled, s.cycle)
 }
 
-// endOfCycle is the barrier's tail on the coordinator, after every
-// shard has clocked the cycle: watchdog, publication fold, hooks,
-// traces, stats, termination check. It returns (true, err) when the
-// run loop should return err.
+// run is the clock loop: clock the awake boxes, then end the cycle.
+func (s *Simulator) run(maxCycles int64) (err error) {
+	defer func() {
+		// Panics at the end of the cycle (hooks, the done predicate) get
+		// the same black-box treatment as box panics.
+		if r := recover(); r != nil {
+			err = panicError(r, "", s.cycle)
+		}
+	}()
+	s.wire()
+	limit := s.cycle + maxCycles
+	for s.cycle < limit {
+		cycle := s.cycle
+		if s.shouldStop(cycle) {
+			return s.stopErr()
+		}
+		if err := s.clock(cycle); err != nil {
+			return err
+		}
+		if stop, err := s.endOfCycle(cycle); stop {
+			return err
+		}
+	}
+	return fmt.Errorf("%w after %d cycles", ErrCycleLimit, maxCycles)
+}
+
+// panicError turns a recovered panic into the Run error: a *SimError
+// as itself, anything else a *CrashError naming box ("" outside a box
+// clock). Called while unwinding, so the stack still shows the
+// panicking frames.
+func panicError(r any, box string, cycle int64) error {
+	if se, ok := r.(*SimError); ok {
+		return se
+	}
+	return &CrashError{Box: box, Cycle: cycle, Value: r, Stack: debug.Stack()}
+}
+
+// clock clocks the awake boxes through cycle c, in registration order:
+// sampled and not, gated and not.
+func (s *Simulator) clock(c int64) (err error) {
+	var cur Box
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(r, boxNameOf(cur), c)
+		}
+	}()
+	timed := s.obs != nil && c%s.obsEvery == 0
+	for w := range s.awake {
+		// Each word is loaded once: a box woken later in the walk is
+		// clocked next cycle, which is early enough — what woke it
+		// arrives no sooner.
+		word := s.awake[w]
+		// The sleepers among them wake up to settled counters. (Under a
+		// gate nothing accrues, so none of these is skipped below.)
+		for woken := s.accruing[w] & word; woken != 0; woken &= woken - 1 {
+			s.settle(w<<6+bits.TrailingZeros64(woken), c)
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			cur = s.boxes[i]
+			if s.gate != nil && !s.gate.BeforeClock(c, cur) {
+				continue
+			}
+			if timed {
+				t0 := time.Now()
+				cur.Clock(c)
+				s.obs.BoxClocked(cur, time.Since(t0).Nanoseconds())
+			} else {
+				cur.Clock(c)
+			}
+			if s.parking {
+				s.parking = false
+				s.parkAfter(i, c)
+			}
+		}
+	}
+	return nil
+}
+
+// endOfCycle runs after every box has clocked the cycle: watchdog,
+// publication fold, hooks, traces, stats, termination check. It returns
+// (true, err) when the run loop should return err.
 func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
-	// Advance the counter before the barrier hooks run: a checkpoint
-	// captured in a hook must record the next cycle to execute, not
-	// re-execute this one on resume. Hooks still observe cycle as
-	// their argument. The watchdog check also precedes the hooks so
-	// the captured watchdog fingerprint is the post-barrier state — a
-	// restored run continues the progress tracking exactly where the
-	// uninterrupted run left it.
+	// Advance the counter before the hooks run: a checkpoint captured in
+	// a hook must record the next cycle to execute, not re-execute this
+	// one on resume. Hooks still observe cycle as their argument. The
+	// watchdog check also precedes the hooks so the captured watchdog
+	// fingerprint is the end-of-cycle state — a restored run continues
+	// the progress tracking exactly where the uninterrupted run left it.
 	s.cycle = cycle + 1
 	var rep *DeadlockReport
 	if s.wd != nil {
@@ -523,9 +561,15 @@ func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
 // at the end of every cycle; only test harnesses that clock boxes
 // manually (outside Run) need to call it themselves.
 func (s *Simulator) EndCycle(cycle int64) {
-	for _, sh := range s.shards {
-		sh.foldPublications(cycle)
+	for i, p := range s.marked {
+		p.marked = false
+		p.fold(cycle)
+		if p.wakes != nil {
+			p.wakes.Wake()
+		}
+		s.marked[i] = nil
 	}
+	s.marked = s.marked[:0]
 	for _, fn := range s.hooks {
 		fn(cycle)
 	}
@@ -534,7 +578,7 @@ func (s *Simulator) EndCycle(cycle int64) {
 
 // refreshTraced caches the traced-signal list. Sorted by signal name
 // (Binder.Signals order), so the drained trace is deterministic
-// regardless of worker count or clocking order.
+// regardless of clocking order.
 func (s *Simulator) refreshTraced() {
 	s.traced = s.traced[:0]
 	for _, sig := range s.Binder.Signals() {
@@ -563,94 +607,17 @@ func boxNameOf(b Box) string {
 	return b.BoxName()
 }
 
-// shard is one clocked partition of the machine: every box in serial
-// mode, a worker's share in parallel mode. It owns the awake set its
-// boxes park in and the publish list they mark.
-type shard struct {
-	id    int
-	boxes []Box      // registration order: pinned boxes call each other directly
-	bases []*BoxBase // bases[i] is boxes[i]'s BoxBase; nil for a Box without one
-	// awake has bit i set while boxes[i] is to be clocked. Cleared by
-	// the shard itself when a box parks, set by Wake from any goroutine.
-	awake []atomic.Uint64
-	// accruing has bit i set while boxes[i] is parked with counters
-	// accruing (bases[i].counting), to be folded before its next Clock:
-	// accruing & awake is who that is. Plain: the shard's goroutine alone
-	// touches it during a Run.
-	accruing []uint64
-	now      *int64         // the simulator's cycle register, which accruing counters read
-	parking  bool           // the box being clocked called Park
-	pubs     []*Publication // marked this cycle, folded at the barrier
-	// produced and consumed total the traffic of every wire this shard's
-	// boxes write and read (Signal.prodTally, consTally), progress every
-	// Progress counter of theirs. Plain: bumped by the shard's goroutine,
-	// read by the coordinator past the barrier.
-	produced, consumed, progress uint64
-
-	obs      ClockObserver // sampled box-clock timing, nil when off
-	obsEvery int64
-	gate     ClockGate // fault injection, nil when off
-	// Failure state, written before the join barrier and read by the
-	// coordinator after it (the barrier orders both).
-	simErr *SimError
-	crash  *CrashError
-}
-
-// setBoxes makes the shard clock exactly boxes, all of them awake.
-func (sh *shard) setBoxes(boxes []Box) {
-	sh.boxes = boxes
-	sh.bases = make([]*BoxBase, len(boxes))
-	sh.awake = make([]atomic.Uint64, (len(boxes)+63)/64)
-	sh.accruing = make([]uint64, len(sh.awake))
-	for i, b := range boxes {
-		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
-			base := bb.boxBase()
-			base.sh, base.idx = sh, i
-			base.parked.Store(false)
-			sh.bases[i] = base
-		}
-		sh.setAwake(i, true)
-	}
-}
-
-// setAwake sets or clears box i's bit in the awake set. A CAS loop
-// rather than atomic Or/And, which the module's Go version predates.
-func (sh *shard) setAwake(i int, on bool) {
-	w, bit := &sh.awake[i>>6], uint64(1)<<(i&63)
-	for {
-		old := w.Load()
-		next := old | bit
-		if !on {
-			next = old &^ bit
-		}
-		if next == old || w.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // park takes box i out of the awake set, and reports it did, unless one
-// of its inputs has something in flight. The order is the lost-wake-up
-// protocol of the park contract: leave the set, publish the flag, then
-// re-check the inputs; a writer that bumped produced before our
-// re-check is seen here, one that bumps it after sees the flag.
-// (Checking first and publishing second would lose a write that lands
-// in between.)
-func (sh *shard) park(i int) bool {
-	base := sh.bases[i] // never nil: only a BoxBase can have asked
+// of its inputs has something in flight.
+func (s *Simulator) park(i int) bool {
+	base := s.bases[i] // never nil: only a BoxBase can have asked
 	for _, in := range base.inputs {
 		if in.Pending() {
-			return false // the common refusal, before any atomic write
-		}
-	}
-	sh.setAwake(i, false)
-	base.parked.Store(true)
-	for _, in := range base.inputs {
-		if in.Pending() {
-			base.Wake()
 			return false
 		}
 	}
+	s.awake[i>>6] &^= 1 << (i & 63)
+	base.parked = true
 	return true
 }
 
@@ -658,9 +625,9 @@ func (sh *shard) park(i int) bool {
 // and with a granted one the accrual of the counters it named, from
 // cycle c+1 on — the Clock itself counted c. A refused park (or any,
 // under a gate) leaves the box awake to count for itself.
-func (sh *shard) parkAfter(i int, c int64) {
-	base := sh.bases[i]
-	if sh.gate != nil || !sh.park(i) {
+func (s *Simulator) parkAfter(i int, c int64) {
+	base := s.bases[i]
+	if s.gate != nil || !s.park(i) {
 		base.counting = base.counting[:0]
 		return
 	}
@@ -669,313 +636,99 @@ func (sh *shard) parkAfter(i int, c int64) {
 		return
 	}
 	for _, a := range base.counting {
-		a.c.rate, a.c.since, a.c.now = a.perCycle, c+1, sh.now
+		a.c.rate, a.c.since, a.c.now = a.perCycle, c+1, &s.cycle
 	}
-	sh.accruing[i>>6] |= 1 << (i & 63)
+	s.accruing[i>>6] |= 1 << (i & 63)
 }
 
 // settle ends box i's accrual before it is clocked at cycle c (or with
 // the Run, c the cycle it would next have run): the skipped cycles
 // fold into the counters.
-func (sh *shard) settle(i int, c int64) {
-	base := sh.bases[i]
+func (s *Simulator) settle(i int, c int64) {
+	base := s.bases[i]
 	for _, a := range base.counting {
 		a.c.settle(c)
 	}
 	base.counting = base.counting[:0]
-	sh.accruing[i>>6] &^= 1 << (i & 63)
+	s.accruing[i>>6] &^= 1 << (i & 63)
 }
 
 // endParks ends the park state of a Run with it: what still accrues is
-// folded through the last cycle clocked, and no box keeps a shard to
-// park in, so a later Run (or a harness clocking by hand) starts from
+// folded through the last cycle clocked, and no box keeps a simulator
+// to park in, so a later Run (or a harness clocking by hand) starts from
 // plain counters and boxes that are all awake.
 func (s *Simulator) endParks() {
-	for _, sh := range s.shards {
-		for i, base := range sh.bases {
-			if base == nil {
-				continue
-			}
-			if sh.accruing[i>>6]&(1<<(i&63)) != 0 {
-				sh.settle(i, s.cycle)
-			}
-			base.parked.Store(false)
-			base.sh = nil
+	for i, base := range s.bases {
+		if base == nil {
+			continue
 		}
+		if s.accruing[i>>6]&(1<<(i&63)) != 0 {
+			s.settle(i, s.cycle)
+		}
+		base.parked = false
+		base.sim = nil
 	}
 }
 
-// foldPublications runs on the coordinator while no box is clocked.
-func (sh *shard) foldPublications(cycle int64) {
-	for i, p := range sh.pubs {
-		p.marked = false
-		p.fold(cycle)
-		if p.wakes != nil {
-			p.wakes.Wake()
-		}
-		sh.pubs[i] = nil
-	}
-	sh.pubs = sh.pubs[:0]
-}
-
-// clock clocks the shard's awake boxes through cycle c, in
-// registration order: the one box loop, serial and parallel, sampled
-// and not, gated and not. A failing box leaves the shard at the join
-// barrier like any other; the coordinator inspects the recorded failure
-// after the rendezvous.
-func (sh *shard) clock(c int64) {
-	var cur Box
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(*SimError); ok {
-				sh.simErr = se
-				return
-			}
-			// Wrap the raw panic with box and cycle context and capture
-			// the stack here: it still shows the panicking frames during
-			// unwinding.
-			sh.crash = &CrashError{
-				Box: boxNameOf(cur), Shard: sh.id, Cycle: c,
-				Value: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	timed := sh.obs != nil && c%sh.obsEvery == 0
-	for w := range sh.awake {
-		// A box woken after this load is clocked next cycle, which is
-		// early enough: what woke it arrives no sooner.
-		word := sh.awake[w].Load()
-		// The sleepers among them wake up to settled counters. (Under a
-		// gate nothing accrues, so none of these is skipped below.)
-		for woken := sh.accruing[w] & word; woken != 0; woken &= woken - 1 {
-			sh.settle(w<<6+bits.TrailingZeros64(woken), c)
-		}
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			cur = sh.boxes[i]
-			if sh.gate != nil && !sh.gate.BeforeClock(c, cur) {
-				continue
-			}
-			if timed {
-				t0 := time.Now()
-				cur.Clock(c)
-				sh.obs.BoxClocked(sh.id, cur, time.Since(t0).Nanoseconds())
-			} else {
-				cur.Clock(c)
-			}
-			if sh.parking {
-				sh.parking = false
-				sh.parkAfter(i, c)
-			}
-		}
-	}
-}
-
-// wire resolves, for the shards about to be clocked, what is bound by
-// name or by box: each signal's consumer box (woken by writes, and the
-// wires a parking box must find empty; Binder.Own names the box behind
-// a wire end registered under another name), the shard tallies that its
-// two ends and each reporter's counters count into, and each
-// publication's writer shard and reader box. Publications marked but
-// not yet folded move to their new list. All boxes start awake.
+// wire resolves, for the Run about to start, what is bound by name or
+// by box: each box's BoxBase, all of them awake; each signal's consumer
+// box (woken by writes, and the wires a parking box must find empty;
+// Binder.Own names the box behind a wire end registered under another
+// name) and the tallies its traffic counts into; each reporter's
+// counters; and each publication's reader box.
 //
 // The tallies start from what their wires and counters have counted so
 // far, so that they always add up to what those say themselves.
-func (s *Simulator) wire(shards []*shard) error {
-	s.shards = shards
+func (s *Simulator) wire() {
+	n := len(s.boxes)
+	s.bases = make([]*BoxBase, n)
+	s.awake = make([]uint64, (n+63)/64)
+	s.accruing = make([]uint64, len(s.awake))
+	s.parking = false // a Run that failed in a Clock may have left it set
 	byName := make(map[string]*BoxBase)
-	shardOf := make(map[string]*shard)
-	s.walkProd, s.walkCons, s.steps = s.walkProd[:0], s.walkCons[:0], s.steps[:0]
-	for _, sh := range shards {
-		sh.pubs = sh.pubs[:0]
-		sh.produced, sh.consumed, sh.progress = 0, 0, 0
-		for i, b := range sh.boxes {
-			shardOf[b.BoxName()] = sh
-			if base := sh.bases[i]; base != nil {
-				byName[b.BoxName()] = base
-				base.inputs = base.inputs[:0]
+	s.produced, s.consumed, s.progress = 0, 0, 0
+	s.steps = s.steps[:0]
+	for i, b := range s.boxes {
+		s.awake[i>>6] |= 1 << (i & 63)
+		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
+			base := bb.boxBase()
+			base.sim, base.idx, base.parked = s, i, false
+			base.inputs = base.inputs[:0]
+			s.bases[i] = base
+			byName[b.BoxName()] = base
+		}
+		if r, ok := b.(ProgressReporter); ok {
+			counters, steps := r.ProgressTerms()
+			for _, p := range counters {
+				p.tally = &s.progress
+				s.progress += uint64(p.v)
 			}
-			if r, ok := b.(ProgressReporter); ok {
-				counters, steps := r.ProgressTerms()
-				for _, p := range counters {
-					p.tally = &sh.progress
-					sh.progress += uint64(p.v)
-				}
-				s.steps = append(s.steps, steps...)
-			}
+			s.steps = append(s.steps, steps...)
 		}
 	}
 	for _, sig := range s.Binder.order {
-		producer := s.Binder.boxOf(s.Binder.producers[sig.name])
-		consumer := s.Binder.boxOf(s.Binder.consumers[sig.name])
-		sig.reader = byName[consumer]
+		sig.reader = byName[s.Binder.boxOf(s.Binder.consumers[sig.name])]
 		if sig.reader != nil {
 			sig.reader.inputs = append(sig.reader.inputs, sig)
 		}
-		sig.prodTally, sig.consTally = nil, nil
-		if sh := shardOf[producer]; sh != nil {
-			sig.prodTally = &sh.produced
-			sh.produced += sig.produced.Load()
-		} else {
-			s.walkProd = append(s.walkProd, sig)
-		}
-		if sh := shardOf[consumer]; sh != nil {
-			sig.consTally = &sh.consumed
-			sh.consumed += sig.consumed.Load()
-		} else {
-			s.walkCons = append(s.walkCons, sig)
-		}
+		sig.prodTally, sig.consTally = &s.produced, &s.consumed
+		s.produced += sig.produced
+		s.consumed += sig.consumed
 	}
 	for _, p := range s.pubs {
-		sh, ok := shardOf[p.writer]
-		if !ok {
-			if len(shards) > 1 {
-				return fmt.Errorf("core: publication writer %q is not a registered box", p.writer)
-			}
-			sh = shards[0]
-		}
-		p.list, p.wakes = &sh.pubs, byName[p.reader]
-		if p.marked {
-			sh.pubs = append(sh.pubs, p)
-		}
+		p.wakes = byName[p.reader]
 	}
-	return nil
 }
 
 // activity returns the three sums of the watchdog's fingerprint: the
 // objects written to and read from all wires so far, and the reporters'
 // progress terms — what summing Signal.Traffic over the Binder and the
-// terms over the boxes gives — from the shard tallies and the few terms
-// outside them. For the coordinator, at the barrier of a Run.
+// terms over the boxes gives — from the tallies and the position
+// registers. For the end of a cycle of a Run.
 func (s *Simulator) activity() (prod, cons, silent uint64) {
-	for _, sh := range s.shards {
-		prod += sh.produced
-		cons += sh.consumed
-		silent += sh.progress
-	}
-	for _, sig := range s.walkProd {
-		prod += sig.produced.Load()
-	}
-	for _, sig := range s.walkCons {
-		cons += sig.consumed.Load()
-	}
+	silent = s.progress
 	for _, p := range s.steps {
 		silent += uint64(*p)
 	}
-	return prod, cons, silent
-}
-
-// barrierBox is the pseudo-box the coordinator's join-barrier wait is
-// attributed to (see BarrierBoxName).
-var barrierBox = pseudoBox{name: BarrierBoxName}
-
-// parState is the coordinator-to-worker mailbox of the parallel loop:
-// plain fields published by the release barrier (written only while
-// every worker is blocked in it) and read by workers after it opens.
-type parState struct {
-	cycle int64
-	stop  bool
-}
-
-// run is the clock loop over nw shards, built here once and kept for
-// the whole Run. Shard 0 is clocked inline on the coordinating
-// goroutine — alone, without a barrier, in serial mode — and the others
-// on pool goroutines.
-func (s *Simulator) run(maxCycles int64, nw int) (err error) {
-	defer func() {
-		// Coordinator-side panics (end-of-cycle hooks, the done
-		// predicate) get the same black-box treatment as box panics.
-		if r := recover(); r != nil {
-			if se, ok := r.(*SimError); ok {
-				err = se
-				return
-			}
-			err = &CrashError{Cycle: s.cycle, Value: r, Stack: debug.Stack()}
-		}
-	}()
-
-	// Serial mode clocks in plain registration order; a partition
-	// groups pinned boxes, which would reorder the object IDs drawn.
-	groups := [][]Box{s.boxes}
-	if nw > 1 {
-		groups = s.partition(nw)
-	}
-	shards := make([]*shard, len(groups))
-	for i, boxes := range groups {
-		shards[i] = &shard{id: i, obs: s.obs, obsEvery: s.obsEvery, gate: s.gate, now: &s.cycle}
-		shards[i].setBoxes(boxes)
-	}
-	if err := s.wire(shards); err != nil {
-		return err
-	}
-	// The one barrier object serves both rendezvous: release
-	// (coordinator has published the next cycle in ps) and join (every
-	// shard finished clocking it).
-	var bar *spinBarrier
-	ps := &parState{}
-	if nw > 1 {
-		bar = newSpinBarrier(nw)
-		for _, sh := range shards[1:] {
-			go func(sh *shard) {
-				for {
-					bar.await() // release: ps is published
-					if ps.stop {
-						return
-					}
-					sh.clock(ps.cycle)
-					bar.await() // join: failures recorded, state readable
-				}
-			}(sh)
-		}
-		// The coordinator always exits between a join and the next
-		// release, where every pool worker is blocked in the release
-		// rendezvous: raising stop and joining it once releases them all
-		// into their return path.
-		defer func() {
-			ps.stop = true
-			bar.await()
-		}()
-	}
-
-	limit := s.cycle + maxCycles
-	for s.cycle < limit {
-		cycle := s.cycle
-		if s.shouldStop(cycle) {
-			return s.stopErr()
-		}
-		if bar != nil {
-			ps.cycle = cycle
-			bar.await() // release the cycle
-		}
-		shards[0].clock(cycle)
-		// Join, attributing the coordinator's wait to the barrier
-		// pseudo-box on sampled cycles so sync cost never pollutes the
-		// per-box host-time table.
-		switch {
-		case bar == nil:
-		case s.obs != nil && cycle%s.obsEvery == 0:
-			t0 := time.Now()
-			bar.await()
-			s.obs.BoxClocked(0, barrierBox, time.Since(t0).Nanoseconds())
-		default:
-			bar.await()
-		}
-		// Several shards may fail in the same cycle; report the lowest
-		// shard index for a deterministic error. Programming errors
-		// (panics) outrank model violations.
-		for _, sh := range shards {
-			if sh.crash != nil {
-				return sh.crash
-			}
-		}
-		for _, sh := range shards {
-			if sh.simErr != nil {
-				return sh.simErr
-			}
-		}
-		if stop, err := s.endOfCycle(cycle); stop {
-			return err
-		}
-	}
-	return fmt.Errorf("%w after %d cycles", ErrCycleLimit, maxCycles)
+	return s.produced, s.consumed, silent
 }

@@ -11,7 +11,7 @@ import (
 // watchdog fingerprint), the statistics manager (cumulative values and
 // interval rows — what makes a restored run's CSV byte-identical), and
 // the binder (per-signal traffic counters). Snapshots are taken only
-// at a quiesced cycle barrier, where every signal has
+// at the end of a quiesced cycle, where every signal has
 // produced == consumed and no transient state is in flight.
 
 // SnapshotName implements chkpt.Snapshotter.
@@ -21,7 +21,7 @@ func (s *Simulator) SnapshotName() string { return "core.Sim" }
 // source, and (when armed) the watchdog's progress fingerprint.
 func (s *Simulator) SnapshotState(e *chkpt.Encoder) {
 	e.I64(s.cycle)
-	e.U64(s.IDs.next.Load())
+	e.U64(s.IDs.next)
 	if s.wd != nil {
 		e.Bool(true)
 		e.I64(s.wd.lastProgress)
@@ -57,7 +57,7 @@ func (s *Simulator) RestoreState(d *chkpt.Decoder) error {
 		return fmt.Errorf("%w: negative cycle %d", chkpt.ErrCorrupt, cycle)
 	}
 	s.cycle = cycle
-	s.IDs.next.Store(nextID)
+	s.IDs.next = nextID
 	if hasWd && s.wd != nil {
 		s.wd.lastProgress = lastProgress
 		s.wd.lastTotal = lastTotal
@@ -186,7 +186,9 @@ func (b *Binder) SnapshotState(e *chkpt.Encoder) {
 	}
 }
 
-// RestoreState implements chkpt.Snapshotter.
+// RestoreState implements chkpt.Snapshotter. The section must name
+// every wire of the machine exactly once; nothing is restored unless
+// it does.
 func (b *Binder) RestoreState(d *chkpt.Decoder) error {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
@@ -195,6 +197,7 @@ func (b *Binder) RestoreState(d *chkpt.Decoder) error {
 	if n != len(b.signals) {
 		return fmt.Errorf("%w: snapshot has %d signals, machine has %d", chkpt.ErrMismatch, n, len(b.signals))
 	}
+	traffic := make(map[*Signal][2]uint64, n)
 	for i := 0; i < n; i++ {
 		name := d.Str()
 		p := d.U64()
@@ -206,8 +209,13 @@ func (b *Binder) RestoreState(d *chkpt.Decoder) error {
 		if !ok {
 			return fmt.Errorf("%w: snapshot signal %q does not exist in machine", chkpt.ErrMismatch, name)
 		}
-		sig.produced.Store(p)
-		sig.consumed.Store(c)
+		if _, dup := traffic[sig]; dup {
+			return fmt.Errorf("%w: snapshot names signal %q twice", chkpt.ErrCorrupt, name)
+		}
+		traffic[sig] = [2]uint64{p, c}
+	}
+	for sig, t := range traffic {
+		sig.produced, sig.consumed = t[0], t[1]
 	}
 	return nil
 }

@@ -27,10 +27,9 @@ type Stat interface {
 // of the box state; StatManager.Counter allocates a free-standing one.
 // The zero value is unusable until registered.
 //
-// A counter is mutated only by its owning box and read at the cycle
-// barrier, so parallel simulation needs no locking. Every Add in the
-// tree passes an integer and totals stay well below 2^53, so the
-// float64 sum is exact in any order.
+// A counter is mutated by its owning box and read at the end of a
+// cycle. Every Add in the tree passes an integer and totals stay well
+// below 2^53, so the float64 sum is exact in any order.
 //
 // A counter accrues while its box is parked counting it
 // (BoxBase.ParkCounting): Value adds rate for every cycle since, read
@@ -76,12 +75,12 @@ func (c *Counter) Inc() { c.v++ }
 func (c *Counter) Add(n float64) { c.v += n }
 
 // Progress is a Counter each of whose steps is forward progress of the
-// machine (see ProgressReporter). It also counts into the progress
-// tally of the shard clocking its box, so that the watchdog reads one
-// word per shard for all of them. Register with ShadowProgress.
+// machine (see ProgressReporter). It also counts into the simulator's
+// progress tally, so that the watchdog reads one word for all of them.
+// Register with ShadowProgress.
 type Progress struct {
 	Counter
-	tally *uint64 // the shard's (Simulator.wire); own before any Run
+	tally *uint64 // the simulator's (Simulator.wire); own before any Run
 	own   uint64
 }
 
@@ -129,8 +128,8 @@ func (g *Gauge) Set(v float64) {
 // quantity is meaningless. Cumulative values remain available at end
 // of run.
 //
-// Stats are mutated by their owning box and sampled at the cycle
-// barrier, so no locking is needed in parallel simulation mode.
+// Stats are mutated by their owning box and sampled at the end of the
+// cycle.
 type StatManager struct {
 	stats    []Stat
 	byName   map[string]Stat

@@ -13,8 +13,8 @@ import (
 // counters and position registers, each a non-negative integer that
 // only grows while a Run lasts; the watchdog treats any change as
 // activity. It is asked when a Run starts: the counters then count into
-// their shard's tally, the registers are read in place — at the cycle
-// barrier, like every reporter.
+// the simulator's tally, the registers are read in place — at the end of
+// the cycle, like every reporter.
 type ProgressReporter interface {
 	ProgressTerms() (counters []*Progress, steps []*int)
 }
@@ -32,8 +32,8 @@ type QueueStat struct {
 
 // StallReporter is implemented by boxes that can describe their
 // internal queue and credit occupancy. The watchdog collects these
-// snapshots into the deadlock report; they are read at the cycle
-// barrier, never concurrently with box clocks.
+// snapshots into the deadlock report; they are read at the end of the
+// cycle.
 type StallReporter interface {
 	Queues() []QueueStat
 }
@@ -41,7 +41,7 @@ type StallReporter interface {
 // BusyReporter is implemented by boxes that count the cycles they did
 // useful work. The observability layer (internal/obsv) derives
 // per-box utilization from the counter's per-window delta. Like the
-// other reporter interfaces it is read only at the cycle barrier.
+// other reporter interfaces it is read at the end of the cycle.
 type BusyReporter interface {
 	BusyCycles() float64
 }
@@ -164,13 +164,13 @@ func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 const recentWindow = 32
 
 // watchdog tracks per-cycle forward progress: total signal traffic
-// plus every ProgressReporter box's terms. It runs on the
-// coordinating goroutine at the cycle barrier.
+// plus every ProgressReporter box's terms. It runs at the end of every
+// cycle.
 //
 // Every term of the fingerprint is an integer that never decreases, so
 // the sum moves exactly when some term does, whatever it is summed
-// from: it comes from the shard tallies (Simulator.activity), not from
-// a walk over the wires and the reporters, and equals that walk's
+// from: it comes from the simulator's tallies (Simulator.activity), not
+// from a walk over the wires and the reporters, and equals that walk's
 // result.
 type watchdog struct {
 	window int64
@@ -203,7 +203,7 @@ func (w *watchdog) reset(s *Simulator) {
 	w.prevProd, w.prevCons = 0, 0
 }
 
-// check runs once per cycle after the barrier. It returns a report
+// check runs at the end of every cycle. It returns a report
 // when no progress has been observed for a full window.
 func (w *watchdog) check(s *Simulator, cycle int64) *DeadlockReport {
 	prod, cons, silent := s.activity()
@@ -248,7 +248,7 @@ func (w *watchdog) report(s *Simulator, cycle int64) *DeadlockReport {
 			st.Queues = sr.Queues()
 		}
 		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
-			if base := bb.boxBase(); base.parked.Load() {
+			if base := bb.boxBase(); base.parked {
 				st.Parked, st.ParkedAt = true, base.parkedAt
 				for _, a := range base.counting {
 					st.Accruing = append(st.Accruing, a.c.name)

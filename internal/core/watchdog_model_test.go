@@ -82,7 +82,7 @@ func (w *walkWatchdog) check(s *Simulator, cycle int64) *DeadlockReport {
 func (w *walkWatchdog) section(s *Simulator) []byte {
 	var e chkpt.Encoder
 	e.I64(s.cycle)
-	e.U64(s.IDs.next.Load())
+	e.U64(s.IDs.next)
 	e.Bool(true)
 	e.I64(w.lastProgress)
 	e.U64(w.lastTotal)
@@ -121,8 +121,7 @@ func (g *grinder) ProgressTerms() ([]*Progress, []*int) {
 func (g *grinder) oldProgressCount() int64 { return int64(g.events.Value()) + int64(g.pos) }
 
 // portClient talks to a consumer box through a wire it provides under a
-// name that is no box's, as the memory ports do: the wire's producing
-// end is outside every shard tally.
+// name that is no box's, as the memory ports do.
 type portClient struct {
 	BoxBase
 	out  *Signal
@@ -149,7 +148,7 @@ type machine struct {
 	sink  *consumer
 }
 
-func buildMachine(workers int) *machine {
+func buildMachine() *machine {
 	sim := NewSimulator(0)
 	m := &machine{sim: sim}
 	m.prod, m.cons = buildPipe(sim, 0)
@@ -167,7 +166,6 @@ func buildMachine(workers int) *machine {
 	sim.Binder.Bind(m.sink.BoxName(), "Port0.Req", &m.sink.in)
 	sim.Register(m.port)
 	sim.Register(m.sink)
-	sim.SetWorkers(workers)
 	return m
 }
 
@@ -224,91 +222,71 @@ func runToDeadlock(t *testing.T, label string, m *machine, model *walkWatchdog, 
 	return de.Report
 }
 
-// The watchdog reads shard tallies; the walk it replaced read every
-// wire and reporter. Both run at every barrier of a machine with a live
-// pipe, signal-silent work, a port-style wire outside the tallies and a
-// credit deadlock: on a machine that deadlocks at once (so that the
-// window sizes leave the trailing samples partly filled, just wrapped
-// and wrapped many times), then across a first Run that drains, a
-// second Run on the same simulator (whose shards are built anew and
-// take over the tallies), and the same second phase on a simulator
-// restored from the first's sections. The deadlock reports, trailing
-// samples included, must come out equal. The partition is made once:
-// with two workers every box ends each cycle on the shard it started on.
+// The watchdog reads the simulator's tallies; the walk it replaced read
+// every wire and reporter. Both run at every barrier of a machine with a
+// live pipe, signal-silent work, a port-style wire and a credit
+// deadlock: on a machine that deadlocks at once (so that the window
+// sizes leave the trailing samples partly filled, just wrapped and
+// wrapped many times), then across a first Run that drains, a second
+// Run on the same simulator (which takes the tallies over anew), and the
+// same second phase on a simulator restored from the first's sections.
+// The deadlock reports, trailing samples included, must come out equal.
 func TestWatchdogMatchesPerCycleWalk(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		for _, window := range []int64{8, 32, 2000} {
-			label := fmt.Sprintf("workers=%d window=%d", workers, window)
+	for _, window := range []int64{8, 32, 2000} {
+		label := fmt.Sprintf("window=%d", window)
 
-			c := buildMachine(workers)
-			c.sim.SetWatchdog(window)
-			c.load(0, 0, 0, 2)
-			modelC := &walkWatchdog{window: window}
-			rep := runToDeadlock(t, label+" at once", c, modelC, shadow(t, label+" at once", c.sim, modelC))
-			if n, want := int64(len(rep.Recent)), min(rep.Cycle+1, recentWindow); n != want {
-				t.Errorf("%s: %d trailing samples after %d cycles, want %d", label, n, rep.Cycle+1, want)
-			}
+		c := buildMachine()
+		c.sim.SetWatchdog(window)
+		c.load(0, 0, 0, 2)
+		modelC := &walkWatchdog{window: window}
+		rep := runToDeadlock(t, label+" at once", c, modelC, shadow(t, label+" at once", c.sim, modelC))
+		if n, want := int64(len(rep.Recent)), min(rep.Cycle+1, recentWindow); n != want {
+			t.Errorf("%s: %d trailing samples after %d cycles, want %d", label, n, rep.Cycle+1, want)
+		}
 
-			a := buildMachine(workers)
-			a.sim.SetWatchdog(window)
-			a.load(40, 25, 9, 0)
-			a.sim.SetDone(a.drained)
-			modelA := &walkWatchdog{window: window}
-			lastA := shadow(t, label+" machine A", a.sim, modelA)
-			if workers > 1 {
-				before := map[string]int{}
-				a.sim.OnEndCycle(func(cycle int64) {
-					for _, sh := range a.sim.shards {
-						for _, b := range sh.boxes {
-							if was, ok := before[b.BoxName()]; ok && was != sh.id {
-								t.Fatalf("%s cycle %d: %s moved from shard %d to shard %d", label, cycle, b.BoxName(), was, sh.id)
-							}
-							before[b.BoxName()] = sh.id
-						}
-					}
-				})
-			}
-			modelA.reset(a.sim)
-			if err := a.sim.Run(10_000); err != nil {
-				t.Fatalf("%s: phase 1: %v", label, err)
-			}
-			if n := len(a.sim.walkProd); n != 1 {
-				t.Fatalf("%s: %d wires produce outside the tallies, the port wire should", label, n)
-			}
+		a := buildMachine()
+		a.sim.SetWatchdog(window)
+		a.load(40, 25, 9, 0)
+		a.sim.SetDone(a.drained)
+		modelA := &walkWatchdog{window: window}
+		lastA := shadow(t, label+" machine A", a.sim, modelA)
+		modelA.reset(a.sim)
+		if err := a.sim.Run(10_000); err != nil {
+			t.Fatalf("%s: phase 1: %v", label, err)
+		}
 
-			// The drained machine, as its checkpoint sections.
-			var simSec, sigSec, statSec chkpt.Encoder
-			a.sim.SnapshotState(&simSec)
-			a.sim.Binder.SnapshotState(&sigSec)
-			a.sim.Stats.SnapshotState(&statSec)
-			b := buildMachine(workers)
-			b.sim.SetWatchdog(window)
-			for _, r := range []struct {
-				part chkpt.Snapshotter
-				data []byte
-			}{{b.sim, simSec.Bytes()}, {b.sim.Binder, sigSec.Bytes()}, {b.sim.Stats, statSec.Bytes()}} {
-				if err := r.part.RestoreState(chkpt.NewDecoder(r.data)); err != nil {
-					t.Fatal(err)
-				}
+		// The drained machine, as its checkpoint sections.
+		var simSec, sigSec, statSec chkpt.Encoder
+		a.sim.SnapshotState(&simSec)
+		a.sim.Binder.SnapshotState(&sigSec)
+		a.sim.Stats.SnapshotState(&statSec)
+		b := buildMachine()
+		b.sim.SetWatchdog(window)
+		for _, r := range []struct {
+			part chkpt.Snapshotter
+			data []byte
+		}{{b.sim, simSec.Bytes()}, {b.sim.Binder, sigSec.Bytes()}, {b.sim.Stats, statSec.Bytes()}} {
+			if err := r.part.RestoreState(chkpt.NewDecoder(r.data)); err != nil {
+				t.Fatal(err)
 			}
-			b.prod.count, b.prod.sent = a.prod.count, a.prod.sent
-			b.grind.pos = a.grind.pos
-			modelB := &walkWatchdog{
-				window: window, restored: true,
-				lastProgress: modelA.lastProgress, lastTotal: modelA.lastTotal,
-				prevProd: modelA.prevProd, prevCons: modelA.prevCons,
-			}
-			lastB := shadow(t, label+" machine B", b.sim, modelB)
+		}
+		b.prod.count, b.prod.sent = a.prod.count, a.prod.sent
+		b.grind.pos = a.grind.pos
+		modelB := &walkWatchdog{
+			window: window, restored: true,
+			lastProgress: modelA.lastProgress, lastTotal: modelA.lastTotal,
+			prevProd: modelA.prevProd, prevCons: modelA.prevCons,
+		}
+		lastB := shadow(t, label+" machine B", b.sim, modelB)
 
-			// Phase 2 ends in the credit deadlock, on both.
-			a.load(30, 400, 5, 2)
-			b.load(30, 400, 5, 2)
-			repA := runToDeadlock(t, label+" continued", a, modelA, lastA)
-			repB := runToDeadlock(t, label+" restored", b, modelB, lastB)
-			// The restored machine stops where the continued one does.
-			if repA.Cycle != repB.Cycle || repA.Since != repB.Since {
-				t.Errorf("%s: continued run reports %+v, restored run %+v", label, repA, repB)
-			}
+		// Phase 2 ends in the credit deadlock, on both.
+		a.load(30, 400, 5, 2)
+		b.load(30, 400, 5, 2)
+		repA := runToDeadlock(t, label+" continued", a, modelA, lastA)
+		repB := runToDeadlock(t, label+" restored", b, modelB, lastB)
+		// The restored machine stops where the continued one does.
+		if repA.Cycle != repB.Cycle || repA.Since != repB.Since {
+			t.Errorf("%s: continued run reports %+v, restored run %+v", label, repA, repB)
 		}
 	}
 }

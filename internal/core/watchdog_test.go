@@ -53,66 +53,62 @@ func buildStall(sim *Simulator) *stuckSender {
 }
 
 // A synthetic credit deadlock must be detected within the configured
-// window — in both execution modes — and produce a report naming the
-// stalled box, its queue occupancy, and the stuck in-flight objects.
-// It must NOT be reported as cycle-limit exhaustion.
+// window and produce a report naming the stalled box, its queue
+// occupancy, and the stuck in-flight objects. It must NOT be reported
+// as cycle-limit exhaustion.
 func TestWatchdogDetectsDeadlock(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		sim := NewSimulator(0)
-		buildStall(sim)
-		buildPipe(sim, 3) // live boxes that also go quiet once drained
-		sim.SetWorkers(workers)
-		sim.SetWatchdog(20)
-		sim.SetDone(func() bool { return false })
-		err := sim.Run(100000)
-		if errors.Is(err, ErrCycleLimit) {
-			t.Fatalf("workers=%d: deadlock burned the cycle budget instead of tripping the watchdog", workers)
+	sim := NewSimulator(0)
+	buildStall(sim)
+	buildPipe(sim, 3) // live boxes that also go quiet once drained
+	sim.SetWatchdog(20)
+	sim.SetDone(func() bool { return false })
+	err := sim.Run(100000)
+	if errors.Is(err, ErrCycleLimit) {
+		t.Fatal("deadlock burned the cycle budget instead of tripping the watchdog")
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *DeadlockError, got %v", err)
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Error("error does not match ErrDeadlock")
+	}
+	rep := de.Report
+	// Last traffic: pipe consumer reads its 3rd object at cycle 4.
+	if rep.Cycle-rep.Since < 20 {
+		t.Errorf("fired after %d quiet cycles, window is 20", rep.Cycle-rep.Since)
+	}
+	if sim.Cycle() > rep.Since+25 {
+		t.Errorf("watchdog let the run spin to cycle %d (last progress %d)", sim.Cycle(), rep.Since)
+	}
+	var haveBox bool
+	for _, b := range rep.Boxes {
+		if b.Name == "StuckSender" && len(b.Queues) == 1 &&
+			b.Queues[0].Occupied == 2 && b.Queues[0].Capacity == 2 {
+			haveBox = true
 		}
-		var de *DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("workers=%d: want *DeadlockError, got %v", workers, err)
+	}
+	if !haveBox {
+		t.Errorf("report missing StuckSender 2/2 occupancy: %+v", rep.Boxes)
+	}
+	var haveSig bool
+	for _, s := range rep.Signal {
+		if s.Name == "stall.wire" && s.Produced == 2 && len(s.InFlight) > 0 {
+			haveSig = true
 		}
-		if !errors.Is(err, ErrDeadlock) {
-			t.Errorf("workers=%d: error does not match ErrDeadlock", workers)
-		}
-		rep := de.Report
-		// Last traffic: pipe consumer reads its 3rd object at cycle 4.
-		if rep.Cycle-rep.Since < 20 {
-			t.Errorf("workers=%d: fired after %d quiet cycles, window is 20", workers, rep.Cycle-rep.Since)
-		}
-		if sim.Cycle() > rep.Since+25 {
-			t.Errorf("workers=%d: watchdog let the run spin to cycle %d (last progress %d)",
-				workers, sim.Cycle(), rep.Since)
-		}
-		var haveBox bool
-		for _, b := range rep.Boxes {
-			if b.Name == "StuckSender" && len(b.Queues) == 1 &&
-				b.Queues[0].Occupied == 2 && b.Queues[0].Capacity == 2 {
-				haveBox = true
-			}
-		}
-		if !haveBox {
-			t.Errorf("workers=%d: report missing StuckSender 2/2 occupancy: %+v", workers, rep.Boxes)
-		}
-		var haveSig bool
-		for _, s := range rep.Signal {
-			if s.Name == "stall.wire" && s.Produced == 2 && len(s.InFlight) > 0 {
-				haveSig = true
-			}
-		}
-		if !haveSig {
-			t.Errorf("workers=%d: report missing stall.wire in-flight objects: %+v", workers, rep.Signal)
-		}
-		if len(rep.Recent) == 0 {
-			t.Errorf("workers=%d: no trailing activity samples", workers)
-		}
-		if !strings.Contains(rep.String(), "StuckSender") {
-			t.Errorf("workers=%d: human-readable report does not name the stalled box", workers)
-		}
-		cr := sim.Crash()
-		if cr == nil || cr.Kind != "deadlock" || cr.Deadlock == nil {
-			t.Fatalf("workers=%d: crash report %+v, want kind=deadlock with embedded report", workers, cr)
-		}
+	}
+	if !haveSig {
+		t.Errorf("report missing stall.wire in-flight objects: %+v", rep.Signal)
+	}
+	if len(rep.Recent) == 0 {
+		t.Error("no trailing activity samples")
+	}
+	if !strings.Contains(rep.String(), "StuckSender") {
+		t.Error("human-readable report does not name the stalled box")
+	}
+	cr := sim.Crash()
+	if cr == nil || cr.Kind != "deadlock" || cr.Deadlock == nil {
+		t.Fatalf("crash report %+v, want kind=deadlock with embedded report", cr)
 	}
 }
 
@@ -163,29 +159,26 @@ func TestWatchdogHonorsProgressReporter(t *testing.T) {
 }
 
 // Stop halts the run at the next cycle boundary with an
-// ErrCanceled-matching error, in both execution modes, with
-// statistics flushed and a "canceled" black box recorded.
+// ErrCanceled-matching error, with statistics flushed and a "canceled"
+// black box recorded.
 func TestStopCancelsRun(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		sim := NewSimulator(10)
-		buildPipe(sim, 1<<30)
-		sim.SetWorkers(workers)
-		sim.OnEndCycle(func(cycle int64) {
-			if cycle == 25 {
-				sim.Stop()
-			}
-		})
-		sim.SetDone(func() bool { return false })
-		err := sim.Run(100000)
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: want ErrCanceled, got %v", workers, err)
+	sim := NewSimulator(10)
+	buildPipe(sim, 1<<30)
+	sim.OnEndCycle(func(cycle int64) {
+		if cycle == 25 {
+			sim.Stop()
 		}
-		if sim.Cycle() != 26 {
-			t.Errorf("workers=%d: stopped at cycle %d, want 26", workers, sim.Cycle())
-		}
-		if cr := sim.Crash(); cr == nil || cr.Kind != "canceled" {
-			t.Fatalf("workers=%d: crash report %+v, want kind=canceled", workers, cr)
-		}
+	})
+	sim.SetDone(func() bool { return false })
+	err := sim.Run(100000)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if sim.Cycle() != 26 {
+		t.Errorf("stopped at cycle %d, want 26", sim.Cycle())
+	}
+	if cr := sim.Crash(); cr == nil || cr.Kind != "canceled" {
+		t.Fatalf("crash report %+v, want kind=canceled", cr)
 	}
 }
 

@@ -36,10 +36,6 @@ type RunParams struct {
 	Aniso     int
 	Seed      int64
 	MaxCycles int64
-	// Workers selects the host clocking mode (gpu.Config.Workers):
-	// 0/1 serial, >1 parallel shards. Results are identical either
-	// way.
-	Workers int
 	// WatchdogWindow arms the no-progress watchdog on every run
 	// (gpu.Config.WatchdogWindow); 0 leaves it off.
 	WatchdogWindow int64
@@ -111,7 +107,6 @@ func runOne(cfg gpu.Config, name string, p RunParams) (*gpu.Pipeline, error) {
 // checkpointing is on — with exponential backoff between attempts and
 // chaos faults on the first attempt only.
 func runSession(cfg gpu.Config, name string, p RunParams) (*run.Session, error) {
-	cfg.Workers = p.Workers
 	cfg.WatchdogWindow = p.WatchdogWindow
 	runName := run.SanitizeName(cfg.Name + "-" + name)
 	spec := run.Spec{

@@ -8,9 +8,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"attila/internal/chkpt"
@@ -250,9 +252,11 @@ func checkpointIdentity(t *testing.T, h io.Writer, c capture) {
 // TestGoldenCheckpoints pins the checkpoint files of the
 // TestGoldenFrames scenes run supervised: which cycles capture, and
 // every byte the files say, computed at 91dbc46. Each scene is then
-// restored from its middle capture, serially and with two workers, and
-// must finish exactly as the uninterrupted run did. The two spinner
-// rows end before cycle 20000 and take a shorter interval.
+// restored from its middle capture and must finish exactly as the
+// uninterrupted run did. The two spinner rows end before cycle 20000
+// and take a shorter interval. ut2004-par2 is the benchmark's workload
+// of that name, which still sets the ignored Workers: 2 (ROADMAP item
+// 7): its files are ut2004-tex's, byte for byte.
 func TestGoldenCheckpoints(t *testing.T) {
 	pinned := map[string]struct {
 		interval int64
@@ -298,21 +302,57 @@ func TestGoldenCheckpoints(t *testing.T) {
 				t.Fatal("no capture to restore from")
 			}
 			mid := ref.captures[len(ref.captures)/2]
-			for _, workers := range []int{0, 2} {
-				got := runSupervised(t, c, workers, pin.interval, mid.file)
-				if got.cycles != ref.cycles {
-					t.Errorf("workers=%d: restored at %d, finished on cycle %d, uninterrupted on %d", workers, mid.cycle, got.cycles, ref.cycles)
-				}
-				if !reflect.DeepEqual(got.frames, ref.frames) {
-					t.Errorf("workers=%d: frames differ after a restore at %d", workers, mid.cycle)
-				}
-				if !bytes.Equal(got.summary, ref.summary) {
-					t.Errorf("workers=%d: statistics summary differs after a restore at %d", workers, mid.cycle)
-				}
-				if !bytes.Equal(got.csv, ref.csv) {
-					t.Errorf("workers=%d: interval CSV differs after a restore at %d", workers, mid.cycle)
-				}
+			got := runSupervised(t, c, c.workers, pin.interval, mid.file)
+			if got.cycles != ref.cycles {
+				t.Errorf("restored at %d, finished on cycle %d, uninterrupted on %d", mid.cycle, got.cycles, ref.cycles)
+			}
+			if !reflect.DeepEqual(got.frames, ref.frames) {
+				t.Errorf("frames differ after a restore at %d", mid.cycle)
+			}
+			if !bytes.Equal(got.summary, ref.summary) {
+				t.Errorf("statistics summary differs after a restore at %d", mid.cycle)
+			}
+			if !bytes.Equal(got.csv, ref.csv) {
+				t.Errorf("interval CSV differs after a restore at %d", mid.cycle)
 			}
 		})
+	}
+}
+
+// Config.Workers is a vestige of the parallel clock loop (ROADMAP item
+// 7): on the doom3 and ut2004 golden scenes a run that asks for 2 or 8
+// workers writes the frames, summary, interval CSV and mid-run
+// checkpoint files of the Workers: 0 run, byte for byte; a process
+// warns once however many such pipelines it builds; and Validate still
+// rejects a negative count.
+func TestWorkersIsIgnored(t *testing.T) {
+	var log bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&log, nil)))
+	gpu.ResetWorkersWarning()
+	for _, c := range goldenScenes {
+		if c.name != "doom3-stencil" && c.name != "ut2004-tex" {
+			continue
+		}
+		ref := runSupervised(t, c, 0, 20000, nil)
+		if len(ref.captures) == 0 {
+			t.Fatalf("%s: no mid-run checkpoint to compare", c.name)
+		}
+		for _, workers := range []int{2, 8} {
+			got := runSupervised(t, c, workers, 20000, nil)
+			if got.cycles != ref.cycles || !reflect.DeepEqual(got.frames, ref.frames) ||
+				!bytes.Equal(got.summary, ref.summary) || !bytes.Equal(got.csv, ref.csv) ||
+				!reflect.DeepEqual(got.captures, ref.captures) {
+				t.Errorf("%s with Workers: %d: outputs differ from Workers: 0", c.name, workers)
+			}
+		}
+	}
+	if n := strings.Count(log.String(), "Config.Workers is ignored"); n != 1 {
+		t.Errorf("%d warnings for an ignored Workers, want 1 per process:\n%s", n, log.String())
+	}
+	cfg := gpu.Baseline()
+	cfg.Workers = -1
+	if cfg.Validate() == nil {
+		t.Error("Validate accepts Workers: -1")
 	}
 }

@@ -139,14 +139,10 @@ type Config struct {
 	// ClockMHz scales cycle counts to frame rates for reporting.
 	ClockMHz int
 
-	// Workers selects the host-side clocking mode: 0 or 1 clocks
-	// every box on one goroutine; >1 shards the boxes over that many
-	// persistent workers synchronized on a spin barrier every cycle.
-	// Requests are clamped to runtime.GOMAXPROCS(0) and to the
-	// shardable unit count, with a structured warning when they
-	// exceed the online CPUs. Results are bit-identical in every mode
-	// — the knob only trades host time, and on every host measured it
-	// loses some (DESIGN.md section 6). Presets leave it 0 (serial).
+	// Workers is ignored: a vestige of the parallel clock loop, kept
+	// where it was because ConfigFingerprint formats this struct and old
+	// checkpoints carry it (ROADMAP item 7). > 1 logs one warning per
+	// process; a run always uses one goroutine.
 	Workers int
 
 	// WatchdogWindow arms the no-progress watchdog: a run with no

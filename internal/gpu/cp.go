@@ -250,8 +250,8 @@ func newBatchState(id uint64, st *DrawState, cfg *Config) *BatchState {
 		DynObject: core.DynObject{ID: id, Tag: "batch"},
 		State:     st,
 	}
-	// The shader emulators are built eagerly: shader units run on
-	// other worker shards and must never mutate shared batch state.
+	// The shader emulators are built eagerly: shader units treat the
+	// batch as read-only.
 	if st.FragmentProg != nil {
 		b.fragEmu = shaderemu.New(st.FragmentProg, st.FragConsts)
 	}

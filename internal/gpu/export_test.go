@@ -1,6 +1,10 @@
 package gpu
 
-import "attila/internal/core"
+import (
+	"sync"
+
+	"attila/internal/core"
+)
 
 // OldProgressCount is ProgressCount as every pipeline box implemented
 // it at 91dbc46, when the watchdog called it on each reporter each
@@ -36,3 +40,8 @@ func OldProgressCount(b core.Box) (int64, bool) {
 func (p *Pipeline) TextureUnits() []*TextureUnit { return p.tus }
 
 func (t *TextureUnit) LiveIdle() bool { return t.idle() }
+
+// ResetWorkersWarning forgets that this process warned about an
+// ignored Config.Workers, so a test can count the warnings of a fresh
+// process.
+func ResetWorkersWarning() { warnWorkers = sync.Once{} }

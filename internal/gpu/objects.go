@@ -165,10 +165,9 @@ func (CmdSetRenderTarget) isCommand() {}
 // BatchState tracks one draw through the pipeline. All boxes share
 // the pointer; counters retire the batch when every vertex, triangle
 // and fragment quad is accounted for. The counters are mutated by the
-// fixed-pipeline boxes only, which the pipeline pins to one worker
-// shard ("pipe"); shader and texture units treat the batch as
-// read-only (the emulators are created eagerly by the command
-// processor), which is what lets them run on other shards.
+// fixed-pipeline boxes only; shader and texture units treat the batch
+// as read-only (the emulators are created eagerly by the command
+// processor).
 type BatchState struct {
 	core.DynObject
 	State *DrawState
@@ -308,9 +307,8 @@ type TriWork struct {
 // immediately: Release accumulates into a consumer-side count that
 // EndCycle folds into the producer-visible credit pool at the
 // simulator's cycle barrier. This makes the credit protocol
-// independent of box clocking order (a producer clocked after its
-// consumer no longer sees same-cycle releases early) and race-free
-// when producer and consumer are clocked on different worker shards.
+// independent of box clocking order: a producer clocked after its
+// consumer does not see same-cycle releases early.
 // Flows built by the pipeline publish EndCycle through the simulator
 // (core.Simulator.Publish): the barrier folds a flow only on a cycle
 // it released credits. Flows built bare with NewFlow have no

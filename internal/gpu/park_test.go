@@ -189,19 +189,16 @@ func TestFlowFoldMatchesEveryCycleModel(t *testing.T) {
 			t.Errorf("%s: sends or releases differ from the every-cycle fold", name)
 		}
 	}
-	for _, workers := range []int{0, 2} {
-		sim, src, dst := build(true)
-		sim.SetWorkers(workers)
-		if err := sim.Run(100000); err != nil {
-			t.Fatal(err)
-		}
-		if sim.Cycle() != msim.Cycle() {
-			t.Errorf("workers=%d: %d cycles, model %d", workers, sim.Cycle(), msim.Cycle())
-		}
-		check(fmt.Sprintf("workers=%d", workers), src, dst)
-	}
-	// A harness that clocks by hand: Simulator.EndCycle folds the list.
 	sim, src, dst := build(true)
+	if err := sim.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	if sim.Cycle() != msim.Cycle() {
+		t.Errorf("%d cycles, model %d", sim.Cycle(), msim.Cycle())
+	}
+	check("run", src, dst)
+	// A harness that clocks by hand: Simulator.EndCycle folds the list.
+	sim, src, dst = build(true)
 	for c := int64(0); c < msim.Cycle(); c++ {
 		dst.Clock(c)
 		src.Clock(c)

@@ -58,7 +58,7 @@ func buildGolden(t *testing.T, c goldenScene, cfg gpu.Config) (*gpu.Pipeline, []
 func TestParkedClockIsNoOp(t *testing.T) {
 	// The golden scenes, and one with dedicated vertex shaders.
 	for _, c := range append(goldenScenes[:len(goldenScenes):len(goldenScenes)],
-		goldenScene{"baseline-split", "ut2004", gpu.Baseline(), 2, 1}) {
+		goldenScene{"baseline-split", "ut2004", gpu.Baseline(), 0, 1}) {
 		t.Run(c.name, func(t *testing.T) {
 			type outputs struct {
 				cycles               int64
@@ -187,7 +187,7 @@ type stallWatch struct {
 	self    map[string]float64
 }
 
-func (w *stallWatch) BoxClocked(_ int, b core.Box, _ int64) {
+func (w *stallWatch) BoxClocked(b core.Box, _ int64) {
 	box := b.BoxName()
 	w.clocks[box]++
 	if c := w.counter[box]; c != nil {

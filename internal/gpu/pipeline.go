@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
+	"sync"
 
 	"attila/internal/chkpt"
 	"attila/internal/core"
@@ -97,9 +99,13 @@ func pFlow(sim *core.Simulator, producer, consumer, name string, bw, lat, maxLat
 	var bound *core.Signal
 	sim.Binder.Bind(consumer, name, &bound)
 	f := NewFlow(sig, queue)
-	f.pub = sim.Publish(consumer, producer, f.EndCycle)
+	f.pub = sim.Publish(producer, f.EndCycle)
 	return f
 }
+
+// warnWorkers makes the warning for an ignored Config.Workers once per
+// process, not once per pipeline (sweeps build hundreds).
+var warnWorkers sync.Once
 
 // New builds a pipeline for the configuration and render target size.
 func New(cfg Config, width, height int) (*Pipeline, error) {
@@ -206,15 +212,13 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 
 	// Boxes. Registration order is the clocking order; with all
 	// signal latencies >= 1 it does not affect results.
-	// Shared free lists for tiles, quads and shader-work wrappers. All
-	// alloc/release sites are on boxes pinned to the "pipe" shard, so
-	// the pool is single-goroutine even under Workers>1.
+	// Shared free lists for tiles, quads and shader-work wrappers.
 	pool := &pipePool{}
 	p.streamer = NewStreamer(sim, &cfg, p.Mem, drawFlow, shadeOut, vtxShaded, vtxOut)
-	pa := NewPrimAssembly(sim, vtxOut, paOut)
-	clip := NewClipper(sim, paOut, clipOut)
+	NewPrimAssembly(sim, vtxOut, paOut)
+	NewClipper(sim, paOut, clipOut)
 	p.setupBox = NewSetup(sim, clipOut, setupOut)
-	fgen := NewFragmentGenerator(sim, &cfg, pool, setupOut, fgenOut)
+	NewFragmentGenerator(sim, &cfg, pool, setupOut, fgenOut)
 	p.hz = NewHierarchicalZ(sim, &cfg, pool, p.FB.Z(), fgenOut, hzEarly, hzLate)
 	p.ropzs = make([]*ZStencil, nROP)
 	p.ropcs = make([]*ColorWrite, nROP)
@@ -225,7 +229,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 		p.ropcs[i] = NewColorWrite(sim, &cfg, i, pool, p.FB.Draw,
 			[]*Flow{ffifoEarly[i], ropzLate[i]})
 	}
-	interp := NewInterpolator(sim, &cfg, interpIns, interpOut)
+	NewInterpolator(sim, &cfg, interpIns, interpOut)
 	ffifo := NewFragmentFIFO(sim, &cfg, pool, p.FB.Z(), shadeOut, interpOut, vtxShaded,
 		ffifoEarly, ffifoLate, shaderIn, shaderOut)
 	p.ffifo = ffifo
@@ -235,7 +239,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 		p.shaders[i] = NewShaderUnit(sim, &cfg, i, vertexOnly,
 			shaderIn[i], shaderOut[i], texFromShader[i], texToShader[i])
 	}
-	xbar := NewTexCrossbar(sim, texFromShader, texToTU, texFromTU, texToShader)
+	NewTexCrossbar(sim, texFromShader, texToTU, texFromTU, texToShader)
 	p.tus = make([]*TextureUnit, nTU)
 	for i := 0; i < nTU; i++ {
 		p.tus[i] = NewTextureUnit(sim, &cfg, i, texToTU[i], texFromTU[i])
@@ -251,43 +255,15 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 	for i := 0; i < nTU; i++ {
 		clients = append(clients, nameIdx("TexCache", i))
 	}
-	mc := mem.NewController(sim, cfg.Memory, p.Mem, clients)
-	p.mc = mc
+	p.mc = mem.NewController(sim, cfg.Memory, p.Mem, clients)
 
-	// Shard affinity for the parallel clock loop: the fixed-pipeline
-	// boxes couple through shared state outside the signal model (the
-	// BatchState counters, direct CP <-> ROP/DAC method calls, HZ
-	// updates from Z-stencil, GPU memory touched by the streamer and
-	// the controller) and therefore form one indivisible unit. Shader
-	// units, the texture crossbar and the texture units interact with
-	// the rest of the chip only through signals and flow credits, so
-	// each may be clocked on its own worker.
-	pinned := []core.Box{p.streamer, pa, clip, p.setupBox, fgen, p.hz}
-	for _, z := range p.ropzs {
-		pinned = append(pinned, z)
+	if cfg.Workers > 1 {
+		warnWorkers.Do(func() {
+			slog.Warn("gpu: Config.Workers is ignored; the parallel clock loop is gone and a run uses one goroutine",
+				"workers", cfg.Workers)
+		})
 	}
-	for _, c := range p.ropcs {
-		pinned = append(pinned, c)
-	}
-	pinned = append(pinned, interp, ffifo, p.DACBox, p.CP, mc)
-	sim.Pin("pipe", pinned...)
-	_ = xbar // free: flow-mediated only, may land on any shard
-	sim.SetWorkers(cfg.Workers)
 	sim.SetWatchdog(cfg.WatchdogWindow)
-
-	// The cost seeds mirror the profiled host-time ranking (texture
-	// units ~2x shaders ~2x fixed pipeline) so the bin-packing partition
-	// spreads the expensive free boxes instead of dealing them
-	// round-robin.
-	costs := make(map[string]float64, nShaders+nTU)
-	for i := 0; i < nShaders; i++ {
-		costs[nameIdx("Shader", i)] = 2
-	}
-	for i := 0; i < nTU; i++ {
-		costs[nameIdx("TextureUnit", i)] = 4
-	}
-	sim.SetBoxCosts(costs)
-
 	sim.SetDone(p.CP.Finished)
 	p.resolveCheckpointing()
 	return p, nil

@@ -2,9 +2,8 @@ package gpu
 
 // pipePool recycles the high-churn fragment-pipeline objects — tiles,
 // quads and shader-work wrappers, the bulk of the simulator's per-
-// frame heap traffic. Every allocation and release site lives on a
-// box the pipeline pins to the "pipe" worker shard, so the free lists
-// need no locking even under Workers>1.
+// frame heap traffic. One goroutine clocks every allocation and
+// release site, so the free lists need no locking.
 //
 // Ownership and release rules (see DESIGN.md §10):
 //

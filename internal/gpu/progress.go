@@ -15,9 +15,8 @@ import "attila/internal/core"
 //
 // Queues snapshots each box's input queues and the credit pools of
 // its *output* flows (the producer's view of downstream backpressure),
-// so each Flow appears in exactly one box's report. It runs on the
-// coordinator at the cycle barrier, never concurrently with box
-// clocks.
+// so each Flow appears in exactly one box's report. It runs at the
+// cycle barrier.
 
 func flowStats(flows ...*Flow) []core.QueueStat {
 	out := make([]core.QueueStat, 0, len(flows))

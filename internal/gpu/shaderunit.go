@@ -90,8 +90,7 @@ type ShaderUnit struct {
 
 	// Texture message recycling (no simulation state): completed
 	// requests come back on TexRepMsg.spent; consumed replies ride out
-	// on the next TexReqMsg.spent. Both lists are touched only on this
-	// box's clocking goroutine.
+	// on the next TexReqMsg.spent. Both lists are this box's alone.
 	freeReqs  []*TexReqMsg
 	spentReps []*TexRepMsg
 

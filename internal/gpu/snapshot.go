@@ -28,7 +28,7 @@ import (
 // checkpointReady is implemented by boxes whose idle condition is not
 // already implied by the global predicate (CP between commands, all
 // signals drained, memory controller idle). Checked at the cycle
-// barrier on the coordinating goroutine.
+// barrier.
 type checkpointReady interface {
 	CheckpointReady() bool
 }
@@ -64,9 +64,8 @@ func (d *DAC) CheckpointReady() bool {
 }
 
 // CheckpointReady implements checkpointReady. Unlike Quiesce (the
-// barrier-published snapshot the CP polls cross-shard), this reads the
-// live condition: it is only called at the barrier, on the
-// coordinating goroutine.
+// snapshot published at the end of the cycle, which the CP polls), this
+// reads the live condition: it is only called at the barrier.
 func (t *TextureUnit) CheckpointReady() bool {
 	return t.current == nil && t.queue.Len() == 0 && t.cache.Quiesce()
 }
@@ -443,8 +442,7 @@ func (t *TextureUnit) RestoreState(d *chkpt.Decoder) error { return t.cache.Rest
 // Quiesced reports whether the machine is at a checkpointable safe
 // point: the command processor between commands, the memory controller
 // idle, every box's private idle condition met and every signal
-// drained. Called at the cycle barrier on the coordinating goroutine,
-// on every cycle from the one a checkpoint falls due to the next safe
+// drained. Called at the cycle barrier, on every cycle from the one a checkpoint falls due to the next safe
 // point — most of a frame — so the clauses run cheapest and most often
 // false first: the command processor is between commands with nothing
 // in flight on a handful of cycles per frame.
@@ -489,9 +487,9 @@ func (p *Pipeline) resolveCheckpointing() {
 func (p *Pipeline) Snapshotters() []chkpt.Snapshotter { return p.parts }
 
 // ConfigFingerprint identifies the machine configuration a checkpoint
-// belongs to. Host-only knobs (worker count, watchdog window) are
-// excluded: they do not affect simulated state, so a checkpoint from a
-// serial run restores into a parallel one and vice versa.
+// belongs to. Host-only knobs (the ignored Workers, the watchdog
+// window) are zeroed: they do not affect simulated state, so a
+// checkpoint restores whatever either side set them to.
 func (p *Pipeline) ConfigFingerprint() string {
 	c := *p.Cfg
 	c.Workers = 0

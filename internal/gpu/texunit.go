@@ -110,12 +110,11 @@ type TextureUnit struct {
 	work    texWork // the single in-flight request's reusable scratch
 	// freeReps holds recycled reply messages: a consumed TexRepMsg
 	// rides back from its shader on the next TexReqMsg's spent field
-	// (any unit may receive it — the free lists are per-box and the
-	// handoff is barrier-ordered through the signals).
+	// (any unit may receive it — the free lists are per-box).
 	freeReps []*TexRepMsg
-	// quiesced is the barrier-published snapshot of the idle
-	// condition, read by the command processor, which may be clocked
-	// on a different worker shard. Nothing but the unit's own Clock
+	// quiesced is the end-of-cycle snapshot of the idle condition,
+	// read by the command processor from the next cycle on, as if it
+	// came down a wire of latency 1. Nothing but the unit's own Clock
 	// changes the condition, so Clock marks quiescePub when it ends with
 	// the condition other than published: a few times a frame.
 	quiesced   bool
@@ -167,10 +166,9 @@ func (h *texHooks) Encode(key uint32, line []byte) (uint32, []byte) {
 func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Flow) *TextureUnit {
 	t := &TextureUnit{cfg: cfg, idx: idx, reqIn: reqIn, repOut: repOut, quiesced: true}
 	t.Init(nameIdx("TextureUnit", idx))
-	// The quiesce flag is read by the command processor across the
-	// shard boundary, outside the signal model. The CP never parks on
-	// it, so the fold wakes nobody.
-	t.quiescePub = sim.Publish(t.BoxName(), "", t.publishQuiesce)
+	// The quiesce flag is read by the command processor outside the
+	// signal model. The CP never parks on it, so the fold wakes nobody.
+	t.quiescePub = sim.Publish("", t.publishQuiesce)
 	t.hooks = &texHooks{fmtOf: make(map[uint32]texemu.Format)}
 	cc := mem.CacheConfig{
 		Name: nameIdx("TexCache", idx), Owner: t.BoxName(), Sets: cfg.TexCacheSets, Assoc: cfg.TexCacheAssoc,
@@ -190,11 +188,12 @@ func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Fl
 func (t *TextureUnit) Cache() *mem.Cache { return t.cache }
 
 // Quiesce reports whether the unit had no request in progress and no
-// cache traffic in flight as of the last cycle barrier (render-target
+// cache traffic in flight as of the end of the last cycle (render-target
 // switches invalidate the cache at such a point). The snapshot is
-// published at the barrier so the command processor may poll it from
-// another worker shard; a true snapshot stays true while the pipeline
-// is drained, which is the only state in which it is consulted.
+// published there, so the command processor sees it a cycle late,
+// whatever order the two are clocked in; a true snapshot stays true
+// while the pipeline is drained, which is the only state in which it is
+// consulted.
 func (t *TextureUnit) Quiesce() bool { return t.quiesced }
 
 // idle is the live idle condition.
@@ -202,8 +201,8 @@ func (t *TextureUnit) idle() bool {
 	return t.current == nil && t.queue.Len() == 0 && t.cache.Quiesce()
 }
 
-// publishQuiesce snapshots the live idle condition at the cycle
-// barrier (core.EndCycleFunc).
+// publishQuiesce snapshots the live idle condition at the end of the
+// cycle (core.EndCycleFunc).
 func (t *TextureUnit) publishQuiesce(cycle int64) { t.quiesced = t.idle() }
 
 // Clock implements core.Box.

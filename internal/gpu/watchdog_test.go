@@ -44,52 +44,47 @@ func (h *creditHoarder) Clock(cycle int64) {
 
 // A consumer that withholds Flow credits must trip the watchdog with
 // a report naming the starved producer and its fully-absorbed credit
-// pool — in serial and parallel mode — instead of burning the cycle
-// budget.
+// pool instead of burning the cycle budget.
 func TestFlowCreditDeadlockDetected(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		sim := core.NewSimulator(0)
-		f := pFlow(sim, "Prod", "Hoard", "prod.work", 1, 1, 0, 4)
-		p := &creditProducer{out: f, ids: &sim.IDs}
-		p.Init("Prod")
-		h := &creditHoarder{in: f}
-		h.Init("Hoard")
-		sim.Register(p)
-		sim.Register(h)
-		sim.SetWorkers(workers)
-		sim.SetWatchdog(50)
-		sim.SetDone(func() bool { return false })
+	sim := core.NewSimulator(0)
+	f := pFlow(sim, "Prod", "Hoard", "prod.work", 1, 1, 0, 4)
+	p := &creditProducer{out: f, ids: &sim.IDs}
+	p.Init("Prod")
+	h := &creditHoarder{in: f}
+	h.Init("Hoard")
+	sim.Register(p)
+	sim.Register(h)
+	sim.SetWatchdog(50)
+	sim.SetDone(func() bool { return false })
 
-		err := sim.Run(1_000_000)
-		if errors.Is(err, core.ErrCycleLimit) {
-			t.Fatalf("workers=%d: credit deadlock spun to the cycle limit", workers)
+	err := sim.Run(1_000_000)
+	if errors.Is(err, core.ErrCycleLimit) {
+		t.Fatal("credit deadlock spun to the cycle limit")
+	}
+	var de *core.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want deadlock report, got %v", err)
+	}
+	if h.held != 4 || p.sent != 4 {
+		t.Fatalf("flow moved %d/%d objects, want all 4 credits consumed", p.sent, h.held)
+	}
+	var found bool
+	for _, b := range de.Report.Boxes {
+		if b.Name != "Prod" {
+			continue
 		}
-		var de *core.DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("workers=%d: want deadlock report, got %v", workers, err)
-		}
-		if h.held != 4 || p.sent != 4 {
-			t.Fatalf("workers=%d: flow moved %d/%d objects, want all 4 credits consumed", workers, p.sent, h.held)
-		}
-		var found bool
-		for _, b := range de.Report.Boxes {
-			if b.Name != "Prod" {
-				continue
+		for _, q := range b.Queues {
+			if q.Name == "prod.work" && q.Occupied == 4 && q.Capacity == 4 {
+				found = true
 			}
-			for _, q := range b.Queues {
-				if q.Name == "prod.work" && q.Occupied == 4 && q.Capacity == 4 {
-					found = true
-				}
-			}
 		}
-		if !found {
-			t.Fatalf("workers=%d: report does not show Prod's prod.work credits at 4/4: %+v",
-				workers, de.Report.Boxes)
-		}
-		// Detection latency: last send at cycle 3, window 50.
-		if c := sim.Cycle(); c > 100 {
-			t.Fatalf("workers=%d: watchdog fired only at cycle %d", workers, c)
-		}
+	}
+	if !found {
+		t.Fatalf("report does not show Prod's prod.work credits at 4/4: %+v", de.Report.Boxes)
+	}
+	// Detection latency: last send at cycle 3, window 50.
+	if c := sim.Cycle(); c > 100 {
+		t.Fatalf("watchdog fired only at cycle %d", c)
 	}
 }
 

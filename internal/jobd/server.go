@@ -1120,7 +1120,6 @@ func (s *Server) attempt(j *Job, attempt int) error {
 	if err != nil {
 		return err
 	}
-	cfg.Workers = 0
 	switch {
 	case spec.WatchdogWindow > 0:
 		cfg.WatchdogWindow = spec.WatchdogWindow
@@ -1195,8 +1194,8 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		defer cancel()
 	}
 
-	// The cycle hook runs on the coordinating goroutine at every
-	// barrier: it publishes live progress and implements worker-kill
+	// The cycle hook runs in the clock loop at every barrier: it
+	// publishes live progress and implements worker-kill
 	// chaos, cancellation, fairness preemption and drain — the latter
 	// two by forcing a checkpoint and stopping once it lands. Progress
 	// is for whoever polls the job from outside: the cycle is published

@@ -35,8 +35,7 @@ type Request struct {
 	// span is the lifecycle trace record of a sampled transaction
 	// (nil for the unsampled rest). Like spent it carries no
 	// simulation state and rides the object through the signals, so
-	// whoever owns the transaction owns the span — the cycle barrier
-	// orders every cross-shard handoff.
+	// whoever owns the transaction owns the span.
 	span *trace.Span
 }
 
@@ -120,9 +119,8 @@ type FaultAction struct {
 
 // TxFault is the memory-side fault-injection seam consulted once per
 // scheduled transaction. Implemented by the chaos engine
-// (internal/chaos); nil means no faults. Called on the goroutine that
-// clocks the controller, so implementations need no locking beyond
-// what their own state requires.
+// (internal/chaos); nil means no faults. Called from the controller's
+// Clock.
 type TxFault interface {
 	OnTransaction(cycle int64, client string, addr uint32, write bool) FaultAction
 }
@@ -149,11 +147,9 @@ type Controller struct {
 
 	// Transaction recycling (no simulation state): a completed Request
 	// rides back to its issuing port on Reply.spent; a consumed Reply
-	// rides back here on Request.spent. freeReps and bufs are touched
-	// only on the controller's clocking goroutine; the cross-shard
-	// handoff happens through the signals, ordered by the cycle
-	// barrier like any other payload. Chaos faults that drop or
-	// corrupt objects in flight simply leak them.
+	// rides back here on Request.spent, through the signals like any
+	// other payload. Chaos faults that drop or corrupt objects in flight
+	// simply leak them.
 	freeReps []*Reply
 	bufs     [][]byte // read-data buffers stripped from recycled replies
 

@@ -6,8 +6,7 @@
 // Everything here is stdlib-only and reads simulation state only at
 // the cycle barrier (core.Simulator.OnEndCycle) or through atomics,
 // so attaching any of it never changes simulation results — the
-// paper's end-of-run CSV and the signal trace stay bit-identical,
-// serial or parallel.
+// paper's end-of-run CSV and the signal trace stay bit-identical.
 package obsv
 
 import (
@@ -71,7 +70,7 @@ type WatchdogStatus struct {
 // value for gauges), derived per-box busy fractions and queue
 // occupancy, per-signal in-flight objects, and the host-time rate.
 // All fields except WallNs and CPS are functions of simulation state
-// only and therefore identical for any worker count.
+// only and therefore identical from run to run.
 type WindowSample struct {
 	Seq      int64                     `json:"seq"`
 	Cycle    int64                     `json:"cycle"`  // last executed cycle of the window
@@ -190,7 +189,7 @@ func (b *Bus) Window() int64 { return b.window }
 // endCycle is the bus's barrier hook: it publishes the cycle counter
 // and takes a full sample whenever a window boundary has been crossed
 // since the previous hook. The sample cycles are a pure function of
-// simulation state, not worker count.
+// simulation state.
 func (b *Bus) endCycle(cycle int64) {
 	b.curCycle.Store(cycle)
 	prev := b.lastHook
@@ -209,8 +208,7 @@ func (b *Bus) endCycle(cycle int64) {
 }
 
 // Flush records the final partial window after the run has ended
-// (successfully or not). Call from the coordinating goroutine once
-// Run has returned; it is a no-op when the last executed cycle is
+// (successfully or not). Call once Run has returned; it is a no-op when the last executed cycle is
 // already covered.
 func (b *Bus) Flush() {
 	last := b.sim.Cycle() - 1

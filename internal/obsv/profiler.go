@@ -11,16 +11,16 @@ import (
 
 // DefaultProfileSample is the default box-clock sampling period: one
 // timed cycle out of 64 keeps the overhead well under the noise floor
-// while still attributing host time faithfully (every box is clocked
-// every cycle, so sampled cycles are representative).
+// while still attributing host time faithfully (sampled cycles are
+// representative).
 const DefaultProfileSample = 64
 
 // Profiler attributes host wall-clock time to individual boxes via
 // the simulator's sampled ClockObserver hook. Off by default: a
-// simulator without an attached profiler pays one branch per shard
-// per cycle. BoxClocked is called concurrently from worker shards in
-// parallel mode; the accumulator is mutex-protected, which is cheap
-// because only sampled cycles report.
+// simulator without an attached profiler pays one branch per cycle.
+// One profiler may watch several runs at once (a job pool's), so the
+// accumulator is mutex-protected, which is cheap because only sampled
+// cycles report.
 type Profiler struct {
 	// SampleEvery is the cycle sampling period passed to the
 	// simulator; zero selects DefaultProfileSample. Set before Attach.
@@ -31,7 +31,6 @@ type Profiler struct {
 }
 
 type boxAcc struct {
-	shard   int
 	ns      int64
 	samples int64
 }
@@ -54,7 +53,7 @@ func (p *Profiler) Attach(sim *core.Simulator) {
 }
 
 // BoxClocked implements core.ClockObserver.
-func (p *Profiler) BoxClocked(shard int, box core.Box, hostNs int64) {
+func (p *Profiler) BoxClocked(box core.Box, hostNs int64) {
 	name := box.BoxName()
 	p.mu.Lock()
 	a := p.accs[name]
@@ -62,7 +61,6 @@ func (p *Profiler) BoxClocked(shard int, box core.Box, hostNs int64) {
 		a = &boxAcc{}
 		p.accs[name] = a
 	}
-	a.shard = shard
 	a.ns += hostNs
 	a.samples++
 	p.mu.Unlock()
@@ -71,7 +69,6 @@ func (p *Profiler) BoxClocked(shard int, box core.Box, hostNs int64) {
 // BoxTime is one row of the host-time attribution table.
 type BoxTime struct {
 	Box     string  `json:"box"`
-	Shard   int     `json:"shard"`
 	HostNs  int64   `json:"hostNs"`  // summed sampled nanoseconds
 	Samples int64   `json:"samples"` // timed Clock calls
 	MeanNs  float64 `json:"meanNs"`  // per sampled Clock call
@@ -86,7 +83,7 @@ func (p *Profiler) Report() []BoxTime {
 	var total int64
 	for name, a := range p.accs {
 		rows = append(rows, BoxTime{
-			Box: name, Shard: a.shard, HostNs: a.ns, Samples: a.samples,
+			Box: name, HostNs: a.ns, Samples: a.samples,
 		})
 		total += a.ns
 	}
@@ -124,13 +121,13 @@ func (p *Profiler) WriteTable(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "profiler: no samples (was the run long enough?)")
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-24s %5s %7s %12s %10s %12s\n",
-		"box", "shard", "share", "sampled ns", "samples", "ns/clock"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-24s %7s %12s %10s %12s\n",
+		"box", "share", "sampled ns", "samples", "ns/clock"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-24s %5d %6.1f%% %12d %10d %12.0f\n",
-			r.Box, r.Shard, 100*r.Share, r.HostNs, r.Samples, r.MeanNs); err != nil {
+		if _, err := fmt.Fprintf(w, "%-24s %6.1f%% %12d %10d %12.0f\n",
+			r.Box, 100*r.Share, r.HostNs, r.Samples, r.MeanNs); err != nil {
 			return err
 		}
 	}

@@ -20,8 +20,7 @@ type Options struct {
 	SampleRate uint64
 	// Seed perturbs which requests are selected. The selection is a
 	// pure function of (Seed, client name, per-client issue number), so
-	// serial and parallel runs of the same workload trace the same
-	// requests.
+	// every run of the same workload traces the same requests.
 	Seed uint64
 	// SpanDepth bounds the ring of retained terminated spans (the
 	// -spans dump, /jobs/{ref}/spans, and the flight recorder source).
@@ -93,8 +92,8 @@ type note struct {
 
 // Collector aggregates terminated spans from every registered client
 // at the cycle barrier, in registration order — so histograms, span
-// dumps and everything derived from them are identical for any worker
-// count. Attach its EndCycle to the simulator BEFORE any consumer
+// dumps and everything derived from them are identical from run to
+// run. Attach its EndCycle to the simulator BEFORE any consumer
 // that reads it at the barrier (the metrics bus), and its Recent to
 // Simulator.SetFlightRecorder for the crash black box.
 type Collector struct {
@@ -182,8 +181,8 @@ func (c *Collector) push(sp *Span) {
 }
 
 // Note appends a structured event to the flight recorder (bounded;
-// the oldest note is dropped). Safe from the coordinating goroutine
-// between cycles or before/after the run.
+// the oldest note is dropped). Safe from an end-of-cycle hook or
+// before/after the run.
 func (c *Collector) Note(cycle int64, what string) {
 	c.mu.Lock()
 	c.notes = append(c.notes, note{cycle: cycle, what: what})
@@ -212,7 +211,7 @@ func (c *Collector) orderedLocked() []Span {
 }
 
 // WriteSpansNDJSON writes the retained spans as one JSON object per
-// line, oldest first. Byte-identical for any worker count.
+// line, oldest first. Byte-identical from run to run.
 func (c *Collector) WriteSpansNDJSON(w io.Writer) error {
 	spans := c.Spans()
 	bw := bufio.NewWriterSize(w, 1<<16)

@@ -2,8 +2,7 @@
 // records ride memory transactions and shader work items through the
 // machine, stamped at each hop, and a deterministic seed-derived
 // sampler selects which requests carry one — the same requests in
-// serial and parallel runs, so every exported artifact stays
-// bit-identical for any worker count.
+// every run, so every exported artifact stays bit-identical.
 //
 // The package is deliberately tiny and dependency-light (core, chkpt)
 // so the instrumented packages (internal/mem, internal/gpu) can import

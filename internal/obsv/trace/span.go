@@ -48,9 +48,8 @@ func (k Kind) String() string {
 
 // Span is one request's lifecycle record. It is pooled by its issuing
 // Tracer and rides the traced object itself (mem.Request/Reply,
-// gpu.ShaderWork), so exactly one goroutine owns it at any time — the
-// same ownership the object has, ordered across shards by the signal
-// model's cycle barrier. Hops are stamped as plain field writes:
+// gpu.ShaderWork), so whoever holds the object owns its span. Hops are
+// stamped as plain field writes:
 //
 //	Issue    the client issued the request / the work item arrived
 //	Enqueue  accepted into the service queue (MC per-client queue,
@@ -95,10 +94,10 @@ func (s *Span) Finish(cycle int64) {
 }
 
 // splitmix64 is the deterministic sampling hash: a fixed, well-mixed
-// 64-bit permutation (Vigna's SplitMix64 finalizer). Object IDs are
-// scheduling-dependent across shards, so the hash input is the
-// per-client issue sequence number — each client issues in
-// deterministic per-cycle order regardless of worker count.
+// 64-bit permutation (Vigna's SplitMix64 finalizer). The hash input is
+// the per-client issue sequence number, not the object ID, so which of
+// a client's requests are sampled does not depend on what every other
+// box drew from the shared ID source.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -31,15 +30,6 @@ import (
 	"attila/internal/obsv/trace"
 	"attila/internal/workload"
 )
-
-// TestMain raises GOMAXPROCS so the Workers: 2 rows shard for real on a
-// single-CPU host (the simulator clamps worker counts to GOMAXPROCS).
-func TestMain(m *testing.M) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-	os.Exit(m.Run())
-}
 
 // The scaled-down run every test here uses: multi-frame, so quiesced
 // barriers (where checkpoints can fire) exist mid-run.
@@ -493,6 +483,8 @@ func TestSessionMatchesHandWired(t *testing.T) {
 		{"jobd", scenarioJob},
 	}
 	for _, sh := range shapes {
+		// workers=2 carries the ignored Config.Workers (ROADMAP item 7)
+		// through each assembler, as an old sweep or checkpoint may.
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(t *testing.T) {
 				model := sh.scenario(t, workers, false)

@@ -1,11 +1,10 @@
 package attila_test
 
-// Determinism of the parallel clock loop: a run sharded over N
-// workers must be indistinguishable from the serial run — same cycle
-// count, byte-identical statistics CSV and summary, and bit-identical
-// rendered frames (ATTILA's signal model with latency >= 1 plus
-// barrier-deferred flow-credit release make the clocking order, and
-// therefore the shard assignment, irrelevant).
+// gpu.Config.Workers is a vestige of the parallel clock loop (ROADMAP
+// item 7 retires it, and these tests with it): a run configured for N
+// workers is the serial run — same cycle count, byte-identical
+// statistics CSV and summary, bit-identical rendered frames, and the
+// same metrics NDJSON.
 
 import (
 	"bytes"
@@ -97,9 +96,8 @@ func metricsNDJSON(t *testing.T, workers int, workloadName string) []byte {
 	return buf.Bytes()
 }
 
-// The metrics bus samples only barrier-published state, so its NDJSON
-// export must be byte-identical for any worker count, like the stats
-// CSV and the rendered frames.
+// The metrics bus's NDJSON export is byte-identical for any (ignored)
+// worker count, like the stats CSV and the rendered frames.
 func TestParallelMetricsNDJSON(t *testing.T) {
 	serial := metricsNDJSON(t, 0, "simple")
 	if len(bytes.TrimSpace(serial)) == 0 {

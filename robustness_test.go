@@ -14,10 +14,9 @@ import (
 
 // buildPipeline assembles a real workload on a fresh case-study
 // pipeline without running it.
-func buildPipeline(t *testing.T, workers int, window int64) (*gpu.Pipeline, []gpu.Command) {
+func buildPipeline(t *testing.T, window int64) (*gpu.Pipeline, []gpu.Command) {
 	t.Helper()
 	cfg := gpu.CaseStudy(2, gpu.ScheduleWindow)
-	cfg.Workers = workers
 	cfg.WatchdogWindow = window
 	pipe, err := gpu.New(cfg, 128, 96)
 	if err != nil {
@@ -47,60 +46,55 @@ func csvRows(t *testing.T, pipe *gpu.Pipeline) int {
 }
 
 // A run that exhausts its cycle budget must identify as ErrCycleLimit
-// and still flush the interval statistics and the summary — in serial
-// and parallel clocking alike.
+// and still flush the interval statistics and the summary.
 func TestCycleLimitStillFlushesStats(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		pipe, cmds := buildPipeline(t, workers, 0)
-		// The full run needs hundreds of thousands of cycles; 50K
-		// cannot finish but covers several 10K stat intervals.
-		err := pipe.Run(cmds, 50_000)
-		if !errors.Is(err, core.ErrCycleLimit) {
-			t.Fatalf("workers=%d: want ErrCycleLimit, got %v", workers, err)
-		}
-		if rows := csvRows(t, pipe); rows < 2 {
-			t.Fatalf("workers=%d: only %d CSV rows flushed after cycle limit", workers, rows)
-		}
-		var sum bytes.Buffer
-		if err := pipe.DumpStats(&sum); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(sum.String(), "MC.readBytes") {
-			t.Fatalf("workers=%d: summary missing cumulative stats", workers)
-		}
-		// Cycle-budget exhaustion is a bound, not a crash: no black box.
-		if c := pipe.Sim.Crash(); c != nil {
-			t.Fatalf("workers=%d: unexpected crash report %+v", workers, c)
-		}
+	pipe, cmds := buildPipeline(t, 0)
+	// The full run needs hundreds of thousands of cycles; 50K
+	// cannot finish but covers several 10K stat intervals.
+	err := pipe.Run(cmds, 50_000)
+	if !errors.Is(err, core.ErrCycleLimit) {
+		t.Fatalf("want ErrCycleLimit, got %v", err)
+	}
+	if rows := csvRows(t, pipe); rows < 2 {
+		t.Fatalf("only %d CSV rows flushed after cycle limit", rows)
+	}
+	var sum bytes.Buffer
+	if err := pipe.DumpStats(&sum); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sum.String(), "MC.readBytes") {
+		t.Fatal("summary missing cumulative stats")
+	}
+	// Cycle-budget exhaustion is a bound, not a crash: no black box.
+	if c := pipe.Sim.Crash(); c != nil {
+		t.Fatalf("unexpected crash report %+v", c)
 	}
 }
 
 // Cancelling the context mid-run surfaces ErrCanceled, keeps the
 // partial statistics, and records a "canceled" black box.
 func TestCancelStillFlushesStats(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		pipe, cmds := buildPipeline(t, workers, 0)
-		// Cancel from inside the run, a fraction of the way through it:
-		// a wall-clock timeout races the host, and a fast one finishes
-		// the scene first.
-		ctx, cancel := context.WithCancel(context.Background())
-		pipe.Sim.OnEndCycle(func(cycle int64) {
-			if cycle == 30_000 {
-				cancel()
-			}
-		})
-		err := pipe.RunContext(ctx, cmds, 2_000_000_000)
-		cancel()
-		if !errors.Is(err, core.ErrCanceled) {
-			t.Fatalf("workers=%d: want ErrCanceled, got %v", workers, err)
+	pipe, cmds := buildPipeline(t, 0)
+	// Cancel from inside the run, a fraction of the way through it:
+	// a wall-clock timeout races the host, and a fast one finishes
+	// the scene first.
+	ctx, cancel := context.WithCancel(context.Background())
+	pipe.Sim.OnEndCycle(func(cycle int64) {
+		if cycle == 30_000 {
+			cancel()
 		}
-		if rows := csvRows(t, pipe); rows < 1 {
-			t.Fatalf("workers=%d: no CSV rows flushed after cancellation", workers)
-		}
-		crash := pipe.Sim.Crash()
-		if crash == nil || crash.Kind != "canceled" {
-			t.Fatalf("workers=%d: crash report %+v", workers, crash)
-		}
+	})
+	err := pipe.RunContext(ctx, cmds, 2_000_000_000)
+	cancel()
+	if !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if rows := csvRows(t, pipe); rows < 1 {
+		t.Fatal("no CSV rows flushed after cancellation")
+	}
+	crash := pipe.Sim.Crash()
+	if crash == nil || crash.Kind != "canceled" {
+		t.Fatalf("crash report %+v", crash)
 	}
 }
 
@@ -108,7 +102,7 @@ func TestCancelStillFlushesStats(t *testing.T) {
 // a real workload: detection is purely diagnostic and must never
 // change results on working pipelines.
 func TestWatchdogQuietOnFullRun(t *testing.T) {
-	pipe, cmds := buildPipeline(t, 0, 50_000)
+	pipe, cmds := buildPipeline(t, 50_000)
 	if err := pipe.Run(cmds, 2_000_000_000); err != nil {
 		t.Fatalf("armed watchdog broke a healthy run: %v", err)
 	}

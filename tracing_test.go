@@ -87,7 +87,7 @@ func tracingRun(t *testing.T, workers int) (spans, metrics []byte, sampled uint6
 }
 
 // TestTracingSerialVsParallel: the sampled span selection and every
-// derived artifact must not depend on the worker count.
+// derived artifact must not depend on the (ignored) worker count.
 func TestTracingSerialVsParallel(t *testing.T) {
 	spans, metrics, sampled := tracingRun(t, 0)
 	if sampled == 0 {
