@@ -19,7 +19,8 @@ test:
 # path, the replay on a fresh machine when a checkpoint is refused, the
 # fleet-metrics merge under concurrent job completion, the
 # cancel/complete terminal-state race, a polled job's progress never
-# going back) and the multi-host fleet gate (a seeded 3-peer fleet
+# going back, concurrent state-file saves never landing out of order)
+# and the multi-host fleet gate (a seeded 3-peer fleet
 # battered by killhost/pauseheart/leaseyank must converge
 # byte-identically to a clean single-host run, alongside the
 # lease-protocol edge cases: steal races, clock-skewed peers, fenced
@@ -32,6 +33,7 @@ check:
 	$(GO) test -race ./internal/core/ ./internal/obsv/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
+	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu

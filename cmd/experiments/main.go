@@ -80,8 +80,6 @@ func main() {
 	peerID := flag.String("peer-id", "", "this peer's fleet name (default HOSTNAME-PID)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "how long an unrenewed job lease survives before other peers steal it")
 	maxClaims := flag.Int("max-claims", 0, "max unfinished jobs this peer holds at once (0 = 2x workers)")
-	tenant := flag.String("tenant", "", "tenant class stamped onto submitted jobs (weighted fair-share scheduling)")
-	priority := flag.Int("priority", 0, "priority stamped onto submitted jobs (higher preempts lower at its next checkpoint)")
 	flag.Parse()
 
 	if *serveAddr != "" || *sweepFile != "" || *fleetDir != "" {
@@ -101,7 +99,6 @@ func main() {
 			traceSample: rate, traceSeed: *traceSeed,
 			fleetDir: *fleetDir, peerID: *peerID, leaseTTL: *leaseTTL,
 			maxClaims: *maxClaims,
-			tenant:    *tenant, priority: *priority,
 		}))
 	}
 
@@ -339,8 +336,6 @@ type jobModeConfig struct {
 	fleetDir, peerID             string
 	leaseTTL                     time.Duration
 	maxClaims                    int
-	tenant                       string
-	priority                     int
 }
 
 // runJobMode runs the supervised job server, either as a long-lived
@@ -393,7 +388,6 @@ func runJobMode(c jobModeConfig) int {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 4
 		}
-		stampSweep(&spec, c)
 		st, err := jobd.RunSweep(ctx, opts, spec)
 		for _, j := range st.Jobs {
 			fmt.Printf("%-24s %-10s attempts=%d cycles=%d\n", j.Name, j.State, j.Attempts, j.Cycles)
@@ -439,16 +433,6 @@ func runJobMode(c jobModeConfig) int {
 	return 0
 }
 
-// stampSweep applies the -tenant/-priority flags as sweep defaults.
-func stampSweep(spec *jobd.SweepSpec, c jobModeConfig) {
-	if c.tenant != "" && spec.Defaults.Tenant == "" {
-		spec.Defaults.Tenant = c.tenant
-	}
-	if c.priority != 0 && spec.Defaults.Priority == 0 {
-		spec.Defaults.Priority = c.priority
-	}
-}
-
 // runFleetMode joins the fleet sharing -fleet-dir. With -sweep the
 // sweep is published to the fleet's queue and this process waits for
 // it to finalize — any peer, including this one, may run the jobs.
@@ -486,7 +470,6 @@ func runFleetMode(ctx context.Context, c jobModeConfig, opts jobd.Options, logge
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 4
 		}
-		stampSweep(&spec, c)
 		if err := peer.SubmitSweep(spec); err != nil {
 			peer.Close()
 			fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -76,7 +76,7 @@ type Options struct {
 	Addr string
 	// Jobd templates the local job server. OutDir/CkptDir/StatePath
 	// are overridden to the shared layout; everything else (workers,
-	// retries, checkpoint interval, tenants, chaos) applies as given.
+	// retries, checkpoint interval, chaos) applies as given.
 	Jobd jobd.Options
 	// Chaos arms fleet-level faults (killhost, pauseheart, leaseyank)
 	// in addition to whatever Jobd.Chaos injects locally.

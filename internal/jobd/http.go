@@ -159,9 +159,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterHint()))
 		code = http.StatusTooManyRequests
-	case errors.Is(err, ErrRateLimited):
-		w.Header().Set("Retry-After", "1")
-		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "30")
 		code = http.StatusServiceUnavailable

@@ -2,8 +2,9 @@
 // fault-tolerant job server that turns the one-shot experiments CLI
 // into a supervised sweep service. Jobs (one simulation run each) and
 // sweeps (named sets of jobs) are submitted over a small HTTP API,
-// executed by a bounded worker pool, and supervised per job with the
-// robustness primitives the repository already has:
+// executed in submission order by a bounded worker pool, and
+// supervised per job with the robustness primitives the repository
+// already has:
 //
 //   - per-job wall-clock timeout and no-progress watchdog window;
 //   - bounded retries with capped, seeded-jitter exponential backoff,
@@ -89,8 +90,6 @@ var (
 	ErrDuplicate = errors.New("jobd: duplicate job name")
 	// ErrNotFound: no such job or sweep (404).
 	ErrNotFound = errors.New("jobd: not found")
-	// ErrRateLimited: the tenant's submit token bucket is empty (429).
-	ErrRateLimited = errors.New("jobd: tenant rate limited")
 )
 
 // ErrFenced matches a fencing rejection: the job's fleet lease was
@@ -153,39 +152,11 @@ type JobSpec struct {
 	// default, negative means fail fast.
 	Retries int `json:"retries,omitempty"`
 
-	// Tenant names the fairness class the job is billed to. Empty means
-	// the default class. The scheduler shares workers between tenants by
-	// weight (Options.Tenants) instead of global FIFO.
-	Tenant string `json:"tenant,omitempty"`
-	// Priority orders jobs within a tenant (higher first; default 0). A
-	// submission that outranks every running job while all workers are
-	// busy preempts the lowest-priority running job at its next
-	// checkpoint barrier.
-	Priority int `json:"priority,omitempty"`
 	// Resume asks the server to keep and use any checkpoint already on
 	// disk for this job name instead of starting from cycle zero. The
 	// fleet layer sets it when a stolen job migrates to a new peer; a
 	// plain fresh submit leaves it false and starts clean.
 	Resume bool `json:"resume,omitempty"`
-}
-
-// TenantClass configures one fairness class (Options.Tenants).
-type TenantClass struct {
-	// Weight is the tenant's share of dispatch slots relative to other
-	// tenants with queued work; 0 means 1. Scheduling is weighted fair
-	// queuing on virtual service time: each dispatch charges the tenant
-	// 1/Weight, and the tenant with the least accumulated charge goes
-	// next.
-	Weight int `json:"weight,omitempty"`
-	// MaxRunning caps the tenant's concurrently running jobs; 0 means
-	// no cap beyond the worker pool itself.
-	MaxRunning int `json:"maxRunning,omitempty"`
-	// SubmitRate > 0 arms a token-bucket limit on submissions (jobs per
-	// second); SubmitBurst is the bucket depth (0 means max(1,
-	// ceil(SubmitRate))). Submits past the bucket fail with
-	// ErrRateLimited (HTTP 429 + Retry-After).
-	SubmitRate  float64 `json:"submitRate,omitempty"`
-	SubmitBurst int     `json:"submitBurst,omitempty"`
 }
 
 // SweepSpec is a named set of jobs submitted and summarized together.
@@ -263,12 +234,6 @@ func (s JobSpec) withDefaults(d JobSpec) JobSpec {
 	if s.Retries == 0 {
 		s.Retries = d.Retries
 	}
-	if s.Tenant == "" {
-		s.Tenant = d.Tenant
-	}
-	if s.Priority == 0 {
-		s.Priority = d.Priority
-	}
 	return s
 }
 
@@ -296,9 +261,6 @@ func (s JobSpec) normalize(sweepDefaults JobSpec) (JobSpec, error) {
 	}
 	if s.Width <= 0 || s.Height <= 0 || s.Frames <= 0 {
 		return s, fmt.Errorf("jobd: job %s: width/height/frames must be positive", s.Name)
-	}
-	if s.Tenant != "" && s.Tenant != run.SanitizeName(s.Tenant) {
-		return s, fmt.Errorf("jobd: tenant %q: only [a-zA-Z0-9.-] allowed", s.Tenant)
 	}
 	return s, nil
 }

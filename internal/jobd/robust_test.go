@@ -2,6 +2,7 @@ package jobd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -151,129 +152,75 @@ func TestStateFileTornWrite(t *testing.T) {
 	s3.Close()
 }
 
-// TestTenantWeightedScheduling drives nextJobLocked directly: tenants
-// share dispatch slots by weight, ties break deterministically, and
-// priority orders jobs within a tenant.
-func TestTenantWeightedScheduling(t *testing.T) {
-	s := New(Options{
-		OutDir: t.TempDir(),
-		Tenants: map[string]TenantClass{
-			"heavy": {Weight: 2},
-			"light": {Weight: 1},
-		},
-	})
-	submit := func(name, tenant string, pri int) {
-		spec := testSpec(name)
-		spec.Tenant = tenant
-		spec.Priority = pri
-		if _, err := s.submitLocked(spec, nil, JobSpec{}); err != nil {
+// TestDispatchIsFIFO drives nextJobLocked directly: jobs dispatch in
+// submission order, and a preempted job requeues behind every job
+// already waiting.
+func TestDispatchIsFIFO(t *testing.T) {
+	s := New(Options{OutDir: t.TempDir()})
+	for _, name := range []string{"j1", "j2", "j3"} {
+		if _, err := s.submitLocked(testSpec(name), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	submit("l1", "light", 0)
-	submit("l2", "light", 0)
-	submit("l3", "light", 5) // outranks l2 within its tenant
-	submit("h1", "heavy", 0)
-	submit("h2", "heavy", 0)
-	submit("h3", "heavy", 0)
-
-	var got []string
-	for {
-		j := s.nextJobLocked()
-		if j == nil {
-			break
-		}
+	first := s.nextJobLocked()
+	s.pushQueueLocked(first) // what supervise does on a preemption
+	got := []string{first.Spec.Name}
+	for j := s.nextJobLocked(); j != nil; j = s.nextJobLocked() {
 		got = append(got, j.Spec.Name)
 	}
-	// Both tenants start at served=0; "heavy" < "light" breaks the tie,
-	// and each dispatch charges 1/weight of virtual time: heavy pays 0.5,
-	// light pays 1.0, so heavy gets two dispatches for every light one.
-	// Within light, l3's priority 5 outranks submission order.
-	//
-	//	h1 (heavy .5) → l3 (light 1) → h2 (heavy 1, tie→heavy) →
-	//	h3 (heavy 1.5) → l1 (light 2) → l2
-	want := []string{"h1", "l3", "h2", "h3", "l1", "l2"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("dispatch order = %v, want %v", got, want)
+	if want := "j1,j2,j3,j1"; strings.Join(got, ",") != want {
+		t.Fatalf("dispatch order = %v, want %s", got, want)
 	}
 }
 
-// TestTenantMaxRunningCap: a tenant at its running cap is skipped
-// even when its jobs head the queue.
-func TestTenantMaxRunningCap(t *testing.T) {
-	s := New(Options{
-		OutDir:  t.TempDir(),
-		Tenants: map[string]TenantClass{"capped": {MaxRunning: 1}},
-	})
-	for i := 0; i < 2; i++ {
-		spec := testSpec(fmt.Sprintf("cap-%d", i))
-		spec.Tenant = "capped"
-		if _, err := s.submitLocked(spec, nil, JobSpec{}); err != nil {
+// TestStateFileNeverGoesBack races saveState: each goroutine moves its
+// own job to a terminal state and saves. Whatever the interleaving, the
+// file left by the last save must hold every job's final state; an
+// older snapshot renamed over a newer one would make a restarted server
+// re-run a done job or resurrect a canceled one.
+func TestStateFileNeverGoesBack(t *testing.T) {
+	s := New(Options{OutDir: t.TempDir()}) // no Start: no worker touches the jobs
+	const n = 8
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("save-%d", i)
+		if _, err := s.submitLocked(testSpec(names[i]), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	spec := testSpec("other")
-	if _, err := s.submitLocked(spec, nil, JobSpec{}); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.mu.Lock()
+			j := s.jobs[name]
+			s.removeQueuedLocked(j)
+			j.state = StateDone
+			if i%2 == 1 {
+				j.state = StateCanceled
+			}
+			s.mu.Unlock()
+			s.saveState()
+		}()
 	}
-	// The tenant is already at its running limit: both its queued jobs
-	// must be skipped in favor of the default tenant's job, then starve
-	// until the slot frees.
-	s.tenantLocked("capped").running = 1
-	j := s.nextJobLocked()
-	if j == nil || j.Spec.Name != "other" {
-		t.Fatalf("dispatch under cap = %v, want other", j)
-	}
-	if j := s.nextJobLocked(); j != nil {
-		t.Fatalf("capped tenant dispatched past its limit: %s", j.Spec.Name)
-	}
-	s.tenantLocked("capped").running = 0
-	for _, want := range []string{"cap-0", "cap-1"} {
-		j = s.nextJobLocked()
-		if j == nil || j.Spec.Name != want {
-			t.Fatalf("dispatch after slot freed = %v, want %s", j, want)
-		}
-	}
-}
+	wg.Wait()
 
-// TestSubmitRateLimit: the tenant token bucket rejects submits past
-// the burst with ErrRateLimited, and the HTTP layer maps it to 429.
-func TestSubmitRateLimit(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{
-		OutDir: dir, Workers: 1, Retries: -1,
-		Tenants: map[string]TenantClass{"metered": {SubmitRate: 0.001, SubmitBurst: 1}},
-	})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mkspec := func(name string) JobSpec {
-		spec := testSpec(name)
-		spec.Tenant = "metered"
-		return spec
-	}
-	if _, err := s.SubmitJob(mkspec("metered-1")); err != nil {
-		t.Fatalf("first submit within burst: %v", err)
-	}
-	_, err := s.SubmitJob(mkspec("metered-2"))
-	if !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("second submit = %v, want ErrRateLimited", err)
-	}
-
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/jobs", "application/json",
-		strings.NewReader(`{"name":"metered-3","tenant":"metered"}`))
+	data, err := os.ReadFile(s.opts.StatePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("rate-limited submit status = %d, want 429", resp.StatusCode)
+	var st persistedState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 missing Retry-After")
+	if len(st.Jobs) != n {
+		t.Fatalf("state file has %d jobs, want %d", len(st.Jobs), n)
+	}
+	for _, pj := range st.Jobs {
+		if want := s.jobs[pj.Spec.Name].state; pj.State != want {
+			t.Errorf("state file: %s is %s, in memory %s", pj.Spec.Name, pj.State, want)
+		}
 	}
 }
 
@@ -296,69 +243,5 @@ func TestSubmitBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized submit status = %d, want 413", resp.StatusCode)
-	}
-}
-
-// TestPriorityPreemption: with every worker busy, a higher-priority
-// submission checkpoints the lowest-priority running job at its next
-// barrier and takes its worker; the victim resumes afterwards and
-// both finish with correct results.
-func TestPriorityPreemption(t *testing.T) {
-	total, wantCSV := cleanRun(t)
-	dir := t.TempDir()
-	s := New(Options{
-		OutDir: dir, Workers: 1, Retries: -1,
-		CheckpointInterval: total / 20,
-	})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	low := testSpec("low-pri")
-	low.Priority = 1
-	if _, err := s.SubmitJob(low); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, "low-pri", StateRunning)
-	// Let it get past the first checkpoint so preemption has a barrier
-	// to land on.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st, _ := s.JobStatus("low-pri")
-		if st.CheckpointCycle > 0 || st.State.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("low-pri never checkpointed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	high := testSpec("high-pri")
-	high.Priority = 10
-	if _, err := s.SubmitJob(high); err != nil {
-		t.Fatal(err)
-	}
-	hst := waitState(t, s, "high-pri", StateDone)
-	lst, _ := s.JobStatus("low-pri")
-	if lst.State == StateDone {
-		// The low job finished before the preemption barrier was
-		// reached — possible only if it was nearly done; the scheduling
-		// property below still must hold for the common case.
-		t.Logf("low-pri finished before preemption could land")
-	} else if lst.Preemptions == 0 {
-		t.Fatalf("high-pri done but low-pri was never preempted (state %s)", lst.State)
-	}
-	lst = waitState(t, s, "low-pri", StateDone)
-	if hst.Cycles != total || lst.Cycles != total {
-		t.Fatalf("cycles after preemption: high=%d low=%d want %d", hst.Cycles, lst.Cycles, total)
-	}
-	got, err := os.ReadFile(dir + "/low-pri.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantCSV) {
-		t.Fatal("preempted-and-resumed job CSV differs from clean run")
 	}
 }

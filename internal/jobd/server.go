@@ -77,13 +77,6 @@ type Options struct {
 	// Chaos, when non-nil, arms the jobd-level fault plan (worker
 	// kills, injected box panics, output-directory yanks).
 	Chaos *chaos.ServerPlan
-	// Tenants configures the fairness classes jobs bill to
-	// (JobSpec.Tenant). Tenants absent from the map get Weight 1, no
-	// running cap, and no rate limit — so a server with a nil map
-	// schedules exactly like the old global FIFO when every job shares
-	// one tenant. Rate limits apply to direct job submissions; sweeps
-	// are admitted as a unit under QueueLimit.
-	Tenants map[string]TenantClass
 	// Fence, when non-nil, is consulted before every durable write on a
 	// job's behalf (checkpoint, stats CSV, manifest): a non-nil error
 	// (wrapping ErrFenced) means the job's fleet lease was lost and the
@@ -177,9 +170,6 @@ type Job struct {
 	// fencedReq: the fleet layer lost this job's lease; stop at the
 	// next barrier and park as lost without writing anything.
 	fencedReq atomic.Bool
-	// preemptHint: a higher-priority submission wants this job's
-	// worker; checkpoint at the next barrier and requeue.
-	preemptHint atomic.Bool
 }
 
 // takeCause consumes the stop cause recorded by whoever stopped the
@@ -240,8 +230,6 @@ type JobStatus struct {
 	Cycles          int64   `json:"cycles,omitempty"`
 	FPS             float64 `json:"fps,omitempty"`
 	Sweep           string  `json:"sweep,omitempty"`
-	Tenant          string  `json:"tenant,omitempty"`
-	Priority        int     `json:"priority,omitempty"`
 }
 
 // SweepStatus is the API view of a sweep.
@@ -261,62 +249,22 @@ type SweepStatus struct {
 	Jobs      []JobStatus `json:"jobs"`
 }
 
-// tenantState is one fairness class's live scheduling state.
-type tenantState struct {
-	class TenantClass
-	// served is the tenant's weighted virtual service time: each
-	// dispatch adds 1/Weight, and the scheduler always picks the
-	// eligible tenant with the least served. Guarded by Server.mu.
-	served  float64
-	running int
-	// Token bucket for submit rate limiting.
-	tokens     float64
-	lastRefill time.Time
-}
-
-// weight returns the effective scheduling weight (>= 1).
-func (ts *tenantState) weight() float64 {
-	if ts.class.Weight > 0 {
-		return float64(ts.class.Weight)
-	}
-	return 1
-}
-
-// allowSubmit consumes one submit token, refilling by elapsed time.
-func (ts *tenantState) allowSubmit(now time.Time) bool {
-	rate := ts.class.SubmitRate
-	if rate <= 0 {
-		return true
-	}
-	burst := float64(ts.class.SubmitBurst)
-	if burst < 1 {
-		burst = float64(int(rate) + 1)
-	}
-	ts.tokens += now.Sub(ts.lastRefill).Seconds() * rate
-	ts.lastRefill = now
-	if ts.tokens > burst {
-		ts.tokens = burst
-	}
-	if ts.tokens < 1 {
-		return false
-	}
-	ts.tokens--
-	return true
-}
-
 // Server is the supervised sweep job server.
 type Server struct {
 	opts Options
+
+	// saveMu serializes saveState. It is taken before mu and held across
+	// the snapshot and the write, so the state file only moves forward:
+	// an older snapshot can never be renamed over a newer one.
+	saveMu sync.Mutex
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*Job
 	byID     map[int64]*Job
 	order    []*Job
-	queue    []*Job
+	queue    []*Job // FIFO: submission order, requeued jobs at the back
 	sweeps   []*Sweep
-	tenants  map[string]*tenantState
-	runningN int
 	nextID   int64
 	closed   bool
 	yanked   bool
@@ -337,11 +285,10 @@ type Server struct {
 func New(opts Options) *Server {
 	opts.norm()
 	s := &Server{
-		opts:    opts,
-		jobs:    make(map[string]*Job),
-		byID:    make(map[int64]*Job),
-		tenants: make(map[string]*tenantState),
-		stopCh:  make(chan struct{}),
+		opts:   opts,
+		jobs:   make(map[string]*Job),
+		byID:   make(map[int64]*Job),
+		stopCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -385,50 +332,14 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// tenantLocked returns (creating on demand) the live state for a
-// tenant name. Caller holds mu.
-func (s *Server) tenantLocked(name string) *tenantState {
-	ts := s.tenants[name]
-	if ts == nil {
-		ts = &tenantState{class: s.opts.Tenants[name], lastRefill: time.Now()}
-		// A tenant arriving late must not owe less virtual time than
-		// everyone else and starve them; it joins at the floor of the
-		// currently known tenants.
-		floor := 0.0
-		first := true
-		for _, other := range s.tenants {
-			if first || other.served < floor {
-				floor = other.served
-				first = false
-			}
-		}
-		ts.served = floor
-		if b := float64(ts.class.SubmitBurst); b >= 1 {
-			ts.tokens = b
-		} else if ts.class.SubmitRate > 0 {
-			ts.tokens = float64(int(ts.class.SubmitRate) + 1)
-		}
-		s.tenants[name] = ts
-	}
-	return ts
-}
-
 // SubmitJob queues one job.
 func (s *Server) SubmitJob(spec JobSpec) (*Job, error) {
-	s.mu.Lock()
 	norm, err := spec.normalize(JobSpec{})
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	if !s.tenantLocked(norm.Tenant).allowSubmit(time.Now()) {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %q", ErrRateLimited, norm.Tenant)
-	}
-	j, err := s.submitLocked(norm, nil, JobSpec{})
-	if err == nil {
-		s.maybePreemptForLocked(j)
-	}
+	s.mu.Lock()
+	j, err := s.submitLocked(norm, nil)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -436,34 +347,6 @@ func (s *Server) SubmitJob(spec JobSpec) (*Job, error) {
 	s.cond.Signal()
 	s.saveState()
 	return j, nil
-}
-
-// maybePreemptForLocked arms priority preemption for a fresh
-// submission: when every worker is busy and the new job outranks the
-// lowest-priority running job, that victim is asked to checkpoint at
-// its next barrier and requeue, freeing its worker for the higher
-// priority. Caller holds mu.
-func (s *Server) maybePreemptForLocked(newJob *Job) {
-	if s.runningN < s.opts.Workers {
-		return // a free worker will dispatch it without violence
-	}
-	var victim *Job
-	for _, j := range s.order {
-		if j.state != StateRunning || j.preemptHint.Load() {
-			continue
-		}
-		if victim == nil ||
-			j.Spec.Priority < victim.Spec.Priority ||
-			(j.Spec.Priority == victim.Spec.Priority && j.ID > victim.ID) {
-			victim = j
-		}
-	}
-	if victim == nil || victim.Spec.Priority >= newJob.Spec.Priority {
-		return
-	}
-	victim.preemptHint.Store(true)
-	s.logf("jobd: job %s (priority %d) preempting %s (priority %d)",
-		newJob.Spec.Name, newJob.Spec.Priority, victim.Spec.Name, victim.Spec.Priority)
 }
 
 // SubmitSweep queues a named set of jobs atomically: either every job
@@ -504,7 +387,7 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	s.nextID++
 	sw := &Sweep{ID: s.nextID, Name: spec.Name, done: make(chan struct{})}
 	for _, js := range norm {
-		j, err := s.submitLocked(js, sw, JobSpec{})
+		j, err := s.submitLocked(js, sw)
 		if err != nil {
 			// Roll back the jobs admitted so far.
 			for _, added := range sw.jobs {
@@ -523,14 +406,11 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	return sw, nil
 }
 
-// submitLocked admits one normalized-or-raw job spec. Caller holds mu.
-func (s *Server) submitLocked(spec JobSpec, sw *Sweep, defaults JobSpec) (*Job, error) {
+// submitLocked admits one normalized job spec. A job outside a sweep
+// passes admission control here; SubmitSweep admits its jobs as a
+// unit. Caller holds mu.
+func (s *Server) submitLocked(spec JobSpec, sw *Sweep) (*Job, error) {
 	if sw == nil {
-		var err error
-		spec, err = spec.normalize(defaults)
-		if err != nil {
-			return nil, err
-		}
 		if s.draining.Load() || s.closed {
 			return nil, ErrDraining
 		}
@@ -557,43 +437,15 @@ func (s *Server) pushQueueLocked(j *Job) {
 	s.queueLen.Store(int64(len(s.queue)))
 }
 
-// nextJobLocked picks the next dispatchable job, or nil: the eligible
-// tenant with the least weighted virtual service goes first (ties
-// break on tenant name for determinism); within a tenant, the highest
-// priority, then submission order. Tenants at their MaxRunning cap
-// are skipped. Caller holds mu.
+// nextJobLocked pops the queue head, or returns nil when the queue is
+// empty. Caller holds mu.
 func (s *Server) nextJobLocked() *Job {
-	var best *Job
-	var bestTS *tenantState
-	bestIdx := -1
-	for idx, j := range s.queue {
-		ts := s.tenantLocked(j.Spec.Tenant)
-		if cap := ts.class.MaxRunning; cap > 0 && ts.running >= cap {
-			continue
-		}
-		switch {
-		case best == nil:
-		case ts != bestTS:
-			if ts.served > bestTS.served ||
-				(ts.served == bestTS.served && j.Spec.Tenant >= best.Spec.Tenant) {
-				continue
-			}
-		default:
-			// Same tenant: queue order is submission order, so the first
-			// job seen at the top priority wins.
-			if j.Spec.Priority <= best.Spec.Priority {
-				continue
-			}
-		}
-		best, bestTS, bestIdx = j, ts, idx
-	}
-	if best == nil {
+	if len(s.queue) == 0 {
 		return nil
 	}
-	s.queue = append(s.queue[:bestIdx], s.queue[bestIdx+1:]...)
-	s.queueLen.Store(int64(len(s.queue)))
-	bestTS.served += 1 / bestTS.weight()
-	return best
+	j := s.queue[0]
+	s.removeQueuedLocked(j)
+	return j
 }
 
 func (s *Server) removeQueuedLocked(j *Job) bool {
@@ -621,7 +473,7 @@ func (s *Server) ResubmitJob(spec JobSpec) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[norm.Name]
 	if !ok {
-		j, err = s.submitLocked(norm, nil, JobSpec{})
+		j, err = s.submitLocked(norm, nil)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -647,7 +499,6 @@ func (s *Server) ResubmitJob(spec JobSpec) (*Job, error) {
 	j.cycles, j.fps = 0, 0
 	j.cancelReq.Store(false)
 	j.fencedReq.Store(false)
-	j.preemptHint.Store(false)
 	j.cause.Store(causeNone)
 	s.pushQueueLocked(j)
 	s.mu.Unlock()
@@ -743,7 +594,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Resumable: j.resumable,
 		Cycle:     j.progress.Load(), CheckpointCycle: j.ckptCycle.Load(),
 		Cycles: j.cycles, FPS: j.fps,
-		Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
 	}
 	if j.sweep != nil {
 		st.Sweep = j.sweep.Name
@@ -948,8 +798,8 @@ func (s *Server) Close() error {
 }
 
 // worker pulls jobs off the queue until the server closes or drains.
-// A non-empty queue can still yield no job when every queued tenant is
-// at its MaxRunning cap; the worker then waits for a slot to free.
+// It waits only on an empty queue, so every push that can happen while
+// workers wait (a submit, a preemption's requeue) signals the cond.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -966,17 +816,8 @@ func (s *Server) worker() {
 			s.cond.Wait()
 		}
 		j.state = StateRunning
-		ts := s.tenantLocked(j.Spec.Tenant)
-		ts.running++
-		s.runningN++
 		s.mu.Unlock()
 		s.supervise(j)
-		s.mu.Lock()
-		ts.running--
-		s.runningN--
-		s.mu.Unlock()
-		// The freed slot may unblock a capped tenant on another worker.
-		s.cond.Broadcast()
 	}
 }
 
@@ -1040,7 +881,6 @@ func (s *Server) supervise(j *Job) {
 			}
 			j.state = StatePreempted
 			j.resumable = true
-			j.preemptHint.Store(false)
 			s.pushQueueLocked(j)
 			s.mu.Unlock()
 			s.stampManifest(j, string(StatePreempted), nil)
@@ -1239,9 +1079,6 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		want := causeNone
 		if s.draining.Load() {
 			want = causeDrain
-		} else if j.preemptHint.Load() && s.queueLen.Load() > 0 {
-			// A higher-priority submission wants this worker.
-			want = causePreempt
 		} else if q := s.opts.PreemptCycles; q > 0 && cycle-dispatchStart >= q && s.queueLen.Load() > 0 {
 			want = causePreempt
 		}
@@ -1326,7 +1163,6 @@ func (s *Server) completeJob(j *Job) {
 	j.state = StateDone
 	j.failKind, j.errMsg = "", ""
 	j.resumable = false
-	j.preemptHint.Store(false)
 	sw := j.sweep
 	s.mu.Unlock()
 	os.Remove(s.ckptPath(j))
@@ -1353,7 +1189,6 @@ func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	if err != nil {
 		j.errMsg = err.Error()
 	}
-	j.preemptHint.Store(false)
 	sw := j.sweep
 	s.mu.Unlock()
 	if st == StateFailed {
@@ -1391,7 +1226,6 @@ func (s *Server) markLost(j *Job, err error) {
 		j.errMsg = ErrFenced.Error()
 	}
 	j.resumable = false
-	j.preemptHint.Store(false)
 	sw := j.sweep
 	s.mu.Unlock()
 	s.logf("jobd: job %s lost its lease; aborted without writes", j.Spec.Name)
@@ -1607,8 +1441,6 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 	m.Config = j.Spec.Config
 	m.Trace = j.Spec.Workload
 	m.Seed = j.Spec.Seed
-	m.Tenant = j.Spec.Tenant
-	m.Priority = j.Spec.Priority
 	m.FleetPeer = s.opts.PeerID
 	if s.opts.LeaseEpoch != nil {
 		m.LeaseEpoch = s.opts.LeaseEpoch(j.Spec.Name)

@@ -61,11 +61,15 @@ type persistedState struct {
 
 // saveState writes the durable queue/state file. Failure degrades to a
 // log line: losing the state file costs resumability, never the
-// running jobs.
+// running jobs. Concurrent calls write in turn, each a snapshot taken
+// after the previous write, so the last write holds the newest state.
+// Callers must not hold mu.
 func (s *Server) saveState() {
 	if s.opts.StatePath == "" || s.killed.Load() {
 		return
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	s.mu.Lock()
 	st := persistedState{NextID: s.nextID}
 	for _, sw := range s.sweeps {

@@ -60,10 +60,6 @@ type Manifest struct {
 	FleetPeer  string `json:"fleetPeer,omitempty"`
 	LeaseEpoch int64  `json:"leaseEpoch,omitempty"`
 
-	// Tenant and Priority record the fairness class the job ran under.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-
 	// Restore/retry bookkeeping. A run resumed from a checkpoint stamps
 	// where it resumed from and keeps the failed attempts' outcomes in
 	// Previous instead of silently overwriting them.
