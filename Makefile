@@ -24,9 +24,12 @@ test:
 # battered by killhost/pauseheart/leaseyank must converge
 # byte-identically to a clean single-host run, alongside the
 # lease-protocol edge cases: steal races, clock-skewed peers, fenced
-# revived hosts, epoch-floor recovery over torn leases, and the
-# drain-handoff takeover); then fuzz smokes over the trace reader and
-# over the decoded shader interpreter against its reference evaluator.
+# revived hosts, epoch-floor recovery over torn leases, the
+# drain-handoff takeover, a lease rewrite that keeps its size and
+# mtime, and a spec that must read before its job is claimed), plus
+# one pass of the fleet's scan benchmark so it cannot rot; then fuzz
+# smokes over the trace reader and over the decoded shader
+# interpreter against its reference evaluator.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(GO) vet ./...
@@ -34,7 +37,8 @@ check:
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
-	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$' -count=1 ./internal/fleet/
+	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$' -count=1 ./internal/fleet/
+	$(GO) test -run '^$$' -bench BenchmarkPeerScan -benchtime 1x ./internal/fleet/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 

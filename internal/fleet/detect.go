@@ -91,8 +91,7 @@ func (p *Peer) publishHeartbeat() {
 	}
 }
 
-// readHeartbeat loads one heartbeat file (for the index; the loop
-// itself never re-reads unchanged heartbeats).
+// readHeartbeat loads one heartbeat file.
 func readHeartbeat(path string) (heartbeat, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -106,14 +105,11 @@ func readHeartbeat(path string) (heartbeat, error) {
 }
 
 // observePeers advances each watched peer's state machine from the
-// index's cached heartbeats. A heartbeat file that changed was
-// re-read by the refresh; one that did not reads as the same sequence
-// number, which is exactly what lets the observation clock accumulate
-// staleness without touching the file. now is the caller's local
+// view's heartbeats: an unchanged sequence number is what lets the
+// observation clock accumulate staleness. now is the caller's local
 // clock.
-func (p *Peer) observePeers(now time.Time) {
-	leaseCounts := p.idx.ownerCounts()
-	for name, hb := range p.idx.beats {
+func (p *Peer) observePeers(v *view, now time.Time) {
+	for name, hb := range v.beats {
 		if name == p.opts.PeerID {
 			continue
 		}
@@ -126,13 +122,9 @@ func (p *Peer) observePeers(now time.Time) {
 		wp.addr = hb.Addr
 		wp.seq = hb.Seq
 		stale := wp.obs.observe(fmt.Sprintf("%d", hb.Seq), now)
-		held := leaseCounts[name]
-		p.advancePeerLocked(wp, stale, held, now)
+		p.advancePeerLocked(wp, stale, v.held[name], now)
 		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	p.lastOwnerCounts = leaseCounts
-	p.mu.Unlock()
 }
 
 // advancePeerLocked runs one step of the state machine. Caller holds
@@ -202,46 +194,11 @@ func probeHealthz(addr string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// leaseCountsByOwner counts live leases per owner (for
-// dead→reclaimed) by scanning the lease directory directly. The peer
-// loop never calls this — it uses the index's cached ownerCounts —
-// but the on-demand HTTP path falls back here when the loop has not
-// published a snapshot yet.
-func (p *Peer) leaseCountsByOwner() map[string]int {
-	counts := make(map[string]int)
-	entries, err := os.ReadDir(filepath.Join(p.opts.Dir, "leases"))
-	if err != nil {
-		return counts
-	}
-	for _, e := range entries {
-		job, ok := jobName(e.Name(), ".json")
-		if !ok {
-			continue
-		}
-		if p.resultExists(job) {
-			continue // finished: the lease is a tombstone, not held work
-		}
-		l, err := readLease(p.leasePath(job))
-		if err != nil {
-			continue
-		}
-		counts[l.Owner]++
-	}
-	return counts
-}
-
 // Peers returns the watched peers' states (self excluded), sorted by
-// ID for stable output. Lease counts come from the loop's last
-// published snapshot when available (the HTTP goroutine must not
-// touch the loop-owned index).
+// ID for stable output. Lease counts come from the loop's last view.
 func (p *Peer) Peers() []PeerInfo {
 	now := time.Now()
-	p.mu.Lock()
-	counts := p.lastOwnerCounts
-	p.mu.Unlock()
-	if counts == nil {
-		counts = p.leaseCountsByOwner()
-	}
+	counts := p.lastView().held
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]PeerInfo, 0, len(p.peers))

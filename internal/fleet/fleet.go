@@ -56,13 +56,13 @@ var jobdErrFenced = jobd.ErrFenced
 type Options struct {
 	// Dir is the shared fleet work directory (required). Layout:
 	//
-	//	sweeps/<name>.json   sweep specs, published once
-	//	queue/<job>.json     one normalized JobSpec per job
-	//	leases/<job>.json    claim records (owner, epoch, seq)
-	//	peers/<id>.json      heartbeats (id, seq, addr)
-	//	results/<job>.json   terminal outcomes, written by the owner
-	//	out/                 shared job outputs (CSVs, manifests, summary)
-	//	checkpoints/         shared checkpoint files jobs migrate through
+	//	sweeps/<name>.json     sweep specs, published once
+	//	queue/<ss>/<job>.json  one normalized JobSpec per job; ss is queueShard(job)
+	//	leases/<job>.json      claim records (owner, epoch, seq)
+	//	peers/<id>.json        heartbeats (id, seq, addr)
+	//	results/<job>.json     terminal outcomes, written by the owner
+	//	out/                   shared job outputs (CSVs, manifests, summary)
+	//	checkpoints/           shared checkpoint files jobs migrate through
 	Dir string
 	// PeerID uniquely names this peer in the fleet (required).
 	PeerID string
@@ -103,32 +103,21 @@ type Peer struct {
 	srv  *jobd.Server
 	rng  *rand.Rand
 
-	// idx is the incremental control-plane index; owned exclusively
-	// by the loop goroutine (and by tests that drive scanQueue
-	// directly, single-threaded).
-	idx *fleetIndex
 	// finalized remembers sweeps whose summary this peer has verified
 	// on disk, so steady-state finalize passes cost zero I/O. Loop
 	// goroutine only.
 	finalized map[string]bool
+	// firstSeen is when this peer first listed each steal marker and
+	// handoff record, by file name: the observation clock the GC pass
+	// ages them on. gcLeaseDir owns it and replaces it every pass.
+	firstSeen map[string]time.Time
 
 	mu     sync.Mutex
 	owned  map[string]*ownedJob
 	peers  map[string]*watchedPeer
 	leases map[string]*observation // per-lease staleness observers
 	hbSeq  int64
-	// lastOwnerCounts is the loop's last per-owner live-lease tally,
-	// published for the HTTP Peers() view.
-	lastOwnerCounts map[string]int
-	// stats is the mu-guarded gauge snapshot the loop republishes each
-	// tick for FleetStats (HTTP goroutines must not touch idx).
-	stats struct {
-		peersByState map[string]int
-		owned        int
-		queued       int
-		finalized    int
-		fresh        bool
-	}
+	view   *view // the loop's last scan, for FleetStats and Peers
 
 	// Cumulative counters (atomics: bumped from loop and jobd worker
 	// goroutines, read by HTTP).
@@ -179,7 +168,6 @@ func NewPeer(opts Options) (*Peer, error) {
 		leases: make(map[string]*observation),
 		stopCh: make(chan struct{}),
 	}
-	p.idx = newFleetIndex(p)
 	p.finalized = make(map[string]bool)
 	// Seeded jitter: the tick phase is deterministic per (chaos seed,
 	// peer ID), never wall-clock derived, so chaos runs reproduce.
@@ -313,16 +301,18 @@ func (p *Peer) loop() {
 			// writes in the meantime.
 			continue
 		}
-		p.idx.refresh(now)
+		v := p.scan()
 		p.publishHeartbeat()
 		p.renewOwned()
-		p.observePeers(now)
-		p.adoptHandoffs(now)
-		p.gcLeaseDir(now)
-		p.scanQueue(now)
+		p.observePeers(v, now)
+		p.adoptHandoffs(v)
+		p.gcLeaseDir(v, now)
+		p.scanQueue(v, now)
 		p.publishResults()
-		p.finalizeSweeps()
-		p.publishStats()
+		p.finalizeSweeps(v)
+		p.mu.Lock()
+		p.view = v
+		p.mu.Unlock()
 	}
 }
 
@@ -422,72 +412,87 @@ func (p *Peer) renewOwned() {
 }
 
 // scanQueue claims unleased jobs and steals expired leases, up to the
-// claim budget. It runs entirely against the incremental index — no
-// directory listing, no content reads; per tick it costs O(queue
-// entries in memory) map work plus I/O only for the claims and steals
-// actually attempted. The index is refreshed once per tick by the
-// loop before this runs.
-func (p *Peer) scanQueue(now time.Time) {
-	for job := range p.idx.queueJobs {
-		if !p.idx.sweepJobs[job] {
-			// Orphan spec no sweep record names — a crashed submit (or
-			// stray file). Claiming it would burn cycles on work nothing
-			// will ever summarize; the resubmitted sweep record is what
-			// makes it claimable.
-			continue
-		}
-		if _, done := p.idx.results[job]; done {
-			continue
-		}
-		p.mu.Lock()
-		_, mine := p.owned[job]
-		budget := p.claimBudgetLocked()
-		p.mu.Unlock()
-		if mine || budget <= 0 {
-			continue
-		}
-		l, known := p.idx.leases[job]
-		switch {
-		case !known:
-			// Unclaimed (as of this tick's view): race for the initial
-			// lease. A lease created since the refresh just makes the
-			// os.Link lose with ErrExist.
-			epoch, cerr := p.tryClaim(job)
-			if cerr != nil {
+// claim budget. Candidates are the jobs the view's sweep records name,
+// in record order with sweeps sorted by name, so claims go in sweep
+// order. A spec file no record names (a crashed submit's debris, or a
+// stray file) is never a candidate: nothing would ever summarize it.
+func (p *Peer) scanQueue(v *view, now time.Time) {
+	for _, rec := range v.sweeps {
+		for _, job := range rec.Jobs {
+			if v.results[job] {
 				continue
 			}
-			p.adopt(job, epoch, false)
-		case l.Owner != p.opts.PeerID:
-			// Someone else's: steal only after observing it unrenewed
-			// for a full TTL on our own clock. The observation folds the
-			// cached tuple — renewals changed the file, so the index
-			// re-read it; an unchanged file is exactly an unrenewed
-			// lease.
 			p.mu.Lock()
-			obs := p.leases[job]
-			if obs == nil {
-				obs = &observation{}
-				p.leases[job] = obs
-			}
-			stale := obs.observe(leaseKey(l), now)
+			_, mine := p.owned[job]
+			budget := p.claimBudgetLocked()
 			p.mu.Unlock()
-			if stale < p.opts.LeaseTTL {
+			if mine || budget <= 0 {
 				continue
 			}
-			epoch, serr := p.trySteal(job, l)
-			if serr != nil {
-				// Lost the steal race: back off and re-observe the
-				// winner's renewals from scratch.
+			l, known := v.leases[job]
+			switch {
+			case !known:
+				// Unclaimed as of this tick's view: race for the initial
+				// lease. A lease created since the scan just makes the
+				// os.Link lose with ErrExist.
+				spec, ok := p.claimableSpec(job)
+				if !ok {
+					continue
+				}
+				epoch, cerr := p.tryClaim(job)
+				if cerr != nil {
+					continue
+				}
+				p.adopt(job, spec, epoch, false)
+			case l.Owner != p.opts.PeerID:
+				// Someone else's: steal only after observing its
+				// (owner, epoch, seq) unchanged for a full TTL on our
+				// own clock.
 				p.mu.Lock()
-				delete(p.leases, job)
+				obs := p.leases[job]
+				if obs == nil {
+					obs = &observation{}
+					p.leases[job] = obs
+				}
+				stale := obs.observe(leaseKey(l), now)
 				p.mu.Unlock()
-				continue
+				if stale < p.opts.LeaseTTL {
+					continue
+				}
+				spec, ok := p.claimableSpec(job)
+				if !ok {
+					continue
+				}
+				epoch, serr := p.trySteal(job, l)
+				if serr != nil {
+					// Lost the steal race: back off and re-observe the
+					// winner's renewals from scratch.
+					p.mu.Lock()
+					delete(p.leases, job)
+					p.mu.Unlock()
+					continue
+				}
+				p.ctrSteals.Add(1)
+				p.logf("fleet: %s: stole %s from %s at epoch %d", p.opts.PeerID, job, l.Owner, epoch)
+				p.adopt(job, spec, epoch, true)
 			}
-			p.ctrSteals.Add(1)
-			p.logf("fleet: %s: stole %s from %s at epoch %d", p.opts.PeerID, job, l.Owner, epoch)
-			p.adopt(job, epoch, true)
 		}
 	}
+}
+
+// claimableSpec reads a job's spec before any claim or steal of it. A
+// lease taken on a job whose spec cannot be read would be held by a
+// peer that never runs or renews it, then stolen and abandoned the
+// same way every TTL. A missing spec is usually a publish still in
+// flight; the job is tried again next tick.
+func (p *Peer) claimableSpec(job string) (jobd.JobSpec, bool) {
+	spec, err := p.readJobSpec(job)
+	p.scanReads.Add(1)
+	if err != nil {
+		p.logf("fleet: %s: not claiming %s: %v", p.opts.PeerID, job, err)
+		return jobd.JobSpec{}, false
+	}
+	return spec, true
 }
 
 // claimBudgetLocked is how many more jobs this peer may hold.
@@ -505,12 +510,7 @@ func (p *Peer) claimBudgetLocked() int {
 // A stolen job resumes from whatever checkpoint its previous owner
 // last managed to write (Resume=true keeps the shared checkpoint
 // file); a fresh claim starts clean.
-func (p *Peer) adopt(job string, epoch int64, stolen bool) {
-	spec, err := p.readJobSpec(job)
-	if err != nil {
-		p.logf("fleet: %s: claimed %s but cannot read spec: %v", p.opts.PeerID, job, err)
-		return
-	}
+func (p *Peer) adopt(job string, spec jobd.JobSpec, epoch int64, stolen bool) {
 	spec.Resume = stolen
 	p.mu.Lock()
 	p.owned[job] = &ownedJob{epoch: epoch}
@@ -560,51 +560,47 @@ func (p *Peer) publishResults() {
 	}
 }
 
-// publishStats recomputes the gauge snapshot from the loop's index
-// and publishes it under mu for FleetStats (which HTTP goroutines
-// call and must not race the index).
-func (p *Peer) publishStats() {
-	queued := 0
-	for job := range p.idx.queueJobs {
-		if _, done := p.idx.results[job]; !done && p.idx.sweepJobs[job] {
-			queued++
-		}
-	}
-	finalized := len(p.idx.results)
-	byState := make(map[string]int)
+// lastView is the view the loop stored after its last tick; before the
+// first tick it is a scan of its own.
+func (p *Peer) lastView() *view {
 	p.mu.Lock()
-	for _, wp := range p.peers {
-		byState[string(wp.state)]++
-	}
-	ownedN := 0
-	for _, oj := range p.owned {
-		if !oj.published {
-			ownedN++
-		}
-	}
-	p.stats.peersByState = byState
-	p.stats.owned = ownedN
-	p.stats.queued = queued
-	p.stats.finalized = finalized
-	p.stats.fresh = true
+	v := p.view
 	p.mu.Unlock()
+	if v == nil {
+		v = p.scan()
+	}
+	return v
 }
 
 // FleetStats snapshots this peer's control-plane view for the
-// /metrics.prom fleet families. Gauges come from the loop's last
-// published snapshot; counters are live atomics.
+// /metrics.prom fleet families. Queued and finalized jobs come from
+// the loop's last view; detector states and owned jobs are this
+// peer's own state; counters are live atomics.
 func (p *Peer) FleetStats() *obsv.FleetStats {
 	f := &obsv.FleetStats{
 		Peer:         p.opts.PeerID,
 		PeersByState: make(map[string]int),
 	}
-	p.mu.Lock()
-	for k, v := range p.stats.peersByState {
-		f.PeersByState[k] = v
+	v := p.lastView()
+	queued := make(map[string]bool)
+	for _, rec := range v.sweeps {
+		for _, job := range rec.Jobs {
+			if !v.results[job] {
+				queued[job] = true
+			}
+		}
 	}
-	f.OwnedJobs = p.stats.owned
-	f.QueuedJobs = p.stats.queued
-	f.FinalizedJobs = p.stats.finalized
+	f.QueuedJobs = len(queued)
+	f.FinalizedJobs = len(v.results)
+	p.mu.Lock()
+	for _, wp := range p.peers {
+		f.PeersByState[string(wp.state)]++
+	}
+	for _, oj := range p.owned {
+		if !oj.published {
+			f.OwnedJobs++
+		}
+	}
 	p.mu.Unlock()
 	f.Steals = p.ctrSteals.Load()
 	f.HandoffsOffered = p.ctrHandoffsOffered.Load()

@@ -151,13 +151,12 @@ func (p *Peer) aliveTargetsLocked() []string {
 // claim budget is deliberately bypassed — keeping a drained peer's
 // work live beats fairness, and the load is bounded by what one peer
 // could hold.
-func (p *Peer) adoptHandoffs(now time.Time) {
-	for job, hi := range p.idx.handoffs {
-		h := hi.h
+func (p *Peer) adoptHandoffs(v *view) {
+	for job, h := range v.handoffs {
 		if h.To != p.opts.PeerID || h.Job != job {
 			continue
 		}
-		if _, done := p.idx.results[job]; done {
+		if v.results[job] {
 			p.removeHandoff(job)
 			continue
 		}
@@ -168,7 +167,7 @@ func (p *Peer) adoptHandoffs(now time.Time) {
 			p.removeHandoff(job)
 			continue
 		}
-		// Fresh read, not the cache: trySteal must verify against the
+		// Fresh read, not the view: trySteal must verify against the
 		// authoritative tuple.
 		l, err := readLease(p.leasePath(job))
 		if err != nil {
@@ -183,27 +182,32 @@ func (p *Peer) adoptHandoffs(now time.Time) {
 		if l.Epoch != h.Epoch-1 || l.Owner != h.From {
 			continue // not the lease state the offer described; leave for GC
 		}
+		spec, ok := p.claimableSpec(job)
+		if !ok {
+			continue
+		}
 		epoch, serr := p.trySteal(job, l)
 		if serr != nil {
 			continue
 		}
 		p.ctrHandoffsAdopted.Add(1)
 		p.logf("fleet: %s: adopted %s from draining %s at epoch %d", p.opts.PeerID, job, h.From, epoch)
-		p.adopt(job, epoch, true)
+		p.adopt(job, spec, epoch, true)
 		p.removeHandoff(job)
 	}
 }
 
 func (p *Peer) removeHandoff(job string) {
 	os.Remove(p.handoffPath(job))
-	delete(p.idx.handoffs, job)
 }
 
 // gcLeaseDir ages out control-plane debris on the observation clock:
 //
 //   - A steal marker whose lease already reached its epoch is spent —
 //     the steal completed (the winner's marker-remove lost a race or
-//     its host died between rewrite and remove). Removed immediately.
+//     its host died between rewrite and remove). Removed immediately;
+//     a finished job's lease is not in the view, so its markers and
+//     handoffs take the 2×TTL path below.
 //   - A marker whose epoch is still in the future after 2×TTL marks a
 //     thief that died mid-steal. It must go: the O_EXCL creation that
 //     makes steals exactly-one-winner also means an abandoned marker
@@ -213,31 +217,45 @@ func (p *Peer) removeHandoff(job string) {
 //     (consumed, or recovered by expire-and-steal), or after 2×TTL
 //     unconsumed — a live target would have adopted within one tick.
 //
-// Ages are measured from when THIS peer first indexed the file, so a
+// Ages are measured from when THIS peer first listed the file, so a
 // freshly started peer waits a full 2×TTL before judging anything
 // abandoned — conservative, clock-free, and safe against in-flight
-// steals which hold markers only for microseconds.
-func (p *Peer) gcLeaseDir(now time.Time) {
+// steals which hold markers only for microseconds. The ages kept are
+// those of the files this view lists and this pass leaves in place,
+// so a file that reappears under a removed name is aged afresh.
+func (p *Peer) gcLeaseDir(v *view, now time.Time) {
 	ttl := p.opts.LeaseTTL
-	for name, mi := range p.idx.markers {
-		l, known := p.idx.leases[mi.job]
-		switch {
-		case known && l.Epoch >= mi.epoch:
-			os.Remove(p.stealMarkerPath(mi.job, mi.epoch))
-			delete(p.idx.markers, name)
-		case now.Sub(mi.firstSeen) >= 2*ttl:
-			p.logf("fleet: %s: removing abandoned steal marker %s (age %v)", p.opts.PeerID, name, now.Sub(mi.firstSeen))
-			os.Remove(p.stealMarkerPath(mi.job, mi.epoch))
-			delete(p.idx.markers, name)
+	kept := make(map[string]time.Time, len(v.markers)+len(v.handoffs))
+	age := func(name string) time.Duration {
+		first, ok := p.firstSeen[name]
+		if !ok {
+			first = now
+		}
+		kept[name] = first
+		return now.Sub(first)
+	}
+	for _, m := range v.markers {
+		l, known := v.leases[m.job]
+		switch a := age(m.name); {
+		case known && l.Epoch >= m.epoch:
+			os.Remove(p.stealMarkerPath(m.job, m.epoch))
+			delete(kept, m.name)
+		case a >= 2*ttl:
+			p.logf("fleet: %s: removing abandoned steal marker %s (age %v)", p.opts.PeerID, m.name, a)
+			os.Remove(p.stealMarkerPath(m.job, m.epoch))
+			delete(kept, m.name)
 		}
 	}
-	for job, hi := range p.idx.handoffs {
-		if hi.h.To == p.opts.PeerID {
+	for job, h := range v.handoffs {
+		a := age(job + ".handoff")
+		if h.To == p.opts.PeerID {
 			continue // ours to adopt, not to judge
 		}
-		l, known := p.idx.leases[job]
-		if (known && l.Epoch >= hi.h.Epoch) || now.Sub(hi.firstSeen) >= 2*ttl {
+		l, known := v.leases[job]
+		if (known && l.Epoch >= h.Epoch) || a >= 2*ttl {
 			p.removeHandoff(job)
+			delete(kept, job+".handoff")
 		}
 	}
+	p.firstSeen = kept
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,6 +72,20 @@ func (p *Peer) leasePath(job string) string {
 
 func (p *Peer) stealMarkerPath(job string, epoch int64) string {
 	return filepath.Join(p.opts.Dir, "leases", fmt.Sprintf("%s.steal.%d", job, epoch))
+}
+
+// parseMarkerName splits a steal marker's file name into its job and
+// epoch.
+func parseMarkerName(name string) (job string, epoch int64, ok bool) {
+	i := strings.Index(name, ".steal.")
+	if i <= 0 {
+		return "", 0, false
+	}
+	e, err := strconv.ParseInt(name[i+len(".steal."):], 10, 64)
+	if err != nil {
+		return "", 0, false
+	}
+	return name[:i], e, true
 }
 
 // readLease loads a job's lease; os.ErrNotExist when unclaimed.

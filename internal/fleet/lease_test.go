@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"attila/internal/chkpt"
 	"attila/internal/jobd"
 )
 
@@ -245,6 +246,84 @@ func TestFencedRevivedHost(t *testing.T) {
 	}
 	if !errors.Is(ferr, jobd.ErrFenced) {
 		t.Fatalf("fence error = %v, want jobd.ErrFenced", ferr)
+	}
+}
+
+// TestStealCorruptLeaseRecoversEpochFloor: a torn lease file reads as
+// the corrupt sentinel with epoch 0. Stealing it must not restart the
+// fencing chain at 1 — the old owner's checkpoints carry the real
+// epoch and would pass later checks — so the thief recovers the floor
+// from checkpoint v2 metadata and surviving steal markers.
+func TestStealCorruptLeaseRecoversEpochFloor(t *testing.T) {
+	dir := t.TempDir()
+	p := newLeasePeer(t, dir, "thief")
+
+	// Floor from checkpoint metadata: the last owner durably stamped
+	// epoch 5 before the crash tore the lease.
+	if err := os.WriteFile(p.leasePath("ckptjob"), []byte("{\"owner\": \"pe"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := chkpt.NewSnapshot(chkpt.Meta{Cycle: 42, Config: "c", Workload: "w", Epoch: 5})
+	snap.Add("state", []byte("payload"))
+	if err := snap.WriteFile(filepath.Join(dir, "checkpoints", "ckptjob.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	observed, err := readLease(p.leasePath("ckptjob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.Owner != corruptOwner || observed.Epoch != 0 {
+		t.Fatalf("torn lease read as %+v, want the corrupt sentinel at epoch 0", observed)
+	}
+	epoch, err := p.trySteal("ckptjob", observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 6 {
+		t.Fatalf("steal of torn lease got epoch %d, want 6 (checkpoint floor 5 + 1)", epoch)
+	}
+
+	// Floor from a surviving steal marker: epoch 7 was claimed by some
+	// thief that died before (or while) rewriting the lease.
+	if err := os.WriteFile(p.leasePath("markerjob"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p.stealMarkerPath("markerjob", 7), []byte("gone\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	observed, err = readLease(p.leasePath("markerjob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err = p.trySteal("markerjob", observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 8 {
+		t.Fatalf("steal of torn lease got epoch %d, want 8 (marker floor 7 + 1)", epoch)
+	}
+
+	// A readable lease never consults the floor: the observed epoch is
+	// authoritative, and marker-derived floors during live races could
+	// fork the chain.
+	if err := writeLease(p.leasePath("cleanjob"), lease{Owner: "dead", Epoch: 3, Seq: 9}); err != nil {
+		t.Fatal(err)
+	}
+	snap = chkpt.NewSnapshot(chkpt.Meta{Cycle: 7, Config: "c", Workload: "w", Epoch: 9})
+	snap.Add("state", []byte("payload"))
+	if err := snap.WriteFile(filepath.Join(dir, "checkpoints", "cleanjob.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	observed, err = readLease(p.leasePath("cleanjob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err = p.trySteal("cleanjob", observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 4 {
+		t.Fatalf("steal of readable lease got epoch %d, want observed+1 = 4", epoch)
 	}
 }
 

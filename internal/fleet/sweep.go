@@ -52,11 +52,9 @@ func (p *Peer) sweepPath(name string) string {
 	return filepath.Join(p.opts.Dir, "sweeps", name+".json")
 }
 
-// queueShard buckets a job into one of 256 shard directories by a
-// 2-hex-digit fnv1a prefix. Sharding is what keeps the incremental
-// queue scan O(changed): a shard directory's mtime moves only when an
-// entry is added or removed, so unchanged shards are skipped without
-// even listing them.
+// queueShard names the directory a job's spec lives in: one of 256,
+// by a 2-hex-digit fnv1a prefix of the job name. It is part of the
+// on-disk layout every peer of a fleet must agree on.
 func queueShard(job string) string {
 	h := fnv.New32a()
 	h.Write([]byte(job))
@@ -73,11 +71,6 @@ func (p *Peer) resultPath(job string) string {
 
 func (p *Peer) summaryPath(sweep string) string {
 	return filepath.Join(p.opts.Dir, "out", sweep+"-summary.txt")
-}
-
-func (p *Peer) resultExists(job string) bool {
-	_, err := os.Stat(p.resultPath(job))
-	return err == nil
 }
 
 // SubmitSweep publishes a sweep to the fleet. Order matters for crash
@@ -201,16 +194,17 @@ func (p *Peer) readResult(job string) (Result, error) {
 // deterministic renderer jobd uses (sorted by job name, simulation
 // results only), so every peer that finalizes — and a clean
 // single-host run — produces identical bytes; the write is atomic and
-// idempotent, making the finalize race harmless. Sweep records and
-// results come from the incremental index (each read once, when its
-// file appears or changes), and a sweep already finalized with
-// identical bytes is remembered so the steady-state cost is zero I/O.
-func (p *Peer) finalizeSweeps() {
-	for name := range p.idx.sweeps {
+// idempotent, making the finalize race harmless. Results are read only
+// once the view lists every one of a sweep's jobs, and a sweep already
+// finalized with identical bytes is remembered so the steady-state
+// cost is zero I/O.
+func (p *Peer) finalizeSweeps(v *view) {
+	for _, rec := range v.sweeps {
+		name := rec.Name
 		if p.finalized[name] {
 			continue
 		}
-		rows, done := p.sweepRows(name)
+		rows, done := p.sweepRows(v, rec)
 		if !done {
 			continue
 		}
@@ -229,17 +223,19 @@ func (p *Peer) finalizeSweeps() {
 	}
 }
 
-// sweepRows collects a sweep's result rows from the index; done is
-// false until every job has a published result.
-func (p *Peer) sweepRows(name string) ([]jobd.SummaryRow, bool) {
-	rec, ok := p.idx.sweeps[name]
-	if !ok {
-		return nil, false
+// sweepRows reads a sweep's result rows; done is false until the view
+// lists a result for every job and each of them reads back.
+func (p *Peer) sweepRows(v *view, rec sweepRecord) ([]jobd.SummaryRow, bool) {
+	for _, job := range rec.Jobs {
+		if !v.results[job] {
+			return nil, false
+		}
 	}
 	rows := make([]jobd.SummaryRow, 0, len(rec.Jobs))
 	for _, job := range rec.Jobs {
-		res, have := p.idx.results[job]
-		if !have {
+		res, err := p.readResult(job)
+		p.scanReads.Add(1)
+		if err != nil {
 			return nil, false
 		}
 		rows = append(rows, jobd.SummaryRow{

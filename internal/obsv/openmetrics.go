@@ -65,8 +65,7 @@ type FleetStats struct {
 	HandoffsAdopted int64 `json:"handoffsAdopted"`
 	FenceRefusals   int64 `json:"fenceRefusals"`
 	// ScanReads counts control-plane file-content reads by the peer
-	// loop — the number the incremental index keeps O(changed) per
-	// tick instead of O(jobs).
+	// loop: what its ticks cost the shared filesystem.
 	ScanReads int64 `json:"scanReads"`
 }
 
