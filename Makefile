@@ -24,9 +24,10 @@ test:
 # battered by killhost/pauseheart/leaseyank must converge
 # byte-identically to a clean single-host run, alongside the
 # lease-protocol edge cases: steal races, clock-skewed peers, fenced
-# revived hosts, epoch-floor recovery over torn leases, the
-# drain-handoff takeover, a lease rewrite that keeps its size and
-# mtime, and a spec that must read before its job is claimed), plus
+# revived hosts, epoch-floor recovery over torn leases, a drained
+# peer's lease stolen at the next epoch, a restarted peer taking back
+# its own lease, a lease rewrite that keeps its size and mtime, and a
+# spec that must read before its job is claimed), plus
 # one pass of the fleet's scan benchmark so it cannot rot; then fuzz
 # smokes over the trace reader and over the decoded shader
 # interpreter against its reference evaluator.
@@ -37,7 +38,7 @@ check:
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
-	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainHandoff$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$' -count=1 ./internal/fleet/
+	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainIsStolen$$|^TestRestartedPeerStealsItsOwnLease$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$' -count=1 ./internal/fleet/
 	$(GO) test -run '^$$' -bench BenchmarkPeerScan -benchtime 1x ./internal/fleet/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
@@ -87,11 +88,11 @@ bench:
 # killed mid-job (all writes suppressed, no farewell heartbeat), and
 # the survivor must steal its leases, resume from checkpoints, and
 # finish with output bytes identical to a clean single-host run; then
-# a three-peer fleet drains one member mid-job and the handoff record
-# must move its lease to a live peer at the next epoch, with no expiry
-# steal, again converging byte-identically.
+# a three-peer fleet drains one member mid-job, and its lease must go
+# stale and be stolen by a live peer at the next epoch, exactly as a
+# dead peer's is, again converging byte-identically.
 fleet-smoke:
-	$(GO) test -run '^TestFleetSmokeTwoPeers$$|^TestFleetDrainHandoff$$' -count=1 -v ./internal/fleet/
+	$(GO) test -run '^TestFleetSmokeTwoPeers$$|^TestFleetDrainIsStolen$$' -count=1 -v ./internal/fleet/
 
 # profile is the three commands every performance change starts and
 # ends with: generate one of the benchmark's scenes at the benchmark's

@@ -212,8 +212,8 @@ func simulate() int {
 	if *profileBoxes {
 		spec.Profiler = obsv.NewProfiler()
 	}
-	// A -restore that cannot be honored is an input error: unlike the
-	// retry loops, this run was asked for that checkpoint.
+	// A -restore that cannot be honored is an input error: unlike jobd's
+	// retries, this run was asked for that checkpoint.
 	sess, err := run.Start(spec)
 	if err != nil {
 		return fail(run.ExitUsage, err)

@@ -27,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"syscall"
 	"time"
 
@@ -51,13 +50,7 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit across all experiments (0 = none)")
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes across all runs (sampled; prints a ranked table)")
-	retries := flag.Int("retries", 0, "retry a failed run up to N times, resuming from its last checkpoint when -checkpoint-interval is set (0 = fail fast)")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "wait before the first retry; doubles on each further retry")
-	chaosSpec := flag.String("chaos", "", "inject this fault plan into the first attempt of every run (see internal/chaos; retries run clean)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint every run at this cycle cadence so retries resume instead of replaying (0 = off)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for per-run checkpoint files (default: system temp, removed afterwards)")
-	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome, per-run attempt counts)")
-	retryBackoffMax := flag.Duration("retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling retry backoff (jitter is seeded)")
+	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome)")
 
 	// Job-server mode (internal/jobd).
 	serveAddr := flag.String("serve", "", "serve the supervised job API (and status server) on this address, e.g. :6060")
@@ -66,7 +59,10 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 0, "worker pool size for -serve/-sweep (0 = half the CPUs)")
 	queueLimit := flag.Int("queue-limit", 0, "admission control: reject submits past this many queued jobs with 429 (0 = default 256, negative = unlimited)")
 	preemptCycles := flag.Int64("preempt-cycles", 0, "fairness quantum: checkpoint-and-requeue a job after this many cycles while others wait (0 = off)")
+	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries and steals resume instead of replaying (0 = off)")
 	jobRetries := flag.Int("job-retries", 0, "default per-job retry budget for -serve/-sweep (0 = default 2, negative = fail fast)")
+	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "wait before a -serve/-sweep job's first retry; doubles on each further retry")
+	retryBackoffMax := flag.Duration("retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -serve/-sweep retry backoff (jitter is seeded)")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-attempt wall-clock limit for -serve/-sweep (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "grace period for SIGTERM drain before in-flight jobs are hard-stopped onto their last checkpoint")
 	chaosServer := flag.String("chaos-server", "", "jobd-level fault plan: seed=N,kill=JOB@CYCLE,panic=JOB@CYCLE[:BOX],yank=JOB (see internal/chaos)")
@@ -123,25 +119,10 @@ func main() {
 		prof = obsv.NewProfiler()
 		p.Profiler = prof
 	}
-	p.Retries = *retries
-	p.RetryBackoff = *retryBackoff
-	p.RetryBackoffMax = *retryBackoffMax
-	p.CheckpointInterval = *ckptInterval
-	p.CheckpointDir = *ckptDir
-	p.Attempts = make(map[string]int)
-	if *chaosSpec != "" {
-		plan, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(4)
-		}
-		p.Chaos = plan
-		fmt.Println("chaos:", plan)
-	}
 
-	// A failure stops the sweep but not the program: the attempts
-	// summary and manifest below still record what happened before the
-	// process exits with the failing run's code.
+	// A failure stops the sweep but not the program: the manifest below
+	// still records what happened before the process exits with the
+	// failing run's code.
 	man := obsv.NewManifest("experiments", flag.CommandLine)
 	exitCode := 0
 	var firstErr error
@@ -293,24 +274,7 @@ func main() {
 		}
 	}
 
-	if *retries > 0 && len(p.Attempts) > 0 {
-		names := make([]string, 0, len(p.Attempts))
-		for n := range p.Attempts {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Println("== attempts ==")
-		retried := 0
-		for _, n := range names {
-			if c := p.Attempts[n]; c > 1 {
-				retried++
-				fmt.Printf("  %-40s %d attempts\n", n, c)
-			}
-		}
-		fmt.Printf("  %d of %d runs needed a retry\n", retried, len(names))
-	}
 	if *manifestOut != "" {
-		man.AttemptCounts = p.Attempts
 		man.Finish(exitCode, firstErr)
 		if err := man.WriteFile(*manifestOut); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -506,14 +470,13 @@ func runFleetMode(ctx context.Context, c jobModeConfig, opts jobd.Options, logge
 	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	// Peer.Drain checkpoints and parks the local jobs while the lease
-	// loop keeps renewing, then offers every still-held lease to a live
-	// peer via a handoff record — takeover in one tick instead of a
-	// full TTL of dead air.
+	// loop keeps renewing, then stops the loop: the leases go stale and
+	// the surviving peers steal them after a TTL, as from a dead peer.
 	if err := peer.Drain(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 	}
 	status.Close()
 	peer.Close()
-	logger.Printf("fleet: left the fleet; remaining leases were handed off or expire for stealing")
+	logger.Printf("fleet: left the fleet; remaining leases expire and are stolen")
 	return 0
 }

@@ -8,17 +8,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"log"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"time"
 
-	"attila/internal/chaos"
-	"attila/internal/core"
 	"attila/internal/gpu"
 	"attila/internal/obsv"
 	"attila/internal/refrender"
@@ -46,32 +38,6 @@ type RunParams struct {
 	// Profiler, when non-nil, is attached to every run of the sweep;
 	// attribution is keyed by box name, so the runs aggregate.
 	Profiler *obsv.Profiler
-	// Retries bounds how many times a failed run is re-attempted
-	// (0 = fail on the first error, the historical behavior). Retries
-	// resume from the run's last checkpoint when CheckpointInterval is
-	// set, else replay from the start. Cancellation is never retried.
-	Retries int
-	// RetryBackoff is the wait before the first retry; each further
-	// retry doubles it, capped at RetryBackoffMax, with seeded jitter
-	// (see run.RetryDelay). 0 retries immediately.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the doubling backoff; <= 0 selects
-	// run.DefaultRetryBackoffMax.
-	RetryBackoffMax time.Duration
-	// CheckpointInterval, when > 0, checkpoints every run at this cycle
-	// cadence so a retry can resume instead of replaying.
-	CheckpointInterval int64
-	// CheckpointDir holds the per-run checkpoint files (removed when
-	// the run completes). Empty selects the system temp directory.
-	CheckpointDir string
-	// Chaos, when non-nil, injects the plan's faults into the FIRST
-	// attempt of every run. Retries build no injector, so a
-	// chaos-killed sweep recovers deterministically.
-	Chaos *chaos.Plan
-	// Attempts, when non-nil, records per-run attempt counts keyed by
-	// "<config>-<workload>"; sweep drivers surface it in their summary
-	// and manifest.
-	Attempts map[string]int
 }
 
 // context returns the configured context or Background.
@@ -101,69 +67,25 @@ func runOne(cfg gpu.Config, name string, p RunParams) (*gpu.Pipeline, error) {
 	return sess.Pipe, nil
 }
 
-// runSession simulates the named workload on a fresh machine and
-// returns the finished session. With Retries set, a failed simulation
-// is re-attempted — resuming from the run's last checkpoint when
-// checkpointing is on — with exponential backoff between attempts and
-// chaos faults on the first attempt only.
+// runSession simulates the named workload once on a fresh machine and
+// returns the finished session. The simulation is deterministic, so a
+// failed run fails the same way again; supervised, retried runs are
+// jobd's (experiments -sweep).
 func runSession(cfg gpu.Config, name string, p RunParams) (*run.Session, error) {
 	cfg.WatchdogWindow = p.WatchdogWindow
-	runName := run.SanitizeName(cfg.Name + "-" + name)
-	spec := run.Spec{
+	sess, err := run.Start(run.Spec{
 		Config: cfg, Width: p.Width, Height: p.Height,
 		Source:    run.Workload(name, p.workloadParams()),
 		MaxCycles: p.MaxCycles,
 		Profiler:  p.Profiler,
-		Chaos:     p.Chaos,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if p.CheckpointInterval > 0 {
-		dir := p.CheckpointDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		spec.Checkpoint = run.Checkpoint{
-			Path:     filepath.Join(dir, "attila-"+runName+".ckpt"),
-			Interval: p.CheckpointInterval,
-		}
-		defer os.Remove(spec.Checkpoint.Path)
+	if err := sess.Run(p.context()); err != nil {
+		return nil, err
 	}
-	// The jitter rng is seeded from the chaos plan when one is active
-	// so chaos runs schedule their retries deterministically, else from
-	// the workload seed.
-	jitterSeed := p.Seed
-	if p.Chaos != nil {
-		jitterSeed = p.Chaos.Seed
-	}
-	rng := rand.New(rand.NewSource(jitterSeed))
-	for attempt := 1; ; attempt++ {
-		if p.Attempts != nil {
-			p.Attempts[runName] = attempt
-		}
-		if attempt > 1 {
-			// A retry runs clean and resumes from the last checkpoint; with
-			// none usable (the fault hit before the first capture, or the
-			// file is damaged) it replays from the start.
-			spec.Chaos = nil
-			spec.RestoreFrom = spec.Checkpoint.Path
-		}
-		sess, err := run.StartOrReplay(spec, log.Printf)
-		if err == nil {
-			err = sess.Run(p.context())
-		}
-		if err == nil {
-			return sess, nil
-		}
-		if attempt > p.Retries || errors.Is(err, core.ErrCanceled) {
-			return nil, err
-		}
-		if d := run.RetryDelay(p.RetryBackoff, p.RetryBackoffMax, attempt, rng); d > 0 {
-			select {
-			case <-p.context().Done():
-				return nil, err
-			case <-time.After(d):
-			}
-		}
-	}
+	return sess, nil
 }
 
 func stat(p *gpu.Pipeline, name string) float64 {

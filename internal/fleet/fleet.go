@@ -107,9 +107,9 @@ type Peer struct {
 	// on disk, so steady-state finalize passes cost zero I/O. Loop
 	// goroutine only.
 	finalized map[string]bool
-	// firstSeen is when this peer first listed each steal marker and
-	// handoff record, by file name: the observation clock the GC pass
-	// ages them on. gcLeaseDir owns it and replaces it every pass.
+	// firstSeen is when this peer first listed each steal marker, by
+	// file name: the observation clock the GC pass ages them on.
+	// gcLeaseDir owns it and replaces it every pass.
 	firstSeen map[string]time.Time
 
 	mu     sync.Mutex
@@ -121,11 +121,9 @@ type Peer struct {
 
 	// Cumulative counters (atomics: bumped from loop and jobd worker
 	// goroutines, read by HTTP).
-	ctrSteals          atomic.Int64
-	ctrHandoffsOffered atomic.Int64
-	ctrHandoffsAdopted atomic.Int64
-	ctrFenceRefusals   atomic.Int64
-	scanReads          atomic.Int64 // control-plane file-content reads
+	ctrSteals        atomic.Int64
+	ctrFenceRefusals atomic.Int64
+	scanReads        atomic.Int64 // control-plane file-content reads
 
 	// Chaos latches.
 	killFired  bool
@@ -229,12 +227,10 @@ func (p *Peer) Start() error {
 const drainGrace = 30 * time.Second
 
 // Close gracefully stops the peer. Unless the peer was killed (or
-// already drained), Close first runs the drain path: the local jobd
-// checkpoints and parks its jobs, then every still-held lease is
-// offered to a live peer via a handoff record (see handoff.go), so
-// takeover costs one tick instead of a full TTL. Leases with no live
-// target are left in place: a restarted peer with the same ID resumes
-// them; otherwise they expire and are stolen.
+// already drained), Close first runs the drain path. The leases it
+// held are left in place to go stale: after a TTL any peer steals
+// them, a restarted peer with the same ID included, and resumes each
+// job from its checkpoint.
 func (p *Peer) Close() error {
 	p.mu.Lock()
 	skip := p.killed || p.draining
@@ -249,6 +245,36 @@ func (p *Peer) Close() error {
 	return p.srv.Close()
 }
 
+// Drain gracefully winds the peer down: the local jobd checkpoints
+// and parks every running job (while this peer's loop keeps renewing
+// their leases, so nothing is stolen mid-checkpoint), then the loop
+// stops. The leases go stale together and are stolen at the next
+// epoch, exactly as a dead peer's are. Safe to call more than once;
+// Close calls it with a default grace period if the caller has not.
+func (p *Peer) Drain(ctx context.Context) error {
+	p.mu.Lock()
+	if p.draining || p.killed {
+		p.mu.Unlock()
+		p.stopLoop()
+		return nil
+	}
+	p.draining = true
+	p.mu.Unlock()
+	err := p.srv.Drain(ctx)
+	p.stopLoop()
+	return err
+}
+
+// stopLoop closes the tick loop and waits for it; idempotent.
+func (p *Peer) stopLoop() {
+	select {
+	case <-p.stopCh:
+	default:
+		close(p.stopCh)
+	}
+	p.wg.Wait()
+}
+
 // Kill simulates this host dying: the local job server halts with
 // every durable write suppressed (jobd.Server.Kill) and the peer loop
 // stops mid-beat — no farewell heartbeat, no lease release. The rest
@@ -260,12 +286,7 @@ func (p *Peer) Kill() {
 	p.killed = true
 	p.mu.Unlock()
 	p.srv.Kill()
-	select {
-	case <-p.stopCh:
-	default:
-		close(p.stopCh)
-	}
-	p.wg.Wait()
+	p.stopLoop()
 }
 
 // tick returns the next loop delay: TTL/3 with ±25% seeded jitter.
@@ -305,7 +326,6 @@ func (p *Peer) loop() {
 		p.publishHeartbeat()
 		p.renewOwned()
 		p.observePeers(v, now)
-		p.adoptHandoffs(v)
 		p.gcLeaseDir(v, now)
 		p.scanQueue(v, now)
 		p.publishResults()
@@ -444,10 +464,12 @@ func (p *Peer) scanQueue(v *view, now time.Time) {
 					continue
 				}
 				p.adopt(job, spec, epoch, false)
-			case l.Owner != p.opts.PeerID:
-				// Someone else's: steal only after observing its
-				// (owner, epoch, seq) unchanged for a full TTL on our
-				// own clock.
+			default:
+				// Held, but not by this peer's live state: steal only
+				// after observing its (owner, epoch, seq) unchanged for a
+				// full TTL on our own clock. That includes a lease naming
+				// this peer's own ID, left by an earlier process that was
+				// closed or killed: nobody else renews it either.
 				p.mu.Lock()
 				obs := p.leases[job]
 				if obs == nil {
@@ -603,8 +625,6 @@ func (p *Peer) FleetStats() *obsv.FleetStats {
 	}
 	p.mu.Unlock()
 	f.Steals = p.ctrSteals.Load()
-	f.HandoffsOffered = p.ctrHandoffsOffered.Load()
-	f.HandoffsAdopted = p.ctrHandoffsAdopted.Load()
 	f.FenceRefusals = p.ctrFenceRefusals.Load()
 	f.ScanReads = p.scanReads.Load()
 	return f

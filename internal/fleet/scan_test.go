@@ -291,17 +291,6 @@ func TestGCLeaseDirMarkers(t *testing.T) {
 	if epoch != 2 {
 		t.Fatalf("post-GC steal epoch = %d, want 2", epoch)
 	}
-
-	// Handoff GC: a record addressed to someone else whose lease
-	// already reached the offered epoch is consumed debris.
-	if err := fsatomic.WriteFile(p.handoffPath("job"), []byte(`{"job":"job","from":"janitor","to":"someone-else","epoch":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(100 * time.Millisecond)
-	p.gcLeaseDir(p.scan(), now)
-	if _, err := os.Stat(p.handoffPath("job")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("consumed handoff record not GC'd (stat: %v)", err)
-	}
 }
 
 var benchView *view

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -221,6 +222,49 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 		if want := s.jobs[pj.Spec.Name].state; pj.State != want {
 			t.Errorf("state file: %s is %s, in memory %s", pj.Spec.Name, pj.State, want)
 		}
+	}
+}
+
+// TestRefIsNameOrWholeID: a job or sweep ref is a name, or an ID only
+// when the whole ref is a number. "<id>x" names nothing (a cancel of it
+// must not cancel job <id>), and a sweep named "1" wins over the sweep
+// whose ID is 1.
+func TestRefIsNameOrWholeID(t *testing.T) {
+	s := New(Options{OutDir: t.TempDir()}) // no Start: every job stays queued
+	// No state file: SubmitSweep saves it from a goroutine that could
+	// outlive the test's temp directory.
+	s.opts.StatePath = ""
+	first, err := s.SubmitSweep(SweepSpec{Name: "first", Jobs: []JobSpec{testSpec("first-1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named1, err := s.SubmitSweep(SweepSpec{Name: "1", Jobs: []JobSpec{testSpec("named-1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ID != 1 {
+		t.Fatalf("first sweep has ID %d; the test needs 1", first.ID)
+	}
+
+	job, err := s.JobStatus("first-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := strconv.FormatInt(job.ID, 10)
+	if err := s.CancelJob(id + "x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("CancelJob(%q) = %v, want ErrNotFound", id+"x", err)
+	}
+	if st, _ := s.JobStatus(id); st.Name != "first-1" || st.State != StateQueued {
+		t.Fatalf("job %s after a cancel of %q: %+v, want first-1 still queued", id, id+"x", st)
+	}
+
+	for ref, want := range map[string]*Sweep{"1": named1, "first": first, strconv.FormatInt(named1.ID, 10): named1} {
+		if got, err := s.SweepByRef(ref); err != nil || got != want {
+			t.Errorf("SweepByRef(%q) = %v, %v; want sweep %q", ref, got, err, want.Name)
+		}
+	}
+	if _, err := s.SweepByRef("1x"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("SweepByRef(%q) = %v, want ErrNotFound", "1x", err)
 	}
 }
 

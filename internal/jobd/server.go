@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -540,12 +541,13 @@ func (s *Server) CancelJob(ref string) error {
 	return nil
 }
 
+// jobByRefLocked resolves a ref as a job name first, then as an ID, but
+// only when the whole ref is a number: "3abc" names no job.
 func (s *Server) jobByRefLocked(ref string) *Job {
 	if j, ok := s.jobs[ref]; ok {
 		return j
 	}
-	var id int64
-	if _, err := fmt.Sscanf(ref, "%d", &id); err == nil {
+	if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
 		return s.byID[id]
 	}
 	return nil
@@ -682,15 +684,21 @@ func (s *Server) Sweeps() []SweepStatus {
 	return out
 }
 
-// SweepByRef finds a sweep by name or numeric ID.
+// SweepByRef finds a sweep by name or, failing every name, by ID when
+// the whole ref is a number.
 func (s *Server) SweepByRef(ref string) (*Sweep, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var id int64
-	fmt.Sscanf(ref, "%d", &id)
 	for _, sw := range s.sweeps {
-		if sw.Name == ref || sw.ID == id {
+		if sw.Name == ref {
 			return sw, nil
+		}
+	}
+	if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
+		for _, sw := range s.sweeps {
+			if sw.ID == id {
+				return sw, nil
+			}
 		}
 	}
 	return nil, fmt.Errorf("%w: sweep %q", ErrNotFound, ref)

@@ -69,10 +69,6 @@ type Manifest struct {
 	Checkpoints    int64         `json:"checkpoints,omitempty"`         // checkpoints written by this run
 	LastCheckpoint int64         `json:"lastCheckpointCycle,omitempty"` // cycle of the newest checkpoint
 	Previous       []PreviousRun `json:"previousRuns,omitempty"`        // earlier attempts of the same run
-
-	// AttemptCounts records, for sweep drivers (cmd/experiments), how
-	// many attempts each named run took — >1 means a retry recovered it.
-	AttemptCounts map[string]int `json:"attemptCounts,omitempty"`
 }
 
 // TracingConfig is the span-sampling configuration recorded in the

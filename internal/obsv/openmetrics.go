@@ -60,10 +60,8 @@ type FleetStats struct {
 	QueuedJobs    int `json:"queuedJobs"`
 	FinalizedJobs int `json:"finalizedJobs"`
 	// Cumulative counters.
-	Steals          int64 `json:"steals"`
-	HandoffsOffered int64 `json:"handoffsOffered"`
-	HandoffsAdopted int64 `json:"handoffsAdopted"`
-	FenceRefusals   int64 `json:"fenceRefusals"`
+	Steals        int64 `json:"steals"`
+	FenceRefusals int64 `json:"fenceRefusals"`
 	// ScanReads counts control-plane file-content reads by the peer
 	// loop: what its ticks cost the shared filesystem.
 	ScanReads int64 `json:"scanReads"`
@@ -86,9 +84,6 @@ func writeFleetStats(w io.Writer, f *FleetStats) {
 	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"queued\"} %d\n", f.QueuedJobs)
 	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"finalized\"} %d\n", f.FinalizedJobs)
 	fmt.Fprintf(w, "# TYPE attila_fleet_steals_total counter\nattila_fleet_steals_total %d\n", f.Steals)
-	fmt.Fprintln(w, "# TYPE attila_fleet_handoffs_total counter")
-	fmt.Fprintf(w, "attila_fleet_handoffs_total{role=\"offered\"} %d\n", f.HandoffsOffered)
-	fmt.Fprintf(w, "attila_fleet_handoffs_total{role=\"adopted\"} %d\n", f.HandoffsAdopted)
 	fmt.Fprintf(w, "# TYPE attila_fleet_fence_refusals_total counter\nattila_fleet_fence_refusals_total %d\n", f.FenceRefusals)
 	fmt.Fprintf(w, "# TYPE attila_fleet_scan_reads_total counter\nattila_fleet_scan_reads_total %d\n", f.ScanReads)
 }

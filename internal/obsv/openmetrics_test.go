@@ -166,7 +166,7 @@ func TestFleetStatsExpositionLints(t *testing.T) {
 		OwnedJobs:     2,
 		QueuedJobs:    7,
 		FinalizedJobs: 3,
-		Steals:        4, HandoffsOffered: 1, HandoffsAdopted: 1,
+		Steals:        4,
 		FenceRefusals: 2, ScanReads: 123,
 	}
 	var buf strings.Builder
@@ -186,8 +186,6 @@ func TestFleetStatsExpositionLints(t *testing.T) {
 		`attila_fleet_jobs{phase="queued"} 7`,
 		`attila_fleet_jobs{phase="finalized"} 3`,
 		"attila_fleet_steals_total 4",
-		`attila_fleet_handoffs_total{role="offered"} 1`,
-		`attila_fleet_handoffs_total{role="adopted"} 1`,
 		"attila_fleet_fence_refusals_total 2",
 		"attila_fleet_scan_reads_total 123",
 		"# EOF",

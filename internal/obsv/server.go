@@ -44,7 +44,7 @@ type ServerOptions struct {
 	Ready func() bool
 	// Fleet, when non-nil, snapshots the fleet peer's control-plane
 	// view for the /metrics.prom fleet families (peers by state, jobs
-	// by phase, steal/handoff/fence counters).
+	// by phase, steal/fence counters).
 	Fleet func() *FleetStats
 }
 

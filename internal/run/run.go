@@ -2,7 +2,7 @@
 // what to simulate" and "the clock loop returned". It is the one place
 // that builds the machine and hangs observers on it, for cmd/attilasim,
 // internal/experiments and internal/jobd alike. Callers keep what is
-// theirs (flags, retry loops, supervision, artifacts); the attach order,
+// theirs (flags, jobd's retries and supervision, artifacts); the attach order,
 // the resume decision and the restore checks live here once.
 package run
 
@@ -68,8 +68,8 @@ type Spec struct {
 	Profiler *obsv.Profiler
 	// SigTrace, when non-nil, receives every wire's traffic.
 	SigTrace core.Tracer
-	// Chaos, when non-nil, injects the plan's faults; retry loops set it
-	// on the first attempt only.
+	// Chaos, when non-nil, injects the plan's faults; jobd sets it on a
+	// job's first attempt only.
 	Chaos *chaos.Plan
 
 	Checkpoint Checkpoint
@@ -128,7 +128,7 @@ func Start(spec Spec) (*Session, error) {
 }
 
 // StartOrReplay is Start for callers that would rather replay than give
-// up (retry loops, the job server): a refused restore is reported
+// up (the job server's retries and steals): a refused restore is reported
 // through logf and the run starts from cycle 0 on a fresh machine.
 func StartOrReplay(spec Spec, logf func(format string, args ...any)) (*Session, error) {
 	s, err := Start(spec)
