@@ -26,8 +26,11 @@ test:
 # lease-protocol edge cases: steal races, clock-skewed peers, fenced
 # revived hosts, epoch-floor recovery over torn leases, a drained
 # peer's lease stolen at the next epoch, a restarted peer taking back
-# its own lease, a lease rewrite that keeps its size and mtime, and a
-# spec that must read before its job is claimed), plus
+# its own lease, a lease rewrite that keeps its size and mtime, a
+# spec that must read before its job is claimed, an older binary's
+# heartbeat file left unread while the lease holder stays responsive,
+# and the default claim budget following the job server's real worker
+# count), plus
 # one pass of the fleet's scan benchmark so it cannot rot; then fuzz
 # smokes over the trace reader and over the decoded shader
 # interpreter against its reference evaluator.
@@ -38,7 +41,7 @@ check:
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
-	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainIsStolen$$|^TestRestartedPeerStealsItsOwnLease$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$' -count=1 ./internal/fleet/
+	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainIsStolen$$|^TestRestartedPeerStealsItsOwnLease$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$|^TestOldHeartbeatIsInert$$|^TestDefaultMaxClaimsFollowsWorkers$$' -count=1 ./internal/fleet/
 	$(GO) test -run '^$$' -bench BenchmarkPeerScan -benchtime 1x ./internal/fleet/
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
@@ -85,7 +88,7 @@ bench:
 
 # fleet-smoke is the quick partial-failure drill, one crash and one
 # graceful exit: two in-process fleet peers split a sweep, one is
-# killed mid-job (all writes suppressed, no farewell heartbeat), and
+# killed mid-job (all writes suppressed, no lease released), and
 # the survivor must steal its leases, resume from checkpoints, and
 # finish with output bytes identical to a clean single-host run; then
 # a three-peer fleet drains one member mid-job, and its lease must go

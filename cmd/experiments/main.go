@@ -413,7 +413,7 @@ func runFleetMode(ctx context.Context, c jobModeConfig, opts jobd.Options, logge
 	}
 	peer, err := fleet.NewPeer(fleet.Options{
 		Dir: c.fleetDir, PeerID: id, LeaseTTL: c.leaseTTL,
-		Addr: c.serveAddr, Jobd: opts, Chaos: opts.Chaos,
+		Jobd: opts, Chaos: opts.Chaos,
 		MaxClaims: c.maxClaims,
 		Logf:      logger.Printf,
 	})

@@ -35,18 +35,19 @@ type ServerPlan struct {
 	// lease-held jobs rather than local workers:
 
 	// KillHost kills the named peer outright once any job it is running
-	// reaches the cycle: heartbeats stop, running simulations halt, and
-	// every durable write path is suppressed — the in-process stand-in
-	// for a host dying. Surviving peers must detect the death, steal
-	// the dead peer's leases, and finish its jobs from their last
+	// reaches the cycle: lease renewals stop, running simulations halt,
+	// and every durable write path is suppressed — the in-process
+	// stand-in for a host dying. Surviving peers must see its leases go
+	// stale, steal them, and finish its jobs from their last
 	// checkpoints.
 	KillHost *HostKillFault
-	// PauseHeart stalls the named peer's heartbeat and lease renewals
-	// for the duration while its simulations keep running — the classic
-	// GC-pause/network-partition scenario that forces the fencing path:
-	// peers steal the paused host's leases, and the revived host must
-	// detect the lost lease and abort without writing stale-epoch
-	// outputs.
+	// PauseHeart stalls the named peer's control loop — lease renewals,
+	// claims and steals — for the duration while its simulations keep
+	// running: the classic GC-pause/network-partition scenario that
+	// forces the fencing path. Peers steal the paused host's leases, and
+	// the revived host must detect the lost lease and abort without
+	// writing stale-epoch outputs. The name is kept so existing plans
+	// parse.
 	PauseHeart *PauseHeartFault
 	// LeaseYank invalidates the named job's lease out from under its
 	// owner mid-run (the lease file is rewritten to a dead owner): the
@@ -83,9 +84,9 @@ type HostKillFault struct {
 	Cycle int64
 }
 
-// PauseHeartFault stalls the named peer's heartbeats and lease
-// renewals for Dur once any job it runs reaches the cycle, without
-// stopping its simulations.
+// PauseHeartFault stalls the named peer's control loop (renewals,
+// claims, steals) for Dur once any job it runs reaches the cycle,
+// without stopping its simulations.
 type PauseHeartFault struct {
 	Peer  string
 	Cycle int64
@@ -105,7 +106,7 @@ type LeaseYankFault struct {
 //	panic=JOB@CYCLE[:BOX]  panic inside BOX of JOB at CYCLE (first attempt)
 //	yank=JOB               remove the output directory when JOB completes
 //	killhost=PEER@CYCLE    kill fleet peer PEER once a job it runs hits CYCLE
-//	pauseheart=PEER@CYCLE:DUR  stall PEER's heartbeats/renewals for DUR (e.g. 2s)
+//	pauseheart=PEER@CYCLE:DUR  stall PEER's control loop (renewals, claims, steals) for DUR (e.g. 2s)
 //	leaseyank=JOB          invalidate JOB's lease under its owner mid-run
 func ParseServer(spec string) (*ServerPlan, error) {
 	p := &ServerPlan{Seed: 1}
@@ -234,7 +235,7 @@ func (p *ServerPlan) KillHostFor(peer string) *HostKillFault {
 	return p.KillHost
 }
 
-// PauseHeartFor returns the heartbeat-stall fault targeting the named
+// PauseHeartFor returns the control-loop stall fault targeting the named
 // peer, or nil.
 func (p *ServerPlan) PauseHeartFor(peer string) *PauseHeartFault {
 	if p == nil || p.PauseHeart == nil || p.PauseHeart.Peer != peer {

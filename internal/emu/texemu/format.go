@@ -89,15 +89,6 @@ func (c RGBA) Vec() vmath.Vec4 {
 	}
 }
 
-// FromVec quantizes a float color to 8-bit RGBA.
-func FromVec(v vmath.Vec4) RGBA {
-	q := func(f float32) byte {
-		f = vmath.Clamp01(f)
-		return byte(f*255 + 0.5)
-	}
-	return RGBA{q(v[0]), q(v[1]), q(v[2]), q(v[3])}
-}
-
 // DecodeTile expands one tile's raw memory bytes (TileBytes long)
 // into 64 RGBA texels in row-major order within the tile. It is the
 // operation the texture cache performs on a line fill.

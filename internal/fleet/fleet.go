@@ -7,11 +7,10 @@
 //
 // The safety argument has three legs:
 //
-//   - Liveness detection is observation-based and clock-free: lease
-//     and heartbeat files carry sequence numbers, never timestamps,
-//     and a peer measures staleness only as "unchanged for ≥ TTL of
-//     my own monotonic time". Hosts with arbitrarily skewed wall
-//     clocks interoperate.
+//   - Liveness is the lease, observed clock-free: lease files carry
+//     sequence numbers, never timestamps, and a peer measures
+//     staleness only as "unchanged for ≥ TTL of my own monotonic
+//     time". Hosts with arbitrarily skewed wall clocks interoperate.
 //
 //   - Mutual exclusion per epoch: the initial claim is an os.Link
 //     (exactly one winner), and a steal must first create an O_EXCL
@@ -59,7 +58,6 @@ type Options struct {
 	//	sweeps/<name>.json     sweep specs, published once
 	//	queue/<ss>/<job>.json  one normalized JobSpec per job; ss is queueShard(job)
 	//	leases/<job>.json      claim records (owner, epoch, seq)
-	//	peers/<id>.json        heartbeats (id, seq, addr)
 	//	results/<job>.json     terminal outcomes, written by the owner
 	//	out/                   shared job outputs (CSVs, manifests, summary)
 	//	checkpoints/           shared checkpoint files jobs migrate through
@@ -67,13 +65,9 @@ type Options struct {
 	// PeerID uniquely names this peer in the fleet (required).
 	PeerID string
 	// LeaseTTL is how long a lease may go unrenewed before it is
-	// stealable, and the base of the heartbeat staleness thresholds.
-	// Default 2s. Renewals happen every TTL/3 with seeded jitter so a
-	// large fleet's renewals do not stampede in phase.
+	// stealable. Default 2s. Renewals happen every TTL/3 with seeded
+	// jitter so a large fleet's renewals do not stampede in phase.
 	LeaseTTL time.Duration
-	// Addr, when non-empty, is this peer's status-server address,
-	// published in heartbeats for /healthz probing.
-	Addr string
 	// Jobd templates the local job server. OutDir/CkptDir/StatePath
 	// are overridden to the shared layout; everything else (workers,
 	// retries, checkpoint interval, chaos) applies as given.
@@ -82,8 +76,8 @@ type Options struct {
 	// in addition to whatever Jobd.Chaos injects locally.
 	Chaos *chaos.ServerPlan
 	// MaxClaims bounds how many unfinished jobs this peer holds at
-	// once; 0 defaults to 2× the local worker count, keeping work
-	// spread across the fleet instead of hoarded by whoever scans
+	// once; 0 defaults to 2× the local job server's workers, keeping
+	// work spread across the fleet instead of hoarded by whoever scans
 	// first.
 	MaxClaims int
 	// Logf receives operational log lines; nil discards them.
@@ -97,7 +91,7 @@ type ownedJob struct {
 }
 
 // Peer is one fleet member: a local jobd server plus the lease,
-// heartbeat, steal, and finalize loops.
+// steal, and finalize loop.
 type Peer struct {
 	opts Options
 	srv  *jobd.Server
@@ -114,10 +108,8 @@ type Peer struct {
 
 	mu     sync.Mutex
 	owned  map[string]*ownedJob
-	peers  map[string]*watchedPeer
 	leases map[string]*observation // per-lease staleness observers
-	hbSeq  int64
-	view   *view // the loop's last scan, for FleetStats and Peers
+	view   *view                   // the loop's last scan, for FleetStats and Peers
 
 	// Cumulative counters (atomics: bumped from loop and jobd worker
 	// goroutines, read by HTTP).
@@ -162,7 +154,6 @@ func NewPeer(opts Options) (*Peer, error) {
 	p := &Peer{
 		opts:   opts,
 		owned:  make(map[string]*ownedJob),
-		peers:  make(map[string]*watchedPeer),
 		leases: make(map[string]*observation),
 		stopCh: make(chan struct{}),
 	}
@@ -180,16 +171,9 @@ func NewPeer(opts Options) (*Peer, error) {
 	jo.LeaseEpoch = p.leaseEpoch
 	p.srv = jobd.New(jo)
 	if opts.MaxClaims <= 0 {
-		p.opts.MaxClaims = 2 * workerCount(jo)
+		p.opts.MaxClaims = 2 * p.srv.Workers()
 	}
 	return p, nil
-}
-
-func workerCount(o jobd.Options) int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return 1
 }
 
 func (p *Peer) logf(format string, args ...any) {
@@ -207,7 +191,7 @@ func (p *Peer) LeaseTTL() time.Duration { return p.opts.LeaseTTL }
 // Start creates the shared layout, starts the local job server, and
 // launches the peer loop.
 func (p *Peer) Start() error {
-	for _, sub := range []string{"sweeps", "queue", "leases", "peers", "results", "out", "checkpoints"} {
+	for _, sub := range []string{"sweeps", "queue", "leases", "results", "out", "checkpoints"} {
 		if err := os.MkdirAll(filepath.Join(p.opts.Dir, sub), 0o755); err != nil {
 			return err
 		}
@@ -215,7 +199,6 @@ func (p *Peer) Start() error {
 	if err := p.srv.Start(); err != nil {
 		return err
 	}
-	p.publishHeartbeat()
 	p.wg.Add(1)
 	go p.loop()
 	return nil
@@ -277,10 +260,9 @@ func (p *Peer) stopLoop() {
 
 // Kill simulates this host dying: the local job server halts with
 // every durable write suppressed (jobd.Server.Kill) and the peer loop
-// stops mid-beat — no farewell heartbeat, no lease release. The rest
-// of the fleet finds out the only way a real crash lets it: the
-// heartbeat and lease files stop changing. Chaos killhost and the
-// fleet-smoke test both use this.
+// stops mid-tick — no lease release. The rest of the fleet finds out
+// the only way a real crash lets it: the lease files stop changing.
+// Chaos killhost and the fleet-smoke test both use this.
 func (p *Peer) Kill() {
 	p.mu.Lock()
 	p.killed = true
@@ -296,7 +278,7 @@ func (p *Peer) tick() time.Duration {
 	return base + jitter
 }
 
-// loop is the peer's heartbeat-renew-observe-claim-steal cycle.
+// loop is the peer's renew-claim-steal-finalize cycle.
 func (p *Peer) loop() {
 	defer p.wg.Done()
 	for {
@@ -316,16 +298,14 @@ func (p *Peer) loop() {
 		}
 		if paused {
 			// pauseheart: the whole control loop is stalled — no
-			// heartbeats, no renewals, no steals — while the local
-			// simulations keep running. The rest of the fleet sees a
-			// silent peer and takes its leases; the fence catches our
+			// renewals, no claims, no steals — while the local
+			// simulations keep running. The rest of the fleet sees our
+			// leases stop changing and takes them; the fence catches our
 			// writes in the meantime.
 			continue
 		}
 		v := p.scan()
-		p.publishHeartbeat()
 		p.renewOwned()
-		p.observePeers(v, now)
 		p.gcLeaseDir(v, now)
 		p.scanQueue(v, now)
 		p.publishResults()
@@ -377,7 +357,7 @@ func (p *Peer) fireChaos(now time.Time) {
 					p.pauseFired = true
 					p.pausedTill = now.Add(f.Dur)
 					p.mu.Unlock()
-					p.logf("fleet: chaos: pausing %s heartbeats for %v at job %s cycle %d",
+					p.logf("fleet: chaos: pausing %s control loop for %v at job %s cycle %d",
 						p.opts.PeerID, f.Dur, st.Name, st.Cycle)
 					return
 				}
@@ -596,13 +576,10 @@ func (p *Peer) lastView() *view {
 
 // FleetStats snapshots this peer's control-plane view for the
 // /metrics.prom fleet families. Queued and finalized jobs come from
-// the loop's last view; detector states and owned jobs are this
-// peer's own state; counters are live atomics.
+// the loop's last view; owned jobs are this peer's own state; counters
+// are live atomics.
 func (p *Peer) FleetStats() *obsv.FleetStats {
-	f := &obsv.FleetStats{
-		Peer:         p.opts.PeerID,
-		PeersByState: make(map[string]int),
-	}
+	f := &obsv.FleetStats{Peer: p.opts.PeerID}
 	v := p.lastView()
 	queued := make(map[string]bool)
 	for _, rec := range v.sweeps {
@@ -615,9 +592,6 @@ func (p *Peer) FleetStats() *obsv.FleetStats {
 	f.QueuedJobs = len(queued)
 	f.FinalizedJobs = len(v.results)
 	p.mu.Lock()
-	for _, wp := range p.peers {
-		f.PeersByState[string(wp.state)]++
-	}
 	for _, oj := range p.owned {
 		if !oj.published {
 			f.OwnedJobs++

@@ -275,10 +275,10 @@ func (p *Peer) yankLease(job string) error {
 	return writeLease(path, lease{Owner: yankedOwner, Epoch: l.Epoch, Seq: l.Seq})
 }
 
-// observation tracks when a watched value — a lease's (owner, epoch,
-// seq) or a peer heartbeat's seq — last changed, on this peer's own
-// monotonic clock. This is the only notion of time the fleet protocol
-// has across hosts; wall clocks are never compared.
+// observation tracks when a watched lease's (owner, epoch, seq) last
+// changed, on this peer's own monotonic clock. This is the only notion
+// of time the fleet protocol has across hosts; wall clocks are never
+// compared.
 type observation struct {
 	key   string    // last value seen
 	since time.Time // local time the value was first seen

@@ -16,12 +16,11 @@ import (
 // renewLease and fenceCheck read the lease), so a stale view can delay
 // an action by a tick, never corrupt the protocol.
 type view struct {
-	sweeps  []sweepRecord        // every sweep record, sorted by name
-	results map[string]bool      // jobs with a published result (listed, not read)
-	leases  map[string]lease     // leases of jobs without a result
-	held    map[string]int       // owner -> how many of those leases it holds
-	markers []marker             // steal markers, taken by name
-	beats   map[string]heartbeat // peer id -> heartbeat
+	sweeps  []sweepRecord    // every sweep record, sorted by name
+	results map[string]bool  // jobs with a published result (listed, not read)
+	leases  map[string]lease // leases of jobs without a result
+	held    map[string]int   // owner -> how many of those leases it holds
+	markers []marker         // steal markers, taken by name
 }
 
 // marker is a steal marker leases/<job>.steal.<epoch>.
@@ -33,8 +32,8 @@ type marker struct {
 
 // scan reads the control plane into a fresh view. It touches no Peer
 // state but the scanReads counter, which it bumps once per file whose
-// contents it reads: every sweep record, lease of an unfinished job and
-// heartbeat. A finished job's lease is a tombstone and is never read;
+// contents it reads: every sweep record and lease of an unfinished
+// job. A finished job's lease is a tombstone and is never read;
 // results are listed by name, and finalizeSweeps reads them only to
 // render a summary.
 func (p *Peer) scan() *view {
@@ -42,7 +41,6 @@ func (p *Peer) scan() *view {
 		results: make(map[string]bool),
 		leases:  make(map[string]lease),
 		held:    make(map[string]int),
-		beats:   make(map[string]heartbeat),
 	}
 	for _, name := range p.listDir("sweeps") {
 		if sw, ok := jobName(name, ".json"); ok {
@@ -76,15 +74,6 @@ func (p *Peer) scan() *view {
 			if err == nil {
 				v.leases[job] = l
 				v.held[l.Owner]++
-			}
-		}
-	}
-	for _, name := range p.listDir("peers") {
-		if id, ok := jobName(name, ".json"); ok {
-			hb, err := readHeartbeat(p.heartbeatPath(id))
-			p.scanReads.Add(1)
-			if err == nil {
-				v.beats[id] = hb
 			}
 		}
 	}

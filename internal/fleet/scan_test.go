@@ -22,7 +22,7 @@ func newIdlePeer(t testing.TB, dir, id string) *Peer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"sweeps", "queue", "leases", "peers", "results", "out", "checkpoints"} {
+	for _, sub := range []string{"sweeps", "queue", "leases", "results", "out", "checkpoints"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +33,9 @@ func newIdlePeer(t testing.TB, dir, id string) *Peer {
 // TestScanReadsOnlyLiveLeases pins what a tick costs the shared
 // filesystem: with a 1000-job sweep published, 100 jobs leased by
 // another peer and half of those finished, a scan reads the sweep
-// record, the heartbeat and the 50 leases of unfinished jobs — never a
-// queue spec, a result, or a finished job's tombstone lease — and
-// scan_reads counts exactly those reads, on every tick.
+// record and the 50 leases of unfinished jobs — never a queue spec, a
+// result, or a finished job's tombstone lease — and scan_reads counts
+// exactly those reads, on every tick.
 func TestScanReadsOnlyLiveLeases(t *testing.T) {
 	dir := t.TempDir()
 	p := newIdlePeer(t, dir, "scanner")
@@ -59,15 +59,14 @@ func TestScanReadsOnlyLiveLeases(t *testing.T) {
 			}
 		}
 	}
-	newIdlePeer(t, dir, "other").publishHeartbeat()
 
 	const live = leased / 2
-	want := int64(live + 1 + 1) // live leases, the sweep record, the heartbeat
+	want := int64(live + 1) // live leases, the sweep record
 	for tick := 1; tick <= 2; tick++ {
 		before := p.scanReads.Load()
 		v := p.scan()
 		if got := p.scanReads.Load() - before; got != want {
-			t.Fatalf("tick %d made %d content reads, want %d (live leases + sweep record + heartbeat)", tick, got, want)
+			t.Fatalf("tick %d made %d content reads, want %d (live leases + sweep record)", tick, got, want)
 		}
 		if len(v.sweeps) != 1 || len(v.sweeps[0].Jobs) != jobs {
 			t.Fatalf("tick %d: view holds %d sweep records, want 1 naming %d jobs", tick, len(v.sweeps), jobs)
@@ -79,9 +78,6 @@ func TestScanReadsOnlyLiveLeases(t *testing.T) {
 		if _, read := v.leases["scale-0000"]; read {
 			t.Fatalf("tick %d read the tombstone lease of a finished job", tick)
 		}
-		if _, ok := v.beats["other"]; !ok {
-			t.Fatalf("tick %d: heartbeat of peer other missing from the view", tick)
-		}
 	}
 }
 
@@ -89,16 +85,12 @@ func TestScanReadsOnlyLiveLeases(t *testing.T) {
 // owner and epoch with the same length and the same mtime — two writes
 // within one timestamp tick on a filesystem with coarse timestamps —
 // must be seen. Were it hidden, a dead previous owner would be credited
-// the lease forever and never reach reclaimed.
+// the lease forever, in the view and in /fleet/peers.
 func TestScanSeesSameSizeSameMtimeRewrite(t *testing.T) {
 	dir := t.TempDir()
 	p := newIdlePeer(t, dir, "watcher")
-	for _, id := range []string{"peer-a", "peer-c"} {
-		newIdlePeer(t, dir, id).publishHeartbeat()
-	}
-	tick := func(now time.Time) *view {
+	tick := func() *view {
 		v := p.scan()
-		p.observePeers(v, now)
 		p.mu.Lock()
 		p.view = v
 		p.mu.Unlock()
@@ -113,8 +105,7 @@ func TestScanSeesSameSizeSameMtimeRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)
-	tick(now)
+	tick()
 
 	want := lease{Owner: "peer-c", Epoch: 2, Seq: 0}
 	if err := writeLease(path, want); err != nil {
@@ -132,22 +123,13 @@ func TestScanSeesSameSizeSameMtimeRewrite(t *testing.T) {
 			before.Size(), before.ModTime(), after.Size(), after.ModTime())
 	}
 
-	v := tick(now.Add(100 * time.Millisecond))
+	v := tick()
 	if got := v.leases["job"]; got != want {
 		t.Fatalf("view holds lease %+v after the rewrite, want %+v", got, want)
 	}
 	peers := p.Peers()
-	if len(peers) != 2 {
-		t.Fatalf("watcher sees %d peers, want peer-a and peer-c: %+v", len(peers), peers)
-	}
-	for _, pi := range peers {
-		held := 0
-		if pi.ID == "peer-c" {
-			held = 1
-		}
-		if pi.Leases != held {
-			t.Fatalf("Peers() credits %s with %d leases, want %d: %+v", pi.ID, pi.Leases, held, peers)
-		}
+	if len(peers) != 1 || peers[0] != (PeerInfo{ID: "peer-c", Leases: 1}) {
+		t.Fatalf("Peers() = %+v, want only peer-c holding 1 lease", peers)
 	}
 }
 
@@ -297,16 +279,15 @@ var benchView *view
 
 // BenchmarkPeerScan measures one tick's read of the control plane, from
 // the fleet's sweep sizes to 100 times past them. Every job is queued
-// and leased by another peer, half of them have results, and one
-// heartbeat is on disk. reads/op is the files whose contents a tick
-// reads; `make check` runs it once so it cannot rot.
+// and leased by another peer, and half of them have results. reads/op
+// is the files whose contents a tick reads; `make check` runs it once
+// so it cannot rot.
 func BenchmarkPeerScan(b *testing.B) {
 	for _, n := range []int{10, 1000, 10000} {
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
 			p := newIdlePeer(b, dir, "scanner")
 			writeScanFixture(b, p, n)
-			newIdlePeer(b, dir, "other").publishHeartbeat()
 			before := p.scanReads.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Package fsatomic provides the single durable atomic-write primitive
 // every file that must survive a crash goes through: checkpoints, run
-// manifests, lease files, heartbeats, queue specs, sweep records,
+// manifests, lease files, queue specs, sweep records,
 // results, and the jobd state file. The sequence is write-to-temp,
 // fsync the temp, rename over the target, then fsync the parent
 // directory so the rename itself survives a power cut. Skipping either

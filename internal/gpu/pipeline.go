@@ -339,15 +339,6 @@ func (p *Pipeline) Cycles() int64 { return p.Sim.Cycle() }
 // Frames returns the DAC frame dumps.
 func (p *Pipeline) Frames() []*Frame { return p.DACBox.Frames() }
 
-// TexCaches exposes the texture caches (Figure 8 statistics).
-func (p *Pipeline) TexCaches() []*mem.Cache {
-	out := make([]*mem.Cache, len(p.tus))
-	for i, t := range p.tus {
-		out[i] = t.Cache()
-	}
-	return out
-}
-
 // FPS converts the cycles spent so far into frames per second at the
 // configured clock.
 func (p *Pipeline) FPS() float64 {

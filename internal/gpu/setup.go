@@ -44,10 +44,6 @@ func NewSetup(sim *core.Simulator, triIn, triOut *Flow) *Setup {
 	return s
 }
 
-// FragmentBatch returns the batch currently in the fragment phase
-// (nil when none).
-func (s *Setup) FragmentBatch() *BatchState { return s.fragBatch }
-
 // Clock implements core.Box.
 func (s *Setup) Clock(cycle int64) {
 	for _, obj := range s.triIn.Recv(cycle) {

@@ -163,9 +163,6 @@ func Dst(bank Bank, index int) DstOperand {
 	return DstOperand{Bank: bank, Index: uint8(index), Mask: MaskXYZW}
 }
 
-// WithMask returns a copy of the operand with the given write mask.
-func (d DstOperand) WithMask(m WriteMask) DstOperand { d.Mask = m; return d }
-
 // String returns the assembly spelling, e.g. "r0.xyz".
 func (d DstOperand) String() string {
 	return fmt.Sprintf("%c%d%s", d.Bank.letter(), d.Index, d.Mask)

@@ -295,6 +295,9 @@ func New(opts Options) *Server {
 	return s
 }
 
+// Workers reports the worker pool's size after defaulting.
+func (s *Server) Workers() int { return s.opts.Workers }
+
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)

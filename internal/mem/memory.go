@@ -107,6 +107,3 @@ func (a *Allocator) Alloc(n int, align uint32) (uint32, error) {
 	a.next = base + uint32(n)
 	return base, nil
 }
-
-// Used returns the bytes allocated so far.
-func (a *Allocator) Used() uint32 { return a.next }

@@ -44,15 +44,11 @@ func fmtFloat(v float64) string {
 
 // FleetStats is one fleet peer's point-in-time view of the multi-host
 // control plane, rendered into /metrics.prom alongside the simulator
-// families. Gauges describe the current state (peers by detector
-// state, jobs by phase); counters are cumulative since peer start.
-// The producer is internal/fleet; obsv only renders, so the
-// dependency stays one-way.
+// families. Gauges describe the current state (jobs by phase);
+// counters are cumulative since peer start. The producer is
+// internal/fleet; obsv only renders, so the dependency stays one-way.
 type FleetStats struct {
 	Peer string `json:"peer"`
-	// PeersByState counts watched peers per failure-detector state
-	// (alive/suspect/dead/reclaimed), self excluded.
-	PeersByState map[string]int `json:"peersByState"`
 	// Jobs by phase: owned (unpublished leases this peer holds),
 	// queued (published jobs without a result yet, fleet-wide),
 	// finalized (published results, fleet-wide).
@@ -67,18 +63,10 @@ type FleetStats struct {
 	ScanReads int64 `json:"scanReads"`
 }
 
-// fleetPeerStates fixes the exposition order of the peer-state gauge
-// so pages are deterministic and every state is always present.
-var fleetPeerStates = []string{"alive", "suspect", "dead", "reclaimed"}
-
-// writeFleetStats renders the fleet families. All series carry the
-// full state/phase label sets even when zero, so dashboards never see
+// writeFleetStats renders the fleet families. The jobs gauge carries
+// the full phase label set even when zero, so dashboards never see
 // series flap in and out.
 func writeFleetStats(w io.Writer, f *FleetStats) {
-	fmt.Fprintln(w, "# TYPE attila_fleet_peers gauge")
-	for _, st := range fleetPeerStates {
-		fmt.Fprintf(w, "attila_fleet_peers{state=%q} %d\n", st, f.PeersByState[st])
-	}
 	fmt.Fprintln(w, "# TYPE attila_fleet_jobs gauge")
 	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"owned\"} %d\n", f.OwnedJobs)
 	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"queued\"} %d\n", f.QueuedJobs)

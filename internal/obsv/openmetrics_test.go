@@ -158,11 +158,10 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 
 // TestFleetStatsExpositionLints: the fleet families render alongside
 // the simulator families, pass the lint, and always carry the full
-// state/phase label sets so scrapers never see series flap.
+// phase label set so scrapers never see series flap.
 func TestFleetStatsExpositionLints(t *testing.T) {
 	fleet := &FleetStats{
 		Peer:          "peer-a",
-		PeersByState:  map[string]int{"alive": 2, "dead": 1},
 		OwnedJobs:     2,
 		QueuedJobs:    7,
 		FinalizedJobs: 3,
@@ -178,10 +177,6 @@ func TestFleetStatsExpositionLints(t *testing.T) {
 		t.Fatalf("fleet exposition fails lint: %v\n%s", err, text)
 	}
 	for _, want := range []string{
-		`attila_fleet_peers{state="alive"} 2`,
-		`attila_fleet_peers{state="suspect"} 0`, // zero states still present
-		`attila_fleet_peers{state="dead"} 1`,
-		`attila_fleet_peers{state="reclaimed"} 0`,
 		`attila_fleet_jobs{phase="owned"} 2`,
 		`attila_fleet_jobs{phase="queued"} 7`,
 		`attila_fleet_jobs{phase="finalized"} 3`,

@@ -87,5 +87,80 @@ func TestOneRunAssembler(t *testing.T) {
 	}
 }
 
+// Tables 1 and 2 are reproduced "by construction": they print the
+// configuration the model runs with. That holds only for fields the
+// model reads, by non-test code in internal/gpu or internal/mem other
+// than config.go (which declares, presets and validates them). unread
+// lists the printed fields no box reads; a listed field that becomes
+// read, or stops being printed, fails too, so the list only shrinks.
+func TestTablesPrintOnlyModelledFields(t *testing.T) {
+	unread := map[string]bool{"StreamerQueue": true, "ROPFragsPerCycle": true, "FastClear": true}
+
+	fset := token.NewFileSet()
+	tables, err := parser.ParseFile(fset, "internal/experiments/tables.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(map[string]bool)
+	ast.Inspect(tables, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "cfg" {
+				printed[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+	if len(printed) == 0 {
+		t.Fatal("found no cfg.X selectors in internal/experiments/tables.go")
+	}
+
+	// read collects every selector name the model uses other than as an
+	// assignment target.
+	read := make(map[string]bool)
+	for _, dir := range []string{"internal/gpu", "internal/mem"} {
+		paths, err := filepath.Glob(dir + "/*.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "config.go" {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written := make(map[ast.Expr]bool)
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written[lhs] = true
+					}
+				case *ast.SelectorExpr:
+					if !written[n] {
+						read[n.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	for name := range printed {
+		switch {
+		case !read[name] && !unread[name]:
+			t.Errorf("Tables 1/2 print gpu.Config.%s, which no box in internal/gpu or internal/mem reads", name)
+		case read[name] && unread[name]:
+			t.Errorf("gpu.Config.%s is read by the model now: drop it from this test's unread list", name)
+		}
+	}
+	for name := range unread {
+		if !printed[name] {
+			t.Errorf("gpu.Config.%s is no longer printed: drop it from this test's unread list", name)
+		}
+	}
+}
+
 // under reports whether the slash-separated path lies inside dir.
 func under(path, dir string) bool { return strings.HasPrefix(path, dir+"/") }
