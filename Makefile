@@ -108,8 +108,10 @@ fleet-smoke:
 # awake is the same run under -profile-boxes, reduced to the table
 # DESIGN.md section 10 "What a quiet cycle costs" keeps: per box, the
 # share of cycles it was clocked on (its samples over the sampled
-# cycles), and their sum, the box clocks an average cycle makes.
-# make awake SCENE=doom3|spinner|ut2004 [PROFILE_DIR=dir]
+# cycles), and their sum, the box clocks an average cycle makes. With
+# no SCENE it runs doom3, spinner and ut2004 in turn: a change to a park
+# or wake site is measured on all three.
+# make awake [SCENE=doom3|spinner|ut2004] [PROFILE_DIR=dir]
 SCENE ?= doom3
 PROFILE_DIR ?= /tmp/attila-profile
 profile_supervised := $(if $(SUPERVISED),-watchdog 50000000 -checkpoint-interval 50000 -trace-sample 1/64)
@@ -131,9 +133,13 @@ profile:
 	$(profile_run) -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
 	$(GO) tool pprof -top -cum -nodecount 50 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).prof
 awake:
+ifeq ($(origin SCENE),file)
+	@for s in doom3 spinner ut2004; do echo "== $$s"; $(MAKE) --no-print-directory awake SCENE=$$s || exit 1; done
+else
 	$(profile_scene)
 	@$(profile_run) -profile-boxes | awk ' \
 		/^simulated / { cycles = $$2; sampled = int((cycles + 63) / 64) } \
 		table && NF == 5 { printf "%-22s %5.1f%%\n", $$1, 100 * $$4 / sampled; clocks += $$4 } \
 		/^box / { table = 1 } \
 		END { printf "%-22s %6.2f box clocks per cycle (%d cycles, 1 in 64 sampled)\n", "all boxes", clocks / sampled, cycles }'
+endif

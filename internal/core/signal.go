@@ -151,7 +151,7 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 		*t++
 	}
 	if r := s.reader; r != nil {
-		r.Wake()
+		r.wake()
 	}
 }
 

@@ -41,7 +41,15 @@ import (
 //	(b) the end of the cycle folding a Publication it reads — released
 //	    credits arriving in one of its output flows wake a producer that
 //	    was blocked on credit alone.
-//	(c) BoxBase.Wake from a box that calls it directly.
+//	(c) BoxBase.Wake from a box that calls it directly. A box the walk
+//	    has still to reach in this cycle's word — registered after the
+//	    waker — is clocked in this cycle, as the every-box loop would
+//	    clock it after the change; any other is clocked from the next.
+//	    (A signal write wakes for the next cycle only: its object
+//	    arrives no sooner.)
+//	(d) the cycle it named to BoxBase.ParkUntil: a wait whose end the
+//	    box already knows (a busy memory channel) is a park with a time,
+//	    kept in one min-heap the loop consults before each cycle's walk.
 //
 // A stalled box sleeps too. A counter named to ParkCounting accrues
 // from the cycle after the park was granted: Counter.Value adds its
@@ -56,9 +64,9 @@ import (
 // leaves the box awake to count for itself next cycle.
 //
 // A box that cannot name its wake source in some state — it polls
-// shared state or waits out a number of cycles (a busy memory channel,
-// an instruction's latency, the display refresh) — stays awake in that
-// state.
+// shared state nobody announces, or waits out a number of cycles it
+// does not park for (an instruction's latency, the display refresh) —
+// stays awake in that state.
 //
 // A spurious clock of a parked box is harmless, so every Run (a
 // restored one included) starts with all boxes awake and park state is
@@ -91,6 +99,10 @@ type BoxBase struct {
 	// and, once the park is granted, what accrues until the next Clock.
 	counting []accrual
 	parkedAt int64 // cycle of the Clock that last parked the box
+	// wakeAt is the cycle named to ParkUntil by the Clock in progress
+	// and, once the park is granted, the timed wake it sleeps towards;
+	// 0 for none.
+	wakeAt int64
 }
 
 // accrual is one counter a parked box would have added perCycle to on
@@ -133,11 +145,42 @@ func (b *BoxBase) ParkCounting(c *Counter, perCycle int) {
 	}
 }
 
-// Wake puts a parked box back in the awake set, to be clocked from the
-// next cycle on (this one, if the walk has not reached its word yet).
+// ParkUntil is Park for a wait whose end the box knows: if the park is
+// granted, the box is clocked again at cycle c at the latest (combine
+// with ParkCounting for what it counts meanwhile). Call it at most once
+// in a Clock, with c after the cycle being clocked.
+func (b *BoxBase) ParkUntil(c int64) {
+	if b.sim != nil {
+		b.sim.parking = true
+		b.wakeAt = c
+	}
+}
+
+// Wake puts a parked box back in the awake set. A box the walk has
+// still to reach in this cycle — later in the 64-box word being walked,
+// or in a later word — is clocked in this cycle, its accrual settled
+// first; any other from the next. Waking a nil box does nothing.
 func (b *BoxBase) Wake() {
+	if b == nil || b.sim == nil {
+		return
+	}
+	s := b.sim
+	w, bit := b.idx>>6, uint64(1)<<(b.idx&63)
+	// The lowest bit left in the walk is the box being clocked.
+	if w == s.walkW && bit > s.walk&-s.walk && s.walk&bit == 0 {
+		if s.accruing[w]&bit != 0 {
+			s.settle(b.idx, s.cycle)
+		}
+		s.walk |= bit
+	}
+	b.wake()
+}
+
+// wake puts a parked box back in the awake set for the next word the
+// walk loads: the next cycle's, for a box in the word being walked.
+func (b *BoxBase) wake() {
 	if b.parked {
-		b.parked = false
+		b.parked, b.wakeAt = false, 0
 		b.sim.awake[b.idx>>6] |= 1 << (b.idx & 63)
 	}
 }
@@ -209,6 +252,18 @@ type Simulator struct {
 	awake    []uint64
 	accruing []uint64
 	parking  bool // the box being clocked called Park
+	// The walk of the cycle in progress: word walkW of the awake set
+	// (-1 outside the walk) as loaded, less the boxes already clocked,
+	// plus those a Wake picked up on the way.
+	walk  uint64
+	walkW int
+	// wakeups holds the granted ParkUntil wakes, a min-heap on cycle. An
+	// entry whose box was woken before it, or parked again towards
+	// another cycle, is stale and dropped when it comes up. A Run starts
+	// it on wakeBuf: the benchmark scenes never hold more than five, so a
+	// Run allocates nothing for them.
+	wakeups []wakeup
+	wakeBuf [8]wakeup
 
 	pubs   []*Publication // every registered publication
 	marked []*Publication // marked this cycle, folded at its end
@@ -493,23 +548,33 @@ func panicError(r any, box string, cycle int64) error {
 func (s *Simulator) clock(c int64) (err error) {
 	var cur Box
 	defer func() {
+		s.walkW = -1
 		if r := recover(); r != nil {
 			err = panicError(r, boxNameOf(cur), c)
 		}
 	}()
+	// The timed wakes due: each box is put in the awake set before its
+	// word is loaded, so it is clocked at exactly the cycle it named.
+	for len(s.wakeups) > 0 && s.wakeups[0].cycle <= c {
+		t := s.popWakeup()
+		if base := s.bases[t.box]; base.parked && base.wakeAt == t.cycle {
+			base.wake()
+		}
+	}
 	timed := s.obs != nil && c%s.obsEvery == 0
 	for w := range s.awake {
-		// Each word is loaded once: a box woken later in the walk is
-		// clocked next cycle, which is early enough — what woke it
-		// arrives no sooner.
-		word := s.awake[w]
+		// A box woken after its word is loaded is clocked next cycle,
+		// which is early enough for a signal write — its object arrives
+		// no sooner — but not for a direct Wake, which adds the box to
+		// the walk if the walk has not passed it (BoxBase.Wake).
+		s.walk, s.walkW = s.awake[w], w
 		// The sleepers among them wake up to settled counters. (Under a
 		// gate nothing accrues, so none of these is skipped below.)
-		for woken := s.accruing[w] & word; woken != 0; woken &= woken - 1 {
+		for woken := s.accruing[w] & s.walk; woken != 0; woken &= woken - 1 {
 			s.settle(w<<6+bits.TrailingZeros64(woken), c)
 		}
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
+		for ; s.walk != 0; s.walk &= s.walk - 1 {
+			i := w<<6 + bits.TrailingZeros64(s.walk)
 			cur = s.boxes[i]
 			if s.gate != nil && !s.gate.BeforeClock(c, cur) {
 				continue
@@ -565,7 +630,7 @@ func (s *Simulator) EndCycle(cycle int64) {
 		p.marked = false
 		p.fold(cycle)
 		if p.wakes != nil {
-			p.wakes.Wake()
+			p.wakes.wake()
 		}
 		s.marked[i] = nil
 	}
@@ -622,16 +687,20 @@ func (s *Simulator) park(i int) bool {
 }
 
 // parkAfter settles what box i's Clock of cycle c asked for: the park,
-// and with a granted one the accrual of the counters it named, from
-// cycle c+1 on — the Clock itself counted c. A refused park (or any,
-// under a gate) leaves the box awake to count for itself.
+// and with a granted one its timed wake and the accrual of the counters
+// it named, from cycle c+1 on — the Clock itself counted c. A refused
+// park (or any, under a gate) leaves the box awake to count for itself.
 func (s *Simulator) parkAfter(i int, c int64) {
 	base := s.bases[i]
 	if s.gate != nil || !s.park(i) {
 		base.counting = base.counting[:0]
+		base.wakeAt = 0
 		return
 	}
 	base.parkedAt = c
+	if base.wakeAt != 0 {
+		s.pushWakeup(wakeup{base.wakeAt, i})
+	}
 	if len(base.counting) == 0 {
 		return
 	}
@@ -665,9 +734,54 @@ func (s *Simulator) endParks() {
 		if s.accruing[i>>6]&(1<<(i&63)) != 0 {
 			s.settle(i, s.cycle)
 		}
-		base.parked = false
+		base.parked, base.wakeAt = false, 0
 		base.sim = nil
 	}
+	s.wakeups = s.wakeups[:0]
+}
+
+// wakeup is a granted ParkUntil: box is to be clocked at cycle. The
+// heap is kept by hand: container/heap would allocate for every entry
+// pushed through its interface.
+type wakeup struct {
+	cycle int64
+	box   int
+}
+
+func (s *Simulator) pushWakeup(t wakeup) {
+	h := append(s.wakeups, t)
+	for j := len(h) - 1; j > 0; {
+		up := (j - 1) / 2
+		if h[up].cycle <= h[j].cycle {
+			break
+		}
+		h[up], h[j] = h[j], h[up]
+		j = up
+	}
+	s.wakeups = h
+}
+
+func (s *Simulator) popWakeup() wakeup {
+	h := s.wakeups
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for j := 0; ; {
+		k := 2*j + 1
+		if k >= n {
+			break
+		}
+		if k+1 < n && h[k+1].cycle < h[k].cycle {
+			k++
+		}
+		if h[j].cycle <= h[k].cycle {
+			break
+		}
+		h[j], h[k] = h[k], h[j]
+		j = k
+	}
+	s.wakeups = h
+	return top
 }
 
 // wire resolves, for the Run about to start, what is bound by name or
@@ -685,6 +799,8 @@ func (s *Simulator) wire() {
 	s.awake = make([]uint64, (n+63)/64)
 	s.accruing = make([]uint64, len(s.awake))
 	s.parking = false // a Run that failed in a Clock may have left it set
+	s.walkW = -1
+	s.wakeups = s.wakeBuf[:0]
 	byName := make(map[string]*BoxBase)
 	s.produced, s.consumed, s.progress = 0, 0, 0
 	s.steps = s.steps[:0]
@@ -692,7 +808,7 @@ func (s *Simulator) wire() {
 		s.awake[i>>6] |= 1 << (i & 63)
 		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
 			base := bb.boxBase()
-			base.sim, base.idx, base.parked = s, i, false
+			base.sim, base.idx, base.parked, base.wakeAt = s, i, false, 0
 			base.inputs = base.inputs[:0]
 			s.bases[i] = base
 			byName[b.BoxName()] = base

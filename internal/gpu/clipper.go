@@ -64,7 +64,7 @@ func (c *Clipper) Clock(cycle int64) {
 	c.statIn.Inc()
 	c.statBusy.Inc()
 	if c.rejected {
-		tri.Batch.TrisRetired++
+		tri.Batch.retireTris(1)
 		c.statRejected.Inc()
 		return
 	}

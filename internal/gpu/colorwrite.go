@@ -29,6 +29,7 @@ type ColorWrite struct {
 	clearPending bool
 	flushPending bool
 	flushIssued  bool
+	cp           *core.BoxBase // woken as a clear or flush completes
 
 	layoutFn func() SurfaceLayout // draw buffer (changes on swap)
 
@@ -98,12 +99,14 @@ func (c *ColorWrite) Clock(cycle int64) {
 			c.clearVals[c.layoutFn().Base] = c.clearValue
 			c.cache.InvalidateAll()
 			c.clearPending = false
+			c.cp.Wake()
 		}
 		return
 	}
 	if c.flushPending {
 		if c.queue.Len() == 0 && stepFlush(&c.BoxBase, c.cache, cycle, &c.flushIssued) {
 			c.flushPending = false
+			c.cp.Wake()
 		}
 		return
 	}
@@ -178,7 +181,7 @@ func (c *ColorWrite) retire(q *Quad) {
 	q.srcFlow = nil
 	c.queue.Pop()
 	c.headLooked = false
-	q.Batch.QuadsRetired++
+	q.Batch.retireQuads(1)
 	c.pool.putQuad(q)
 }
 

@@ -56,6 +56,8 @@ type CommandProcessor struct {
 
 	finished bool
 
+	wakes batchWakes // shared by every batch this CP builds
+
 	statCmds    core.Progress
 	statBatches core.Progress
 	statFrames  core.Progress
@@ -71,7 +73,17 @@ func NewCommandProcessor(sim *core.Simulator, cfg *Config, fb *Framebuffer,
 		ropzs: ropzs, ropcs: ropcs, tus: tus, dac: dac,
 	}
 	cp.Init("CommandProcessor")
+	cp.wakes.cp = &cp.BoxBase
 	cp.port = mem.NewPort(sim, "CP", 8)
+	sim.Binder.Own(cp.BoxName(), "CP") // a reply on MC.CP.Reply wakes the CP
+	// What the CP waits for wakes it as it completes.
+	for _, z := range ropzs {
+		z.cp = &cp.BoxBase
+	}
+	for _, c := range ropcs {
+		c.cp = &cp.BoxBase
+	}
+	dac.cp = &cp.BoxBase
 	sim.Stats.ShadowProgress(&cp.statCmds, "CP.commands")
 	sim.Stats.ShadowProgress(&cp.statBatches, "CP.batches")
 	sim.Stats.ShadowProgress(&cp.statFrames, "CP.frames")
@@ -96,9 +108,49 @@ func (cp *CommandProcessor) Finished() bool { return cp.finished }
 func (cp *CommandProcessor) Frames() int { return int(cp.statFrames.Value()) }
 
 // Clock implements core.Box.
+//
+// The command processor waits for other boxes most of the time, and
+// parks while it does: after a Clock that received no reply and moved
+// nothing — every further one would do the same, adding only to
+// overlapCycles with two batches in flight — until one of the things it
+// waits for announces itself. Batches wake it as they end their
+// geometry phase and retire, the ROPs as a clear or flush completes, the
+// DAC as a dump does, the texture units' quiesce flag and the draw
+// flow's credits through their folds, and memory replies through its
+// port. Streaming bytes it stays awake: the bus budget grows every cycle.
 func (cp *CommandProcessor) Clock(cycle int64) {
-	cp.port.Replies(cycle)
+	replied := len(cp.port.Replies(cycle)) > 0
+	at := cp.position()
+	cp.step(cycle)
+	if replied || cp.position() != at || cp.streaming() {
+		return
+	}
+	if len(cp.active) >= 2 {
+		cp.ParkCounting(&cp.statOverlap, 1)
+	} else {
+		cp.Park()
+	}
+}
 
+// streaming reports an upload or an offscreen clear in progress: the
+// states that feed the system bus, whose budget grows every cycle.
+func (cp *CommandProcessor) streaming() bool {
+	return cp.writing != nil || cp.rtt.active && cp.rtt.stage == 1
+}
+
+// cpPosition is what a Clock can move outside the streaming states.
+type cpPosition struct {
+	pc, active, swapState                       int
+	waitClear, waitSwap, rtt, tusDone, finished bool
+}
+
+func (cp *CommandProcessor) position() cpPosition {
+	return cpPosition{cp.pc, len(cp.active), cp.swapState,
+		cp.waitClear, cp.waitSwap, cp.rtt.active, cp.rtt.tusDone, cp.finished}
+}
+
+// step is one cycle of command processing.
+func (cp *CommandProcessor) step(cycle int64) {
 	// Retire completed batches in order.
 	for len(cp.active) > 0 && cp.active[0].Done() {
 		cp.active = cp.active[1:]
@@ -150,13 +202,10 @@ func (cp *CommandProcessor) Clock(cycle int64) {
 		cp.busDebt = 0
 		cp.statCmds.Inc()
 	case CmdDraw:
-		if !cp.canDraw() {
+		if !cp.canDraw() || !cp.drawOut.CanSend(cycle, 1) {
 			return
 		}
 		b := cp.newBatch(cmd.State)
-		if !cp.drawOut.CanSend(cycle, 1) {
-			return
-		}
 		cp.active = append(cp.active, b)
 		cp.drawOut.Send(cycle, b)
 		cp.statBatches.Inc()
@@ -240,7 +289,9 @@ func (cp *CommandProcessor) canDraw() bool {
 
 func (cp *CommandProcessor) newBatch(st *DrawState) *BatchState {
 	cp.nextBatchID++
-	return newBatchState(uint64(cp.nextBatchID), st, cp.cfg)
+	b := newBatchState(uint64(cp.nextBatchID), st, cp.cfg)
+	b.wakes = &cp.wakes
+	return b
 }
 
 // newBatchState is the only constructor of a batch, and so the only

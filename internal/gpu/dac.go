@@ -31,6 +31,7 @@ type DAC struct {
 	left    int
 
 	frames []*Frame
+	cp     *core.BoxBase // woken as a dump completes
 
 	statBlocks  core.Counter
 	statSynth   core.Counter
@@ -156,6 +157,7 @@ func (d *DAC) Clock(cycle int64) {
 	if d.left == 0 && d.block == total {
 		d.frames = append(d.frames, &Frame{W: d.layout.W, H: d.layout.H, Pix: d.image})
 		d.active = false
+		d.cp.Wake()
 	}
 }
 

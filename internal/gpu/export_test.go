@@ -41,6 +41,9 @@ func (p *Pipeline) TextureUnits() []*TextureUnit { return p.tus }
 
 func (t *TextureUnit) LiveIdle() bool { return t.idle() }
 
+// Streaming reports that the command processor feeds the system bus.
+func (cp *CommandProcessor) Streaming() bool { return cp.streaming() }
+
 // ResetWorkersWarning forgets that this process warned about an
 // ignored Config.Workers, so a test can count the warnings of a fresh
 // process.

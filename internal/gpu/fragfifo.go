@@ -335,7 +335,7 @@ func (f *FragmentFIFO) route(cycle int64, w *ShaderWork) bool {
 	if !q.Alive() {
 		// Every lane killed by KIL: the quad retires here.
 		q.Batch.ShadedQuads++
-		q.Batch.QuadsRetired++
+		q.Batch.retireQuads(1)
 		q.Batch.KilledQuads++
 		f.statKilled.Inc()
 		f.pool.putQuad(q)

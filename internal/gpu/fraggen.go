@@ -72,7 +72,7 @@ func (f *FragmentGenerator) Clock(cycle int64) {
 		x, y, ok := f.nextTile()
 		worked = true
 		if !ok {
-			f.cur.Batch.TrisRetired++
+			f.cur.Batch.retireTris(1)
 			f.cur = nil
 			break
 		}

@@ -112,7 +112,7 @@ func (h *HierarchicalZ) process(cycle int64, tile *Tile) bool {
 		if idx >= 0 && idx < len(h.maxZ) && tile.MinDepth > h.maxZ[idx] {
 			// The whole tile is behind everything drawn to the
 			// block: cull it without touching memory.
-			b.QuadsRetired += len(tile.Quads)
+			b.retireQuads(len(tile.Quads))
 			b.HZCulledQuads += len(tile.Quads)
 			h.statCulled.Inc()
 			for _, q := range tile.Quads {

@@ -200,7 +200,16 @@ type BatchState struct {
 	// read-only by all threads of the batch.
 	fragEmu *shaderemu.Emulator
 	vtxEmu  *shaderemu.Emulator
+
+	// wakes is who the batch announces its retirement to; nil for a
+	// batch built outside a command processor.
+	wakes *batchWakes
 }
+
+// batchWakes is who polls batch retirement, shared by every batch of
+// one command processor: the command processor itself (GeomDone and
+// Done) and triangle setup (Done, to hand the fragment phase on).
+type batchWakes struct{ cp, setup *core.BoxBase }
 
 // GeomDone reports the end of the geometry phase (through primitive
 // assembly), the point at which the next batch may enter it.
@@ -211,6 +220,59 @@ func (b *BatchState) Done() bool {
 	return b.GeomDone() &&
 		b.TrisRetired == b.TrisIn &&
 		b.QuadsRetired == b.QuadsIn
+}
+
+// The four methods below are the only writers of the retirement
+// counters and phase flags, and each announces the turn it makes: the
+// command processor is woken when GeomDone or Done turns true, triangle
+// setup when Done does — not on every retirement, or setup would be
+// woken for each quad of the batch it waits behind.
+
+// retireTris retires n triangles: rejected by clip or setup, or fully
+// traversed.
+func (b *BatchState) retireTris(n int) {
+	b.TrisRetired += n
+	b.retired()
+}
+
+// retireQuads retires n quads: culled, killed or written.
+func (b *BatchState) retireQuads(n int) {
+	b.QuadsRetired += n
+	b.retired()
+}
+
+// retired announces Done, which a retirement can only turn true: the
+// count it moved was short of its total before.
+func (b *BatchState) retired() {
+	if b.wakes != nil && b.Done() {
+		b.wakes.cp.Wake()
+		b.wakes.setup.Wake()
+	}
+}
+
+// streamed marks every vertex committed by the streamer.
+func (b *BatchState) streamed() {
+	b.StreamerDone = true
+	b.geomDone()
+}
+
+// assembled marks every vertex consumed by primitive assembly.
+func (b *BatchState) assembled() {
+	b.PADone = true
+	b.geomDone()
+}
+
+// geomDone announces GeomDone, which the second of the two flags (each
+// set once) turns true, and Done with it for a batch with nothing left
+// downstream.
+func (b *BatchState) geomDone() {
+	if b.wakes == nil || !b.GeomDone() {
+		return
+	}
+	b.wakes.cp.Wake()
+	if b.Done() {
+		b.wakes.setup.Wake()
+	}
 }
 
 // SetupTri is a triangle after setup: the rasterizer equations plus

@@ -263,3 +263,59 @@ func TestStalledBoxesSleep(t *testing.T) {
 		})
 	}
 }
+
+// pollWatch counts every box's Clock calls, and the command
+// processor's apart from those that leave it streaming.
+type pollWatch struct {
+	cp      *gpu.CommandProcessor
+	clocks  map[string]int64
+	streams int64
+}
+
+func (w *pollWatch) BoxClocked(b core.Box, _ int64) {
+	w.clocks[b.BoxName()]++
+	if b == core.Box(w.cp) && w.cp.Streaming() {
+		w.streams++
+	}
+}
+
+// The boxes that used to poll sleep until what they wait for announces
+// itself, on the doom3 and spinner golden scenes, every Clock observed.
+// The command processor (woken by batch retirement, clear/flush/dump
+// completion, the texture units' quiesce flag, draw credit, its port)
+// is clocked on at most a tenth of the cycles it does not spend
+// streaming uploads — at 693c4de it was clocked on all of them — and
+// triangle setup (woken by the batch ahead of its next triangle
+// retiring) on at most a tenth of all cycles; the memory controller on
+// fewer cycles than it has a channel busy, which it sleeps through
+// towards the next completion.
+func TestPollersSleep(t *testing.T) {
+	for _, c := range goldenScenes {
+		if c.name != "doom3-stencil" && c.name != "spinner-geom" {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.WatchdogWindow = 1_000_000 // a missed wake fails here, not at the cycle limit
+			pipe, cmds := buildGolden(t, c, cfg)
+			w := &pollWatch{cp: pipe.CP, clocks: map[string]int64{}}
+			pipe.Sim.SetClockObserver(w, 1)
+			if err := pipe.Run(cmds, 500_000_000); err != nil {
+				t.Fatal(err)
+			}
+			cycles := pipe.Cycles()
+			if polls, quiet := w.clocks["CommandProcessor"]-w.streams, cycles-w.streams; polls*10 > quiet {
+				t.Errorf("CommandProcessor clocked on %d of the %d cycles it was not streaming: want at most a tenth", polls, quiet)
+			}
+			if n := w.clocks["TriangleSetup"]; n*10 > cycles {
+				t.Errorf("TriangleSetup clocked on %d of %d cycles: want at most a tenth", n, cycles)
+			}
+			busy := pipe.Sim.Stats.Lookup("MC.busyCycles").Value()
+			if n := w.clocks["MemoryController"]; float64(n) >= busy {
+				t.Errorf("MemoryController clocked on %d cycles with a channel busy on %v: want fewer", n, busy)
+			}
+			t.Logf("of %d cycles: CommandProcessor %d (%d streaming), TriangleSetup %d, MemoryController %d (busy %v)",
+				cycles, w.clocks["CommandProcessor"], w.streams, w.clocks["TriangleSetup"], w.clocks["MemoryController"], busy)
+		})
+	}
+}

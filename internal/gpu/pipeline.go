@@ -246,6 +246,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 	}
 	p.DACBox = NewDAC(sim, p.ropcs, cfg.DACRefreshCycles, p.FB.Front)
 	p.CP = NewCommandProcessor(sim, &cfg, p.FB, drawFlow, p.ropzs, p.ropcs, p.tus, p.DACBox)
+	p.CP.wakes.setup = &p.setupBox.BoxBase
 
 	// Memory controller: one client per port registered above.
 	clients := []string{"CP", "Streamer", "DAC"}

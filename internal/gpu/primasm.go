@@ -87,7 +87,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 // vertex is consumed and no triangle is still waiting to go out.
 func (p *PrimAssembly) finishBatch(b *BatchState) {
 	if p.pending == nil && p.count == b.State.Count {
-		b.PADone = true
+		b.assembled()
 		p.window = p.window[:0]
 		p.count = 0
 	}

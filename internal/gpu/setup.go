@@ -63,8 +63,9 @@ func (s *Setup) Clock(cycle int64) {
 		s.fragBatch = tw.Batch
 	}
 	if tw.Batch != s.fragBatch {
-		// The next batch waits for the fragment phase, polling
-		// fragBatch.Done: no wake source to name, so stay awake.
+		// The next batch waits for the fragment phase: until the batch
+		// holding it retires, which wakes setup (BatchState.retired).
+		s.Park()
 		return
 	}
 	st := tw.Batch.State
@@ -89,7 +90,7 @@ func (s *Setup) Clock(cycle int64) {
 	s.statIn.Inc()
 	s.statBusy.Inc()
 	if !ok {
-		tw.Batch.TrisRetired++
+		tw.Batch.retireTris(1)
 		s.statCulled.Inc()
 		return
 	}

@@ -139,7 +139,7 @@ func (s *Streamer) Clock(cycle int64) {
 	// Batch completion: all vertices committed.
 	if s.seq == s.batch.State.Count && s.commit == s.batch.State.Count &&
 		s.group == nil && !s.batch.StreamerDone {
-		s.batch.StreamerDone = true
+		s.batch.streamed()
 		s.batch = nil
 	}
 	if busy {

@@ -167,8 +167,8 @@ func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Fl
 	t := &TextureUnit{cfg: cfg, idx: idx, reqIn: reqIn, repOut: repOut, quiesced: true}
 	t.Init(nameIdx("TextureUnit", idx))
 	// The quiesce flag is read by the command processor outside the
-	// signal model. The CP never parks on it, so the fold wakes nobody.
-	t.quiescePub = sim.Publish("", t.publishQuiesce)
+	// signal model; a CP parked waiting for it is woken by the fold.
+	t.quiescePub = sim.Publish("CommandProcessor", t.publishQuiesce)
 	t.hooks = &texHooks{fmtOf: make(map[uint32]texemu.Format)}
 	cc := mem.CacheConfig{
 		Name: nameIdx("TexCache", idx), Owner: t.BoxName(), Sets: cfg.TexCacheSets, Assoc: cfg.TexCacheAssoc,

@@ -47,6 +47,7 @@ type ZStencil struct {
 	clearPending bool
 	flushPending bool
 	flushIssued  bool
+	cp           *core.BoxBase // woken as a clear or flush completes
 
 	statQuads  core.Progress
 	statFrags  core.Counter
@@ -128,12 +129,14 @@ func (z *ZStencil) Clock(cycle int64) {
 				z.hz.Clear(d)
 			}
 			z.clearPending = false
+			z.cp.Wake()
 		}
 		return
 	}
 	if z.flushPending {
 		if z.queue.Len() == 0 && stepFlush(&z.BoxBase, z.cache, cycle, &z.flushIssued) {
 			z.flushPending = false
+			z.cp.Wake()
 		}
 		return
 	}
@@ -221,7 +224,7 @@ func (z *ZStencil) Clock(cycle int64) {
 	z.statBusy.Inc()
 
 	if !q.Alive() {
-		q.Batch.QuadsRetired++
+		q.Batch.retireQuads(1)
 		q.Batch.ZCulledQuads++
 		z.statCulled.Inc()
 		z.pop()

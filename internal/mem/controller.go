@@ -310,7 +310,43 @@ func (c *Controller) Clock(cycle int64) {
 	// the client wires, all bound under this box's name, changes that.
 	if !c.Pending() {
 		c.Park()
+		return
 	}
+	// Every channel that could serve a queued request is transferring:
+	// each Clock until the first completes would only count a busy
+	// cycle. Sleep until then, or until a request arrives.
+	if done, ok := c.nextDone(); ok && done > cycle+1 {
+		c.ParkCounting(&c.statBusy, 1)
+		c.ParkUntil(done)
+	}
+}
+
+// nextDone returns the cycle the first busy channel completes, and
+// false when no channel is busy or a free one has a queue head it
+// could serve: arbitration can leave one, when a pop uncovers a head
+// for a channel it has passed, or a dropped transaction frees one.
+func (c *Controller) nextDone() (int64, bool) {
+	var done int64
+	busy := false
+	for i := range c.chans {
+		ch := &c.chans[i]
+		if ch.active {
+			if !busy || ch.current.done < done {
+				done = ch.current.done
+			}
+			busy = true
+			continue
+		}
+		if c.queued == 0 {
+			continue
+		}
+		for _, cl := range c.clients {
+			if cl.queue.Len() > 0 && c.channelOf(cl.queue.Peek().Addr) == i {
+				return 0, false
+			}
+		}
+	}
+	return done, busy
 }
 
 func (c *Controller) schedule(cycle int64, chIdx int, ch *channelState) {
