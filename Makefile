@@ -31,9 +31,10 @@ test:
 # heartbeat file left unread while the lease holder stays responsive,
 # and the default claim budget following the job server's real worker
 # count), plus
-# one pass of the fleet's scan benchmark so it cannot rot; then fuzz
-# smokes over the trace reader and over the decoded shader
-# interpreter against its reference evaluator.
+# one pass each of the fleet's scan benchmark and the shader
+# emulator's step benchmark so they cannot rot; then fuzz smokes over
+# the trace reader and over the decoded shader interpreter against its
+# reference evaluator.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(GO) vet ./...
@@ -43,6 +44,7 @@ check:
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainIsStolen$$|^TestRestartedPeerStealsItsOwnLease$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$|^TestOldHeartbeatIsInert$$|^TestDefaultMaxClaimsFollowsWorkers$$' -count=1 ./internal/fleet/
 	$(GO) test -run '^$$' -bench BenchmarkPeerScan -benchtime 1x ./internal/fleet/
+	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
@@ -62,7 +64,8 @@ lint:
 # fail with typed errors, never panic or over-allocate. The shader
 # target is differential instead: random programs through the decoded
 # quad-at-a-time interpreter and the reference per-lane one must leave
-# every register bit-identical.
+# every register bit-identical, NaN payloads included, on a fresh
+# thread and on one Reset for a second program.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/chkpt

@@ -12,12 +12,14 @@ import (
 // The reference evaluator: the per-lane interpreter this package
 // shipped before programs were decoded once (commit a9fa157), kept
 // verbatim as the oracle the decoded quad-at-a-time Step is compared
-// against. It works from isa.Instruction, never from isa.Decoded, so a
-// wrong decode cannot hide in it; the timing simulator and refrender
-// both run Step, so neither can serve as the other's oracle for it.
-// It lives in the external test package with its own copies of the
-// arithmetic helpers, sharing only the Thread and TexRequest types with
-// the code under test.
+// against, but for its temporaries: it reads and writes one lane of
+// one register at a time through temp and setTemp. It works from
+// isa.Instruction, never from isa.Decoded, so a wrong decode cannot
+// hide in it; the timing simulator and refrender both run Step, so
+// neither can serve as the other's oracle for it. It lives in the
+// external test package with its own copies of the arithmetic helpers,
+// sharing only the Thread and TexRequest types with the code under
+// test.
 type refEmulator struct {
 	prog   *isa.Program
 	consts []vmath.Vec4
@@ -116,7 +118,7 @@ func (e *refEmulator) readSrc(t *shaderemu.Thread, lane int, s isa.SrcOperand) v
 	case isa.BankInput:
 		raw = t.In[lane][s.Index]
 	case isa.BankTemp:
-		raw = t.Temp[lane][s.Index]
+		raw = temp(t, lane, int(s.Index))
 	case isa.BankConst:
 		raw = e.consts[s.Index]
 	}
@@ -136,19 +138,36 @@ func (e *refEmulator) writeDst(t *shaderemu.Thread, lane int, d isa.DstOperand, 
 	if sat {
 		v = v.Clamp01()
 	}
-	var reg *vmath.Vec4
 	switch d.Bank {
 	case isa.BankTemp:
-		reg = &t.Temp[lane][d.Index]
+		reg := temp(t, lane, int(d.Index))
+		merge(&reg, d.Mask, v)
+		setTemp(t, lane, int(d.Index), reg)
 	case isa.BankOutput:
-		reg = &t.Out[lane][d.Index]
+		merge(&t.Out[lane][d.Index], d.Mask, v)
 	default:
 		panic("shaderemu: bad destination bank")
 	}
+}
+
+func merge(reg *vmath.Vec4, mask isa.WriteMask, v vmath.Vec4) {
 	for i := 0; i < 4; i++ {
-		if d.Mask.Has(i) {
+		if mask.Has(i) {
 			reg[i] = v[i]
 		}
+	}
+}
+
+// temp and setTemp read and write temporary i of one lane in the
+// thread's component-major register file.
+func temp(t *shaderemu.Thread, lane, i int) vmath.Vec4 {
+	r := &t.Temp[i]
+	return vmath.Vec4{r[0][lane], r[1][lane], r[2][lane], r[3][lane]}
+}
+
+func setTemp(t *shaderemu.Thread, lane, i int, v vmath.Vec4) {
+	for c := range v {
+		t.Temp[i][c][lane] = v[c]
 	}
 }
 

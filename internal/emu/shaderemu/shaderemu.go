@@ -13,6 +13,7 @@ package shaderemu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"attila/internal/isa"
 	"attila/internal/vmath"
@@ -22,14 +23,20 @@ import (
 // thread (a fragment quad, or four vertices).
 const Lanes = 4
 
+// Reg is one temporary register of a thread, component-major: Reg[c][l]
+// is component c (x, y, z, w) of lane l. A swizzle then picks whole
+// rows and a write mask names the rows an instruction computes and
+// stores.
+type Reg [4][Lanes]float32
+
 // Thread holds the architectural state of one shader thread: the
-// input, output and temporary banks for each of the four lanes, the
-// program counter, and per-lane liveness.
+// input and output banks of each of the four lanes, the temporaries of
+// all four, the program counter, and per-lane liveness.
 type Thread struct {
 	PC      int
 	In      [Lanes][isa.MaxInputs]vmath.Vec4
 	Out     [Lanes][isa.MaxOutputs]vmath.Vec4
-	Temp    [Lanes][]vmath.Vec4
+	Temp    []Reg
 	Active  [Lanes]bool // lane carries a real input
 	Killed  [Lanes]bool // lane discarded by KIL
 	Done    bool        // executed END
@@ -44,23 +51,22 @@ type Thread struct {
 }
 
 // Reset prepares the thread to run a program needing temps temporary
-// registers, reusing lane storage where possible.
+// registers. Afterwards it is what NewThread returns for that program,
+// but for In, which is the caller's to fill. Temp storage is reused
+// when it is large enough.
 func (t *Thread) Reset(temps int) {
 	t.PC = 0
 	t.Done = false
 	t.Blocked = nil
-	for l := 0; l < Lanes; l++ {
-		t.Active[l] = false
-		t.Killed[l] = false
-		if cap(t.Temp[l]) < temps {
-			t.Temp[l] = make([]vmath.Vec4, temps)
-		} else {
-			t.Temp[l] = t.Temp[l][:temps]
-			for i := range t.Temp[l] {
-				t.Temp[l][i] = vmath.Vec4{}
-			}
-		}
+	t.Active = [Lanes]bool{}
+	t.Killed = [Lanes]bool{}
+	if cap(t.Temp) < temps {
+		t.Temp = make([]Reg, temps)
+	} else {
+		t.Temp = t.Temp[:temps]
+		clear(t.Temp)
 	}
+	t.Out = [Lanes][isa.MaxOutputs]vmath.Vec4{}
 }
 
 // TexMode distinguishes the texture instruction variants.
@@ -129,12 +135,14 @@ func (e *Emulator) NewThread() *Thread {
 // timing-simulator bug.
 //
 // The opcode is dispatched once and every lane runs inside its case.
-// Sources are gathered, and results computed, for all four lanes —
-// active or not: texture derivatives need all four corners, and for
-// the rest an idle lane costs less than a test — but only active
-// lanes are written. The float32 expression of each opcode is part of
-// the determinism contract (DESIGN.md §10): frames are compared
-// bit-for-bit across commits.
+// Only the source rows the opcode reads (Decoded.Reads) are loaded,
+// and a component-wise opcode computes only the rows its write mask
+// names. Those rows are computed for all four lanes — active or not:
+// texture derivatives need all four corners, and for the rest an idle
+// lane costs less than a test — but only active lanes are written. The
+// float32 expression of each opcode is part of the determinism
+// contract (DESIGN.md §10): frames are compared bit-for-bit across
+// commits.
 func (e *Emulator) Step(t *Thread) *isa.Decoded {
 	if t.Done {
 		panic("shaderemu: Step on finished thread")
@@ -150,6 +158,19 @@ func (e *Emulator) Step(t *Thread) *isa.Decoded {
 		return op
 	case isa.NOP:
 		return op
+	}
+
+	// Every remaining opcode reads at least one source.
+	var a, b, c, r Reg
+	e.load(t, &op.Src[0], op.Reads, &a)
+	if op.NSrc > 1 {
+		e.load(t, &op.Src[1], op.Reads, &b)
+		if op.NSrc > 2 {
+			e.load(t, &op.Src[2], op.Reads, &c)
+		}
+	}
+	m := op.Dst.Mask
+	switch op.Op {
 	case isa.TEX, isa.TXB, isa.TXP, isa.TXL:
 		req := &t.texReq
 		*req = TexRequest{Sampler: op.Sampler, Target: op.Target, Dst: op.Dst, Saturate: op.Saturate}
@@ -161,158 +182,220 @@ func (e *Emulator) Step(t *Thread) *isa.Decoded {
 		case isa.TXL:
 			req.Mode = TexModeLod
 		}
-		e.gather(t, &op.Src[0], &req.Coord)
-		for l := range req.Active {
+		for l := range req.Coord {
+			co := &req.Coord[l]
+			co[0], co[1], co[2], co[3] = a[0][l], a[1][l], a[2][l], a[3][l]
 			req.Active[l] = t.Active[l] && !t.Killed[l]
 		}
 		t.Blocked = req
 		return op
-	}
-
-	// Every remaining opcode reads at least one source.
-	var a, b, c, r [Lanes]vmath.Vec4
-	e.gather(t, &op.Src[0], &a)
-	if op.NSrc > 1 {
-		e.gather(t, &op.Src[1], &b)
-		if op.NSrc > 2 {
-			e.gather(t, &op.Src[2], &c)
-		}
-	}
-	switch op.Op {
 	case isa.KIL:
-		for l, v := range a {
-			if t.Active[l] && (v[0] < 0 || v[1] < 0 || v[2] < 0 || v[3] < 0) {
+		for l, on := range t.Active {
+			if on && (a[0][l] < 0 || a[1][l] < 0 || a[2][l] < 0 || a[3][l] < 0) {
 				t.Killed[l] = true
 			}
 		}
 		return op
 	case isa.MOV:
-		r = a
+		t.store(op.Dst, op.Saturate, &a)
+		return op
 	case isa.ADD:
-		for l := range r {
-			r[l] = a[l].Add(b[l])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				o[l] = add(x[l], y[l])
+			}
 		}
 	case isa.SUB:
-		for l := range r {
-			r[l] = a[l].Sub(b[l])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				o[l] = x[l] - y[l]
+			}
 		}
 	case isa.MUL:
-		for l := range r {
-			r[l] = a[l].Mul(b[l])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				o[l] = mul(x[l], y[l])
+			}
 		}
 	case isa.MAD:
-		for l := range r {
-			r[l] = a[l].Mul(b[l]).Add(c[l])
-		}
-	case isa.DP3:
-		for l := range r {
-			r[l] = splat(a[l].Dot3(b[l]))
-		}
-	case isa.DP4:
-		for l := range r {
-			r[l] = splat(a[l].Dot4(b[l]))
-		}
-	case isa.DPH:
-		for l := range r {
-			r[l] = splat(a[l].Dot3(b[l]) + b[l][3])
-		}
-	case isa.DST:
-		for l := range r {
-			r[l] = vmath.Vec4{1, a[l][1] * b[l][1], a[l][2], b[l][3]}
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, z, o := &a[i], &b[i], &c[i], &r[i]
+			for l := range o {
+				o[l] = add(float32(mul(x[l], y[l])), z[l])
+			}
 		}
 	case isa.MIN:
-		for l := range r {
-			r[l] = vecMin(a[l], b[l])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				if x[l] < y[l] {
+					o[l] = x[l]
+				} else {
+					o[l] = y[l]
+				}
+			}
 		}
 	case isa.MAX:
-		for l := range r {
-			r[l] = vecMax(a[l], b[l])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				if x[l] > y[l] {
+					o[l] = x[l]
+				} else {
+					o[l] = y[l]
+				}
+			}
 		}
 	case isa.SLT:
-		for l := range r {
-			for i := range r[l] {
-				if a[l][i] < b[l][i] {
-					r[l][i] = 1
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				if x[l] < y[l] {
+					o[l] = 1
 				}
 			}
 		}
 	case isa.SGE:
-		for l := range r {
-			for i := range r[l] {
-				if a[l][i] >= b[l][i] {
-					r[l][i] = 1
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, o := &a[i], &b[i], &r[i]
+			for l := range o {
+				if x[l] >= y[l] {
+					o[l] = 1
 				}
 			}
 		}
 	case isa.FRC:
-		for l := range r {
-			for i := range r[l] {
-				r[l][i] = a[l][i] - floorf(a[l][i])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, o := &a[i], &r[i]
+			for l := range o {
+				o[l] = x[l] - floorf(x[l])
 			}
 		}
 	case isa.FLR:
-		for l := range r {
-			for i := range r[l] {
-				r[l][i] = floorf(a[l][i])
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, o := &a[i], &r[i]
+			for l := range o {
+				o[l] = floorf(x[l])
 			}
 		}
 	case isa.ABS:
-		for l := range r {
-			for i := range r[l] {
-				r[l][i] = float32(math.Abs(float64(a[l][i])))
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, o := &a[i], &r[i]
+			for l := range o {
+				o[l] = float32(math.Abs(float64(x[l])))
 			}
 		}
 	case isa.CMP:
-		for l := range r {
-			for i := range r[l] {
-				if a[l][i] < 0 {
-					r[l][i] = b[l][i]
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, z, o := &a[i], &b[i], &c[i], &r[i]
+			for l := range o {
+				if x[l] < 0 {
+					o[l] = y[l]
 				} else {
-					r[l][i] = c[l][i]
+					o[l] = z[l]
 				}
 			}
 		}
 	case isa.LRP:
-		for l := range r {
-			for i := range r[l] {
-				r[l][i] = a[l][i]*b[l][i] + (1-a[l][i])*c[l][i]
+		for ; m != 0; m &= m - 1 {
+			i := low(m)
+			x, y, z, o := &a[i], &b[i], &c[i], &r[i]
+			for l := range o {
+				// (1-x)*z, keeping 1-x's NaN over z's as the reference does.
+				o[l] = add(mul(x[l], y[l]), mul(z[l], 1-x[l]))
 			}
 		}
+	case isa.DP3:
+		for l := range r[0] {
+			d := a[0][l]*b[0][l] + a[1][l]*b[1][l] + a[2][l]*b[2][l]
+			if d != d {
+				d = dotNaN(&a, &b, 3, l)
+			}
+			r[0][l] = d
+		}
+		r.splat(m)
+	case isa.DP4:
+		for l := range r[0] {
+			d := a[0][l]*b[0][l] + a[1][l]*b[1][l] + a[2][l]*b[2][l] + a[3][l]*b[3][l]
+			if d != d {
+				d = dotNaN(&a, &b, 4, l)
+			}
+			r[0][l] = d
+		}
+		r.splat(m)
+	case isa.DPH:
+		for l := range r[0] {
+			d := a[0][l]*b[0][l] + a[1][l]*b[1][l] + a[2][l]*b[2][l] + b[3][l]
+			if d != d {
+				d = add(b[3][l], dotNaN(&a, &b, 3, l)) // the dot's NaN over b.w's
+			}
+			r[0][l] = d
+		}
+		r.splat(m)
+	case isa.DST:
+		for l := range r[0] {
+			r[0][l], r[1][l], r[2][l], r[3][l] = 1, mul(a[1][l], b[1][l]), a[2][l], b[3][l]
+		}
 	case isa.XPD:
-		for l := range r {
-			r[l] = a[l].Cross(b[l])
+		for l := range r[0] {
+			r[0][l] = mul(a[1][l], b[2][l]) - mul(a[2][l], b[1][l])
+			r[1][l] = mul(a[2][l], b[0][l]) - mul(a[0][l], b[2][l])
+			r[2][l] = mul(a[0][l], b[1][l]) - mul(a[1][l], b[0][l])
 		}
 	case isa.RCP:
-		for l := range r {
-			r[l] = splat(1 / a[l][0])
+		for l := range r[0] {
+			r[0][l] = 1 / a[0][l]
 		}
+		r.splat(m)
 	case isa.RSQ:
-		for l := range r {
-			r[l] = splat(float32(1 / math.Sqrt(math.Abs(float64(a[l][0])))))
+		for l := range r[0] {
+			r[0][l] = float32(1 / math.Sqrt(math.Abs(float64(a[0][l]))))
 		}
+		r.splat(m)
 	case isa.EX2:
-		for l := range r {
-			r[l] = splat(float32(math.Exp2(float64(a[l][0]))))
+		for l := range r[0] {
+			r[0][l] = float32(math.Exp2(float64(a[0][l])))
 		}
+		r.splat(m)
 	case isa.LG2:
-		for l := range r {
-			r[l] = splat(float32(math.Log2(math.Abs(float64(a[l][0])))))
+		for l := range r[0] {
+			r[0][l] = float32(math.Log2(math.Abs(float64(a[0][l]))))
 		}
+		r.splat(m)
 	case isa.POW:
-		for l := range r {
-			r[l] = splat(float32(math.Pow(math.Abs(float64(a[l][0])), float64(b[l][0]))))
+		for l := range r[0] {
+			r[0][l] = float32(math.Pow(math.Abs(float64(a[0][l])), float64(b[0][l])))
 		}
+		r.splat(m)
 	case isa.SIN:
-		for l := range r {
-			r[l] = splat(float32(math.Sin(float64(a[l][0]))))
+		for l := range r[0] {
+			r[0][l] = float32(math.Sin(float64(a[0][l])))
 		}
+		r.splat(m)
 	case isa.COS:
-		for l := range r {
-			r[l] = splat(float32(math.Cos(float64(a[l][0]))))
+		for l := range r[0] {
+			r[0][l] = float32(math.Cos(float64(a[0][l])))
 		}
+		r.splat(m)
 	case isa.LIT:
-		for l := range r {
-			r[l] = lit(a[l])
+		for l := range r[0] {
+			r[0][l], r[3][l] = 1, 1
+			r[1][l], r[2][l] = lit(a[0][l], a[1][l], a[3][l])
 		}
 	default:
 		panic(fmt.Sprintf("shaderemu: unhandled opcode %v", op.Op))
@@ -321,70 +404,89 @@ func (e *Emulator) Step(t *Thread) *isa.Decoded {
 	return op
 }
 
-// gather reads source operand s for all four lanes: one bank lookup,
-// then either the plain register or its swizzled, negated components,
-// read straight from the register file.
-func (e *Emulator) gather(t *Thread, s *isa.DecodedSrc, v *[Lanes]vmath.Vec4) {
-	var reg [Lanes]*vmath.Vec4
+// load fills the rows of v named in need from source s: row i is
+// component s.Comp[i] of the register in every lane, negated when
+// s.Negate. Every row is written element by element: a row built in a
+// local and assigned whole is read back later with one wide load that
+// stalls on store forwarding.
+func (e *Emulator) load(t *Thread, s *isa.DecodedSrc, need isa.WriteMask, v *Reg) {
 	switch s.Bank {
-	case isa.BankInput:
-		for l := range reg {
-			reg[l] = &t.In[l][s.Index]
-		}
 	case isa.BankTemp:
-		for l := range reg {
-			reg[l] = &t.Temp[l][s.Index]
+		reg := &t.Temp[s.Index]
+		for m := need; m != 0; m &= m - 1 {
+			i := low(m)
+			src, dst := &reg[s.Comp[i]&3], &v[i]
+			dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+		}
+	case isa.BankInput:
+		n := s.Index
+		for m := need; m != 0; m &= m - 1 {
+			i := low(m)
+			k, dst := s.Comp[i]&3, &v[i]
+			dst[0], dst[1], dst[2], dst[3] = t.In[0][n][k], t.In[1][n][k], t.In[2][n][k], t.In[3][n][k]
 		}
 	default:
-		for l := range reg {
-			reg[l] = &e.consts[s.Index]
+		reg := &e.consts[s.Index]
+		for m := need; m != 0; m &= m - 1 {
+			i := low(m)
+			x, dst := reg[s.Comp[i]&3], &v[i]
+			dst[0], dst[1], dst[2], dst[3] = x, x, x, x
 		}
 	}
-	if s.Plain {
-		for l, r := range reg {
-			v[l] = *r
-		}
-		return
-	}
-	// Decoding leaves 0..3 here; the masks let the compiler see it too.
-	x, y, z, w := s.Comp[0]&3, s.Comp[1]&3, s.Comp[2]&3, s.Comp[3]&3
-	for l, r := range reg {
-		if s.Negate {
-			v[l] = vmath.Vec4{-r[x], -r[y], -r[z], -r[w]}
-		} else {
-			v[l] = vmath.Vec4{r[x], r[y], r[z], r[w]}
+	if s.Negate {
+		for m := need; m != 0; m &= m - 1 {
+			row := &v[low(m)]
+			for l := range row {
+				row[l] = -row[l]
+			}
 		}
 	}
 }
 
-// store writes r to destination d in every active lane, under the
-// write mask and after the optional [0,1] clamp.
-func (t *Thread) store(d isa.DstOperand, sat bool, r *[Lanes]vmath.Vec4) {
-	for l, v := range r {
-		if !t.Active[l] {
-			continue
-		}
-		if sat {
-			v = v.Clamp01()
-		}
-		var reg *vmath.Vec4
-		switch d.Bank {
-		case isa.BankTemp:
-			reg = &t.Temp[l][d.Index]
-		case isa.BankOutput:
-			reg = &t.Out[l][d.Index]
-		default:
-			panic("shaderemu: bad destination bank")
-		}
-		if d.Mask == isa.MaskXYZW {
-			*reg = v
-			continue
-		}
-		for i := range reg {
-			if d.Mask.Has(i) {
-				reg[i] = v[i]
+// store writes the rows of r named in d's mask to destination d in
+// every active lane, after the optional [0,1] clamp. Other rows of r
+// are never read. A temporary takes each row in one piece when all four
+// lanes are active (a fragment quad always is), lane by lane otherwise;
+// an output, lane-major, takes each row's lanes one by one.
+func (t *Thread) store(d isa.DstOperand, sat bool, r *Reg) {
+	if sat {
+		for m := d.Mask; m != 0; m &= m - 1 {
+			row := &r[low(m)]
+			for l := range row {
+				row[l] = vmath.Clamp01(row[l])
 			}
 		}
+	}
+	switch d.Bank {
+	case isa.BankTemp:
+		reg := &t.Temp[d.Index]
+		all := t.Active == [Lanes]bool{true, true, true, true}
+		for m := d.Mask; m != 0; m &= m - 1 {
+			i := low(m)
+			src, dst := &r[i], &reg[i]
+			if all {
+				dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+				continue
+			}
+			for l, on := range t.Active {
+				if on {
+					dst[l] = src[l]
+				}
+			}
+		}
+	case isa.BankOutput:
+		for l, on := range t.Active {
+			if !on {
+				continue
+			}
+			dst := &t.Out[l][d.Index]
+			for m := d.Mask; m != 0; m &= m - 1 {
+				i := low(m)
+				dst[i] = r[i][l]
+			}
+		}
+	default:
+		panic("shaderemu: bad destination bank")
 	}
 }
 
@@ -396,7 +498,11 @@ func (e *Emulator) CompleteTexture(t *Thread, results [Lanes]vmath.Vec4) {
 		panic("shaderemu: CompleteTexture without pending request")
 	}
 	t.Blocked = nil
-	t.store(req.Dst, req.Saturate, &results)
+	var r Reg
+	for l, v := range results {
+		r[0][l], r[1][l], r[2][l], r[3][l] = v[0], v[1], v[2], v[3]
+	}
+	t.store(req.Dst, req.Saturate, &r)
 }
 
 // SampleFunc performs a texture lookup for a whole thread; used by
@@ -423,55 +529,74 @@ func (e *Emulator) Run(t *Thread, sample SampleFunc) (int, error) {
 	return steps, nil
 }
 
-func splat(f float32) vmath.Vec4 { return vmath.Vec4{f, f, f, f} }
+// low returns the lowest component named in the non-empty mask m.
+func low(m isa.WriteMask) int { return bits.TrailingZeros8(uint8(m)) & 3 }
+
+// splat copies row x of r, where a scalar result was computed, to the
+// other rows named in m.
+func (r *Reg) splat(m isa.WriteMask) {
+	x := &r[0]
+	for m &^= 1; m != 0; m &= m - 1 {
+		row := &r[low(m)]
+		row[0], row[1], row[2], row[3] = x[0], x[1], x[2], x[3]
+	}
+}
+
+// add and mul are x+y and x*y, but where both operands are NaN the
+// result is y's, quieted. Go leaves that choice to the compiler: on
+// amd64 it is whichever operand the register allocator put in the
+// destination, which moves with unrelated edits to the code around it.
+// Fixing it here keeps Step's NaNs bit for bit equal to the reference
+// interpreter's, whose compiled code returns the right-hand operand
+// (the TestNaNsMatchReference sweep holds both to it).
+func add(x, y float32) float32 {
+	if y != y {
+		return y + y
+	}
+	return x + y
+}
+
+func mul(x, y float32) float32 {
+	if y != y {
+		return y * y
+	}
+	return x * y
+}
+
+// dotNaN is the dot product of rows 0 to n-1 of a and b in lane l,
+// summed in order under add's and mul's NaN rule: what a DP opcode
+// computes once its plain sum has come out NaN.
+func dotNaN(a, b *Reg, n, l int) float32 {
+	d := mul(a[0][l], b[0][l])
+	for i := 1; i < n; i++ {
+		d = add(d, mul(a[i][l], b[i][l]))
+	}
+	return d
+}
 
 func floorf(f float32) float32 { return float32(math.Floor(float64(f))) }
 
-func vecMin(a, b vmath.Vec4) vmath.Vec4 {
-	var r vmath.Vec4
-	for i := 0; i < 4; i++ {
-		if a[i] < b[i] {
-			r[i] = a[i]
-		} else {
-			r[i] = b[i]
-		}
-	}
-	return r
-}
-
-func vecMax(a, b vmath.Vec4) vmath.Vec4 {
-	var r vmath.Vec4
-	for i := 0; i < 4; i++ {
-		if a[i] > b[i] {
-			r[i] = a[i]
-		} else {
-			r[i] = b[i]
-		}
-	}
-	return r
-}
-
-// lit implements the ARB LIT instruction: the classic ambient /
-// diffuse / specular coefficient helper.
-func lit(s vmath.Vec4) vmath.Vec4 {
-	diff := s[0]
+// lit implements the ARB LIT instruction, the classic ambient /
+// diffuse / specular coefficient helper, from the source's x, y and w:
+// it returns the result's y (diffuse) and z (specular); x and w are 1.
+func lit(x, y, w float32) (diff, spec float32) {
+	diff = x
 	if diff < 0 {
 		diff = 0
 	}
-	specBase := s[1]
+	specBase := y
 	if specBase < 0 {
 		specBase = 0
 	}
-	power := s[3]
+	power := w
 	if power < -128 {
 		power = -128
 	}
 	if power > 128 {
 		power = 128
 	}
-	var spec float32
-	if s[0] > 0 {
+	if x > 0 {
 		spec = float32(math.Pow(float64(specBase), float64(power)))
 	}
-	return vmath.Vec4{1, diff, spec, 1}
+	return diff, spec
 }

@@ -321,6 +321,37 @@ func TestInactiveLanesUntouched(t *testing.T) {
 	}
 }
 
+// A shader unit reuses one thread per slot across programs, with Reset
+// in between; the reference renderer takes a fresh one each time. A
+// register component the second program leaves alone must read 0 either
+// way, not the first program's value.
+func TestResetMatchesNewThread(t *testing.T) {
+	first := isa.MustAssemble(isa.VertexProgram, "first", "MOV o0, v0\nMOV o1, v1\nMOV r2, v1\nEND")
+	second := isa.MustAssemble(isa.VertexProgram, "second", "MOV o0, v0\nMOV o1.xyz, v0\nMOV r2.x, v0\nEND")
+	run := func(e *Emulator, th *Thread) {
+		th.Active[0] = true
+		th.In[0][0], th.In[0][1] = vmath.Vec4{1, 2, 3, 4}, vmath.Vec4{5, 6, 7, 8}
+		if _, err := e.Run(th, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e1, e2 := New(first, nil), New(second, nil)
+	reused := e1.NewThread()
+	run(e1, reused)
+	reused.Reset(second.TempsUsed())
+	run(e2, reused)
+	fresh := e2.NewThread()
+	run(e2, fresh)
+	if reused.Out != fresh.Out {
+		t.Fatalf("outputs after Reset: o1 %v, a fresh thread's %v", reused.Out[0][1], fresh.Out[0][1])
+	}
+	for i := range fresh.Temp {
+		if reused.Temp[i] != fresh.Temp[i] {
+			t.Fatalf("r%d after Reset: %v, a fresh thread's %v", i, reused.Temp[i], fresh.Temp[i])
+		}
+	}
+}
+
 // Property: MAD r, a, b, c == MUL t, a, b; ADD r, t, c for all inputs.
 func TestMADEquivalenceProperty(t *testing.T) {
 	madProg := isa.MustAssemble(isa.VertexProgram, "mad", "MAD o0, v0, v1, v2\nEND")
