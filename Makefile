@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench fuzz fleet-smoke profile awake loc
+.PHONY: build test check lint bench fuzz profile awake loc
 
 build:
 	$(GO) build ./...
@@ -10,31 +10,17 @@ test:
 
 # check is the concurrency and robustness gate: vet, then the race
 # detector over the code that really runs goroutines — the simulator
-# core (a Run is one goroutine plus the context watcher; the race run
-# catches any future goroutine that touches a plain counter), the
-# observability layer (the status server reads the bus and profiler
-# live), the one durable writer, the cancel watcher through the GPU
-# pipeline, the jobd worker pool (submit -> chaos kill/panic/yank ->
+# core, the observability layer (the status server reads the bus and
+# profiler live), the one durable writer, the cancel watcher through the
+# GPU pipeline, and the jobd worker pool (chaos kill/panic/yank ->
 # auto-resume -> byte-identical convergence, the SIGTERM drain/resume
 # path, the replay on a fresh machine when a checkpoint is refused, the
-# fleet-metrics merge under concurrent job completion, the
-# cancel/complete terminal-state race, a polled job's progress never
-# going back, concurrent state-file saves never landing out of order)
-# and the multi-host fleet gate (a seeded 3-peer fleet
-# battered by killhost/pauseheart/leaseyank must converge
-# byte-identically to a clean single-host run, alongside the
-# lease-protocol edge cases: steal races, clock-skewed peers, fenced
-# revived hosts, epoch-floor recovery over torn leases, a drained
-# peer's lease stolen at the next epoch, a restarted peer taking back
-# its own lease, a lease rewrite that keeps its size and mtime, a
-# spec that must read before its job is claimed, an older binary's
-# heartbeat file left unread while the lease holder stays responsive,
-# and the default claim budget following the job server's real worker
-# count), plus
-# one pass each of the fleet's scan benchmark and the shader
-# emulator's step benchmark so they cannot rot; then fuzz smokes over
-# the trace reader and over the decoded shader interpreter against its
-# reference evaluator.
+# /fleet/metrics merge under concurrent job completion, the
+# cancel/complete race, monotone progress, torn and out-of-order
+# state-file saves);
+# one pass of the shader emulator's step benchmark so it cannot rot;
+# then fuzz smokes over the trace reader and over the decoded shader
+# interpreter against its reference evaluator.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(GO) vet ./...
@@ -42,8 +28,6 @@ check:
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
-	$(GO) test -race -run '^TestFleetChaosConvergence$$|^TestFleetDrainIsStolen$$|^TestRestartedPeerStealsItsOwnLease$$|^TestDoubleStealOneWinner$$|^TestClockSkewedPeers$$|^TestFencedRevivedHost$$|^TestLeaseYankKeepsEpoch$$|^TestStealCorruptLeaseRecoversEpochFloor$$|^TestScanSeesSameSizeSameMtimeRewrite$$|^TestUnreadableSpecIsNotClaimed$$|^TestOldHeartbeatIsInert$$|^TestDefaultMaxClaimsFollowsWorkers$$' -count=1 ./internal/fleet/
-	$(GO) test -run '^$$' -bench BenchmarkPeerScan -benchtime 1x ./internal/fleet/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
@@ -88,17 +72,6 @@ loc:
 # workloads, end-to-end host-speed metrics and the per-layer ladder.
 bench:
 	$(GO) run ./bench
-
-# fleet-smoke is the quick partial-failure drill, one crash and one
-# graceful exit: two in-process fleet peers split a sweep, one is
-# killed mid-job (all writes suppressed, no lease released), and
-# the survivor must steal its leases, resume from checkpoints, and
-# finish with output bytes identical to a clean single-host run; then
-# a three-peer fleet drains one member mid-job, and its lease must go
-# stale and be stolen by a live peer at the next epoch, exactly as a
-# dead peer's is, again converging byte-identically.
-fleet-smoke:
-	$(GO) test -run '^TestFleetSmokeTwoPeers$$|^TestFleetDrainIsStolen$$' -count=1 -v ./internal/fleet/
 
 # profile is the three commands every performance change starts and
 # ends with: generate one of the benchmark's scenes at the benchmark's

@@ -32,7 +32,6 @@ import (
 
 	"attila/internal/chaos"
 	"attila/internal/experiments"
-	"attila/internal/fleet"
 	"attila/internal/gpu"
 	"attila/internal/jobd"
 	"attila/internal/obsv"
@@ -59,7 +58,7 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 0, "worker pool size for -serve/-sweep (0 = half the CPUs)")
 	queueLimit := flag.Int("queue-limit", 0, "admission control: reject submits past this many queued jobs with 429 (0 = default 256, negative = unlimited)")
 	preemptCycles := flag.Int64("preempt-cycles", 0, "fairness quantum: checkpoint-and-requeue a job after this many cycles while others wait (0 = off)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries and steals resume instead of replaying (0 = off)")
+	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries resume instead of replaying (0 = off)")
 	jobRetries := flag.Int("job-retries", 0, "default per-job retry budget for -serve/-sweep (0 = default 2, negative = fail fast)")
 	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "wait before a -serve/-sweep job's first retry; doubles on each further retry")
 	retryBackoffMax := flag.Duration("retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -serve/-sweep retry backoff (jitter is seeded)")
@@ -69,16 +68,9 @@ func main() {
 	traceSample := flag.String("trace-sample", "", "request tracing for -serve/-sweep jobs: keep 1/N spans (e.g. 1/64; off by default)")
 	traceSeed := flag.Uint64("trace-seed", 1, "seed for the deterministic span sampler")
 
-	// Fleet mode (internal/fleet): N peers share -fleet-dir and split
-	// the work via lease files; a dead peer's jobs are stolen and
-	// resumed from their checkpoints.
-	fleetDir := flag.String("fleet-dir", "", "join the fleet sharing this work directory (with -serve: long-lived peer; with -sweep: submit and wait)")
-	peerID := flag.String("peer-id", "", "this peer's fleet name (default HOSTNAME-PID)")
-	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "how long an unrenewed job lease survives before other peers steal it")
-	maxClaims := flag.Int("max-claims", 0, "max unfinished jobs this peer holds at once (0 = 2x workers)")
 	flag.Parse()
 
-	if *serveAddr != "" || *sweepFile != "" || *fleetDir != "" {
+	if *serveAddr != "" || *sweepFile != "" {
 		rate, err := trace.ParseSampleRate(*traceSample)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -93,8 +85,6 @@ func main() {
 			jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
 			chaosServer: *chaosServer,
 			traceSample: rate, traceSeed: *traceSeed,
-			fleetDir: *fleetDir, peerID: *peerID, leaseTTL: *leaseTTL,
-			maxClaims: *maxClaims,
 		}))
 	}
 
@@ -297,18 +287,13 @@ type jobModeConfig struct {
 	drainTimeout                 time.Duration
 	chaosServer                  string
 	traceSample, traceSeed       uint64
-	fleetDir, peerID             string
-	leaseTTL                     time.Duration
-	maxClaims                    int
 }
 
 // runJobMode runs the supervised job server, either as a long-lived
 // service (-serve) or as a one-shot sweep (-sweep). Returns the
 // process exit code.
 func runJobMode(c jobModeConfig) int {
-	if c.outDir == "" && c.fleetDir == "" {
-		// Fleet peers write into <fleet-dir>/out; everything else needs
-		// an explicit output directory.
+	if c.outDir == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -serve/-sweep need -job-out DIR")
 		return 4
 	}
@@ -341,10 +326,6 @@ func runJobMode(c jobModeConfig) int {
 	// SIGINT/SIGTERM trigger the graceful drain in both modes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if c.fleetDir != "" {
-		return runFleetMode(ctx, c, opts, logger)
-	}
 
 	if c.sweepFile != "" {
 		spec, err := jobd.ParseSweepFile(c.sweepFile)
@@ -394,89 +375,5 @@ func runJobMode(c jobModeConfig) int {
 	status.Close()
 	srv.Close()
 	logger.Printf("jobd: drained; state saved, restart to resume")
-	return 0
-}
-
-// runFleetMode joins the fleet sharing -fleet-dir. With -sweep the
-// sweep is published to the fleet's queue and this process waits for
-// it to finalize — any peer, including this one, may run the jobs.
-// With -serve the peer runs as a long-lived fleet member behind the
-// status server, which also exposes GET /fleet/peers.
-func runFleetMode(ctx context.Context, c jobModeConfig, opts jobd.Options, logger *log.Logger) int {
-	id := c.peerID
-	if id == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "peer"
-		}
-		id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	peer, err := fleet.NewPeer(fleet.Options{
-		Dir: c.fleetDir, PeerID: id, LeaseTTL: c.leaseTTL,
-		Jobd: opts, Chaos: opts.Chaos,
-		MaxClaims: c.maxClaims,
-		Logf:      logger.Printf,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 4
-	}
-	if err := peer.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	logger.Printf("fleet: peer %s joined %s (lease TTL %v)", id, c.fleetDir, peer.LeaseTTL())
-
-	if c.sweepFile != "" {
-		spec, err := jobd.ParseSweepFile(c.sweepFile)
-		if err != nil {
-			peer.Close()
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 4
-		}
-		if err := peer.SubmitSweep(spec); err != nil {
-			peer.Close()
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 4
-		}
-		res, err := peer.WaitSweep(ctx, spec.Name)
-		if err != nil {
-			peer.Close()
-			fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; surviving peers can still finish it\n")
-			return 3
-		}
-		for _, r := range res.Rows {
-			fmt.Printf("%-24s %-10s peer=%s epoch=%d cycles=%d\n", r.Name, r.State, r.Peer, r.Epoch, r.Cycles)
-		}
-		fmt.Printf("sweep %s: %d jobs; summary at %s\n",
-			spec.Name, len(res.Rows), filepath.Join(c.fleetDir, "out", spec.Name+"-summary.txt"))
-		peer.Close()
-		return 0
-	}
-
-	status := obsv.NewServer(c.serveAddr, obsv.ServerOptions{
-		Jobs:  peer.Handler(),
-		Ready: func() bool { return !peer.Server().Draining() },
-		Fleet: peer.FleetStats,
-	})
-	if err := status.Start(); err != nil {
-		peer.Close()
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	logger.Printf("fleet: serving on %s (GET /fleet/peers; SIGTERM drains)", status.Addr())
-	<-ctx.Done()
-	logger.Printf("fleet: signal received, draining (grace %v)", c.drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
-	defer cancel()
-	// Peer.Drain checkpoints and parks the local jobs while the lease
-	// loop keeps renewing, then stops the loop: the leases go stale and
-	// the surviving peers steal them after a TTL, as from a dead peer.
-	if err := peer.Drain(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-	}
-	status.Close()
-	peer.Close()
-	logger.Printf("fleet: left the fleet; remaining leases expire and are stolen")
 	return 0
 }

@@ -97,8 +97,11 @@ type Plan struct {
 //	signal=name@cycle      corrupt one in-flight object of the signal
 //	trace=flip:OFF         flip one bit of the trace byte at OFF
 //	trace=trunc:OFF        truncate the trace at OFF bytes
+//
+// Each fault key may appear once.
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{Seed: 1}
+	seen := make(map[string]bool)
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("chaos: empty spec")
 	}
@@ -110,6 +113,9 @@ func Parse(spec string) (*Plan, error) {
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("chaos: %q is not key=value", part)
+		}
+		if err := once(seen, key); err != nil {
+			return nil, err
 		}
 		switch key {
 		case "seed":
@@ -196,6 +202,16 @@ func Parse(spec string) (*Plan, error) {
 		return nil, fmt.Errorf("chaos: spec %q names no fault", spec)
 	}
 	return p, nil
+}
+
+// once records a spec key, failing on a fault key seen before: a plan
+// holds one fault per key, so a second would silently replace the first.
+func once(seen map[string]bool, key string) error {
+	if key != "seed" && seen[key] {
+		return fmt.Errorf("chaos: fault %q given more than once", key)
+	}
+	seen[key] = true
+	return nil
 }
 
 // String renders the plan for logs and manifests.

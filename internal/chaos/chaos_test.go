@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"attila/internal/chaos"
 	"attila/internal/core"
@@ -70,21 +69,22 @@ func TestParseDefaults(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",                // empty
-		"seed=5",          // no fault named
-		"panic@cycle=abc", // bad cycle
-		"panic@cycle=-1",  // negative cycle
-		"stall=DAC",       // missing range
-		"stall=:5-10",     // missing box
-		"stall=DAC:9-5",   // end before start
-		"mem=zap:0.5",     // unknown mode
-		"mem=drop:1.5",    // rate out of range
-		"mem=drop:0.5:0",  // zero delay
-		"signal=pipe",     // missing cycle
-		"trace=zip:10",    // unknown trace mode
-		"trace=flip:x",    // bad offset
-		"bogus=1",         // unknown fault
-		"panic@cycle",     // not key=value
+		"",                                   // empty
+		"seed=5",                             // no fault named
+		"panic@cycle=abc",                    // bad cycle
+		"panic@cycle=-1",                     // negative cycle
+		"stall=DAC",                          // missing range
+		"stall=:5-10",                        // missing box
+		"stall=DAC:9-5",                      // end before start
+		"mem=zap:0.5",                        // unknown mode
+		"mem=drop:1.5",                       // rate out of range
+		"mem=drop:0.5:0",                     // zero delay
+		"signal=pipe",                        // missing cycle
+		"trace=zip:10",                       // unknown trace mode
+		"trace=flip:x",                       // bad offset
+		"bogus=1",                            // unknown fault
+		"panic@cycle",                        // not key=value
+		"stall=DAC:10-20,stall=Streamer:5-6", // repeated key: the first stall would be lost
 	} {
 		if _, err := chaos.Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
@@ -292,11 +292,11 @@ func TestSignalFault(t *testing.T) {
 	}
 }
 
-// TestParseServerFleetFaults: the fleet-level faults (killhost,
-// pauseheart, leaseyank) parse, render, and answer their accessors;
-// malformed specs fail with a diagnostic.
-func TestParseServerFleetFaults(t *testing.T) {
-	spec := "seed=9,killhost=peer-2@5000,pauseheart=peer-1@3000:1500ms,leaseyank=conv-3"
+// TestParseServer: the jobd faults (kill, panic, yank) parse, render
+// back to a spec that parses to the same plan, and answer their
+// accessors; malformed or repeated faults fail with a diagnostic.
+func TestParseServer(t *testing.T) {
+	spec := "seed=9,kill=conv-1@5000,panic=conv-2@3000:Streamer,yank=conv-3"
 	p, err := chaos.ParseServer(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -304,17 +304,20 @@ func TestParseServerFleetFaults(t *testing.T) {
 	if p.Seed != 9 {
 		t.Errorf("seed %d, want 9", p.Seed)
 	}
-	if f := p.KillHostFor("peer-2"); f == nil || f.Cycle != 5000 {
-		t.Errorf("killhost fault %+v, want peer-2@5000", f)
+	if f := p.KillFor("conv-1"); f == nil || f.Cycle != 5000 {
+		t.Errorf("kill fault %+v, want conv-1@5000", f)
 	}
-	if p.KillHostFor("peer-1") != nil {
-		t.Error("killhost matched the wrong peer")
+	if p.KillFor("conv-2") != nil {
+		t.Error("kill matched the wrong job")
 	}
-	if f := p.PauseHeartFor("peer-1"); f == nil || f.Cycle != 3000 || f.Dur != 1500*time.Millisecond {
-		t.Errorf("pauseheart fault %+v, want peer-1@3000:1.5s", f)
+	if pp := p.PanicPlan("conv-2"); pp == nil || pp.Panic.Cycle != 3000 || pp.Panic.Box != "Streamer" || pp.Seed != 9 {
+		t.Errorf("panic plan %+v, want conv-2@3000 in Streamer", pp)
 	}
-	if !p.LeaseYankFor("conv-3") || p.LeaseYankFor("conv-1") {
-		t.Error("leaseyank accessor wrong")
+	if !p.YankAfter("conv-3") || p.YankAfter("conv-1") {
+		t.Error("yank accessor wrong")
+	}
+	if p.String() != spec {
+		t.Errorf("String() = %q, want %q", p.String(), spec)
 	}
 	round, err := chaos.ParseServer(p.String())
 	if err != nil {
@@ -325,12 +328,21 @@ func TestParseServerFleetFaults(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"killhost=peer-2",          // no cycle
-		"killhost=@500",            // no peer
-		"pauseheart=peer-1@3000",   // no duration
-		"pauseheart=peer-1@x:1s",   // bad cycle
-		"pauseheart=peer-1@10:-1s", // negative duration
-		"leaseyank=",               // no job
+		"",                        // empty
+		"seed=5",                  // no fault named
+		"seed=x,yank=a",           // bad seed
+		"kill=a",                  // no cycle
+		"kill=@500",               // no job
+		"kill=a@x",                // bad cycle
+		"kill=a@-1",               // negative cycle
+		"panic=a",                 // no cycle
+		"panic=@500",              // no job
+		"panic=a@x:Streamer",      // bad cycle
+		"yank=",                   // no job
+		"kill",                    // not key=value
+		"bogus=a@1",               // unknown fault
+		"kill=a@100,kill=b@200",   // repeated key: the kill of a would be lost
+		"yank=a,panic=b@1,yank=c", // repeated key, not adjacent
 	} {
 		if _, err := chaos.ParseServer(bad); err == nil {
 			t.Errorf("spec %q parsed, want error", bad)
@@ -339,7 +351,7 @@ func TestParseServerFleetFaults(t *testing.T) {
 
 	// A nil plan answers no on everything.
 	var nilPlan *chaos.ServerPlan
-	if nilPlan.KillHostFor("p") != nil || nilPlan.PauseHeartFor("p") != nil || nilPlan.LeaseYankFor("j") {
+	if nilPlan.KillFor("j") != nil || nilPlan.PanicPlan("j") != nil || nilPlan.YankAfter("j") {
 		t.Error("nil plan reported a fault")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ServerPlan describes deterministic faults injected at the job-server
@@ -30,30 +29,6 @@ type ServerPlan struct {
 	// and in-flight checkpoint/manifest writes start failing until
 	// their writers recreate the tree.
 	Yank *YankFault
-
-	// Fleet-level faults (internal/fleet). These key on peer IDs and
-	// lease-held jobs rather than local workers:
-
-	// KillHost kills the named peer outright once any job it is running
-	// reaches the cycle: lease renewals stop, running simulations halt,
-	// and every durable write path is suppressed — the in-process
-	// stand-in for a host dying. Surviving peers must see its leases go
-	// stale, steal them, and finish its jobs from their last
-	// checkpoints.
-	KillHost *HostKillFault
-	// PauseHeart stalls the named peer's control loop — lease renewals,
-	// claims and steals — for the duration while its simulations keep
-	// running: the classic GC-pause/network-partition scenario that
-	// forces the fencing path. Peers steal the paused host's leases, and
-	// the revived host must detect the lost lease and abort without
-	// writing stale-epoch outputs. The name is kept so existing plans
-	// parse.
-	PauseHeart *PauseHeartFault
-	// LeaseYank invalidates the named job's lease out from under its
-	// owner mid-run (the lease file is rewritten to a dead owner): the
-	// owner fences itself at its next renewal and the job is stolen and
-	// finished elsewhere.
-	LeaseYank *LeaseYankFault
 }
 
 // KillFault aborts the named job's worker at a cycle of its first
@@ -77,39 +52,17 @@ type YankFault struct {
 	Job string
 }
 
-// HostKillFault kills the named fleet peer once any job it runs
-// reaches the cycle.
-type HostKillFault struct {
-	Peer  string
-	Cycle int64
-}
-
-// PauseHeartFault stalls the named peer's control loop (renewals,
-// claims, steals) for Dur once any job it runs reaches the cycle,
-// without stopping its simulations.
-type PauseHeartFault struct {
-	Peer  string
-	Cycle int64
-	Dur   time.Duration
-}
-
-// LeaseYankFault invalidates the named job's lease while its owner is
-// mid-run.
-type LeaseYankFault struct {
-	Job string
-}
-
 // ParseServer builds a ServerPlan from a comma-separated spec:
 //
 //	seed=N                 rng seed (default 1)
 //	kill=JOB@CYCLE         abort JOB's worker at CYCLE (first attempt)
 //	panic=JOB@CYCLE[:BOX]  panic inside BOX of JOB at CYCLE (first attempt)
 //	yank=JOB               remove the output directory when JOB completes
-//	killhost=PEER@CYCLE    kill fleet peer PEER once a job it runs hits CYCLE
-//	pauseheart=PEER@CYCLE:DUR  stall PEER's control loop (renewals, claims, steals) for DUR (e.g. 2s)
-//	leaseyank=JOB          invalidate JOB's lease under its owner mid-run
+//
+// Each fault key may appear once.
 func ParseServer(spec string) (*ServerPlan, error) {
 	p := &ServerPlan{Seed: 1}
+	seen := make(map[string]bool)
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("chaos: empty server spec")
 	}
@@ -121,6 +74,9 @@ func ParseServer(spec string) (*ServerPlan, error) {
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("chaos: %q is not key=value", part)
+		}
+		if err := once(seen, key); err != nil {
+			return nil, err
 		}
 		switch key {
 		case "seed":
@@ -158,45 +114,11 @@ func ParseServer(spec string) (*ServerPlan, error) {
 				return nil, fmt.Errorf("chaos: yank wants a job name")
 			}
 			p.Yank = &YankFault{Job: val}
-		case "killhost":
-			peer, cycleStr, ok := strings.Cut(val, "@")
-			if !ok || peer == "" {
-				return nil, fmt.Errorf("chaos: killhost wants PEER@CYCLE, got %q", val)
-			}
-			c, err := strconv.ParseInt(cycleStr, 10, 64)
-			if err != nil || c < 0 {
-				return nil, fmt.Errorf("chaos: bad killhost cycle %q", cycleStr)
-			}
-			p.KillHost = &HostKillFault{Peer: peer, Cycle: c}
-		case "pauseheart":
-			peer, rest, ok := strings.Cut(val, "@")
-			if !ok || peer == "" {
-				return nil, fmt.Errorf("chaos: pauseheart wants PEER@CYCLE:DUR, got %q", val)
-			}
-			cycleStr, durStr, ok := strings.Cut(rest, ":")
-			if !ok {
-				return nil, fmt.Errorf("chaos: pauseheart wants PEER@CYCLE:DUR, got %q", val)
-			}
-			c, err := strconv.ParseInt(cycleStr, 10, 64)
-			if err != nil || c < 0 {
-				return nil, fmt.Errorf("chaos: bad pauseheart cycle %q", cycleStr)
-			}
-			d, err := time.ParseDuration(durStr)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("chaos: bad pauseheart duration %q", durStr)
-			}
-			p.PauseHeart = &PauseHeartFault{Peer: peer, Cycle: c, Dur: d}
-		case "leaseyank":
-			if val == "" {
-				return nil, fmt.Errorf("chaos: leaseyank wants a job name")
-			}
-			p.LeaseYank = &LeaseYankFault{Job: val}
 		default:
 			return nil, fmt.Errorf("chaos: unknown server fault %q", key)
 		}
 	}
-	if p.Kill == nil && p.Panic == nil && p.Yank == nil &&
-		p.KillHost == nil && p.PauseHeart == nil && p.LeaseYank == nil {
+	if p.Kill == nil && p.Panic == nil && p.Yank == nil {
 		return nil, fmt.Errorf("chaos: server spec %q names no fault", spec)
 	}
 	return p, nil
@@ -214,40 +136,7 @@ func (p *ServerPlan) String() string {
 	if p.Yank != nil {
 		parts = append(parts, fmt.Sprintf("yank=%s", p.Yank.Job))
 	}
-	if p.KillHost != nil {
-		parts = append(parts, fmt.Sprintf("killhost=%s@%d", p.KillHost.Peer, p.KillHost.Cycle))
-	}
-	if p.PauseHeart != nil {
-		parts = append(parts, fmt.Sprintf("pauseheart=%s@%d:%s", p.PauseHeart.Peer, p.PauseHeart.Cycle, p.PauseHeart.Dur))
-	}
-	if p.LeaseYank != nil {
-		parts = append(parts, fmt.Sprintf("leaseyank=%s", p.LeaseYank.Job))
-	}
 	return strings.Join(parts, ",")
-}
-
-// KillHostFor returns the host-kill fault targeting the named peer, or
-// nil.
-func (p *ServerPlan) KillHostFor(peer string) *HostKillFault {
-	if p == nil || p.KillHost == nil || p.KillHost.Peer != peer {
-		return nil
-	}
-	return p.KillHost
-}
-
-// PauseHeartFor returns the control-loop stall fault targeting the named
-// peer, or nil.
-func (p *ServerPlan) PauseHeartFor(peer string) *PauseHeartFault {
-	if p == nil || p.PauseHeart == nil || p.PauseHeart.Peer != peer {
-		return nil
-	}
-	return p.PauseHeart
-}
-
-// LeaseYankFor reports whether the named job's lease should be yanked
-// out from under its owner.
-func (p *ServerPlan) LeaseYankFor(job string) bool {
-	return p != nil && p.LeaseYank != nil && p.LeaseYank.Job == job
 }
 
 // PanicPlan returns the simulation-level fault plan to wire into the

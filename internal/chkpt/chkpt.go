@@ -74,8 +74,10 @@ type Snapshotter interface {
 // Format constants.
 const (
 	magic = "ATTILACKPT"
-	// version 2 added Meta.Epoch (the fleet lease fencing epoch);
-	// version-1 files still read back with Epoch 0.
+	// version 2 added an int64 slot after the workload fingerprint that
+	// once held a lease epoch. Encode writes 0 there and Read skips it;
+	// version 1 files have no slot. The next container version drops
+	// the slot (ROADMAP item 5).
 	version    = 2
 	minVersion = 1
 	// maxPayload caps the decompressed payload so a corrupt or
@@ -99,12 +101,6 @@ type Meta struct {
 	Cycle    int64
 	Config   string
 	Workload string
-	// Epoch is the fleet lease fencing epoch the owning host held when
-	// it wrote the checkpoint (0 outside fleet mode). It is provenance,
-	// not machine state: restores ignore it, but a host whose lease was
-	// stolen must never produce a file stamped with its stale epoch —
-	// the Engine's Gate hook enforces that before every write.
-	Epoch int64
 }
 
 // Snapshot is an in-memory checkpoint: meta plus named sections.
@@ -190,7 +186,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	meta.I64(s.Meta.Cycle)
 	meta.Str(s.Meta.Config)
 	meta.Str(s.Meta.Workload)
-	meta.I64(s.Meta.Epoch)
+	meta.I64(0) // the version 2 epoch slot
 	meta.U32(uint32(len(s.order)))
 	// The payload is meta, then per section its name and length (a
 	// small prefix) and its bytes.
@@ -288,7 +284,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	snap.Meta.Config = d.Str()
 	snap.Meta.Workload = d.Str()
 	if v >= 2 {
-		snap.Meta.Epoch = d.I64()
+		d.I64() // the epoch slot: provenance an older writer stamped, not machine state
 	}
 	n := d.U32()
 	if n > maxSections {
@@ -324,61 +320,6 @@ func ReadFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return snap, nil
-}
-
-// metaPrefix bounds how much decompressed payload ReadMeta inspects.
-// The meta block is a cycle count, two fingerprint strings, and an
-// epoch — well under this even for elaborate configs.
-const metaPrefix = 64 << 10
-
-// ReadMeta decodes only the Meta block (cycle, config, workload,
-// epoch) of a checkpoint file, without reading sections or verifying
-// the payload CRC. It exists for the fleet's epoch-floor recovery: a
-// peer stealing over a torn lease must learn the highest epoch any
-// previous owner durably stamped, and the v2 container records it at
-// the head of the payload. Because the CRC is not checked, callers
-// must treat the result as advisory — a damaged file yields either an
-// error or a stale-but-valid floor, never an inflated one (epochs are
-// stamped before the data they fence).
-func ReadMeta(path string) (Meta, error) {
-	var meta Meta
-	f, err := os.Open(path)
-	if err != nil {
-		return meta, err
-	}
-	defer f.Close()
-	var hdr [len(magic) + 4 + 4 + 8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return meta, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return meta, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	v := binary.LittleEndian.Uint32(hdr[len(magic):])
-	if v < minVersion || v > version {
-		return meta, fmt.Errorf("%w: unsupported version %d (want %d..%d)", ErrFormat, v, minVersion, version)
-	}
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return meta, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	prefix := make([]byte, metaPrefix)
-	n, err := io.ReadFull(zr, prefix)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return meta, fmt.Errorf("%w: gzip payload: %v", ErrCorrupt, err)
-	}
-	d := NewDecoder(prefix[:n])
-	meta.Cycle = d.I64()
-	meta.Config = d.Str()
-	meta.Workload = d.Str()
-	if v >= 2 {
-		meta.Epoch = d.I64()
-	}
-	if err := d.Err(); err != nil {
-		return Meta{}, err
-	}
-	return meta, nil
 }
 
 func min64(a uint64, b int) int {
@@ -591,16 +532,6 @@ type Engine struct {
 	// Capture serializes the machine. Called at the barrier only, and
 	// only when Quiesced returned true.
 	Capture func() (*Snapshot, error)
-	// Gate, when non-nil, is consulted immediately before a captured
-	// snapshot is written: a non-nil error refuses the write (surfaced
-	// via Err, the run continues). The fleet layer wires lease-ownership
-	// checks here so a host whose lease was stolen — paused, revived,
-	// still simulating — can never clobber the new owner's checkpoint
-	// with a stale-epoch file.
-	Gate func() error
-	// Epoch, when non-nil, stamps the current lease fencing epoch into
-	// Meta.Epoch of every capture.
-	Epoch func() int64
 
 	last      int64
 	force     atomic.Bool
@@ -628,14 +559,6 @@ func (e *Engine) EndCycle(cycle int64) {
 	}
 	e.last = cycle
 	snap, err := e.Capture()
-	if err == nil && e.Epoch != nil {
-		snap.Meta.Epoch = e.Epoch()
-	}
-	// The gate runs after capture, immediately before the write: the
-	// narrowest window between "lease still ours" and the rename.
-	if err == nil && e.Gate != nil {
-		err = e.Gate()
-	}
 	if err == nil {
 		err = snap.WriteFile(e.Path)
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -334,42 +335,52 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// TestEpochRoundTripAndV1Compat: the lease fencing epoch survives the
-// container round trip, and a version-1 file (pre-epoch) still reads
-// back with Epoch 0 instead of failing.
-func TestEpochRoundTripAndV1Compat(t *testing.T) {
-	meta := Meta{Cycle: 7, Config: "c", Workload: "w", Epoch: 42}
-	snap := Capture(meta, testParts())
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatal(err)
+// TestEpochSlotSkippedAndV1Compat: version 2 containers carry an int64
+// slot after the workload fingerprint that older writers stamped with a
+// lease epoch. A hand-built v2 file whose slot holds 42 must read back
+// with its meta and sections intact, a version-1 file (no slot) must
+// read the same way, and an unknown future version must fail typed.
+func TestEpochSlotSkippedAndV1Compat(t *testing.T) {
+	meta := Meta{Cycle: 7, Config: "c", Workload: "w"}
+	sections := map[string][]byte{"a.section": {1, 2, 3}, "b.section": {}}
+	names := []string{"a.section", "b.section"}
+	payload := func(slot bool) []byte {
+		var e Encoder
+		e.I64(meta.Cycle)
+		e.Str(meta.Config)
+		e.Str(meta.Workload)
+		if slot {
+			e.I64(42)
+		}
+		e.U32(uint32(len(names)))
+		for _, name := range names {
+			e.Str(name)
+			e.Blob(sections[name])
+		}
+		return e.Bytes()
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta != meta {
-		t.Errorf("meta %+v, want %+v", got.Meta, meta)
+	for _, c := range []struct {
+		ver  uint32
+		slot bool
+	}{{2, true}, {1, false}} {
+		got, err := Read(bytes.NewReader(encodeRawContainer(t, c.ver, payload(c.slot))))
+		if err != nil {
+			t.Fatalf("version-%d container rejected: %v", c.ver, err)
+		}
+		if got.Meta != meta {
+			t.Errorf("v%d meta %+v, want %+v", c.ver, got.Meta, meta)
+		}
+		if !slices.Equal(got.Sections(), names) {
+			t.Errorf("v%d sections %v, want %v", c.ver, got.Sections(), names)
+		}
+		for _, name := range names {
+			if !bytes.Equal(got.Section(name), sections[name]) {
+				t.Errorf("v%d section %s = %v, want %v", c.ver, name, got.Section(name), sections[name])
+			}
+		}
 	}
 
-	// Hand-build a version-1 payload: same layout without the epoch
-	// field. The reader must accept it and report Epoch 0.
-	var payload Encoder
-	payload.I64(meta.Cycle)
-	payload.Str(meta.Config)
-	payload.Str(meta.Workload)
-	payload.U32(0) // no sections
-	v1 := encodeRawContainer(t, 1, payload.Bytes())
-	old, err := Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 container rejected: %v", err)
-	}
-	if old.Meta.Epoch != 0 || old.Meta.Cycle != meta.Cycle {
-		t.Errorf("v1 meta %+v, want epoch 0 cycle %d", old.Meta, meta.Cycle)
-	}
-
-	// An unknown future version still fails typed.
-	v9 := encodeRawContainer(t, 9, payload.Bytes())
+	v9 := encodeRawContainer(t, 9, payload(true))
 	if _, err := Read(bytes.NewReader(v9)); !errors.Is(err, ErrFormat) {
 		t.Errorf("version 9: got %v, want ErrFormat", err)
 	}
@@ -396,57 +407,6 @@ func encodeRawContainer(t *testing.T, ver uint32, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestEngineGateRefusesWrite: a non-nil Gate error must prevent the
-// checkpoint file write (the stale-epoch fencing path) and surface via
-// Err, while a passing gate writes normally with the epoch stamped.
-func TestEngineGateRefusesWrite(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "gated.ckpt")
-	fenced := errors.New("lease lost")
-	var gateErr error
-	epoch := int64(3)
-	eng := &Engine{
-		Interval: 1,
-		Path:     path,
-		Quiesced: func() bool { return true },
-		Gate:     func() error { return gateErr },
-		Epoch:    func() int64 { return epoch },
-		Capture: func() (*Snapshot, error) {
-			return Capture(Meta{Cycle: 10, Config: "c", Workload: "w"}, testParts()), nil
-		},
-	}
-
-	eng.EndCycle(10)
-	if eng.Count() != 1 {
-		t.Fatalf("clean gate: %d checkpoints written, want 1", eng.Count())
-	}
-	snap, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Meta.Epoch != 3 {
-		t.Errorf("stamped epoch %d, want 3", snap.Meta.Epoch)
-	}
-
-	// Lease lost: the write must be refused, the file untouched.
-	gateErr = fenced
-	epoch = 1 // a revived host would still hold its old epoch
-	eng.EndCycle(20)
-	if eng.Count() != 1 {
-		t.Fatalf("fenced gate wrote a checkpoint (count %d)", eng.Count())
-	}
-	if !errors.Is(eng.Err(), fenced) {
-		t.Errorf("engine error %v, want the gate error", eng.Err())
-	}
-	snap, err = ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Meta.Epoch != 3 || snap.Meta.Cycle != 10 {
-		t.Errorf("fenced write reached disk: meta %+v", snap.Meta)
-	}
-}
-
 // concatEncode is Snapshot.Encode of 91dbc46, kept as the model: it
 // assembled the whole payload in one buffer, took its CRC, and handed
 // it to the compressor in one Write.
@@ -456,7 +416,7 @@ func concatEncode(t *testing.T, s *Snapshot) []byte {
 	payload.I64(s.Meta.Cycle)
 	payload.Str(s.Meta.Config)
 	payload.Str(s.Meta.Workload)
-	payload.I64(s.Meta.Epoch)
+	payload.I64(0) // the epoch slot
 	payload.U32(uint32(len(s.order)))
 	for _, name := range s.order {
 		payload.Str(name)
@@ -502,7 +462,7 @@ func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 		{make([]byte, 200_000), noise, []byte("tail")},
 		{noise[:65535], noise[:65536], make([]byte, 65537), noise[:1]},
 	} {
-		snap := NewSnapshot(Meta{Cycle: 123456, Config: "64x48 {Name:baseline}", Workload: "ut2004", Epoch: 3})
+		snap := NewSnapshot(Meta{Cycle: 123456, Config: "64x48 {Name:baseline}", Workload: "ut2004"})
 		for i, data := range sections {
 			snap.Add(string(rune('a'+i))+".section", data)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestFleetMetricsMergeAcrossJobs: a traced sweep's per-job span
-// histograms must merge into one fleet view — span counts add, client
+// histograms must merge into one FleetMetrics view — span counts add, client
 // histograms are bucket sums — and stay consistent while jobs are
 // completing concurrently (this test runs under -race in make check).
 func TestFleetMetricsMergeAcrossJobs(t *testing.T) {
@@ -37,7 +37,7 @@ func TestFleetMetricsMergeAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hammer the fleet view while the jobs finish: every intermediate
+	// Hammer the merged view while the jobs finish: every intermediate
 	// snapshot must be internally consistent (client counts sum to the
 	// span total) even as completions land from both workers.
 	stop := make(chan struct{})

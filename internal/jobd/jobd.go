@@ -57,15 +57,11 @@ const (
 	StateFailed State = "failed"
 	// StateCanceled: canceled by the user.
 	StateCanceled State = "canceled"
-	// StateLost: the job's fleet lease was fenced — another peer stole
-	// it and owns the result now. Terminal on this server; the job
-	// wrote nothing after the fence.
-	StateLost State = "lost"
 )
 
 // terminal reports whether a state is final.
 func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled || s == StateLost
+	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
 // Failure kinds (JobStatus.FailKind) — the typed taxonomy of how a
@@ -77,7 +73,6 @@ const (
 	FailTimeout  = "timeout"  // per-job wall-clock budget exhausted
 	FailKilled   = "killed"   // worker killed mid-run (chaos)
 	FailError    = "error"    // any other simulation error
-	FailFenced   = "fenced"   // fleet lease lost; aborted without writes
 )
 
 // Typed submit failures the HTTP layer maps to status codes.
@@ -91,13 +86,6 @@ var (
 	// ErrNotFound: no such job or sweep (404).
 	ErrNotFound = errors.New("jobd: not found")
 )
-
-// ErrFenced matches a fencing rejection: the job's fleet lease was
-// lost to another peer, so every durable write on the old owner's
-// behalf must be refused. The Fence hook (Options.Fence) returns an
-// error wrapping this; a fenced job parks as StateLost/FailFenced
-// having written nothing past the fence.
-var ErrFenced = errors.New("jobd: lease fenced")
 
 // ErrDisk matches (via errors.Is) a *DiskError: an output write that
 // kept failing after retries. Jobs degrade to StateFailed/FailDisk on
@@ -151,12 +139,6 @@ type JobSpec struct {
 	// Retries bounds re-attempts after a failure: 0 inherits the server
 	// default, negative means fail fast.
 	Retries int `json:"retries,omitempty"`
-
-	// Resume asks the server to keep and use any checkpoint already on
-	// disk for this job name instead of starting from cycle zero. The
-	// fleet layer sets it when a stolen job migrates to a new peer; a
-	// plain fresh submit leaves it false and starts clean.
-	Resume bool `json:"resume,omitempty"`
 }
 
 // SweepSpec is a named set of jobs submitted and summarized together.
@@ -169,10 +151,9 @@ type SweepSpec struct {
 
 // NormalizeSweep validates a sweep spec and returns its fully
 // normalized job specs (sweep defaults and package defaults applied),
-// without admitting anything. The fleet layer uses it to publish a
-// sweep's jobs to the shared work queue exactly as a local server
-// would admit them, so a fleet run and a single-host run execute
-// identical specs.
+// without admitting anything: exactly the specs a server would run.
+// The benchmark uses it to run a sweep's jobs without a server, as the
+// baseline that jobd's supervision overhead is measured against.
 func NormalizeSweep(spec SweepSpec) ([]JobSpec, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("jobd: sweep needs a name")

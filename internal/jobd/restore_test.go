@@ -14,8 +14,8 @@ import (
 
 // A failed restore must not poison the replay. Life 1 samples spans
 // 1/64 and is drained onto a checkpoint; life 2, over the same output
-// directory, samples 1/32 (a jobd restarted with another -trace-sample,
-// or a fleet peer with another rate stealing the job). The checkpoint's
+// directory, samples 1/32 (a jobd restarted with another -trace-sample).
+// The checkpoint's
 // span section — the last one applied — is refused, by which time the
 // machine already sits at the checkpoint's cycle. The job must still
 // finish with the cycle count and stats CSV of a clean one-shot run,

@@ -70,7 +70,7 @@ type Options struct {
 	// TraceSample, when > 0, turns on request tracing for every job:
 	// 1-in-N memory transactions and shader work items carry latency
 	// spans, folded into per-job histograms that /fleet/metrics merges
-	// across the fleet. Zero disables tracing.
+	// across jobs. Zero disables tracing.
 	TraceSample uint64
 	// TraceSeed seeds the deterministic span sampler; the same seed,
 	// rate, and workload select the same spans on every run.
@@ -78,19 +78,6 @@ type Options struct {
 	// Chaos, when non-nil, arms the jobd-level fault plan (worker
 	// kills, injected box panics, output-directory yanks).
 	Chaos *chaos.ServerPlan
-	// Fence, when non-nil, is consulted before every durable write on a
-	// job's behalf (checkpoint, stats CSV, manifest): a non-nil error
-	// (wrapping ErrFenced) means the job's fleet lease was lost and the
-	// write must be refused; the job parks as StateLost. Nil means no
-	// fencing (single-host operation).
-	Fence func(job string) error
-	// LeaseEpoch, when non-nil, returns the fencing epoch the job's
-	// lease currently holds; it is stamped into every checkpoint and
-	// manifest the job writes so competing writes are orderable.
-	LeaseEpoch func(job string) int64
-	// PeerID names this server's fleet peer in manifests; empty for
-	// single-host operation.
-	PeerID string
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -130,8 +117,6 @@ const (
 	causeDrain
 	causeKilled
 	causeTimeout
-	causeFenced // fleet lease lost; abort without writing anything
-	causeHalt   // host killed (chaos killhost); vanish without a trace
 )
 
 // progressEvery is how many cycles pass between two publications of a
@@ -168,9 +153,6 @@ type Job struct {
 	ckptCycle atomic.Int64
 	cause     atomic.Int32
 	cancelReq atomic.Bool
-	// fencedReq: the fleet layer lost this job's lease; stop at the
-	// next barrier and park as lost without writing anything.
-	fencedReq atomic.Bool
 }
 
 // takeCause consumes the stop cause recorded by whoever stopped the
@@ -244,7 +226,6 @@ type SweepStatus struct {
 	Done      int         `json:"done"`
 	Failed    int         `json:"failed"`
 	Canceled  int         `json:"canceled"`
-	Lost      int         `json:"lost,omitempty"`
 	Finalized bool        `json:"finalized"`
 	Summary   string      `json:"summary,omitempty"`
 	Jobs      []JobStatus `json:"jobs"`
@@ -272,10 +253,6 @@ type Server struct {
 	stopOnce sync.Once
 
 	draining atomic.Bool
-	// killed: the host "died" (chaos killhost): every durable write
-	// path is a no-op and running simulations halt without a state
-	// transition, exactly as if the process had vanished.
-	killed   atomic.Bool
 	queueLen atomic.Int64
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -426,9 +403,7 @@ func (s *Server) submitLocked(spec JobSpec, sw *Sweep) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicate, spec.Name)
 	}
 	s.nextID++
-	// Resume asks to keep and use an on-disk checkpoint under this name
-	// (a stolen fleet job migrating here); plain submits start clean.
-	j := &Job{ID: s.nextID, Spec: spec, state: StateQueued, sweep: sw, resumable: spec.Resume}
+	j := &Job{ID: s.nextID, Spec: spec, state: StateQueued, sweep: sw}
 	s.jobs[spec.Name] = j
 	s.byID[j.ID] = j
 	s.order = append(s.order, j)
@@ -461,54 +436,6 @@ func (s *Server) removeQueuedLocked(j *Job) bool {
 		}
 	}
 	return false
-}
-
-// ResubmitJob requeues a job that previously reached a terminal state
-// on this server under the same name. The fleet layer uses it when a
-// peer re-acquires the lease on a job it had lost (or finished
-// locally but must redo after a yank): the spec replaces the old one
-// and attempt/result bookkeeping resets. A non-terminal job under the
-// name is a duplicate error; an unknown name submits fresh.
-func (s *Server) ResubmitJob(spec JobSpec) (*Job, error) {
-	norm, err := spec.normalize(JobSpec{})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	j, ok := s.jobs[norm.Name]
-	if !ok {
-		j, err = s.submitLocked(norm, nil)
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		s.cond.Signal()
-		s.saveState()
-		return j, nil
-	}
-	if !j.state.terminal() {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s still %s", ErrDuplicate, norm.Name, j.state)
-	}
-	if s.draining.Load() || s.closed {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	j.Spec = norm
-	j.state = StateQueued
-	j.failKind, j.errMsg = "", ""
-	j.attempts, j.preemptions = 0, 0
-	j.resumable = norm.Resume
-	j.crash, j.csv = nil, nil
-	j.cycles, j.fps = 0, 0
-	j.cancelReq.Store(false)
-	j.fencedReq.Store(false)
-	j.cause.Store(causeNone)
-	s.pushQueueLocked(j)
-	s.mu.Unlock()
-	s.cond.Signal()
-	s.saveState()
-	return j, nil
 }
 
 // CancelJob cancels a job by name or numeric ID: a queued job is
@@ -623,7 +550,7 @@ func (s *Server) JobSpans(ref string) ([]byte, error) {
 // probe answers 503 while it is true.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// FleetLatency is one client's merged latency across the fleet.
+// FleetLatency is one client's latency merged across jobs.
 type FleetLatency struct {
 	Count uint64          `json:"count"`
 	P50   int64           `json:"p50"`
@@ -633,7 +560,7 @@ type FleetLatency struct {
 	Hist  trace.Histogram `json:"hist"`
 }
 
-// FleetMetrics is the fleet-level latency view: per-client histograms
+// FleetMetrics is the server's latency view: per-client histograms
 // merged across every completed job that ran with tracing on.
 type FleetMetrics struct {
 	SampleRate uint64                   `json:"sampleRate,omitempty"`
@@ -642,7 +569,7 @@ type FleetMetrics struct {
 	Clients    map[string]*FleetLatency `json:"clients,omitempty"`
 }
 
-// FleetMetrics merges the per-job span histograms into the fleet view.
+// FleetMetrics merges the per-job span histograms into one view.
 // Histogram merging is bucket addition, so the result is independent of
 // job completion order.
 func (s *Server) FleetMetrics() FleetMetrics {
@@ -727,8 +654,6 @@ func (s *Server) SweepStatus(sw *Sweep) SweepStatus {
 			st.Failed++
 		case StateCanceled:
 			st.Canceled++
-		case StateLost:
-			st.Lost++
 		}
 	}
 	return st
@@ -854,11 +779,6 @@ func (s *Server) supervise(j *Job) {
 			s.finishJob(j, StateCanceled, "", nil)
 			return
 		}
-		if j.fencedReq.Load() {
-			s.mu.Unlock()
-			s.markLost(j, nil)
-			return
-		}
 		j.state = StateRunning
 		j.attempts++
 		attempt := j.attempts
@@ -867,18 +787,8 @@ func (s *Server) supervise(j *Job) {
 		runErr := s.attempt(j, attempt)
 		cause := j.takeCause()
 
-		if s.killed.Load() || cause == causeHalt {
-			// The host "died": no state transition, no writes. A
-			// surviving peer steals the lease and resumes from the last
-			// checkpoint this host managed to write.
-			return
-		}
 		if runErr == nil {
 			s.completeJob(j)
-			return
-		}
-		if cause == causeFenced {
-			s.markLost(j, runErr)
 			return
 		}
 		switch cause {
@@ -1027,16 +937,6 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		j.stopFn = nil
 		s.mu.Unlock()
 	}()
-	// Fencing: every checkpoint write consults the fleet lease first
-	// and stamps its epoch, so a host that lost its lease (stolen,
-	// yanked, or paused past TTL) can never publish a stale-epoch
-	// checkpoint over the new owner's.
-	if s.opts.Fence != nil {
-		eng.Gate = func() error { return s.opts.Fence(spec.Name) }
-	}
-	if s.opts.LeaseEpoch != nil {
-		eng.Epoch = func() int64 { return s.opts.LeaseEpoch(spec.Name) }
-	}
 
 	ctx := context.Background()
 	if d := j.timeout(s.opts); d > 0 {
@@ -1078,12 +978,6 @@ func (s *Server) attempt(j *Job, attempt int) error {
 		}
 		if j.cancelReq.Load() {
 			j.cause.CompareAndSwap(causeNone, causeCancel)
-			pipe.Sim.Stop()
-			return
-		}
-		if j.fencedReq.Load() {
-			// Lease lost: stop now; nothing written past this barrier.
-			j.cause.CompareAndSwap(causeNone, causeFenced)
 			pipe.Sim.Stop()
 			return
 		}
@@ -1151,12 +1045,6 @@ func (s *Server) attempt(j *Job, attempt int) error {
 // result bytes stay in memory, so a later sweep convergence pass can
 // still recover the file if the disk comes back.
 func (s *Server) completeJob(j *Job) {
-	// Last fence before the result becomes durable: a host whose lease
-	// was stolen while the final cycles ran must not publish the CSV.
-	if err := s.fence(j); err != nil {
-		s.markLost(j, err)
-		return
-	}
 	s.mu.Lock()
 	data := j.csv
 	s.mu.Unlock()
@@ -1211,97 +1099,6 @@ func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	}
 	s.saveState()
 }
-
-// fence consults the fleet lease gate for a job; nil without a hook.
-func (s *Server) fence(j *Job) error {
-	if s.opts.Fence == nil {
-		return nil
-	}
-	return s.opts.Fence(j.Spec.Name)
-}
-
-// markLost parks a job whose fleet lease was lost: terminal
-// StateLost/FailFenced, no manifest, no CSV, no checkpoint — the new
-// lease owner owns every durable byte from here on.
-func (s *Server) markLost(j *Job, err error) {
-	s.mu.Lock()
-	if j.state.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateLost
-	j.failKind = FailFenced
-	if err != nil {
-		j.errMsg = err.Error()
-	} else {
-		j.errMsg = ErrFenced.Error()
-	}
-	j.resumable = false
-	sw := j.sweep
-	s.mu.Unlock()
-	s.logf("jobd: job %s lost its lease; aborted without writes", j.Spec.Name)
-	if sw != nil {
-		s.maybeFinalize(sw)
-	}
-	s.saveState()
-}
-
-// FenceJob aborts a job whose fleet lease was lost to another peer: a
-// queued job parks as lost immediately; a running one stops at its
-// next cycle barrier and then parks, writing nothing on the way down.
-// Terminal jobs are left untouched (nil error).
-func (s *Server) FenceJob(ref string) error {
-	s.mu.Lock()
-	j := s.jobByRefLocked(ref)
-	if j == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: job %q", ErrNotFound, ref)
-	}
-	if j.state.terminal() {
-		s.mu.Unlock()
-		return nil
-	}
-	j.fencedReq.Store(true)
-	if s.removeQueuedLocked(j) {
-		s.mu.Unlock()
-		s.markLost(j, nil)
-		return nil
-	}
-	if j.stopFn != nil {
-		j.cause.CompareAndSwap(causeNone, causeFenced)
-		j.stopFn()
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// Kill hard-stops the server in place, simulating the host dying
-// (chaos killhost): running simulations halt mid-cycle, every durable
-// write path — checkpoints, CSVs, manifests, the state file — is
-// suppressed from this instant, and no state transitions are
-// recorded. Nothing is cleaned up, exactly like a power cut; the
-// fleet's surviving peers must detect the silence and steal the dead
-// host's leases.
-func (s *Server) Kill() {
-	if !s.killed.CompareAndSwap(false, true) {
-		return
-	}
-	s.mu.Lock()
-	s.closed = true
-	for _, j := range s.order {
-		if j.state == StateRunning && j.stopFn != nil {
-			j.cause.Store(causeHalt)
-			j.stopFn()
-		}
-	}
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.cond.Broadcast()
-	s.logf("jobd: host killed (chaos); all writes suppressed")
-}
-
-// Killed reports whether Kill has run.
-func (s *Server) Killed() bool { return s.killed.Load() }
 
 // maybeYank applies the chaos output-directory yank after the named
 // job completes.
@@ -1370,52 +1167,27 @@ func (s *Server) maybeFinalize(sw *Sweep) {
 	s.saveState()
 }
 
-// SummaryRow is one job line of a sweep summary.
-type SummaryRow struct {
-	Name     string
-	Config   string
-	Workload string
-	State    State
-	FailKind string
-	Cycles   int64
-	FPS      float64
-}
-
-// RenderSummary renders the deterministic sweep summary: only job
-// specs and simulation results, sorted by job name, no wall-clock or
-// attempt counts — so a chaos-battered run (and a fleet run that
-// migrated jobs between peers) is byte-identical to a clean one-shot.
-// The fleet finalizer uses it to converge to the same bytes jobd
-// writes.
-func RenderSummary(sweep string, rows []SummaryRow) []byte {
-	sorted := append([]SummaryRow(nil), rows...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Name < sorted[b].Name })
+// buildSummary renders the deterministic sweep summary: only job specs
+// and simulation results, sorted by job name, no wall-clock or attempt
+// counts — so a chaos-battered run is byte-identical to a clean
+// one-shot.
+func (s *Server) buildSummary(sw *Sweep, jobs []*Job) []byte {
+	sorted := append([]*Job(nil), jobs...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Spec.Name < sorted[b].Spec.Name })
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "sweep %s: %d jobs\n", sweep, len(sorted))
-	for _, r := range sorted {
-		if r.State == StateDone {
+	fmt.Fprintf(&buf, "sweep %s: %d jobs\n", sw.Name, len(sorted))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range sorted {
+		if j.state == StateDone {
 			fmt.Fprintf(&buf, "%s config=%s workload=%s cycles=%d fps=%.2f\n",
-				r.Name, r.Config, r.Workload, r.Cycles, r.FPS)
+				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.cycles, j.fps)
 		} else {
 			fmt.Fprintf(&buf, "%s config=%s workload=%s state=%s kind=%s\n",
-				r.Name, r.Config, r.Workload, r.State, r.FailKind)
+				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.state, j.failKind)
 		}
 	}
 	return buf.Bytes()
-}
-
-// buildSummary renders the sweep summary via RenderSummary.
-func (s *Server) buildSummary(sw *Sweep, jobs []*Job) []byte {
-	s.mu.Lock()
-	rows := make([]SummaryRow, 0, len(jobs))
-	for _, j := range jobs {
-		rows = append(rows, SummaryRow{
-			Name: j.Spec.Name, Config: j.Spec.Config, Workload: j.Spec.Workload,
-			State: j.state, FailKind: j.failKind, Cycles: j.cycles, FPS: j.fps,
-		})
-	}
-	s.mu.Unlock()
-	return RenderSummary(sw.Name, rows)
 }
 
 func (s *Server) csvPath(j *Job) string {
@@ -1437,25 +1209,11 @@ func (s *Server) summaryPath(sw *Sweep) string {
 // stampManifest writes the job's provenance manifest. Its loss never
 // fails the job — the manifest is audit metadata, not the result.
 func (s *Server) stampManifest(j *Job, state string, cause error) {
-	if s.killed.Load() {
-		return
-	}
-	// A manifest is a durable write on the job's behalf: it carries the
-	// same fence as checkpoints and CSVs, so a revived host that lost
-	// its lease cannot even overwrite the audit trail.
-	if err := s.fence(j); err != nil {
-		s.logf("jobd: manifest for %s refused: %v", j.Spec.Name, err)
-		return
-	}
 	m := obsv.NewManifest("jobd", nil)
 	m.State = state
 	m.Config = j.Spec.Config
 	m.Trace = j.Spec.Workload
 	m.Seed = j.Spec.Seed
-	m.FleetPeer = s.opts.PeerID
-	if s.opts.LeaseEpoch != nil {
-		m.LeaseEpoch = s.opts.LeaseEpoch(j.Spec.Name)
-	}
 	s.mu.Lock()
 	m.Attempt = j.attempts
 	m.Cycles = j.progress.Load()
@@ -1489,10 +1247,6 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 // try (healing a yanked output tree), retried a few times, and a
 // typed *DiskError on persistent failure instead of a crash.
 func (s *Server) writeDurable(op, path string, data []byte) error {
-	if s.killed.Load() {
-		// A dead host writes nothing.
-		return &DiskError{Op: op, Path: path, Err: errors.New("host killed")}
-	}
 	var err error
 	for i := 0; i < 3; i++ {
 		if i > 0 {

@@ -65,7 +65,7 @@ type persistedState struct {
 // after the previous write, so the last write holds the newest state.
 // Callers must not hold mu.
 func (s *Server) saveState() {
-	if s.opts.StatePath == "" || s.killed.Load() {
+	if s.opts.StatePath == "" {
 		return
 	}
 	s.saveMu.Lock()
@@ -165,9 +165,8 @@ func (s *Server) loadState() error {
 				s.pushQueueLocked(j)
 				requeued++
 			}
-		case StateFailed, StateCanceled, StateLost:
-			// Terminal; kept for the record. (A lost job belongs to
-			// whichever peer stole its lease — never requeue it here.)
+		case StateFailed, StateCanceled:
+			// Terminal; kept for the record.
 		default:
 			// queued, running, or preempted when the previous life
 			// ended: requeue. A job that was mid-run has a checkpoint

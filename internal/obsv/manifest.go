@@ -46,19 +46,10 @@ type Manifest struct {
 	Outputs  []string `json:"outputs,omitempty"`
 
 	// State is the job lifecycle state a supervised run was stamped
-	// with (internal/jobd): "done", "failed", "canceled", "lost" (the
-	// job's fleet lease was stolen by another peer), or "preempted"
-	// when a drain or fairness preemption parked the job resumable
-	// mid-run.
+	// with (internal/jobd): "done", "failed", "canceled", or
+	// "preempted" when a drain or fairness preemption parked the job
+	// resumable mid-run.
 	State string `json:"state,omitempty"`
-
-	// Fleet provenance (internal/fleet). FleetPeer names the peer that
-	// wrote this manifest; LeaseEpoch is the fencing epoch its lease
-	// held at write time. A reader auditing a chaos-battered fleet run
-	// can order competing manifests by epoch: higher epoch wins, and a
-	// peer must never write with an epoch below the lease file's.
-	FleetPeer  string `json:"fleetPeer,omitempty"`
-	LeaseEpoch int64  `json:"leaseEpoch,omitempty"`
 
 	// Restore/retry bookkeeping. A run resumed from a checkpoint stamps
 	// where it resumed from and keeps the failed attempts' outcomes in

@@ -42,45 +42,10 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// FleetStats is one fleet peer's point-in-time view of the multi-host
-// control plane, rendered into /metrics.prom alongside the simulator
-// families. Gauges describe the current state (jobs by phase);
-// counters are cumulative since peer start. The producer is
-// internal/fleet; obsv only renders, so the dependency stays one-way.
-type FleetStats struct {
-	Peer string `json:"peer"`
-	// Jobs by phase: owned (unpublished leases this peer holds),
-	// queued (published jobs without a result yet, fleet-wide),
-	// finalized (published results, fleet-wide).
-	OwnedJobs     int `json:"ownedJobs"`
-	QueuedJobs    int `json:"queuedJobs"`
-	FinalizedJobs int `json:"finalizedJobs"`
-	// Cumulative counters.
-	Steals        int64 `json:"steals"`
-	FenceRefusals int64 `json:"fenceRefusals"`
-	// ScanReads counts control-plane file-content reads by the peer
-	// loop: what its ticks cost the shared filesystem.
-	ScanReads int64 `json:"scanReads"`
-}
-
-// writeFleetStats renders the fleet families. The jobs gauge carries
-// the full phase label set even when zero, so dashboards never see
-// series flap in and out.
-func writeFleetStats(w io.Writer, f *FleetStats) {
-	fmt.Fprintln(w, "# TYPE attila_fleet_jobs gauge")
-	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"owned\"} %d\n", f.OwnedJobs)
-	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"queued\"} %d\n", f.QueuedJobs)
-	fmt.Fprintf(w, "attila_fleet_jobs{phase=\"finalized\"} %d\n", f.FinalizedJobs)
-	fmt.Fprintf(w, "# TYPE attila_fleet_steals_total counter\nattila_fleet_steals_total %d\n", f.Steals)
-	fmt.Fprintf(w, "# TYPE attila_fleet_fence_refusals_total counter\nattila_fleet_fence_refusals_total %d\n", f.FenceRefusals)
-	fmt.Fprintf(w, "# TYPE attila_fleet_scan_reads_total counter\nattila_fleet_scan_reads_total %d\n", f.ScanReads)
-}
-
-// WriteOpenMetrics renders the bus's cumulative statistics, the span
-// collector's latency histograms, and the fleet peer's control-plane
-// view (any may be nil) as an OpenMetrics text page terminated by
-// # EOF.
-func WriteOpenMetrics(w io.Writer, bus *Bus, spans *trace.Collector, fleet *FleetStats) error {
+// WriteOpenMetrics renders the bus's cumulative statistics and the
+// span collector's latency histograms (either may be nil) as an
+// OpenMetrics text page terminated by # EOF.
+func WriteOpenMetrics(w io.Writer, bus *Bus, spans *trace.Collector) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if bus != nil {
 		fmt.Fprintf(bw, "# TYPE attila_run_cycles gauge\nattila_run_cycles %d\n", bus.Cycle())
@@ -110,9 +75,6 @@ func WriteOpenMetrics(w io.Writer, bus *Bus, spans *trace.Collector, fleet *Flee
 				fmt.Fprintf(bw, "attila_gauge{stat=%q} %s\n", escapeLabel(n), fmtFloat(vals[n]))
 			}
 		}
-	}
-	if fleet != nil {
-		writeFleetStats(bw, fleet)
 	}
 	if spans != nil {
 		sum := spans.Snapshot()

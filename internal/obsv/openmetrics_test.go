@@ -156,57 +156,6 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	}
 }
 
-// TestFleetStatsExpositionLints: the fleet families render alongside
-// the simulator families, pass the lint, and always carry the full
-// phase label set so scrapers never see series flap.
-func TestFleetStatsExpositionLints(t *testing.T) {
-	fleet := &FleetStats{
-		Peer:          "peer-a",
-		OwnedJobs:     2,
-		QueuedJobs:    7,
-		FinalizedJobs: 3,
-		Steals:        4,
-		FenceRefusals: 2, ScanReads: 123,
-	}
-	var buf strings.Builder
-	if err := WriteOpenMetrics(&buf, nil, nil, fleet); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if err := LintOpenMetrics(strings.NewReader(text)); err != nil {
-		t.Fatalf("fleet exposition fails lint: %v\n%s", err, text)
-	}
-	for _, want := range []string{
-		`attila_fleet_jobs{phase="owned"} 2`,
-		`attila_fleet_jobs{phase="queued"} 7`,
-		`attila_fleet_jobs{phase="finalized"} 3`,
-		"attila_fleet_steals_total 4",
-		"attila_fleet_fence_refusals_total 2",
-		"attila_fleet_scan_reads_total 123",
-		"# EOF",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("fleet exposition missing %q\n%s", want, text)
-		}
-	}
-
-	// Rendered together with bus metrics, the combined page must still
-	// lint (no duplicate TYPEs or series across sections).
-	sim, _, _ := buildTestSim(25)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	bus.Flush()
-	var both strings.Builder
-	if err := WriteOpenMetrics(&both, bus, tracedCollector(), fleet); err != nil {
-		t.Fatal(err)
-	}
-	if err := LintOpenMetrics(strings.NewReader(both.String())); err != nil {
-		t.Fatalf("combined exposition fails lint: %v\n%s", err, both.String())
-	}
-}
-
 // TestLintOpenMetricsRejects: the lint must catch the malformed
 // expositions `make check` guards against.
 func TestLintOpenMetricsRejects(t *testing.T) {

@@ -32,8 +32,8 @@ type ServerOptions struct {
 	Checkpoint func() *CheckpointStatus
 	// Jobs, when non-nil, is mounted under /jobs, /sweeps and /fleet:
 	// the job server's HTTP API (internal/jobd) for submitting,
-	// watching, and canceling supervised runs, plus the fleet-level
-	// merged metrics.
+	// watching, and canceling supervised runs, plus its latency
+	// histograms merged across jobs.
 	Jobs http.Handler
 	// Spans, when non-nil, is the span collector: /spans serves the
 	// retained sampled spans as NDJSON, and /metrics.prom includes the
@@ -42,10 +42,6 @@ type ServerOptions struct {
 	// Ready, when non-nil, drives /readyz: false answers 503 (e.g. a
 	// draining job server). Nil means always ready.
 	Ready func() bool
-	// Fleet, when non-nil, snapshots the fleet peer's control-plane
-	// view for the /metrics.prom fleet families (peers by state, jobs
-	// by phase, steal/fence counters).
-	Fleet func() *FleetStats
 }
 
 // Server is the attilasim status server: a plain stdlib HTTP server
@@ -159,7 +155,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Jobs != nil {
 		fmt.Fprintln(w, "  /jobs         job server: submit/list/cancel supervised runs")
 		fmt.Fprintln(w, "  /sweeps       job server: submit/list sweeps")
-		fmt.Fprintln(w, "  /fleet        fleet-level merged job metrics")
+		fmt.Fprintln(w, "  /fleet        job latency histograms merged across jobs")
 	}
 	fmt.Fprintln(w, "  /debug/pprof  Go profiling")
 }
@@ -185,16 +181,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Bus == nil && s.opts.Spans == nil && s.opts.Fleet == nil {
-		http.Error(w, "no metrics bus, span collector, or fleet peer attached", http.StatusNotFound)
+	if s.opts.Bus == nil && s.opts.Spans == nil {
+		http.Error(w, "no metrics bus or span collector attached", http.StatusNotFound)
 		return
 	}
-	var fleet *FleetStats
-	if s.opts.Fleet != nil {
-		fleet = s.opts.Fleet()
-	}
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	_ = WriteOpenMetrics(w, s.opts.Bus, s.opts.Spans, fleet)
+	_ = WriteOpenMetrics(w, s.opts.Bus, s.opts.Spans)
 }
 
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
@@ -217,7 +209,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.opts.Ready != nil && !s.opts.Ready() {
-		// Load balancers and fleet peers polling readiness get a hint
+		// Load balancers and clients polling readiness get a hint
 		// for when to try again instead of hammering a draining server.
 		w.Header().Set("Retry-After", "30")
 		w.WriteHeader(http.StatusServiceUnavailable)

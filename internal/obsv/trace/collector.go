@@ -248,7 +248,7 @@ type ClientSummary struct {
 }
 
 // Summary is the collector's cumulative state: sampling config plus
-// per-client histograms. It is the /fleet/metrics merge unit.
+// per-client histograms, the unit a job server merges across its jobs.
 type Summary struct {
 	SampleRate uint64          `json:"sampleRate"`
 	Seed       uint64          `json:"seed"`

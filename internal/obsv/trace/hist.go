@@ -26,7 +26,7 @@ const NumBuckets = 40
 // Histogram is a fixed-shape log2-bucket latency histogram. The shape
 // is identical for every instance, which makes histograms mergeable by
 // plain bucket addition — across windows, across checkpoints, and
-// across jobs in a fleet. All fields are exported so the type
+// across a job server's jobs. All fields are exported so the type
 // round-trips through JSON unchanged.
 type Histogram struct {
 	N       uint64             `json:"count"`

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -367,21 +366,12 @@ func scenarioRetry(t *testing.T, workers int, session bool) []outputs {
 	return outs
 }
 
-// ---- shape 3: internal/jobd — spans + checkpoint + gate, forced capture ----
+// ---- shape 3: internal/jobd — spans + checkpoint, forced capture ----
 
-// jobHooks is what jobd.attempt adds on top of the assembly: the fence
-// and epoch on the engine, and a supervisory hook that forces a capture
-// at wantAt and stops the run once it has landed (a preemption).
+// jobHooks is what jobd.attempt adds on top of the assembly: a
+// supervisory hook that forces a capture at wantAt and stops the run
+// once it has landed (a preemption).
 func jobHooks(a *assembly, wantAt int64) {
-	a.eng.Gate = func() error {
-		// Refuse every other write, deterministically: a refused
-		// capture must leave no trace in either assembly.
-		if a.pipe.Cycles()%2 == 0 {
-			return errors.New("fenced")
-		}
-		return nil
-	}
-	a.eng.Epoch = func() int64 { return 7 }
 	if wantAt <= 0 {
 		return
 	}
