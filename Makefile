@@ -18,9 +18,11 @@ test:
 # /fleet/metrics merge under concurrent job completion, the
 # cancel/complete race, monotone progress, torn and out-of-order
 # state-file saves);
-# one pass of the shader emulator's step benchmark so it cannot rot;
-# then fuzz smokes over the trace reader and over the decoded shader
-# interpreter against its reference evaluator.
+# one pass each of the shader emulator's step benchmark and the GPU
+# memory's accessor benchmark so they cannot rot;
+# then fuzz smokes over the trace reader, the checkpoint's GPU memory
+# section decoder, and the decoded shader interpreter against its
+# reference evaluator.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(GO) vet ./...
@@ -29,7 +31,9 @@ check:
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
+	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
 # lint runs the static analyzers when they are installed (neither is
@@ -43,8 +47,9 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; fi
 
-# fuzz hammers every untrusted-input decoder: the trace reader and the
-# checkpoint container/section codec. Corrupt or truncated inputs must
+# fuzz hammers every untrusted-input decoder: the trace reader, the
+# checkpoint container/section codec and the GPU memory section
+# (mem.GPU) decoded through it. Corrupt or truncated inputs must
 # fail with typed errors, never panic or over-allocate. The shader
 # target is differential instead: random programs through the decoded
 # quad-at-a-time interpreter and the reference per-lane one must leave
@@ -54,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/chkpt
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/chkpt
+	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=30s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
 
 # loc prints non-test Go lines per directory (cmd/*, internal/*, the

@@ -95,8 +95,10 @@ func TestCacheWritebackOnEviction(t *testing.T) {
 	if !h.cache.Quiesce() {
 		t.Fatal("cache did not quiesce")
 	}
-	if h.gm.data[0] != 0xAA || h.gm.data[1] != 0xBB {
-		t.Fatalf("writeback lost: %#x %#x", h.gm.data[0], h.gm.data[1])
+	got := make([]byte, 2)
+	h.gm.ReadBytes(0, got)
+	if got[0] != 0xAA || got[1] != 0xBB {
+		t.Fatalf("writeback lost: %#x %#x", got[0], got[1])
 	}
 	// Refetch: data must round trip.
 	h.fetchLine(t, 0x0000)
@@ -197,9 +199,11 @@ func (compressHooks) Encode(key uint32, line []byte) (uint32, []byte) {
 
 func TestCacheCompressedFill(t *testing.T) {
 	h := newCacheHarness(t, DefaultCacheConfig("C"), compressHooks{})
-	for i := 0; i < 128; i++ {
-		h.gm.data[0x5000+i] = byte(i)
+	raw := make([]byte, 128)
+	for i := range raw {
+		raw[i] = byte(i)
 	}
+	h.gm.WriteBytes(0x5000, raw)
 	h.fetchLine(t, 0x5000)
 	buf := make([]byte, 4)
 	h.cache.Read(0x5000, 10, buf)
@@ -221,8 +225,9 @@ func TestCacheCompressedFill(t *testing.T) {
 	for i := 0; i < 500 && !h.cache.Quiesce(); i++ {
 		h.step()
 	}
-	if h.gm.data[0x5000] != 0x77 {
-		t.Fatalf("compressed writeback: %#x", h.gm.data[0x5000])
+	h.gm.ReadBytes(0x5000, raw[:1])
+	if raw[0] != 0x77 {
+		t.Fatalf("compressed writeback: %#x", raw[0])
 	}
 	if got := h.sim.Stats.Lookup("MC.writeBytes").Value(); got != 128 {
 		t.Fatalf("written bytes: %v", got)

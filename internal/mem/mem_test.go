@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 
 	"attila/internal/core"
@@ -32,6 +33,57 @@ func TestGPUMemoryBoundsPanic(t *testing.T) {
 		}
 	}()
 	m.Read32(126)
+}
+
+// A 64 MiB memory costs its page table until something is written: no
+// read, and no empty write, allocates a page.
+func TestNewGPUMemoryIsLazy(t *testing.T) {
+	buf := make([]byte, 300)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewGPUMemory(64 << 20)
+	m.ReadBytes(5*gpuMemPage-100, buf)
+	m.Read32(7*gpuMemPage - 2)
+	m.Read32(64)
+	m.WriteBytes(9*gpuMemPage, nil)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewGPUMemory(64 MiB) and reads allocated %d bytes, want < 64 KiB", got)
+	}
+	if m.Read32(9*gpuMemPage) != 0 {
+		t.Fatal("untouched memory is not zero")
+	}
+}
+
+// Alloc used to truncate n to 32 bits and mask with a non-power-of-two
+// align: a negative size moved the cursor back, a size past 4 GiB
+// reserved its low bits, and align 3 misaligned. Each must fail and
+// leave the cursor where it was; an exact fit at the end must not.
+func TestAllocatorRejectsBadSizes(t *testing.T) {
+	a := NewAllocator(0, 1024)
+	if _, err := a.Alloc(64, 64); err != nil {
+		t.Fatal(err)
+	}
+	type call struct {
+		n     int
+		align uint32
+	}
+	bad := []call{{-1, 64}, {10, 3}, {10, 48}}
+	if huge := uint64(1<<32 + 64); uint64(int(huge)) == huge { // a 64-bit int
+		bad = append(bad, call{int(huge), 64})
+	}
+	for _, c := range bad {
+		if addr, err := a.Alloc(c.n, c.align); err == nil {
+			t.Fatalf("Alloc(%d, %d) = %d, want an error", c.n, c.align, addr)
+		}
+	}
+	addr, err := a.Alloc(1024-64, 1)
+	if err != nil || addr != 64 {
+		t.Fatalf("exact fit after the refused calls: Alloc = %d, %v; want 64", addr, err)
+	}
+	if _, err := a.Alloc(1, 1); err == nil {
+		t.Fatal("a full arena accepted one more byte")
+	}
 }
 
 func TestAllocatorAlignment(t *testing.T) {

@@ -3,7 +3,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"attila/internal/chkpt"
 )
@@ -15,50 +14,27 @@ import (
 // persistent state is the memory image, the allocator cursor, the
 // controller's page/turnaround registers, and the cache line arrays.
 
-// gpuMemPage is the sparse-snapshot granule: pages that are entirely
-// zero (most of an idle GPU memory) are skipped.
-const gpuMemPage = 64 << 10
-
 // SnapshotName implements chkpt.Snapshotter.
 func (m *GPUMemory) SnapshotName() string { return "mem.GPU" }
 
-// page returns page idx of the memory; the last one may be short.
-func (m *GPUMemory) page(idx int) []byte {
-	off := idx * gpuMemPage
-	return m.data[off:min(off+gpuMemPage, len(m.data))]
-}
-
-// writtenPages returns the indices of the pages marked written, in
-// order.
-func (m *GPUMemory) writtenPages() []int {
-	var pages []int
-	for w, word := range m.written {
-		for ; word != 0; word &= word - 1 {
-			pages = append(pages, w<<6+bits.TrailingZeros64(word))
-		}
-	}
-	return pages
-}
-
 // SnapshotState writes the memory image sparsely: total size, then
-// (pageIndex, bytes) for every page with nonzero content. Only pages
-// marked written can have any, so the cost follows what the run wrote,
-// not the memory's size; a page written with zeros alone is still left
-// out.
+// (pageIndex, bytes) for every page with nonzero content. Only
+// allocated pages can have any, so the cost follows what the run
+// wrote, not the memory's size; a page written with zeros alone is
+// still left out.
 func (m *GPUMemory) SnapshotState(e *chkpt.Encoder) {
-	pages := m.writtenPages()
-	nonzero := pages[:0]
-	for _, idx := range pages {
-		if !isZero(m.page(idx)) {
+	var nonzero []int
+	for idx, pg := range m.pages {
+		if pg != nil && !isZero(pg) {
 			nonzero = append(nonzero, idx)
 		}
 	}
 	e.Grow(8 + 4 + len(nonzero)*(4+4+gpuMemPage))
-	e.U64(uint64(len(m.data)))
+	e.U64(uint64(m.size))
 	e.U32(uint32(len(nonzero)))
 	for _, idx := range nonzero {
 		e.U32(uint32(idx))
-		e.Blob(m.page(idx))
+		e.Blob(m.pages[idx])
 	}
 }
 
@@ -69,18 +45,13 @@ func (m *GPUMemory) RestoreState(d *chkpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if size != uint64(len(m.data)) {
-		return fmt.Errorf("%w: snapshot memory is %d bytes, machine has %d", chkpt.ErrMismatch, size, len(m.data))
+	if size != uint64(m.size) {
+		return fmt.Errorf("%w: snapshot memory is %d bytes, machine has %d", chkpt.ErrMismatch, size, m.size)
 	}
-	maxPages := (len(m.data) + gpuMemPage - 1) / gpuMemPage
-	if n > maxPages {
-		return fmt.Errorf("%w: %d pages exceeds the %d-page memory", chkpt.ErrCorrupt, n, maxPages)
+	if n > len(m.pages) {
+		return fmt.Errorf("%w: %d pages exceeds the %d-page memory", chkpt.ErrCorrupt, n, len(m.pages))
 	}
-	// Back to all zero: only marked pages can hold anything else.
-	for _, idx := range m.writtenPages() {
-		clear(m.page(idx))
-	}
-	clear(m.written)
+	clear(m.pages) // back to all zero
 	for i := 0; i < n; i++ {
 		idx := int(d.U32())
 		page := d.Blob()
@@ -88,7 +59,7 @@ func (m *GPUMemory) RestoreState(d *chkpt.Decoder) error {
 			return err
 		}
 		off := idx * gpuMemPage
-		if idx >= maxPages || off+len(page) > len(m.data) || len(page) > gpuMemPage {
+		if idx >= len(m.pages) || off+len(page) > m.size || len(page) > gpuMemPage {
 			return fmt.Errorf("%w: page %d/%d bytes outside memory", chkpt.ErrCorrupt, idx, len(page))
 		}
 		m.WriteBytes(uint32(off), page)
