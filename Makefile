@@ -12,7 +12,9 @@ test:
 # detector over the code that really runs goroutines — the simulator
 # core, the observability layer (the status server reads the bus and
 # profiler live), the one durable writer, the cancel watcher through the
-# GPU pipeline, and the jobd worker pool (chaos kill/panic/yank ->
+# GPU pipeline, the shader helper that runs segments ahead of the timing
+# model (inline, handed off and with the helper stalled, its panics and
+# its lifecycle), and the jobd worker pool (chaos kill/panic/yank ->
 # auto-resume -> byte-identical convergence, the SIGTERM drain/resume
 # path, the replay on a fresh machine when a checkpoint is refused, the
 # /fleet/metrics merge under concurrent job completion, the
@@ -28,6 +30,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/ ./internal/obsv/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Cancel' -count=1 .
+	$(GO) test -race -run '^TestRunAhead' -count=1 ./internal/gpu/
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancelCompleteStress$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu

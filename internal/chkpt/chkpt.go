@@ -32,6 +32,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"attila/internal/fsatomic"
@@ -213,10 +214,9 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(w)
 	for _, p := range pieces {
 		if _, err := zw.Write(p); err != nil {
 			return err
@@ -237,6 +237,14 @@ func (s *Snapshot) WriteFile(path string) error {
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// gzipWriters keeps Encode's BestSpeed compressors, about 1.2 MB of
+// tables each, for the next checkpoint: Reset gives the stream a writer
+// would start anew, header included. jobd workers encode side by side.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level: no error
+	return zw
+}}
 
 // Read parses a checkpoint stream, verifying magic, version, payload
 // length and CRC before decoding any structure. All failures carry a

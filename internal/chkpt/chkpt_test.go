@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -476,5 +479,31 @@ func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Errorf("%d sections: %v", len(sections), err)
 		}
+	}
+}
+
+// Encode keeps its compressor for the next checkpoint: after a warm-up
+// call, encoding a small snapshot allocates the pieces and section
+// prefixes, not the ~1.2 MB of tables a fresh BestSpeed writer brings.
+// The least of ten calls is taken: a collection may empty the pool, and
+// under the race detector the pool drops a quarter of what it is given.
+func TestEncodeReusesCompressor(t *testing.T) {
+	snap := Capture(Meta{Cycle: 1, Config: "c", Workload: "w"}, testParts())
+	encode := func() {
+		if err := snap.Encode(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 10; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		encode()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("an Encode allocates %d bytes after a warm-up call, want under 64 KiB", least)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"attila/internal/chkpt"
+	"attila/internal/core/coretest"
 )
 
 // buildFanout wires n independent producer/consumer pairs.
@@ -230,14 +230,17 @@ func TestEndCycleHookOrder(t *testing.T) {
 }
 
 // A Run is one goroutine: the loop clocks every box on the goroutine
-// that called Run, asked for workers or not, and a cancellable context
-// adds only its watcher.
+// that called Run, asked for workers or not; a cancellable context adds
+// only its watcher, and the Run leaves nothing behind. Only goroutines
+// started by this module's code are counted (coretest.Goroutines): the
+// runtime's and the test framework's come and go on their own.
 func TestRunIsOneGoroutine(t *testing.T) {
-	for _, cancellable := range []bool{false, true} {
+	for _, cancellable := range []bool{false, true, false} {
 		sim := NewSimulator(0)
 		consumers := buildFanout(sim, 4, 50)
 		sim.SetWorkers(2)
-		want := runtime.NumGoroutine()
+		before := coretest.Goroutines(t)
+		want := before
 		ctx := context.Background()
 		if cancellable {
 			var cancel context.CancelFunc
@@ -246,13 +249,16 @@ func TestRunIsOneGoroutine(t *testing.T) {
 			want++
 		}
 		sim.OnEndCycle(func(cycle int64) {
-			if got := runtime.NumGoroutine(); got != want {
+			if got := coretest.Goroutines(t); got != want {
 				t.Fatalf("cancellable=%v cycle %d: %d goroutines, want %d", cancellable, cycle, got, want)
 			}
 		})
 		sim.SetDone(allReceived(consumers, 50))
 		if err := sim.RunContext(ctx, 1000); err != nil {
 			t.Fatal(err)
+		}
+		if got := coretest.Goroutines(t); got != before {
+			t.Fatalf("cancellable=%v: %d goroutines after the run, %d before", cancellable, got, before)
 		}
 	}
 }

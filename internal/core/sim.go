@@ -12,9 +12,10 @@ import (
 
 // One clock loop. A Run clocks the boxes on the goroutine that called
 // it, in registration order; the only other goroutine is the context
-// watcher, which touches nothing but the stopped flag. Every signal has
-// latency >= 1, so a cycle's reads never observe that cycle's writes and
-// the order boxes are clocked in within a cycle cannot change a result.
+// watcher, which touches nothing but the stopped flag and has exited
+// when RunContext returns. Every signal has latency >= 1, so a cycle's
+// reads never observe that cycle's writes and the order boxes are
+// clocked in within a cycle cannot change a result.
 // State outside the signal model that one box writes and another reads
 // goes through a Publication, folded at the end of the cycle: the same
 // one-cycle visibility a wire of latency 1 has. The end of a cycle is
@@ -449,15 +450,20 @@ func (s *Simulator) RunContext(ctx context.Context, maxCycles int64) error {
 			// first cycle instead of racing the watcher goroutine.
 			s.stopped.Store(true)
 		} else {
-			quit := make(chan struct{})
+			quit, exited := make(chan struct{}), make(chan struct{})
 			go func() {
+				defer close(exited)
 				select {
 				case <-ctx.Done():
 					s.stopped.Store(true)
 				case <-quit:
 				}
 			}()
-			defer close(quit)
+			// The watcher is gone when RunContext returns.
+			defer func() {
+				close(quit)
+				<-exited
+			}()
 		}
 	}
 	if s.wd != nil {

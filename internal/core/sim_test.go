@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -214,6 +218,70 @@ func TestStatManagerCSV(t *testing.T) {
 	}
 	if !strings.Contains(sum.String(), "A.x,24") {
 		t.Fatalf("summary missing cumulative value: %q", sum.String())
+	}
+}
+
+// WriteCSV appends each value into its buffer where it used to format
+// it into a string of its own: the bytes must be what FormatFloat gave,
+// for the values whose text is easiest to get wrong.
+func TestWriteCSVMatchesFormatFloat(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1, -3, 1 << 53, 12345678901, 0.1, 1e-300, 1e300, -2.5e-7, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	m := NewStatManager(1)
+	gauges := make([]*Gauge, len(vals))
+	for i := range vals {
+		gauges[i] = m.Gauge(fmt.Sprintf("G.v%d", i))
+	}
+	for cyc := int64(1); cyc <= 3; cyc++ {
+		for i, g := range gauges {
+			g.Set(vals[(i+int(cyc))%len(vals)])
+		}
+		m.Tick(cyc)
+	}
+	var want strings.Builder
+	want.WriteString("cycle")
+	for _, s := range m.stats {
+		want.WriteString("," + s.StatName())
+	}
+	want.WriteString("\n")
+	for _, r := range m.rows {
+		want.WriteString(strconv.FormatInt(r.cycle, 10))
+		for _, d := range r.deltas {
+			want.WriteString("," + strconv.FormatFloat(d, 'g', -1, 64))
+		}
+		want.WriteString("\n")
+	}
+	var got bytes.Buffer
+	if err := m.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.rows) != 3 || got.String() != want.String() {
+		t.Fatalf("%d rows; CSV\n%s\nwant\n%s", len(m.rows), got.String(), want.String())
+	}
+}
+
+// WriteCSV's allocations do not grow with the table: a value is appended,
+// not formatted into a string, and the buffer is the last CSV's.
+func TestWriteCSVAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	for _, size := range [][2]int{{4, 3}, {120, 300}} { // stats, rows
+		m := NewStatManager(1)
+		for i := 0; i < size[0]; i++ {
+			m.Counter(fmt.Sprintf("Box%d.count", i)).Add(float64(i) * 1.5)
+		}
+		for cyc := int64(1); cyc <= int64(size[1]); cyc++ {
+			m.Tick(cyc)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := m.WriteCSV(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%d stats x %d rows: %.0f allocations a WriteCSV, want at most 1", size[0], size[1], allocs)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Stat is one named statistic collected during simulation. Stats are
@@ -293,26 +294,33 @@ func (m *StatManager) Samples(name string) (cycles []int64, deltas []float64) {
 }
 
 // WriteCSV dumps all interval samples: header row of stat names, then
-// one row per sample (counter deltas, gauge values).
+// one row per sample (counter deltas, gauge values). The text is
+// appended into one buffer, reused from the last CSV written, and
+// written once.
 func (m *StatManager) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("cycle")
+	bp := csvBufs.Get().(*[]byte)
+	defer csvBufs.Put(bp)
+	b := append((*bp)[:0], "cycle"...)
 	for _, s := range m.stats {
-		sb.WriteByte(',')
-		sb.WriteString(s.StatName())
+		b = append(b, ',')
+		b = append(b, s.StatName()...)
 	}
-	sb.WriteByte('\n')
+	b = append(b, '\n')
 	for _, r := range m.rows {
-		sb.WriteString(strconv.FormatInt(r.cycle, 10))
+		b = strconv.AppendInt(b, r.cycle, 10)
 		for _, d := range r.deltas {
-			sb.WriteByte(',')
-			sb.WriteString(strconv.FormatFloat(d, 'g', -1, 64))
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, d, 'g', -1, 64)
 		}
-		sb.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	_, err := io.WriteString(w, sb.String())
+	*bp = b
+	_, err := w.Write(b)
 	return err
 }
+
+// csvBufs holds WriteCSV's buffers: jobd workers write side by side.
+var csvBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteSummary dumps the cumulative value of every stat, one per
 // line, sorted by name.

@@ -142,7 +142,7 @@ type Config struct {
 	// Workers is ignored: a vestige of the parallel clock loop, kept
 	// where it was because ConfigFingerprint formats this struct and old
 	// checkpoints carry it (ROADMAP item 7). > 1 logs one warning per
-	// process; a run always uses one goroutine.
+	// process; a run always uses one clock goroutine.
 	Workers int
 
 	// WatchdogWindow arms the no-progress watchdog: a run with no

@@ -48,3 +48,10 @@ func (cp *CommandProcessor) Streaming() bool { return cp.streaming() }
 // ignored Config.Workers, so a test can count the warnings of a fresh
 // process.
 func ResetWorkersWarning() { warnWorkers = sync.Once{} }
+
+// SetRunAhead sets, for the runs that follow, the shortest shader
+// segment handed to the run's helper goroutine (math.MaxInt: none) and a
+// function the helper calls before each Step it runs (nil: none).
+func (p *Pipeline) SetRunAhead(min int, beforeStep func()) {
+	p.ahead.min, p.ahead.beforeStep = min, beforeStep
+}

@@ -200,6 +200,10 @@ type BatchState struct {
 	// read-only by all threads of the batch.
 	fragEmu *shaderemu.Emulator
 	vtxEmu  *shaderemu.Emulator
+	// A thread of the batch has run the program through END on the clock
+	// goroutine without a fault: from then on its long segments may run
+	// on the helper (ShaderUnit.dispatch).
+	fragClean, vtxClean bool
 
 	// wakes is who the batch announces its retirement to; nil for a
 	// batch built outside a command processor.

@@ -88,6 +88,8 @@ type Pipeline struct {
 
 	alloc *mem.Allocator
 	w, h  int
+
+	ahead runAhead // the shader helper of every Run
 }
 
 // flow provides a signal under the producer's name and binds it for
@@ -239,6 +241,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 		p.shaders[i] = NewShaderUnit(sim, &cfg, i, vertexOnly,
 			shaderIn[i], shaderOut[i], texFromShader[i], texToShader[i])
 	}
+	p.ahead.init(p.shaders)
 	NewTexCrossbar(sim, texFromShader, texToTU, texFromTU, texToShader)
 	p.tus = make([]*TextureUnit, nTU)
 	for i := 0; i < nTU; i++ {
@@ -278,12 +281,10 @@ func (p *Pipeline) TraceSignals(t core.Tracer) { p.Sim.Binder.SetTracer(t) }
 // port and the shader-work scheduler get a tracing handle, a sampled
 // fraction of their requests carry pooled span records through the
 // machine, and the returned collector folds terminations into
-// per-client latency histograms at the cycle barrier.
-//
-// Call after New and BEFORE attaching any barrier consumer that reads
-// the collector (the metrics bus): barrier hooks run in registration
-// order, and windowed percentiles must see the current cycle's
-// terminations. The collector also feeds the crash flight recorder.
+// per-client latency histograms at the end of each cycle one
+// terminated in — a publication, folded before every end-of-cycle
+// hook, so the metrics bus sees the current cycle's terminations. The
+// collector also feeds the crash flight recorder.
 func (p *Pipeline) EnableSpanTracing(opts trace.Options) *trace.Collector {
 	col := trace.NewCollector(opts)
 	// Client registration order is the fold order and therefore part
@@ -302,7 +303,7 @@ func (p *Pipeline) EnableSpanTracing(opts trace.Options) *trace.Collector {
 		t.cache.SetTracer(col.Client(nameIdx("TexCache", i)))
 	}
 	p.ffifo.SetTracers(col.Client("FFIFO.vtx"), col.Client("FFIFO.frag"))
-	p.Sim.OnEndCycle(col.EndCycle)
+	col.Attach(p.Sim)
 	p.Sim.SetFlightRecorder(col.Recent)
 	return col
 }
@@ -321,7 +322,7 @@ func (p *Pipeline) Height() int { return p.h }
 // Run executes the command stream to completion (or the cycle limit).
 func (p *Pipeline) Run(cmds []Command, maxCycles int64) error {
 	p.CP.SetCommands(cmds)
-	return p.Sim.Run(maxCycles)
+	return p.simulate(context.Background(), maxCycles)
 }
 
 // RunContext is Run with cooperative cancellation: when ctx is
@@ -331,6 +332,15 @@ func (p *Pipeline) Run(cmds []Command, maxCycles int64) error {
 // contract.
 func (p *Pipeline) RunContext(ctx context.Context, cmds []Command, maxCycles int64) error {
 	p.CP.SetCommands(cmds)
+	return p.simulate(ctx, maxCycles)
+}
+
+// simulate is the clock loop of every run entry point, with the Run's
+// shader helper goroutine beside it (runahead.go). The helper has
+// drained and exited when it returns, whatever ended the run.
+func (p *Pipeline) simulate(ctx context.Context, maxCycles int64) error {
+	p.ahead.start(p.shaders)
+	defer p.ahead.stop(p.shaders)
 	return p.Sim.RunContext(ctx, maxCycles)
 }
 

@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"attila/internal/core"
 	"attila/internal/emu/fragemu"
@@ -52,10 +53,24 @@ type shaderThread struct {
 	state   threadState
 	work    *ShaderWork
 	emu     *shaderemu.Emulator
-	ops     []isa.Decoded // emu's program, decoded
-	t       *shaderemu.Thread
+	ops     []isa.Decoded       // emu's program, decoded
+	pc      int                 // timing PC: the next instruction to issue
 	ready   [isa.MaxTemps]int64 // temp register scoreboard
 	pending *TexReqMsg
+
+	// The functional side (runahead.go). t is the thread's state; it runs
+	// ahead of pc, segment by segment, and is read only after a join.
+	t         *shaderemu.Thread
+	clean     *bool         // the batch's: its program has run through END here, no fault
+	handedOff bool          // a segment went to the helper and is not joined yet
+	seg       atomic.Uint32 // that segment's state: segQueued, segRunning, segDone
+	// raised is a recovered Step panic and raisedAt the PC of the
+	// instruction that raised it, written by whoever ran the segment;
+	// faultPC is raisedAt once the timing side has it (settle), else
+	// math.MaxInt.
+	raised   any
+	raisedAt int
+	faultPC  int
 }
 
 // ShaderUnit is one multithreaded shader processor (paper §2.3): an
@@ -72,6 +87,8 @@ type ShaderUnit struct {
 	workOut *Flow
 	texReq  *Flow // to crossbar (nil for vertex-only units)
 	texRep  *Flow // from crossbar
+
+	ahead *runAhead // the Run's helper goroutine; nil outside Pipeline runs
 
 	threads []shaderThread
 	sched   issueSched                // which thread issues next; holds rr
@@ -182,7 +199,7 @@ func (s *ShaderUnit) setState(i int, ns threadState) {
 // texture path. It changes only when the thread issues, arrives or
 // gets its texels back.
 func (s *ShaderUnit) wake(th *shaderThread) int64 {
-	op := &th.ops[th.t.PC]
+	op := &th.ops[th.pc]
 	wake := int64(0)
 	if op.Texture && s.texReq == nil {
 		wake = math.MaxInt64
@@ -227,6 +244,7 @@ func (s *ShaderUnit) completeTextures(cycle int64) {
 		if dst.Bank == isa.BankTemp {
 			th.ready[dst.Index] = cycle + 1
 		}
+		s.dispatch(th)
 		s.setState(rep.Slot, threadRunning)
 		if sp := rep.spent; sp != nil {
 			rep.spent = nil
@@ -250,13 +268,16 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 			panic("gpu: shader received work with no free thread (flow credits broken)")
 		}
 		th := &s.threads[slot]
-		emu := w.Batch.fragEmu
+		emu, clean := w.Batch.fragEmu, &w.Batch.fragClean
 		if w.Kind == workVertex {
-			emu = w.Batch.vtxEmu
+			emu, clean = w.Batch.vtxEmu, &w.Batch.vtxClean
 		}
 		th.work = w
 		th.emu = emu
 		th.ops = emu.Program().Decoded()
+		th.pc = 0
+		th.clean = clean
+		th.raised, th.faultPC = nil, math.MaxInt
 		if th.t == nil {
 			th.t = emu.NewThread()
 		} else {
@@ -278,6 +299,7 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 				th.t.In[l] = w.Frag.In[l]
 			}
 		}
+		s.dispatch(th)
 		s.setState(slot, threadRunning)
 		s.seq++
 	}
@@ -337,18 +359,27 @@ func (s *ShaderUnit) issue(cycle int64) int {
 	return issued
 }
 
-// execute issues the next instruction of running thread i.
+// execute issues the next instruction of running thread i, from the
+// decoded program: the functional side has run it already, or will by
+// the join.
 func (s *ShaderUnit) execute(cycle int64, i int) {
 	th := &s.threads[i]
-	op := th.emu.Step(th.t)
+	op := &th.ops[th.pc]
+	if op.Texture {
+		th.join() // the request carries the coordinates
+	}
+	if th.pc >= th.faultPC {
+		panic(th.raised) // where Step raised it
+	}
+	th.pc++
 	s.statInstr.Inc()
 	switch {
-	case th.t.Blocked != nil:
+	case op.Texture:
 		msg := s.getTexReq()
 		msg.DynObject = core.DynObject{ID: th.work.ID, Parent: th.work.Parent, Tag: "texreq"}
 		msg.Shader, msg.Slot = s.idx, i
 		msg.Req = th.t.Blocked
-		msg.Texture = th.work.Batch.State.Textures[th.t.Blocked.Sampler]
+		msg.Texture = th.work.Batch.State.Textures[op.Sampler]
 		if s.texReq.CanSend(cycle, 1) {
 			s.texReq.Send(cycle, msg)
 			s.setState(i, threadBlockedTex)
@@ -356,7 +387,7 @@ func (s *ShaderUnit) execute(cycle int64, i int) {
 			th.pending = msg
 			s.setState(i, threadWaitSend)
 		}
-	case th.t.Done:
+	case op.Op == isa.END:
 		s.setState(i, threadDone)
 	default:
 		if op.HasDst && op.Dst.Bank == isa.BankTemp {
@@ -377,6 +408,10 @@ func (s *ShaderUnit) retire(cycle int64) {
 		}
 		if !s.workOut.CanSend(cycle, 1) {
 			return
+		}
+		th.join() // the outputs and the KIL mask
+		if th.faultPC != math.MaxInt {
+			panic(th.raised)
 		}
 		w := th.work
 		if w.Kind == workVertex {

@@ -555,7 +555,7 @@ func (p *Pipeline) RestoreCheckpoint(snap *chkpt.Snapshot, cmds []Command, extra
 // RestoreCheckpoint is preserved (unlike Run/RunContext, no
 // SetCommands reset happens here).
 func (p *Pipeline) ResumeContext(ctx context.Context, maxCycles int64) error {
-	return p.Sim.RunContext(ctx, maxCycles)
+	return p.simulate(ctx, maxCycles)
 }
 
 // MemController exposes the memory controller (fault injection,

@@ -34,8 +34,8 @@ type Options struct {
 // Tracer is one client's tracing handle: it owns the client's span
 // free list, issue counter and terminated-span buffer. All methods
 // are called from the goroutine clocking the client's box; the
-// Collector drains the buffer at the cycle barrier, which the
-// barrier's happens-before makes race-free.
+// Collector drains the buffer at the end of a cycle a span terminated
+// in, which the barrier's happens-before makes race-free.
 type Tracer struct {
 	col  *Collector
 	name string
@@ -71,8 +71,13 @@ func (t *Tracer) Start(kind Kind, cycle int64, addr uint32) *Span {
 	return sp
 }
 
-// finish queues a terminated span for the barrier fold.
-func (t *Tracer) finish(sp *Span) { t.done = append(t.done, sp) }
+// finish queues a terminated span for the fold at the end of the cycle.
+func (t *Tracer) finish(sp *Span) {
+	t.done = append(t.done, sp)
+	if pub := t.col.pub; pub != nil {
+		pub.Mark()
+	}
+}
 
 // clientStats is one client's aggregated latency breakdown.
 type clientStats struct {
@@ -93,13 +98,13 @@ type note struct {
 // Collector aggregates terminated spans from every registered client
 // at the cycle barrier, in registration order — so histograms, span
 // dumps and everything derived from them are identical from run to
-// run. Attach its EndCycle to the simulator BEFORE any consumer
-// that reads it at the barrier (the metrics bus), and its Recent to
+// run. Attach it to the simulator, and its Recent to
 // Simulator.SetFlightRecorder for the crash black box.
 type Collector struct {
 	opts    Options
 	clients []*Tracer
 	index   map[string]*Tracer
+	pub     *core.Publication // marked when a span terminates; nil until Attach
 
 	mu    sync.Mutex
 	stats []*clientStats
@@ -138,11 +143,18 @@ func (c *Collector) Client(name string) *Tracer {
 	return t
 }
 
+// Attach makes the collector's fold a publication of sim: a cycle on
+// which a span terminated ends with EndCycle, and no other cycle pays
+// for it. Publications fold before every end-of-cycle hook, so the
+// metrics bus and the checkpoint engine see the cycle's terminations
+// whenever they were attached.
+func (c *Collector) Attach(sim *core.Simulator) { c.pub = sim.Publish("", c.EndCycle) }
+
 // EndCycle is the barrier fold: it drains every client's terminated
 // spans — in registration order — into the histograms and the span
-// ring, then recycles the span records. Attach with
-// Simulator.OnEndCycle before the metrics bus so windowed percentiles
-// see the current cycle's terminations.
+// ring, then recycles the span records. An attached collector runs it
+// at the end of each cycle a span terminated in; a harness without a
+// simulator calls it itself.
 func (c *Collector) EndCycle(cycle int64) {
 	c.mu.Lock()
 	for i, t := range c.clients {

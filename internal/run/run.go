@@ -142,10 +142,12 @@ func StartOrReplay(spec Spec, logf func(format string, args ...any)) (*Session, 
 }
 
 // attach installs the observers the spec asks for. Barrier hooks run in
-// registration order (core.Simulator.OnEndCycle), so the order of the
-// statements below IS the hook order, and the one place it is written:
+// registration order (core.Simulator.OnEndCycle), after the cycle's
+// publications have folded, so the order of the statements below IS the
+// barrier order, and the one place it is written:
 //
-//  1. span collector: folds the spans that terminated this cycle
+//  1. span collector: a publication, not a hook — it folds the spans
+//     that terminated this cycle before any hook runs
 //  2. metrics bus: samples the folded state
 //  3. profiler: a clock observer, no barrier hook
 //  4. chaos injector: clock gate, memory transaction fault, and the
