@@ -1,5 +1,11 @@
 GO ?= go
 
+# gofmt_gate fails, naming them, when tracked Go files are not gofmt-clean.
+define gofmt_gate
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
+endef
+
 .PHONY: build test check lint bench fuzz profile awake loc
 
 build:
@@ -27,6 +33,7 @@ test:
 # reference evaluator.
 # Everything else, byte identity included, is in `make test`.
 check:
+	$(gofmt_gate)
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/ ./internal/obsv/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Cancel' -count=1 .
@@ -39,11 +46,13 @@ check:
 	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 
-# lint runs the static analyzers when they are installed (neither is
-# vendored; the build must not depend on network installs). staticcheck
-# catches bug-prone constructs go vet misses; govulncheck flags known
-# CVEs reachable from this module.
+# lint fails on any tracked Go file gofmt would change, then runs the
+# static analyzers when they are installed (neither is vendored; the
+# build must not depend on network installs). staticcheck catches
+# bug-prone constructs go vet misses; govulncheck flags known CVEs
+# reachable from this module.
 lint:
+	$(gofmt_gate)
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi

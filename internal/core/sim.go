@@ -57,9 +57,9 @@ import (
 // rate times the cycles gone by, read off the simulator's cycle
 // register, which the end of the cycle advances before anything samples
 // a statistic — so the interval CSV, the summary, a checkpoint's stats
-// section and every BusyCycles reader see at each barrier the number the
-// skipped Clocks would have written, with no timer and no credit paid
-// late. The loop folds the sum into the counter before the box's next
+// section and every BoxInfo.Busy reader see at each barrier the number
+// the skipped Clocks would have written, with no timer and no credit
+// paid late. The loop folds the sum into the counter before the box's next
 // Clock, and the end of a Run folds what is still accruing. The accrual
 // starts only with a granted park: one refused for an input in flight
 // leaves the box awake to count for itself next cycle.
@@ -271,7 +271,7 @@ type Simulator struct {
 
 	// The watchdog's fingerprint, kept as it moves (see activity): every
 	// wire's traffic (Signal.prodTally, consTally), every Progress counter
-	// of a reporter box, and the reporters' position registers.
+	// and every box's Steps.
 	produced, consumed, progress uint64
 	steps                        []*int
 
@@ -362,8 +362,8 @@ func (s *Simulator) SetClockGate(g ClockGate) { s.gate = g }
 
 // WatchdogProgress reports the armed watchdog's view of forward
 // progress: the last cycle with observed activity and the cumulative
-// activity fingerprint (total signal traffic plus every
-// ProgressReporter counter). ok is false when no watchdog is armed.
+// activity fingerprint (total signal traffic plus every Progress
+// counter and position register). ok is false when no watchdog is armed.
 // Call from an OnEndCycle hook, or outside Run.
 func (s *Simulator) WatchdogProgress() (lastProgress int64, fingerprint uint64, ok bool) {
 	if s.wd == nil {
@@ -381,10 +381,10 @@ func (s *Simulator) SetDone(done func() bool) { s.done = done }
 // ignored. Kept for the benchmark's idle kernel (ROADMAP item 7).
 func (s *Simulator) SetWorkers(n int) {}
 
-// SetWatchdog arms the progress watchdog: if no signal traffic and no
-// ProgressReporter counter changes for window consecutive cycles, Run
-// aborts with a *DeadlockError carrying a structured report instead
-// of spinning to the cycle budget. Pass 0 to disable (the default).
+// SetWatchdog arms the progress watchdog: if no signal traffic, no
+// Progress counter and no box's Steps change for window consecutive
+// cycles, Run aborts with a *DeadlockError carrying a structured report
+// instead of spinning to the cycle budget. Pass 0 to disable (the default).
 // The watchdog runs at the end of the cycle and does not perturb timing.
 func (s *Simulator) SetWatchdog(window int64) {
 	if window <= 0 {
@@ -794,8 +794,9 @@ func (s *Simulator) popWakeup() wakeup {
 // by box: each box's BoxBase, all of them awake; each signal's consumer
 // box (woken by writes, and the wires a parking box must find empty;
 // Binder.Own names the box behind a wire end registered under another
-// name) and the tallies its traffic counts into; each reporter's
-// counters; and each publication's reader box.
+// name) and the tallies its traffic counts into; every Progress
+// counter's tally and each box's Steps; and each publication's reader
+// box.
 //
 // The tallies start from what their wires and counters have counted so
 // far, so that they always add up to what those say themselves.
@@ -810,6 +811,10 @@ func (s *Simulator) wire() {
 	byName := make(map[string]*BoxBase)
 	s.produced, s.consumed, s.progress = 0, 0, 0
 	s.steps = s.steps[:0]
+	for _, p := range s.Stats.progress {
+		p.tally = &s.progress
+		s.progress += uint64(p.v)
+	}
 	for i, b := range s.boxes {
 		s.awake[i>>6] |= 1 << (i & 63)
 		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
@@ -819,14 +824,7 @@ func (s *Simulator) wire() {
 			s.bases[i] = base
 			byName[b.BoxName()] = base
 		}
-		if r, ok := b.(ProgressReporter); ok {
-			counters, steps := r.ProgressTerms()
-			for _, p := range counters {
-				p.tally = &s.progress
-				s.progress += uint64(p.v)
-			}
-			s.steps = append(s.steps, steps...)
-		}
+		s.steps = append(s.steps, InfoOf(b).Steps...)
 	}
 	for _, sig := range s.Binder.order {
 		sig.reader = byName[s.Binder.boxOf(s.Binder.consumers[sig.name])]
@@ -843,10 +841,10 @@ func (s *Simulator) wire() {
 }
 
 // activity returns the three sums of the watchdog's fingerprint: the
-// objects written to and read from all wires so far, and the reporters'
-// progress terms — what summing Signal.Traffic over the Binder and the
-// terms over the boxes gives — from the tallies and the position
-// registers. For the end of a cycle of a Run.
+// objects written to and read from all wires so far, and the Progress
+// counters plus the boxes' Steps — what summing Signal.Traffic over the
+// Binder and the terms over the boxes gives — from the tallies and the
+// position registers. For the end of a cycle of a Run.
 func (s *Simulator) activity() (prod, cons, silent uint64) {
 	silent = s.progress
 	for _, p := range s.steps {

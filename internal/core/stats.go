@@ -76,9 +76,13 @@ func (c *Counter) Inc() { c.v++ }
 func (c *Counter) Add(n float64) { c.v += n }
 
 // Progress is a Counter each of whose steps is forward progress of the
-// machine (see ProgressReporter). It also counts into the simulator's
+// machine: progress with no signal traffic (cache-hit filtering,
+// instruction execution, quads retired in place). Only genuinely
+// forward-moving counters qualify — busy and stall counters tick while
+// deadlocked and would mask a hang. It also counts into the simulator's
 // progress tally, so that the watchdog reads one word for all of them.
-// Register with ShadowProgress.
+// Register with ShadowProgress: registering is what declares it to the
+// watchdog.
 type Progress struct {
 	Counter
 	tally *uint64 // the simulator's (Simulator.wire); own before any Run
@@ -133,6 +137,7 @@ func (g *Gauge) Set(v float64) {
 // cycle.
 type StatManager struct {
 	stats    []Stat
+	progress []*Progress // the ShadowProgress registrations, in order
 	byName   map[string]Stat
 	interval int64
 	rows     []sampleRow
@@ -175,10 +180,12 @@ func (m *StatManager) ShadowCounter(c *Counter, name string) {
 	m.register(c)
 }
 
-// ShadowProgress is ShadowCounter for a Progress field.
+// ShadowProgress is ShadowCounter for a Progress field, and declares it
+// forward progress to the watchdog.
 func (m *StatManager) ShadowProgress(p *Progress, name string) {
 	p.tally = &p.own
 	m.ShadowCounter(&p.Counter, name)
+	m.progress = append(m.progress, p)
 }
 
 // Gauge creates and registers a Gauge with the given name.

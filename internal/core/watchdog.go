@@ -6,17 +6,38 @@ import (
 	"strings"
 )
 
-// ProgressReporter is implemented by boxes whose forward progress is
-// not fully visible as signal traffic (cache-resident texture
-// filtering, fast-clear block state updates, command stream
-// advancement). ProgressTerms names what moves when the box does: event
-// counters and position registers, each a non-negative integer that
-// only grows while a Run lasts; the watchdog treats any change as
-// activity. It is asked when a Run starts: the counters then count into
-// the simulator's tally, the registers are read in place — at the end of
-// the cycle, like every reporter.
-type ProgressReporter interface {
-	ProgressTerms() (counters []*Progress, steps []*int)
+// BoxInfo is what a box tells the framework about itself: everything
+// the watchdog, the deadlock report, the metrics bus and the checkpoint
+// gate read of it besides its statistics. Every field is optional.
+//
+// Forward progress is declared where the counter is registered
+// (StatManager.ShadowProgress), not here: Steps names only position
+// registers, non-negative integers that only grow while a Run lasts
+// and are read in place. Busy counts the cycles the box did useful
+// work. Queues snapshots its internal queues and credit pools; Quiet
+// reports that it holds no transient state a checkpoint would lose,
+// beyond what the global idle predicate already implies. Everything is
+// read at the end of the cycle.
+type BoxInfo struct {
+	Steps  []*int
+	Busy   *Counter
+	Queues func() []QueueStat
+	Quiet  func() bool
+}
+
+// Introspector is implemented by a box that describes itself. Each
+// reader asks once per machine or Run and keeps what it is told.
+type Introspector interface {
+	Introspect() BoxInfo
+}
+
+// InfoOf returns what b says of itself: the zero BoxInfo when it is no
+// Introspector.
+func InfoOf(b Box) BoxInfo {
+	if in, ok := b.(Introspector); ok {
+		return in.Introspect()
+	}
+	return BoxInfo{}
 }
 
 // QueueStat describes one internal queue or credit pool of a box for
@@ -28,22 +49,6 @@ type QueueStat struct {
 	Name     string `json:"name"`
 	Occupied int    `json:"occupied"`
 	Capacity int    `json:"capacity"`
-}
-
-// StallReporter is implemented by boxes that can describe their
-// internal queue and credit occupancy. The watchdog collects these
-// snapshots into the deadlock report; they are read at the end of the
-// cycle.
-type StallReporter interface {
-	Queues() []QueueStat
-}
-
-// BusyReporter is implemented by boxes that count the cycles they did
-// useful work. The observability layer (internal/obsv) derives
-// per-box utilization from the counter's per-window delta. Like the
-// other reporter interfaces it is read at the end of the cycle.
-type BusyReporter interface {
-	BusyCycles() float64
 }
 
 // SignalState is the deadlock-report snapshot of one signal with
@@ -164,14 +169,14 @@ func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 const recentWindow = 32
 
 // watchdog tracks per-cycle forward progress: total signal traffic
-// plus every ProgressReporter box's terms. It runs at the end of every
-// cycle.
+// plus every Progress counter and every box's Steps. It runs at the end
+// of every cycle.
 //
 // Every term of the fingerprint is an integer that never decreases, so
 // the sum moves exactly when some term does, whatever it is summed
 // from: it comes from the simulator's tallies (Simulator.activity), not
-// from a walk over the wires and the reporters, and equals that walk's
-// result.
+// from a walk over the wires, the counters and the steps, and equals
+// that walk's result.
 type watchdog struct {
 	window int64
 
@@ -244,8 +249,8 @@ func (w *watchdog) report(s *Simulator, cycle int64) *DeadlockReport {
 	}
 	for _, b := range s.boxes {
 		st := BoxState{Name: b.BoxName()}
-		if sr, ok := b.(StallReporter); ok {
-			st.Queues = sr.Queues()
+		if q := InfoOf(b).Queues; q != nil {
+			st.Queues = q()
 		}
 		if bb, ok := b.(interface{ boxBase() *BoxBase }); ok {
 			if base := bb.boxBase(); base.parked {

@@ -114,9 +114,7 @@ func (g *grinder) Clock(cycle int64) {
 	}
 }
 
-func (g *grinder) ProgressTerms() ([]*Progress, []*int) {
-	return []*Progress{&g.events}, []*int{&g.pos}
-}
+func (g *grinder) Introspect() BoxInfo { return BoxInfo{Steps: []*int{&g.pos}} }
 
 func (g *grinder) oldProgressCount() int64 { return int64(g.events.Value()) + int64(g.pos) }
 

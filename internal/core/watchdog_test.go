@@ -25,10 +25,12 @@ func (b *stuckSender) Clock(cycle int64) {
 	}
 }
 
-// Queues implements StallReporter: the deadlock report should show the
-// credit pool fully absorbed downstream.
-func (b *stuckSender) Queues() []QueueStat {
-	return []QueueStat{{Name: "sender.credits", Occupied: b.budget - b.credits, Capacity: b.budget}}
+// Introspect reports the credit pool: the deadlock report should show
+// it fully absorbed downstream.
+func (b *stuckSender) Introspect() BoxInfo {
+	return BoxInfo{Queues: func() []QueueStat {
+		return []QueueStat{{Name: "sender.credits", Occupied: b.budget - b.credits, Capacity: b.budget}}
+	}}
 }
 
 // blackhole never reads its input, so the sender's objects stay in
@@ -133,7 +135,7 @@ func TestWatchdogNoFalsePositive(t *testing.T) {
 }
 
 // ticker makes progress invisible to signals (cache-hit work) and
-// publishes it via ProgressReporter.
+// publishes it as a position register (BoxInfo.Steps).
 type ticker struct {
 	BoxBase
 	n int
@@ -141,11 +143,11 @@ type ticker struct {
 
 func (b *ticker) Clock(cycle int64) { b.n++ }
 
-func (b *ticker) ProgressTerms() ([]*Progress, []*int) { return nil, []*int{&b.n} }
+func (b *ticker) Introspect() BoxInfo { return BoxInfo{Steps: []*int{&b.n}} }
 
-// Signal-silent progress reported through ProgressReporter must hold
-// the watchdog off.
-func TestWatchdogHonorsProgressReporter(t *testing.T) {
+// Signal-silent progress reported through a box's Steps must hold the
+// watchdog off.
+func TestWatchdogHonorsSteps(t *testing.T) {
 	sim := NewSimulator(0)
 	buildStall(sim) // signal traffic dies at cycle 1
 	tk := &ticker{}

@@ -51,11 +51,11 @@ func oldQuiesced(p *gpu.Pipeline, sigs []*core.Signal) bool {
 			return false
 		}
 	}
-	if p.MemController().Pending() {
+	if p.MemController().Pending() || !p.CP.SafePoint() {
 		return false
 	}
 	for _, b := range p.Sim.Boxes() {
-		if q, ok := b.(interface{ CheckpointReady() bool }); ok && !q.CheckpointReady() {
+		if quiet := core.InfoOf(b).Quiet; quiet != nil && !quiet() {
 			return false
 		}
 	}

@@ -287,21 +287,45 @@ func HighEnd() Config {
 }
 
 // Validate checks the configuration for values the pipeline cannot
-// operate with.
+// operate with: a queue with no slot or a port with no bandwidth
+// stalls forever, and a wire with no latency or a cache with no set
+// panics. StreamerQueue is not checked (no box reads it), nor are the
+// latencies a box clamps to 1 (execution, texture filtering).
 func (c *Config) Validate() error {
+	atLeastOne := []struct {
+		name string
+		v    int
+	}{
+		{"NumShaders", c.NumShaders}, {"NumROPs", c.NumROPs}, {"NumTextureUnits", c.NumTextureUnits},
+		{"ThreadsPerShader", c.ThreadsPerShader}, {"PhysRegsFragment", c.PhysRegsFragment},
+		{"ShaderIssueRate", c.ShaderIssueRate}, {"WindowThreads", c.WindowThreads},
+		{"PAQueue", c.PAQueue}, {"ClipQueue", c.ClipQueue}, {"ClipLatency", c.ClipLatency},
+		{"SetupQueue", c.SetupQueue}, {"SetupLatency", c.SetupLatency},
+		{"FGenQueue", c.FGenQueue}, {"FGenTilesPerCycle", c.FGenTilesPerCycle},
+		{"HZQueue", c.HZQueue}, {"HZTilesPerCycle", c.HZTilesPerCycle}, {"ROPQueue", c.ROPQueue},
+		{"InterpQuadsPerCycle", c.InterpQuadsPerCycle}, {"InterpBaseLat", c.InterpBaseLat},
+		{"InterpQueue", c.InterpQueue}, {"TexQueue", c.TexQueue}, {"TexelsPerCycle", c.TexelsPerCycle},
+		{"TexCacheSets", c.TexCacheSets}, {"TexCacheAssoc", c.TexCacheAssoc},
+		{"ZCacheSets", c.ZCacheSets}, {"ZCacheAssoc", c.ZCacheAssoc},
+		{"ColorCacheSets", c.ColorCacheSets}, {"ColorCacheAssoc", c.ColorCacheAssoc},
+		{"SystemBusBW", c.SystemBusBW}, {"Memory.Channels", c.Memory.Channels},
+		{"Memory.ChannelBW", c.Memory.ChannelBW}, {"Memory.QueuePerUnit", c.Memory.QueuePerUnit},
+		{"Memory.Interleave", int(c.Memory.Interleave)}, {"Memory.PageSize", int(c.Memory.PageSize)},
+	}
+	for _, f := range atLeastOne {
+		if f.v < 1 {
+			return &ConfigError{Config: c.Name, Msg: f.name + " must be >= 1"}
+		}
+	}
 	checks := []struct {
 		ok  bool
 		msg string
 	}{
-		{c.NumShaders >= 1, "NumShaders must be >= 1"},
 		{c.UnifiedShaders || c.NumVertexShaders >= 1, "non-unified config needs vertex shaders"},
-		{c.NumROPs >= 1, "NumROPs must be >= 1"},
-		{c.NumTextureUnits >= 1, "NumTextureUnits must be >= 1"},
-		{c.ThreadsPerShader >= 1, "ThreadsPerShader must be >= 1"},
-		{c.WindowThreads >= 1, "WindowThreads must be >= 1"},
-		{c.FGenTilesPerCycle >= 1, "FGenTilesPerCycle must be >= 1"},
+		{c.UnifiedShaders || c.VertexThreadsPerShader >= 1 && c.PhysRegsVertex >= 1,
+			"non-unified config needs vertex threads and registers"},
+		{c.VertexFetchLines >= 2, "VertexFetchLines must be >= 2"},
 		{c.ROPFragsPerCycle >= 4, "ROPFragsPerCycle must cover a quad"},
-		{c.Memory.Channels >= 1, "memory channels must be >= 1"},
 		{c.GPUMemBytes >= 1<<20, "GPU memory too small"},
 		{c.StatInterval >= 0, "StatInterval must be >= 0"},
 		{c.Workers >= 0, "Workers must be >= 0"},

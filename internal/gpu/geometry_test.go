@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -166,6 +167,78 @@ func TestConfigValidation(t *testing.T) {
 		mod(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// Every configuration the pipeline cannot run is refused up front with
+// a *ConfigError, not a panic inside New or mid-run, nor a stall that
+// lasts until the watchdog fires. Values a box clamps or never reads
+// still build.
+func TestNewRejectsUnrunnableConfigs(t *testing.T) {
+	cases := []struct {
+		name  string
+		mod   func(*Config)
+		width int
+	}{
+		{"ClipLatency=0", func(c *Config) { c.ClipLatency = 0 }, 64},
+		{"SetupLatency=0", func(c *Config) { c.SetupLatency = 0 }, 64},
+		{"InterpQuadsPerCycle=0", func(c *Config) { c.InterpQuadsPerCycle = 0 }, 64},
+		{"InterpBaseLat=0", func(c *Config) { c.InterpBaseLat = 0 }, 64},
+		{"TexCacheSets=0", func(c *Config) { c.TexCacheSets = 0 }, 64},
+		{"ZCacheAssoc=0", func(c *Config) { c.ZCacheAssoc = 0 }, 64},
+		{"ColorCacheSets=0", func(c *Config) { c.ColorCacheSets = 0 }, 64},
+		{"PAQueue=0", func(c *Config) { c.PAQueue = 0 }, 64},
+		{"ClipQueue=0", func(c *Config) { c.ClipQueue = 0 }, 64},
+		{"SetupQueue=0", func(c *Config) { c.SetupQueue = 0 }, 64},
+		{"FGenQueue=0", func(c *Config) { c.FGenQueue = 0 }, 64},
+		{"HZQueue=0", func(c *Config) { c.HZQueue = 0 }, 64},
+		{"ROPQueue=0", func(c *Config) { c.ROPQueue = 0 }, 64},
+		{"InterpQueue=0", func(c *Config) { c.InterpQueue = 0 }, 64},
+		{"TexQueue=0", func(c *Config) { c.TexQueue = 0 }, 64},
+		{"HZTilesPerCycle=0", func(c *Config) { c.HZTilesPerCycle = 0 }, 64},
+		{"TexelsPerCycle=0", func(c *Config) { c.TexelsPerCycle = 0 }, 64},
+		{"SystemBusBW=0", func(c *Config) { c.SystemBusBW = 0 }, 64},
+		{"VertexFetchLines=1", func(c *Config) { c.VertexFetchLines = 1 }, 64},
+		{"PhysRegsFragment=0", func(c *Config) { c.PhysRegsFragment = 0 }, 64},
+		{"PhysRegsVertex=0", func(c *Config) { c.PhysRegsVertex = 0 }, 64},
+		{"VertexThreadsPerShader=0", func(c *Config) { c.VertexThreadsPerShader = 0 }, 64},
+		{"ShaderIssueRate=0", func(c *Config) { c.ShaderIssueRate = 0 }, 64},
+		{"Memory.ChannelBW=0", func(c *Config) { c.Memory.ChannelBW = 0 }, 64},
+		{"Memory.Interleave=0", func(c *Config) { c.Memory.Interleave = 0 }, 64},
+		{"Memory.PageSize=0", func(c *Config) { c.Memory.PageSize = 0 }, 64},
+		{"Memory.QueuePerUnit=0", func(c *Config) { c.Memory.QueuePerUnit = 0 }, 64},
+		{"width=-8", func(c *Config) {}, -8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Baseline()
+			cfg.GPUMemBytes = 8 << 20
+			tc.mod(&cfg)
+			var ce *ConfigError
+			p, err := func() (p *Pipeline, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("New panicked: %v", r)
+					}
+				}()
+				return New(cfg, tc.width, 48)
+			}()
+			if !errors.As(err, &ce) {
+				t.Fatalf("New = (%v, %v), want a *ConfigError", p != nil, err)
+			}
+		})
+	}
+	for _, mod := range []func(*Config){
+		func(c *Config) { c.VertexCacheEntries = 1 },
+		func(c *Config) { c.TexFilterLat = 0 },
+		func(c *Config) { c.StreamerQueue = 0 },
+	} {
+		cfg := Baseline()
+		cfg.GPUMemBytes = 8 << 20
+		mod(&cfg)
+		if _, err := New(cfg, 64, 48); err != nil {
+			t.Errorf("a runnable config refused: %v", err)
 		}
 	}
 }

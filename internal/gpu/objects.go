@@ -399,7 +399,7 @@ func NewFlow(sig *core.Signal, capacity int) *Flow {
 // view: Occupied credits are held downstream (items on the wire or in
 // the consumer's input queue). Occupied == Capacity in a deadlock
 // report reads "the consumer absorbed everything and released
-// nothing". Boxes include their output flows in core.StallReporter
+// nothing". Boxes include their output flows in their BoxInfo.Queues
 // snapshots; read only at the cycle barrier.
 func (f *Flow) QueueStat() core.QueueStat {
 	return core.QueueStat{Name: f.sig.Name(), Occupied: f.cap - f.credits, Capacity: f.cap}

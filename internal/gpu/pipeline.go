@@ -83,7 +83,7 @@ type Pipeline struct {
 	mc       *mem.Controller
 
 	// Resolved once by resolveCheckpointing.
-	ready []checkpointReady
+	quiet []func() bool
 	parts []chkpt.Snapshotter
 
 	alloc *mem.Allocator
@@ -113,6 +113,9 @@ var warnWorkers sync.Once
 func New(cfg Config, width, height int) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if width < 1 || height < 1 {
+		return nil, &ConfigError{Config: cfg.Name, Msg: fmt.Sprintf("render target %dx%d is empty", width, height)}
 	}
 	p := &Pipeline{Cfg: &cfg, w: width, h: height}
 	p.Sim = core.NewSimulator(cfg.StatInterval)

@@ -25,69 +25,11 @@ import (
 // pipeline), so the effective checkpoint cadence is
 // max(interval, frame length).
 
-// checkpointReady is implemented by boxes whose idle condition is not
-// already implied by the global predicate (CP between commands, all
-// signals drained, memory controller idle). Checked at the cycle
-// barrier.
-type checkpointReady interface {
-	CheckpointReady() bool
-}
-
 // SafePoint reports that the command processor sits between commands
 // with nothing in flight: no batch, no buffer upload, no pending
 // clear, swap or render-target switch.
 func (cp *CommandProcessor) SafePoint() bool {
 	return cp.writing == nil && !cp.waitClear && !cp.waitSwap && !cp.rtt.active && cp.quiet()
-}
-
-// CheckpointReady implements checkpointReady.
-func (cp *CommandProcessor) CheckpointReady() bool { return cp.SafePoint() }
-
-// CheckpointReady implements checkpointReady.
-func (s *Streamer) CheckpointReady() bool {
-	return s.batch == nil && len(s.cmdQ) == 0 && s.group == nil && s.fetch.Quiesce()
-}
-
-// CheckpointReady implements checkpointReady.
-func (z *ZStencil) CheckpointReady() bool {
-	return z.queue.Len() == 0 && !z.clearPending && !z.flushPending && z.cache.Quiesce()
-}
-
-// CheckpointReady implements checkpointReady.
-func (c *ColorWrite) CheckpointReady() bool {
-	return c.queue.Len() == 0 && !c.clearPending && !c.flushPending && c.cache.Quiesce()
-}
-
-// CheckpointReady implements checkpointReady.
-func (d *DAC) CheckpointReady() bool {
-	return !d.active && d.port.Outstanding() == 0
-}
-
-// CheckpointReady implements checkpointReady. Unlike Quiesce (the
-// snapshot published at the end of the cycle, which the CP polls), this
-// reads the live condition: it is only called at the barrier.
-func (t *TextureUnit) CheckpointReady() bool {
-	return t.current == nil && t.queue.Len() == 0 && t.cache.Quiesce()
-}
-
-// CheckpointReady implements checkpointReady.
-func (f *FragmentFIFO) CheckpointReady() bool {
-	return f.windowUsed == 0 && f.vtxArrived.Len() == 0 && f.fragArrived.Len() == 0 && f.outbox.Len() == 0
-}
-
-// CheckpointReady implements checkpointReady.
-func (s *ShaderUnit) CheckpointReady() bool {
-	for i := range s.threads {
-		if s.threads[i].state != threadFree {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckpointReady implements checkpointReady.
-func (x *TexCrossbar) CheckpointReady() bool {
-	return x.queue.Len() == 0 && x.replies.Len() == 0
 }
 
 // ---- Per-box persistent state ----
@@ -450,8 +392,8 @@ func (p *Pipeline) Quiesced() bool {
 	if !p.CP.SafePoint() || p.mc.Pending() {
 		return false
 	}
-	for _, q := range p.ready {
-		if !q.CheckpointReady() {
+	for _, quiet := range p.quiet {
+		if !quiet() {
 			return false
 		}
 	}
@@ -459,18 +401,19 @@ func (p *Pipeline) Quiesced() bool {
 }
 
 // resolveCheckpointing picks, once the machine is assembled, the boxes
-// the quiesce predicate asks (the command processor is asked first, by
-// name) and the parts a checkpoint serializes, in a fixed order:
-// framework state (cycle, stats, signals), the memory system, then
-// every box that carries persistent state, in registration order.
+// the quiesce predicate asks — each box whose BoxInfo has a Quiet; the
+// command processor is asked first, by name — and the parts a
+// checkpoint serializes, in a fixed order: framework state (cycle,
+// stats, signals), the memory system, then every box that carries
+// persistent state, in registration order.
 func (p *Pipeline) resolveCheckpointing() {
 	p.parts = []chkpt.Snapshotter{
 		p.Sim, p.Sim.Stats, p.Sim.Binder,
 		p.Mem, p.alloc, p.mc, p.FB,
 	}
 	for _, b := range p.Sim.Boxes() {
-		if q, ok := b.(checkpointReady); ok && b != core.Box(p.CP) {
-			p.ready = append(p.ready, q)
+		if quiet := core.InfoOf(b).Quiet; quiet != nil {
+			p.quiet = append(p.quiet, quiet)
 		}
 		// The memory controller is both a box and an explicit part.
 		if s, ok := b.(chkpt.Snapshotter); ok && b != core.Box(p.mc) {

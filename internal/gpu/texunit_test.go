@@ -69,7 +69,7 @@ func (r *tuRig) step() []*TexRepMsg {
 }
 
 func (r *tuRig) idle() bool {
-	return r.tu.CheckpointReady() && r.owed == 0 && !r.mc.Pending() && r.sim.Binder.Idle() &&
+	return r.tu.Introspect().Quiet() && r.owed == 0 && !r.mc.Pending() && r.sim.Binder.Idle() &&
 		!r.reqIn.sig.Pending() && !r.repOut.sig.Pending()
 }
 

@@ -24,10 +24,10 @@ func (p *creditProducer) Clock(cycle int64) {
 	}
 }
 
-// Queues implements core.StallReporter via the output flow's credit
-// pool, exactly how the pipeline boxes report.
-func (p *creditProducer) Queues() []core.QueueStat {
-	return []core.QueueStat{p.out.QueueStat()}
+// Introspect reports the output flow's credit pool, exactly how the
+// pipeline boxes report.
+func (p *creditProducer) Introspect() core.BoxInfo {
+	return core.BoxInfo{Queues: func() []core.QueueStat { return []core.QueueStat{p.out.QueueStat()} }}
 }
 
 // creditHoarder receives work but never calls Release: a consumer bug
@@ -106,8 +106,8 @@ func TestConfigWatchdogWiring(t *testing.T) {
 	}
 }
 
-// The pipeline's own boxes satisfy the reporting interfaces, so real
-// deadlock reports carry queue occupancy for every stage.
+// The pipeline's own boxes describe themselves, so real deadlock
+// reports carry queue occupancy for every stage.
 func TestPipelineBoxesReport(t *testing.T) {
 	cfg := Baseline()
 	cfg.GPUMemBytes = 8 << 20
@@ -115,29 +115,12 @@ func TestPipelineBoxesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progress, stall int
-	for _, b := range []core.Box{pipe.CP, pipe.streamer, pipe.hz, pipe.DACBox} {
-		if _, ok := b.(core.ProgressReporter); ok {
-			progress++
-		}
-		if _, ok := b.(core.StallReporter); ok {
-			stall++
+	for _, b := range pipe.Sim.Boxes() {
+		if core.InfoOf(b).Queues == nil {
+			t.Errorf("%s reports no queue occupancy", b.BoxName())
 		}
 	}
-	if stall != 4 {
-		t.Fatalf("%d of 4 sampled boxes implement StallReporter", stall)
-	}
-	if progress < 3 {
-		t.Fatalf("%d of 4 sampled boxes implement ProgressReporter", progress)
-	}
-	for _, s := range pipe.shaders {
-		if _, ok := interface{}(s).(core.StallReporter); !ok {
-			t.Fatal("shader units must report queue occupancy")
-		}
-	}
-	for _, z := range pipe.ropzs {
-		if _, ok := interface{}(z).(core.ProgressReporter); !ok {
-			t.Fatal("ZStencil must report signal-silent progress")
-		}
+	if steps := pipe.CP.Introspect().Steps; len(steps) != 1 || steps[0] != &pipe.CP.pc {
+		t.Errorf("the command processor's steps are %v, want its program counter", steps)
 	}
 }

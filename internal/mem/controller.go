@@ -217,36 +217,29 @@ func (c *Controller) Pending() bool {
 	return false
 }
 
-// ProgressTerms implements core.ProgressReporter: transferred bytes
-// advance while a long transaction occupies its channel with no signal
-// traffic.
-func (c *Controller) ProgressTerms() ([]*core.Progress, []*int) {
-	return []*core.Progress{&c.statReadBytes, &c.statWriteBytes}, nil
-}
-
-// Queues implements core.StallReporter: per-client request queue
-// occupancy plus the busy channels, the controller-side half of a
-// deadlock report.
-func (c *Controller) Queues() []core.QueueStat {
-	qs := make([]core.QueueStat, 0, len(c.clients)+1)
-	for _, cl := range c.clients {
-		qs = append(qs, core.QueueStat{
-			Name: "MC." + cl.name + ".queue", Occupied: cl.queue.Len(), Capacity: c.cfg.QueuePerUnit,
-		})
-	}
-	busy := 0
-	for i := range c.chans {
-		if c.chans[i].active {
-			busy++
+// Introspect implements core.Introspector: cycles with at least one
+// channel transferring, and per-client request queue occupancy plus the
+// busy channels, the controller-side half of a deadlock report.
+// Transferred bytes are forward progress (ShadowProgress): they advance
+// while a long transaction occupies its channel with no signal traffic.
+func (c *Controller) Introspect() core.BoxInfo {
+	queues := func() []core.QueueStat {
+		qs := make([]core.QueueStat, 0, len(c.clients)+1)
+		for _, cl := range c.clients {
+			qs = append(qs, core.QueueStat{
+				Name: "MC." + cl.name + ".queue", Occupied: cl.queue.Len(), Capacity: c.cfg.QueuePerUnit,
+			})
 		}
+		busy := 0
+		for i := range c.chans {
+			if c.chans[i].active {
+				busy++
+			}
+		}
+		return append(qs, core.QueueStat{Name: "MC.channels", Occupied: busy, Capacity: c.cfg.Channels})
 	}
-	return append(qs, core.QueueStat{Name: "MC.channels", Occupied: busy, Capacity: c.cfg.Channels})
+	return core.BoxInfo{Busy: &c.statBusy, Queues: queues}
 }
-
-// BusyCycles implements core.BusyReporter: cycles with at least one
-// channel transferring, read at the cycle barrier by the
-// observability layer.
-func (c *Controller) BusyCycles() float64 { return c.statBusy.Value() }
 
 func (c *Controller) channelOf(addr uint32) int {
 	return int(addr/c.cfg.Interleave) % c.cfg.Channels

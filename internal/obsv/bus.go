@@ -87,11 +87,11 @@ type WindowSample struct {
 	Watchdog *WatchdogStatus           `json:"watchdog,omitempty"`
 }
 
-// busyEntry pairs a BusyReporter box with its previous busy count for
-// per-window deltas.
+// busyEntry pairs a box's busy counter (BoxInfo.Busy) with its
+// previous value for per-window deltas.
 type busyEntry struct {
 	name string
-	rep  core.BusyReporter
+	busy *core.Counter
 	prev float64
 }
 
@@ -115,7 +115,7 @@ type Bus struct {
 	gauge []bool
 	prev  []float64
 	busy  []busyEntry
-	stall []core.Box // boxes implementing StallReporter
+	stall []func() []core.QueueStat // every BoxInfo.Queues, in registration order
 	sigs  []*core.Signal
 	spans *trace.Collector
 	hists map[string]trace.Histogram // per-client baselines at the last window
@@ -168,11 +168,12 @@ func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
 		b.prev = append(b.prev, 0)
 	}
 	for _, box := range sim.Boxes() {
-		if br, ok := box.(core.BusyReporter); ok {
-			b.busy = append(b.busy, busyEntry{name: box.BoxName(), rep: br})
+		info := core.InfoOf(box)
+		if info.Busy != nil {
+			b.busy = append(b.busy, busyEntry{name: box.BoxName(), busy: info.Busy})
 		}
-		if _, ok := box.(core.StallReporter); ok {
-			b.stall = append(b.stall, box)
+		if info.Queues != nil {
+			b.stall = append(b.stall, info.Queues)
 		}
 	}
 	b.prevCycle = -1
@@ -251,8 +252,8 @@ func (b *Bus) sample(cycle int64, final bool) {
 			s.Signals[sig.Name()] = int64(p - c)
 		}
 	}
-	for _, box := range b.stall {
-		for _, q := range box.(core.StallReporter).Queues() {
+	for _, queues := range b.stall {
+		for _, q := range queues() {
 			if q.Capacity > 0 {
 				if q.Occupied != 0 {
 					s.Queues[q.Name] = float64(q.Occupied) / float64(q.Capacity)
@@ -300,7 +301,7 @@ func (b *Bus) sample(cycle int64, final bool) {
 	}
 	for i := range b.busy {
 		e := &b.busy[i]
-		cur := e.rep.BusyCycles()
+		cur := e.busy.Value()
 		if d := cur - e.prev; d != 0 && s.Cycles > 0 {
 			s.Busy[e.name] = d / float64(s.Cycles)
 		}

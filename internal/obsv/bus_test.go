@@ -14,7 +14,7 @@ import (
 // Toy pipeline for the obsv tests: a producer sending one object per
 // cycle over a latency-2 signal to a consumer holding a small queue.
 // The producer reports busy cycles and a counter stat, the consumer a
-// queue gauge and stall-reporter occupancy — enough surface to
+// queue gauge and queue occupancy — enough surface to
 // exercise every field of a WindowSample.
 type testProducer struct {
 	core.BoxBase
@@ -23,7 +23,7 @@ type testProducer struct {
 	count int
 	sent  int
 	stat  *core.Counter
-	busy  float64
+	busy  core.Counter
 }
 
 func (p *testProducer) Clock(cycle int64) {
@@ -31,11 +31,11 @@ func (p *testProducer) Clock(cycle int64) {
 		p.out.Write(cycle, &core.DynObject{ID: p.ids.Next(), Tag: "obj"})
 		p.sent++
 		p.stat.Inc()
-		p.busy++
+		p.busy.Inc()
 	}
 }
 
-func (p *testProducer) BusyCycles() float64 { return p.busy }
+func (p *testProducer) Introspect() core.BoxInfo { return core.BoxInfo{Busy: &p.busy} }
 
 type testConsumer struct {
 	core.BoxBase
@@ -57,8 +57,10 @@ func (c *testConsumer) Clock(cycle int64) {
 	c.gauge.Set(float64(c.queue))
 }
 
-func (c *testConsumer) Queues() []core.QueueStat {
-	return []core.QueueStat{{Name: "Consumer.queue", Occupied: c.queue, Capacity: 8}}
+func (c *testConsumer) Introspect() core.BoxInfo {
+	return core.BoxInfo{Queues: func() []core.QueueStat {
+		return []core.QueueStat{{Name: "Consumer.queue", Occupied: c.queue, Capacity: 8}}
+	}}
 }
 
 func buildTestSim(count int) (*core.Simulator, *testProducer, *testConsumer) {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,6 +160,42 @@ func TestTablesPrintOnlyModelledFields(t *testing.T) {
 		if !printed[name] {
 			t.Errorf("gpu.Config.%s is no longer printed: drop it from this test's unread list", name)
 		}
+	}
+}
+
+// One introspection surface: a box describes itself to the framework
+// through core.Introspector alone. This test lists internal/core's
+// exported interfaces exactly, so a new reporter interface beside it
+// takes a deliberate edit here.
+func TestCoreInterfaces(t *testing.T) {
+	want := []string{"Box", "ClockGate", "ClockObserver", "Dynamic", "Introspector", "Stat", "Tracer"}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/core", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				gen, ok := decl.(*ast.GenDecl)
+				if !ok || gen.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gen.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if _, ok := ts.Type.(*ast.InterfaceType); ok && ts.Name.IsExported() {
+						got = append(got, ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("internal/core exports interfaces %v, want exactly %v", got, want)
 	}
 }
 
