@@ -26,8 +26,10 @@ test:
 # /fleet/metrics merge under concurrent job completion, the
 # cancel/complete race, monotone progress, torn and out-of-order
 # state-file saves);
-# one pass each of the shader emulator's step benchmark and the GPU
-# memory's accessor benchmark so they cannot rot;
+# one pass each of the shader emulator's step benchmark, the GPU
+# memory's accessor benchmark, the texture planner's benchmark (which
+# also fails if planning a quad allocates) and the texture unit's
+# request benchmark, so they cannot rot;
 # then fuzz smokes over the trace reader, the checkpoint's GPU memory
 # section decoder, and the decoded shader interpreter against its
 # reference evaluator.
@@ -42,6 +44,8 @@ check:
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem
+	$(GO) test -run '^$$' -bench BenchmarkPlanQuad -benchtime 1x ./internal/emu/texemu
+	$(GO) test -run '^$$' -bench BenchmarkTextureUnitQuad -benchtime 1x ./internal/gpu
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu

@@ -79,14 +79,23 @@ func (f Format) TileBytes() int {
 // stored in the texture cache after decompression.
 type RGBA [4]byte
 
+// unorm8 holds float32(b) / 255 for every byte b: the table computes
+// each entry by that division, so reading it is bit-identical to
+// dividing.
+var unorm8 = func() (tab [256]float32) {
+	for b := range tab {
+		tab[b] = float32(b) / 255
+	}
+	return tab
+}()
+
+// Unorm8 converts one 8-bit channel to the shader's float format:
+// float32(b) / 255, looked up.
+func Unorm8(b byte) float32 { return unorm8[b] }
+
 // Vec converts the texel to the shader's float format.
 func (c RGBA) Vec() vmath.Vec4 {
-	return vmath.Vec4{
-		float32(c[0]) / 255,
-		float32(c[1]) / 255,
-		float32(c[2]) / 255,
-		float32(c[3]) / 255,
-	}
+	return vmath.Vec4{unorm8[c[0]], unorm8[c[1]], unorm8[c[2]], unorm8[c[3]]}
 }
 
 // DecodeTile expands one tile's raw memory bytes (TileBytes long)

@@ -14,7 +14,19 @@ import (
 // coordinates only, wrapping by % and fix-up, and a tile address worked
 // out per texel when it is fetched.
 
-func refPlanInto(t *Texture, plan *SamplePlan, coord vmath.Vec4, info LODInfo) {
+// refTexel is a texel as the reference planner names it: by face,
+// level, slice and coordinates.
+type refTexel struct {
+	Face, Level, Slice, X, Y int
+	W                        float32
+}
+
+type refPlan struct {
+	Texels          []refTexel
+	BilinearSamples int
+}
+
+func refPlanInto(t *Texture, plan *refPlan, coord vmath.Vec4, info LODInfo) {
 	plan.Texels = plan.Texels[:0]
 	plan.BilinearSamples = 0
 	n := info.N
@@ -32,7 +44,7 @@ func refPlanInto(t *Texture, plan *SamplePlan, coord vmath.Vec4, info LODInfo) {
 	}
 }
 
-func refPlanIsotropic(t *Texture, plan *SamplePlan, coord vmath.Vec4, lod, weight float32) {
+func refPlanIsotropic(t *Texture, plan *refPlan, coord vmath.Vec4, lod, weight float32) {
 	face := 0
 	s, tt, r := coord[0], coord[1], coord[2]
 	if t.Target == isa.TexCube {
@@ -75,7 +87,7 @@ func refPlanIsotropic(t *Texture, plan *SamplePlan, coord vmath.Vec4, lod, weigh
 	}
 }
 
-func refPlanLevel(t *Texture, plan *SamplePlan, face, level int, s, tt, r float32, weight float32, linear bool) {
+func refPlanLevel(t *Texture, plan *refPlan, face, level int, s, tt, r float32, weight float32, linear bool) {
 	w, h, d := t.LevelSize(level)
 	slice := 0
 	if t.Target == isa.Tex3D {
@@ -87,7 +99,7 @@ func refPlanLevel(t *Texture, plan *SamplePlan, face, level int, s, tt, r float3
 		if t.Target != isa.Tex1D {
 			y = refApplyWrap(t.WrapT, int(math.Floor(float64(tt*float32(h)))), h)
 		}
-		plan.Texels = append(plan.Texels, TexelRef{Face: face, Level: level, Slice: slice, X: x, Y: y, W: weight})
+		plan.Texels = append(plan.Texels, refTexel{Face: face, Level: level, Slice: slice, X: x, Y: y, W: weight})
 		return
 	}
 	fx := s*float32(w) - 0.5
@@ -122,7 +134,7 @@ func refPlanLevel(t *Texture, plan *SamplePlan, face, level int, s, tt, r float3
 			} else {
 				y = 0
 			}
-			plan.Texels = append(plan.Texels, TexelRef{Face: face, Level: level, Slice: slice, X: x, Y: y, W: wgt})
+			plan.Texels = append(plan.Texels, refTexel{Face: face, Level: level, Slice: slice, X: x, Y: y, W: wgt})
 		}
 	}
 }
@@ -171,16 +183,18 @@ func refSampleQuad(t *Texture, mem MemReader, coords [4]vmath.Vec4, mode Mode) [
 	info := t.QuadLOD(coords, mode, lodArg)
 	var out [4]vmath.Vec4
 	for l := 0; l < 4; l++ {
-		var plan SamplePlan
+		var plan refPlan
 		refPlanInto(t, &plan, PrepareCoord(coords[l], mode), info)
-		out[l] = FilterPlan(plan, func(ref TexelRef) RGBA {
+		for _, ref := range plan.Texels {
 			addr, idx := refTileAddr(t, ref.Face, ref.Level, ref.Slice, ref.X, ref.Y)
 			buf := make([]byte, t.Format.TileBytes())
 			mem.ReadBytes(addr, buf)
 			var tile [TileTexels * TileTexels]RGBA
 			DecodeTile(t.Format, buf, &tile)
-			return tile[idx]
-		})
+			c := tile[idx]
+			v := vmath.Vec4{float32(c[0]) / 255, float32(c[1]) / 255, float32(c[2]) / 255, float32(c[3]) / 255}
+			out[l] = out[l].Add(v.Scale(ref.W))
+		}
 	}
 	return out
 }
@@ -255,7 +269,7 @@ func TestPlanMatchesReference(t *testing.T) {
 			bilinear := tex.PlanQuad(&quad, coords, mode, info)
 			sum := 0
 			for l := range coords {
-				var want SamplePlan
+				var want refPlan
 				c := PrepareCoord(coords[l], mode)
 				refPlanInto(tex, &want, c, info)
 				got := tex.Plan(c, info)
@@ -267,12 +281,12 @@ func TestPlanMatchesReference(t *testing.T) {
 				for k, ref := range got.Texels {
 					w := want.Texels[k]
 					addr, idx := refTileAddr(tex, w.Face, w.Level, w.Slice, w.X, w.Y)
-					w.Addr, w.Idx = addr, idx
-					if ref != w || math.Float32bits(ref.W) != math.Float32bits(w.W) {
-						t.Fatalf("texture %d quad %d lane %d texel %d: %+v, reference %+v (%+v, %+v)", i, j, l, k, ref, w, tex, info)
+					if ref.Addr != addr || int(ref.Idx) != idx || math.Float32bits(ref.W) != math.Float32bits(w.W) {
+						t.Fatalf("texture %d quad %d lane %d texel %d: %+v, reference %+v at %#x, %d (%+v, %+v)",
+							i, j, l, k, ref, w, addr, idx, tex, info)
 					}
-					if a, ix := tex.TileAddr(ref.Face, ref.Level, ref.Slice, ref.X, ref.Y); a != ref.Addr || ix != ref.Idx {
-						t.Fatalf("texel %+v: TileAddr gives %#x, %d", ref, a, ix)
+					if a, ix := tex.TileAddr(w.Face, w.Level, w.Slice, w.X, w.Y); a != addr || ix != idx {
+						t.Fatalf("texel %+v: TileAddr gives %#x, %d, reference %#x, %d", w, a, ix, addr, idx)
 					}
 					if quad[l].Texels[k] != ref {
 						t.Fatalf("lane %d texel %d: PlanQuad %+v, PlanInto %+v", l, k, quad[l].Texels[k], ref)
@@ -308,15 +322,18 @@ func TestPlanMatchesReference(t *testing.T) {
 	}
 }
 
-// Wrapping by mask is wrapping by %: for every mode, for sizes that are
-// and are not powers of two, for indices from well below zero to well
-// beyond 2n.
+// Wrapping by mask is wrapping by %, and so is wrapping a footprint's
+// pair of indices: for every mode, for sizes that are and are not
+// powers of two, for indices from well below zero to well beyond 2n.
 func TestApplyWrapMatchesModulo(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8, 12, 64, 100, 4096} {
 		for w := WrapRepeat; w <= WrapMirror; w++ {
 			for i := -5*n - 3; i <= 5*n+3; i++ {
 				if got, want := applyWrap(w, i, n), refApplyWrap(w, i, n); got != want {
 					t.Fatalf("applyWrap(%d, %d, %d) = %d, by modulo %d", w, i, n, got, want)
+				}
+				if a, b := wrapPair(w, i, n); a != refApplyWrap(w, i, n) || b != refApplyWrap(w, i+1, n) {
+					t.Fatalf("wrapPair(%d, %d, %d) = %d, %d, by modulo %d, %d", w, i, n, a, b, refApplyWrap(w, i, n), refApplyWrap(w, i+1, n))
 				}
 			}
 		}

@@ -19,17 +19,15 @@ const (
 	ModeLod                // explicit lod in coord.w
 )
 
-// TexelRef identifies one texel contributing to a filtered sample.
+// TexelRef is one texel contributing to a filtered sample: the tile
+// that holds it, its index in the decoded tile, and its filter weight.
+// The planner resolves the tile, so fetching the texel is one tile
+// lookup; Addr and Idx are what TileAddr gives for the texel's face,
+// level, slice and coordinates.
 type TexelRef struct {
-	Face  int
-	Level int
-	Slice int
-	X, Y  int
-	W     float32 // filter weight
-	// Addr and Idx are TileAddr(Face, Level, Slice, X, Y), resolved by
-	// the planner so that fetching the texel is one tile lookup.
 	Addr uint32
-	Idx  int
+	Idx  int32
+	W    float32
 }
 
 // SamplePlan lists every texel one fragment's filtered sample needs
@@ -126,8 +124,8 @@ func (t *Texture) QuadLOD(coords [4]vmath.Vec4, mode Mode, lodArg float32) LODIn
 // that does not depend on the sample position.
 type mipLevel struct {
 	level, w, h, d int
-	tilesX, tilesY int     // tile grid of one slice
-	tileBytes      int     // memory footprint of one tile
+	tilesX, tilesY uint32  // tile grid of one slice
+	tileBytes      uint32  // memory footprint of one tile
 	weight         float32 // share of a lane's sample one footprint on this level carries
 	linear         bool    // bilinear footprint (else the nearest texel)
 }
@@ -135,19 +133,22 @@ type mipLevel struct {
 func (t *Texture) mipLevel(level int, weight float32, linear bool) mipLevel {
 	w, h, d := t.LevelSize(level)
 	tx, ty := t.LevelTiles(level)
-	return mipLevel{level, w, h, d, tx, ty, t.Format.TileBytes(), weight, linear}
+	return mipLevel{level, w, h, d, uint32(tx), uint32(ty), uint32(t.Format.TileBytes()), weight, linear}
 }
 
-// texel resolves texel (x, y) of a face and slice of the level to its
-// tile; this is the arithmetic behind TileAddr.
-func (lv *mipLevel) texel(t *Texture, face, slice, x, y int, w float32) TexelRef {
-	tile := (slice*lv.tilesY+y/TileTexels)*lv.tilesX + x/TileTexels
-	return TexelRef{
-		Face: face, Level: lv.level, Slice: slice, X: x, Y: y, W: w,
-		Addr: t.Base[face][lv.level] + uint32(tile*lv.tileBytes),
-		Idx:  y%TileTexels*TileTexels + x%TileTexels,
-	}
+// rowAddr is the address of the tile row holding texel row y of a
+// slice of the level stored at base; colOff of a texel's column adds
+// its tile within the row. Together they are the arithmetic behind
+// TileAddr, done on unsigned coordinates so that dividing by the tile
+// edge is a shift.
+func (lv *mipLevel) rowAddr(base, slice, y uint32) uint32 {
+	return base + (slice*lv.tilesY+y/TileTexels)*lv.tilesX*lv.tileBytes
 }
+
+func (lv *mipLevel) colOff(x uint32) uint32 { return x / TileTexels * lv.tileBytes }
+
+// tileIdx is the index of texel (x, y) in its decoded tile.
+func tileIdx(x, y uint32) int32 { return int32(y%TileTexels*TileTexels + x%TileTexels) }
 
 // quadLevels is the part of a sample plan that depends only on the
 // quad's LODInfo, decided once for the four lanes and every
@@ -231,9 +232,14 @@ func PrepareCoord(coord vmath.Vec4, mode Mode) vmath.Vec4 {
 
 // planLane plans one lane's sample: every level of q at every
 // anisotropic position. The positions are centered on coord along the
-// major axis: offsets -(n-1)/2 .. +(n-1)/2 steps.
+// major axis: offsets -(n-1)/2 .. +(n-1)/2 steps. The plan's backing
+// array is grown once to the most texels the lane can need, four per
+// footprint.
 func (t *Texture) planLane(plan *SamplePlan, coord vmath.Vec4, q *quadLevels) {
-	plan.Texels = plan.Texels[:0]
+	texels := plan.Texels[:0]
+	if most := q.n * q.levels * 4; cap(texels) < most {
+		texels = make([]TexelRef, 0, most)
+	}
 	plan.BilinearSamples = q.n * q.bilinear
 	start := -float32(q.n-1) / 2
 	for i := 0; i < q.n; i++ {
@@ -243,9 +249,10 @@ func (t *Texture) planLane(plan *SamplePlan, coord vmath.Vec4, q *quadLevels) {
 			face, s, tt = cubeFace(vmath.Vec4{s, tt, coord[2], coord[3]})
 		}
 		for l := range q.lv[:q.levels] {
-			t.planLevel(plan, face, &q.lv[l], s, tt, coord[2])
+			texels = t.planLevel(texels, face, &q.lv[l], s, tt, coord[2])
 		}
 	}
+	plan.Texels = texels
 }
 
 func (t *Texture) clampLevel(l int) int {
@@ -258,20 +265,24 @@ func (t *Texture) clampLevel(l int) int {
 	return l
 }
 
-func (t *Texture) planLevel(plan *SamplePlan, face int, lv *mipLevel, s, tt, r float32) {
+// planLevel appends the texels of one footprint on one level: the
+// nearest texel, or the bilinear 2x2 with its zero-weight texels left
+// out.
+func (t *Texture) planLevel(texels []TexelRef, face int, lv *mipLevel, s, tt, r float32) []TexelRef {
 	w, h := lv.w, lv.h
 	slice := 0
 	if t.Target == isa.Tex3D {
 		slice = applyWrap(t.WrapR, int(r*float32(lv.d)), lv.d)
 	}
+	base := t.Base[face][lv.level]
 	if !lv.linear {
 		x := applyWrap(t.WrapS, int(math.Floor(float64(s*float32(w)))), w)
 		y := 0
 		if t.Target != isa.Tex1D {
 			y = applyWrap(t.WrapT, int(math.Floor(float64(tt*float32(h)))), h)
 		}
-		plan.Texels = append(plan.Texels, lv.texel(t, face, slice, x, y, lv.weight))
-		return
+		ux, uy := uint32(x), uint32(y)
+		return append(texels, TexelRef{lv.rowAddr(base, uint32(slice), uy) + lv.colOff(ux), tileIdx(ux, uy), lv.weight})
 	}
 	fx := s*float32(w) - 0.5
 	fy := tt*float32(h) - 0.5
@@ -279,21 +290,38 @@ func (t *Texture) planLevel(plan *SamplePlan, face int, lv *mipLevel, s, tt, r f
 	y0 := int(math.Floor(float64(fy)))
 	ax := fx - float32(x0)
 	ay := fy - float32(y0)
-	xs := [2]int{applyWrap(t.WrapS, x0, w), applyWrap(t.WrapS, x0+1, w)}
-	var ys [2]int // a 1D texture has row 0 only
+	x0, x1 := wrapPair(t.WrapS, x0, w)
+	y1 := 0 // a 1D texture has row 0 only
 	if t.Target == isa.Tex1D {
-		ay = 0
+		y0, ay = 0, 0
 	} else {
-		ys = [2]int{applyWrap(t.WrapT, y0, h), applyWrap(t.WrapT, y0+1, h)}
+		y0, y1 = wrapPair(t.WrapT, y0, h)
 	}
-	wx, wy := [2]float32{1 - ax, ax}, [2]float32{1 - ay, ay}
-	for dy := range ys {
-		for dx := range xs {
-			if wgt := lv.weight * wx[dx] * wy[dy]; wgt != 0 {
-				plan.Texels = append(plan.Texels, lv.texel(t, face, slice, xs[dx], ys[dy], wgt))
-			}
-		}
+	ux0, ux1, uy0, uy1 := uint32(x0), uint32(x1), uint32(y0), uint32(y1)
+	col0, col1 := lv.colOff(ux0), lv.colOff(ux1)
+	row0, row1 := lv.rowAddr(base, uint32(slice), uy0), lv.rowAddr(base, uint32(slice), uy1)
+	wx0, wx1 := lv.weight*(1-ax), lv.weight*ax // (weight·wx)·wy, the reference's order
+	// planLane made room for the four texels.
+	n := len(texels)
+	out := texels[n : n+4]
+	k := 0
+	if wgt := wx0 * (1 - ay); wgt != 0 {
+		out[k] = TexelRef{row0 + col0, tileIdx(ux0, uy0), wgt}
+		k++
 	}
+	if wgt := wx1 * (1 - ay); wgt != 0 {
+		out[k] = TexelRef{row0 + col1, tileIdx(ux1, uy0), wgt}
+		k++
+	}
+	if wgt := wx0 * ay; wgt != 0 {
+		out[k] = TexelRef{row1 + col0, tileIdx(ux0, uy1), wgt}
+		k++
+	}
+	if wgt := wx1 * ay; wgt != 0 {
+		out[k] = TexelRef{row1 + col1, tileIdx(ux1, uy1), wgt}
+		k++
+	}
+	return texels[:n+k]
 }
 
 // cubeFace selects the cube map face and its 2D coordinates for a

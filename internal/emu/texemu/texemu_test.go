@@ -391,9 +391,16 @@ func TestTrilinearPlanBlendsTwoLevels(t *testing.T) {
 	tex, _ := buildTexture(64, 64, 7, FmtRGBA8, func(_, _, _ int) RGBA { return RGBA{} })
 	tex.MinFilter = FilterLinearMipLinear
 	plan := tex.Plan(vmath.Vec4{0.3, 0.3, 0, 0}, LODInfo{Lod: 1.5, N: 1})
+	// A texel's level is the one whose tile array holds its address.
 	levels := map[int]bool{}
 	for _, ref := range plan.Texels {
-		levels[ref.Level] = true
+		level := -1
+		for l := 0; l < tex.Levels; l++ {
+			if ref.Addr >= tex.Base[0][l] && ref.Addr < tex.Base[0][l]+uint32(tex.LevelBytes(l)) {
+				level = l
+			}
+		}
+		levels[level] = true
 	}
 	if !levels[1] || !levels[2] || len(levels) != 2 {
 		t.Fatalf("trilinear levels: %v", levels)

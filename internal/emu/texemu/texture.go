@@ -142,8 +142,8 @@ func (t *Texture) TotalBytes() int {
 // index within the decoded 64-texel tile.
 func (t *Texture) TileAddr(face, level, slice, x, y int) (addr uint32, texelIdx int) {
 	lv := t.mipLevel(level, 0, false)
-	ref := lv.texel(t, face, slice, x, y, 0)
-	return ref.Addr, ref.Idx
+	ux, uy := uint32(x), uint32(y)
+	return lv.rowAddr(t.Base[face][level], uint32(slice), uy) + lv.colOff(ux), int(tileIdx(ux, uy))
 }
 
 // MemReader provides functional access to texture memory.
@@ -204,4 +204,17 @@ func applyWrap(w Wrap, i, n int) int {
 		}
 	}
 	return i
+}
+
+// wrapPair is applyWrap of i and i+1, the two columns or rows of a
+// bilinear footprint; under WrapRepeat the second follows the first.
+func wrapPair(w Wrap, i, n int) (int, int) {
+	if w != WrapRepeat {
+		return applyWrap(w, i, n), applyWrap(w, i+1, n)
+	}
+	a := mod(i, n)
+	if b := a + 1; b < n {
+		return a, b
+	}
+	return a, 0
 }

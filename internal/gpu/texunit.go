@@ -81,11 +81,14 @@ func (x *TexCrossbar) Clock(cycle int64) {
 // owns a single instance that is reset per request, keeping the plans'
 // backing arrays across requests.
 type texWork struct {
-	msg    *TexReqMsg
-	plans  [shaderLanes]texemu.SamplePlan
-	acc    [shaderLanes]vmath.Vec4 // weighted sum of the texels read so far
-	lane   int                     // next texel cursor
-	texel  int
+	msg   *TexReqMsg
+	plans [shaderLanes]texemu.SamplePlan
+	acc   [shaderLanes]vmath.Vec4 // weighted sum of the texels read so far
+	lane  int                     // next texel cursor
+	texel int
+	// ahead counts the texels read when the request started whose
+	// fetch cycles are still to come; the cursor is past them.
+	ahead  int
 	looked bool // current texel's cache access already counted
 }
 
@@ -232,7 +235,7 @@ func (t *TextureUnit) clock(cycle int64) {
 			}
 			return
 		}
-		t.current = t.startWork(t.queue.Pop())
+		t.current = t.startWork(cycle, t.queue.Pop())
 		t.reqIn.Release(1)
 		t.statReqs.Inc()
 	}
@@ -241,14 +244,22 @@ func (t *TextureUnit) clock(cycle int64) {
 	w := t.current
 	// Fetch up to TexelsPerCycle texels through the cache ports (4
 	// per cycle = one bilinear sample, matching Table 2's texture
-	// cache port configuration), adding each to its lane's filtered
-	// sum as it arrives: the operations of texemu.FilterPlan in the
-	// same order. A texel in the tile of the one before it reuses that
-	// line without a lookup. line must not outlive this call: the next
-	// RequestFill (after which we return) or cache.Clock may evict it.
+	// cache port configuration). Texels read ahead when the request
+	// started are only counted, in the cycles that fetch them; the
+	// ones after them are read here, each added to its lane's filtered
+	// sum as it arrives. A texel in the tile of the one before it
+	// reuses that line without a lookup. line must not outlive this
+	// call: the next RequestFill (after which we return) or
+	// cache.Clock may evict it.
+	fetched := min(w.ahead, t.cfg.TexelsPerCycle)
+	if fetched > 0 {
+		w.ahead -= fetched
+		t.statTexels.Add(float64(fetched))
+		t.cache.AddHits(fetched)
+	}
 	var line *mem.Line
 	var lineAddr uint32
-	for fetched := 0; fetched < t.cfg.TexelsPerCycle; fetched++ {
+	for ; fetched < t.cfg.TexelsPerCycle; fetched++ {
 		ref := w.peekTexel()
 		if ref == nil {
 			break
@@ -271,18 +282,14 @@ func (t *TextureUnit) clock(cycle int64) {
 		if !w.looked { // a texel that missed was counted then
 			t.cache.Hit(cycle, line)
 		}
-		px, acc, wgt := line.Data()[ref.Idx*4:][:4], &w.acc[w.lane], ref.W
-		acc[0] += float32(float32(px[0]) / 255 * wgt)
-		acc[1] += float32(float32(px[1]) / 255 * wgt)
-		acc[2] += float32(float32(px[2]) / 255 * wgt)
-		acc[3] += float32(float32(px[3]) / 255 * wgt)
+		filterTexel(&w.acc[w.lane], line, ref)
 		w.texel++
 		w.looked = false
 		t.statTexels.Inc()
 	}
 
 	// All texels present: reply (fixed filter latency).
-	if w.peekTexel() != nil || !t.repOut.CanSend(cycle, 1) {
+	if w.ahead > 0 || w.peekTexel() != nil || !t.repOut.CanSend(cycle, 1) {
 		return
 	}
 	rep := t.getRep()
@@ -312,11 +319,11 @@ func (t *TextureUnit) getRep() *TexRepMsg {
 }
 
 // startWork computes the LOD and sample plans for a quad request into
-// the unit's reusable scratch.
-func (t *TextureUnit) startWork(msg *TexReqMsg) *texWork {
+// the unit's reusable scratch, then reads ahead.
+func (t *TextureUnit) startWork(cycle int64, msg *TexReqMsg) *texWork {
 	w := &t.work
 	w.msg = msg
-	w.lane, w.texel, w.looked = 0, 0, false
+	w.lane, w.texel, w.ahead, w.looked = 0, 0, 0, false
 	tex := msg.Texture
 	mode := texemu.ModeNormal
 	lodArg := float32(0)
@@ -333,7 +340,57 @@ func (t *TextureUnit) startWork(msg *TexReqMsg) *texWork {
 	info := tex.QuadLOD(msg.Req.Coord, mode, lodArg)
 	t.statBilinear.Add(float64(tex.PlanQuad(&w.plans, msg.Req.Coord, mode, info)))
 	w.acc = [shaderLanes]vmath.Vec4{}
+	if t.cache.PendingMisses() == 0 {
+		t.readAhead(w, cycle)
+	}
 	return w
+}
+
+// readAhead reads and filters, in the request's first cycle, the texels
+// of its plan up to the first whose tile is not resident, and stamps
+// each one's line used in the cycle that would have fetched it last:
+// TexelsPerCycle texels a cycle from start on. Clock then counts them
+// in those cycles. Reading them early is exact because nothing changes
+// what is resident, or reads a stamp, before that texel's cycle: the
+// cache has no miss in flight to fill, only this unit's own
+// RequestFill evicts a line or chooses a victim by its stamp, and the
+// unit makes none before the last texel read here is counted (it makes
+// one at the first texel not read here); an InvalidateAll or a
+// checkpoint only meets a quiesced unit.
+func (t *TextureUnit) readAhead(w *texWork, start int64) {
+	per := t.cfg.TexelsPerCycle
+	var line *mem.Line
+	var lineAddr uint32
+	for ; w.lane < shaderLanes; w.lane, w.texel = w.lane+1, 0 {
+		texels := w.plans[w.lane].Texels
+		for ; w.texel < len(texels); w.texel++ {
+			ref := &texels[w.texel]
+			if line == nil || ref.Addr != lineAddr {
+				if line != nil { // a run of texels in one tile is stamped once, at its end
+					t.cache.Touch(start+int64((w.ahead-1)/per), line)
+				}
+				if line, lineAddr = t.cache.Resident(ref.Addr), ref.Addr; line == nil {
+					return
+				}
+			}
+			filterTexel(&w.acc[w.lane], line, ref)
+			w.ahead++
+		}
+	}
+	if line != nil {
+		t.cache.Touch(start+int64((w.ahead-1)/per), line)
+	}
+}
+
+// filterTexel adds a texel of a resident line to its lane's sum, with
+// the operations of texemu.FilterPlan: each channel's product rounded
+// to float32 before the sum, so no platform fuses it.
+func filterTexel(acc *vmath.Vec4, line *mem.Line, ref *texemu.TexelRef) {
+	px, wgt := line.Data()[ref.Idx*4:][:4], ref.W
+	acc[0] += float32(texemu.Unorm8(px[0]) * wgt)
+	acc[1] += float32(texemu.Unorm8(px[1]) * wgt)
+	acc[2] += float32(texemu.Unorm8(px[2]) * wgt)
+	acc[3] += float32(texemu.Unorm8(px[3]) * wgt)
 }
 
 // peekTexel returns the next texel to fetch, or nil when the request

@@ -73,15 +73,22 @@ func (r *tuRig) idle() bool {
 		!r.reqIn.sig.Pending() && !r.repOut.sig.Pending()
 }
 
-// tuModel is the texture unit of ab1d5eb kept as the reference: a
-// tile address per texel per cycle, Probe + Lookup + Read per texel,
-// texel values collected per lane and filtered in a second pass when
-// the last one is in. It drives the TextureUnit's own cache, flows and
-// counters and replaces only Clock and startWork.
+// tuModel is the texture unit of ab1d5eb kept as the reference: each
+// texel fetched in its cycle with Probe + Lookup + Read, texel values
+// collected per lane and filtered in a second pass when the last one is
+// in. It drives the TextureUnit's own cache, flows and counters and
+// replaces only Clock and startWork.
+//
+// It also sorts its requests by the prefix of texels resident when the
+// request starts, with no miss in flight: none, all of them, or some
+// ending inside a cycle (a count that is no multiple of the texels
+// fetched per cycle).
 type tuModel struct {
 	*TextureUnit
 	current *tuModelWork
 	work    tuModelWork
+
+	prefixNone, prefixWhole, prefixInsideCycle int
 }
 
 type tuModelWork struct {
@@ -125,10 +132,9 @@ func (m *tuModel) Clock(cycle int64) {
 		if !ok {
 			break
 		}
-		tex := w.msg.Texture
-		key, texelIdx := tex.TileAddr(ref.Face, ref.Level, ref.Slice, ref.X, ref.Y)
+		key, texelIdx := ref.Addr, int(ref.Idx)
 		if !t.cache.Probe(key) {
-			t.hooks.fmtOf[key] = tex.Format
+			t.hooks.fmtOf[key] = w.msg.Texture.Format
 			if !w.looked {
 				t.cache.Lookup(cycle, key) // count the miss once
 				w.looked = true
@@ -191,6 +197,25 @@ func (m *tuModel) startWork(msg *TexReqMsg) *tuModelWork {
 		w.vals[l] = w.vals[l][:0]
 	}
 	m.statBilinear.Add(float64(bilinear))
+	if m.cache.PendingMisses() == 0 {
+		resident, total := 0, 0
+		for l := range w.plans {
+			for _, ref := range w.plans[l].Texels {
+				if resident == total && m.cache.Probe(ref.Addr) {
+					resident++
+				}
+				total++
+			}
+		}
+		switch {
+		case resident == 0:
+			m.prefixNone++
+		case resident == total:
+			m.prefixWhole++
+		case resident%m.cfg.TexelsPerCycle != 0:
+			m.prefixInsideCycle++
+		}
+	}
 	return w
 }
 
@@ -314,12 +339,16 @@ func resultBits(res [shaderLanes]vmath.Vec4) (b [shaderLanes][4]uint32) {
 
 // The texture unit must be the reference unit to the cycle and the bit:
 // the same replies in the same cycles with the same float bit patterns,
-// and the same value in every counter of the unit, its cache and the
-// memory controller. Requests arrive in bursts; between bursts both
-// units drain, the texture memory is overwritten and the caches are
-// invalidated as at a render-target switch, and the next burst starts
-// in the tile the last one ended in — a line remembered from one Clock
-// call to a later one would then serve stale texels as hits.
+// and after every cycle the same value in every counter of the unit,
+// its cache and the memory controller. The unit reads the texels
+// resident when a request starts all at once, so the run must meet the
+// three shapes that prefix takes: empty, the whole request, and ending
+// inside a cycle (where the unit has more than one port). Requests
+// arrive in bursts; between bursts both units drain, the texture memory
+// is overwritten and the caches are invalidated as at a render-target
+// switch, and the next burst starts in the tile the last one ended in
+// — a line remembered from one Clock call to a later one would then
+// serve stale texels as hits.
 func TestTextureUnitMatchesReference(t *testing.T) {
 	for _, g := range []struct {
 		name                                     string
@@ -337,6 +366,11 @@ func TestTextureUnitMatchesReference(t *testing.T) {
 			model := &tuModel{TextureUnit: want.tu}
 			want.clock = model.Clock
 			rigs := []*tuRig{got, want}
+			names := got.sim.Stats.Names()
+			stats := make([][2]core.Stat, len(names))
+			for i, name := range names {
+				stats[i] = [2]core.Stat{got.sim.Stats.Lookup(name), want.sim.Stats.Lookup(name)}
+			}
 
 			rng := rand.New(rand.NewSource(int64(g.sets*100 + g.assoc)))
 			texs := randomTextures(rng, g.textures)
@@ -390,6 +424,11 @@ func TestTextureUnitMatchesReference(t *testing.T) {
 						}
 						replies++
 					}
+					for i, s := range stats {
+						if a, b := s[0].Value(), s[1].Value(); a != b {
+							t.Fatalf("cycle %d: %s = %v, reference %v", cycle, names[i], a, b)
+						}
+					}
 					if n := len(got.tu.hooks.fmtOf); n > 8 {
 						t.Fatalf("cycle %d: %d fill formats remembered, more than the miss queue holds", cycle, n)
 					}
@@ -401,19 +440,18 @@ func TestTextureUnitMatchesReference(t *testing.T) {
 			if replies != int(id) || replies != g.bursts*g.perBurst {
 				t.Fatalf("%d replies for %d requests", replies, id)
 			}
-			for _, name := range got.sim.Stats.Names() {
-				a, b := got.sim.Stats.Lookup(name).Value(), want.sim.Stats.Lookup(name).Value()
-				if a != b {
-					t.Errorf("%s = %v, reference %v", name, a, b)
-				}
-			}
 			// The run must have exercised what it is about.
 			stat := func(name string) float64 { return got.sim.Stats.Lookup(name).Value() }
-			t.Logf("%d cycles, %v texels, %v hits, %v misses, %v stall cycles", got.cycle, stat("TextureUnit0.texels"),
-				stat("TexCache0.hits"), stat("TexCache0.misses"), stat("TextureUnit0.missStallCycles"))
+			t.Logf("%d cycles, %v texels, %v hits, %v misses, %v stall cycles; resident prefixes: %d empty, %d whole, %d ending inside a cycle",
+				got.cycle, stat("TextureUnit0.texels"), stat("TexCache0.hits"), stat("TexCache0.misses"),
+				stat("TextureUnit0.missStallCycles"), model.prefixNone, model.prefixWhole, model.prefixInsideCycle)
 			if stat("TexCache0.misses") == 0 || stat("TexCache0.hits") == 0 || stat("TextureUnit0.missStallCycles") == 0 {
 				t.Fatalf("hits %v misses %v stalls %v: a path was never taken",
 					stat("TexCache0.hits"), stat("TexCache0.misses"), stat("TextureUnit0.missStallCycles"))
+			}
+			if model.prefixNone == 0 || model.prefixWhole == 0 || (g.perCycle > 1 && model.prefixInsideCycle == 0) {
+				t.Fatalf("resident prefixes: %d empty, %d whole, %d ending inside a cycle: a case was never met",
+					model.prefixNone, model.prefixWhole, model.prefixInsideCycle)
 			}
 		})
 	}
@@ -491,46 +529,80 @@ func TestTextureUnitFillFormatsBounded(t *testing.T) {
 }
 
 // BenchmarkTextureUnitQuad is the host cost of one simulated texture
-// request at a 100 % hit rate: bilinear quads inside one resident tile,
-// the memory controller left out because nothing misses.
+// request at a 100 % hit rate, the memory controller left out because
+// nothing misses: bilinear quads inside one resident tile, and the
+// common game request, trilinear with 8x anisotropy over a 32x32
+// mipmapped texture whose 24 tiles all stay resident.
 func BenchmarkTextureUnitQuad(b *testing.B) {
-	r := newTURig(b, 16, 4, 4, 4, 4)
-	tex := &texemu.Texture{
-		Target: isa.Tex2D, Format: texemu.FmtRGBA8, Width: 8, Height: 8, Depth: 1, Levels: 1,
-		WrapS: texemu.WrapClamp, WrapT: texemu.WrapClamp,
-		MinFilter: texemu.FilterLinear, MagFilter: texemu.FilterLinear, MaxAniso: 1,
-	}
-	rng := rand.New(rand.NewSource(1))
-	msgs := make([]*TexReqMsg, 64)
-	for i := range msgs {
-		req := &shaderemu.TexRequest{}
-		s, tt := 0.2+0.6*rng.Float32(), 0.2+0.6*rng.Float32()
-		for l := range req.Coord {
-			req.Coord[l] = vmath.Vec4{s + float32(l&1)/16, tt + float32(l>>1)/16}
-		}
-		msgs[i] = &TexReqMsg{DynObject: core.DynObject{ID: uint64(i)}, Req: req, Texture: tex}
-	}
-	// Warm up with the one cold miss, then time the unit alone.
-	r.reqIn.Send(r.cycle, msgs[0])
-	for warm := 0; warm == 0 || !r.idle(); {
-		warm += len(r.step())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for sent, done := 0, 0; done < b.N; r.cycle++ {
-		c := r.cycle
-		if sent < b.N && r.reqIn.CanSend(c, 1) {
-			r.reqIn.Send(c, msgs[sent%len(msgs)])
-			sent++
-		}
-		r.tu.Clock(c)
-		k := len(r.repOut.Recv(c))
-		r.repOut.Release(k)
-		done += k
-		barrier(r.sim, c, r.reqIn, r.repOut)
-	}
-	b.StopTimer()
-	if misses := r.sim.Stats.Lookup("TexCache0.misses").Value(); misses != 1 {
-		b.Fatalf("%v misses: the benchmark is about hits", misses)
+	for _, c := range []struct {
+		name          string
+		size, levels  int
+		min           texemu.Filter
+		wrap          texemu.Wrap
+		aniso         int
+		dx, dy        float32 // texels stepped per pixel
+		lo, hi        float32 // range of the quads' texture coordinates
+		texelsPerQuad int     // what the footprint must plan: 2x2 per lane, position and level
+	}{
+		{"bilinear-1tile", 8, 1, texemu.FilterLinear, texemu.WrapClamp, 1, 0.5, 0.5, 0.2, 0.8, 16},
+		{"trilinear-aniso8", 32, 6, texemu.FilterLinearMipLinear, texemu.WrapRepeat, 8, 12, 1.5, 0, 1, 256},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := newTURig(b, 16, 4, 4, 4, 4)
+			tex := &texemu.Texture{
+				Target: isa.Tex2D, Format: texemu.FmtRGBA8, Width: c.size, Height: c.size, Depth: 1, Levels: c.levels,
+				WrapS: c.wrap, WrapT: c.wrap, MinFilter: c.min, MagFilter: texemu.FilterLinear, MaxAniso: c.aniso,
+			}
+			addr := uint32(0)
+			for l := 0; l < c.levels; l++ {
+				tex.Base[0][l] = addr
+				addr += uint32(tex.LevelBytes(l))
+			}
+			rng := rand.New(rand.NewSource(1))
+			texels := make([]byte, addr)
+			rng.Read(texels)
+			r.gm.WriteBytes(0, texels)
+			msgs := make([]*TexReqMsg, 64)
+			for i := range msgs {
+				req := &shaderemu.TexRequest{}
+				s, tt := c.lo+(c.hi-c.lo)*rng.Float32(), c.lo+(c.hi-c.lo)*rng.Float32()
+				for l := range req.Coord {
+					req.Coord[l] = vmath.Vec4{s + float32(l&1)*c.dx/float32(c.size), tt + float32(l>>1)*c.dy/float32(c.size)}
+				}
+				msgs[i] = &TexReqMsg{DynObject: core.DynObject{ID: uint64(i)}, Req: req, Texture: tex}
+			}
+			// Warm up: every request once, its misses served; then time
+			// the unit alone.
+			for sent, done := 0, 0; done < len(msgs) || !r.idle(); {
+				if sent < len(msgs) && r.reqIn.CanSend(r.cycle, 1) {
+					r.reqIn.Send(r.cycle, msgs[sent])
+					sent++
+				}
+				done += len(r.step())
+			}
+			misses := r.sim.Stats.Lookup("TexCache0.misses").Value()
+			texels0 := r.sim.Stats.Lookup("TextureUnit0.texels").Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent, done := 0, 0; done < b.N; r.cycle++ {
+				c := r.cycle
+				if sent < b.N && r.reqIn.CanSend(c, 1) {
+					r.reqIn.Send(c, msgs[sent%len(msgs)])
+					sent++
+				}
+				r.tu.Clock(c)
+				k := len(r.repOut.Recv(c))
+				r.repOut.Release(k)
+				done += k
+				barrier(r.sim, c, r.reqIn, r.repOut)
+			}
+			b.StopTimer()
+			if m := r.sim.Stats.Lookup("TexCache0.misses").Value(); m != misses {
+				b.Fatalf("%v misses after the warm-up: the benchmark is about hits", m-misses)
+			}
+			if n := (r.sim.Stats.Lookup("TextureUnit0.texels").Value() - texels0) / float64(b.N); n != float64(c.texelsPerQuad) {
+				b.Fatalf("%v texels per request, want %d", n, c.texelsPerQuad)
+			}
+		})
 	}
 }

@@ -233,6 +233,13 @@ func (c *Cache) Hit(cycle int64, ln *Line) {
 	ln.lastUse = cycle
 }
 
+// Touch marks a resident line used at cycle, for the LRU choice of a
+// later RequestFill, without counting a hit.
+func (c *Cache) Touch(cycle int64, ln *Line) { ln.lastUse = cycle }
+
+// AddHits counts n hits, on lines touched for them.
+func (c *Cache) AddHits(n int) { c.statHits.Add(float64(n)) }
+
 // Miss counts a miss.
 func (c *Cache) Miss() { c.statMisses.Inc() }
 

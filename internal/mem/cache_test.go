@@ -125,6 +125,54 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// Touch makes a line the most recently used without counting a hit:
+// of A and B in a 1-set 2-way cache, A filled first, a Touch of A after
+// B's fill makes the next fill evict B.
+func TestCacheTouchReordersLRU(t *testing.T) {
+	cfg := CacheConfig{Name: "C", Sets: 1, Assoc: 2, LineBytes: 256, MissQ: 4, PortLimit: 8}
+	h := newCacheHarness(t, cfg, PassThrough{})
+	h.fetchLine(t, 0x0000)
+	h.fetchLine(t, 0x4000)
+	a, b := h.cache.Resident(0x0000), h.cache.Resident(0x4000)
+	if a.lastUse >= b.lastUse {
+		t.Fatalf("A used at %d, B at %d: A is not the LRU line", a.lastUse, b.lastUse)
+	}
+	h.step()
+	h.cache.Touch(h.cycle, a)
+	h.fetchLine(t, 0x8000)
+	if !h.cache.Probe(0x0000) || h.cache.Probe(0x4000) {
+		t.Fatalf("after Touch(A): A resident %v, B resident %v; want B evicted", h.cache.Probe(0x0000), h.cache.Probe(0x4000))
+	}
+	if hits, misses := h.cache.HitMissCounts(); hits != 0 || misses != 0 {
+		t.Fatalf("Touch counted %v hits, %v misses", hits, misses)
+	}
+}
+
+// AddHits adds exactly n to the hit count and changes nothing else: no
+// other statistic and no line's LRU stamp.
+func TestCacheAddHits(t *testing.T) {
+	h := newCacheHarness(t, DefaultCacheConfig("C"), PassThrough{})
+	h.fetchLine(t, 0x1000)
+	h.cache.Lookup(h.cycle, 0x1000)
+	ln := h.cache.Resident(0x1000)
+	use := ln.lastUse
+	before := h.sim.Stats.Snapshot()
+	h.cache.AddHits(5)
+	h.cache.AddHits(0)
+	for name, v := range h.sim.Stats.Snapshot() {
+		want := before[name]
+		if name == "C.hits" {
+			want += 5
+		}
+		if v != want {
+			t.Errorf("%s = %v after AddHits(5), want %v", name, v, want)
+		}
+	}
+	if ln.lastUse != use {
+		t.Errorf("AddHits moved the line's stamp from %d to %d", use, ln.lastUse)
+	}
+}
+
 func TestCacheMissQueueBound(t *testing.T) {
 	cfg := CacheConfig{Name: "C", Sets: 16, Assoc: 4, LineBytes: 256, MissQ: 2, PortLimit: 8}
 	h := newCacheHarness(t, cfg, PassThrough{})
