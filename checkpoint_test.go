@@ -13,10 +13,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"attila/internal/chkpt"
+	"attila/internal/core"
 	"attila/internal/gpu"
 	"attila/internal/obsv"
 	"attila/internal/workload"
@@ -44,7 +49,6 @@ func newCkptHarness(t *testing.T, workers int) *ckptHarness {
 	}
 	frozen := time.Unix(1000, 0)
 	bus := obsv.NewBus(pipe.Sim, obsv.BusOptions{
-		Window: 10000,
 		Frames: func() int64 { return int64(pipe.CP.Frames()) },
 		Goal:   p.MaxCycles,
 		Now:    func() time.Time { return frozen },
@@ -125,10 +129,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			// perturb the run.
 			ref := newCkptHarness(t, tc.capWorkers)
 			var snapBytes []byte
+			var capTotals map[string]float64
 			ref.pipe.Sim.OnEndCycle(func(cycle int64) {
 				if snapBytes != nil || cycle < captureAt || !ref.pipe.Quiesced() {
 					return
 				}
+				capTotals, _ = ref.bus.StatTotals()
 				meta := chkpt.Meta{
 					Cycle:    ref.pipe.Sim.Cycle(),
 					Config:   ref.pipe.ConfigFingerprint(),
@@ -162,10 +168,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if err := res.pipe.RestoreCheckpoint(snap, res.cmds, res.bus); err != nil {
 				t.Fatal(err)
 			}
+			// /metrics.prom serves the last window's totals, restored or not.
+			if got, _ := res.bus.StatTotals(); !reflect.DeepEqual(got, capTotals) {
+				t.Error("restored bus's StatTotals differ from the uninterrupted run's at the capture")
+			}
 			if err := res.pipe.ResumeContext(context.Background(), benchParams().MaxCycles); err != nil {
 				t.Fatal(err)
 			}
 			resFP, resND := res.observe(t)
+			ndjsonIsCSV(t, ref.pipe, refND, refFP.csv)
 
 			if resFP.cycles != refFP.cycles {
 				t.Errorf("resumed run: %d cycles, uninterrupted %d", resFP.cycles, refFP.cycles)
@@ -206,6 +217,60 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ndjsonIsCSV checks that the metrics NDJSON is the stats CSV: one
+// window per row, at the row's cycle, whose stats are the row with zero
+// counter deltas dropped (a zero may stay: gauges are carried by value)
+// and whose busy fractions are the row's busyCycles columns (each box's
+// BoxInfo.Busy) over the window's cycles.
+func ndjsonIsCSV(t *testing.T, pipe *gpu.Pipeline, ndjson, csv []byte) {
+	t.Helper()
+	busyOf := map[string]string{} // busy stat -> box
+	for _, b := range pipe.Sim.Boxes() {
+		if c := core.InfoOf(b).Busy; c != nil {
+			busyOf[c.StatName()] = b.BoxName()
+		}
+	}
+	rows := strings.Split(strings.TrimSpace(string(csv)), "\n")
+	header := strings.Split(rows[0], ",")
+	windows := strings.Split(strings.TrimSpace(string(ndjson)), "\n")
+	if len(windows) != len(rows)-1 {
+		t.Fatalf("%d windows for %d CSV rows", len(windows), len(rows)-1)
+	}
+	for i, line := range windows {
+		var w obsv.WindowSample
+		if err := json.Unmarshal([]byte(line), &w); err != nil {
+			t.Fatal(err)
+		}
+		row := strings.Split(rows[i+1], ",")
+		if cycle, _ := strconv.ParseInt(row[0], 10, 64); w.Cycle != cycle {
+			t.Fatalf("window %d ends at cycle %d, its row at %d", i, w.Cycle, cycle)
+		}
+		present, busy := 0, 0
+		for c, name := range header[1:] {
+			v, err := strconv.ParseFloat(row[c+1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := w.Stats[name]
+			if got != v || (!ok && v != 0) {
+				t.Fatalf("window %d (cycle %d): %s = %v (present %v), row %v", i, w.Cycle, name, got, ok, v)
+			}
+			if ok {
+				present++
+			}
+			if box, ok := busyOf[name]; ok && v != 0 {
+				busy++
+				if want := v / float64(w.Cycles); w.Busy[box] != want {
+					t.Fatalf("window %d (cycle %d): busy[%s] = %v, row gives %v", i, w.Cycle, box, w.Busy[box], want)
+				}
+			}
+		}
+		if len(w.Stats) != present || len(w.Busy) != busy {
+			t.Fatalf("window %d (cycle %d): %d stats, %d busy boxes; %d are columns of the row, %d busy", i, w.Cycle, len(w.Stats), len(w.Busy), present, busy)
+		}
 	}
 }
 

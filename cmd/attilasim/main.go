@@ -66,8 +66,7 @@ func simulate() int {
 	blackbox := flag.String("blackbox", "", "write a JSON crash report here when the run fails")
 	httpAddr := flag.String("http", "", "serve live status on this address (e.g. :6060): /metrics, /progress, /crash, /debug/pprof")
 	httpLinger := flag.Duration("http-linger", 0, "keep the status server up this long after the run ends (inspect /crash post-mortem)")
-	metricsOut := flag.String("metrics", "", "write the windowed metrics bus as NDJSON to file")
-	metricsWindow := flag.Int64("metrics-window", 0, "metrics bus window in cycles (0 = the config's statistics interval)")
+	metricsOut := flag.String("metrics", "", "write the metrics bus as NDJSON to file: one window per stats interval row")
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes (sampled; prints a ranked table)")
 	perfettoOut := flag.String("perfetto", "", "write a Perfetto/Chrome trace-event JSON of box activity to file")
 	manifestOut := flag.String("manifest", "auto", "run manifest path; auto = run-manifest.json next to the first output, none = disabled")
@@ -192,7 +191,7 @@ func simulate() int {
 		sigWriter = core.NewSigTraceWriter(sf)
 		spec.SigTrace = sigWriter
 	}
-	// Observability: the metrics bus samples at the cycle barrier, the
+	// Observability: the metrics bus reads every stats interval row, the
 	// profiler times sampled box clocks, and the status server makes
 	// both (plus the crash black box) reachable while the run is live.
 	if *httpAddr != "" || *metricsOut != "" || *perfettoOut != "" {
@@ -203,11 +202,7 @@ func simulate() int {
 		if goalFrames < 0 {
 			goalFrames = 0
 		}
-		window := *metricsWindow
-		if window <= 0 {
-			window = cfg.StatInterval // 0 falls through to the bus default
-		}
-		spec.Bus = &obsv.BusOptions{Window: window, Goal: *maxCycles, GoalFrames: goalFrames}
+		spec.Bus = &obsv.BusOptions{Goal: *maxCycles, GoalFrames: goalFrames}
 	}
 	if *profileBoxes {
 		spec.Profiler = obsv.NewProfiler()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -28,6 +29,18 @@ func sim(t *testing.T, bin, dir string, args ...string) (int, string) {
 	}
 	t.Fatalf("attilasim %v: %v", args, err)
 	return 0, ""
+}
+
+// build builds the named commands of this module into dir.
+func build(t *testing.T, dir string, cmds ...string) {
+	t.Helper()
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	for _, c := range cmds {
+		args = append(args, "attila/cmd/"+c)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
 }
 
 func sameFile(t *testing.T, dir, want, got string) {
@@ -53,10 +66,7 @@ func sameFile(t *testing.T, dir, want, got string) {
 // different frame range is refused with exit 4.
 func TestKillRestoreCLI(t *testing.T) {
 	dir := t.TempDir()
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "attila/cmd/attilasim", "attila/cmd/tracegen")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	build(t, dir, "attilasim", "tracegen")
 	bin := filepath.Join(dir, "attilasim")
 	gen := exec.Command(filepath.Join(dir, "tracegen"), "-workload", "simple", "-width", "128", "-height", "96", "-frames", "3", "-out", "m.attila")
 	gen.Dir = dir
@@ -115,5 +125,32 @@ func TestKillRestoreCLI(t *testing.T) {
 	code, out = sim(t, bin, dir, with("-restore", "m.ckpt", "-end", "2", "-manifest", "none")...)
 	if code != 4 || !strings.Contains(out, "checkpoint is for workload") {
 		t.Errorf("restore against another frame range: exit %d, want 4 and a workload mismatch\n%s", code, out)
+	}
+}
+
+// Every flag row of README.md (a table row starting | `-flag) names a
+// flag that attilasim or experiments prints under -h: a removed flag
+// takes its row with it.
+func TestReadmeFlagsExist(t *testing.T) {
+	dir := t.TempDir()
+	build(t, dir, "attilasim", "experiments")
+	var usage strings.Builder
+	for _, bin := range []string{"attilasim", "experiments"} {
+		// -h prints the flags and exits 0 (2 from older flag packages).
+		out, _ := exec.Command(filepath.Join(dir, bin), "-h").CombinedOutput()
+		usage.Write(out)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `-([A-Za-z0-9-]+)").FindAllStringSubmatch(string(readme), -1)
+	if len(rows) == 0 {
+		t.Fatal("README.md has no flag rows")
+	}
+	for _, row := range rows {
+		if !regexp.MustCompile(`(?m)^\s+-` + regexp.QuoteMeta(row[1]) + `(\s|$)`).MatchString(usage.String()) {
+			t.Errorf("README.md documents -%s, which neither attilasim nor experiments has", row[1])
+		}
 	}
 }

@@ -481,27 +481,31 @@ func TestCheckpointRoundTripCore(t *testing.T) {
 	// The engine must not have perturbed the run.
 	same("checkpointed", finish(sim2, cons2), ref)
 
-	// Restore from the first snapshot (through the wire codec) and run
-	// to completion.
-	var buf bytes.Buffer
-	if err := snaps[0].Encode(&buf); err != nil {
-		t.Fatal(err)
+	// Restore from the first snapshot and from the one captured at the
+	// barrier of cycle 20, a stat boundary (through the wire codec), and
+	// run to completion. The boundary's row is recorded before the hooks
+	// run, so the second capture holds it.
+	for _, i := range []int{0, 1} {
+		var buf bytes.Buffer
+		if err := snaps[i].Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := chkpt.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim3, cons3, parts3 := build()
+		if err := chkpt.Restore(snap, parts3, false); err != nil {
+			t.Fatal(err)
+		}
+		if sim3.Cycle() != snapCycles[i] {
+			t.Fatalf("restored at cycle %d, want %d", sim3.Cycle(), snapCycles[i])
+		}
+		if err := sim3.Run(200); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("restored at cycle %d", snapCycles[i]), finish(sim3, cons3), ref)
 	}
-	snap, err := chkpt.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim3, cons3, parts3 := build()
-	if err := chkpt.Restore(snap, parts3, false); err != nil {
-		t.Fatal(err)
-	}
-	if sim3.Cycle() != snapCycles[0] {
-		t.Fatalf("restored at cycle %d, want %d", sim3.Cycle(), snapCycles[0])
-	}
-	if err := sim3.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	same("restored", finish(sim3, cons3), ref)
 }
 
 // A core.Signals section of the right length that names one wire twice

@@ -186,10 +186,12 @@ func (b *BoxBase) wake() {
 	}
 }
 
-// EndCycleFunc runs after boxes have been clocked and before
-// statistics are sampled. Hooks registered with OnEndCycle run at the
-// end of every cycle, in registration order: quiesce snapshots taken,
-// trace buffers drained, checkpoints captured.
+// EndCycleFunc runs after boxes have been clocked. Hooks registered
+// with OnEndCycle run at the end of every cycle, in registration order,
+// after the publications have folded and after the statistics interval
+// sample (a boundary cycle's row is recorded before any hook sees the
+// cycle): quiesce snapshots taken, trace buffers drained, checkpoints
+// captured.
 type EndCycleFunc func(cycle int64)
 
 // Publication is state outside the signal model that one box writes
@@ -602,7 +604,7 @@ func (s *Simulator) clock(c int64) (err error) {
 }
 
 // endOfCycle runs after every box has clocked the cycle: watchdog,
-// publication fold, hooks, traces, stats, termination check. It returns
+// publication fold, stats, hooks, traces, termination check. It returns
 // (true, err) when the run loop should return err.
 func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
 	// Advance the counter before the hooks run: a checkpoint captured in
@@ -610,14 +612,17 @@ func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
 	// one on resume. Hooks still observe cycle as their argument. The
 	// watchdog check also precedes the hooks so the captured watchdog
 	// fingerprint is the end-of-cycle state — a restored run continues
-	// the progress tracking exactly where the uninterrupted run left it.
+	// the progress tracking exactly where the uninterrupted run left it —
+	// and so does the interval sample, so a capture on a boundary cycle
+	// holds that cycle's row.
 	s.cycle = cycle + 1
 	var rep *DeadlockReport
 	if s.wd != nil {
 		rep = s.wd.check(s, cycle)
 	}
-	s.EndCycle(cycle)
+	s.fold(cycle)
 	s.Stats.Tick(cycle)
+	s.runHooks(cycle)
 	if s.done() {
 		return true, nil
 	}
@@ -629,9 +634,16 @@ func (s *Simulator) endOfCycle(cycle int64) (bool, error) {
 
 // EndCycle folds the marked publications, runs the end-of-cycle hooks
 // in registration order and drains signal trace buffers. Run does it
-// at the end of every cycle; only test harnesses that clock boxes
-// manually (outside Run) need to call it themselves.
+// at the end of every cycle, with the statistics tick between the fold
+// and the hooks; only test harnesses that clock boxes manually
+// (outside Run) need to call it themselves.
 func (s *Simulator) EndCycle(cycle int64) {
+	s.fold(cycle)
+	s.runHooks(cycle)
+}
+
+// fold folds the publications marked this cycle and wakes their readers.
+func (s *Simulator) fold(cycle int64) {
 	for i, p := range s.marked {
 		p.marked = false
 		p.fold(cycle)
@@ -641,6 +653,10 @@ func (s *Simulator) EndCycle(cycle int64) {
 		s.marked[i] = nil
 	}
 	s.marked = s.marked[:0]
+}
+
+// runHooks runs the end-of-cycle hooks and drains signal trace buffers.
+func (s *Simulator) runHooks(cycle int64) {
 	for _, fn := range s.hooks {
 		fn(cycle)
 	}

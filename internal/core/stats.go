@@ -134,7 +134,8 @@ func (g *Gauge) Set(v float64) {
 // of run.
 //
 // Stats are mutated by their owning box and sampled at the end of the
-// cycle.
+// cycle. A row is the run's one interval sample: whatever else reads
+// the statistics in windows (the metrics bus) registers with OnRow.
 type StatManager struct {
 	stats    []Stat
 	progress []*Progress // the ShadowProgress registrations, in order
@@ -142,6 +143,7 @@ type StatManager struct {
 	interval int64
 	rows     []sampleRow
 	last     []float64
+	readers  []RowFunc
 
 	lastSample int64
 	hasSample  bool
@@ -156,6 +158,13 @@ type sampleRow struct {
 	cycle  int64
 	deltas []float64
 }
+
+// RowFunc reads one row as the manager records it: the row's cycle
+// stamp, the per-stat deltas (gauges by value) and the cumulative
+// values, both in registration order (Registered), and whether it is
+// Flush's partial row. The slices are the manager's: deltas is the
+// row itself and never changes; totals is overwritten by the next row.
+type RowFunc func(cycle int64, deltas, totals []float64, final bool)
 
 // NewStatManager creates a manager sampling every interval cycles.
 // Pass interval 0 to disable interval sampling (cumulative values are
@@ -217,6 +226,19 @@ func (m *StatManager) Snapshot() map[string]float64 {
 // Lookup returns the stat registered under name, or nil.
 func (m *StatManager) Lookup(name string) Stat { return m.byName[name] }
 
+// Registered returns the stats in registration order, the order of a
+// row's columns. The slice is shared: do not modify it.
+func (m *StatManager) Registered() []Stat { return m.stats }
+
+// Totals returns every stat's cumulative value at the last recorded
+// row, in registration order (zeros before the first row). The slice
+// is the manager's: do not modify it; the next row overwrites it.
+func (m *StatManager) Totals() []float64 { return m.last }
+
+// OnRow registers fn to be called for every row recorded from now on,
+// after the row is stored, in registration order.
+func (m *StatManager) OnRow(fn RowFunc) { m.readers = append(m.readers, fn) }
+
 // Names returns all registered stat names, sorted.
 func (m *StatManager) Names() []string {
 	out := make([]string, 0, len(m.stats))
@@ -240,7 +262,7 @@ func (m *StatManager) Tick(cycle int64) {
 	m.tickedTo, m.nextBoundary = cycle, (cycle/m.interval+1)*m.interval
 	// Cycle 0 is no boundary: no interval has elapsed yet.
 	if cycle > 0 && cycle%m.interval == 0 {
-		m.sample(cycle)
+		m.sample(cycle, false)
 	}
 }
 
@@ -260,10 +282,10 @@ func (m *StatManager) Flush(cycle int64) {
 	if m.hasSample && last <= m.lastSample {
 		return
 	}
-	m.sample(last)
+	m.sample(last, true)
 }
 
-func (m *StatManager) sample(cycle int64) {
+func (m *StatManager) sample(cycle int64, final bool) {
 	row := sampleRow{cycle: cycle, deltas: make([]float64, len(m.stats))}
 	for i, s := range m.stats {
 		v := s.Value()
@@ -277,6 +299,9 @@ func (m *StatManager) sample(cycle int64) {
 	m.rows = append(m.rows, row)
 	m.lastSample = cycle
 	m.hasSample = true
+	for _, fn := range m.readers {
+		fn(cycle, row.deltas, m.last, final)
+	}
 }
 
 // Samples returns the recorded samples for one stat — per-interval

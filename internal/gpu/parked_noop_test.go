@@ -2,6 +2,7 @@ package gpu_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"os"
@@ -46,7 +47,8 @@ func buildGolden(t *testing.T, c goldenScene, cfg gpu.Config) (*gpu.Pipeline, []
 // TestGoldenFrames scene — frames, cycle count, statistics summary,
 // every statistic at every barrier (what an interval CSV at interval 1
 // holds: a counter credited one cycle late shows), the interval CSV
-// itself, the metrics bus's NDJSON under a frozen clock, and the bytes
+// itself, the metrics bus's NDJSON under a frozen clock (every window
+// of it, one per CSV row, the ring's evicted ones too), and the bytes
 // of every checkpoint captured on the way, watchdog fingerprint
 // included. TestParkingWithQueuedItemIsCaught shows the comparison
 // catches a box that parks too soon.
@@ -61,11 +63,13 @@ func TestParkedClockIsNoOp(t *testing.T) {
 		goldenScene{"baseline-split", "ut2004", gpu.Baseline(), 0, 1}) {
 		t.Run(c.name, func(t *testing.T) {
 			type outputs struct {
-				cycles               int64
-				frames               [][]byte
-				summary, csv, ndjson bytes.Buffer
-				barriers             uint64 // hash of every statistic at every barrier
-				captures             []capture
+				cycles       int64
+				frames       [][]byte
+				summary, csv bytes.Buffer
+				barriers     uint64 // hash of every statistic at every barrier
+				windows      int
+				ndjson       uint64 // hash of every window's NDJSON line
+				captures     []capture
 			}
 			run := func(allAwake bool) *outputs {
 				cfg := c.cfg
@@ -81,17 +85,29 @@ func TestParkedClockIsNoOp(t *testing.T) {
 				}
 				now := time.Unix(1000, 0)
 				bus := obsv.NewBus(pipe.Sim, obsv.BusOptions{
-					Window: 250, Depth: 2048,
+					Depth:  2048,
 					Frames: func() int64 { return int64(pipe.CP.Frames()) },
 					Now: func() time.Time {
 						now = now.Add(time.Millisecond)
 						return now
 					},
 				})
+				out := &outputs{}
+				// The ring keeps the newest windows only; every window is
+				// hashed as it is recorded (readers run in registration
+				// order, so the bus's window is in the ring by then).
+				nd := fnv.New64a()
+				enc := json.NewEncoder(nd)
+				pipe.Sim.Stats.OnRow(func(int64, []float64, []float64, bool) {
+					ring := bus.Snapshot()
+					if err := enc.Encode(ring[len(ring)-1]); err != nil {
+						t.Fatal(err)
+					}
+					out.windows++
+				})
 				path := filepath.Join(t.TempDir(), "scene.ckpt")
 				eng := pipe.EnableCheckpoints(path, c.generator, 4000, bus)
 
-				out := &outputs{}
 				var stats []core.Stat
 				for _, name := range pipe.Sim.Stats.Names() {
 					stats = append(stats, pipe.Sim.Stats.Lookup(name))
@@ -122,7 +138,7 @@ func TestParkedClockIsNoOp(t *testing.T) {
 				if err := eng.Err(); err != nil {
 					t.Fatal(err)
 				}
-				out.cycles, out.barriers = pipe.Cycles(), h.Sum64()
+				out.cycles, out.barriers, out.ndjson = pipe.Cycles(), h.Sum64(), nd.Sum64()
 				for _, f := range pipe.Frames() {
 					out.frames = append(out.frames, f.Pix)
 				}
@@ -130,10 +146,6 @@ func TestParkedClockIsNoOp(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := pipe.DumpCSV(&out.csv); err != nil {
-					t.Fatal(err)
-				}
-				bus.Flush()
-				if err := bus.WriteNDJSON(&out.ndjson); err != nil {
 					t.Fatal(err)
 				}
 				return out
@@ -159,8 +171,9 @@ func TestParkedClockIsNoOp(t *testing.T) {
 			if !bytes.Equal(parked.csv.Bytes(), awake.csv.Bytes()) {
 				t.Error("interval CSV differs with every box clocked")
 			}
-			if parked.ndjson.Len() == 0 || !bytes.Equal(parked.ndjson.Bytes(), awake.ndjson.Bytes()) {
-				t.Errorf("metrics NDJSON (%d bytes) differs with every box clocked", parked.ndjson.Len())
+			if parked.windows == 0 || parked.windows != awake.windows || parked.ndjson != awake.ndjson {
+				t.Errorf("metrics NDJSON (%d windows, %d with every box clocked) differs with every box clocked",
+					parked.windows, awake.windows)
 			}
 			if len(parked.captures) == 0 || len(parked.captures) != len(awake.captures) {
 				t.Fatalf("%d checkpoints captured, %d with every box clocked", len(parked.captures), len(awake.captures))

@@ -1,12 +1,13 @@
 // Package obsv is the live observability layer of the simulator: a
-// windowed metrics bus sampled at the cycle barrier, a per-box
+// windowed metrics bus reading the statistics interval rows, a per-box
 // host-time profiler, a Perfetto/Chrome trace-event exporter, the
 // attilasim status server, and the run manifest.
 //
 // Everything here is stdlib-only and reads simulation state only at
-// the cycle barrier (core.Simulator.OnEndCycle) or through atomics,
-// so attaching any of it never changes simulation results — the
-// paper's end-of-run CSV and the signal trace stay bit-identical.
+// the cycle barrier (the bus as a statistics row is recorded) or
+// through atomics, so attaching any of it never changes simulation
+// results — the paper's end-of-run CSV and the signal trace stay
+// bit-identical.
 package obsv
 
 import (
@@ -14,18 +15,16 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"attila/internal/core"
 	"attila/internal/obsv/trace"
 )
 
-// BusOptions configures the windowed metrics bus.
+// BusOptions configures the windowed metrics bus. A window is the
+// simulator's statistics interval: the bus records one window per row
+// of the stats CSV.
 type BusOptions struct {
-	// Window is the sampling window in cycles. <= 0 selects 10000 (the
-	// paper's statistics interval).
-	Window int64
 	// Depth is the ring capacity in windows; older windows are evicted.
 	// <= 0 selects 512.
 	Depth int
@@ -43,8 +42,8 @@ type BusOptions struct {
 	Now func() time.Time
 	// Spans, when non-nil, is the span collector whose per-client
 	// latency histograms the bus diffs at each window boundary into
-	// windowed p50/p90/p99 summaries. The collector's EndCycle hook
-	// must be registered before the bus is built (fold-before-sample).
+	// windowed p50/p90/p99 summaries. The collector folds as a
+	// publication, before the statistics row is recorded.
 	Spans *trace.Collector
 }
 
@@ -66,14 +65,14 @@ type WatchdogStatus struct {
 	Quiet        int64  `json:"quietCycles"`  // cycles since last activity
 }
 
-// WindowSample is one window of the metrics bus: per-stat deltas (by
-// value for gauges), derived per-box busy fractions and queue
-// occupancy, per-signal in-flight objects, and the host-time rate.
-// All fields except WallNs and CPS are functions of simulation state
-// only and therefore identical from run to run.
+// WindowSample is one window of the metrics bus: the stats CSV row of
+// its cycle (zero counter deltas dropped), derived per-box busy
+// fractions and queue occupancy, per-signal in-flight objects, and the
+// host-time rate. All fields except WallNs and CPS are functions of
+// simulation state only and therefore identical from run to run.
 type WindowSample struct {
 	Seq      int64                     `json:"seq"`
-	Cycle    int64                     `json:"cycle"`  // last executed cycle of the window
+	Cycle    int64                     `json:"cycle"`  // the row's cycle: last executed cycle of the window
 	Cycles   int64                     `json:"cycles"` // cycles covered by the window
 	Frames   int64                     `json:"frames,omitempty"`
 	WallNs   int64                     `json:"wallNs"`            // host time spent in the window
@@ -87,22 +86,21 @@ type WindowSample struct {
 	Watchdog *WatchdogStatus           `json:"watchdog,omitempty"`
 }
 
-// busyEntry pairs a box's busy counter (BoxInfo.Busy) with its
-// previous value for per-window deltas.
+// busyEntry names a box and the row column of its busy counter
+// (BoxInfo.Busy).
 type busyEntry struct {
 	name string
-	busy *core.Counter
-	prev float64
+	col  int
 }
 
-// Bus samples every registered statistic plus derived rates into a
-// ring of time-series windows. It attaches to a built simulator with
-// NewBus and from then on runs at every cycle barrier; readers (the
-// status server, the NDJSON/Perfetto exporters) take snapshots under
-// a mutex the sampler holds only at window boundaries.
+// Bus turns every statistics row into a window of a ring of
+// time-series windows, with derived rates beside the row. It attaches
+// to a built simulator with NewBus and from then on reads each row as
+// the StatManager records it; readers (the status server, the
+// NDJSON/Perfetto exporters) take snapshots under a mutex the bus
+// holds only while it records a window.
 type Bus struct {
 	sim    *core.Simulator
-	window int64
 	depth  int
 	now    func() time.Time
 	frames func() int64
@@ -111,22 +109,19 @@ type Bus struct {
 
 	// Captured at attach time; simulation wiring is immutable during a
 	// run.
-	stats []core.Stat
+	stats []core.Stat // a row's columns
 	gauge []bool
-	prev  []float64
 	busy  []busyEntry
 	stall []func() []core.QueueStat // every BoxInfo.Queues, in registration order
 	sigs  []*core.Signal
 	spans *trace.Collector
 	hists map[string]trace.Histogram // per-client baselines at the last window
 
-	curCycle atomic.Int64 // latest cycle seen by the hook, readable anywhere
-	lastHook int64        // previous hooked cycle, for boundary crossing (-1 at start)
-
 	mu        sync.Mutex
 	ring      []*WindowSample
 	seq       int64
-	prevCycle int64 // last sampled cycle (-1 before the first window)
+	prevCycle int64     // last sampled cycle (-1 before the first window)
+	totals    []float64 // every stat's cumulative value at the last window, for StatTotals
 	lastWall  time.Time
 	startWall time.Time
 	flushed   bool
@@ -134,11 +129,9 @@ type Bus struct {
 
 // NewBus attaches a metrics bus to the simulator. Call after the
 // pipeline is fully built (all boxes, signals and stats registered)
-// and before Run.
+// and before Run. With a statistics interval of 0 the simulator
+// records no rows, and the bus no windows.
 func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
-	if opts.Window <= 0 {
-		opts.Window = 10000
-	}
 	if opts.Depth <= 0 {
 		opts.Depth = 512
 	}
@@ -148,84 +141,55 @@ func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
 	}
 	b := &Bus{
 		sim:    sim,
-		window: opts.Window,
 		depth:  opts.Depth,
 		now:    now,
 		frames: opts.Frames,
 		goal:   opts.Goal,
 		goalFr: opts.GoalFrames,
+		stats:  sim.Stats.Registered(),
 		sigs:   sim.Binder.Signals(),
 		spans:  opts.Spans,
 	}
 	if b.spans != nil {
 		b.hists = make(map[string]trace.Histogram)
 	}
-	for _, name := range sim.Stats.Names() {
-		st := sim.Stats.Lookup(name)
-		b.stats = append(b.stats, st)
+	col := make(map[core.Stat]int, len(b.stats))
+	for i, st := range b.stats {
 		_, isGauge := st.(*core.Gauge)
 		b.gauge = append(b.gauge, isGauge)
-		b.prev = append(b.prev, 0)
+		col[st] = i
 	}
+	b.totals = make([]float64, len(b.stats))
 	for _, box := range sim.Boxes() {
 		info := core.InfoOf(box)
-		if info.Busy != nil {
-			b.busy = append(b.busy, busyEntry{name: box.BoxName(), busy: info.Busy})
+		// A busy counter is a registered stat (its box's busyCycles);
+		// one that is not has no column, and no busy fraction.
+		if i, ok := col[info.Busy]; ok {
+			b.busy = append(b.busy, busyEntry{name: box.BoxName(), col: i})
 		}
 		if info.Queues != nil {
 			b.stall = append(b.stall, info.Queues)
 		}
 	}
 	b.prevCycle = -1
-	b.lastHook = -1
 	b.lastWall = now()
 	b.startWall = b.lastWall
-	sim.OnEndCycle(b.endCycle)
+	sim.Stats.OnRow(b.row)
 	return b
 }
 
-// Window returns the configured window length in cycles.
-func (b *Bus) Window() int64 { return b.window }
-
-// endCycle is the bus's barrier hook: it publishes the cycle counter
-// and takes a full sample whenever a window boundary has been crossed
-// since the previous hook. The sample cycles are a pure function of
-// simulation state.
-func (b *Bus) endCycle(cycle int64) {
-	b.curCycle.Store(cycle)
-	prev := b.lastHook
-	if prev < 0 {
-		// First hook of the run: treat it as an ordinary per-cycle
-		// step. A bus attached to a checkpoint-restored simulator sees
-		// its first hook mid-run and must not misread the gap since
-		// cycle 0 as a boundary crossing.
-		prev = cycle - 1
-	}
-	b.lastHook = cycle
-	if (cycle+1)/b.window == (prev+1)/b.window {
-		return
-	}
-	b.sample(cycle, false)
-}
-
-// Flush records the final partial window after the run has ended
-// (successfully or not). Call once Run has returned; it is a no-op when the last executed cycle is
-// already covered.
+// Flush marks the run done, for /progress. Call once Run has returned.
+// The final partial window is the row StatManager.Flush records, which
+// RunContext does on every path.
 func (b *Bus) Flush() {
-	last := b.sim.Cycle() - 1
-	b.mu.Lock()
-	covered := last <= b.prevCycle
-	b.mu.Unlock()
-	if last < 0 || covered {
-		return
-	}
-	b.sample(last, true)
 	b.mu.Lock()
 	b.flushed = true
 	b.mu.Unlock()
 }
 
-func (b *Bus) sample(cycle int64, final bool) {
+// row is the bus's core.RowFunc: it records the row as a window, with
+// the derived state read at the same barrier.
+func (b *Bus) row(cycle int64, deltas, totals []float64, final bool) {
 	now := b.now()
 	s := &WindowSample{
 		Cycle:  cycle,
@@ -235,13 +199,9 @@ func (b *Bus) sample(cycle int64, final bool) {
 		Queues: make(map[string]float64),
 	}
 	for i, st := range b.stats {
-		v := st.Value()
-		if b.gauge[i] {
-			s.Stats[st.StatName()] = v
-		} else if d := v - b.prev[i]; d != 0 {
+		if d := deltas[i]; b.gauge[i] || d != 0 {
 			s.Stats[st.StatName()] = d
 		}
-		b.prev[i] = v
 	}
 	for _, sig := range b.sigs {
 		p, c := sig.Traffic()
@@ -299,14 +259,12 @@ func (b *Bus) sample(cycle int64, final bool) {
 	if s.WallNs > 0 {
 		s.CPS = float64(s.Cycles) / (float64(s.WallNs) / 1e9)
 	}
-	for i := range b.busy {
-		e := &b.busy[i]
-		cur := e.busy.Value()
-		if d := cur - e.prev; d != 0 && s.Cycles > 0 {
+	for _, e := range b.busy {
+		if d := deltas[e.col]; d != 0 && s.Cycles > 0 {
 			s.Busy[e.name] = d / float64(s.Cycles)
 		}
-		e.prev = cur
 	}
+	copy(b.totals, totals)
 	b.prevCycle = cycle
 	b.lastWall = now
 	b.ring = append(b.ring, s)
@@ -323,21 +281,26 @@ func (b *Bus) Snapshot() []*WindowSample {
 	return append([]*WindowSample(nil), b.ring...)
 }
 
-// Cycle returns the most recent simulated cycle observed by the bus
-// (updated every cycle, safe from any goroutine).
-func (b *Bus) Cycle() int64 { return b.curCycle.Load() }
+// Cycle returns the cycle of the latest window (0 before the first):
+// at most one statistics interval behind the run. Safe from any
+// goroutine.
+func (b *Bus) Cycle() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return max(b.prevCycle, 0)
+}
 
 // StatTotals returns every statistic's cumulative value as of the
-// last sampled window (counters monotonically non-decreasing, gauges
-// by value) and whether each is a gauge. Safe from any goroutine —
-// it reads only the barrier-published baselines, which is what makes
-// it usable from the status server mid-run.
+// last window (counters monotonically non-decreasing, gauges by value)
+// and whether each is a gauge. Safe from any goroutine — it reads only
+// the copy taken with the window, which is what makes it usable from
+// the status server mid-run.
 func (b *Bus) StatTotals() (vals map[string]float64, gauges map[string]bool) {
 	vals = make(map[string]float64, len(b.stats))
 	gauges = make(map[string]bool, len(b.stats))
 	b.mu.Lock()
 	for i, st := range b.stats {
-		vals[st.StatName()] = b.prev[i]
+		vals[st.StatName()] = b.totals[i]
 		gauges[st.StatName()] = b.gauge[i]
 	}
 	b.mu.Unlock()
@@ -366,7 +329,7 @@ func writeNDJSON(w io.Writer, samples []*WindowSample) error {
 // Progress is the /progress payload: where the run is, how fast it is
 // going, and when it should finish.
 type Progress struct {
-	Cycle      int64           `json:"cycle"`
+	Cycle      int64           `json:"cycle"` // the latest window's
 	Frames     int64           `json:"frames"`
 	GoalFrames int64           `json:"goalFrames,omitempty"`
 	MaxCycles  int64           `json:"maxCycles,omitempty"`
@@ -383,8 +346,8 @@ type Progress struct {
 // Progress summarizes the run state for the status server. Safe from
 // any goroutine.
 func (b *Bus) Progress() Progress {
-	cycle := b.curCycle.Load()
 	b.mu.Lock()
+	cycle := max(b.prevCycle, 0)
 	var last *WindowSample
 	if n := len(b.ring); n > 0 {
 		last = b.ring[n-1]

@@ -15,7 +15,8 @@ import (
 // cycle over a latency-2 signal to a consumer holding a small queue.
 // The producer reports busy cycles and a counter stat, the consumer a
 // queue gauge and queue occupancy — enough surface to
-// exercise every field of a WindowSample.
+// exercise every field of a WindowSample. Stats are sampled every 10
+// cycles, so the windows end at cycles 10, 20, ...
 type testProducer struct {
 	core.BoxBase
 	out   *core.Signal
@@ -64,9 +65,10 @@ func (c *testConsumer) Introspect() core.BoxInfo {
 }
 
 func buildTestSim(count int) (*core.Simulator, *testProducer, *testConsumer) {
-	sim := core.NewSimulator(0)
+	sim := core.NewSimulator(10)
 	p := &testProducer{ids: &sim.IDs, count: count, stat: sim.Stats.Counter("Producer.sent")}
 	p.Init("Producer")
+	sim.Stats.ShadowCounter(&p.busy, "Producer.busyCycles")
 	c := &testConsumer{gauge: sim.Stats.Gauge("Consumer.depth")}
 	c.Init("Consumer")
 	p.out = sim.Binder.Provide(p.BoxName(), "pipe", 1, 2, 0)
@@ -90,7 +92,7 @@ func fakeClock(step time.Duration) func() time.Time {
 func TestBusWindowsAndFlush(t *testing.T) {
 	sim, _, _ := buildTestSim(25)
 	sim.SetWatchdog(1000)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,9 @@ func TestBusWindowsAndFlush(t *testing.T) {
 		t.Fatalf("want 3 windows (2 full + final partial), got %d", len(samples))
 	}
 	w0, w1, fin := samples[0], samples[1], samples[2]
-	if w0.Cycle != 9 || w0.Cycles != 10 || w1.Cycle != 19 || w1.Cycles != 10 {
+	// The windows are the stats rows: the first covers cycles 0-10, as
+	// the CSV's first row does.
+	if w0.Cycle != 10 || w0.Cycles != 11 || w1.Cycle != 20 || w1.Cycles != 10 {
 		t.Fatalf("window boundaries wrong: %+v %+v", w0, w1)
 	}
 	if w0.Seq != 0 || w1.Seq != 1 || fin.Seq != 2 {
@@ -110,15 +114,15 @@ func TestBusWindowsAndFlush(t *testing.T) {
 	if !fin.Final || fin.Cycle != sim.Cycle()-1 {
 		t.Fatalf("final window must cover the last executed cycle: %+v (sim cycle %d)", fin, sim.Cycle())
 	}
-	// 10 objects sent in the first window; a full producer window is
+	// 11 objects sent in the first window; a full producer window is
 	// busy fraction 1.
-	if w0.Stats["Producer.sent"] != 10 {
-		t.Fatalf("counter delta: want 10, got %v", w0.Stats)
+	if w0.Stats["Producer.sent"] != 11 {
+		t.Fatalf("counter delta: want 11, got %v", w0.Stats)
 	}
 	if w0.Busy["Producer"] != 1 {
 		t.Fatalf("producer busy fraction: want 1, got %v", w0.Busy)
 	}
-	// At the cycle-9 barrier: 10 produced, 8 consumed (latency 2).
+	// At the cycle-10 barrier: 11 produced, 9 consumed (latency 2).
 	if w0.Signals["pipe"] != 2 {
 		t.Fatalf("in-flight objects: want 2, got %v", w0.Signals)
 	}
@@ -132,10 +136,10 @@ func TestBusWindowsAndFlush(t *testing.T) {
 	if w0.Watchdog == nil || w0.Watchdog.Fingerprint == 0 {
 		t.Fatalf("watchdog fingerprint missing: %+v", w0.Watchdog)
 	}
-	// One fake-clock step per sample: 10 cycles / 1ms = 10k cycles/sec
-	// for the full windows.
-	if w0.WallNs != int64(time.Millisecond) || w0.CPS != 10000 {
-		t.Fatalf("wall-clock rate: want 1ms/10000cps, got %dns %gcps", w0.WallNs, w0.CPS)
+	// One fake-clock step per sample: 11 cycles / 1ms = 11k cycles/sec
+	// for the first window.
+	if w0.WallNs != int64(time.Millisecond) || w0.CPS != 11000 {
+		t.Fatalf("wall-clock rate: want 1ms/11000cps, got %dns %gcps", w0.WallNs, w0.CPS)
 	}
 }
 
@@ -143,7 +147,7 @@ func TestBusFlushIdempotentAndCoversBoundary(t *testing.T) {
 	// 15 objects, latency 2: the run ends mid-window; Flush records it
 	// once and further flushes are no-ops.
 	sim, _, _ := buildTestSim(15)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +160,31 @@ func TestBusFlushIdempotentAndCoversBoundary(t *testing.T) {
 	if !samples[1].Final || samples[1].Cycle != sim.Cycle()-1 {
 		t.Fatalf("final window wrong: %+v", samples[1])
 	}
+
+	// A run whose last cycle is a boundary (n objects end at cycle n+1)
+	// has its last window already: it is the boundary's row, and the
+	// run is still done once flushed.
+	for _, n := range []int{9, 19, 29} {
+		sim, _, _ := buildTestSim(n)
+		bus := NewBus(sim, BusOptions{Goal: 100, Now: fakeClock(time.Millisecond)})
+		if err := sim.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		bus.Flush()
+		samples := bus.Snapshot()
+		last := samples[len(samples)-1]
+		if len(samples) != (n+1)/10 || last.Cycle != sim.Cycle()-1 || last.Cycle%10 != 0 {
+			t.Fatalf("n=%d: %d windows, last %+v (sim cycle %d)", n, len(samples), last, sim.Cycle())
+		}
+		if p := bus.Progress(); !p.Done || p.EtaNs != 0 {
+			t.Fatalf("n=%d: run ended on a boundary is not done: %+v", n, p)
+		}
+	}
 }
 
 func TestBusRingDepthEviction(t *testing.T) {
 	sim, _, _ := buildTestSim(60)
-	bus := NewBus(sim, BusOptions{Window: 10, Depth: 3, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Depth: 3, Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(200); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +208,7 @@ func TestBusNDJSONDeterministicAcrossRuns(t *testing.T) {
 	run := func() []byte {
 		sim, _, _ := buildTestSim(25)
 		sim.SetWatchdog(500)
-		bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+		bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 		if err := sim.Run(100); err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +234,7 @@ func TestBusNDJSONDeterministicAcrossRuns(t *testing.T) {
 
 func TestBusProgressAndETA(t *testing.T) {
 	sim, _, _ := buildTestSim(25)
-	bus := NewBus(sim, BusOptions{Window: 10, Goal: 100, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Goal: 100, Now: fakeClock(time.Millisecond)})
 
 	var mid Progress
 	sim.OnEndCycle(func(cycle int64) {
@@ -223,7 +247,8 @@ func TestBusProgressAndETA(t *testing.T) {
 	}
 	bus.Flush()
 
-	if mid.Cycle != 19 || mid.Done {
+	// Progress reports the latest window's cycle.
+	if mid.Cycle != 10 || mid.Done {
 		t.Fatalf("mid-run progress: %+v", mid)
 	}
 	if mid.CPS <= 0 || mid.AvgCPS <= 0 {
@@ -248,7 +273,7 @@ func TestBusFrameETAPreferred(t *testing.T) {
 		}
 	})
 	bus := NewBus(sim, BusOptions{
-		Window: 10, Goal: 1_000_000, GoalFrames: 4, Frames: func() int64 { return frames },
+		Goal: 1_000_000, GoalFrames: 4, Frames: func() int64 { return frames },
 		Now: fakeClock(time.Millisecond),
 	})
 	var mid Progress
@@ -355,7 +380,7 @@ func TestBusOnDeadlockedRun(t *testing.T) {
 	sim, _, _ := buildTestSim(5)
 	sim.SetDone(func() bool { return false }) // never done: traffic dies after delivery
 	sim.SetWatchdog(20)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	err := sim.Run(10000)
 	if !errors.Is(err, core.ErrDeadlock) {
 		t.Fatalf("want deadlock, got %v", err)

@@ -36,7 +36,7 @@ func tracedCollector() *trace.Collector {
 // non-cumulative buckets, or a missing EOF terminator all fail here.
 func TestMetricsPromEndpointLints(t *testing.T) {
 	sim, _, _ := buildTestSim(25)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}

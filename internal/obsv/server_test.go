@@ -25,7 +25,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 func TestServerEndpointsAfterRun(t *testing.T) {
 	sim, _, _ := buildTestSim(25)
 	sim.SetWatchdog(500)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	prof := NewProfiler()
 	prof.SampleEvery = 1
 	prof.Attach(sim)
@@ -113,7 +113,7 @@ func TestServerEndpointsAfterRun(t *testing.T) {
 // the exact point where live readers see published state.
 func TestServerLiveMidRun(t *testing.T) {
 	sim, _, _ := buildTestSim(60)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	srv := NewServer(":0", ServerOptions{Bus: bus})
 	h := srv.Handler()
 
@@ -139,10 +139,11 @@ func TestServerLiveMidRun(t *testing.T) {
 	if err := sim.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if midProgress.Cycle != 35 || midProgress.Done {
+	// Progress reports the latest window's cycle.
+	if midProgress.Cycle != 30 || midProgress.Done {
 		t.Fatalf("mid-run progress: %+v", midProgress)
 	}
-	if midMetrics != 3 { // windows at cycles 9, 19, 29
+	if midMetrics != 3 { // windows at cycles 10, 20, 30
 		t.Fatalf("mid-run metrics windows: want 3, got %d", midMetrics)
 	}
 }
@@ -151,7 +152,7 @@ func TestServerCrashAfterDeadlock(t *testing.T) {
 	sim, _, _ := buildTestSim(5)
 	sim.SetDone(func() bool { return false })
 	sim.SetWatchdog(20)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	err := sim.Run(10000)
 	if !errors.Is(err, core.ErrDeadlock) {
 		t.Fatalf("want deadlock, got %v", err)
@@ -183,7 +184,7 @@ func TestServerNilSources(t *testing.T) {
 
 func TestServerStartServesOverTCP(t *testing.T) {
 	sim, _, _ := buildTestSim(25)
-	bus := NewBus(sim, BusOptions{Window: 10, Now: fakeClock(time.Millisecond)})
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}

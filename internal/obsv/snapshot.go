@@ -9,31 +9,28 @@ import (
 )
 
 // This file makes the metrics bus checkpointable. The bus is host-side
-// state, but its window baselines (per-stat previous values, per-box
-// busy counters, the sample ring) feed the metrics NDJSON — restoring
-// them is what makes a resumed run's NDJSON byte-identical to an
-// uninterrupted one. Wall-clock anchors are deliberately NOT
-// serialized: a resumed run re-baselines them from its own clock, so
-// host-time fields measure the new process, not the dead one.
+// state, but its sample ring and window position feed the metrics
+// NDJSON — restoring them is what makes a resumed run's NDJSON
+// byte-identical to an uninterrupted one. The windows themselves are
+// the statistics rows, whose baselines the core.Stats section carries.
+// Wall-clock anchors are deliberately NOT serialized: a resumed run
+// re-baselines them from its own clock, so host-time fields measure the
+// new process, not the dead one.
 
-// SnapshotName implements chkpt.Snapshotter.
-func (b *Bus) SnapshotName() string { return "obsv.Bus" }
+// SnapshotName implements chkpt.Snapshotter. The name differs from the
+// older layout's ("obsv.Bus", which carried per-stat baselines), so a
+// binary refuses the other layout as a missing section, a typed
+// mismatch, rather than misreading it.
+func (b *Bus) SnapshotName() string { return "obsv.Windows" }
 
-// SnapshotState serializes the sampling position (seq, prevCycle,
-// curCycle), the per-stat and per-box delta baselines, and the sample
-// ring (as JSON — WindowSample is already the NDJSON wire format).
+// SnapshotState serializes the sampling position (seq, prevCycle), the
+// sample ring (as JSON — WindowSample is already the NDJSON wire
+// format) and the span-latency baselines.
 func (b *Bus) SnapshotState(e *chkpt.Encoder) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e.I64(b.seq)
 	e.I64(b.prevCycle)
-	e.I64(b.curCycle.Load())
-	e.F64s(b.prev)
-	busyPrev := make([]float64, len(b.busy))
-	for i := range b.busy {
-		busyPrev[i] = b.busy[i].prev
-	}
-	e.F64s(busyPrev)
 	ring, err := json.Marshal(b.ring)
 	if err != nil {
 		// Samples are plain data; Marshal cannot fail on them. Encode an
@@ -52,24 +49,16 @@ func (b *Bus) SnapshotState(e *chkpt.Encoder) {
 }
 
 // RestoreState implements chkpt.Snapshotter. The bus must be attached
-// to a pipeline with the same statistics registry and box population
-// as the one snapshotted.
+// to the machine whose statistics the checkpoint restores (core.Stats
+// restores first): StatTotals is refilled from their last row, what an
+// uninterrupted run's bus copied at its last window.
 func (b *Bus) RestoreState(d *chkpt.Decoder) error {
 	seq := d.I64()
 	prevCycle := d.I64()
-	cur := d.I64()
-	prev := d.F64s()
-	busyPrev := d.F64s()
 	ring := d.Blob()
 	histBlob := d.Blob()
 	if err := d.Err(); err != nil {
 		return err
-	}
-	if len(prev) != len(b.prev) {
-		return fmt.Errorf("%w: snapshot has %d stat baselines, bus has %d", chkpt.ErrMismatch, len(prev), len(b.prev))
-	}
-	if len(busyPrev) != len(b.busy) {
-		return fmt.Errorf("%w: snapshot has %d busy baselines, bus has %d", chkpt.ErrMismatch, len(busyPrev), len(b.busy))
 	}
 	var samples []*WindowSample
 	if err := json.Unmarshal(ring, &samples); err != nil {
@@ -83,11 +72,7 @@ func (b *Bus) RestoreState(d *chkpt.Decoder) error {
 	defer b.mu.Unlock()
 	b.seq = seq
 	b.prevCycle = prevCycle
-	b.curCycle.Store(cur)
-	copy(b.prev, prev)
-	for i := range b.busy {
-		b.busy[i].prev = busyPrev[i]
-	}
+	copy(b.totals, b.sim.Stats.Totals())
 	b.ring = samples
 	if len(b.ring) > b.depth {
 		b.ring = b.ring[len(b.ring)-b.depth:]

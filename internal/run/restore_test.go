@@ -29,8 +29,14 @@ func testSpec() Spec {
 // because its obsv.Spans section — the last one applied — is missing.
 func spanlessCheckpoint(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "spanless.ckpt")
-	spec := testSpec()
+	return firstCheckpoint(t, testSpec())
+}
+
+// firstCheckpoint runs spec until its first capture and returns the
+// checkpoint file.
+func firstCheckpoint(t *testing.T, spec Spec) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "first.ckpt")
 	spec.Checkpoint = Checkpoint{Path: path, Interval: runLength(t) / 8}
 	s, err := Start(spec)
 	if err != nil {
@@ -189,5 +195,61 @@ func TestRestoreErrorIsTyped(t *testing.T) {
 	}
 	if err := s.Run(context.Background()); err != nil || s.Pipe.Cycles() != runLength(t) {
 		t.Errorf("resumed run: %v after %d cycles, want a clean %d", err, s.Pipe.Cycles(), runLength(t))
+	}
+}
+
+// The bus section was "obsv.Bus" while the bus kept baselines of its
+// own; it is "obsv.Windows" since it reads the stats rows. A file with
+// the old section is refused, typed, by a run with a bus, which jobd's
+// retries turn into a replay. A file with the new section restores on a
+// run without a bus: the restore is lenient.
+func TestBusSectionFromOtherLayoutIsRefused(t *testing.T) {
+	withBus := testSpec()
+	withBus.Bus = frozenBus()
+	ckpt := firstCheckpoint(t, withBus)
+
+	spec := testSpec()
+	spec.RestoreFrom = ckpt
+	s, err := Start(spec)
+	if err != nil {
+		t.Fatalf("a run without a bus refused a checkpoint with a bus section: %v", err)
+	}
+	if err := s.Run(context.Background()); err != nil || s.Pipe.Cycles() != runLength(t) {
+		t.Fatalf("resumed run: %v after %d cycles, want a clean %d", err, s.Pipe.Cycles(), runLength(t))
+	}
+
+	snap, err := chkpt.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := chkpt.NewSnapshot(snap.Meta)
+	for _, name := range snap.Sections() {
+		if name == "obsv.Windows" {
+			old.Add("obsv.Bus", snap.Section(name))
+		} else {
+			old.Add(name, snap.Section(name))
+		}
+	}
+	oldPath := filepath.Join(t.TempDir(), "old-bus.ckpt")
+	if err := old.WriteFile(oldPath); err != nil {
+		t.Fatal(err)
+	}
+	withBus.RestoreFrom = oldPath
+	if s, err := Start(withBus); s != nil || !errors.Is(err, chkpt.ErrMismatch) ||
+		!strings.Contains(err.Error(), `missing section "obsv.Windows"`) {
+		t.Fatalf("Start = (%v, %v), want a refusal naming the missing obsv.Windows section", s, err)
+	}
+	var logged []string
+	s, err = StartOrReplay(withBus, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "replaying") || s.RestoredCycle != 0 {
+		t.Fatalf("log = %q, restored at cycle %d; want a replay from cycle 0", logged, s.RestoredCycle)
+	}
+	if err := s.Run(context.Background()); err != nil || s.Pipe.Cycles() != runLength(t) {
+		t.Fatalf("replay: %v after %d cycles, want a clean %d", err, s.Pipe.Cycles(), runLength(t))
 	}
 }

@@ -143,12 +143,14 @@ func StartOrReplay(spec Spec, logf func(format string, args ...any)) (*Session, 
 
 // attach installs the observers the spec asks for. Barrier hooks run in
 // registration order (core.Simulator.OnEndCycle), after the cycle's
-// publications have folded, so the order of the statements below IS the
+// publications have folded and its statistics row (if it is a boundary)
+// has been recorded, so the order of the statements below IS the
 // barrier order, and the one place it is written:
 //
 //  1. span collector: a publication, not a hook — it folds the spans
-//     that terminated this cycle before any hook runs
-//  2. metrics bus: samples the folded state
+//     that terminated this cycle before the row and any hook
+//  2. metrics bus: not a hook either — it reads each statistics row as
+//     it is recorded (core.StatManager.OnRow), before the hooks
 //  3. profiler: a clock observer, no barrier hook
 //  4. chaos injector: clock gate, memory transaction fault, and the
 //     signal fault at the barrier
@@ -208,8 +210,9 @@ func (s *Session) restore(path, fingerprint string, extras []chkpt.Snapshotter) 
 }
 
 // Run executes the command stream to completion, from the restored
-// cycle when the session was restored, and records the metrics bus's
-// final partial window whether or not the run succeeded.
+// cycle when the session was restored, and marks the metrics bus done
+// whether or not the run succeeded (its final partial window is the
+// stats row RunContext flushes on every path).
 func (s *Session) Run(ctx context.Context) error {
 	if s.Bus != nil {
 		defer s.Bus.Flush()

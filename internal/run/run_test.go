@@ -53,7 +53,7 @@ func testSpans() trace.Options { return trace.Options{SampleRate: 64, Seed: 1} }
 // NDJSON is a pure function of simulation state.
 func frozenBus() *obsv.BusOptions {
 	frozen := time.Unix(1000, 0)
-	return &obsv.BusOptions{Window: 10000, Goal: testBudget, Now: func() time.Time { return frozen }}
+	return &obsv.BusOptions{Goal: testBudget, Now: func() time.Time { return frozen }}
 }
 
 // assembly is what either side hands back: the wired machine and how

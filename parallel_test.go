@@ -71,7 +71,6 @@ func metricsNDJSON(t *testing.T, workers int, workloadName string) []byte {
 	}
 	now := time.Unix(1000, 0)
 	bus := obsv.NewBus(pipe.Sim, obsv.BusOptions{
-		Window: 10000,
 		Frames: func() int64 { return int64(pipe.CP.Frames()) },
 		Goal:   p.MaxCycles,
 		Now: func() time.Time {

@@ -44,7 +44,6 @@ func newTracingHarness(t *testing.T, workers int, rate uint64, frames int) *trac
 	col := pipe.EnableSpanTracing(trace.Options{SampleRate: rate, Seed: 1})
 	now := time.Unix(1000, 0)
 	bus := obsv.NewBus(pipe.Sim, obsv.BusOptions{
-		Window: 10000,
 		Frames: func() int64 { return int64(pipe.CP.Frames()) },
 		Goal:   p.MaxCycles,
 		Spans:  col,
