@@ -79,16 +79,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
 
 # loc prints non-test Go lines per directory (cmd/*, internal/*, the
-# root package) and their total: the number ROADMAP's line targets are
-# tracked with.
+# root package) and their total, then test lines the same way: every
+# _test.go outside bench/, with internal/core/coretest — helpers only
+# tests import — counted as test code. ROADMAP's line targets are
+# tracked with the two totals.
 loc:
-	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
-	total=0; \
-	for d in cmd/* internal/* .; do \
-		if [ $$d = . ]; then n=$$(count . -maxdepth 1); d="(root)"; else n=$$(count $$d); fi; \
-		total=$$((total + n)); printf '%7d  %s\n' $$n "$$d"; \
-	done; \
-	printf '%7d  total\n' $$total
+	@product() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/coretest/*' -exec cat {} + | wc -l; }; \
+	tests() { find "$$@" \( -name '*_test.go' -o -path '*/coretest/*.go' \) -exec cat {} + | wc -l; }; \
+	for kind in product tests; do \
+		total=0; \
+		for d in cmd/* internal/* .; do \
+			if [ $$d = . ]; then n=$$($$kind . -maxdepth 1); d="(root)"; else n=$$($$kind $$d); fi; \
+			total=$$((total + n)); printf '%7d  %s\n' $$n "$$d"; \
+		done; \
+		printf '%7d  total %s\n' $$total $$kind; \
+	done
 
 # bench runs the repository's one benchmark (bench/README.md): six
 # workloads, end-to-end host-speed metrics and the per-layer ladder.

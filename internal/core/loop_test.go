@@ -1,15 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"attila/internal/chkpt"
-	"attila/internal/core/coretest"
 )
 
 // buildFanout wires n independent producer/consumer pairs.
@@ -38,67 +34,6 @@ func allReceived(consumers []*consumer, count int) func() bool {
 			}
 		}
 		return true
-	}
-}
-
-// SetWorkers is a vestige of the parallel clock loop (ROADMAP item 7):
-// a run that asks for workers is the serial run — same cycle count, same
-// delivery order, byte-identical statistics CSV and signal trace.
-func TestParallelMatchesSerialCore(t *testing.T) {
-	type result struct {
-		cycles int64
-		recv   [][]int
-		csv    []byte
-		trace  []byte
-	}
-	run := func(workers int) result {
-		sim := NewSimulator(10)
-		consumers := buildFanout(sim, 5, 37)
-		var traceBuf bytes.Buffer
-		tr := NewSigTraceWriter(&traceBuf)
-		sim.Binder.SetTracer(tr)
-		sim.SetWorkers(workers)
-		sim.SetDone(allReceived(consumers, 37))
-		if err := sim.Run(1000); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var csv bytes.Buffer
-		if err := sim.Stats.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		res := result{cycles: sim.Cycle(), csv: csv.Bytes(), trace: traceBuf.Bytes()}
-		for _, c := range consumers {
-			res.recv = append(res.recv, c.received)
-		}
-		return res
-	}
-
-	serial := run(0)
-	for _, workers := range []int{2, 3, 8} {
-		par := run(workers)
-		if par.cycles != serial.cycles {
-			t.Errorf("workers=%d: %d cycles, serial %d", workers, par.cycles, serial.cycles)
-		}
-		for i := range serial.recv {
-			if len(par.recv[i]) != len(serial.recv[i]) {
-				t.Fatalf("workers=%d consumer %d: %d received, serial %d",
-					workers, i, len(par.recv[i]), len(serial.recv[i]))
-			}
-			for j := range serial.recv[i] {
-				if par.recv[i][j] != serial.recv[i][j] {
-					t.Fatalf("workers=%d consumer %d: delivery order differs", workers, i)
-				}
-			}
-		}
-		if !bytes.Equal(par.csv, serial.csv) {
-			t.Errorf("workers=%d: stats CSV differs from serial", workers)
-		}
-		if !bytes.Equal(par.trace, serial.trace) {
-			t.Errorf("workers=%d: signal trace differs from serial", workers)
-		}
 	}
 }
 
@@ -229,37 +164,16 @@ func TestEndCycleHookOrder(t *testing.T) {
 	}
 }
 
-// A Run is one goroutine: the loop clocks every box on the goroutine
-// that called Run, asked for workers or not; a cancellable context adds
-// only its watcher, and the Run leaves nothing behind. Only goroutines
-// started by this module's code are counted (coretest.Goroutines): the
-// runtime's and the test framework's come and go on their own.
-func TestRunIsOneGoroutine(t *testing.T) {
-	for _, cancellable := range []bool{false, true, false} {
-		sim := NewSimulator(0)
-		consumers := buildFanout(sim, 4, 50)
-		sim.SetWorkers(2)
-		before := coretest.Goroutines(t)
-		want := before
-		ctx := context.Background()
-		if cancellable {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithCancel(ctx)
-			defer cancel()
-			want++
+// Fanout wires n producer/consumer pairs, each to send count objects,
+// and returns the predicate of all of them received, and what each
+// consumer received.
+func Fanout(sim *Simulator, pairs, count int) (done func() bool, received func() [][]byte) {
+	consumers := buildFanout(sim, pairs, count)
+	return allReceived(consumers, count), func() (got [][]byte) {
+		for _, c := range consumers {
+			got = append(got, fmt.Append(nil, c.received))
 		}
-		sim.OnEndCycle(func(cycle int64) {
-			if got := coretest.Goroutines(t); got != want {
-				t.Fatalf("cancellable=%v cycle %d: %d goroutines, want %d", cancellable, cycle, got, want)
-			}
-		})
-		sim.SetDone(allReceived(consumers, 50))
-		if err := sim.RunContext(ctx, 1000); err != nil {
-			t.Fatal(err)
-		}
-		if got := coretest.Goroutines(t); got != before {
-			t.Fatalf("cancellable=%v: %d goroutines after the run, %d before", cancellable, got, before)
-		}
+		return got
 	}
 }
 
@@ -379,133 +293,53 @@ func (c *ckptConsumer) RestoreState(d *chkpt.Decoder) error {
 	return d.Err()
 }
 
-// The core-level checkpoint round trip over the Simulator, Stats and
-// Binder sections: with an interval of 7 the engine captures at the
-// first quiesced barrier at least 7 cycles after the last capture, and
-// a run restored from the first snapshot is bit-identical to the
-// uninterrupted one.
-func TestCheckpointRoundTripCore(t *testing.T) {
-	build := func() (*Simulator, []*ckptConsumer, []chkpt.Snapshotter) {
-		sim := NewSimulator(10)
-		consumers := make([]*ckptConsumer, 2)
-		parts := []chkpt.Snapshotter{sim, sim.Stats, sim.Binder}
-		for i := range consumers {
-			p := &ckptProducer{}
-			p.Init(fmt.Sprintf("Producer%d", i))
-			c := &ckptConsumer{}
-			c.Init(fmt.Sprintf("Consumer%d", i))
-			name := fmt.Sprintf("pipe%d", i)
-			p.out = sim.Binder.Provide(p.BoxName(), name, 1, 4, 0)
-			sim.Binder.Bind(c.BoxName(), name, &c.in)
-			sim.Register(c)
-			sim.Register(p)
-			parts = append(parts, p, c)
-			consumers[i] = c
-		}
-		sim.SetDone(func() bool {
-			for _, c := range consumers {
-				if len(c.received) != 20 {
-					return false
-				}
-			}
-			return true
-		})
-		return sim, consumers, parts
+// CheckpointMachine builds the toy of TestCheckpointRoundTripCore: two
+// pairs of a ckptProducer and a ckptConsumer, done when both consumers
+// hold their twenty objects. Every interval cycles its engine captures
+// the Simulator, Stats and Binder sections and the boxes' own into path,
+// at the first quiesced barrier (0: never). recv is what the consumers
+// received.
+func CheckpointMachine(path string, interval int64) (sim *Simulator, eng *chkpt.Engine, parts []chkpt.Snapshotter, recv func() [][]byte) {
+	sim = NewSimulator(10)
+	consumers := make([]*ckptConsumer, 2)
+	parts = []chkpt.Snapshotter{sim, sim.Stats, sim.Binder}
+	for i := range consumers {
+		p := &ckptProducer{}
+		p.Init(fmt.Sprintf("Producer%d", i))
+		c := &ckptConsumer{}
+		c.Init(fmt.Sprintf("Consumer%d", i))
+		name := fmt.Sprintf("pipe%d", i)
+		p.out = sim.Binder.Provide(p.BoxName(), name, 1, 4, 0)
+		sim.Binder.Bind(c.BoxName(), name, &c.in)
+		sim.Register(c)
+		sim.Register(p)
+		parts = append(parts, p, c)
+		consumers[i] = c
 	}
-
-	type result struct {
-		cycles int64
-		csv    []byte
-		recv   [][]int
-	}
-	finish := func(sim *Simulator, consumers []*ckptConsumer) result {
-		var csv bytes.Buffer
-		if err := sim.Stats.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		res := result{cycles: sim.Cycle(), csv: csv.Bytes()}
+	sim.SetDone(func() bool {
 		for _, c := range consumers {
-			res.recv = append(res.recv, c.received)
+			if len(c.received) != 20 {
+				return false
+			}
 		}
-		return res
-	}
-	same := func(label string, got, want result) {
-		t.Helper()
-		if got.cycles != want.cycles {
-			t.Errorf("%s: stopped at %d cycles, reference %d", label, got.cycles, want.cycles)
-		}
-		if !bytes.Equal(got.csv, want.csv) {
-			t.Errorf("%s: stats CSV differs from the uninterrupted run", label)
-		}
-		if fmt.Sprint(got.recv) != fmt.Sprint(want.recv) {
-			t.Errorf("%s: delivery differs from the uninterrupted run", label)
-		}
-	}
-
-	// Reference: the uninterrupted run.
-	refSim, refCons, _ := build()
-	if err := refSim.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	ref := finish(refSim, refCons)
-
-	// Checkpointed run: identical, with the engine attached.
-	sim2, cons2, parts2 := build()
-	var snaps []*chkpt.Snapshot
-	var snapCycles []int64
-	eng := &chkpt.Engine{
-		Interval: 7,
-		Path:     filepath.Join(t.TempDir(), "core.ckpt"),
-		Quiesced: sim2.Binder.Idle,
+		return true
+	})
+	eng = &chkpt.Engine{
+		Interval: interval,
+		Path:     path,
+		Quiesced: sim.Binder.Idle,
 		Capture: func() (*chkpt.Snapshot, error) {
-			s := chkpt.Capture(chkpt.Meta{Cycle: sim2.Cycle()}, parts2)
-			snaps = append(snaps, s)
-			snapCycles = append(snapCycles, sim2.Cycle())
-			return s, nil
+			return chkpt.Capture(chkpt.Meta{Cycle: sim.Cycle()}, parts), nil
 		},
 	}
-	sim2.OnEndCycle(eng.EndCycle)
-	if err := sim2.Run(200); err != nil {
-		t.Fatal(err)
+	sim.OnEndCycle(eng.EndCycle)
+	recv = func() (got [][]byte) {
+		for _, c := range consumers {
+			got = append(got, fmt.Append(nil, c.received))
+		}
+		return got
 	}
-	if err := eng.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// The pipes drain at cycle 13 (the last write of the first burst, at
-	// cycle 9, arrives there), the first quiesced barrier past the
-	// interval; the next one 7 cycles on is quiesced too. sim.Cycle()
-	// inside the hook is already the next cycle to run.
-	if len(snapCycles) < 2 || snapCycles[0] != 14 || snapCycles[1] != 21 {
-		t.Fatalf("captures at cycles %v, want 14, 21, ...", snapCycles)
-	}
-	// The engine must not have perturbed the run.
-	same("checkpointed", finish(sim2, cons2), ref)
-
-	// Restore from the first snapshot and from the one captured at the
-	// barrier of cycle 20, a stat boundary (through the wire codec), and
-	// run to completion. The boundary's row is recorded before the hooks
-	// run, so the second capture holds it.
-	for _, i := range []int{0, 1} {
-		var buf bytes.Buffer
-		if err := snaps[i].Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := chkpt.Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim3, cons3, parts3 := build()
-		if err := chkpt.Restore(snap, parts3, false); err != nil {
-			t.Fatal(err)
-		}
-		if sim3.Cycle() != snapCycles[i] {
-			t.Fatalf("restored at cycle %d, want %d", sim3.Cycle(), snapCycles[i])
-		}
-		if err := sim3.Run(200); err != nil {
-			t.Fatal(err)
-		}
-		same(fmt.Sprintf("restored at cycle %d", snapCycles[i]), finish(sim3, cons3), ref)
-	}
+	return sim, eng, parts, recv
 }
 
 // A core.Signals section of the right length that names one wire twice

@@ -2,17 +2,21 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
-// The toy machine of the park/wake tests: a source sends numbered
-// objects in bursts, with a per-object latency, as long as it holds
-// credit, and parks when it has none; a sink reads its wire on every
-// clock it gets, holds each object a few cycles before returning its
-// credit through a Publication, and parks whenever it holds nothing.
-// Every object carries the cycle it must be read on, so a wake that
-// comes late shows as a wrong (or missing) observation.
+// The toy machine of the park, wake and accrual tests: pairs of a
+// source and a sink. A source sends numbered objects in bursts, each
+// with a latency of its own, while it holds credit, and sleeps through
+// the cycles it holds none, counting them (woken by the fold of the
+// sink's releases); a gap between bursts it waits out awake (a timed
+// wait). A sink holds each object a few cycles (awake) before returning
+// its credit through a Publication and, starved, sleeps counting the
+// cycle once in one counter and once per idle lane in another (woken by
+// the wire). Every object carries the cycle it must be read on, so a
+// wake that comes late shows as a wrong (or missing) observation. The
+// every-cycle model is the same machine under a pass-everything gate,
+// where nobody parks and every counter is incremented in place.
 
 type parkObj struct {
 	DynObject
@@ -25,70 +29,75 @@ type seen struct {
 	cycle int64
 }
 
-type parkSource struct {
+type creditSource struct {
 	BoxBase
-	out     *Signal
-	credits int
-	total   int
-	burst   int   // objects per sending cycle (<= bandwidth)
-	gap     int64 // quiet cycles after every third burst
-	maxLat  int
+	out      *Signal
+	credits  int
+	total    int
+	burst    int   // objects per sending cycle (<= bandwidth)
+	maxLat   int   // object n arrives maxLat - spread·n mod maxLat cycles
+	spread   int   // after its write
+	gapEvery int   // a gap after every gapEvery sending cycles
+	gap      int64 // quiet cycles of a gap
 
-	sent     int
-	bursts   int
-	nextSend int64
-	clocks   int
-	sendLog  []int64 // cycle each object was written on
+	sent, bursts int
+	nextSend     int64
+	blocked      Counter // cycles without credit
+	clocks       int
+	sendLog      []int64 // cycle each object was written on
 }
 
-func (p *parkSource) Clock(cycle int64) {
+func (p *creditSource) Clock(cycle int64) {
 	p.clocks++
-	if p.sent == p.total {
+	switch {
+	case p.sent == p.total:
 		p.Park() // nothing left to do, ever
-		return
-	}
-	if p.credits == 0 {
-		p.Park() // until the sink's release folds
-		return
-	}
-	if cycle < p.nextSend {
-		return // a timed wait: nobody would wake us, stay awake
-	}
-	for n := 0; n < p.burst && p.credits > 0 && p.sent < p.total; n++ {
-		lat := 1 + (p.sent*7)%p.maxLat
-		o := &parkObj{val: p.sent, arrive: cycle + int64(lat)}
-		p.out.WriteLat(cycle, lat, o)
-		p.sendLog = append(p.sendLog, cycle)
-		p.credits--
-		p.sent++
-	}
-	p.bursts++
-	p.nextSend = cycle + 1
-	if p.bursts%3 == 0 {
-		p.nextSend = cycle + 1 + p.gap
+	case p.credits == 0:
+		p.blocked.Inc()
+		p.ParkCounting(&p.blocked, 1) // until the sink's release folds
+	case cycle >= p.nextSend:
+		for n := 0; n < p.burst && p.credits > 0 && p.sent < p.total; n++ {
+			lat := p.maxLat - (p.sent*p.spread)%p.maxLat
+			p.out.WriteLat(cycle, lat, &parkObj{val: p.sent, arrive: cycle + int64(lat)})
+			p.sendLog = append(p.sendLog, cycle)
+			p.credits--
+			p.sent++
+		}
+		p.bursts++
+		p.nextSend = cycle + 1
+		if p.bursts%p.gapEvery == 0 {
+			p.nextSend += p.gap
+		}
 	}
 }
 
-type parkSink struct {
+type creditSink struct {
 	BoxBase
 	in       *Signal
 	hold     int64
+	lanes    int
 	pub      *Publication
 	released int // written here, folded into the source at the end of the cycle
 
-	held   []int64 // release cycles of the objects still held
-	got    []seen
-	clocks int
+	held      []int64 // release cycles of the objects being worked on
+	got       []seen
+	clocks    int
+	busy      Counter
+	starved   Counter // cycles with nothing to work on
+	lanesIdle Counter // lanes of them
+
+	askedAt  int64 // the cycle of the last Clock that asked to park
+	miscount bool  // sleep through idle lanes at the wrong rate
 }
 
-func (c *parkSink) Clock(cycle int64) {
+func (c *creditSink) Clock(cycle int64) {
 	c.clocks++
 	for _, o := range c.in.Read(cycle) {
 		obj := o.(*parkObj)
-		c.got = append(c.got, seen{obj.val, cycle})
 		if obj.arrive != cycle {
 			panic(fmt.Sprintf("object %d read at %d, arrives %d", obj.val, cycle, obj.arrive))
 		}
+		c.got = append(c.got, seen{obj.val, cycle})
 		c.held = append(c.held, cycle+c.hold)
 	}
 	for len(c.held) > 0 && c.held[0] <= cycle {
@@ -96,58 +105,59 @@ func (c *parkSink) Clock(cycle int64) {
 		c.released++
 		c.pub.Mark()
 	}
-	if len(c.held) == 0 {
-		c.Park() // until the wire carries something
+	if len(c.held) > 0 {
+		c.busy.Inc()
+		return
 	}
-}
-
-type parkPair struct {
-	src  *parkSource
-	sink *parkSink
-}
-
-func buildParkPair(sim *Simulator, i, total, bw, maxLat, credits int, gap, hold int64) parkPair {
-	src := &parkSource{credits: credits, total: total, burst: bw, gap: gap, maxLat: maxLat}
-	src.Init(fmt.Sprintf("Source%d", i))
-	sink := &parkSink{hold: hold}
-	sink.Init(fmt.Sprintf("Sink%d", i))
-	wire := fmt.Sprintf("wire%d", i)
-	src.out = sim.Binder.Provide(src.BoxName(), wire, bw, 1, maxLat)
-	sim.Binder.Bind(sink.BoxName(), wire, &sink.in)
-	sink.pub = sim.Publish(src.BoxName(), func(int64) {
-		src.credits += sink.released
-		sink.released = 0
-	})
-	sim.Register(sink) // sink first: order must not matter
-	sim.Register(src)
-	return parkPair{src, sink}
-}
-
-// passGate lets every clock through; installing it keeps every box
-// awake, which makes it the every-box-every-cycle model.
-type passGate struct{}
-
-func (passGate) BeforeClock(int64, Box) bool { return true }
-
-type parkRun struct {
-	cycles int64
-	got    [][]seen
-	sends  [][]int64
-	clocks int // box clocks, all boxes
-}
-
-func runParkMachine(t *testing.T, allAwake bool) parkRun {
-	t.Helper()
-	sim := NewSimulator(0)
-	const total = 120
-	pairs := []parkPair{
-		buildParkPair(sim, 0, total, 1, 1, 4, 0, 3),    // latency 1, tight credit
-		buildParkPair(sim, 1, total, 3, 6, 5, 40, 2),   // bandwidth 3, WriteLat up to 6, long gaps
-		buildParkPair(sim, 2, total, 2, 9, 2, 200, 11), // credit-blocked most of the time
-		buildParkPair(sim, 3, total, 4, 4, 64, 500, 1), // never blocked, very long gaps
+	c.starved.Inc()
+	c.lanesIdle.Add(float64(c.lanes))
+	c.ParkCounting(&c.starved, 1) // two counters at once,
+	if c.miscount {
+		c.ParkCounting(&c.lanesIdle, 1)
+	} else {
+		c.ParkCounting(&c.lanesIdle, c.lanes)
 	}
-	if allAwake {
-		sim.SetClockGate(passGate{})
+	c.askedAt = cycle // until the wire carries something
+}
+
+type creditPair struct {
+	src       *creditSource
+	sink      *creditSink
+	sinkFirst bool
+}
+
+// buildCreditMachine wires source i to sink i, each pair to send total
+// objects, and ends when every sink has them all. A pair with sinkFirst
+// registers the sink ahead of the source: the write of a cycle then
+// lands after the sink parked in it and wakes it at once, for a Clock
+// on the very next cycle with nothing to credit. The other order, with
+// a latency above 1, leaves the object in flight on the cycle the sink
+// runs dry: a park refused.
+func buildCreditMachine(interval int64, total int, pairs ...creditPair) *Simulator {
+	sim := NewSimulator(interval)
+	for i, p := range pairs {
+		src, sink := p.src, p.sink
+		src.total, sink.askedAt = total, -1
+		src.Init(fmt.Sprintf("Source%d", i))
+		sink.Init(fmt.Sprintf("Sink%d", i))
+		wire := fmt.Sprintf("wire%d", i)
+		src.out = sim.Binder.Provide(src.BoxName(), wire, src.burst, 1, src.maxLat)
+		sim.Binder.Bind(sink.BoxName(), wire, &sink.in)
+		sink.pub = sim.Publish(src.BoxName(), func(int64) {
+			src.credits += sink.released
+			sink.released = 0
+		})
+		sim.Stats.ShadowCounter(&src.blocked, src.BoxName()+".blockedCycles")
+		sim.Stats.ShadowCounter(&sink.busy, sink.BoxName()+".busyCycles")
+		sim.Stats.ShadowCounter(&sink.starved, sink.BoxName()+".starvedCycles")
+		sim.Stats.ShadowCounter(&sink.lanesIdle, sink.BoxName()+".idleLaneCycles")
+		if p.sinkFirst {
+			sim.Register(sink)
+			sim.Register(src)
+		} else {
+			sim.Register(src)
+			sim.Register(sink)
+		}
 	}
 	sim.SetDone(func() bool {
 		for _, p := range pairs {
@@ -157,41 +167,40 @@ func runParkMachine(t *testing.T, allAwake bool) parkRun {
 		}
 		return true
 	})
-	if err := sim.Run(1_000_000); err != nil {
-		t.Fatalf("allAwake=%v: %v", allAwake, err)
-	}
-	r := parkRun{cycles: sim.Cycle()}
-	for _, p := range pairs {
-		if len(p.sink.got) != total {
-			t.Fatalf("sink saw %d of %d objects", len(p.sink.got), total)
-		}
-		r.got = append(r.got, p.sink.got)
-		r.sends = append(r.sends, p.src.sendLog)
-		r.clocks += p.src.clocks + p.sink.clocks
-	}
-	return r
+	return sim
 }
 
-// Parking must change nothing the machine computes: every object is
-// read on its arrival cycle (the sink panics otherwise), every send
-// happens on the cycle the every-box-every-cycle loop makes it, a
-// credit-blocked source resumes on the cycle after the release — while
-// most box clocks are skipped.
-func TestParkWakeMatchesEveryCycleLoop(t *testing.T) {
-	model := runParkMachine(t, true)
-	got := runParkMachine(t, false)
-	if got.cycles != model.cycles {
-		t.Errorf("%d cycles, model %d", got.cycles, model.cycles)
+// ParkMachine builds the park/wake toy for the differential oracle
+// (oracle_test.go). Its frames are what each sink observed and when its
+// source sent: every object is read on its arrival cycle (the sink
+// panics otherwise), every send happens on the cycle the every-box loop
+// makes it, a credit-blocked source resumes on the cycle after the
+// release. clocks counts the box clocks the run took.
+func ParkMachine() (sim *Simulator, frames func() [][]byte, clocks func() int) {
+	pair := func(burst, maxLat, credits int, gap, hold int64) creditPair {
+		return creditPair{&creditSource{credits: credits, burst: burst, maxLat: maxLat, spread: 7, gapEvery: 3, gap: gap},
+			&creditSink{hold: hold}, true} // sink first: order must not matter
 	}
-	if !reflect.DeepEqual(got.got, model.got) {
-		t.Error("observations differ from the every-cycle model")
+	pairs := []creditPair{
+		pair(1, 1, 4, 0, 3),    // latency 1, tight credit
+		pair(3, 6, 5, 40, 2),   // bandwidth 3, WriteLat up to 6, long gaps
+		pair(2, 9, 2, 200, 11), // credit-blocked most of the time
+		pair(4, 4, 64, 500, 1), // never blocked, very long gaps
 	}
-	if !reflect.DeepEqual(got.sends, model.sends) {
-		t.Error("send cycles differ from the every-cycle model")
+	sim = buildCreditMachine(0, 120, pairs...)
+	frames = func() (seen [][]byte) {
+		for _, p := range pairs {
+			seen = append(seen, fmt.Appendf(nil, "%v %v", p.sink.got, p.src.sendLog))
+		}
+		return seen
 	}
-	if got.clocks*2 > model.clocks {
-		t.Errorf("parking skipped too little: %d box clocks, model %d", got.clocks, model.clocks)
+	clocks = func() (n int) {
+		for _, p := range pairs {
+			n += p.src.clocks + p.sink.clocks
+		}
+		return n
 	}
+	return sim, frames, clocks
 }
 
 // A box that never calls Park is clocked every cycle exactly as before
@@ -214,7 +223,7 @@ func TestBoxThatNeverParksIsClockedEveryCycle(t *testing.T) {
 // A write wakes a parked box, and a box cannot park while an object is
 // in flight to it, whichever comes first.
 func TestParkAndWriteInEitherOrder(t *testing.T) {
-	sink := &parkSink{}
+	sink := &creditSink{}
 	sink.Init("Sink")
 	sim := NewSimulator(0)
 	sim.Register(sink)

@@ -281,6 +281,10 @@ type Simulator struct {
 	crash  *CrashReport
 	flight func(max int) []FlightEvent // crash flight-recorder source
 
+	// resumed is set by a restore: a checkpoint is captured at a barrier
+	// before that barrier's done check, so the next Run makes it first.
+	resumed bool
+
 	// Host-time attribution (SetClockObserver): on cycles where
 	// cycle%obsEvery == 0 every box clock is individually timed and
 	// reported. Nil obs (the default) costs one branch per cycle.
@@ -365,10 +369,12 @@ func (s *Simulator) SetClockGate(g ClockGate) { s.gate = g }
 // WatchdogProgress reports the armed watchdog's view of forward
 // progress: the last cycle with observed activity and the cumulative
 // activity fingerprint (total signal traffic plus every Progress
-// counter and position register). ok is false when no watchdog is armed.
+// counter and position register). ok is false when no watchdog is
+// armed, and when the armed one has no view of this machine yet: before
+// its first Run, unless a restore loaded the view from the file.
 // Call from an OnEndCycle hook, or outside Run.
 func (s *Simulator) WatchdogProgress() (lastProgress int64, fingerprint uint64, ok bool) {
-	if s.wd == nil {
+	if s.wd == nil || !s.wd.known {
 		return 0, 0, false
 	}
 	return s.wd.lastProgress, s.wd.lastTotal, true
@@ -524,6 +530,12 @@ func (s *Simulator) run(maxCycles int64) (err error) {
 		}
 	}()
 	s.wire()
+	if s.resumed {
+		s.resumed = false
+		if s.done() {
+			return nil
+		}
+	}
 	limit := s.cycle + maxCycles
 	for s.cycle < limit {
 		cycle := s.cycle

@@ -34,7 +34,9 @@ func (s *Simulator) SnapshotState(e *chkpt.Encoder) {
 }
 
 // RestoreState implements chkpt.Snapshotter. The next Run continues
-// from the restored cycle (Run's budget counts from there). Watchdog
+// from the restored cycle (Run's budget counts from there), asking the
+// done predicate before it clocks one: a capture at a run's final
+// barrier restores to a run that is over. Watchdog
 // state only applies when a watchdog is armed on the restored
 // simulator; arming is a host knob, so a checkpoint from a
 // watchdog-less run restores fine into a guarded one and vice versa.
@@ -58,12 +60,14 @@ func (s *Simulator) RestoreState(d *chkpt.Decoder) error {
 	}
 	s.cycle = cycle
 	s.IDs.next = nextID
-	if hasWd && s.wd != nil {
+	s.resumed = true
+	if s.wd != nil {
 		s.wd.lastProgress = lastProgress
 		s.wd.lastTotal = lastTotal
 		s.wd.prevProd = prevProd
 		s.wd.prevCons = prevCons
-		s.wd.restored = true
+		s.wd.restored = hasWd
+		s.wd.known = hasWd
 	}
 	return nil
 }

@@ -139,26 +139,30 @@ func TestEarlyWokenBoxForgetsItsTime(t *testing.T) {
 	wantClocks(t, b[1], 0, 5, 25)
 }
 
-// Under a gate nothing parks, so nothing goes on the heap; and a Run
-// that ends with a box asleep towards its time leaves no heap behind.
-func TestTimedWakesEndWithTheRun(t *testing.T) {
+// TimedWakeUnderGate runs for ten cycles, under gate, a box that asks
+// on cycle 2 to sleep until cycle 1000, and returns how often it was
+// clocked and the most timed wakes the heap held at a barrier.
+func TimedWakeUnderGate(gate ClockGate) (clocks, heap int) {
 	sim, b := wakeMachine(1)
 	b[0].script[2] = func() { b[0].ParkUntil(1000) }
-	sim.SetClockGate(passGate{})
-	heap := 0
+	sim.SetClockGate(gate)
 	sim.OnEndCycle(func(int64) { heap = max(heap, len(sim.wakeups)) })
-	runUntil(t, sim, 10)
-	if len(b[0].clocks) != 10 || heap != 0 {
-		t.Errorf("under a gate: %d clocks in 10 cycles, heap held %d", len(b[0].clocks), heap)
+	sim.SetDone(func() bool { return sim.Cycle() >= 10 })
+	if err := sim.Run(100); err != nil {
+		panic(err)
 	}
+	return len(b[0].clocks), heap
+}
 
-	sim.SetClockGate(nil)
-	b[0].clocks = nil
+// A Run that ends with a box asleep towards its time leaves no heap
+// behind.
+func TestTimedWakesEndWithTheRun(t *testing.T) {
+	sim, b := wakeMachine(1)
 	b[0].script[20] = func() { b[0].ParkUntil(1000) }
-	runUntil(t, sim, 20) // clocked at 10, where a Run starts, and parks
-	runUntil(t, sim, 30) // clocked at 20, and parks towards 1000
+	runUntil(t, sim, 20) // clocked at 0, and parks
+	runUntil(t, sim, 30) // clocked at 20, where a Run starts, and parks towards 1000
 	if len(sim.wakeups) != 0 || b[0].wakeAt != 0 {
 		t.Errorf("after a Run that ended asleep: %d wakes on the heap, box waking at %d", len(sim.wakeups), b[0].wakeAt)
 	}
-	wantClocks(t, b[0], 10, 20)
+	wantClocks(t, b[0], 0, 20)
 }

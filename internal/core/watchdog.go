@@ -194,11 +194,16 @@ type watchdog struct {
 	// metrics bus watchdog fields derived from it) matches the
 	// uninterrupted run's.
 	restored bool
+	// known marks a progress view that describes this machine: one a
+	// Run has started, or a restore loaded. A restore from a file that
+	// carries no watchdog state leaves none.
+	known bool
 }
 
 // reset starts the progress view of a Run.
 func (w *watchdog) reset(s *Simulator) {
 	w.checks = 0
+	w.known = true
 	if w.restored {
 		w.restored = false
 		return

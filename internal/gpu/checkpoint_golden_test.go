@@ -7,9 +7,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -17,8 +17,8 @@ import (
 
 	"attila/internal/chkpt"
 	"attila/internal/core"
+	"attila/internal/core/coretest"
 	"attila/internal/gpu"
-	"attila/internal/workload"
 )
 
 // goldenScene is one row of the root package's TestGoldenFrames.
@@ -39,9 +39,6 @@ var goldenScenes = []goldenScene{
 	{"ut2004-3f", "ut2004", gpu.BaselineUnified(), 0, 3},
 	{"ut2004-1tu", "ut2004", gpu.CaseStudy(1, gpu.ScheduleWindow), 0, 2},
 }
-
-// supervisedWindow is the watchdog window jobd arms on every job.
-const supervisedWindow = 50_000_000
 
 // oldQuiesced is Pipeline.Quiesced in the clause order of 91dbc46:
 // every wire, the memory controller, then every box.
@@ -68,10 +65,13 @@ type walkModel struct {
 	sigs       []*core.Signal
 	boxes      []core.Box
 	mcRd, mcWr core.Stat
+	watchdogState
+}
 
-	lastProgress       int64
-	lastTotal          uint64
-	prevProd, prevCons uint64
+// watchdogState is what a core.Sim section holds of the watchdog.
+type watchdogState struct {
+	lastProgress                  int64
+	lastTotal, prevProd, prevCons uint64
 }
 
 func newWalkModel(p *gpu.Pipeline) *walkModel {
@@ -105,124 +105,91 @@ func (m *walkModel) check(cycle int64) {
 }
 
 // watchdogSection decodes the watchdog fields of a core.Sim section.
-func watchdogSection(t *testing.T, section []byte) (m walkModel) {
-	t.Helper()
+func watchdogSection(tb testing.TB, section []byte) (m watchdogState) {
+	tb.Helper()
 	d := chkpt.NewDecoder(section)
 	d.I64() // cycle
 	d.U64() // next object ID
 	if !d.Bool() {
-		t.Fatal("core.Sim section carries no watchdog state")
+		tb.Fatal("core.Sim section carries no watchdog state")
 	}
 	m.lastProgress, m.lastTotal, m.prevProd, m.prevCons = d.I64(), d.U64(), d.U64(), d.U64()
 	if err := d.Err(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }
 
-type capture struct {
-	cycle int64
-	file  []byte
+// pipeMachine is the differential oracle's machine for a pipeline to
+// run cmds: its frames, and with interval > 0 a checkpoint of the named
+// workload every interval cycles.
+func pipeMachine(tb testing.TB, pipe *gpu.Pipeline, cmds []gpu.Command, workload string, interval int64) *coretest.Machine {
+	const budget = 500_000_000
+	m := &coretest.Machine{
+		Sim:    pipe.Sim,
+		Run:    func() error { return pipe.Run(cmds, budget) },
+		Resume: func() error { return pipe.ResumeContext(context.Background(), budget) },
+		Restore: func(file []byte) error {
+			snap, err := chkpt.Read(bytes.NewReader(file))
+			if err != nil {
+				return err
+			}
+			return pipe.RestoreCheckpoint(snap, cmds)
+		},
+		Frames: func() (pix [][]byte) {
+			for _, f := range pipe.Frames() {
+				pix = append(pix, f.Pix)
+			}
+			return pix
+		},
+	}
+	if interval > 0 {
+		m.Path = filepath.Join(tb.TempDir(), "scene.ckpt")
+		m.Checkpoints = pipe.EnableCheckpoints(m.Path, workload, interval)
+	}
+	return m
 }
 
-type supervisedRun struct {
-	cycles       int64
-	frames       [][]byte
-	summary, csv []byte
-	captures     []capture
-}
-
-// runSupervised runs (or, given a checkpoint file, restores and
-// finishes) a scene the way jobd runs a job — watchdog armed,
-// checkpoints every interval cycles — and holds the 91dbc46 quiesce
-// predicate and watchdog walk beside the real ones at every barrier.
-func runSupervised(t *testing.T, c goldenScene, workers int, interval int64, restore []byte) *supervisedRun {
-	t.Helper()
+// goldenMachine builds a golden scene the way jobd runs a job —
+// watchdog armed, an interval row every rows cycles, checkpoints every
+// interval cycles — and holds the 91dbc46 quiesce predicate and
+// watchdog walk beside the real ones at every barrier.
+func goldenMachine(tb testing.TB, c goldenScene, workers int, rows, interval int64) *coretest.Machine {
 	cfg := c.cfg
 	cfg.Workers = workers
-	cfg.StatInterval = 1000
-	cfg.WatchdogWindow = supervisedWindow
-	pipe, err := gpu.New(cfg, 64, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmds, _, err := workload.Build(c.generator, pipe, workload.Params{
-		Width: 64, Height: 48, Frames: c.frames, Aniso: 8, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "scene.ckpt")
-	eng := pipe.EnableCheckpoints(path, c.generator, interval)
-
-	out := &supervisedRun{}
+	cfg.StatInterval = rows
+	cfg.WatchdogWindow = 1_000_000 // not jobd's 50M: a missed wake fails sooner, with the same files
+	pipe, cmds := buildGolden(tb, c, cfg)
+	m := pipeMachine(tb, pipe, cmds, c.generator, interval)
 	model := newWalkModel(pipe)
-	if restore != nil {
-		snap, err := chkpt.Read(bytes.NewReader(restore))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pipe.RestoreCheckpoint(snap, cmds); err != nil {
-			t.Fatal(err)
-		}
+	restore := m.Restore
+	m.Restore = func(file []byte) error {
 		// What the restored watchdog starts from is what the file holds.
-		r := watchdogSection(t, snap.Section("core.Sim"))
-		model.lastProgress, model.lastTotal, model.prevProd, model.prevCons = r.lastProgress, r.lastTotal, r.prevProd, r.prevCons
+		snap, err := chkpt.Read(bytes.NewReader(file))
+		if err != nil {
+			return err
+		}
+		model.watchdogState = watchdogSection(tb, snap.Section("core.Sim"))
+		return restore(file)
 	}
-	var seen int64
 	mismatches := 0
 	pipe.Sim.OnEndCycle(func(cycle int64) {
 		if got, want := pipe.Quiesced(), oldQuiesced(pipe, model.sigs); got != want && mismatches < 5 {
 			mismatches++
-			t.Errorf("cycle %d: Quiesced() = %v, the old clause order says %v", cycle, got, want)
+			tb.Errorf("cycle %d: Quiesced() = %v, the old clause order says %v", cycle, got, want)
 		}
 		model.check(cycle)
 		since, fp, ok := pipe.Sim.WatchdogProgress()
 		var e chkpt.Encoder
 		pipe.Sim.SnapshotState(&e)
-		sec := watchdogSection(t, e.Bytes())
-		if (!ok || since != model.lastProgress || fp != model.lastTotal ||
-			sec.lastProgress != model.lastProgress || sec.lastTotal != model.lastTotal ||
-			sec.prevProd != model.prevProd || sec.prevCons != model.prevCons) && mismatches < 5 {
+		sec := watchdogSection(tb, e.Bytes())
+		if (!ok || since != model.lastProgress || fp != model.lastTotal || sec != model.watchdogState) && mismatches < 5 {
 			mismatches++
-			t.Errorf("cycle %d: watchdog (since %d, fingerprint %d; section %d/%d/%d/%d), the per-cycle walk says %d/%d/%d/%d",
-				cycle, since, fp, sec.lastProgress, sec.lastTotal, sec.prevProd, sec.prevCons,
-				model.lastProgress, model.lastTotal, model.prevProd, model.prevCons)
-		}
-		if n := eng.Count(); n != seen {
-			seen = n
-			file, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.captures = append(out.captures, capture{eng.LastCycle(), file})
+			tb.Errorf("cycle %d: watchdog (since %d, fingerprint %d; section %+v), the per-cycle walk says %+v",
+				cycle, since, fp, sec, model.watchdogState)
 		}
 	})
-
-	if restore != nil {
-		err = pipe.ResumeContext(context.Background(), 500_000_000)
-	} else {
-		err = pipe.Run(cmds, 500_000_000)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out.cycles = pipe.Cycles()
-	for _, f := range pipe.Frames() {
-		out.frames = append(out.frames, f.Pix)
-	}
-	var summary, csv bytes.Buffer
-	if err := pipe.DumpStats(&summary); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.DumpCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	out.summary, out.csv = summary.Bytes(), csv.Bytes()
-	return out
+	return m
 }
 
 // checkpointIdentity hashes what a checkpoint file says: its header
@@ -230,13 +197,13 @@ func runSupervised(t *testing.T, c goldenScene, workers int, interval int64, res
 // stream holds. The compressed bytes themselves follow from those and
 // the toolchain's deflate; the chkpt tests hold Encode to the bytes
 // the old concatenating Encode wrote.
-func checkpointIdentity(t *testing.T, h io.Writer, c capture) {
+func checkpointIdentity(t *testing.T, h io.Writer, c coretest.Capture) {
 	t.Helper()
 	const header = 10 + 4 + 4 + 8
-	if len(c.file) < header {
-		t.Fatalf("checkpoint at cycle %d is %d bytes", c.cycle, len(c.file))
+	if len(c.File) < header {
+		t.Fatalf("checkpoint at cycle %d is %d bytes", c.Cycle, len(c.File))
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(c.file[header:]))
+	zr, err := gzip.NewReader(bytes.NewReader(c.File[header:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,52 +211,92 @@ func checkpointIdentity(t *testing.T, h io.Writer, c capture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.Write(h, binary.LittleEndian, c.cycle)
-	h.Write(c.file[:header])
+	binary.Write(h, binary.LittleEndian, c.Cycle)
+	h.Write(c.File[:header])
 	h.Write(payload)
 }
 
-// TestGoldenCheckpoints pins the checkpoint files of the
-// TestGoldenFrames scenes run supervised: which cycles capture, and
-// every byte the files say, computed at 91dbc46. Each scene is then
-// restored from its middle capture and must finish exactly as the
-// uninterrupted run did. The two spinner rows end before cycle 20000
-// and take a shorter interval. ut2004-par2 is the benchmark's workload
-// of that name, which still sets the ignored Workers: 2 (ROADMAP item
-// 7): its files are ut2004-tex's, byte for byte.
+// goldenInterval is a golden scene's checkpoint interval: the spinner
+// scenes end before cycle 20000 and take a shorter one.
+func goldenInterval(c goldenScene) int64 {
+	if c.generator == "spinner" {
+		return 4000
+	}
+	return 20000
+}
+
+// TestParkedClockIsNoOp puts the TestGoldenFrames scenes, and one with
+// dedicated vertex shaders, through the differential oracle the way jobd
+// runs a job: a box parks only where further clocks would change nothing
+// but the stall counters it sleeps through, so clocking the parked boxes
+// anyway, or restoring from any checkpoint on the way, must change
+// nothing any reader sees.
+//
+// The interval rows, and with them the metrics windows that read every
+// box's queues, come every 200 cycles, and every cycle on the spinner
+// scenes, short enough to hold a row per cycle (a row is one float per
+// statistic; ut2004-3f at interval 1 would keep 250 MB of them).
+func TestParkedClockIsNoOp(t *testing.T) {
+	for _, c := range append(goldenScenes[:len(goldenScenes):len(goldenScenes)],
+		goldenScene{"baseline-split", "ut2004", gpu.Baseline(), 0, 1}) {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			rows := int64(200)
+			if c.generator == "spinner" {
+				rows = 1
+			}
+			out := coretest.Check(t, func(tb testing.TB) *coretest.Machine {
+				return goldenMachine(tb, c, c.workers, rows, goldenInterval(c))
+			})
+			if len(out.Frames) != c.frames || out.Windows == 0 {
+				t.Errorf("%d frames and %d metrics windows, want %d frames", len(out.Frames), out.Windows, c.frames)
+			}
+		})
+	}
+}
+
+// TestGoldenCheckpoints pins the golden scenes' checkpoint files, as a
+// parked run with a row every 1000 cycles writes them: which cycles
+// capture, and every byte the files say, computed at 91dbc46.
+// ut2004-par2 is the benchmark's workload of that name, which still sets
+// the ignored Workers: 2 (ROADMAP item 7): its files are ut2004-tex's,
+// byte for byte.
 func TestGoldenCheckpoints(t *testing.T) {
 	pinned := map[string]struct {
-		interval int64
-		cycles   []int64
-		sha      string
+		cycles []int64
+		sha    string
 	}{
-		"ut2004-tex": {20000, []int64{39895, 95851},
+		"ut2004-tex": {[]int64{39895, 95851},
 			"1b181cca910a43110823af84f01e82e9682d56040ba860debef8af274b8f20e6"},
-		"doom3-stencil": {20000, []int64{69549, 111120},
+		"doom3-stencil": {[]int64{69549, 111120},
 			"129d95ca6a0cb1b5ca1d63946b5824ddbb0e3993d5cab5740e92ae31ab22d5f6"},
-		"spinner-geom": {4000, []int64{9573},
+		"spinner-geom": {[]int64{9573},
 			"2605ff41095dccffe3d7e0921f056b0c9a4c7270e93d9819770c099e43a07e6f"},
-		"ut2004-par2": {20000, []int64{39895, 95851},
+		"ut2004-par2": {[]int64{39895, 95851},
 			"1b181cca910a43110823af84f01e82e9682d56040ba860debef8af274b8f20e6"},
-		"ut2004-inorder": {20000, []int64{39208, 115384},
+		"ut2004-inorder": {[]int64{39208, 115384},
 			"31c707d119449801b7c7a8caea5e8514656854936385cfc396a8fec14daba443"},
-		"spinner-3f": {4000, []int64{9573, 14300, 19758},
+		"spinner-3f": {[]int64{9573, 14300, 19758},
 			"cb57acf797db8d0346f2751028dddb341e09014f8ddfa4909c82ae5bff5ff1b8"},
-		"doom3-2f": {20000, []int64{69549, 111120, 150043},
+		"doom3-2f": {[]int64{69549, 111120, 150043},
 			"4ff55b8f5835370717cd8610cb69d5cc7a980e0f9e28a656710337cb182f06e3"},
-		"ut2004-3f": {20000, []int64{39895, 95851, 155592, 212752},
+		"ut2004-3f": {[]int64{39895, 95851, 155592, 212752},
 			"e294ba368db5a0677a9ac1e1b63d99205a1565965be9e8bbe91b8e5d6a1a6f64"},
-		"ut2004-1tu": {20000, []int64{39208, 122445, 210916},
+		"ut2004-1tu": {[]int64{39208, 122445, 210916},
 			"444055dd4a4f2fe413e3cfc0f1d3b808630223b8c6f3da21e95e7c50fe026f4f"},
 	}
 	for _, c := range goldenScenes {
 		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
 			pin := pinned[c.name]
-			ref := runSupervised(t, c, c.workers, pin.interval, nil)
+			out := coretest.Record(t, goldenMachine(t, c, c.workers, 1000, goldenInterval(c)))
+			if out.Err != "" {
+				t.Fatal(out.Err)
+			}
 			var cycles []int64
 			h := sha256.New()
-			for _, cp := range ref.captures {
-				cycles = append(cycles, cp.cycle)
+			for _, cp := range out.Captures {
+				cycles = append(cycles, cp.Cycle)
 				checkpointIdentity(t, h, cp)
 			}
 			if !reflect.DeepEqual(cycles, pin.cycles) {
@@ -298,33 +305,51 @@ func TestGoldenCheckpoints(t *testing.T) {
 			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha {
 				t.Errorf("checkpoint sha256 = %s, pinned %s", got, pin.sha)
 			}
-			if len(ref.captures) == 0 {
-				t.Fatal("no capture to restore from")
-			}
-			mid := ref.captures[len(ref.captures)/2]
-			got := runSupervised(t, c, c.workers, pin.interval, mid.file)
-			if got.cycles != ref.cycles {
-				t.Errorf("restored at %d, finished on cycle %d, uninterrupted on %d", mid.cycle, got.cycles, ref.cycles)
-			}
-			if !reflect.DeepEqual(got.frames, ref.frames) {
-				t.Errorf("frames differ after a restore at %d", mid.cycle)
-			}
-			if !bytes.Equal(got.summary, ref.summary) {
-				t.Errorf("statistics summary differs after a restore at %d", mid.cycle)
-			}
-			if !bytes.Equal(got.csv, ref.csv) {
-				t.Errorf("interval CSV differs after a restore at %d", mid.cycle)
-			}
 		})
+	}
+}
+
+// A file written without a watchdog holds no progress view, so a
+// pipeline that arms one cannot tell from it the barrier the last
+// command completed on from the final barrier: restored there, it must
+// run the cycle the command processor still needs, not stop. ut2004-tex
+// captures at 95851, its completion barrier, and ends on 95853.
+func TestUnguardedCaptureRestoresIntoGuardedRun(t *testing.T) {
+	c := goldenScenes[0]
+	build := func(window int64) *coretest.Machine {
+		cfg := c.cfg
+		cfg.StatInterval = 1000
+		cfg.WatchdogWindow = window
+		pipe, cmds := buildGolden(t, c, cfg)
+		return pipeMachine(t, pipe, cmds, c.generator, goldenInterval(c))
+	}
+	ref := coretest.Record(t, build(0))
+	last := ref.Captures[len(ref.Captures)-1]
+	if ref.Err != "" || last.Cycle != 95851 || ref.Cycles != 95853 {
+		t.Fatalf("%s: last capture at %d of %d cycles (%q), the pins say 95851 of 95853", c.name, last.Cycle, ref.Cycles, ref.Err)
+	}
+	m := build(1_000_000)
+	if err := m.Restore(last.File); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := m.Sim.Stats.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Sim.Cycle(); got != ref.Cycles || !bytes.Equal(csv.Bytes(), ref.CSV) {
+		t.Errorf("restored with a watchdog armed: %d cycles (CSV equal: %v), the uninterrupted run %d",
+			got, bytes.Equal(csv.Bytes(), ref.CSV), ref.Cycles)
 	}
 }
 
 // Config.Workers is a vestige of the parallel clock loop (ROADMAP item
 // 7): on the doom3 and ut2004 golden scenes a run that asks for 2 or 8
-// workers writes the frames, summary, interval CSV and mid-run
-// checkpoint files of the Workers: 0 run, byte for byte; a process
-// warns once however many such pipelines it builds; and Validate still
-// rejects a negative count.
+// workers leaves the outputs of the Workers: 0 run, mid-run checkpoint
+// files included, byte for byte; a process warns once however many such
+// pipelines it builds; and Validate still rejects a negative count.
 func TestWorkersIsIgnored(t *testing.T) {
 	var log bytes.Buffer
 	defer slog.SetDefault(slog.Default())
@@ -334,16 +359,14 @@ func TestWorkersIsIgnored(t *testing.T) {
 		if c.name != "doom3-stencil" && c.name != "ut2004-tex" {
 			continue
 		}
-		ref := runSupervised(t, c, 0, 20000, nil)
-		if len(ref.captures) == 0 {
-			t.Fatalf("%s: no mid-run checkpoint to compare", c.name)
+		ref := coretest.Record(t, goldenMachine(t, c, 0, 1000, 20000))
+		if len(ref.Captures) == 0 || ref.Err != "" {
+			t.Fatalf("%s: %d mid-run checkpoints to compare, error %q", c.name, len(ref.Captures), ref.Err)
 		}
 		for _, workers := range []int{2, 8} {
-			got := runSupervised(t, c, workers, 20000, nil)
-			if got.cycles != ref.cycles || !reflect.DeepEqual(got.frames, ref.frames) ||
-				!bytes.Equal(got.summary, ref.summary) || !bytes.Equal(got.csv, ref.csv) ||
-				!reflect.DeepEqual(got.captures, ref.captures) {
-				t.Errorf("%s with Workers: %d: outputs differ from Workers: 0", c.name, workers)
+			got := coretest.Record(t, goldenMachine(t, c, workers, 1000, 20000))
+			for _, d := range ref.Diff(fmt.Sprintf("on %s with Workers: %d", c.name, workers), got) {
+				t.Error(d)
 			}
 		}
 	}

@@ -55,6 +55,7 @@ type CommandProcessor struct {
 	tus []*TextureUnit
 
 	finished bool
+	sim      *core.Simulator
 
 	wakes batchWakes // shared by every batch this CP builds
 
@@ -70,7 +71,7 @@ func NewCommandProcessor(sim *core.Simulator, cfg *Config, fb *Framebuffer,
 	drawOut *Flow, ropzs []*ZStencil, ropcs []*ColorWrite, tus []*TextureUnit, dac *DAC) *CommandProcessor {
 	cp := &CommandProcessor{
 		cfg: cfg, fb: fb, drawOut: drawOut,
-		ropzs: ropzs, ropcs: ropcs, tus: tus, dac: dac,
+		ropzs: ropzs, ropcs: ropcs, tus: tus, dac: dac, sim: sim,
 	}
 	cp.Init("CommandProcessor")
 	cp.wakes.cp = &cp.BoxBase

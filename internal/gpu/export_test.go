@@ -55,3 +55,8 @@ func ResetWorkersWarning() { warnWorkers = sync.Once{} }
 func (p *Pipeline) SetRunAhead(min int, beforeStep func()) {
 	p.ahead.min, p.ahead.beforeStep = min, beforeStep
 }
+
+// MuteRetirement stops every batch of the command processor announcing
+// its retirement: nothing a batch does wakes the command processor or
+// triangle setup.
+func (p *Pipeline) MuteRetirement() { p.CP.wakes = batchWakes{} }

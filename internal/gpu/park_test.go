@@ -1,13 +1,13 @@
 package gpu
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
 	"attila/internal/core"
+	"attila/internal/core/coretest"
 	"attila/internal/emu/fragemu"
 	"attila/internal/emu/rastemu"
 	"attila/internal/isa"
@@ -86,13 +86,17 @@ func TestBlockedTriangleIsJudgedOnce(t *testing.T) {
 	}
 }
 
-// Flow credits against the every-cycle fold kept as the model: a toy
-// producer sends whenever CanSend allows and parks when it does not, a
-// toy consumer holds each item a while and releases its credit. With a
-// published flow (folded only on cycles with a release, the fold waking
-// the parked producer) the sends must land on the cycles they land on
-// with a bare flow folded on every cycle by a hook and nobody parking:
-// a credit is visible to the producer exactly one cycle after Release.
+// Flows and a Clipper under the differential oracle. A toy producer
+// sends whenever CanSend allows and parks when it does not; a toy
+// consumer holds each item a while and releases its credit, the fold
+// of its published flow waking the parked producer. The sends and
+// releases, the machine's frames, are also those of the model: a bare
+// flow folded on every cycle by a hook, nobody parking. A credit is
+// visible to the producer exactly one cycle after Release.
+// A Clipper fed two triangles a cycle must match the every-box run; one
+// that parks whenever it likes — with a triangle still queued and
+// credit to send it — is the negative control, caught on the watchdog's
+// report of it parked over its queue.
 
 type flowSrc struct {
 	core.BoxBase
@@ -136,82 +140,6 @@ func (c *flowDst) Clock(cycle int64) {
 	}
 }
 
-type passAll struct{}
-
-func (passAll) BeforeClock(int64, core.Box) bool { return true }
-
-func TestFlowFoldMatchesEveryCycleModel(t *testing.T) {
-	const total, credits = 200, 3
-	hold := func(seq int) int64 { return int64(1 + (seq*seq)%17) } // some long: the producer starves
-	build := func(published bool) (*core.Simulator, *flowSrc, *flowDst) {
-		sim := core.NewSimulator(0)
-		var f *Flow
-		if published {
-			f = pFlow(sim, "Src", "Dst", "wire", 1, 2, 0, credits)
-		} else {
-			var bound *core.Signal
-			f = NewFlow(sim.Binder.Provide("Src", "wire", 1, 2, 0), credits)
-			sim.Binder.Bind("Dst", "wire", &bound)
-			sim.OnEndCycle(f.EndCycle) // the old per-flow hook
-			sim.SetClockGate(passAll{})
-		}
-		src := &flowSrc{out: f, total: total}
-		src.Init("Src")
-		dst := &flowDst{in: f, hold: hold}
-		dst.Init("Dst")
-		sim.Register(dst)
-		sim.Register(src)
-		sim.SetDone(func() bool { return len(dst.releases) == total })
-		return sim, src, dst
-	}
-	msim, msrc, mdst := build(false)
-	if err := msim.Run(100000); err != nil {
-		t.Fatal(err)
-	}
-	// The model itself: every send but the first few waits for a credit,
-	// and goes out the cycle after the release that frees it.
-	starved := 0
-	for i := credits; i < total; i++ {
-		switch want := mdst.releases[i-credits] + 1; {
-		case msrc.sends[i] < want:
-			t.Fatalf("model: send %d at %d, before its credit (released %d)", i, msrc.sends[i], want-1)
-		case msrc.sends[i] == want:
-			starved++
-		}
-	}
-	if starved < total/4 {
-		t.Fatalf("model: only %d sends waited for credit, the test shows nothing", starved)
-	}
-
-	check := func(name string, src *flowSrc, dst *flowDst) {
-		t.Helper()
-		if !slices.Equal(src.sends, msrc.sends) || !slices.Equal(dst.releases, mdst.releases) {
-			t.Errorf("%s: sends or releases differ from the every-cycle fold", name)
-		}
-	}
-	sim, src, dst := build(true)
-	if err := sim.Run(100000); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Cycle() != msim.Cycle() {
-		t.Errorf("%d cycles, model %d", sim.Cycle(), msim.Cycle())
-	}
-	check("run", src, dst)
-	// A harness that clocks by hand: Simulator.EndCycle folds the list.
-	sim, src, dst = build(true)
-	for c := int64(0); c < msim.Cycle(); c++ {
-		dst.Clock(c)
-		src.Clock(c)
-		sim.EndCycle(c)
-	}
-	check("manual EndCycle", src, dst)
-}
-
-// The check that TestParkedClockIsNoOp has teeth: a Clipper that parks
-// whenever it likes — here with a triangle still queued and credit to
-// send it — is caught by the same comparison, a run against the
-// every-box-every-cycle loop.
-
 type hastyClipper struct{ *Clipper }
 
 func (h hastyClipper) Clock(cycle int64) {
@@ -249,78 +177,126 @@ func (d *triDst) Clock(cycle int64) {
 	}
 }
 
-func TestParkingWithQueuedItemIsCaught(t *testing.T) {
-	const tris = 6
-	run := func(hasty, allAwake bool) ([]int64, error) {
-		sim := core.NewSimulator(0)
-		in := pFlow(sim, "Src", "Clipper", "in", 2, 1, 0, tris)
-		out := pFlow(sim, "Clipper", "Dst", "out", 1, 2, 0, tris)
-		src := &triSrc{out: in, batch: &BatchState{State: &DrawState{}}, ids: &sim.IDs, left: tris}
-		src.Init("Src")
-		sim.Register(src)
-		if hasty {
-			// Built by hand: NewClipper would register the honest box.
-			c := &Clipper{triIn: in, triOut: out}
-			c.Init("Clipper")
-			sim.Register(hastyClipper{c})
-		} else {
-			NewClipper(sim, in, out)
+func TestParkedFlowsMatchEveryBox(t *testing.T) {
+	toy := func(sim *core.Simulator, frames func() [][]byte) *coretest.Machine {
+		return &coretest.Machine{Sim: sim, Run: func() error { return sim.Run(100000) }, Frames: frames}
+	}
+	t.Run("flow-fold", func(t *testing.T) {
+		const total, credits = 200, 3
+		hold := func(seq int) int64 { return int64(1 + (seq*seq)%17) } // some long: the producer starves
+		var src *flowSrc
+		var dst *flowDst
+		machine := func(published bool) *coretest.Machine {
+			sim := core.NewSimulator(0)
+			var f *Flow
+			if published {
+				f = pFlow(sim, "Src", "Dst", "wire", 1, 2, 0, credits)
+			} else { // the model: a bare flow folded every cycle by the old per-flow hook
+				var bound *core.Signal
+				f = NewFlow(sim.Binder.Provide("Src", "wire", 1, 2, 0), credits)
+				sim.Binder.Bind("Dst", "wire", &bound)
+				sim.OnEndCycle(f.EndCycle)
+				sim.SetClockGate(coretest.PassAll{})
+			}
+			src, dst = &flowSrc{out: f, total: total}, &flowDst{in: f, hold: hold}
+			src.Init("Src")
+			dst.Init("Dst")
+			sim.Register(dst)
+			sim.Register(src)
+			sim.SetDone(func() bool { return len(dst.releases) == total })
+			return toy(sim, func() [][]byte { return [][]byte{fmt.Append(nil, src.sends, dst.releases)} })
 		}
-		dst := &triDst{in: out}
-		dst.Init("Dst")
-		sim.Register(dst)
-		if allAwake {
-			sim.SetClockGate(passAll{})
+		out := coretest.Check(t, func(testing.TB) *coretest.Machine { return machine(true) })
+		for _, d := range out.Diff("with the every-cycle fold", coretest.Record(t, machine(false))) {
+			t.Error(d)
 		}
-		sim.SetWatchdog(100)
-		sim.SetDone(func() bool { return len(dst.got) == tris })
-		err := sim.Run(1000)
-		return dst.got, err
-	}
-	want, err := run(false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := run(false, false); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("honest Clipper: arrivals %v (%v), every-cycle loop %v", got, err, want)
-	}
-	if got, err := run(true, true); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("hasty Clipper, every box clocked anyway: arrivals %v (%v), want %v", got, err, want)
-	}
-	got, err := run(true, false)
-	if err == nil && slices.Equal(got, want) {
-		t.Fatal("a Clipper parking with a queued triangle went unnoticed")
-	}
-	// The hang reads off the watchdog's report: the Clipper holds a
-	// triangle and is not being clocked.
-	var de *core.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("hasty Clipper: %v, want the watchdog's report", err)
-	}
-	var clipper *core.BoxState
-	for i := range de.Report.Boxes {
-		if de.Report.Boxes[i].Name == "Clipper" {
-			clipper = &de.Report.Boxes[i]
+		// Every send but the first few waits for a credit, and goes out no
+		// sooner than the cycle after the release that frees it.
+		starved := 0
+		for i := credits; i < total; i++ {
+			switch want := dst.releases[i-credits] + 1; {
+			case src.sends[i] < want:
+				t.Fatalf("send %d at %d, before its credit (released %d)", i, src.sends[i], want-1)
+			case src.sends[i] == want:
+				starved++
+			}
+		}
+		if starved < total/4 {
+			t.Fatalf("only %d sends waited for credit: the test shows nothing", starved)
+		}
+	})
+	tris := func(hasty bool) coretest.Scenario {
+		return func(testing.TB) *coretest.Machine {
+			const n = 6
+			sim := core.NewSimulator(0)
+			in := pFlow(sim, "Src", "Clipper", "in", 2, 1, 0, n)
+			out := pFlow(sim, "Clipper", "Dst", "out", 1, 2, 0, n)
+			src := &triSrc{out: in, batch: &BatchState{State: &DrawState{}}, ids: &sim.IDs, left: n}
+			src.Init("Src")
+			sim.Register(src)
+			if hasty {
+				// Built by hand: NewClipper would register the honest box.
+				c := &Clipper{triIn: in, triOut: out}
+				c.Init("Clipper")
+				sim.Register(hastyClipper{c})
+			} else {
+				NewClipper(sim, in, out)
+			}
+			dst := &triDst{in: out}
+			dst.Init("Dst")
+			sim.Register(dst)
+			sim.SetWatchdog(100)
+			sim.SetDone(func() bool { return len(dst.got) == n })
+			return toy(sim, func() [][]byte { return [][]byte{fmt.Append(nil, dst.got)} })
 		}
 	}
-	if clipper == nil || !clipper.Parked || clipper.Queues[0].Occupied == 0 || len(clipper.Accruing) != 0 {
-		t.Fatalf("report does not show the Clipper parked over its queue: %+v", clipper)
-	}
-	if text := de.Report.String(); !strings.Contains(text, fmt.Sprintf("Clipper  (parked since cycle %d)", clipper.ParkedAt)) {
-		t.Errorf("report text does not name the Clipper as parked:\n%s", text)
-	}
+	t.Run("clipper", func(t *testing.T) { coretest.Check(t, tris(false)) })
+	t.Run("control/hasty-clipper", func(t *testing.T) {
+		var sims []*core.Simulator // the parked run's first
+		_, diffs := coretest.Diff(t, func(tb testing.TB) *coretest.Machine {
+			m := tris(true)(tb)
+			sims = append(sims, m.Sim)
+			return m
+		})
+		if len(diffs) == 0 {
+			t.Fatal("a Clipper parking with a queued triangle went unnoticed")
+		}
+		// Clocked anyway, it delivers what the honest Clipper does: its
+		// parks are the bug.
+		hasty := tris(true)(t)
+		hasty.Sim.SetClockGate(coretest.PassAll{})
+		if got, want := coretest.Record(t, hasty), coretest.Record(t, tris(false)(t)); got.Err != "" || !bytes.Equal(got.Frames[0], want.Frames[0]) {
+			t.Errorf("hasty Clipper clocked every cycle: arrivals %s (%s), the honest Clipper's %s", got.Frames[0], got.Err, want.Frames[0])
+		}
+		// The watchdog's report shows the Clipper parked over a queued
+		// triangle, with nothing accruing.
+		cr := sims[0].Crash()
+		if cr == nil || cr.Deadlock == nil {
+			t.Fatalf("the parked run left no deadlock report: %+v", cr)
+		}
+		var clipper *core.BoxState
+		for i, b := range cr.Deadlock.Boxes {
+			if b.Name == "Clipper" {
+				clipper = &cr.Deadlock.Boxes[i]
+			}
+		}
+		if clipper == nil || !clipper.Parked || len(clipper.Queues) == 0 || clipper.Queues[0].Occupied == 0 || len(clipper.Accruing) != 0 {
+			t.Errorf("the watchdog's report does not show the Clipper parked over its queue: %+v", clipper)
+		}
+	})
 }
 
-// The twin for the states that wait on a cache: a Z and stencil test
-// unit given one quad whose line misses (a quarter-compressed block:
-// one transaction, one reply). With the cache's port resolved to its
-// owner the reply wakes the unit and the quad is tested. With the
-// resolution switched off — the port declared owned by a box that does
-// not exist, which is the wiring of 626197c, when a reply woke nobody
-// and a unit with a transaction out had to stay awake — the unit parks
-// on the miss and is never clocked again. That hang must read off the
-// watchdog's report: the unit parked, counting its stallCycles, beside
-// the reply wire holding the object it waits for. (A fill of several
+// The twin for the states that wait on a cache, under the differential
+// oracle: a Z and stencil test unit given one quad whose line misses (a
+// quarter-compressed block: one transaction, one reply). With the
+// cache's port resolved to its owner the reply wakes the unit and the
+// quad is tested, as with every box clocked. With the resolution
+// switched off, the negative control — the port declared owned by a
+// box that does not exist, which is the wiring of 626197c, when a reply
+// woke nobody and a unit with a transaction out had to stay awake — the
+// unit parks on the miss and is never clocked again. That hang must
+// read off the watchdog's report: the unit parked, counting its
+// stallCycles, beside the reply wire holding the object it waits for. (A fill of several
 // transactions fails sooner and louder: the second reply finds the
 // first unread, which the wire reports as lost data.)
 
@@ -373,52 +349,33 @@ func newZRig(t *testing.T, quad bool) *zRig {
 }
 
 func TestMissedReplyWakeIsReadable(t *testing.T) {
-	run := func(resolve bool) (*core.Simulator, error) {
-		r := newZRig(t, true)
-		if !resolve {
-			r.sim.Binder.Own("Nobody", "ZCache0")
-		}
-		r.sim.SetDone(func() bool { return r.z.statQuads.Value() == 1 })
-		return r.sim, r.sim.Run(100000)
-	}
-	if _, err := run(true); err != nil {
-		t.Fatalf("reply wire resolved to the unit: %v", err)
-	}
-	sim, err := run(false)
-	var de *core.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("reply wire resolved to nobody: %v, want the watchdog's report", err)
-	}
-	var unit *core.BoxState
-	for i := range de.Report.Boxes {
-		if de.Report.Boxes[i].Name == "ZStencil0" {
-			unit = &de.Report.Boxes[i]
+	var unresolved []*zRig // the parked run's first
+	rig := func(resolve bool) coretest.Scenario {
+		return func(testing.TB) *coretest.Machine {
+			r := newZRig(t, true)
+			if !resolve {
+				r.sim.Binder.Own("Nobody", "ZCache0")
+				unresolved = append(unresolved, r)
+			}
+			r.sim.SetDone(func() bool { return r.z.statQuads.Value() == 1 })
+			return &coretest.Machine{Sim: r.sim, Run: func() error { return r.sim.Run(100000) }}
 		}
 	}
-	if unit == nil || !unit.Parked || !slices.Equal(unit.Accruing, []string{"ZStencil0.stallCycles"}) {
-		t.Fatalf("report does not show ZStencil0 parked counting its stall cycles: %+v", unit)
+	coretest.Check(t, rig(true))
+	out, diffs := coretest.Diff(t, rig(false))
+	if len(diffs) == 0 {
+		t.Fatal("a reply wire resolved to nobody went unnoticed")
 	}
-	stuck := false
-	for _, s := range de.Report.Signal {
-		stuck = stuck || s.Name == "MC.ZCache0.Reply" && s.Produced > s.Consumed
-	}
-	if !stuck {
-		t.Errorf("report does not show MC.ZCache0.Reply holding an object: %+v", de.Report.Signal)
-	}
-	text := de.Report.String()
-	for _, want := range []string{
-		"MC.ZCache0.Reply",
-		fmt.Sprintf("ZStencil0  (parked since cycle %d, counting ZStencil0.stallCycles)", unit.ParkedAt),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("report text lacks %q:\n%s", want, text)
+	for _, want := range []string{"MC.ZCache0.Reply", "ZStencil0  (parked since cycle ", ", counting ZStencil0.stallCycles)"} {
+		if !strings.Contains(out.Err, want) {
+			t.Errorf("the watchdog's report lacks %q:\n%s", want, out.Err)
 		}
 	}
 	// The sleeping unit's counter reads what the every-cycle loop would
 	// have written: a stall cycle for every cycle from the quad's arrival
 	// on cycle 2 to the one the watchdog fired on.
-	if got, want := sim.Crash().Stats["ZStencil0.stallCycles"], float64(de.Report.Cycle-1); got != want {
-		t.Errorf("ZStencil0.stallCycles = %v at the watchdog's cycle %d, want %v", got, de.Report.Cycle, want)
+	if cr := unresolved[0].sim.Crash(); cr == nil || cr.Deadlock == nil || cr.Stats["ZStencil0.stallCycles"] != float64(cr.Deadlock.Cycle-1) {
+		t.Errorf("crash report %+v: want ZStencil0.stallCycles one short of the watchdog's cycle", cr)
 	}
 }
 

@@ -1,7 +1,6 @@
 package gpu_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -37,7 +36,9 @@ func aluSteps(b *strings.Builder, n int) {
 func runAheadScene(t *testing.T) (*gpu.Pipeline, []gpu.Command) {
 	t.Helper()
 	const w, h = 64, 48
-	pipe, err := gpu.New(gpu.BaselineUnified(), w, h)
+	cfg := gpu.BaselineUnified()
+	cfg.WatchdogWindow = 1_000_000 // a missed wake fails here, not at the cycle limit
+	pipe, err := gpu.New(cfg, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,26 +74,13 @@ func runAheadScene(t *testing.T) (*gpu.Pipeline, []gpu.Command) {
 		MinFilter: texemu.FilterLinear, MagFilter: texemu.FilterLinear,
 		WrapS: texemu.WrapRepeat, WrapT: texemu.WrapRepeat, MaxAniso: 1,
 	}))
-	var data []byte
-	for _, v := range [][5]float32{ // x, y, z, u, v
-		{-1, -1, 0, 0, 0}, {1, -1, 0, 1, 0}, {1, 1, 0, 1, 1},
-		{-1, -1, 0, 0, 0}, {1, 1, 0, 1, 1}, {-1, 1, 0, 0, 1},
-	} {
-		for _, f := range v {
-			b := math.Float32bits(f)
-			data = append(data, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
-		}
-	}
-	buf := ctx.GenBuffer(len(data))
-	ctx.BufferData(buf, 0, data)
-	ctx.VertexAttribPointer(isa.AttrPos, buf, 0, 20, 3)
-	ctx.VertexAttribPointer(isa.AttrTex0, buf, 12, 20, 2)
 	ctx.Viewport(0, 0, w, h)
 	for f := 0; f < 2; f++ {
 		zoom := float32(1) / float32(1+f)
 		ctx.ProgramEnv(isa.FragmentProgram, 0, vmath.Vec4{3 * zoom, 2.4 * zoom, -2, -1.2})
 		ctx.Clear(gl.ColorBufferBit | gl.DepthBufferBit)
-		ctx.DrawArrays(gpu.Triangles, 0, 6)
+		drawUV(ctx, [5]float32{-1, -1, 0, 0, 0}, [5]float32{1, -1, 0, 1, 0}, [5]float32{1, 1, 0, 1, 1},
+			[5]float32{-1, -1, 0, 0, 0}, [5]float32{1, 1, 0, 1, 1}, [5]float32{-1, 1, 0, 0, 1})
 		ctx.SwapBuffers()
 	}
 	if err := ctx.Err(); err != nil {
@@ -101,19 +89,12 @@ func runAheadScene(t *testing.T) (*gpu.Pipeline, []gpu.Command) {
 	return pipe, ctx.Commands()
 }
 
-// runAheadOutputs is everything a run of the scene leaves behind.
-type runAheadOutputs struct {
-	cycles         int64
-	frames         [][]byte
-	csv, summary   bytes.Buffer
-	instr, handoff int64
-}
-
 // runRunAheadScene runs the scene with segments of min instructions or
-// more handed to the helper, which runs beforeStep before each Step.
-func runRunAheadScene(t *testing.T, min int, beforeStep func()) *runAheadOutputs {
+// more handed to the helper, which runs beforeStep before each Step. It
+// returns what the run left, the Steps the helper ran and the
+// instructions the shaders executed.
+func runRunAheadScene(t *testing.T, min int, beforeStep func()) (out *coretest.Outputs, handoff, instr int64) {
 	pipe, cmds := runAheadScene(t)
-	out := &runAheadOutputs{}
 	var steps atomic.Int64
 	pipe.SetRunAhead(min, func() {
 		steps.Add(1)
@@ -121,40 +102,25 @@ func runRunAheadScene(t *testing.T, min int, beforeStep func()) *runAheadOutputs
 			beforeStep()
 		}
 	})
-	if err := pipe.Run(cmds, 50_000_000); err != nil {
-		t.Fatalf("min %d: %v", min, err)
-	}
-	out.cycles, out.handoff = pipe.Cycles(), steps.Load()
-	for _, f := range pipe.Frames() {
-		out.frames = append(out.frames, f.Pix)
-	}
-	if err := pipe.DumpCSV(&out.csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe.DumpStats(&out.summary); err != nil {
-		t.Fatal(err)
-	}
+	out = coretest.Record(t, pipeMachine(t, pipe, cmds, "", 0))
 	for _, name := range pipe.Sim.Stats.Names() {
 		if strings.HasSuffix(name, ".instructions") {
-			out.instr += int64(pipe.Sim.Stats.Lookup(name).Value())
+			instr += int64(pipe.Sim.Stats.Lookup(name).Value())
 		}
 	}
-	return out
+	return out, steps.Load(), instr
 }
 
 // Running shader segments ahead changes nothing a run leaves behind:
 // every segment on the clock goroutine, every segment it may hand off
 // on the helper, and the same with the helper stalled at random points
 // (so that joins find segments still queued, which they run themselves,
-// and still running, which they wait for) give the same frames, CSV,
-// summary and instruction counts.
+// and still running, which they wait for) give the same outputs.
 func TestRunAheadMatchesInline(t *testing.T) {
-	inline := runRunAheadScene(t, math.MaxInt, nil)
-	if inline.handoff != 0 {
-		t.Fatalf("%d Steps on the helper with hand-off off", inline.handoff)
-	}
-	if len(inline.frames) != 2 || inline.instr == 0 {
-		t.Fatalf("%d frames, %d instructions", len(inline.frames), inline.instr)
+	inline, handoff, instr := runRunAheadScene(t, math.MaxInt, nil)
+	if handoff != 0 || inline.Err != "" || len(inline.Frames) != 2 || instr == 0 {
+		t.Fatalf("%d Steps on the helper with hand-off off, %d frames, %d instructions, error %q",
+			handoff, len(inline.Frames), instr, inline.Err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	stall := func() {
@@ -166,24 +132,13 @@ func TestRunAheadMatchesInline(t *testing.T) {
 		name  string
 		stall func()
 	}{{"handed off", nil}, {"helper stalled", stall}} {
-		got := runRunAheadScene(t, 1, mode.stall)
-		t.Logf("%s: %d of %d instructions ran on the helper", mode.name, got.handoff, got.instr)
-		if got.handoff == 0 {
+		got, handoff, _ := runRunAheadScene(t, 1, mode.stall)
+		t.Logf("%s: %d of %d instructions ran on the helper", mode.name, handoff, instr)
+		if handoff == 0 {
 			t.Errorf("%s: no instruction ran on the helper", mode.name)
 		}
-		if got.cycles != inline.cycles || got.instr != inline.instr {
-			t.Errorf("%s: %d cycles and %d instructions, inline %d and %d", mode.name, got.cycles, got.instr, inline.cycles, inline.instr)
-		}
-		for i := range inline.frames {
-			if i >= len(got.frames) || !bytes.Equal(got.frames[i], inline.frames[i]) {
-				t.Errorf("%s: frame %d differs", mode.name, i)
-			}
-		}
-		if !bytes.Equal(got.csv.Bytes(), inline.csv.Bytes()) {
-			t.Errorf("%s: statistics CSV differs", mode.name)
-		}
-		if !bytes.Equal(got.summary.Bytes(), inline.summary.Bytes()) {
-			t.Errorf("%s: statistics summary differs", mode.name)
+		for _, d := range inline.Diff(mode.name, got) {
+			t.Error(d)
 		}
 	}
 }

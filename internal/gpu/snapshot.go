@@ -58,7 +58,14 @@ func (cp *CommandProcessor) RestoreState(d *chkpt.Decoder) error {
 	}
 	cp.pc = pc
 	cp.nextBatchID = next
-	cp.finished = false
+	// At the end of the stream a safe point is the barrier of the cycle
+	// the last command completed in, or the next, the final one: the CP
+	// finishes on a clock of its own. Only that completion's progress
+	// tells them apart, so the watchdog's view does when the file holds
+	// one and a watchdog is armed to load it; otherwise a capture at the
+	// final barrier restores unfinished, and runs a cycle long.
+	since, _, known := cp.sim.WatchdogProgress()
+	cp.finished = pc == len(cp.cmds) && known && since < cp.sim.Cycle()-1
 	return nil
 }
 

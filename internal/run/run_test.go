@@ -5,14 +5,14 @@ package run
 // one had at 0c54069 is kept below as the test-side model (wireCLI,
 // wireRetry, wireJob), the way PRs 12-17 kept their parents. A
 // scenario drives the model and the session through the same steps and
-// every observable must be equal: stats CSV, summary, frame hashes,
-// metrics NDJSON (frozen clock), span dump, the run's error, and the
-// bytes of every checkpoint file written along the way.
+// every observable must be equal: everything coretest.Record keeps —
+// the run's error, the statistics at every barrier, CSV, summary,
+// frames, every checkpoint file written along the way — with the
+// metrics NDJSON (frozen clock) and the span dump.
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,6 +23,7 @@ import (
 	"attila/internal/chaos"
 	"attila/internal/chkpt"
 	"attila/internal/core"
+	"attila/internal/core/coretest"
 	"attila/internal/gpu"
 	"attila/internal/mem"
 	"attila/internal/obsv"
@@ -70,101 +71,34 @@ func fromSession(s *Session) *assembly {
 	return &assembly{pipe: s.Pipe, bus: s.Bus, col: s.Spans, eng: s.Engine, run: s.Run}
 }
 
-// outputs is everything a finished (or failed) run exports.
-type outputs struct {
-	err     string
-	cycles  int64
-	csv     []byte
-	summary []byte
-	ndjson  []byte
-	spans   []byte
-	frames  string
-	ckpts   []string // "cycle sha256" of the file after each capture
-}
-
-// watch records the checkpoint file after every capture, through a hook
-// registered after the assembly's own — where a caller's hooks sit.
-// keep, when set, is called with the bytes of each capture.
-func (a *assembly) watch(t *testing.T, path string, out *outputs, keep func(n int, data []byte)) {
+// record runs the assembly through the differential oracle's recorder,
+// whose hooks come after the assembly's own — where a caller's hooks
+// sit. Its frames are the metrics NDJSON, the span dump and the rendered
+// frames; its captures, every checkpoint file written to path.
+func (a *assembly) record(t *testing.T, path string) *coretest.Outputs {
 	t.Helper()
-	var seen int64
-	a.pipe.Sim.OnEndCycle(func(int64) {
-		if a.eng == nil || a.eng.Count() == seen {
-			return
-		}
-		seen = a.eng.Count()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("checkpoint %d: %v", seen, err)
-			return
-		}
-		out.ckpts = append(out.ckpts, fmt.Sprintf("%d %x", a.eng.LastCycle(), sha256.Sum256(data)))
-		if keep != nil {
-			keep(int(seen), data)
-		}
+	return coretest.Record(t, &coretest.Machine{
+		Sim: a.pipe.Sim, Checkpoints: a.eng, Path: path,
+		Run: func() error { return a.run(context.Background()) },
+		Frames: func() [][]byte {
+			var nd, sp bytes.Buffer
+			if a.bus != nil {
+				if err := a.bus.WriteNDJSON(&nd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a.col != nil {
+				if err := a.col.WriteSpansNDJSON(&sp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames := [][]byte{nd.Bytes(), sp.Bytes()}
+			for _, f := range a.pipe.Frames() {
+				frames = append(frames, f.Pix)
+			}
+			return frames
+		},
 	})
-}
-
-func (a *assembly) finish(t *testing.T, out *outputs, runErr error) {
-	t.Helper()
-	if runErr != nil {
-		out.err = runErr.Error()
-	}
-	out.cycles = a.pipe.Cycles()
-	var csv, sum bytes.Buffer
-	if err := a.pipe.DumpCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.pipe.DumpStats(&sum); err != nil {
-		t.Fatal(err)
-	}
-	out.csv, out.summary = csv.Bytes(), sum.Bytes()
-	if a.bus != nil {
-		var nd bytes.Buffer
-		if err := a.bus.WriteNDJSON(&nd); err != nil {
-			t.Fatal(err)
-		}
-		out.ndjson = nd.Bytes()
-	}
-	if a.col != nil {
-		var sp bytes.Buffer
-		if err := a.col.WriteSpansNDJSON(&sp); err != nil {
-			t.Fatal(err)
-		}
-		out.spans = sp.Bytes()
-	}
-	h := sha256.New()
-	for _, fr := range a.pipe.Frames() {
-		if err := fr.WritePPM(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out.frames = fmt.Sprintf("%d %x", len(a.pipe.Frames()), h.Sum(nil))
-}
-
-func compare(t *testing.T, step string, model, sess outputs) {
-	t.Helper()
-	if model.err != sess.err {
-		t.Errorf("%s: error %q, hand-wired %q", step, sess.err, model.err)
-	}
-	if model.cycles != sess.cycles {
-		t.Errorf("%s: %d cycles, hand-wired %d", step, sess.cycles, model.cycles)
-	}
-	for _, f := range []struct {
-		what string
-		m, s []byte
-	}{
-		{"stats CSV", model.csv, sess.csv},
-		{"summary", model.summary, sess.summary},
-		{"metrics NDJSON", model.ndjson, sess.ndjson},
-		{"span dump", model.spans, sess.spans},
-		{"frames", []byte(model.frames), []byte(sess.frames)},
-		{"checkpoint files", []byte(strings.Join(model.ckpts, "\n")), []byte(strings.Join(sess.ckpts, "\n"))},
-	} {
-		if !bytes.Equal(f.m, f.s) {
-			t.Errorf("%s: %s differs from the hand-wired run (%d vs %d bytes)", step, f.what, len(f.s), len(f.m))
-		}
-	}
 }
 
 // runLength measures the test workload once; faults and intervals are
@@ -244,7 +178,7 @@ func wireCLI(t *testing.T, workers int, cmds []gpu.Command, fingerprint, ckptPat
 
 // scenarioCLI: a full checkpointed run, then a restore from its first
 // checkpoint run to the end.
-func scenarioCLI(t *testing.T, workers int, session bool) []outputs {
+func scenarioCLI(t *testing.T, workers int, session bool) []*coretest.Outputs {
 	dir := t.TempDir()
 	ckpt, mid := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "mid.ckpt")
 	interval := runLength(t) / 8
@@ -265,23 +199,14 @@ func scenarioCLI(t *testing.T, workers int, session bool) []outputs {
 		}
 		return fromSession(s)
 	}
-	outs := make([]outputs, 2)
-	a := wire("")
-	a.watch(t, ckpt, &outs[0], func(n int, data []byte) {
-		if n == 1 {
-			if err := os.WriteFile(mid, data, 0o600); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	a.finish(t, &outs[0], a.run(context.Background()))
-	if len(outs[0].ckpts) < 2 {
-		t.Fatalf("only %d checkpoint(s) in a %d-cycle run at interval %d", len(outs[0].ckpts), outs[0].cycles, interval)
+	first := wire("").record(t, ckpt)
+	if len(first.Captures) < 2 {
+		t.Fatalf("only %d checkpoint(s) in a %d-cycle run at interval %d", len(first.Captures), first.Cycles, interval)
 	}
-	b := wire(mid)
-	b.watch(t, ckpt, &outs[1], nil)
-	b.finish(t, &outs[1], b.run(context.Background()))
-	return outs
+	if err := os.WriteFile(mid, first.Captures[0].File, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return []*coretest.Outputs{first, wire(mid).record(t, ckpt)}
 }
 
 // ---- shape 2: internal/experiments — chaos + checkpoint + retry ----
@@ -323,7 +248,7 @@ func wireRetry(t *testing.T, workers int, plan *chaos.Plan, attempt int, ckptPat
 // scenarioRetry: a first attempt whose memory transactions are delayed
 // (the MC fault seam) and which a box panic kills (the clock gate), then
 // a clean second attempt resuming from the first one's last checkpoint.
-func scenarioRetry(t *testing.T, workers int, session bool) []outputs {
+func scenarioRetry(t *testing.T, workers int, session bool) []*coretest.Outputs {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	total := runLength(t)
 	interval := total / 8
@@ -351,17 +276,12 @@ func scenarioRetry(t *testing.T, workers int, session bool) []outputs {
 		}
 		return fromSession(s)
 	}
-	outs := make([]outputs, 2)
-	for i := range outs {
-		a := wire(i + 1)
-		a.watch(t, ckpt, &outs[i], nil)
-		a.finish(t, &outs[i], a.run(context.Background()))
+	outs := []*coretest.Outputs{wire(1).record(t, ckpt), wire(2).record(t, ckpt)}
+	if !strings.Contains(outs[0].Err, "injected fault") || len(outs[0].Captures) == 0 {
+		t.Fatalf("first attempt: error %q after %d checkpoint(s), want an injected panic past a checkpoint", outs[0].Err, len(outs[0].Captures))
 	}
-	if !strings.Contains(outs[0].err, "injected fault") || len(outs[0].ckpts) == 0 {
-		t.Fatalf("first attempt: error %q after %d checkpoint(s), want an injected panic past a checkpoint", outs[0].err, len(outs[0].ckpts))
-	}
-	if outs[1].err != "" {
-		t.Fatalf("second attempt did not recover: %s", outs[1].err)
+	if outs[1].Err != "" {
+		t.Fatalf("second attempt did not recover: %s", outs[1].Err)
 	}
 	return outs
 }
@@ -422,7 +342,7 @@ func wireJob(t *testing.T, workers int, ckptPath string, interval, preemptAt int
 
 // scenarioJob: a dispatch preempted mid-run by a forced checkpoint,
 // then the dispatch that resumes it to the end.
-func scenarioJob(t *testing.T, workers int, session bool) []outputs {
+func scenarioJob(t *testing.T, workers int, session bool) []*coretest.Outputs {
 	ckpt := filepath.Join(t.TempDir(), "job.ckpt")
 	total := runLength(t)
 	interval := total / 8
@@ -447,26 +367,21 @@ func scenarioJob(t *testing.T, workers int, session bool) []outputs {
 		jobHooks(a, preemptAt)
 		return a
 	}
-	outs := make([]outputs, 2)
-	a := wire(total/3, false)
-	a.watch(t, ckpt, &outs[0], nil)
-	a.finish(t, &outs[0], a.run(context.Background()))
-	if !strings.Contains(outs[0].err, core.ErrCanceled.Error()) || outs[0].cycles >= total {
-		t.Fatalf("first dispatch: error %q at cycle %d of %d, want a mid-run stop", outs[0].err, outs[0].cycles, total)
+	first := wire(total/3, false).record(t, ckpt)
+	if !strings.Contains(first.Err, core.ErrCanceled.Error()) || first.Cycles >= total {
+		t.Fatalf("first dispatch: error %q at cycle %d of %d, want a mid-run stop", first.Err, first.Cycles, total)
 	}
-	b := wire(0, true)
-	b.watch(t, ckpt, &outs[1], nil)
-	b.finish(t, &outs[1], b.run(context.Background()))
-	if outs[1].err != "" || outs[1].cycles != total {
-		t.Fatalf("resumed dispatch: error %q, %d cycles, want a clean %d", outs[1].err, outs[1].cycles, total)
+	second := wire(0, true).record(t, ckpt)
+	if second.Err != "" || second.Cycles != total {
+		t.Fatalf("resumed dispatch: error %q, %d cycles, want a clean %d", second.Err, second.Cycles, total)
 	}
-	return outs
+	return []*coretest.Outputs{first, second}
 }
 
 func TestSessionMatchesHandWired(t *testing.T) {
 	shapes := []struct {
 		name     string
-		scenario func(t *testing.T, workers int, session bool) []outputs
+		scenario func(t *testing.T, workers int, session bool) []*coretest.Outputs
 	}{
 		{"attilasim", scenarioCLI},
 		{"experiments", scenarioRetry},
@@ -480,7 +395,9 @@ func TestSessionMatchesHandWired(t *testing.T) {
 				model := sh.scenario(t, workers, false)
 				sess := sh.scenario(t, workers, true)
 				for i := range model {
-					compare(t, fmt.Sprintf("step %d", i+1), model[i], sess[i])
+					for _, d := range model[i].Diff(fmt.Sprintf("in step %d from the hand-wired run", i+1), sess[i]) {
+						t.Error(d)
+					}
 				}
 			})
 		}

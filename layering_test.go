@@ -18,6 +18,8 @@ import (
 // facade over gpu.New). This test reads every non-test Go file of the
 // module and fails if a fourth assembler grows back, if jobd reaches
 // up into experiments again, or if chkpt picks up a simulator import.
+// internal/core/coretest is test code (only _test.go files may import
+// it): its oracle installs the pass-everything gate.
 func TestOneRunAssembler(t *testing.T) {
 	// Calls that wire a run, by selector name; only the listed
 	// directories may make them.
@@ -26,7 +28,8 @@ func TestOneRunAssembler(t *testing.T) {
 		"EnableSpanTracing": true, "SetClockGate": true, "SetFault": true,
 	}
 	mayWire := func(path string) bool {
-		return under(path, "internal/gpu") || under(path, "internal/run") || under(path, "bench")
+		return under(path, "internal/gpu") || under(path, "internal/run") || under(path, "bench") ||
+			under(path, "internal/core/coretest")
 	}
 	mayBuild := func(path string) bool {
 		return under(path, "internal/run") || under(path, "bench") || path == "attila.go"
@@ -55,6 +58,9 @@ func TestOneRunAssembler(t *testing.T) {
 			target, _ := strconv.Unquote(imp.Path.Value)
 			if under(path, "internal/jobd") && target == "attila/internal/experiments" {
 				t.Errorf("%s imports %s: the dependency runs the other way (shared pieces live in internal/run)", path, target)
+			}
+			if target == "attila/internal/core/coretest" {
+				t.Errorf("%s imports %s, a test helper, outside a _test.go file", path, target)
 			}
 			if under(path, "internal/chkpt") && strings.HasPrefix(target, "attila/") && target != "attila/internal/fsatomic" {
 				t.Errorf("%s imports %s: chkpt stays importable by every layer (standard library and fsatomic only)", path, target)
