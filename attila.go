@@ -26,6 +26,7 @@ import (
 
 	"attila/internal/gpu"
 	"attila/internal/refrender"
+	"attila/internal/run"
 	"attila/internal/trace"
 	"attila/internal/workload"
 )
@@ -104,7 +105,7 @@ type Result struct {
 // MaxCycles bounds runaway simulations; generous for the scaled-down
 // workloads (the paper's full traces ran hundreds of millions of
 // cycles per frame batch).
-const MaxCycles = 2_000_000_000
+const MaxCycles = run.MaxCycles
 
 // RunCommands executes a raw command stream on the timing simulator.
 func (g *GPU) RunCommands(cmds []Command) (*Result, error) {

@@ -60,7 +60,7 @@ func simulate() int {
 	framesOut := flag.String("frames", "", "directory for PPM frame dumps")
 	sigOut := flag.String("sigtrace", "", "write a signal trace file (large!)")
 	verify := flag.Bool("verify", false, "compare frames against the functional reference")
-	maxCycles := flag.Int64("max-cycles", 2_000_000_000, "cycle budget")
+	maxCycles := flag.Int64("max-cycles", run.MaxCycles, "cycle budget")
 	watchdog := flag.Int64("watchdog", 0, "abort with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the simulation (0 = none)")
 	blackbox := flag.String("blackbox", "", "write a JSON crash report here when the run fails")

@@ -40,52 +40,40 @@ import (
 )
 
 func main() {
+	p := experiments.DefaultRunParams()
 	exp := flag.String("exp", "all", "experiment: table1|table2|fig7|fig8|fig9|fig10|scaling|embedded|ablation|all")
-	width := flag.Int("width", 192, "render width")
-	height := flag.Int("height", 144, "render height")
-	frames := flag.Int("frames", 2, "frames per trace")
-	aniso := flag.Int("aniso", 8, "max anisotropy (paper: 8)")
+	flag.IntVar(&p.Width, "width", p.Width, "render width")
+	flag.IntVar(&p.Height, "height", p.Height, "render height")
+	flag.IntVar(&p.Frames, "frames", p.Frames, "frames per trace")
+	flag.IntVar(&p.Aniso, "aniso", p.Aniso, "max anisotropy (paper: 8)")
 	out := flag.String("out", "", "directory for PPM frame dumps (fig10)")
-	watchdog := flag.Int64("watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit across all experiments (0 = none)")
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes across all runs (sampled; prints a ranked table)")
 	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome)")
 
-	// Job-server mode (internal/jobd).
+	// Job-server mode (internal/jobd): the flags fill its Options.
+	var o jobd.Options
+	flag.Int64Var(&o.WatchdogWindow, "watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off; under -serve/-sweep 0 = jobd's default 50000000, negative = off)")
 	serveAddr := flag.String("serve", "", "serve the supervised job API (and status server) on this address, e.g. :6060")
 	sweepFile := flag.String("sweep", "", "run this sweep spec (JSON) as a one-shot supervised sweep and exit")
-	jobOut := flag.String("job-out", "", "output directory for -serve/-sweep (stats CSVs, manifests, state file, checkpoints)")
-	jobWorkers := flag.Int("job-workers", 0, "worker pool size for -serve/-sweep (0 = half the CPUs)")
-	queueLimit := flag.Int("queue-limit", 0, "admission control: reject submits past this many queued jobs with 429 (0 = default 256, negative = unlimited)")
-	preemptCycles := flag.Int64("preempt-cycles", 0, "fairness quantum: checkpoint-and-requeue a job after this many cycles while others wait (0 = off)")
-	ckptInterval := flag.Int64("checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries resume instead of replaying (0 = off)")
-	jobRetries := flag.Int("job-retries", 0, "default per-job retry budget for -serve/-sweep (0 = default 2, negative = fail fast)")
-	retryBackoff := flag.Duration("retry-backoff", 100*time.Millisecond, "wait before a -serve/-sweep job's first retry; doubles on each further retry")
-	retryBackoffMax := flag.Duration("retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -serve/-sweep retry backoff (jitter is seeded)")
-	jobTimeout := flag.Duration("job-timeout", 0, "default per-attempt wall-clock limit for -serve/-sweep (0 = none)")
+	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -serve/-sweep (stats CSVs, manifests, state file, checkpoints)")
+	flag.IntVar(&o.Workers, "job-workers", 0, "worker pool size for -serve/-sweep (0 = half the CPUs)")
+	flag.IntVar(&o.QueueLimit, "queue-limit", 0, "admission control: reject submits past this many queued jobs with 429 (0 = default 256, negative = unlimited)")
+	flag.Int64Var(&o.PreemptCycles, "preempt-cycles", 0, "fairness quantum: checkpoint-and-requeue a job after this many cycles while others wait (0 = off)")
+	flag.Int64Var(&o.CheckpointInterval, "checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries resume instead of replaying (<= 0 = default 100000; jobs always checkpoint)")
+	flag.IntVar(&o.Retries, "job-retries", 0, "default per-job retry budget for -serve/-sweep (0 = default 2, negative = fail fast)")
+	flag.DurationVar(&o.RetryBackoff, "retry-backoff", 100*time.Millisecond, "wait before a -serve/-sweep job's first retry; doubles on each further retry")
+	flag.DurationVar(&o.RetryBackoffMax, "retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -serve/-sweep retry backoff (jitter is seeded)")
+	flag.DurationVar(&o.JobTimeout, "job-timeout", 0, "default per-attempt wall-clock limit for -serve/-sweep (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "grace period for SIGTERM drain before in-flight jobs are hard-stopped onto their last checkpoint")
 	chaosServer := flag.String("chaos-server", "", "jobd-level fault plan: seed=N,kill=JOB@CYCLE,panic=JOB@CYCLE[:BOX],yank=JOB (see internal/chaos)")
 	traceSample := flag.String("trace-sample", "", "request tracing for -serve/-sweep jobs: keep 1/N spans (e.g. 1/64; off by default)")
-	traceSeed := flag.Uint64("trace-seed", 1, "seed for the deterministic span sampler")
+	flag.Uint64Var(&o.TraceSeed, "trace-seed", 1, "seed for the deterministic span sampler")
 
 	flag.Parse()
 
 	if *serveAddr != "" || *sweepFile != "" {
-		rate, err := trace.ParseSampleRate(*traceSample)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(4)
-		}
-		os.Exit(runJobMode(jobModeConfig{
-			serveAddr: *serveAddr, sweepFile: *sweepFile, outDir: *jobOut,
-			workers: *jobWorkers, queueLimit: *queueLimit,
-			preemptCycles: *preemptCycles, retries: *jobRetries,
-			retryBackoff: *retryBackoff, retryBackoffMax: *retryBackoffMax,
-			checkpointInterval: *ckptInterval, watchdog: *watchdog,
-			jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
-			chaosServer: *chaosServer,
-			traceSample: rate, traceSeed: *traceSeed,
-		}))
+		os.Exit(runJobMode(o, *serveAddr, *sweepFile, *traceSample, *chaosServer, *drainTimeout))
 	}
 
 	// SIGINT/SIGTERM and -timeout cancel the in-flight simulation at
@@ -100,9 +88,7 @@ func main() {
 		defer cancel()
 	}
 
-	p := experiments.DefaultRunParams()
-	p.Width, p.Height, p.Frames, p.Aniso = *width, *height, *frames, *aniso
-	p.WatchdogWindow = *watchdog
+	p.WatchdogWindow = o.WatchdogWindow
 	p.Ctx = ctx
 	var prof *obsv.Profiler
 	if *profileBoxes {
@@ -275,72 +261,47 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// jobModeConfig carries the -serve/-sweep flags.
-type jobModeConfig struct {
-	serveAddr, sweepFile, outDir string
-	workers, queueLimit, retries int
-	preemptCycles, watchdog      int64
-	checkpointInterval           int64
-	retryBackoff                 time.Duration
-	retryBackoffMax              time.Duration
-	jobTimeout                   time.Duration
-	drainTimeout                 time.Duration
-	chaosServer                  string
-	traceSample, traceSeed       uint64
-}
-
 // runJobMode runs the supervised job server, either as a long-lived
 // service (-serve) or as a one-shot sweep (-sweep). Returns the
 // process exit code.
-func runJobMode(c jobModeConfig) int {
-	if c.outDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -serve/-sweep need -job-out DIR")
+func runJobMode(o jobd.Options, serveAddr, sweepFile, traceSample, chaosServer string, drainTimeout time.Duration) int {
+	usage := func(err error) int {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 4
 	}
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	opts := jobd.Options{
-		OutDir:             c.outDir,
-		Workers:            c.workers,
-		QueueLimit:         c.queueLimit,
-		Retries:            c.retries,
-		RetryBackoff:       c.retryBackoff,
-		RetryBackoffMax:    c.retryBackoffMax,
-		CheckpointInterval: c.checkpointInterval,
-		PreemptCycles:      c.preemptCycles,
-		WatchdogWindow:     c.watchdog,
-		JobTimeout:         c.jobTimeout,
-		TraceSample:        c.traceSample,
-		TraceSeed:          c.traceSeed,
-		Logf:               logger.Printf,
+	rate, err := trace.ParseSampleRate(traceSample)
+	if err != nil {
+		return usage(err)
 	}
-	if c.chaosServer != "" {
-		plan, err := chaos.ParseServer(c.chaosServer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 4
+	if o.OutDir == "" {
+		return usage(errors.New("-serve/-sweep need -job-out DIR"))
+	}
+	logger := log.New(os.Stderr, "", log.LstdFlags)
+	o.TraceSample, o.Logf = rate, logger.Printf
+	if chaosServer != "" {
+		if o.Chaos, err = chaos.ParseServer(chaosServer); err != nil {
+			return usage(err)
 		}
-		opts.Chaos = plan
-		fmt.Println("chaos-server:", plan)
+		fmt.Println("chaos-server:", o.Chaos)
 	}
 
 	// SIGINT/SIGTERM trigger the graceful drain in both modes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if c.sweepFile != "" {
-		spec, err := jobd.ParseSweepFile(c.sweepFile)
+	if sweepFile != "" {
+		spec, err := jobd.ParseSweepFile(sweepFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 4
+			return usage(err)
 		}
-		st, err := jobd.RunSweep(ctx, opts, spec)
+		st, err := jobd.RunSweep(ctx, o, spec)
 		for _, j := range st.Jobs {
 			fmt.Printf("%-24s %-10s attempts=%d cycles=%d\n", j.Name, j.State, j.Attempts, j.Cycles)
 		}
 		switch {
 		case err == nil:
 			fmt.Printf("sweep %s: %d jobs done; summary at %s\n",
-				st.Name, st.Done, filepath.Join(c.outDir, st.Name+"-summary.txt"))
+				st.Name, st.Done, filepath.Join(o.OutDir, st.Name+"-summary.txt"))
 			return 0
 		case errors.Is(err, context.Canceled):
 			fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; state saved, re-run to resume\n")
@@ -351,12 +312,12 @@ func runJobMode(c jobModeConfig) int {
 		}
 	}
 
-	srv := jobd.New(opts)
+	srv := jobd.New(o)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
-	status := obsv.NewServer(c.serveAddr, obsv.ServerOptions{
+	status := obsv.NewServer(serveAddr, obsv.ServerOptions{
 		Jobs:  srv.Handler(),
 		Ready: func() bool { return !srv.Draining() },
 	})
@@ -366,8 +327,8 @@ func runJobMode(c jobModeConfig) int {
 	}
 	logger.Printf("jobd: serving on %s (POST /sweeps to submit; SIGTERM drains)", status.Addr())
 	<-ctx.Done()
-	logger.Printf("jobd: signal received, draining (grace %v)", c.drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
+	logger.Printf("jobd: signal received, draining (grace %v)", drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Drain(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

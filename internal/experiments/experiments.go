@@ -48,9 +48,10 @@ func (p RunParams) context() context.Context {
 	return context.Background()
 }
 
-// DefaultRunParams returns the scaled-down case-study settings.
+// DefaultRunParams returns run.Defaults and the default cycle budget.
 func DefaultRunParams() RunParams {
-	return RunParams{Width: 192, Height: 144, Frames: 2, Aniso: 8, Seed: 1, MaxCycles: 2_000_000_000}
+	d := run.Defaults()
+	return RunParams{Width: d.Width, Height: d.Height, Frames: d.Frames, Aniso: d.Aniso, Seed: d.Seed, MaxCycles: run.MaxCycles}
 }
 
 func (p RunParams) workloadParams() workload.Params {

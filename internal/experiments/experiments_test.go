@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"attila/internal/gpu"
-	"attila/internal/jobd"
 )
 
 // tinyParams keeps experiment tests fast.
@@ -192,20 +191,5 @@ func TestScalingMonotonicEnough(t *testing.T) {
 	}
 	if c8 >= c1 {
 		t.Fatalf("8 shaders (%d) not faster than 1 (%d)", c8, c1)
-	}
-}
-
-// A jobd job that names nothing but itself runs at the experiments'
-// default parameters: jobd's package defaults mirror DefaultRunParams.
-func TestJobdDefaultsAreDefaultRunParams(t *testing.T) {
-	jobs, err := jobd.NormalizeSweep(jobd.SweepSpec{Name: "defaults", Jobs: []jobd.JobSpec{{Name: "bare"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := jobs[0]
-	got := RunParams{Width: j.Width, Height: j.Height, Frames: j.Frames, Aniso: j.Aniso, Seed: j.Seed,
-		MaxCycles: j.MaxCycles, WatchdogWindow: j.WatchdogWindow}
-	if want := DefaultRunParams(); got != want {
-		t.Errorf("jobd defaults to %+v, DefaultRunParams is %+v", got, want)
 	}
 }

@@ -1,0 +1,241 @@
+package jobd
+
+// A job's terminal transitions, a sweep's finalization and summary, and
+// every file the server writes besides the state file.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"time"
+
+	"attila/internal/fsatomic"
+	"attila/internal/obsv"
+)
+
+// Sweep is a named set of jobs finalized together: when the last job
+// reaches a terminal state the server converges the on-disk outputs
+// (rewriting any stats CSV a fault destroyed) and writes the sweep
+// summary.
+type Sweep struct {
+	ID   int64
+	Name string
+
+	// Guarded by Server.mu.
+	jobs       []*Job
+	finalizing bool
+	finalized  bool
+	summary    []byte
+
+	done chan struct{} // closed once finalized
+}
+
+// completeJob writes a finished job's stats CSV and then finishes it. A
+// write that keeps failing degrades the job to StateFailed/FailDisk —
+// the result bytes stay in memory, so a later sweep convergence pass
+// can still recover the file if the disk comes back.
+func (s *Server) completeJob(j *Job) {
+	s.mu.Lock()
+	data := j.csv
+	s.mu.Unlock()
+	if err := s.writeDurable("stats csv", s.csvPath(j), data); err != nil {
+		s.finishJob(j, StateFailed, FailDisk, err)
+		return
+	}
+	s.finishJob(j, StateDone, "", nil)
+}
+
+// finishJob moves a job to a terminal state. Terminal states are
+// sticky: a cancel racing a completion (or any other double finish)
+// must not overwrite the first outcome.
+func (s *Server) finishJob(j *Job, st State, kind string, err error) {
+	s.mu.Lock()
+	if j.State.terminal() {
+		s.mu.Unlock()
+		return
+	}
+	j.State, j.FailKind, j.Error = st, kind, ""
+	if err != nil {
+		j.Error = err.Error()
+	}
+	if st == StateDone {
+		j.Resumable = false
+	}
+	sw := j.sweep
+	s.mu.Unlock()
+	switch st {
+	case StateDone:
+		os.Remove(s.ckptPath(j))
+		s.logf("jobd: job %s done: %d cycles", j.Spec.Name, j.Cycles)
+	case StateFailed:
+		s.logf("jobd: job %s failed (%s) after %d attempts: %v", j.Spec.Name, kind, j.Attempts, err)
+	}
+	s.stampManifest(j, string(st), err)
+	if st == StateDone {
+		s.maybeYank(j)
+	}
+	if sw != nil {
+		s.maybeFinalize(sw)
+	}
+	s.saveState()
+}
+
+// maybeYank applies the chaos output-directory yank after the named
+// job completes.
+func (s *Server) maybeYank(j *Job) {
+	if s.opts.Chaos == nil || !s.opts.Chaos.YankAfter(j.Spec.Name) {
+		return
+	}
+	s.mu.Lock()
+	fired := s.yanked
+	s.yanked = true
+	s.mu.Unlock()
+	if fired {
+		return
+	}
+	s.logf("jobd: chaos: yanking output directory %s", s.opts.OutDir)
+	os.RemoveAll(s.opts.OutDir)
+}
+
+// maybeFinalize runs the sweep's convergence pass once every job is
+// terminal: rewrite any stats CSV that is missing or differs from the
+// in-memory result (a chaos yank or disk fault may have destroyed
+// them), then write the deterministic sweep summary and release
+// waiters.
+func (s *Server) maybeFinalize(sw *Sweep) {
+	s.mu.Lock()
+	if sw.finalizing || sw.finalized {
+		s.mu.Unlock()
+		return
+	}
+	for _, j := range sw.jobs {
+		if !j.State.terminal() {
+			s.mu.Unlock()
+			return
+		}
+	}
+	sw.finalizing = true
+	jobs := append([]*Job(nil), sw.jobs...)
+	s.mu.Unlock()
+
+	for _, j := range jobs {
+		s.mu.Lock()
+		st, data := j.State, j.csv
+		s.mu.Unlock()
+		if st != StateDone || len(data) == 0 {
+			continue
+		}
+		path := s.csvPath(j)
+		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, data) {
+			continue
+		}
+		if err := s.writeDurable("stats csv", path, data); err != nil {
+			s.logf("jobd: degraded: sweep %s could not restore %s: %v", sw.Name, path, err)
+		} else {
+			s.logf("jobd: sweep %s: restored missing/damaged %s", sw.Name, path)
+		}
+	}
+	summary := s.buildSummary(sw, jobs)
+	if err := s.writeDurable("sweep summary", s.summaryPath(sw), summary); err != nil {
+		s.logf("jobd: degraded: sweep %s summary not written: %v", sw.Name, err)
+	}
+	s.mu.Lock()
+	sw.finalized = true
+	sw.summary = summary
+	s.mu.Unlock()
+	close(sw.done)
+	s.saveState()
+}
+
+// buildSummary renders the deterministic sweep summary: only job specs
+// and simulation results, sorted by job name, no wall-clock or attempt
+// counts — so a chaos-battered run is byte-identical to a clean
+// one-shot.
+func (s *Server) buildSummary(sw *Sweep, jobs []*Job) []byte {
+	sorted := append([]*Job(nil), jobs...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Spec.Name < sorted[b].Spec.Name })
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "sweep %s: %d jobs\n", sw.Name, len(sorted))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range sorted {
+		if j.State == StateDone {
+			fmt.Fprintf(&buf, "%s config=%s workload=%s cycles=%d fps=%.2f\n",
+				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.Cycles, j.FPS)
+		} else {
+			fmt.Fprintf(&buf, "%s config=%s workload=%s state=%s kind=%s\n",
+				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.State, j.FailKind)
+		}
+	}
+	return buf.Bytes()
+}
+
+func (s *Server) csvPath(j *Job) string {
+	return filepath.Join(s.opts.OutDir, j.Spec.Name+".csv")
+}
+
+func (s *Server) ckptPath(j *Job) string {
+	return filepath.Join(s.opts.CkptDir, j.Spec.Name+".ckpt")
+}
+
+func (s *Server) manifestPath(j *Job) string {
+	return filepath.Join(s.opts.OutDir, j.Spec.Name+"-manifest.json")
+}
+
+func (s *Server) summaryPath(sw *Sweep) string {
+	return filepath.Join(s.opts.OutDir, sw.Name+"-summary.txt")
+}
+
+// stampManifest writes the job's provenance manifest. Its loss never
+// fails the job — the manifest is audit metadata, not the result.
+func (s *Server) stampManifest(j *Job, state string, cause error) {
+	m := obsv.NewManifest("jobd", nil)
+	m.State = state
+	m.Config = j.Spec.Config
+	m.Trace = j.Spec.Workload
+	m.Seed = j.Spec.Seed
+	s.mu.Lock()
+	m.Attempt = j.Attempts
+	m.Cycles = j.progress.Load()
+	if j.State == StateDone {
+		m.Cycles = j.Cycles
+	}
+	m.Error = j.Error
+	resumable := j.Resumable
+	s.mu.Unlock()
+	if cause != nil {
+		m.Error = cause.Error()
+	}
+	m.LastCheckpoint = j.ckptCycle.Load()
+	if resumable {
+		m.RestoredFrom = s.ckptPath(j)
+	}
+	m.Finish(0, nil)
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return
+	}
+	if werr := s.writeDurable("manifest", s.manifestPath(j), append(data, '\n')); werr != nil {
+		s.logf("jobd: degraded: %v", werr)
+	}
+}
+
+// writeDurable is the degradation-aware write every output goes
+// through: atomic rename with the parent directory recreated on each
+// try (healing a yanked output tree), retried a few times, and a
+// typed *DiskError on persistent failure instead of a crash.
+func (s *Server) writeDurable(op, path string, data []byte) error {
+	var err error
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err = fsatomic.WriteFile(path, data); err == nil {
+			return nil
+		}
+	}
+	return &DiskError{Op: op, Path: path, Err: err}
+}

@@ -29,8 +29,11 @@
 package jobd
 
 import (
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -110,8 +113,8 @@ func (e *DiskError) Unwrap() error { return e.Err }
 func (e *DiskError) Is(target error) bool { return target == ErrDisk }
 
 // JobSpec describes one simulation run. Zero fields inherit first from
-// the sweep's Defaults, then from the package defaults (the same
-// scaled-down case-study settings the experiments CLI uses).
+// the sweep's Defaults, then from run.Defaults (the settings the
+// experiments CLI uses) on the baseline machine running "simple".
 type JobSpec struct {
 	// Name uniquely identifies the job on the server; it is also the
 	// stem of the job's output files (<name>.csv, <name>-manifest.json).
@@ -128,7 +131,8 @@ type JobSpec struct {
 	Aniso  int   `json:"aniso,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
 
-	// MaxCycles bounds the simulation; 0 inherits the default budget.
+	// MaxCycles bounds the simulation; 0 inherits the default budget
+	// (run.MaxCycles), and a negative budget is refused.
 	MaxCycles int64 `json:"maxCycles,omitempty"`
 	// WatchdogWindow arms the per-job no-progress watchdog; 0 inherits
 	// the server default.
@@ -182,52 +186,31 @@ func NormalizeSweep(spec SweepSpec) ([]JobSpec, error) {
 
 // withDefaults fills s's zero fields from d.
 func (s JobSpec) withDefaults(d JobSpec) JobSpec {
-	if s.Config == "" {
-		s.Config = d.Config
-	}
-	if s.Workload == "" {
-		s.Workload = d.Workload
-	}
-	if s.Width == 0 {
-		s.Width = d.Width
-	}
-	if s.Height == 0 {
-		s.Height = d.Height
-	}
-	if s.Frames == 0 {
-		s.Frames = d.Frames
-	}
-	if s.Aniso == 0 {
-		s.Aniso = d.Aniso
-	}
-	if s.Seed == 0 {
-		s.Seed = d.Seed
-	}
-	if s.MaxCycles == 0 {
-		s.MaxCycles = d.MaxCycles
-	}
-	if s.WatchdogWindow == 0 {
-		s.WatchdogWindow = d.WatchdogWindow
-	}
-	if s.TimeoutSec == 0 {
-		s.TimeoutSec = d.TimeoutSec
-	}
-	if s.Retries == 0 {
-		s.Retries = d.Retries
-	}
+	s.Config = cmp.Or(s.Config, d.Config)
+	s.Workload = cmp.Or(s.Workload, d.Workload)
+	s.Width = cmp.Or(s.Width, d.Width)
+	s.Height = cmp.Or(s.Height, d.Height)
+	s.Frames = cmp.Or(s.Frames, d.Frames)
+	s.Aniso = cmp.Or(s.Aniso, d.Aniso)
+	s.Seed = cmp.Or(s.Seed, d.Seed)
+	s.MaxCycles = cmp.Or(s.MaxCycles, d.MaxCycles)
+	s.WatchdogWindow = cmp.Or(s.WatchdogWindow, d.WatchdogWindow)
+	s.TimeoutSec = cmp.Or(s.TimeoutSec, d.TimeoutSec)
+	s.Retries = cmp.Or(s.Retries, d.Retries)
 	return s
 }
 
-// packageDefaults mirrors experiments.DefaultRunParams.
-var packageDefaults = JobSpec{
-	Config: "baseline", Workload: "simple",
-	Width: 192, Height: 144, Frames: 2, Aniso: 8, Seed: 1,
-	MaxCycles: 2_000_000_000,
+// packageDefaults are run.Defaults on the baseline machine running the
+// simple workload.
+func packageDefaults() JobSpec {
+	d := run.Defaults()
+	return JobSpec{Config: "baseline", Workload: "simple", Width: d.Width, Height: d.Height,
+		Frames: d.Frames, Aniso: d.Aniso, Seed: d.Seed, MaxCycles: run.MaxCycles}
 }
 
 // normalize applies defaults and validates the spec.
 func (s JobSpec) normalize(sweepDefaults JobSpec) (JobSpec, error) {
-	s = s.withDefaults(sweepDefaults).withDefaults(packageDefaults)
+	s = s.withDefaults(sweepDefaults).withDefaults(packageDefaults())
 	if strings.TrimSpace(s.Name) == "" {
 		return s, fmt.Errorf("jobd: job needs a name")
 	}
@@ -240,8 +223,8 @@ func (s JobSpec) normalize(sweepDefaults JobSpec) (JobSpec, error) {
 	if _, err := workload.Lookup(s.Workload); err != nil {
 		return s, err
 	}
-	if s.Width <= 0 || s.Height <= 0 || s.Frames <= 0 {
-		return s, fmt.Errorf("jobd: job %s: width/height/frames must be positive", s.Name)
+	if s.Width <= 0 || s.Height <= 0 || s.Frames <= 0 || s.MaxCycles <= 0 {
+		return s, fmt.Errorf("jobd: job %s: width/height/frames/maxCycles must be positive", s.Name)
 	}
 	return s, nil
 }
@@ -281,4 +264,17 @@ func ResolveConfig(name string) (gpu.Config, error) {
 		return gpu.CaseStudy(tus, mode), nil
 	}
 	return gpu.Config{}, fmt.Errorf("jobd: unknown config %q (want baseline, baseline-unified, highend, embedded, or casestudy:<tus>:<mode>)", name)
+}
+
+// ParseSweepFile reads a SweepSpec from a JSON file.
+func ParseSweepFile(path string) (SweepSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return SweepSpec{}, err
+	}
+	var spec SweepSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return SweepSpec{}, fmt.Errorf("jobd: sweep spec %s: %w", path, err)
+	}
+	return spec, nil
 }

@@ -197,9 +197,9 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 			s.mu.Lock()
 			j := s.jobs[name]
 			s.removeQueuedLocked(j)
-			j.state = StateDone
+			j.State = StateDone
 			if i%2 == 1 {
-				j.state = StateCanceled
+				j.State = StateCanceled
 			}
 			s.mu.Unlock()
 			s.saveState()
@@ -219,7 +219,7 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 		t.Fatalf("state file has %d jobs, want %d", len(st.Jobs), n)
 	}
 	for _, pj := range st.Jobs {
-		if want := s.jobs[pj.Spec.Name].state; pj.State != want {
+		if want := s.jobs[pj.Spec.Name].State; pj.State != want {
 			t.Errorf("state file: %s is %s, in memory %s", pj.Spec.Name, pj.State, want)
 		}
 	}

@@ -1,16 +1,16 @@
 package jobd
 
+// The server's front: admission, the queue, status, drain and close.
+// supervise.go runs a dispatched job; finish.go holds its terminal
+// transitions, the sweep summary and the files a job leaves behind.
+
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,11 +18,7 @@ import (
 
 	"attila/internal/chaos"
 	"attila/internal/core"
-	"attila/internal/fsatomic"
-	"attila/internal/obsv"
 	"attila/internal/obsv/trace"
-	"attila/internal/run"
-	"attila/internal/workload"
 )
 
 // Options configures a Server. Zero values select the documented
@@ -54,8 +50,9 @@ type Options struct {
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
 	// CheckpointInterval is the per-job checkpoint cadence in cycles;
-	// default 100k. Checkpoints are what make retries resume instead of
-	// replay and what preemption/drain park jobs with.
+	// default (and any value <= 0) 100k. Checkpoints are what make
+	// retries resume instead of replay and what preemption/drain park
+	// jobs with.
 	CheckpointInterval int64
 	// PreemptCycles, when > 0, is the fairness quantum: a job that has
 	// run this many cycles in one dispatch while other jobs wait is
@@ -109,110 +106,16 @@ func (o *Options) norm() {
 	}
 }
 
-// Stop causes — why a running simulation was asked to stop.
-const (
-	causeNone int32 = iota
-	causeCancel
-	causePreempt
-	causeDrain
-	causeKilled
-	causeTimeout
-)
-
-// progressEvery is how many cycles pass between two publications of a
-// running job's cycle (a power of two): the cadence at which the clock
-// loop itself polls its context.
-const progressEvery = 1 << 10
-
-// Job is one supervised run. Mutable fields are guarded by the
-// server's mutex except the atomics, which the simulation's cycle hook
-// writes and the HTTP layer reads live.
-type Job struct {
-	ID   int64
-	Spec JobSpec
-
-	// Guarded by Server.mu.
-	state       State
-	failKind    string
-	errMsg      string
-	attempts    int
-	preemptions int
-	resumable   bool
-	crash       *core.CrashReport
-	csv         []byte
-	cycles      int64
-	fps         float64
-	stopFn      func()
-	sweep       *Sweep
-	spanHists   map[string]trace.Histogram // per-client total-latency histograms at completion
-	spanDump    []byte                     // retained sampled spans, NDJSON
-	spanTotal   uint64                     // sampled spans terminated by the job
-
-	// Written by the running simulation / cancel path.
-	progress  atomic.Int64
-	ckptCycle atomic.Int64
-	cause     atomic.Int32
-	cancelReq atomic.Bool
-}
-
-// takeCause consumes the stop cause recorded by whoever stopped the
-// run.
-func (j *Job) takeCause() int32 { return j.cause.Swap(causeNone) }
-
-func (j *Job) maxRetries(o Options) int {
-	r := j.Spec.Retries
-	if r == 0 {
-		r = o.Retries
-	}
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-func (j *Job) timeout(o Options) time.Duration {
-	if s := j.Spec.TimeoutSec; s > 0 {
-		return time.Duration(s * float64(time.Second))
-	} else if s < 0 {
-		return 0
-	}
-	return o.JobTimeout
-}
-
-// Sweep is a named set of jobs finalized together: when the last job
-// reaches a terminal state the server converges the on-disk outputs
-// (rewriting any stats CSV a fault destroyed) and writes the sweep
-// summary.
-type Sweep struct {
-	ID   int64
-	Name string
-
-	// Guarded by Server.mu.
-	jobs       []*Job
-	finalizing bool
-	finalized  bool
-	summary    []byte
-
-	done chan struct{} // closed once finalized
-}
-
 // JobStatus is the API view of a job.
 type JobStatus struct {
-	ID              int64   `json:"id"`
-	Name            string  `json:"name"`
-	Config          string  `json:"config"`
-	Workload        string  `json:"workload"`
-	State           State   `json:"state"`
-	FailKind        string  `json:"failKind,omitempty"`
-	Error           string  `json:"error,omitempty"`
-	Attempts        int     `json:"attempts"`
-	Preemptions     int     `json:"preemptions,omitempty"`
-	Resumable       bool    `json:"resumable,omitempty"`
-	Cycle           int64   `json:"cycle"`
-	CheckpointCycle int64   `json:"checkpointCycle,omitempty"`
-	Cycles          int64   `json:"cycles,omitempty"`
-	FPS             float64 `json:"fps,omitempty"`
-	Sweep           string  `json:"sweep,omitempty"`
+	ID       int64  `json:"id"`
+	Name     string `json:"name"`
+	Config   string `json:"config"`
+	Workload string `json:"workload"`
+	record
+	Cycle           int64  `json:"cycle"`
+	CheckpointCycle int64  `json:"checkpointCycle,omitempty"`
+	Sweep           string `json:"sweep,omitempty"`
 }
 
 // SweepStatus is the API view of a sweep.
@@ -252,9 +155,15 @@ type Server struct {
 	yanked   bool
 	stopOnce sync.Once
 
+	// runs is the parent of every attempt's context: Close cancels it
+	// with errCanceled and a drain that runs out of grace with
+	// errDrained.
+	runs     context.Context
+	stopRuns context.CancelCauseFunc
+
 	draining atomic.Bool
 	queueLen atomic.Int64
-	stopCh   chan struct{}
+	stopCh   chan struct{} // closed when a drain or close begins
 	wg       sync.WaitGroup
 }
 
@@ -269,11 +178,9 @@ func New(opts Options) *Server {
 		stopCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.runs, s.stopRuns = context.WithCancelCause(context.Background())
 	return s
 }
-
-// Workers reports the worker pool's size after defaulting.
-func (s *Server) Workers() int { return s.opts.Workers }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
@@ -288,11 +195,10 @@ func (s *Server) Start() error {
 	if s.opts.OutDir == "" {
 		return fmt.Errorf("jobd: Options.OutDir is required")
 	}
-	if err := os.MkdirAll(s.opts.OutDir, 0o755); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(s.opts.CkptDir, 0o755); err != nil {
-		return err
+	for _, dir := range []string{s.opts.OutDir, s.opts.CkptDir} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
 	}
 	if err := s.loadState(); err != nil {
 		s.logf("jobd: state file unusable, starting fresh: %v", err)
@@ -331,31 +237,25 @@ func (s *Server) SubmitJob(spec JobSpec) (*Job, error) {
 }
 
 // SubmitSweep queues a named set of jobs atomically: either every job
-// is admitted or none is. Resubmitting a sweep whose name and job
-// names match an existing one returns the existing sweep — that is how
-// a restarted one-shot invocation attaches to the persisted state
-// instead of colliding with it.
+// is admitted or none is. Resubmitting a sweep whose name and
+// normalized job specs equal an existing one's returns the existing
+// sweep — that is how a restarted one-shot invocation attaches to the
+// persisted state instead of colliding with it. Any other sweep under
+// an existing name is ErrDuplicate.
 func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	norm, err := NormalizeSweep(spec)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(norm))
-	for _, n := range norm {
-		seen[n.Name] = true
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sw := range s.sweeps {
 		if sw.Name != spec.Name {
 			continue
 		}
-		// Continuation: same sweep resubmitted after a restart.
-		for _, j := range sw.jobs {
-			if !seen[j.Spec.Name] {
-				return nil, fmt.Errorf("%w: sweep %s exists with different jobs", ErrDuplicate, spec.Name)
-			}
+		// Continuation: the same sweep resubmitted after a restart.
+		if !slices.EqualFunc(sw.jobs, norm, func(j *Job, n JobSpec) bool { return j.Spec == n }) {
+			return nil, fmt.Errorf("%w: sweep %s exists with different jobs", ErrDuplicate, spec.Name)
 		}
 		return sw, nil
 	}
@@ -403,7 +303,7 @@ func (s *Server) submitLocked(spec JobSpec, sw *Sweep) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicate, spec.Name)
 	}
 	s.nextID++
-	j := &Job{ID: s.nextID, Spec: spec, state: StateQueued, sweep: sw}
+	j := &Job{ID: s.nextID, Spec: spec, record: record{State: StateQueued}, sweep: sw}
 	s.jobs[spec.Name] = j
 	s.byID[j.ID] = j
 	s.order = append(s.order, j)
@@ -442,45 +342,37 @@ func (s *Server) removeQueuedLocked(j *Job) bool {
 // removed, a running one is stopped at the next cycle boundary.
 func (s *Server) CancelJob(ref string) error {
 	s.mu.Lock()
-	j := s.jobByRefLocked(ref)
-	if j == nil {
+	j, err := s.jobLocked(ref)
+	if err != nil || j.State.terminal() {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: job %q", ErrNotFound, ref)
+		return err
 	}
-	if j.state.terminal() {
-		s.mu.Unlock()
-		return nil
+	// The flag catches a job between attempts; the context, one running.
+	j.canceled = true
+	if j.stop != nil {
+		j.stop(errCanceled)
 	}
-	j.cancelReq.Store(true)
-	j.cause.CompareAndSwap(causeNone, causeCancel)
-	if s.removeQueuedLocked(j) {
-		j.state = StateCanceled
-		sw := j.sweep
-		s.mu.Unlock()
-		s.stampManifest(j, string(StateCanceled), nil)
-		if sw != nil {
-			s.maybeFinalize(sw)
-		}
-		s.saveState()
-		return nil
-	}
-	if j.stopFn != nil {
-		j.stopFn()
-	}
+	queued := s.removeQueuedLocked(j)
 	s.mu.Unlock()
+	if queued {
+		s.finishJob(j, StateCanceled, "", nil)
+	}
 	return nil
 }
 
-// jobByRefLocked resolves a ref as a job name first, then as an ID, but
+// jobLocked resolves a ref as a job name first, then as an ID, but
 // only when the whole ref is a number: "3abc" names no job.
-func (s *Server) jobByRefLocked(ref string) *Job {
-	if j, ok := s.jobs[ref]; ok {
-		return j
+func (s *Server) jobLocked(ref string) (*Job, error) {
+	j, ok := s.jobs[ref]
+	if !ok {
+		if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
+			j, ok = s.byID[id]
+		}
 	}
-	if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
-		return s.byID[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: job %q", ErrNotFound, ref)
 	}
-	return nil
+	return j, nil
 }
 
 // Jobs lists every job in submission order.
@@ -498,9 +390,9 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) JobStatus(ref string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobByRefLocked(ref)
-	if j == nil {
-		return JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, ref)
+	j, err := s.jobLocked(ref)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	return s.statusLocked(j), nil
 }
@@ -510,27 +402,11 @@ func (s *Server) JobStatus(ref string) (JobStatus, error) {
 func (s *Server) JobCrash(ref string) (*core.CrashReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobByRefLocked(ref)
-	if j == nil {
-		return nil, fmt.Errorf("%w: job %q", ErrNotFound, ref)
+	j, err := s.jobLocked(ref)
+	if err != nil {
+		return nil, err
 	}
 	return j.crash, nil
-}
-
-func (s *Server) statusLocked(j *Job) JobStatus {
-	st := JobStatus{
-		ID: j.ID, Name: j.Spec.Name,
-		Config: j.Spec.Config, Workload: j.Spec.Workload,
-		State: j.state, FailKind: j.failKind, Error: j.errMsg,
-		Attempts: j.attempts, Preemptions: j.preemptions,
-		Resumable: j.resumable,
-		Cycle:     j.progress.Load(), CheckpointCycle: j.ckptCycle.Load(),
-		Cycles: j.cycles, FPS: j.fps,
-	}
-	if j.sweep != nil {
-		st.Sweep = j.sweep.Name
-	}
-	return st
 }
 
 // JobSpans returns the sampled-span NDJSON dump retained by a
@@ -539,11 +415,19 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 func (s *Server) JobSpans(ref string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobByRefLocked(ref)
-	if j == nil {
-		return nil, fmt.Errorf("%w: job %q", ErrNotFound, ref)
+	j, err := s.jobLocked(ref)
+	if err != nil {
+		return nil, err
 	}
 	return j.spanDump, nil
+}
+
+func (s *Server) statusLocked(j *Job) JobStatus {
+	return JobStatus{
+		ID: j.ID, Name: j.Spec.Name, Config: j.Spec.Config, Workload: j.Spec.Workload,
+		record: j.record, Cycle: j.progress.Load(), CheckpointCycle: j.ckptCycle.Load(),
+		Sweep: j.sweepName(),
+	}
 }
 
 // Draining reports whether the server has begun draining; the /readyz
@@ -641,7 +525,7 @@ func (s *Server) SweepStatus(sw *Sweep) SweepStatus {
 	st := SweepStatus{ID: sw.ID, Name: sw.Name, Total: len(sw.jobs), Finalized: sw.finalized, Summary: string(sw.summary)}
 	for _, j := range sw.jobs {
 		st.Jobs = append(st.Jobs, s.statusLocked(j))
-		switch j.state {
+		switch j.State {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
@@ -697,14 +581,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		s.logf("jobd: drain grace expired; hard-stopping in-flight jobs")
-		s.mu.Lock()
-		for _, j := range s.order {
-			if j.state == StateRunning && j.stopFn != nil {
-				j.cause.CompareAndSwap(causeNone, causeDrain)
-				j.stopFn()
-			}
-		}
-		s.mu.Unlock()
+		s.stopRuns(errDrained)
 		<-done
 	}
 	s.saveState()
@@ -720,13 +597,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, j := range s.order {
-		if j.state == StateRunning && j.stopFn != nil {
-			j.cause.CompareAndSwap(causeNone, causeCancel)
-			j.stopFn()
-		}
-	}
 	s.mu.Unlock()
+	s.stopRuns(errCanceled)
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.cond.Broadcast()
 	s.wg.Wait()
@@ -751,512 +623,10 @@ func (s *Server) worker() {
 			}
 			s.cond.Wait()
 		}
-		j.state = StateRunning
+		j.State = StateRunning
 		s.mu.Unlock()
 		s.supervise(j)
 	}
-}
-
-// supervise owns one job until it parks or reaches a terminal state:
-// it retries failed attempts with capped jittered backoff, requeues
-// preempted/drained runs, and — via the deferred recover — guarantees
-// that nothing a job does can take the worker (or the server) down.
-func (s *Server) supervise(j *Job) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.finishJob(j, StateFailed, FailPanic, fmt.Errorf("jobd: supervisor panic: %v", r))
-		}
-	}()
-	seed := int64(1)
-	if s.opts.Chaos != nil {
-		seed = s.opts.Chaos.Seed
-	}
-	rng := rand.New(rand.NewSource(seed + j.ID))
-	for {
-		s.mu.Lock()
-		if j.cancelReq.Load() {
-			s.mu.Unlock()
-			s.finishJob(j, StateCanceled, "", nil)
-			return
-		}
-		j.state = StateRunning
-		j.attempts++
-		attempt := j.attempts
-		s.mu.Unlock()
-
-		runErr := s.attempt(j, attempt)
-		cause := j.takeCause()
-
-		if runErr == nil {
-			s.completeJob(j)
-			return
-		}
-		switch cause {
-		case causePreempt, causeDrain:
-			// Not a failure: the run checkpointed (or was hard-stopped
-			// onto its last periodic checkpoint) and parks resumable.
-			s.mu.Lock()
-			j.attempts--
-			if cause == causePreempt {
-				j.preemptions++
-			}
-			j.state = StatePreempted
-			j.resumable = true
-			s.pushQueueLocked(j)
-			s.mu.Unlock()
-			s.stampManifest(j, string(StatePreempted), nil)
-			s.saveState()
-			if cause == causePreempt {
-				s.logf("jobd: job %s preempted at cycle %d (checkpoint %d)",
-					j.Spec.Name, j.progress.Load(), j.ckptCycle.Load())
-				s.cond.Signal()
-			}
-			return
-		case causeCancel:
-			s.finishJob(j, StateCanceled, "", runErr)
-			return
-		}
-		kind := classifyFailure(runErr, cause)
-		if kind == "" {
-			// A cancellation we did not cause: the server is closing.
-			s.finishJob(j, StateCanceled, "", runErr)
-			return
-		}
-		if attempt > j.maxRetries(s.opts) {
-			s.finishJob(j, StateFailed, kind, runErr)
-			return
-		}
-		s.mu.Lock()
-		j.resumable = true
-		s.mu.Unlock()
-		s.logf("jobd: job %s attempt %d failed (%s): %v; retrying from checkpoint",
-			j.Spec.Name, attempt, kind, runErr)
-		if d := run.RetryDelay(s.opts.RetryBackoff, s.opts.RetryBackoffMax, attempt, rng); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-s.stopCh:
-				// Server draining/closing mid-backoff: park resumable.
-				s.mu.Lock()
-				j.attempts--
-				j.state = StatePreempted
-				s.pushQueueLocked(j)
-				s.mu.Unlock()
-				s.stampManifest(j, string(StatePreempted), nil)
-				return
-			}
-		}
-	}
-}
-
-// classifyFailure maps an attempt error and stop cause to a FailKind;
-// "" means an external cancellation that should not count as failure.
-func classifyFailure(err error, cause int32) string {
-	switch cause {
-	case causeKilled:
-		return FailKilled
-	case causeTimeout:
-		return FailTimeout
-	}
-	switch {
-	case errors.Is(err, ErrDisk):
-		return FailDisk
-	case errors.Is(err, core.ErrPanic):
-		return FailPanic
-	case errors.Is(err, core.ErrDeadlock):
-		return FailDeadlock
-	case errors.Is(err, core.ErrCanceled):
-		return ""
-	default:
-		return FailError
-	}
-}
-
-// attempt runs one try of the job on a fresh machine (run.Start): chaos
-// on the first attempt only, resumed from the job's checkpoint when a
-// usable one exists, with live progress, kill, cancel, preemption and
-// drain riding the cycle hook.
-func (s *Server) attempt(j *Job, attempt int) error {
-	spec := j.Spec
-	cfg, err := ResolveConfig(spec.Config)
-	if err != nil {
-		return err
-	}
-	switch {
-	case spec.WatchdogWindow > 0:
-		cfg.WatchdogWindow = spec.WatchdogWindow
-	case spec.WatchdogWindow == 0 && s.opts.WatchdogWindow > 0:
-		cfg.WatchdogWindow = s.opts.WatchdogWindow
-	default:
-		cfg.WatchdogWindow = 0
-	}
-	ckptPath := s.ckptPath(j)
-	rs := run.Spec{
-		Config: cfg, Width: spec.Width, Height: spec.Height,
-		Source: run.Workload(spec.Workload, workload.Params{
-			Width: spec.Width, Height: spec.Height,
-			Frames: spec.Frames, Aniso: spec.Aniso, Seed: spec.Seed,
-		}),
-		MaxCycles:  spec.MaxCycles,
-		Spans:      trace.Options{SampleRate: s.opts.TraceSample, Seed: s.opts.TraceSeed},
-		Checkpoint: run.Checkpoint{Path: ckptPath, Interval: s.opts.CheckpointInterval},
-	}
-	s.mu.Lock()
-	resumable := j.resumable
-	s.mu.Unlock()
-	if attempt > 1 || resumable {
-		// No usable checkpoint (the fault hit before the first capture,
-		// the file was destroyed, its spans were sampled at another rate)
-		// means a replay from the start, on a machine the refused restore
-		// never touched.
-		rs.RestoreFrom = ckptPath
-	} else {
-		// A fresh job must not resume from a stale checkpoint left by an
-		// earlier life under the same name.
-		os.Remove(ckptPath)
-	}
-	// Chaos faults arm on the first attempt only, so a recovered job
-	// cannot re-hit its injected fault.
-	var kill *chaos.KillFault
-	if attempt == 1 {
-		rs.Chaos = s.opts.Chaos.PanicPlan(spec.Name)
-		kill = s.opts.Chaos.KillFor(spec.Name)
-	}
-	sess, err := run.StartOrReplay(rs, s.logf)
-	if err != nil {
-		return err
-	}
-	pipe, eng, col := sess.Pipe, sess.Engine, sess.Spans
-	if sess.RestoredCycle > 0 {
-		s.logf("jobd: job %s resuming from checkpoint at cycle %d", spec.Name, sess.RestoredCycle)
-	}
-	s.mu.Lock()
-	j.stopFn = pipe.Sim.Stop
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		j.stopFn = nil
-		s.mu.Unlock()
-	}()
-
-	ctx := context.Background()
-	if d := j.timeout(s.opts); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	// The cycle hook runs in the clock loop at every barrier: it
-	// publishes live progress and implements worker-kill
-	// chaos, cancellation, fairness preemption and drain — the latter
-	// two by forcing a checkpoint and stopping once it lands. Progress
-	// is for whoever polls the job from outside: the cycle is published
-	// every progressEvery cycles and when the run ends, the checkpoint
-	// cycle when a capture moved it. Every decision below stays per
-	// cycle.
-	dispatchStart := int64(-1)
-	preemptReq := int64(-1)
-	killArmed := kill != nil
-	reached := j.progress.Load() // a run that reaches no barrier leaves it be
-	var ckptSeen int64
-	pipe.Sim.OnEndCycle(func(cycle int64) {
-		reached = cycle
-		if cycle&(progressEvery-1) == 0 {
-			j.progress.Store(cycle)
-		}
-		if lc := eng.LastCycle(); lc != ckptSeen {
-			ckptSeen = lc
-			j.ckptCycle.Store(lc)
-		}
-		if dispatchStart < 0 {
-			dispatchStart = cycle
-		}
-		if killArmed && cycle >= kill.Cycle {
-			killArmed = false
-			j.cause.CompareAndSwap(causeNone, causeKilled)
-			pipe.Sim.Stop()
-			return
-		}
-		if j.cancelReq.Load() {
-			j.cause.CompareAndSwap(causeNone, causeCancel)
-			pipe.Sim.Stop()
-			return
-		}
-		want := causeNone
-		if s.draining.Load() {
-			want = causeDrain
-		} else if q := s.opts.PreemptCycles; q > 0 && cycle-dispatchStart >= q && s.queueLen.Load() > 0 {
-			want = causePreempt
-		}
-		if want == causeNone {
-			return
-		}
-		if preemptReq < 0 {
-			preemptReq = cycle
-			eng.ForceNext()
-			return
-		}
-		if eng.LastCycle() >= preemptReq {
-			j.cause.CompareAndSwap(causeNone, want)
-			pipe.Sim.Stop()
-		}
-	})
-
-	if runErr := sess.Run(ctx); runErr != nil {
-		j.progress.Store(reached)
-		if errors.Is(runErr, core.ErrCanceled) && ctx.Err() != nil {
-			j.cause.CompareAndSwap(causeNone, causeTimeout)
-		}
-		s.mu.Lock()
-		j.crash = pipe.Sim.Crash()
-		s.mu.Unlock()
-		return runErr
-	}
-
-	var buf bytes.Buffer
-	if err := pipe.DumpCSV(&buf); err != nil {
-		return err
-	}
-	var spanHists map[string]trace.Histogram
-	var spanDump []byte
-	var spanTotal uint64
-	if col != nil {
-		spanHists = col.TotalHists(nil)
-		spanTotal = col.Snapshot().Spans
-		var sb bytes.Buffer
-		if err := col.WriteSpansNDJSON(&sb); err == nil {
-			spanDump = sb.Bytes()
-		}
-	}
-	s.mu.Lock()
-	j.csv = buf.Bytes()
-	j.cycles = pipe.Cycles()
-	j.fps = pipe.FPS()
-	j.crash = nil
-	j.progress.Store(pipe.Cycles())
-	j.spanHists = spanHists
-	j.spanDump = spanDump
-	j.spanTotal = spanTotal
-	s.mu.Unlock()
-	return nil
-}
-
-// completeJob persists a finished job's outputs. A stats-CSV write
-// that keeps failing degrades the job to StateFailed/FailDisk — the
-// result bytes stay in memory, so a later sweep convergence pass can
-// still recover the file if the disk comes back.
-func (s *Server) completeJob(j *Job) {
-	s.mu.Lock()
-	data := j.csv
-	s.mu.Unlock()
-	if err := s.writeDurable("stats csv", s.csvPath(j), data); err != nil {
-		s.finishJob(j, StateFailed, FailDisk, err)
-		return
-	}
-	s.mu.Lock()
-	if j.state.terminal() {
-		// A cancel (or anything else) that raced the completion already
-		// parked the job; terminal states are sticky.
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateDone
-	j.failKind, j.errMsg = "", ""
-	j.resumable = false
-	sw := j.sweep
-	s.mu.Unlock()
-	os.Remove(s.ckptPath(j))
-	s.stampManifest(j, string(StateDone), nil)
-	s.logf("jobd: job %s done: %d cycles", j.Spec.Name, j.cycles)
-	s.maybeYank(j)
-	if sw != nil {
-		s.maybeFinalize(sw)
-	}
-	s.saveState()
-}
-
-// finishJob moves a job to a terminal state. Terminal states are
-// sticky: a cancel racing a completion (or any other double finish)
-// must not overwrite the first outcome.
-func (s *Server) finishJob(j *Job, st State, kind string, err error) {
-	s.mu.Lock()
-	if j.state.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	j.state = st
-	j.failKind = kind
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	sw := j.sweep
-	s.mu.Unlock()
-	if st == StateFailed {
-		s.logf("jobd: job %s failed (%s) after %d attempts: %v", j.Spec.Name, kind, j.attempts, err)
-	}
-	s.stampManifest(j, string(st), err)
-	if sw != nil {
-		s.maybeFinalize(sw)
-	}
-	s.saveState()
-}
-
-// maybeYank applies the chaos output-directory yank after the named
-// job completes.
-func (s *Server) maybeYank(j *Job) {
-	if s.opts.Chaos == nil || !s.opts.Chaos.YankAfter(j.Spec.Name) {
-		return
-	}
-	s.mu.Lock()
-	fired := s.yanked
-	s.yanked = true
-	s.mu.Unlock()
-	if fired {
-		return
-	}
-	s.logf("jobd: chaos: yanking output directory %s", s.opts.OutDir)
-	os.RemoveAll(s.opts.OutDir)
-}
-
-// maybeFinalize runs the sweep's convergence pass once every job is
-// terminal: rewrite any stats CSV that is missing or differs from the
-// in-memory result (a chaos yank or disk fault may have destroyed
-// them), then write the deterministic sweep summary and release
-// waiters.
-func (s *Server) maybeFinalize(sw *Sweep) {
-	s.mu.Lock()
-	if sw.finalizing || sw.finalized {
-		s.mu.Unlock()
-		return
-	}
-	for _, j := range sw.jobs {
-		if !j.state.terminal() {
-			s.mu.Unlock()
-			return
-		}
-	}
-	sw.finalizing = true
-	jobs := append([]*Job(nil), sw.jobs...)
-	s.mu.Unlock()
-
-	for _, j := range jobs {
-		s.mu.Lock()
-		st, data := j.state, j.csv
-		s.mu.Unlock()
-		if st != StateDone || len(data) == 0 {
-			continue
-		}
-		path := s.csvPath(j)
-		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, data) {
-			continue
-		}
-		if err := s.writeDurable("stats csv", path, data); err != nil {
-			s.logf("jobd: degraded: sweep %s could not restore %s: %v", sw.Name, path, err)
-		} else {
-			s.logf("jobd: sweep %s: restored missing/damaged %s", sw.Name, path)
-		}
-	}
-	summary := s.buildSummary(sw, jobs)
-	if err := s.writeDurable("sweep summary", s.summaryPath(sw), summary); err != nil {
-		s.logf("jobd: degraded: sweep %s summary not written: %v", sw.Name, err)
-	}
-	s.mu.Lock()
-	sw.finalized = true
-	sw.summary = summary
-	s.mu.Unlock()
-	close(sw.done)
-	s.saveState()
-}
-
-// buildSummary renders the deterministic sweep summary: only job specs
-// and simulation results, sorted by job name, no wall-clock or attempt
-// counts — so a chaos-battered run is byte-identical to a clean
-// one-shot.
-func (s *Server) buildSummary(sw *Sweep, jobs []*Job) []byte {
-	sorted := append([]*Job(nil), jobs...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Spec.Name < sorted[b].Spec.Name })
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "sweep %s: %d jobs\n", sw.Name, len(sorted))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range sorted {
-		if j.state == StateDone {
-			fmt.Fprintf(&buf, "%s config=%s workload=%s cycles=%d fps=%.2f\n",
-				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.cycles, j.fps)
-		} else {
-			fmt.Fprintf(&buf, "%s config=%s workload=%s state=%s kind=%s\n",
-				j.Spec.Name, j.Spec.Config, j.Spec.Workload, j.state, j.failKind)
-		}
-	}
-	return buf.Bytes()
-}
-
-func (s *Server) csvPath(j *Job) string {
-	return filepath.Join(s.opts.OutDir, j.Spec.Name+".csv")
-}
-
-func (s *Server) ckptPath(j *Job) string {
-	return filepath.Join(s.opts.CkptDir, j.Spec.Name+".ckpt")
-}
-
-func (s *Server) manifestPath(j *Job) string {
-	return filepath.Join(s.opts.OutDir, j.Spec.Name+"-manifest.json")
-}
-
-func (s *Server) summaryPath(sw *Sweep) string {
-	return filepath.Join(s.opts.OutDir, sw.Name+"-summary.txt")
-}
-
-// stampManifest writes the job's provenance manifest. Its loss never
-// fails the job — the manifest is audit metadata, not the result.
-func (s *Server) stampManifest(j *Job, state string, cause error) {
-	m := obsv.NewManifest("jobd", nil)
-	m.State = state
-	m.Config = j.Spec.Config
-	m.Trace = j.Spec.Workload
-	m.Seed = j.Spec.Seed
-	s.mu.Lock()
-	m.Attempt = j.attempts
-	m.Cycles = j.progress.Load()
-	if j.state == StateDone {
-		m.Cycles = j.cycles
-	}
-	if j.errMsg != "" {
-		m.Error = j.errMsg
-	}
-	resumable := j.resumable
-	s.mu.Unlock()
-	if cause != nil {
-		m.Error = cause.Error()
-	}
-	m.LastCheckpoint = j.ckptCycle.Load()
-	if resumable {
-		m.RestoredFrom = s.ckptPath(j)
-	}
-	m.Finish(0, nil)
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return
-	}
-	if werr := s.writeDurable("manifest", s.manifestPath(j), append(data, '\n')); werr != nil {
-		s.logf("jobd: degraded: %v", werr)
-	}
-}
-
-// writeDurable is the degradation-aware write every output goes
-// through: atomic rename with the parent directory recreated on each
-// try (healing a yanked output tree), retried a few times, and a
-// typed *DiskError on persistent failure instead of a crash.
-func (s *Server) writeDurable(op, path string, data []byte) error {
-	var err error
-	for i := 0; i < 3; i++ {
-		if i > 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if err = fsatomic.WriteFile(path, data); err == nil {
-			return nil
-		}
-	}
-	return &DiskError{Op: op, Path: path, Err: err}
 }
 
 // RunSweep is the one-shot mode: run the sweep to completion on a
@@ -1291,17 +661,4 @@ func RunSweep(ctx context.Context, opts Options, spec SweepSpec) (SweepStatus, e
 			st.Name, st.Failed, st.Canceled, st.Total)
 	}
 	return st, nil
-}
-
-// ParseSweepFile reads a SweepSpec from a JSON file.
-func ParseSweepFile(path string) (SweepSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return SweepSpec{}, err
-	}
-	var spec SweepSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return SweepSpec{}, fmt.Errorf("jobd: sweep spec %s: %w", path, err)
-	}
-	return spec, nil
 }

@@ -41,16 +41,9 @@ func (e *StateFileError) Is(target error) bool { return target == ErrStateCorrup
 // re-finalize if their convergence pass was cut short.
 
 type persistedJob struct {
-	Spec        JobSpec `json:"spec"`
-	State       State   `json:"state"`
-	FailKind    string  `json:"failKind,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Attempts    int     `json:"attempts,omitempty"`
-	Preemptions int     `json:"preemptions,omitempty"`
-	Resumable   bool    `json:"resumable,omitempty"`
-	Cycles      int64   `json:"cycles,omitempty"`
-	FPS         float64 `json:"fps,omitempty"`
-	Sweep       string  `json:"sweep,omitempty"`
+	Spec JobSpec `json:"spec"`
+	record
+	Sweep string `json:"sweep,omitempty"`
 }
 
 type persistedState struct {
@@ -76,16 +69,7 @@ func (s *Server) saveState() {
 		st.Sweeps = append(st.Sweeps, sw.Name)
 	}
 	for _, j := range s.order {
-		pj := persistedJob{
-			Spec: j.Spec, State: j.state,
-			FailKind: j.failKind, Error: j.errMsg,
-			Attempts: j.attempts, Preemptions: j.preemptions,
-			Resumable: j.resumable, Cycles: j.cycles, FPS: j.fps,
-		}
-		if j.sweep != nil {
-			pj.Sweep = j.sweep.Name
-		}
-		st.Jobs = append(st.Jobs, pj)
+		st.Jobs = append(st.Jobs, persistedJob{Spec: j.Spec, record: j.record, Sweep: j.sweepName()})
 	}
 	s.mu.Unlock()
 	data, err := json.MarshalIndent(st, "", "  ")
@@ -131,7 +115,8 @@ func (s *Server) loadState() error {
 	s.nextID = st.NextID
 	byName := make(map[string]*Sweep, len(st.Sweeps))
 	for _, name := range st.Sweeps {
-		sw := &Sweep{Name: name, done: make(chan struct{})}
+		s.nextID++
+		sw := &Sweep{ID: s.nextID, Name: name, done: make(chan struct{})}
 		byName[name] = sw
 		s.sweeps = append(s.sweeps, sw)
 	}
@@ -141,12 +126,7 @@ func (s *Server) loadState() error {
 			continue
 		}
 		s.nextID++
-		j := &Job{
-			ID: s.nextID, Spec: pj.Spec,
-			state: pj.State, failKind: pj.FailKind, errMsg: pj.Error,
-			attempts: pj.Attempts, preemptions: pj.Preemptions,
-			resumable: pj.Resumable, cycles: pj.Cycles, fps: pj.FPS,
-		}
+		j := &Job{ID: s.nextID, Spec: pj.Spec, record: pj.record}
 		if sw := byName[pj.Sweep]; sw != nil {
 			j.sweep = sw
 			sw.jobs = append(sw.jobs, j)
@@ -159,9 +139,7 @@ func (s *Server) loadState() error {
 			} else {
 				// Result lost (crash between yank and convergence):
 				// deterministic re-run reproduces it exactly.
-				j.state = StateQueued
-				j.attempts, j.resumable = 0, false
-				j.cycles, j.fps = 0, 0
+				j.record = record{State: StateQueued, Preemptions: pj.Preemptions}
 				s.pushQueueLocked(j)
 				requeued++
 			}
@@ -171,9 +149,9 @@ func (s *Server) loadState() error {
 			// queued, running, or preempted when the previous life
 			// ended: requeue. A job that was mid-run has a checkpoint
 			// to resume from (or replays deterministically without one).
-			j.state = StateQueued
+			j.State = StateQueued
 			if pj.State != StateQueued {
-				j.resumable = true
+				j.Resumable = true
 			}
 			s.pushQueueLocked(j)
 			requeued++
@@ -185,9 +163,6 @@ func (s *Server) loadState() error {
 	if len(st.Jobs) > 0 {
 		s.logf("jobd: state restored: %d jobs (%d requeued), %d sweeps",
 			len(st.Jobs), requeued, len(st.Sweeps))
-	}
-	if s.nextID < st.NextID {
-		s.nextID = st.NextID
 	}
 	return nil
 }

@@ -42,6 +42,17 @@ func Commands(cmds []gpu.Command, fingerprint string) Source {
 	return func(*gpu.Pipeline) ([]gpu.Command, string, error) { return cmds, fingerprint, nil }
 }
 
+// Defaults are the run parameters of a caller that names none
+// (experiments, jobd's job specs): the case study scaled down so each
+// configuration runs in seconds; the paper ran 1024x768 over 40 frames.
+func Defaults() workload.Params {
+	return workload.Params{Width: 192, Height: 144, Frames: 2, Aniso: 8, Seed: 1}
+}
+
+// MaxCycles is the default cycle budget, generous for the scaled-down
+// workloads.
+const MaxCycles = 2_000_000_000
+
 // Checkpoint is a run's periodic checkpointing: the file each capture
 // atomically replaces and the minimum cycle distance between captures
 // (<= 0 installs no engine).
