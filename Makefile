@@ -28,11 +28,12 @@ test:
 # progress, torn and out-of-order state-file saves);
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
-# also fails if planning a quad allocates) and the texture unit's
-# request benchmark, so they cannot rot;
+# also fails if planning a quad allocates), the texture unit's
+# request benchmark and the workload build's benchmark, so they cannot
+# rot;
 # then fuzz smokes over the trace reader, the checkpoint's GPU memory
-# section decoder, and the decoded shader interpreter against its
-# reference evaluator.
+# section decoder, the decoded shader interpreter against its
+# reference evaluator, and the DXT encoder against its model.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(gofmt_gate)
@@ -46,9 +47,11 @@ check:
 	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem
 	$(GO) test -run '^$$' -bench BenchmarkPlanQuad -benchtime 1x ./internal/emu/texemu
 	$(GO) test -run '^$$' -bench BenchmarkTextureUnitQuad -benchtime 1x ./internal/gpu
+	$(GO) test -run '^$$' -bench BenchmarkBuild -benchtime 1x ./internal/workload
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
+	$(GO) test -run '^$$' -fuzz=FuzzEncodeDXTMatchesModel -fuzztime=10s ./internal/emu/texemu
 
 # lint fails on any tracked Go file gofmt would change, then runs the
 # static analyzers when they are installed (neither is vendored; the
@@ -70,13 +73,16 @@ lint:
 # target is differential instead: random programs through the decoded
 # quad-at-a-time interpreter and the reference per-lane one must leave
 # every register bit-identical, NaN payloads included, on a fresh
-# thread and on one Reset for a second program.
+# thread and on one Reset for a second program. So is the DXT target:
+# random blocks through the encoder and its per-texel model must give
+# the same bytes in DXT1, DXT3 and DXT5.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/chkpt
 	$(GO) test -fuzz=FuzzDecoder -fuzztime=30s ./internal/chkpt
 	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=30s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=30s ./internal/emu/shaderemu
+	$(GO) test -run '^$$' -fuzz=FuzzEncodeDXTMatchesModel -fuzztime=30s ./internal/emu/texemu
 
 # loc prints non-test Go lines per directory (cmd/*, internal/*, the
 # root package) and their total, then test lines the same way: every

@@ -77,18 +77,21 @@ func mix(a, b RGBA, wa, wb int) RGBA {
 }
 
 // encodeDXTBlock compresses 16 row-major texels into one DXT block.
-// The encoder picks the extreme-luminance texels as endpoints and
-// maps every texel to the nearest palette entry — simple but adequate
-// for synthetic workload textures.
+// The encoder picks the extreme-luminance texels as endpoints (the
+// first of equals) and maps every texel to the nearest palette entry
+// (the first of equally near ones) — simple but adequate for synthetic
+// workload textures. Each texel's luminance is computed once, and the
+// palette is searched in ints.
 func encodeDXTBlock(f Format, src *[16]RGBA, dst []byte) {
-	lum := func(c RGBA) int { return 2*int(c[0]) + 5*int(c[1]) + int(c[2]) }
 	lo, hi := 0, 0
-	for i := 1; i < 16; i++ {
-		if lum(src[i]) < lum(src[lo]) {
-			lo = i
+	lumLo, lumHi := 1<<30, -1
+	for i, c := range src {
+		l := 2*int(c[0]) + 5*int(c[1]) + int(c[2])
+		if l < lumLo {
+			lo, lumLo = i, l
 		}
-		if lum(src[i]) > lum(src[hi]) {
-			hi = i
+		if l > lumHi {
+			hi, lumHi = i, l
 		}
 	}
 	c0, c1 := toRGB565(src[hi]), toRGB565(src[lo])
@@ -108,21 +111,30 @@ func encodeDXTBlock(f Format, src *[16]RGBA, dst []byte) {
 	palette[1] = rgb565(c1)
 	palette[2] = mix(palette[0], palette[1], 2, 1)
 	palette[3] = mix(palette[0], palette[1], 1, 2)
+	// A texel's squared distance to entry p, less the texel's own
+	// squared length (the same for every p, so neither the order nor
+	// the ties change), is k[p] - 2c·p. The four are unrolled, strict
+	// < keeping the first of equals, and compile to conditional moves.
+	var pr, pg, pb, k [4]int
+	for p, e := range palette {
+		pr[p], pg[p], pb[p] = int(e[0]), int(e[1]), int(e[2])
+		k[p] = pr[p]*pr[p] + pg[p]*pg[p] + pb[p]*pb[p]
+	}
 
 	var indices uint32
-	for i := 0; i < 16; i++ {
-		best, bestDist := 0, 1<<30
-		for p := 0; p < 4; p++ {
-			d := 0
-			for ch := 0; ch < 3; ch++ {
-				dd := int(src[i][ch]) - int(palette[p][ch])
-				d += dd * dd
-			}
-			if d < bestDist {
-				best, bestDist = p, d
-			}
+	for i, c := range src {
+		r, g, b := 2*int(c[0]), 2*int(c[1]), 2*int(c[2])
+		best, bestDist := uint32(0), k[0]-r*pr[0]-g*pg[0]-b*pb[0]
+		if d := k[1] - r*pr[1] - g*pg[1] - b*pb[1]; d < bestDist {
+			best, bestDist = 1, d
 		}
-		indices |= uint32(best) << (2 * i)
+		if d := k[2] - r*pr[2] - g*pg[2] - b*pb[2]; d < bestDist {
+			best, bestDist = 2, d
+		}
+		if d := k[3] - r*pr[3] - g*pg[3] - b*pb[3]; d < bestDist {
+			best = 3
+		}
+		indices |= best << (2 * i)
 	}
 
 	colorOff := 0

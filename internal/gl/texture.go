@@ -39,33 +39,42 @@ func (im *Image) Set(x, y int, c texemu.RGBA) {
 	im.Pix[y*im.W+x] = c
 }
 
-// halve box-filters the image down one mip level.
-func (im *Image) halve() *Image {
-	w, h := im.W/2, im.H/2
-	if w < 1 {
-		w = 1
+// halveInto box-filters the image down one mip level into dst,
+// reusing dst's pixels when they are large enough. Each output texel
+// averages a 2x2 block; an image one texel wide (or high) repeats its
+// one column (row), as a clamped read would.
+func (im *Image) halveInto(dst *Image) {
+	w, h := max(im.W/2, 1), max(im.H/2, 1)
+	if cap(dst.Pix) < w*h {
+		dst.Pix = make([]texemu.RGBA, w*h)
 	}
-	if h < 1 {
-		h = 1
-	}
-	out := NewImage(w, h)
+	dst.W, dst.H, dst.Pix = w, h, dst.Pix[:w*h]
+	dx, dy := min(im.W-1, 1), min(im.H-1, 1)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum [4]int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					c := im.At(x*2+dx, y*2+dy)
-					for ch := 0; ch < 4; ch++ {
-						sum[ch] += int(c[ch])
-					}
-				}
+		r0 := im.Pix[2*y*im.W : (2*y+1)*im.W]
+		r1 := im.Pix[(2*y+dy)*im.W : (2*y+dy+1)*im.W]
+		out := dst.Pix[y*w : (y+1)*w]
+		for x := range out {
+			a, b, c, d := &r0[2*x], &r0[2*x+dx], &r1[2*x], &r1[2*x+dx]
+			for ch := range out[x] {
+				out[x][ch] = byte((int(a[ch]) + int(b[ch]) + int(c[ch]) + int(d[ch])) / 4)
 			}
-			out.Set(x, y, texemu.RGBA{
-				byte(sum[0] / 4), byte(sum[1] / 4), byte(sum[2] / 4), byte(sum[3] / 4),
-			})
 		}
 	}
-	return out
+}
+
+// mipScratch is the pair of images one texture's mip chain is halved
+// through: level l+1 lands in the image level l does not occupy, so a
+// chain of any length (and every face of a cube) costs two images.
+// encodeLevel copies each level out before the next overwrites it.
+type mipScratch [2]Image
+
+// next halves level, the chain's level l, into the image level l does
+// not occupy and returns it.
+func (s *mipScratch) next(l int, level *Image) *Image {
+	dst := &s[l%2]
+	level.halveInto(dst)
+	return dst
 }
 
 // TexParams configures sampler state at creation.
@@ -132,13 +141,14 @@ func (c *Context) TexImage2D(img *Image, format texemu.Format, params TexParams)
 	}
 	addr := base
 	level := img
+	var scratch mipScratch
 	for l := 0; l < levels; l++ {
 		tex.Base[0][l] = addr
 		data := encodeLevel(tex, l, level)
 		c.cmds = append(c.cmds, gpu.CmdBufferWrite{Addr: addr, Data: data})
 		addr += uint32(tex.LevelBytes(l))
 		if l+1 < levels {
-			level = level.halve()
+			level = scratch.next(l, level)
 		}
 	}
 	c.nextID++
@@ -183,6 +193,7 @@ func (c *Context) TexImageCube(faces *[6]*Image, format texemu.Format, params Te
 		return 0
 	}
 	addr := base
+	var scratch mipScratch
 	for face := 0; face < texemu.CubeFaces; face++ {
 		level := faces[face]
 		for l := 0; l < levels; l++ {
@@ -191,7 +202,7 @@ func (c *Context) TexImageCube(faces *[6]*Image, format texemu.Format, params Te
 			c.cmds = append(c.cmds, gpu.CmdBufferWrite{Addr: addr, Data: data})
 			addr += uint32(tex.LevelBytes(l))
 			if l+1 < levels {
-				level = level.halve()
+				level = scratch.next(l, level)
 			}
 		}
 	}
@@ -201,17 +212,27 @@ func (c *Context) TexImageCube(faces *[6]*Image, format texemu.Format, params Te
 }
 
 // encodeLevel packs one mip level into tiled (and possibly
-// compressed) memory bytes.
+// compressed) memory bytes. A tile inside the level is gathered a row
+// at a time; one that overhangs it (a level smaller than a tile, or
+// one whose size is not a multiple of it) repeats the edge texels.
 func encodeLevel(tex *texemu.Texture, l int, img *Image) []byte {
+	const n = texemu.TileTexels
 	tilesX, tilesY := tex.LevelTiles(l)
 	tileBytes := tex.Format.TileBytes()
 	out := make([]byte, tilesX*tilesY*tileBytes)
-	var tile [texemu.TileTexels * texemu.TileTexels]texemu.RGBA
+	var tile [n * n]texemu.RGBA
 	for ty := 0; ty < tilesY; ty++ {
 		for tx := 0; tx < tilesX; tx++ {
-			for y := 0; y < texemu.TileTexels; y++ {
-				for x := 0; x < texemu.TileTexels; x++ {
-					tile[y*texemu.TileTexels+x] = img.At(tx*texemu.TileTexels+x, ty*texemu.TileTexels+y)
+			x0, y0 := tx*n, ty*n
+			if x0+n <= img.W && y0+n <= img.H {
+				for y := 0; y < n; y++ {
+					copy(tile[y*n:(y+1)*n], img.Pix[(y0+y)*img.W+x0:])
+				}
+			} else {
+				for y := 0; y < n; y++ {
+					for x := 0; x < n; x++ {
+						tile[y*n+x] = img.At(x0+x, y0+y)
+					}
 				}
 			}
 			idx := (ty*tilesX + tx) * tileBytes
