@@ -22,10 +22,9 @@ test:
 # model (inline, handed off and with the helper stalled, its panics and
 # its lifecycle), and the jobd worker pool (chaos kill/panic/yank ->
 # auto-resume -> byte-identical convergence, the SIGTERM drain/resume
-# path, the replay on a fresh machine when a checkpoint is refused, the
-# /fleet/metrics merge under concurrent job completion, cancel of a
-# queued and a running job, the cancel/complete race, monotone
-# progress, torn and out-of-order state-file saves);
+# path, the replay on a fresh machine when a checkpoint is refused, two
+# workers writing traced jobs' span dumps and a crash report at once,
+# monotone progress, torn and out-of-order state-file saves);
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
 # also fails if planning a quad allocates), the texture unit's
@@ -41,7 +40,7 @@ check:
 	$(GO) test -race ./internal/core/ ./internal/obsv/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestRunAhead' -count=1 ./internal/gpu/
-	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone|Cancel)$$|^TestFleetMetricsMergeAcrossJobs$$|^TestCancel(CompleteStress|AfterDoneKeepsTerminalState)$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
+	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestJobArtifacts$$|^TestFleetMetricsMergeAcrossJobs$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem

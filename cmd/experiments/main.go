@@ -7,13 +7,11 @@
 //	experiments -exp fig7 [-width 192 -height 144 -frames 2]
 //	experiments -exp all -out results/
 //
-// Beyond the one-shot experiments it also fronts the supervised job
-// server (internal/jobd):
+// It also runs a sweep spec under jobd's supervision (internal/jobd):
 //
-//	experiments -serve :6060 -job-out results/          long-lived service
-//	experiments -sweep sweep.json -job-out results/     one-shot supervised sweep
+//	experiments -sweep sweep.json -job-out results/
 //
-// Both modes survive SIGTERM by draining: in-flight jobs checkpoint,
+// A sweep survives SIGTERM by draining: in-flight jobs checkpoint,
 // stamp their manifests, and persist resumable; re-invoking over the
 // same -job-out resumes them to byte-identical results.
 package main
@@ -51,29 +49,25 @@ func main() {
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes across all runs (sampled; prints a ranked table)")
 	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome)")
 
-	// Job-server mode (internal/jobd): the flags fill its Options.
+	// Sweep mode (internal/jobd): the flags fill its Options.
 	var o jobd.Options
-	flag.Int64Var(&o.WatchdogWindow, "watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off; under -serve/-sweep 0 = jobd's default 50000000, negative = off)")
-	serveAddr := flag.String("serve", "", "serve the supervised job API (and status server) on this address, e.g. :6060")
-	sweepFile := flag.String("sweep", "", "run this sweep spec (JSON) as a one-shot supervised sweep and exit")
-	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -serve/-sweep (stats CSVs, manifests, state file, checkpoints)")
-	flag.IntVar(&o.Workers, "job-workers", 0, "worker pool size for -serve/-sweep (0 = half the CPUs)")
-	flag.IntVar(&o.QueueLimit, "queue-limit", 0, "admission control: reject submits past this many queued jobs with 429 (0 = default 256, negative = unlimited)")
-	flag.Int64Var(&o.PreemptCycles, "preempt-cycles", 0, "fairness quantum: checkpoint-and-requeue a job after this many cycles while others wait (0 = off)")
-	flag.Int64Var(&o.CheckpointInterval, "checkpoint-interval", 0, "checkpoint -serve/-sweep jobs at this cycle cadence so retries resume instead of replaying (<= 0 = default 100000; jobs always checkpoint)")
-	flag.IntVar(&o.Retries, "job-retries", 0, "default per-job retry budget for -serve/-sweep (0 = default 2, negative = fail fast)")
-	flag.DurationVar(&o.RetryBackoff, "retry-backoff", 100*time.Millisecond, "wait before a -serve/-sweep job's first retry; doubles on each further retry")
-	flag.DurationVar(&o.RetryBackoffMax, "retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -serve/-sweep retry backoff (jitter is seeded)")
-	flag.DurationVar(&o.JobTimeout, "job-timeout", 0, "default per-attempt wall-clock limit for -serve/-sweep (0 = none)")
-	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "grace period for SIGTERM drain before in-flight jobs are hard-stopped onto their last checkpoint")
+	flag.Int64Var(&o.WatchdogWindow, "watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off; under -sweep 0 = jobd's default 50000000, negative = off)")
+	sweepFile := flag.String("sweep", "", "run this sweep spec (JSON) as a supervised sweep and exit")
+	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -sweep (stats CSVs, manifests, span dumps, crash reports, state file, checkpoints)")
+	flag.IntVar(&o.Workers, "job-workers", 0, "worker pool size for -sweep (0 = half the CPUs)")
+	flag.Int64Var(&o.CheckpointInterval, "checkpoint-interval", 0, "checkpoint -sweep jobs at this cycle cadence so retries resume instead of replaying (<= 0 = default 100000; jobs always checkpoint)")
+	flag.IntVar(&o.Retries, "job-retries", 0, "default per-job retry budget for -sweep (0 = default 2, negative = fail fast)")
+	flag.DurationVar(&o.RetryBackoff, "retry-backoff", 100*time.Millisecond, "wait before a -sweep job's first retry; doubles on each further retry")
+	flag.DurationVar(&o.RetryBackoffMax, "retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -sweep retry backoff (jitter is seeded)")
+	flag.DurationVar(&o.JobTimeout, "job-timeout", 0, "default per-attempt wall-clock limit for -sweep (0 = none)")
 	chaosServer := flag.String("chaos-server", "", "jobd-level fault plan: seed=N,kill=JOB@CYCLE,panic=JOB@CYCLE[:BOX],yank=JOB (see internal/chaos)")
-	traceSample := flag.String("trace-sample", "", "request tracing for -serve/-sweep jobs: keep 1/N spans (e.g. 1/64; off by default)")
+	traceSample := flag.String("trace-sample", "", "request tracing for -sweep jobs: keep 1/N spans, written to <job>-spans.ndjson (e.g. 1/64; off by default)")
 	flag.Uint64Var(&o.TraceSeed, "trace-seed", 1, "seed for the deterministic span sampler")
 
 	flag.Parse()
 
-	if *serveAddr != "" || *sweepFile != "" {
-		os.Exit(runJobMode(o, *serveAddr, *sweepFile, *traceSample, *chaosServer, *drainTimeout))
+	if *sweepFile != "" {
+		os.Exit(runSweep(o, *sweepFile, *traceSample, *chaosServer))
 	}
 
 	// SIGINT/SIGTERM and -timeout cancel the in-flight simulation at
@@ -261,10 +255,9 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// runJobMode runs the supervised job server, either as a long-lived
-// service (-serve) or as a one-shot sweep (-sweep). Returns the
-// process exit code.
-func runJobMode(o jobd.Options, serveAddr, sweepFile, traceSample, chaosServer string, drainTimeout time.Duration) int {
+// runSweep runs the sweep spec in sweepFile under jobd's supervision
+// and returns the process exit code.
+func runSweep(o jobd.Options, sweepFile, traceSample, chaosServer string) int {
 	usage := func(err error) int {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 4
@@ -274,67 +267,37 @@ func runJobMode(o jobd.Options, serveAddr, sweepFile, traceSample, chaosServer s
 		return usage(err)
 	}
 	if o.OutDir == "" {
-		return usage(errors.New("-serve/-sweep need -job-out DIR"))
+		return usage(errors.New("-sweep needs -job-out DIR"))
 	}
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	o.TraceSample, o.Logf = rate, logger.Printf
+	o.TraceSample, o.Logf = rate, log.New(os.Stderr, "", log.LstdFlags).Printf
 	if chaosServer != "" {
 		if o.Chaos, err = chaos.ParseServer(chaosServer); err != nil {
 			return usage(err)
 		}
 		fmt.Println("chaos-server:", o.Chaos)
 	}
+	spec, err := jobd.ParseSweepFile(sweepFile)
+	if err != nil {
+		return usage(err)
+	}
 
-	// SIGINT/SIGTERM trigger the graceful drain in both modes.
+	// SIGINT/SIGTERM trigger the graceful drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if sweepFile != "" {
-		spec, err := jobd.ParseSweepFile(sweepFile)
-		if err != nil {
-			return usage(err)
-		}
-		st, err := jobd.RunSweep(ctx, o, spec)
-		for _, j := range st.Jobs {
-			fmt.Printf("%-24s %-10s attempts=%d cycles=%d\n", j.Name, j.State, j.Attempts, j.Cycles)
-		}
-		switch {
-		case err == nil:
-			fmt.Printf("sweep %s: %d jobs done; summary at %s\n",
-				st.Name, st.Done, filepath.Join(o.OutDir, st.Name+"-summary.txt"))
-			return 0
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; state saved, re-run to resume\n")
-			return 3
-		default:
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
+	st, err := jobd.RunSweep(ctx, o, spec)
+	for _, j := range st.Jobs {
+		fmt.Printf("%-24s %-10s attempts=%d cycles=%d\n", j.Name, j.State, j.Attempts, j.Cycles)
 	}
-
-	srv := jobd.New(o)
-	if err := srv.Start(); err != nil {
+	switch {
+	case err == nil:
+		fmt.Printf("sweep %s: %d jobs done; summary at %s\n",
+			st.Name, st.Done, filepath.Join(o.OutDir, st.Name+"-summary.txt"))
+		return 0
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; state saved, re-run to resume\n")
+		return 3
+	default:
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
-	status := obsv.NewServer(serveAddr, obsv.ServerOptions{
-		Jobs:  srv.Handler(),
-		Ready: func() bool { return !srv.Draining() },
-	})
-	if err := status.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-	logger.Printf("jobd: serving on %s (POST /sweeps to submit; SIGTERM drains)", status.Addr())
-	<-ctx.Done()
-	logger.Printf("jobd: signal received, draining (grace %v)", drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-	}
-	status.Close()
-	srv.Close()
-	logger.Printf("jobd: drained; state saved, restart to resume")
-	return 0
 }

@@ -551,7 +551,7 @@ type Engine struct {
 // ForceNext requests a checkpoint at the next eligible safe point
 // regardless of how recently one was taken. It is safe to call from
 // any goroutine; the job server uses it to checkpoint a run that is
-// about to be preempted or drained. The request stays armed — across
+// about to be drained. The request stays armed — across
 // failed writes too — until a capture lands, then clears.
 func (e *Engine) ForceNext() { e.force.Store(true) }
 

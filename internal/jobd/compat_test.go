@@ -2,17 +2,13 @@ package jobd
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"attila/internal/obsv"
 )
@@ -33,13 +29,16 @@ import (
 //     container whose epoch slot holds lease epoch 1, and its manifest
 //     carries the since-deleted fleetPeer and leaseEpoch keys.
 //
+// Besides them, a state file written inline as a binary with
+// preemption wrote it: a drained job that had been preempted twice
+// carries "preemptions": 2. And a sweep file whose job carries
+// "tenant", "priority" and "resume" still parses and normalizes.
+//
 // A "lost" job cannot appear in a jobd-state.json: only fleet peers
 // marked jobs lost, and they wrote jobd-state-<peer>.json, which no
 // binary reads any more. So no reader for that state is kept.
 func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 	_, cleanCSV := cleanRun(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 
 	dir := copyFixture(t, "parent-drained")
 	s := New(Options{OutDir: dir, Workers: 1, Retries: -1, Logf: t.Logf})
@@ -47,17 +46,10 @@ func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sw, err := s.SweepByRef("compat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSweep(ctx, sw); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.SweepStatus(sw); st.Done != 2 {
-		t.Fatalf("resumed sweep: %d done of %d, status %+v", st.Done, st.Total, st)
-	}
 	for _, name := range []string{"compat-1", "compat-2"} {
+		if st := waitState(t, s, name, ""); st.State != StateDone {
+			t.Fatalf("resumed job: %+v, want done", st)
+		}
 		csv, err := os.ReadFile(filepath.Join(dir, name+".csv"))
 		if err != nil {
 			t.Fatal(err)
@@ -76,6 +68,28 @@ func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 			m.State, m.Config, m.LastCheckpoint)
 	}
 
+	// The drained, twice-preempted job resumes from its checkpoint to
+	// the clean CSV.
+	dir = copyFixture(t, "parent-drained")
+	state := `{"nextId": 2, "sweeps": ["old"], "jobs": [{"spec": {"name": "compat-1",
+		"config": "baseline", "workload": "simple", "width": 96, "height": 64, "frames": 3,
+		"aniso": 2, "seed": 1, "maxCycles": 200000000, "timeoutSec": -1},
+		"state": "preempted", "attempts": 0, "preemptions": 2, "resumable": true, "sweep": "old"}]}`
+	if err := os.WriteFile(filepath.Join(dir, "jobd-state.json"), []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps := New(Options{OutDir: dir, Workers: 1, Retries: -1, Logf: t.Logf})
+	if err := ps.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if st := waitState(t, ps, "compat-1", ""); st.State != StateDone || st.Sweep != "old" {
+		t.Fatalf("twice-preempted job: %+v, want done in sweep old", st)
+	}
+	if csv, err := os.ReadFile(filepath.Join(dir, "compat-1.csv")); err != nil || !bytes.Equal(csv, cleanCSV) {
+		t.Errorf("twice-preempted job's CSV differs from the clean run (%v)", err)
+	}
+
 	// The fleet peer's files: compat-1 resumes from the epoch-stamped
 	// checkpoint to the clean CSV.
 	dir = copyFixture(t, "parent-fleet")
@@ -90,12 +104,10 @@ func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 	if err := fs.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Close()
 	// compat-long, a 320x240 ut2004 run, only kept the peer's one worker
-	// busy while the kill landed; this test does not need its result.
-	if err := fs.CancelJob("compat-long"); err != nil {
-		t.Fatal(err)
-	}
+	// busy while the kill landed; this test does not need its result,
+	// and Close stops it.
+	defer fs.Close()
 	if st := waitState(t, fs, "compat-1", ""); st.State != StateDone {
 		t.Fatalf("fleet peer's job: %+v, want done", st)
 	}
@@ -123,21 +135,20 @@ func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 			m.State, m.Config, m.LastCheckpoint)
 	}
 
-	// A submit body carrying the keys is accepted and the keys ignored.
-	// No Start: the job only needs admitting.
-	fresh := New(Options{OutDir: t.TempDir(), Workers: 1})
-	srv := httptest.NewServer(fresh.Handler())
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/jobs", "application/json",
-		strings.NewReader(`{"name":"with-tenant","tenant":"a","priority":9,"resume":true}`))
+	// A sweep file whose job carries the keys parses, and the keys are
+	// ignored.
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte(`{"name": "keys", "jobs": [
+		{"name": "with-tenant", "tenant": "a", "priority": 9, "resume": true}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSweepFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit with tenant/priority/resume keys: status %d, want 202", resp.StatusCode)
+	if jobs, err := NormalizeSweep(spec); err != nil || len(jobs) != 1 || jobs[0].Name != "with-tenant" {
+		t.Fatalf("sweep file with tenant/priority/resume keys: %+v, %v", jobs, err)
 	}
-	fresh.Close()
 }
 
 // copyFixture copies a testdata fixture set's state file and checkpoints

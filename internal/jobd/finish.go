@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"attila/internal/core"
 	"attila/internal/fsatomic"
 	"attila/internal/obsv"
 )
@@ -33,24 +34,42 @@ type Sweep struct {
 	done chan struct{} // closed once finalized
 }
 
-// completeJob writes a finished job's stats CSV and then finishes it. A
-// write that keeps failing degrades the job to StateFailed/FailDisk —
-// the result bytes stay in memory, so a later sweep convergence pass
-// can still recover the file if the disk comes back.
-func (s *Server) completeJob(j *Job) {
+// completeJob writes a finished job's stats CSV and its span dump (nil
+// when tracing was off), then finishes it. A CSV write that keeps
+// failing degrades the job to StateFailed/FailDisk — the result bytes
+// stay in memory, so a later sweep convergence pass can still recover
+// the file if the disk comes back. Like the manifest, a lost span dump
+// never fails the job.
+func (s *Server) completeJob(j *Job, spans []byte) {
 	s.mu.Lock()
 	data := j.csv
 	s.mu.Unlock()
-	if err := s.writeDurable("stats csv", s.csvPath(j), data); err != nil {
+	if err := s.writeDurable("stats csv", s.outPath(j, ".csv"), data); err != nil {
 		s.finishJob(j, StateFailed, FailDisk, err)
 		return
+	}
+	if spans != nil {
+		s.keep("span dump", s.outPath(j, "-spans.ndjson"), spans)
 	}
 	s.finishJob(j, StateDone, "", nil)
 }
 
+// failJob ends a job that ran out of retries, leaving the black box of
+// its last attempt (nil when that attempt never ran) in
+// <name>-crash.json. Like the manifest, a lost report never changes the
+// outcome.
+func (s *Server) failJob(j *Job, kind string, err error, crash *core.CrashReport) {
+	if crash != nil {
+		var buf bytes.Buffer
+		if crash.WriteJSON(&buf) == nil {
+			s.keep("crash report", s.outPath(j, "-crash.json"), buf.Bytes())
+		}
+	}
+	s.finishJob(j, StateFailed, kind, err)
+}
+
 // finishJob moves a job to a terminal state. Terminal states are
-// sticky: a cancel racing a completion (or any other double finish)
-// must not overwrite the first outcome.
+// sticky: a second finish never overwrites the first outcome.
 func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	s.mu.Lock()
 	if j.State.terminal() {
@@ -128,7 +147,7 @@ func (s *Server) maybeFinalize(sw *Sweep) {
 		if st != StateDone || len(data) == 0 {
 			continue
 		}
-		path := s.csvPath(j)
+		path := s.outPath(j, ".csv")
 		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, data) {
 			continue
 		}
@@ -173,16 +192,14 @@ func (s *Server) buildSummary(sw *Sweep, jobs []*Job) []byte {
 	return buf.Bytes()
 }
 
-func (s *Server) csvPath(j *Job) string {
-	return filepath.Join(s.opts.OutDir, j.Spec.Name+".csv")
+// outPath is the path of the job's output file with the given suffix:
+// ".csv", "-manifest.json", "-spans.ndjson" or "-crash.json".
+func (s *Server) outPath(j *Job, suffix string) string {
+	return filepath.Join(s.opts.OutDir, j.Spec.Name+suffix)
 }
 
 func (s *Server) ckptPath(j *Job) string {
 	return filepath.Join(s.opts.CkptDir, j.Spec.Name+".ckpt")
-}
-
-func (s *Server) manifestPath(j *Job) string {
-	return filepath.Join(s.opts.OutDir, j.Spec.Name+"-manifest.json")
 }
 
 func (s *Server) summaryPath(sw *Sweep) string {
@@ -218,8 +235,14 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 	if err != nil {
 		return
 	}
-	if werr := s.writeDurable("manifest", s.manifestPath(j), append(data, '\n')); werr != nil {
-		s.logf("jobd: degraded: %v", werr)
+	s.keep("manifest", s.outPath(j, "-manifest.json"), append(data, '\n'))
+}
+
+// keep writes a file whose loss costs provenance or resumability, never
+// a result: a write that keeps failing is logged, not returned.
+func (s *Server) keep(op, path string, data []byte) {
+	if err := s.writeDurable(op, path, data); err != nil {
+		s.logf("jobd: degraded: %v", err)
 	}
 }
 

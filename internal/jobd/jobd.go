@@ -1,31 +1,26 @@
-// Package jobd is the sim-as-a-service layer: a long-lived,
-// fault-tolerant job server that turns the one-shot experiments CLI
-// into a supervised sweep service. Jobs (one simulation run each) and
-// sweeps (named sets of jobs) are submitted over a small HTTP API,
-// executed in submission order by a bounded worker pool, and
-// supervised per job with the robustness primitives the repository
-// already has:
+// Package jobd is the supervised sweep runner: it runs a named set of
+// jobs (one simulation run each) on a bounded worker pool of one host,
+// in submission order, writes every result to one output directory,
+// and supervises each job with the robustness primitives the
+// repository already has:
 //
 //   - per-job wall-clock timeout and no-progress watchdog window;
 //   - bounded retries with capped, seeded-jitter exponential backoff,
 //     each retry resuming from the job's last checkpoint
 //     (internal/chkpt) instead of replaying from cycle zero;
 //   - panic and deadlock isolation: a crashing box surfaces as a
-//     core.CrashError black box on the job, never as a dead server;
-//   - checkpoint-based preemption: a job that has held a worker for a
-//     full quantum while others wait is checkpointed at the next
-//     quiesced barrier and requeued, so the pool stays fair;
+//     core.CrashError black box in the job's <name>-crash.json, never
+//     as a dead process;
 //   - graceful degradation: SIGTERM drains the pool (in-flight jobs
-//     checkpoint, stamp their manifest, and persist as resumable),
-//     admission control rejects submits past the queue limit with
-//     429 + Retry-After, and disk-write failures degrade the job to a
-//     typed failed state instead of crashing the process.
+//     checkpoint, stamp their manifest "preempted", and persist as
+//     resumable), and disk-write failures degrade the job to a typed
+//     failed state instead of crashing the process.
 //
 // Because checkpoint restore is bit-identical, none of the supervision
 // machinery can change results: a sweep that was killed, panicked,
-// preempted, drained, and resumed converges to the same per-run stats
-// CSVs and sweep summary, byte for byte, as a clean one-shot run. The
-// seeded chaos convergence suite asserts exactly that.
+// drained, and resumed converges to the same per-run stats CSVs and
+// sweep summary, byte for byte, as a clean one-shot run. The seeded
+// chaos convergence suite asserts exactly that.
 package jobd
 
 import (
@@ -51,14 +46,14 @@ const (
 	StateQueued State = "queued"
 	// StateRunning: a worker is simulating it.
 	StateRunning State = "running"
-	// StatePreempted: checkpointed and requeued to keep the pool fair,
-	// or parked resumable by a drain.
+	// StatePreempted: parked resumable by a drain, under the name the
+	// state files and manifests of older binaries carry.
 	StatePreempted State = "preempted"
 	// StateDone: completed; stats CSV written.
 	StateDone State = "done"
 	// StateFailed: out of retries (FailKind says how it failed).
 	StateFailed State = "failed"
-	// StateCanceled: canceled by the user.
+	// StateCanceled: stopped by Close while it ran.
 	StateCanceled State = "canceled"
 )
 
@@ -78,15 +73,13 @@ const (
 	FailError    = "error"    // any other simulation error
 )
 
-// Typed submit failures the HTTP layer maps to status codes.
+// Typed submit and lookup failures.
 var (
-	// ErrQueueFull: admission control rejected the submit (429).
-	ErrQueueFull = errors.New("jobd: queue full")
-	// ErrDraining: the server is shutting down (503).
+	// ErrDraining: the server is shutting down.
 	ErrDraining = errors.New("jobd: server draining")
-	// ErrDuplicate: a job with that name already exists (409).
+	// ErrDuplicate: a job with that name already exists.
 	ErrDuplicate = errors.New("jobd: duplicate job name")
-	// ErrNotFound: no such job or sweep (404).
+	// ErrNotFound: no such job.
 	ErrNotFound = errors.New("jobd: not found")
 )
 
@@ -98,7 +91,7 @@ var ErrDisk = errors.New("jobd: disk write failed")
 // DiskError is a failed durable write, wrapping the underlying OS
 // error and matching ErrDisk.
 type DiskError struct {
-	Op   string // "stats csv", "manifest", "state"
+	Op   string // "stats csv", "manifest", "state", ...
 	Path string
 	Err  error
 }

@@ -5,94 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// TestCancelAfterDoneKeepsTerminalState pins the cancel/complete
-// race: a cancel that lands after the job completed must not
-// overwrite the terminal state (and vice versa — a completion must
-// not overwrite a cancel).
-func TestCancelAfterDoneKeepsTerminalState(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{OutDir: dir, Workers: 1, Retries: -1})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.SubmitJob(testSpec("race-done")); err != nil {
-		t.Fatal(err)
-	}
-	st := waitState(t, s, "race-done", StateDone)
-	if err := s.CancelJob("race-done"); err != nil {
-		t.Fatalf("cancel of done job: %v", err)
-	}
-	st, _ = s.JobStatus("race-done")
-	if st.State != StateDone {
-		t.Fatalf("cancel overwrote terminal state: got %s, want done", st.State)
-	}
-	if _, err := os.Stat(dir + "/race-done.csv"); err != nil {
-		t.Fatalf("done job lost its CSV after late cancel: %v", err)
-	}
-}
-
-// TestCancelCompleteStress races CancelJob against completing jobs
-// under the race detector: whatever interleaving happens, each job
-// lands in exactly one terminal state and never leaves it.
-func TestCancelCompleteStress(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{OutDir: dir, Workers: 2, Retries: -1, CheckpointInterval: 50_000})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const jobs = 4
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		name := fmt.Sprintf("stress-%d", i)
-		if _, err := s.SubmitJob(testSpec(name)); err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Hammer cancel while the job runs and completes.
-			for {
-				st, err := s.JobStatus(name)
-				if err != nil {
-					return
-				}
-				if st.State.terminal() {
-					return
-				}
-				_ = s.CancelJob(name)
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
-	for i := 0; i < jobs; i++ {
-		name := fmt.Sprintf("stress-%d", i)
-		st := waitState(t, s, name, "")
-		if st.State != StateDone && st.State != StateCanceled {
-			t.Fatalf("job %s: unexpected terminal state %s (%s: %s)", name, st.State, st.FailKind, st.Error)
-		}
-		// Terminal states are sticky: re-read after the cancel goroutines
-		// have certainly fired a few more times.
-		time.Sleep(20 * time.Millisecond)
-		again, _ := s.JobStatus(name)
-		if again.State != st.State {
-			t.Fatalf("job %s flipped terminal state: %s -> %s", name, st.State, again.State)
-		}
-	}
-	wg.Wait()
-}
 
 // TestStateFileTornWrite pins the corrupt-state quarantine: a
 // half-written jobd-state.json must not brick startup — the bytes are
@@ -103,7 +20,7 @@ func TestStateFileTornWrite(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitJob(testSpec("torn-1")); err != nil {
+	if _, err := s.SubmitSweep(SweepSpec{Name: "torn", Jobs: []JobSpec{testSpec("torn-1")}}); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, "torn-1", StateDone)
@@ -154,17 +71,15 @@ func TestStateFileTornWrite(t *testing.T) {
 }
 
 // TestDispatchIsFIFO drives nextJobLocked directly: jobs dispatch in
-// submission order, and a preempted job requeues behind every job
-// already waiting.
+// submission order, and a parked job requeues behind every job already
+// waiting.
 func TestDispatchIsFIFO(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()})
 	for _, name := range []string{"j1", "j2", "j3"} {
-		if _, err := s.submitLocked(testSpec(name), nil); err != nil {
-			t.Fatal(err)
-		}
+		s.submitLocked(testSpec(name), nil)
 	}
 	first := s.nextJobLocked()
-	s.pushQueueLocked(first) // what supervise does on a preemption
+	s.queue = append(s.queue, first) // what park does
 	got := []string{first.Spec.Name}
 	for j := s.nextJobLocked(); j != nil; j = s.nextJobLocked() {
 		got = append(got, j.Spec.Name)
@@ -185,9 +100,7 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("save-%d", i)
-		if _, err := s.submitLocked(testSpec(names[i]), nil); err != nil {
-			t.Fatal(err)
-		}
+		s.submitLocked(testSpec(names[i]), nil)
 	}
 	var wg sync.WaitGroup
 	for i, name := range names {
@@ -196,7 +109,6 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 			defer wg.Done()
 			s.mu.Lock()
 			j := s.jobs[name]
-			s.removeQueuedLocked(j)
 			j.State = StateDone
 			if i%2 == 1 {
 				j.State = StateCanceled
@@ -222,70 +134,5 @@ func TestStateFileNeverGoesBack(t *testing.T) {
 		if want := s.jobs[pj.Spec.Name].State; pj.State != want {
 			t.Errorf("state file: %s is %s, in memory %s", pj.Spec.Name, pj.State, want)
 		}
-	}
-}
-
-// TestRefIsNameOrWholeID: a job or sweep ref is a name, or an ID only
-// when the whole ref is a number. "<id>x" names nothing (a cancel of it
-// must not cancel job <id>), and a sweep named "1" wins over the sweep
-// whose ID is 1.
-func TestRefIsNameOrWholeID(t *testing.T) {
-	s := New(Options{OutDir: t.TempDir()}) // no Start: every job stays queued
-	// No state file: SubmitSweep saves it from a goroutine that could
-	// outlive the test's temp directory.
-	s.opts.StatePath = ""
-	first, err := s.SubmitSweep(SweepSpec{Name: "first", Jobs: []JobSpec{testSpec("first-1")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	named1, err := s.SubmitSweep(SweepSpec{Name: "1", Jobs: []JobSpec{testSpec("named-1")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.ID != 1 {
-		t.Fatalf("first sweep has ID %d; the test needs 1", first.ID)
-	}
-
-	job, err := s.JobStatus("first-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := strconv.FormatInt(job.ID, 10)
-	if err := s.CancelJob(id + "x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("CancelJob(%q) = %v, want ErrNotFound", id+"x", err)
-	}
-	if st, _ := s.JobStatus(id); st.Name != "first-1" || st.State != StateQueued {
-		t.Fatalf("job %s after a cancel of %q: %+v, want first-1 still queued", id, id+"x", st)
-	}
-
-	for ref, want := range map[string]*Sweep{"1": named1, "first": first, strconv.FormatInt(named1.ID, 10): named1} {
-		if got, err := s.SweepByRef(ref); err != nil || got != want {
-			t.Errorf("SweepByRef(%q) = %v, %v; want sweep %q", ref, got, err, want.Name)
-		}
-	}
-	if _, err := s.SweepByRef("1x"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("SweepByRef(%q) = %v, want ErrNotFound", "1x", err)
-	}
-}
-
-// TestSubmitBodyLimit: an oversized submit body is rejected with 413
-// instead of being buffered into memory.
-func TestSubmitBodyLimit(t *testing.T) {
-	s := New(Options{OutDir: t.TempDir(), Workers: 1})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	huge := `{"name":"big","workload":"` + strings.Repeat("x", maxSubmitBody) + `"}`
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized submit status = %d, want 413", resp.StatusCode)
 	}
 }

@@ -1,6 +1,6 @@
 package jobd
 
-// The server's front: admission, the queue, status, drain and close.
+// The server's front: the queue, status, drain and close.
 // supervise.go runs a dispatched job; finish.go holds its terminal
 // transitions, the sweep summary and the files a job leaves behind.
 
@@ -11,23 +11,21 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"attila/internal/chaos"
-	"attila/internal/core"
-	"attila/internal/obsv/trace"
 )
 
 // Options configures a Server. Zero values select the documented
 // defaults.
 type Options struct {
 	// OutDir receives per-job stats CSVs (<name>.csv), per-job
-	// manifests (<name>-manifest.json), sweep summaries
-	// (<sweep>-summary.txt) and, by default, the state file and
-	// checkpoint directory. Required.
+	// manifests (<name>-manifest.json), span dumps of traced jobs
+	// (<name>-spans.ndjson), black boxes of failed ones
+	// (<name>-crash.json), sweep summaries (<sweep>-summary.txt) and,
+	// by default, the state file and checkpoint directory. Required.
 	OutDir string
 	// CkptDir holds per-job checkpoint files; default OutDir/checkpoints.
 	CkptDir string
@@ -36,10 +34,6 @@ type Options struct {
 	StatePath string
 	// Workers bounds the pool; default half of GOMAXPROCS, minimum 1.
 	Workers int
-	// QueueLimit is the admission-control bound on queued jobs: submits
-	// past it fail with ErrQueueFull (HTTP 429 + Retry-After). Default
-	// 256; negative disables the limit.
-	QueueLimit int
 	// Retries is the default per-job retry budget after a failed
 	// attempt; default 2, negative means fail fast. JobSpec.Retries
 	// overrides per job.
@@ -51,13 +45,9 @@ type Options struct {
 	RetryBackoffMax time.Duration
 	// CheckpointInterval is the per-job checkpoint cadence in cycles;
 	// default (and any value <= 0) 100k. Checkpoints are what make
-	// retries resume instead of replay and what preemption/drain park
-	// jobs with.
+	// retries resume instead of replay and what a drain parks jobs
+	// with.
 	CheckpointInterval int64
-	// PreemptCycles, when > 0, is the fairness quantum: a job that has
-	// run this many cycles in one dispatch while other jobs wait is
-	// checkpointed at the next quiesced barrier and requeued.
-	PreemptCycles int64
 	// WatchdogWindow arms each job's no-progress watchdog; default 50M
 	// cycles, negative disables. JobSpec.WatchdogWindow overrides.
 	WatchdogWindow int64
@@ -66,8 +56,8 @@ type Options struct {
 	JobTimeout time.Duration
 	// TraceSample, when > 0, turns on request tracing for every job:
 	// 1-in-N memory transactions and shader work items carry latency
-	// spans, folded into per-job histograms that /fleet/metrics merges
-	// across jobs. Zero disables tracing.
+	// spans, and each done job leaves the sampled spans in
+	// <name>-spans.ndjson. Zero disables tracing.
 	TraceSample uint64
 	// TraceSeed seeds the deterministic span sampler; the same seed,
 	// rate, and workload select the same spans on every run.
@@ -92,9 +82,6 @@ func (o *Options) norm() {
 			o.Workers = 1
 		}
 	}
-	if o.QueueLimit == 0 {
-		o.QueueLimit = 256
-	}
 	if o.Retries == 0 {
 		o.Retries = 2
 	}
@@ -106,7 +93,7 @@ func (o *Options) norm() {
 	}
 }
 
-// JobStatus is the API view of a job.
+// JobStatus is what JobStatus and Jobs report of a job.
 type JobStatus struct {
 	ID       int64  `json:"id"`
 	Name     string `json:"name"`
@@ -118,7 +105,7 @@ type JobStatus struct {
 	Sweep           string `json:"sweep,omitempty"`
 }
 
-// SweepStatus is the API view of a sweep.
+// SweepStatus is a sweep's status with every job's.
 type SweepStatus struct {
 	ID        int64       `json:"id"`
 	Name      string      `json:"name"`
@@ -134,7 +121,7 @@ type SweepStatus struct {
 	Jobs      []JobStatus `json:"jobs"`
 }
 
-// Server is the supervised sweep job server.
+// Server runs supervised sweeps on a worker pool of one host.
 type Server struct {
 	opts Options
 
@@ -146,7 +133,6 @@ type Server struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*Job
-	byID     map[int64]*Job
 	order    []*Job
 	queue    []*Job // FIFO: submission order, requeued jobs at the back
 	sweeps   []*Sweep
@@ -162,7 +148,6 @@ type Server struct {
 	stopRuns context.CancelCauseFunc
 
 	draining atomic.Bool
-	queueLen atomic.Int64
 	stopCh   chan struct{} // closed when a drain or close begins
 	wg       sync.WaitGroup
 }
@@ -174,7 +159,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:   opts,
 		jobs:   make(map[string]*Job),
-		byID:   make(map[int64]*Job),
 		stopCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -219,23 +203,6 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// SubmitJob queues one job.
-func (s *Server) SubmitJob(spec JobSpec) (*Job, error) {
-	norm, err := spec.normalize(JobSpec{})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	j, err := s.submitLocked(norm, nil)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	s.cond.Signal()
-	s.saveState()
-	return j, nil
-}
-
 // SubmitSweep queues a named set of jobs atomically: either every job
 // is admitted or none is. Resubmitting a sweep whose name and
 // normalized job specs equal an existing one's returns the existing
@@ -262,24 +229,15 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	if s.draining.Load() || s.closed {
 		return nil, ErrDraining
 	}
-	if lim := s.opts.QueueLimit; lim > 0 && len(s.queue)+len(norm) > lim {
-		return nil, ErrQueueFull
+	for _, js := range norm {
+		if _, dup := s.jobs[js.Name]; dup {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicate, js.Name)
+		}
 	}
 	s.nextID++
 	sw := &Sweep{ID: s.nextID, Name: spec.Name, done: make(chan struct{})}
 	for _, js := range norm {
-		j, err := s.submitLocked(js, sw)
-		if err != nil {
-			// Roll back the jobs admitted so far.
-			for _, added := range sw.jobs {
-				delete(s.jobs, added.Spec.Name)
-				delete(s.byID, added.ID)
-				s.removeQueuedLocked(added)
-				s.order = s.order[:len(s.order)-1]
-			}
-			return nil, err
-		}
-		sw.jobs = append(sw.jobs, j)
+		sw.jobs = append(sw.jobs, s.submitLocked(js, sw))
 	}
 	s.sweeps = append(s.sweeps, sw)
 	s.cond.Broadcast()
@@ -287,33 +245,15 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	return sw, nil
 }
 
-// submitLocked admits one normalized job spec. A job outside a sweep
-// passes admission control here; SubmitSweep admits its jobs as a
-// unit. Caller holds mu.
-func (s *Server) submitLocked(spec JobSpec, sw *Sweep) (*Job, error) {
-	if sw == nil {
-		if s.draining.Load() || s.closed {
-			return nil, ErrDraining
-		}
-		if lim := s.opts.QueueLimit; lim > 0 && len(s.queue) >= lim {
-			return nil, ErrQueueFull
-		}
-	}
-	if _, dup := s.jobs[spec.Name]; dup {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicate, spec.Name)
-	}
+// submitLocked queues one normalized job spec, whose name no job has,
+// as a job of sweep sw. Caller holds mu.
+func (s *Server) submitLocked(spec JobSpec, sw *Sweep) *Job {
 	s.nextID++
 	j := &Job{ID: s.nextID, Spec: spec, record: record{State: StateQueued}, sweep: sw}
 	s.jobs[spec.Name] = j
-	s.byID[j.ID] = j
 	s.order = append(s.order, j)
-	s.pushQueueLocked(j)
-	return j, nil
-}
-
-func (s *Server) pushQueueLocked(j *Job) {
 	s.queue = append(s.queue, j)
-	s.queueLen.Store(int64(len(s.queue)))
+	return j
 }
 
 // nextJobLocked pops the queue head, or returns nil when the queue is
@@ -323,56 +263,8 @@ func (s *Server) nextJobLocked() *Job {
 		return nil
 	}
 	j := s.queue[0]
-	s.removeQueuedLocked(j)
+	s.queue = s.queue[1:]
 	return j
-}
-
-func (s *Server) removeQueuedLocked(j *Job) bool {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.queueLen.Store(int64(len(s.queue)))
-			return true
-		}
-	}
-	return false
-}
-
-// CancelJob cancels a job by name or numeric ID: a queued job is
-// removed, a running one is stopped at the next cycle boundary.
-func (s *Server) CancelJob(ref string) error {
-	s.mu.Lock()
-	j, err := s.jobLocked(ref)
-	if err != nil || j.State.terminal() {
-		s.mu.Unlock()
-		return err
-	}
-	// The flag catches a job between attempts; the context, one running.
-	j.canceled = true
-	if j.stop != nil {
-		j.stop(errCanceled)
-	}
-	queued := s.removeQueuedLocked(j)
-	s.mu.Unlock()
-	if queued {
-		s.finishJob(j, StateCanceled, "", nil)
-	}
-	return nil
-}
-
-// jobLocked resolves a ref as a job name first, then as an ID, but
-// only when the whole ref is a number: "3abc" names no job.
-func (s *Server) jobLocked(ref string) (*Job, error) {
-	j, ok := s.jobs[ref]
-	if !ok {
-		if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
-			j, ok = s.byID[id]
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: job %q", ErrNotFound, ref)
-	}
-	return j, nil
 }
 
 // Jobs lists every job in submission order.
@@ -386,40 +278,15 @@ func (s *Server) Jobs() []JobStatus {
 	return out
 }
 
-// JobStatus returns one job's status by name or ID.
-func (s *Server) JobStatus(ref string) (JobStatus, error) {
+// JobStatus returns one job's status by name.
+func (s *Server) JobStatus(name string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.jobLocked(ref)
-	if err != nil {
-		return JobStatus{}, err
+	j, ok := s.jobs[name]
+	if !ok {
+		return JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, name)
 	}
 	return s.statusLocked(j), nil
-}
-
-// JobCrash returns the black-box report of a job's most recent failed
-// attempt, or nil.
-func (s *Server) JobCrash(ref string) (*core.CrashReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, err := s.jobLocked(ref)
-	if err != nil {
-		return nil, err
-	}
-	return j.crash, nil
-}
-
-// JobSpans returns the sampled-span NDJSON dump retained by a
-// completed job, or nil when the job has not finished or ran with
-// tracing off.
-func (s *Server) JobSpans(ref string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, err := s.jobLocked(ref)
-	if err != nil {
-		return nil, err
-	}
-	return j.spanDump, nil
 }
 
 func (s *Server) statusLocked(j *Job) JobStatus {
@@ -428,94 +295,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		record: j.record, Cycle: j.progress.Load(), CheckpointCycle: j.ckptCycle.Load(),
 		Sweep: j.sweepName(),
 	}
-}
-
-// Draining reports whether the server has begun draining; the /readyz
-// probe answers 503 while it is true.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// FleetLatency is one client's latency merged across jobs.
-type FleetLatency struct {
-	Count uint64          `json:"count"`
-	P50   int64           `json:"p50"`
-	P90   int64           `json:"p90"`
-	P99   int64           `json:"p99"`
-	Mean  float64         `json:"mean"`
-	Hist  trace.Histogram `json:"hist"`
-}
-
-// FleetMetrics is the server's latency view: per-client histograms
-// merged across every completed job that ran with tracing on.
-type FleetMetrics struct {
-	SampleRate uint64                   `json:"sampleRate,omitempty"`
-	Jobs       int                      `json:"jobs"`  // completed jobs contributing
-	Spans      uint64                   `json:"spans"` // sampled spans across those jobs
-	Clients    map[string]*FleetLatency `json:"clients,omitempty"`
-}
-
-// FleetMetrics merges the per-job span histograms into one view.
-// Histogram merging is bucket addition, so the result is independent of
-// job completion order.
-func (s *Server) FleetMetrics() FleetMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fm := FleetMetrics{SampleRate: s.opts.TraceSample}
-	merged := make(map[string]trace.Histogram)
-	for _, j := range s.order {
-		if j.spanHists == nil {
-			continue
-		}
-		fm.Jobs++
-		fm.Spans += j.spanTotal
-		for name, h := range j.spanHists {
-			m := merged[name]
-			m.Merge(&h)
-			merged[name] = m
-		}
-	}
-	if len(merged) > 0 {
-		fm.Clients = make(map[string]*FleetLatency, len(merged))
-		for name, h := range merged {
-			fm.Clients[name] = &FleetLatency{
-				Count: h.N,
-				P50:   h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-				Mean: h.Mean(), Hist: h,
-			}
-		}
-	}
-	return fm
-}
-
-// Sweeps lists every sweep.
-func (s *Server) Sweeps() []SweepStatus {
-	s.mu.Lock()
-	sweeps := append([]*Sweep(nil), s.sweeps...)
-	s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(sweeps))
-	for _, sw := range sweeps {
-		out = append(out, s.SweepStatus(sw))
-	}
-	return out
-}
-
-// SweepByRef finds a sweep by name or, failing every name, by ID when
-// the whole ref is a number.
-func (s *Server) SweepByRef(ref string) (*Sweep, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sw := range s.sweeps {
-		if sw.Name == ref {
-			return sw, nil
-		}
-	}
-	if id, err := strconv.ParseInt(ref, 10, 64); err == nil {
-		for _, sw := range s.sweeps {
-			if sw.ID == id {
-				return sw, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("%w: sweep %q", ErrNotFound, ref)
 }
 
 // SweepStatus summarizes a sweep.
@@ -567,10 +346,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining.Store(true)
+	queued := len(s.queue)
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.cond.Broadcast()
-	s.logf("jobd: draining: %d queued", s.queueLen.Load())
+	s.logf("jobd: draining: %d queued", queued)
 
 	done := make(chan struct{})
 	go func() {
@@ -606,8 +386,7 @@ func (s *Server) Close() error {
 }
 
 // worker pulls jobs off the queue until the server closes or drains.
-// It waits only on an empty queue, so every push that can happen while
-// workers wait (a submit, a preemption's requeue) signals the cond.
+// It waits only on an empty queue, so a submit signals the cond.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -629,15 +408,10 @@ func (s *Server) worker() {
 	}
 }
 
-// RunSweep is the one-shot mode: run the sweep to completion on a
-// local pool with no HTTP front end and return its final status. The
-// server mode produces byte-identical outputs for the same spec. A
-// re-invocation over the same output directory attaches to the
-// persisted state and resumes instead of restarting.
+// RunSweep runs the sweep to completion on a local pool and returns its
+// final status. A re-invocation over the same output directory attaches
+// to the persisted state and resumes instead of restarting.
 func RunSweep(ctx context.Context, opts Options, spec SweepSpec) (SweepStatus, error) {
-	if opts.Workers == 0 {
-		opts.Workers = 1
-	}
 	s := New(opts)
 	if err := s.Start(); err != nil {
 		return SweepStatus{}, err

@@ -1,22 +1,18 @@
 package jobd
 
 import (
+	"encoding/json"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
-// TestSubmitRejectsBadSpecs: a spec that cannot run is refused at
-// admission with 400, not admitted to fail every attempt.
+// TestSubmitRejectsBadSpecs: a sweep file is input from outside the
+// program, so a job spec that cannot run is refused when the sweep is
+// submitted, not admitted to fail every attempt.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()}) // no Start: nothing runs
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
 	for _, body := range []string{
 		`{"name":""}`,
 		`{"name":"a/b"}`,
@@ -26,13 +22,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"name":"f","frames":-2}`,
 		`{"name":"neg","maxCycles":-5}`,
 	} {
-		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+		if _, err := s.SubmitSweep(SweepSpec{Name: "bad", Jobs: []JobSpec{spec}}); err == nil {
+			t.Errorf("submit %s: accepted, want an error", body)
 		}
 	}
 	if jobs := s.Jobs(); len(jobs) != 0 {
@@ -78,7 +73,8 @@ func TestResubmitSweepMustMatch(t *testing.T) {
 }
 
 // TestRestoredSweepsKeepDistinctRefs: sweeps reloaded from a state file
-// get IDs of their own, as jobs do, so each is found by its ID.
+// get IDs of their own, as jobs do: non-zero, and shared with no other
+// sweep or job.
 func TestRestoredSweepsKeepDistinctRefs(t *testing.T) {
 	dir := t.TempDir()
 	state := `{"nextId": 4, "sweeps": ["a", "b"], "jobs": [
@@ -91,23 +87,24 @@ func TestRestoredSweepsKeepDistinctRefs(t *testing.T) {
 	if err := s.loadState(); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int64]bool{}
-	for _, st := range s.Sweeps() {
-		if st.ID == 0 || seen[st.ID] {
+	sweepIDs, jobIDs := map[int64]string{}, map[int64]string{}
+	for _, sw := range s.sweeps {
+		st := s.SweepStatus(sw)
+		if st.ID == 0 || sweepIDs[st.ID] != "" {
 			t.Errorf("sweep %s restored with ID %d, already taken or zero", st.Name, st.ID)
 		}
-		seen[st.ID] = true
+		sweepIDs[st.ID] = st.Name
 		for _, j := range st.Jobs {
-			if seen[j.ID] {
-				t.Errorf("job %s shares ID %d with a sweep", j.Name, j.ID)
-			}
-		}
-		if sw, err := s.SweepByRef(strconv.FormatInt(st.ID, 10)); err != nil || sw.Name != st.Name {
-			t.Errorf("SweepByRef(%d) = %v, %v; want sweep %s", st.ID, sw, err, st.Name)
+			jobIDs[j.ID] = j.Name
 		}
 	}
-	if len(seen) != 2 {
-		t.Errorf("restored %d sweeps, want 2", len(seen))
+	for id, job := range jobIDs {
+		if sw := sweepIDs[id]; sw != "" {
+			t.Errorf("job %s shares ID %d with sweep %s", job, id, sw)
+		}
+	}
+	if len(sweepIDs) != 2 || len(jobIDs) != 2 {
+		t.Errorf("restored %d sweeps and %d jobs, want 2 of each", len(sweepIDs), len(jobIDs))
 	}
 }
 
@@ -121,10 +118,8 @@ func TestTimeoutOverride(t *testing.T) {
 	defer s.Close()
 	timed := testSpec("timed")
 	timed.TimeoutSec = 1e-9
-	for _, spec := range []JobSpec{timed, testSpec("untimed")} {
-		if _, err := s.SubmitJob(spec); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.SubmitSweep(SweepSpec{Name: "timeouts", Jobs: []JobSpec{timed, testSpec("untimed")}}); err != nil {
+		t.Fatal(err)
 	}
 	if st := waitState(t, s, "timed", ""); st.State != StateFailed || st.FailKind != FailTimeout || st.Attempts != 1 {
 		t.Errorf("timed job: %s/%s after %d attempts, want failed/timeout after 1", st.State, st.FailKind, st.Attempts)

@@ -76,9 +76,7 @@ func (s *Server) saveState() {
 	if err != nil {
 		return
 	}
-	if werr := s.writeDurable("state", s.opts.StatePath, append(data, '\n')); werr != nil {
-		s.logf("jobd: degraded: %v", werr)
-	}
+	s.keep("state", s.opts.StatePath, append(data, '\n'))
 }
 
 // loadState restores the previous life's jobs and sweeps. Non-terminal
@@ -133,14 +131,14 @@ func (s *Server) loadState() error {
 		}
 		switch pj.State {
 		case StateDone:
-			if csv, rerr := os.ReadFile(s.csvPath(j)); rerr == nil {
+			if csv, rerr := os.ReadFile(s.outPath(j, ".csv")); rerr == nil {
 				j.csv = csv
 				j.progress.Store(pj.Cycles)
 			} else {
 				// Result lost (crash between yank and convergence):
 				// deterministic re-run reproduces it exactly.
-				j.record = record{State: StateQueued, Preemptions: pj.Preemptions}
-				s.pushQueueLocked(j)
+				j.record = record{State: StateQueued}
+				s.queue = append(s.queue, j)
 				requeued++
 			}
 		case StateFailed, StateCanceled:
@@ -153,11 +151,10 @@ func (s *Server) loadState() error {
 			if pj.State != StateQueued {
 				j.Resumable = true
 			}
-			s.pushQueueLocked(j)
+			s.queue = append(s.queue, j)
 			requeued++
 		}
 		s.jobs[pj.Spec.Name] = j
-		s.byID[j.ID] = j
 		s.order = append(s.order, j)
 	}
 	if len(st.Jobs) > 0 {

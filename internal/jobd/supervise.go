@@ -21,36 +21,29 @@ import (
 	"attila/internal/workload"
 )
 
-// record is a job's outcome so far: what the API shows, the state file
-// keeps and a restarted server reloads.
+// record is a job's outcome so far: what its status shows, the state
+// file keeps and a restarted server reloads.
 type record struct {
-	State       State   `json:"state"`
-	FailKind    string  `json:"failKind,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Attempts    int     `json:"attempts"`
-	Preemptions int     `json:"preemptions,omitempty"`
-	Resumable   bool    `json:"resumable,omitempty"`
-	Cycles      int64   `json:"cycles,omitempty"`
-	FPS         float64 `json:"fps,omitempty"`
+	State     State   `json:"state"`
+	FailKind  string  `json:"failKind,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	Attempts  int     `json:"attempts"`
+	Resumable bool    `json:"resumable,omitempty"`
+	Cycles    int64   `json:"cycles,omitempty"`
+	FPS       float64 `json:"fps,omitempty"`
 }
 
 // Job is one supervised run. Mutable fields are guarded by the
 // server's mutex except the atomics, which the simulation's cycle hook
-// writes and the HTTP layer reads live.
+// writes and JobStatus reads live.
 type Job struct {
 	ID   int64
 	Spec JobSpec
 
 	// Guarded by Server.mu.
 	record
-	canceled  bool                    // CancelJob ran; checked before each attempt
-	stop      context.CancelCauseFunc // cancels the latest attempt's context
-	sweep     *Sweep
-	crash     *core.CrashReport
-	csv       []byte
-	spanHists map[string]trace.Histogram // per-client total-latency histograms at completion
-	spanDump  []byte                     // retained sampled spans, NDJSON
-	spanTotal uint64                     // sampled spans terminated by the job
+	sweep *Sweep
+	csv   []byte
 
 	// Written by the running simulation.
 	progress  atomic.Int64
@@ -65,14 +58,13 @@ func (j *Job) sweepName() string {
 }
 
 // Why an attempt stopped early: the cause its context is canceled with.
-// Cancel, close, drain and preemption come from the server; the kill is
-// the chaos plan's and the timeout the attempt's own.
+// Close and drain come from the server; the kill is the chaos plan's
+// and the timeout the attempt's own.
 var (
-	errCanceled  = errors.New("jobd: job canceled")
-	errPreempted = errors.New("jobd: preempted")
-	errDrained   = errors.New("jobd: drained")
-	errKilled    = errors.New("jobd: chaos: worker killed")
-	errTimeout   = errors.New("jobd: attempt timed out")
+	errCanceled = errors.New("jobd: job canceled")
+	errDrained  = errors.New("jobd: drained")
+	errKilled   = errors.New("jobd: chaos: worker killed")
+	errTimeout  = errors.New("jobd: attempt timed out")
 )
 
 // progressEvery is how many cycles pass between two publications of a
@@ -86,8 +78,8 @@ const progressEvery = 1 << 10
 func inherit[T ~int | ~int64](job, server T) T { return max(cmp.Or(job, server), 0) }
 
 // supervise owns one job until it parks or reaches a terminal state:
-// it retries failed attempts with capped jittered backoff, requeues
-// preempted/drained runs, and — via the deferred recover — guarantees
+// it retries failed attempts with capped jittered backoff, parks
+// drained runs, and — via the deferred recover — guarantees
 // that nothing a job does can take the worker (or the server) down.
 func (s *Server) supervise(j *Job) {
 	defer func() {
@@ -101,29 +93,23 @@ func (s *Server) supervise(j *Job) {
 	}
 	rng := rand.New(rand.NewSource(seed + j.ID))
 	for {
-		s.mu.Lock()
-		if j.canceled {
-			s.mu.Unlock()
-			s.finishJob(j, StateCanceled, "", nil)
-			return
-		}
 		ctx, stop := context.WithCancelCause(s.runs)
-		j.stop = stop
+		s.mu.Lock()
 		j.State = StateRunning
 		j.Attempts++
 		attempt, resume := j.Attempts, j.Attempts > 1 || j.Resumable
 		s.mu.Unlock()
 
-		runErr, cause := s.attempt(ctx, stop, j, attempt, resume)
+		runErr, cause, crash, spans := s.attempt(ctx, stop, j, attempt, resume)
 		stop(nil)
 		switch {
 		case runErr == nil:
-			s.completeJob(j)
+			s.completeJob(j, spans)
 			return
-		case cause == errPreempted || cause == errDrained:
+		case cause == errDrained:
 			// Not a failure: the run checkpointed (or was hard-stopped
 			// onto its last periodic checkpoint).
-			s.park(j, cause == errPreempted)
+			s.park(j)
 			return
 		case cause == errCanceled:
 			s.finishJob(j, StateCanceled, "", runErr)
@@ -131,7 +117,7 @@ func (s *Server) supervise(j *Job) {
 		}
 		kind := failKind(runErr, cause)
 		if attempt > inherit(j.Spec.Retries, s.opts.Retries) {
-			s.finishJob(j, StateFailed, kind, runErr)
+			s.failJob(j, kind, runErr, crash)
 			return
 		}
 		s.mu.Lock()
@@ -143,33 +129,26 @@ func (s *Server) supervise(j *Job) {
 			select {
 			case <-time.After(d):
 			case <-s.stopCh:
-				s.park(j, false) // the server is draining or closing
+				s.park(j) // the server is draining or closing
 				return
 			}
 		}
 	}
 }
 
-// park requeues a job that stopped without failing — preempted, drained
-// or interrupted mid-backoff — resumable, with the attempt it was on
-// not counted.
-func (s *Server) park(j *Job, preempted bool) {
+// park requeues a job that stopped without failing — drained or
+// interrupted mid-backoff — resumable, with the attempt it was on not
+// counted. Its state is StatePreempted, the on-disk name of a parked
+// job.
+func (s *Server) park(j *Job) {
 	s.mu.Lock()
 	j.Attempts--
-	if preempted {
-		j.Preemptions++
-	}
 	j.State = StatePreempted
 	j.Resumable = true
-	s.pushQueueLocked(j)
+	s.queue = append(s.queue, j)
 	s.mu.Unlock()
 	s.stampManifest(j, string(StatePreempted), nil)
 	s.saveState()
-	if preempted {
-		s.logf("jobd: job %s preempted at cycle %d (checkpoint %d)",
-			j.Spec.Name, j.progress.Load(), j.ckptCycle.Load())
-		s.cond.Signal()
-	}
 }
 
 // failKind maps a failed attempt's error and stop cause to a FailKind.
@@ -192,10 +171,12 @@ func failKind(err, cause error) string {
 
 // attempt runs one try of the job on a fresh machine (run.StartOrReplay)
 // under ctx: chaos on the first attempt only, resumed from the job's
-// checkpoint when resume is set, with live progress, the chaos kill,
-// preemption and drain riding the cycle hook. It returns the run's error
-// and the cause ctx was canceled with (nil when nothing stopped it).
-func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *Job, n int, resume bool) (runErr, cause error) {
+// checkpoint when resume is set, with live progress, the chaos kill and
+// drain riding the cycle hook. It returns the run's error and the cause
+// ctx was canceled with (nil when nothing stopped it), and what the run
+// leaves behind: the black box of a failed run, the span dump of a
+// finished traced one.
+func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *Job, n int, resume bool) (runErr, cause error, crash *core.CrashReport, spans []byte) {
 	spec := j.Spec
 	if d := inherit(time.Duration(spec.TimeoutSec*float64(time.Second)), s.opts.JobTimeout); d > 0 {
 		var cancel context.CancelFunc
@@ -205,7 +186,7 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 	defer func() { cause = context.Cause(ctx) }()
 	cfg, err := ResolveConfig(spec.Config)
 	if err != nil {
-		return err, nil
+		return err, nil, nil, nil
 	}
 	cfg.WatchdogWindow = inherit(spec.WatchdogWindow, s.opts.WatchdogWindow)
 	ckptPath := s.ckptPath(j)
@@ -239,7 +220,7 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 	}
 	sess, err := run.StartOrReplay(rs, s.logf)
 	if err != nil {
-		return err, nil
+		return err, nil, nil, nil
 	}
 	pipe, eng, col := sess.Pipe, sess.Engine, sess.Spans
 	if sess.RestoredCycle > 0 {
@@ -247,10 +228,10 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 	}
 
 	// The cycle hook runs in the clock loop at every barrier: it
-	// publishes live progress and stops the run for the chaos kill, a
-	// fairness preemption or a drain — the latter two by forcing a
-	// checkpoint and stopping once it lands. It stops the machine itself
-	// as well as canceling ctx, so the run ends at that very barrier.
+	// publishes live progress and stops the run for the chaos kill or a
+	// drain — the latter by forcing a checkpoint and stopping once it
+	// lands. It stops the machine itself as well as canceling ctx, so
+	// the run ends at that very barrier.
 	// Progress is for whoever polls the job from outside: the cycle is
 	// published every progressEvery cycles and when the run ends, the
 	// checkpoint cycle when a capture moved it. Every decision below
@@ -259,7 +240,7 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 		stop(why)
 		pipe.Sim.Stop()
 	}
-	dispatchStart, parkReq := int64(-1), int64(-1)
+	parkReq := int64(-1)
 	reached := j.progress.Load() // a run that reaches no barrier leaves it be
 	var ckptSeen int64
 	pipe.Sim.OnEndCycle(func(cycle int64) {
@@ -271,62 +252,41 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 			ckptSeen = lc
 			j.ckptCycle.Store(lc)
 		}
-		if dispatchStart < 0 {
-			dispatchStart = cycle
-		}
 		if kill != nil && cycle >= kill.Cycle {
 			kill = nil
 			halt(errKilled)
 			return
 		}
-		var why error
-		if s.draining.Load() {
-			why = errDrained
-		} else if q := s.opts.PreemptCycles; q > 0 && cycle-dispatchStart >= q && s.queueLen.Load() > 0 {
-			why = errPreempted
-		}
 		switch {
-		case why == nil:
+		case !s.draining.Load():
 		case parkReq < 0:
 			parkReq = cycle
 			eng.ForceNext()
 		case eng.LastCycle() >= parkReq:
-			halt(why)
+			halt(errDrained)
 		}
 	})
 
 	if err := sess.Run(ctx); err != nil {
 		j.progress.Store(reached)
-		s.mu.Lock()
-		j.crash = pipe.Sim.Crash()
-		s.mu.Unlock()
-		return err, nil
+		return err, nil, pipe.Sim.Crash(), nil
 	}
 
 	var buf bytes.Buffer
 	if err := pipe.DumpCSV(&buf); err != nil {
-		return err, nil
+		return err, nil, nil, nil
 	}
-	var spanHists map[string]trace.Histogram
-	var spanDump []byte
-	var spanTotal uint64
 	if col != nil {
-		spanHists = col.TotalHists(nil)
-		spanTotal = col.Snapshot().Spans
 		var sb bytes.Buffer
 		if err := col.WriteSpansNDJSON(&sb); err == nil {
-			spanDump = sb.Bytes()
+			spans = sb.Bytes()
 		}
 	}
 	s.mu.Lock()
 	j.csv = buf.Bytes()
 	j.Cycles = pipe.Cycles()
 	j.FPS = pipe.FPS()
-	j.crash = nil
 	j.progress.Store(pipe.Cycles())
-	j.spanHists = spanHists
-	j.spanDump = spanDump
-	j.spanTotal = spanTotal
 	s.mu.Unlock()
-	return nil, nil
+	return nil, nil, nil, spans
 }

@@ -47,8 +47,7 @@ type Manifest struct {
 
 	// State is the job lifecycle state a supervised run was stamped
 	// with (internal/jobd): "done", "failed", "canceled", or
-	// "preempted" when a drain or fairness preemption parked the job
-	// resumable mid-run.
+	// "preempted" when a drain parked the job resumable mid-run.
 	State string `json:"state,omitempty"`
 
 	// Restore/retry bookkeeping. A run resumed from a checkpoint stamps

@@ -13,7 +13,7 @@ import (
 
 // This file renders the run's metrics in the OpenMetrics text
 // exposition format (the /metrics.prom endpoint), so any Prometheus-
-// compatible scraper can watch a run or a job server without
+// compatible scraper can watch a run without
 // understanding our NDJSON. Families:
 //
 //	attila_run_cycles                gauge: latest simulated cycle

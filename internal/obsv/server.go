@@ -30,18 +30,10 @@ type ServerOptions struct {
 	// Checkpoint, when non-nil, is served under /checkpoint: the live
 	// checkpoint engine's progress and this run's restore provenance.
 	Checkpoint func() *CheckpointStatus
-	// Jobs, when non-nil, is mounted under /jobs, /sweeps and /fleet:
-	// the job server's HTTP API (internal/jobd) for submitting,
-	// watching, and canceling supervised runs, plus its latency
-	// histograms merged across jobs.
-	Jobs http.Handler
 	// Spans, when non-nil, is the span collector: /spans serves the
 	// retained sampled spans as NDJSON, and /metrics.prom includes the
 	// latency histograms.
 	Spans *trace.Collector
-	// Ready, when non-nil, drives /readyz: false answers 503 (e.g. a
-	// draining job server). Nil means always ready.
-	Ready func() bool
 }
 
 // Server is the attilasim status server: a plain stdlib HTTP server
@@ -69,8 +61,8 @@ func NewServer(addr string, opts ServerOptions) *Server {
 		Addr:    addr,
 		Handler: s.Handler(),
 		// A client that dribbles its request header one byte at a time
-		// (slow loris) must not be able to pin a connection — and with
-		// it a draining server — open forever.
+		// (slow loris) must not be able to pin a connection open
+		// forever.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	return s
@@ -90,13 +82,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	if s.opts.Jobs != nil {
-		mux.Handle("/jobs", s.opts.Jobs)
-		mux.Handle("/jobs/", s.opts.Jobs)
-		mux.Handle("/sweeps", s.opts.Jobs)
-		mux.Handle("/sweeps/", s.opts.Jobs)
-		mux.Handle("/fleet/", s.opts.Jobs)
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -151,12 +136,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /manifest     run manifest")
 	fmt.Fprintln(w, "  /checkpoint   checkpoint engine progress and restore provenance")
 	fmt.Fprintln(w, "  /healthz      liveness probe")
-	fmt.Fprintln(w, "  /readyz       readiness probe (503 while draining)")
-	if s.opts.Jobs != nil {
-		fmt.Fprintln(w, "  /jobs         job server: submit/list/cancel supervised runs")
-		fmt.Fprintln(w, "  /sweeps       job server: submit/list sweeps")
-		fmt.Fprintln(w, "  /fleet        job latency histograms merged across jobs")
-	}
+	fmt.Fprintln(w, "  /readyz       readiness probe")
 	fmt.Fprintln(w, "  /debug/pprof  Go profiling")
 }
 
@@ -204,18 +184,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReadyz is the readiness probe: 503 while the Ready hook says
-// the process should not receive new work (a draining job server).
+// handleReadyz is the readiness probe: a serving status server is
+// ready.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.opts.Ready != nil && !s.opts.Ready() {
-		// Load balancers and clients polling readiness get a hint
-		// for when to try again instead of hammering a draining server.
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
 	fmt.Fprintln(w, "ready")
 }
 

@@ -23,8 +23,8 @@ type Options struct {
 	// every run of the same workload traces the same requests.
 	Seed uint64
 	// SpanDepth bounds the ring of retained terminated spans (the
-	// -spans dump, /jobs/{ref}/spans, and the flight recorder source).
-	// <= 0 selects 4096.
+	// -spans dump, jobd's <job>-spans.ndjson, and the flight recorder
+	// source). <= 0 selects 4096.
 	SpanDepth int
 	// FlightDepth bounds how many recent span terminations and notes
 	// the crash black box embeds. <= 0 selects 64.
@@ -89,7 +89,7 @@ type clientStats struct {
 }
 
 // note is a structured flight-recorder event outside the span stream
-// (run phase changes, preemptions, restores).
+// (run phase changes, restores).
 type note struct {
 	cycle int64
 	what  string

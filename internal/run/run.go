@@ -139,7 +139,7 @@ func Start(spec Spec) (*Session, error) {
 }
 
 // StartOrReplay is Start for callers that would rather replay than give
-// up (the job server's retries and steals): a refused restore is reported
+// up (the job server's retries and resumes): a refused restore is reported
 // through logf and the run starts from cycle 0 on a fresh machine.
 func StartOrReplay(spec Spec, logf func(format string, args ...any)) (*Session, error) {
 	s, err := Start(spec)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"attila"
 	"attila/internal/core"
 	"attila/internal/gpu"
 	"attila/internal/workload"
@@ -84,7 +85,7 @@ func TestCancelStillFlushesStats(t *testing.T) {
 			cancel()
 		}
 	})
-	err := pipe.RunContext(ctx, cmds, 2_000_000_000)
+	err := pipe.RunContext(ctx, cmds, attila.MaxCycles)
 	cancel()
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -103,7 +104,7 @@ func TestCancelStillFlushesStats(t *testing.T) {
 // change results on working pipelines.
 func TestWatchdogQuietOnFullRun(t *testing.T) {
 	pipe, cmds := buildPipeline(t, 50_000)
-	if err := pipe.Run(cmds, 2_000_000_000); err != nil {
+	if err := pipe.Run(cmds, attila.MaxCycles); err != nil {
 		t.Fatalf("armed watchdog broke a healthy run: %v", err)
 	}
 	if len(pipe.Frames()) != 1 {
