@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"sync"
+	"unsafe"
 
 	"attila/internal/core"
 )
@@ -60,3 +61,23 @@ func (p *Pipeline) SetRunAhead(min int, beforeStep func()) {
 // its retirement: nothing a batch does wakes the command processor or
 // triangle setup.
 func (p *Pipeline) MuteRetirement() { p.CP.wakes = batchWakes{} }
+
+// PoolKind is one free list of a pipeline's pool: the objects it has
+// made, the objects it holds, and the bytes of one object.
+type PoolKind struct {
+	Name       string
+	Made, Idle int
+	Size       uintptr
+}
+
+// Pools reports the free lists of the pipeline's pool.
+func (p *Pipeline) Pools() []PoolKind {
+	pl := p.ffifo.pool
+	return []PoolKind{poolKind("quads", &pl.quads), poolKind("tiles", &pl.tiles),
+		poolKind("works", &pl.works), poolKind("inputs", &pl.inputs)}
+}
+
+func poolKind[T any](name string, l *freeList[T]) PoolKind {
+	var x T
+	return PoolKind{name, l.made, len(l.free) + len(l.slab), unsafe.Sizeof(x)}
+}

@@ -140,7 +140,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 	// credit until admitted into the thread window.
 	for _, obj := range f.vtxIn.Recv(cycle) {
 		g := obj.(*VtxGroup)
-		w := f.pool.getWork()
+		w := f.pool.works.get()
 		w.DynObject = core.DynObject{ID: g.ID, Parent: g.Parent, Tag: "vwork"}
 		w.Batch, w.Kind, w.Vtx = g.Batch, workVertex, g
 		if f.trVtx != nil {
@@ -151,7 +151,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 	}
 	for _, obj := range f.fragIn.Recv(cycle) {
 		q := obj.(*Quad)
-		w := f.pool.getWork()
+		w := f.pool.works.get()
 		w.DynObject = core.DynObject{ID: q.ID, Parent: q.Parent, Tag: "fwork"}
 		w.Batch, w.Kind, w.Frag = q.Batch, workFragment, q
 		if f.trFrag != nil {
@@ -317,7 +317,7 @@ func (f *FragmentFIFO) drainOutbox(cycle int64) {
 			w.span = nil
 			sp.Finish(cycle)
 		}
-		f.pool.putWork(w)
+		f.pool.works.put(w)
 	}
 }
 
@@ -332,26 +332,31 @@ func (f *FragmentFIFO) route(cycle int64, w *ShaderWork) bool {
 		return true
 	}
 	q := w.Frag
-	if !q.Alive() {
-		// Every lane killed by KIL: the quad retires here.
-		q.Batch.ShadedQuads++
+	var out *Flow // nil: every lane killed by KIL
+	if q.Alive() {
+		rop := f.layout.BlockIndex(q.X, q.Y) % len(f.fragEarly)
+		out = f.fragLate[rop]
+		if q.Batch.EarlyZ {
+			out = f.fragEarly[rop]
+		}
+		if !out.CanSend(cycle, 1) {
+			return false
+		}
+	}
+	// Count only on successful routing: route is retried every cycle
+	// while the consumer is full, and each quad is shaded once. Routed
+	// or retired, the shaded quad needs its inputs no more.
+	q.Batch.ShadedQuads++
+	f.pool.inputs.put(q.In)
+	q.In = nil
+	if out == nil {
+		// The quad retires here.
 		q.Batch.retireQuads(1)
 		q.Batch.KilledQuads++
 		f.statKilled.Inc()
-		f.pool.putQuad(q)
+		f.pool.quads.put(q)
 		return true
 	}
-	rop := f.layout.BlockIndex(q.X, q.Y) % len(f.fragEarly)
-	out := f.fragLate[rop]
-	if q.Batch.EarlyZ {
-		out = f.fragEarly[rop]
-	}
-	if !out.CanSend(cycle, 1) {
-		return false
-	}
-	// Count only on successful routing: route is retried every cycle
-	// while the consumer is full, and each quad is shaded once.
-	q.Batch.ShadedQuads++
 	out.Send(cycle, q)
 	return true
 }

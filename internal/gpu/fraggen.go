@@ -154,7 +154,7 @@ func (f *FragmentGenerator) nextTile() (x, y int, ok bool) {
 func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 	st := f.cur.Batch.State
 	tri := &f.cur.Tri
-	tile := f.pool.getTile()
+	tile := f.pool.tiles.get()
 	tile.DynObject = core.DynObject{ID: f.ids.Next(), Parent: f.cur.ID, Tag: "tile"}
 	tile.Batch = f.cur.Batch
 	tile.Tri = f.cur
@@ -174,7 +174,7 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 					continue
 				}
 				if q == nil {
-					q = f.pool.getQuad()
+					q = f.pool.quads.get()
 					q.DynObject = core.DynObject{ID: f.ids.Next(), Parent: tile.ID, Tag: "quad"}
 					q.Batch = f.cur.Batch
 					q.Tri = f.cur
@@ -191,7 +191,7 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 		}
 	}
 	if len(tile.Quads) == 0 {
-		f.pool.putTile(tile)
+		f.pool.tiles.put(tile)
 		return nil
 	}
 	minD := tri.TileMinDepth(x0, y0, SurfaceTile)

@@ -16,6 +16,7 @@ import (
 type Interpolator struct {
 	core.BoxBase
 	cfg     *Config
+	pool    *pipePool
 	quadIns []*Flow // early path: one per ROPz; late path: from HZ
 	quadOut *Flow   // to FragmentFIFO for shading
 	queue   core.FIFO[*Quad]
@@ -26,8 +27,8 @@ type Interpolator struct {
 }
 
 // NewInterpolator builds the box.
-func NewInterpolator(sim *core.Simulator, cfg *Config, quadIns []*Flow, quadOut *Flow) *Interpolator {
-	ip := &Interpolator{cfg: cfg, quadIns: quadIns, quadOut: quadOut}
+func NewInterpolator(sim *core.Simulator, cfg *Config, pool *pipePool, quadIns []*Flow, quadOut *Flow) *Interpolator {
+	ip := &Interpolator{cfg: cfg, pool: pool, quadIns: quadIns, quadOut: quadOut}
 	ip.Init("Interpolator")
 	sim.Stats.ShadowCounter(&ip.statQuads, "Interpolator.quads")
 	sim.Stats.ShadowCounter(&ip.statBusy, "Interpolator.busyCycles")
@@ -67,12 +68,13 @@ func (ip *Interpolator) Clock(cycle int64) {
 	}
 }
 
-// interpolate fills the quad's fragment inputs and returns the
-// modelled latency. All four lanes are interpolated, including dead
-// ones, because texture derivatives need complete quads.
+// interpolate gives the quad a block of fragment inputs, fills it and
+// returns the modelled latency. All four lanes are interpolated,
+// including dead ones, because texture derivatives need complete quads.
 func (ip *Interpolator) interpolate(q *Quad) int {
 	mask := q.Batch.State.InterpAttrs()
 	tri := &q.Tri.Tri
+	q.In = ip.pool.inputs.get()
 	for l := 0; l < 4; l++ {
 		px, py := q.X+l%2, q.Y+l/2
 		e := tri.EvalEdges(px, py)

@@ -313,9 +313,11 @@ type Quad struct {
 	// Per-fragment state; lane l covers pixel (X+l%2, Y+l/2).
 	Mask  [4]bool // fragment alive
 	Depth [4]uint32
-	// In carries interpolated fragment inputs (filled by the
-	// Interpolator box); Color carries the shaded output color.
-	In    [4][isa.MaxInputs]vmath.Vec4
+	// In carries the interpolated fragment inputs from the
+	// Interpolator to the FragmentFIFO's routing of the shaded quad,
+	// and is nil outside that span (pipePool); Color carries the
+	// shaded output color.
+	In    *QuadInputs
 	Color [4]vmath.Vec4
 	ZDone bool // depth/stencil already performed (early Z)
 
@@ -323,6 +325,9 @@ type Quad struct {
 	// consuming box so its credit is returned on retirement.
 	srcFlow *Flow
 }
+
+// QuadInputs is the fragment inputs of a quad's four lanes.
+type QuadInputs [4][isa.MaxInputs]vmath.Vec4
 
 // Alive reports whether any fragment in the quad is still live.
 func (q *Quad) Alive() bool {

@@ -217,7 +217,8 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 
 	// Boxes. Registration order is the clocking order; with all
 	// signal latencies >= 1 it does not affect results.
-	// Shared free lists for tiles, quads and shader-work wrappers.
+	// Shared free lists for tiles, quads, input blocks and shader-work
+	// wrappers.
 	pool := &pipePool{}
 	p.streamer = NewStreamer(sim, &cfg, p.Mem, drawFlow, shadeOut, vtxShaded, vtxOut)
 	NewPrimAssembly(sim, vtxOut, paOut)
@@ -234,7 +235,7 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 		p.ropcs[i] = NewColorWrite(sim, &cfg, i, pool, p.FB.Draw,
 			[]*Flow{ffifoEarly[i], ropzLate[i]})
 	}
-	NewInterpolator(sim, &cfg, interpIns, interpOut)
+	NewInterpolator(sim, &cfg, pool, interpIns, interpOut)
 	ffifo := NewFragmentFIFO(sim, &cfg, pool, p.FB.Z(), shadeOut, interpOut, vtxShaded,
 		ffifoEarly, ffifoLate, shaderIn, shaderOut)
 	p.ffifo = ffifo

@@ -1,9 +1,10 @@
 package gpu
 
 // pipePool recycles the high-churn fragment-pipeline objects — tiles,
-// quads and shader-work wrappers, the bulk of the simulator's per-
-// frame heap traffic. One goroutine clocks every allocation and
-// release site, so the free lists need no locking.
+// quads, their fragment input blocks and shader-work wrappers, the
+// bulk of the simulator's per-frame heap traffic. One goroutine clocks
+// every allocation and release site, so the free lists need no
+// locking; each pipeline has its own pool.
 //
 // Ownership and release rules (see DESIGN.md §10):
 //
@@ -14,62 +15,71 @@ package gpu
 //     the places that account it in Batch.QuadsRetired: HZ cull,
 //     Z/stencil cull, every-lane-killed in the FragmentFIFO's route,
 //     or ColorWrite retire.
+//   - The Interpolator gives a quad its QuadInputs block, and the
+//     FragmentFIFO releases the block once it has routed the shaded
+//     quad (to a ROP, or to its every-lane-killed retirement). Outside
+//     those two points Quad.In is nil.
 //   - The FragmentFIFO allocates one ShaderWork wrapper per arriving
 //     thread input and releases it after routing the completed thread.
 //
-// A recycled object is fully zeroed before reuse, so pooling is
-// invisible to the simulation: results and statistics are
-// bit-identical with the pool disabled. Chaos faults that drop or
-// corrupt objects in flight simply leak them — the pool allocates
-// replacements on demand. Checkpoints only happen at quiesced
-// command boundaries with no objects in flight, so free lists carry
-// no simulation state and are not serialized; after a restore they
-// start empty and refill.
+// A recycled object is fully zeroed before reuse (a tile keeps its
+// Quads backing array), so pooling is invisible to the simulation:
+// results and statistics are bit-identical with the pool disabled.
+// Chaos faults that drop or corrupt objects in flight simply leak
+// them — the pool makes replacements on demand. Checkpoints only
+// happen at quiesced command boundaries with no objects in flight, so
+// free lists carry no simulation state and are not serialized; after
+// a restore they start empty and refill.
 type pipePool struct {
-	quads []*Quad
-	tiles []*Tile
-	works []*ShaderWork
+	quads  freeList[Quad]
+	tiles  freeList[Tile]
+	works  freeList[ShaderWork]
+	inputs freeList[QuadInputs]
 }
 
-func (p *pipePool) getQuad() *Quad {
-	if n := len(p.quads); n > 0 {
-		q := p.quads[n-1]
-		p.quads = p.quads[:n-1]
-		*q = Quad{}
-		return q
+// poolSlab is how many objects an empty free list makes at once.
+const poolSlab = 64
+
+// freeList recycles one kind of object. An empty list makes a slab of
+// poolSlab objects in one allocation and hands out pointers into it;
+// made counts every object it has made, so at drain a list whose
+// objects all came back holds made of them.
+type freeList[T any] struct {
+	free []*T
+	slab []T // the rest of the last slab, not yet handed out
+	made int
+}
+
+// get returns a zeroed object.
+func (l *freeList[T]) get() *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		reset(x)
+		return x
 	}
-	return &Quad{}
-}
-
-// putQuad returns a retired quad. The caller must hold the only
-// reference (quad popped from its input queue, credit released).
-func (p *pipePool) putQuad(q *Quad) { p.quads = append(p.quads, q) }
-
-func (p *pipePool) getTile() *Tile {
-	if n := len(p.tiles); n > 0 {
-		t := p.tiles[n-1]
-		p.tiles = p.tiles[:n-1]
-		qs := t.Quads[:0]
-		*t = Tile{}
-		t.Quads = qs // keep the slice's backing array across reuses
-		return t
+	if len(l.slab) == 0 {
+		l.slab = make([]T, poolSlab)
+		l.made += poolSlab
 	}
-	return &Tile{}
+	x := &l.slab[0]
+	l.slab = l.slab[1:]
+	return x
 }
 
-// putTile returns a processed tile. The tile's quads are owned by
-// their own release sites and are not touched here.
-func (p *pipePool) putTile(t *Tile) { p.tiles = append(p.tiles, t) }
+// put returns an object. The caller must hold the only reference: a
+// quad popped from its input queue with its credit released, a tile
+// whose quads were all culled or forwarded (they are released at their
+// own sites), a wrapper or input block whose work was routed.
+func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
 
-func (p *pipePool) getWork() *ShaderWork {
-	if n := len(p.works); n > 0 {
-		w := p.works[n-1]
-		p.works = p.works[:n-1]
-		*w = ShaderWork{}
-		return w
+// reset zeroes a recycled object; a tile keeps its Quads backing array
+// across reuses.
+func reset[T any](x *T) {
+	if t, ok := any(x).(*Tile); ok {
+		*t = Tile{Quads: t.Quads[:0]}
+		return
 	}
-	return &ShaderWork{}
+	var zero T
+	*x = zero
 }
-
-// putWork returns a routed ShaderWork wrapper.
-func (p *pipePool) putWork(w *ShaderWork) { p.works = append(p.works, w) }

@@ -491,7 +491,7 @@ func TestPendingTexSendsInSlotOrder(t *testing.T) {
 		}
 		for ; fed < quads && got.workIn.CanSend(c, 1); fed++ {
 			for _, r := range []*texSendRig{got, want} {
-				q := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}}
+				q := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}, In: &QuadInputs{}}
 				r.workIn.Send(c, &ShaderWork{Batch: batch, Kind: workFragment, Frag: q})
 			}
 		}

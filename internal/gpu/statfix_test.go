@@ -56,8 +56,8 @@ func TestShadedQuadsCountedOncePerQuad(t *testing.T) {
 	// Two live late-Z quads sitting completed in the outbox, both
 	// routing to ROP 0.
 	batch := &BatchState{}
-	q1 := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}}
-	q2 := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}, X: 2}
+	q1 := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}, In: &QuadInputs{}}
+	q2 := &Quad{Batch: batch, Mask: [4]bool{true, true, true, true}, X: 2, In: &QuadInputs{}}
 	f.outbox.Push(&ShaderWork{Batch: batch, Kind: workFragment, Frag: q1})
 	f.outbox.Push(&ShaderWork{Batch: batch, Kind: workFragment, Frag: q2})
 	f.windowUsed = 2
@@ -130,7 +130,7 @@ func TestInterpolatorBusyNotCountedWhenBlocked(t *testing.T) {
 	cfg := Baseline()
 	in := testFlow("t.qin", 8, 8, 8)
 	out := testFlow("t.qout", 8, 32, 1) // one credit downstream
-	ip := NewInterpolator(sim, &cfg, []*Flow{in}, out)
+	ip := NewInterpolator(sim, &cfg, &pipePool{}, []*Flow{in}, out)
 
 	b := &BatchState{State: &DrawState{}}
 	tri := &SetupTri{}

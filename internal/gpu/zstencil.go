@@ -228,7 +228,7 @@ func (z *ZStencil) Clock(cycle int64) {
 		q.Batch.ZCulledQuads++
 		z.statCulled.Inc()
 		z.pop()
-		z.pool.putQuad(q)
+		z.pool.quads.put(q)
 		return
 	}
 	if z.forward(cycle, q) {
