@@ -6,7 +6,7 @@ define gofmt_gate
 	if [ -n "$$unformatted" ]; then echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; fi
 endef
 
-.PHONY: build test check lint bench fuzz profile awake loc
+.PHONY: build test check lint bench fuzz profile allocs awake loc
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,13 @@ bench:
 # a checkpoint every 50000 cycles, spans sampled 1 in 64.
 # make profile SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
 #
+# allocs is the same run under -allocprofile, every allocation recorded,
+# and prints pprof's allocation sites by count, one line of code each:
+# the table an allocation change is measured with (DESIGN.md section 10
+# "Pooled pipeline objects"). The counts cover the whole process, trace
+# loading included.
+# make allocs SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
+#
 # awake is the same run under -profile-boxes, reduced to the table
 # DESIGN.md section 10 "What a quiet cycle costs" keeps: per box, the
 # share of cycles it was clocked on (its samples over the sampled
@@ -140,6 +147,10 @@ profile:
 	$(profile_scene)
 	$(profile_run) -cpuprofile $(PROFILE_DIR)/$(SCENE).prof
 	$(GO) tool pprof -top -cum -nodecount 50 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).prof
+allocs:
+	$(profile_scene)
+	$(profile_run) -allocprofile $(PROFILE_DIR)/$(SCENE).allocs
+	$(GO) tool pprof -sample_index=alloc_objects -lines -top -nodecount 30 $(PROFILE_DIR)/attilasim $(PROFILE_DIR)/$(SCENE).allocs
 awake:
 ifeq ($(origin SCENE),file)
 	@for s in doom3 spinner ut2004; do echo "== $$s"; $(MAKE) --no-print-directory awake SCENE=$$s || exit 1; done

@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"syscall"
 	"time"
@@ -79,7 +80,11 @@ func simulate() int {
 	traceSeed := flag.Uint64("trace-seed", 1, "seed for the deterministic span sampler")
 	spansOut := flag.String("spans", "", "write the retained sampled spans as NDJSON to file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation run to file")
+	allocProfile := flag.String("allocprofile", "", "write a pprof allocs profile of the process to file, every allocation recorded")
 	flag.Parse()
+	if *allocProfile != "" {
+		runtime.MemProfileRate = 1
+	}
 
 	if *in == "" {
 		return fail(run.ExitUsage, errors.New("need -trace (generate one with tracegen)"))
@@ -272,7 +277,12 @@ func simulate() int {
 
 	fmt.Printf("%s\n", pipe)
 	fmt.Printf("trace %s: %s %dx%d, frames %d..%v\n", *in, hdr.Label, hdr.Width, hdr.Height, *start, *end)
-	var profFile *os.File
+	var profFile, allocFile *os.File
+	if *allocProfile != "" {
+		if allocFile, err = os.Create(*allocProfile); err != nil {
+			return fail(run.ExitUsage, err)
+		}
+	}
 	if *cpuProfile != "" {
 		if profFile, err = os.Create(*cpuProfile); err == nil {
 			err = pprof.StartCPUProfile(profFile)
@@ -300,6 +310,18 @@ func simulate() int {
 			outOK = complain(err)
 		} else {
 			fmt.Println("wrote", *cpuProfile)
+		}
+	}
+	if allocFile != nil {
+		runtime.GC() // the profile is as of the last collection
+		err := pprof.Lookup("allocs").WriteTo(allocFile, 0)
+		if cerr := allocFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			outOK = complain(err)
+		} else {
+			fmt.Println("wrote", *allocProfile)
 		}
 	}
 	if sigWriter != nil {
@@ -368,7 +390,7 @@ func simulate() int {
 	}
 	man.Cycles = pipe.Cycles()
 	man.Frames = int64(pipe.CP.Frames())
-	man.Outputs = collectOutputs(*sigOut, *statsOut, *summaryOut, *framesOut, *metricsOut, *spansOut, *perfettoOut, *blackbox, *cpuProfile)
+	man.Outputs = collectOutputs(*sigOut, *statsOut, *summaryOut, *framesOut, *metricsOut, *spansOut, *perfettoOut, *blackbox, *cpuProfile, *allocProfile)
 	if eng != nil {
 		man.Checkpoints = eng.Count()
 		man.LastCheckpoint = eng.LastCycle()

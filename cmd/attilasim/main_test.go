@@ -154,3 +154,28 @@ func TestReadmeFlagsExist(t *testing.T) {
 		}
 	}
 }
+
+// -allocprofile writes the allocs profile after the run, also when the
+// run fails, and a profile file that cannot be created is a usage
+// error, as for -cpuprofile.
+func TestAllocProfileCLI(t *testing.T) {
+	dir := t.TempDir()
+	build(t, dir, "attilasim", "tracegen")
+	bin := filepath.Join(dir, "attilasim")
+	gen := exec.Command(filepath.Join(dir, "tracegen"), "-workload", "simple", "-width", "64", "-height", "48", "-frames", "1", "-out", "s.attila")
+	gen.Dir = dir
+	if out, err := gen.CombinedOutput(); err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, out)
+	}
+	code, out := sim(t, bin, dir, "-trace", "s.attila", "-chaos", "panic@cycle=2000", "-allocprofile", "a.allocs", "-manifest", "none")
+	if code != 1 || !strings.Contains(out, "wrote a.allocs") {
+		t.Fatalf("failed run: exit %d, want 1 and the profile written\n%s", code, out)
+	}
+	prof, err := os.ReadFile(filepath.Join(dir, "a.allocs"))
+	if err != nil || len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Errorf("a.allocs is not a gzipped profile (%d bytes, err %v)", len(prof), err)
+	}
+	if code, out := sim(t, bin, dir, "-trace", "s.attila", "-allocprofile", "no/such/dir/a.allocs", "-manifest", "none"); code != 4 {
+		t.Errorf("uncreatable profile: exit %d, want 4\n%s", code, out)
+	}
+}

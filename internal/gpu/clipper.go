@@ -11,6 +11,7 @@ import (
 // partially visible ones, flow free to the rasterizer).
 type Clipper struct {
 	core.BoxBase
+	pool   *pipePool
 	triIn  *Flow
 	triOut *Flow
 	queue  core.FIFO[*TriWork]
@@ -27,8 +28,8 @@ type Clipper struct {
 
 // NewClipper builds the box. The output flow's signal latency models
 // the 6-cycle clipper pipeline (Table 1).
-func NewClipper(sim *core.Simulator, triIn, triOut *Flow) *Clipper {
-	c := &Clipper{triIn: triIn, triOut: triOut}
+func NewClipper(sim *core.Simulator, pool *pipePool, triIn, triOut *Flow) *Clipper {
+	c := &Clipper{pool: pool, triIn: triIn, triOut: triOut}
 	c.Init("Clipper")
 	sim.Stats.ShadowCounter(&c.statIn, "Clipper.triangles")
 	sim.Stats.ShadowCounter(&c.statRejected, "Clipper.rejected")
@@ -50,9 +51,9 @@ func (c *Clipper) Clock(cycle int64) {
 	if c.judged != tri {
 		c.judged = tri
 		c.rejected = clipemu.TriviallyRejected(
-			tri.V[0].Out[isa.AttrPos],
-			tri.V[1].Out[isa.AttrPos],
-			tri.V[2].Out[isa.AttrPos])
+			tri.V[0][isa.AttrPos],
+			tri.V[1][isa.AttrPos],
+			tri.V[2][isa.AttrPos])
 	}
 	if !c.rejected && !c.triOut.CanSend(cycle, 1) {
 		c.Park() // until credit folds into triOut
@@ -66,6 +67,7 @@ func (c *Clipper) Clock(cycle int64) {
 	if c.rejected {
 		tri.Batch.retireTris(1)
 		c.statRejected.Inc()
+		c.pool.tris.put(tri)
 		return
 	}
 	c.triOut.Send(cycle, tri)

@@ -182,7 +182,7 @@ func (c *ColorWrite) retire(q *Quad) {
 	c.queue.Pop()
 	c.headLooked = false
 	q.Batch.retireQuads(1)
-	c.pool.quads.put(q)
+	c.pool.retireQuad(q)
 }
 
 // flags returns (creating if needed) the clear-state array for the

@@ -73,7 +73,9 @@ type PoolKind struct {
 // Pools reports the free lists of the pipeline's pool.
 func (p *Pipeline) Pools() []PoolKind {
 	pl := p.ffifo.pool
-	return []PoolKind{poolKind("quads", &pl.quads), poolKind("tiles", &pl.tiles),
+	return []PoolKind{poolKind("groups", &pl.groups), poolKind("vertices", &pl.vertices),
+		poolKind("tris", &pl.tris), poolKind("setups", &pl.setups),
+		poolKind("quads", &pl.quads), poolKind("tiles", &pl.tiles),
 		poolKind("works", &pl.works), poolKind("inputs", &pl.inputs)}
 }
 

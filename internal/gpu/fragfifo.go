@@ -354,7 +354,7 @@ func (f *FragmentFIFO) route(cycle int64, w *ShaderWork) bool {
 		q.Batch.retireQuads(1)
 		q.Batch.KilledQuads++
 		f.statKilled.Inc()
-		f.pool.quads.put(q)
+		f.pool.retireQuad(q)
 		return true
 	}
 	out.Send(cycle, q)

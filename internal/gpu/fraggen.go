@@ -73,6 +73,7 @@ func (f *FragmentGenerator) Clock(cycle int64) {
 		worked = true
 		if !ok {
 			f.cur.Batch.retireTris(1)
+			f.pool.releaseTri(f.cur)
 			f.cur = nil
 			break
 		}
@@ -157,7 +158,6 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 	tile := f.pool.tiles.get()
 	tile.DynObject = core.DynObject{ID: f.ids.Next(), Parent: f.cur.ID, Tag: "tile"}
 	tile.Batch = f.cur.Batch
-	tile.Tri = f.cur
 	tile.X = x0
 	tile.Y = y0
 	for qy := 0; qy < SurfaceTile; qy += 2 {
@@ -178,6 +178,7 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 					q.DynObject = core.DynObject{ID: f.ids.Next(), Parent: tile.ID, Tag: "quad"}
 					q.Batch = f.cur.Batch
 					q.Tri = f.cur
+					f.cur.holders++
 					q.X = x0 + qx
 					q.Y = y0 + qy
 				}

@@ -28,13 +28,13 @@ func newPAHarness(t *testing.T, mode PrimMode, count int) *paHarness {
 	in := pFlow(sim, "src", "PrimAssembly", "Streamer.VtxOut", 1, 1, 0, 8)
 	out := pFlow(sim, "PrimAssembly", "sink", "PA.TriOut", 1, 1, 0, 1024)
 	h := &paHarness{sim: sim, in: in, out: out}
-	h.pa = NewPrimAssembly(sim, in, out)
+	h.pa = NewPrimAssembly(sim, &pipePool{}, in, out)
 	h.batch = &BatchState{State: &DrawState{Primitive: mode, Count: count}}
 	return h
 }
 
-// run feeds count vertices (seq as payload) and collects emitted
-// triangles as ordinal triples.
+// run feeds count vertices (seq as payload, in the first output) and
+// collects emitted triangles as ordinal triples.
 func (h *paHarness) run(t *testing.T, count int) [][3]int {
 	t.Helper()
 	seq := 0
@@ -45,6 +45,7 @@ func (h *paHarness) run(t *testing.T, count int) [][3]int {
 				DynObject: core.DynObject{ID: ids.Next()},
 				Batch:     h.batch, Seq: seq,
 			}
+			sv.Out[0][0] = float32(seq)
 			h.in.Send(cycle, sv)
 			seq++
 		}
@@ -52,7 +53,7 @@ func (h *paHarness) run(t *testing.T, count int) [][3]int {
 		for _, obj := range h.out.Recv(cycle) {
 			tw := obj.(*TriWork)
 			h.out.Release(1)
-			h.tris = append(h.tris, [3]int{tw.V[0].Seq, tw.V[1].Seq, tw.V[2].Seq})
+			h.tris = append(h.tris, [3]int{int(tw.V[0][0][0]), int(tw.V[1][0][0]), int(tw.V[2][0][0])})
 		}
 		// Manual harness: run the cycle barrier so released flow
 		// credits become visible to the producer next cycle.
@@ -388,7 +389,7 @@ func TestPrimAssemblyStallBuildsNothing(t *testing.T) {
 		sim := core.NewSimulator(0)
 		in := pFlow(sim, "src", "PrimAssembly", "Streamer.VtxOut", 1, 1, 0, 8)
 		out := pFlow(sim, "PrimAssembly", "sink", "PA.TriOut", 1, 1, 0, 1)
-		pa := NewPrimAssembly(sim, in, out)
+		pa := NewPrimAssembly(sim, &pipePool{}, in, out)
 		batch := &BatchState{State: &DrawState{Primitive: mode, Count: 8}}
 		// Nothing drains the sink: the first triangle takes the only
 		// credit and the next completing vertex stalls.

@@ -116,7 +116,7 @@ func (h *HierarchicalZ) process(cycle int64, tile *Tile) bool {
 			b.HZCulledQuads += len(tile.Quads)
 			h.statCulled.Inc()
 			for _, q := range tile.Quads {
-				h.pool.quads.put(q)
+				h.pool.retireQuad(q)
 			}
 			return true
 		}

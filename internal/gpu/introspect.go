@@ -48,15 +48,36 @@ func (s *Streamer) Introspect() core.BoxInfo {
 		Busy: &s.statBusy,
 		Queues: func() []core.QueueStat {
 			return flowStats([]core.QueueStat{
-				{Name: "Streamer.cmdQueue", Occupied: len(s.cmdQ), Capacity: 2},
-				{Name: "Streamer.reorder", Occupied: len(s.ready)},
-				{Name: "Streamer.shadePending", Occupied: len(s.pendingV)},
+				{Name: "Streamer.cmdQueue", Occupied: s.cmdQ.Len(), Capacity: 2},
+				{Name: "Streamer.reorder", Occupied: s.readyCount()},
+				{Name: "Streamer.shadePending", Occupied: s.waitedCount()},
 			}, s.shadeOut, s.vtxOut)
 		},
 		Quiet: func() bool {
-			return s.batch == nil && len(s.cmdQ) == 0 && s.group == nil && s.fetch.Quiesce()
+			return s.batch == nil && s.cmdQ.Len() == 0 && s.group == nil && s.fetch.Quiesce()
 		},
 	}
+}
+
+// readyCount is the number of shaded seqs waiting in the reorder ring.
+func (s *Streamer) readyCount() (n int) {
+	for seq := s.commit; seq < s.seq; seq++ {
+		if s.slot(seq).ready {
+			n++
+		}
+	}
+	return n
+}
+
+// waitedCount is the number of vertices being shaded that other seqs
+// wait on.
+func (s *Streamer) waitedCount() (n int) {
+	for i := range s.vcache {
+		if len(s.vcache[i].waiters) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Introspect implements core.Introspector. The queue holds what the

@@ -288,6 +288,9 @@ type SetupTri struct {
 	// Attr[slot][vertex] ordering is chosen for the interpolator's
 	// access pattern.
 	Attr [isa.MaxOutputs][3]vmath.Vec4
+	// holders counts the FragmentGenerator and each live quad; the last
+	// to let go recycles the triangle (pipePool.releaseTri).
+	holders int
 }
 
 // Tile is an 8x8 fragment tile ("stamp" pair of the generator): the
@@ -296,7 +299,6 @@ type SetupTri struct {
 type Tile struct {
 	core.DynObject
 	Batch *BatchState
-	Tri   *SetupTri
 	X, Y  int
 	Quads []*Quad
 	// MinDepth is the conservative tile depth bound for HZ.
@@ -359,12 +361,12 @@ type ShadedVertex struct {
 	Out   [isa.MaxOutputs]vmath.Vec4
 }
 
-// TriWork is an assembled triangle (three shaded vertices) flowing
-// from primitive assembly through the clipper to setup.
+// TriWork is an assembled triangle flowing from primitive assembly
+// through the clipper to setup. It carries its three vertices' outputs.
 type TriWork struct {
 	core.DynObject
 	Batch *BatchState
-	V     [3]*ShadedVertex
+	V     [3][isa.MaxOutputs]vmath.Vec4
 }
 
 // Flow pairs a signal with a credit count so producers observe

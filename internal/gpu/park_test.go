@@ -17,16 +17,11 @@ import (
 
 // insideTri is a counterclockwise triangle well inside the frustum.
 func insideTri(batch *BatchState, ids *core.IDSource) *TriWork {
-	mk := func(x, y float32) *ShadedVertex {
-		v := &ShadedVertex{Batch: batch}
-		v.Out[isa.AttrPos] = vmath.Vec4{x, y, 0, 1}
-		return v
-	}
-	return &TriWork{
-		DynObject: core.DynObject{ID: ids.Next(), Tag: "tri"},
-		Batch:     batch,
-		V:         [3]*ShadedVertex{mk(-0.5, -0.5), mk(0.5, -0.5), mk(0, 0.5)},
-	}
+	tw := &TriWork{DynObject: core.DynObject{ID: ids.Next(), Tag: "tri"}, Batch: batch}
+	tw.V[0][isa.AttrPos] = vmath.Vec4{-0.5, -0.5, 0, 1}
+	tw.V[1][isa.AttrPos] = vmath.Vec4{0.5, -0.5, 0, 1}
+	tw.V[2][isa.AttrPos] = vmath.Vec4{0, 0.5, 0, 1}
+	return tw
 }
 
 // A triangle waiting at the head of the Clipper's or Setup's queue for
@@ -44,15 +39,15 @@ func TestBlockedTriangleIsJudgedOnce(t *testing.T) {
 		var clock func(int64)
 		var spoil func(*TriWork)
 		if box == "Clipper" {
-			clock = NewClipper(sim, in, out).Clock
+			clock = NewClipper(sim, &pipePool{}, in, out).Clock
 			spoil = func(tw *TriWork) { // wholly beyond the right plane
-				for _, v := range tw.V {
-					v.Out[isa.AttrPos] = vmath.Vec4{5, 0, 0, 1}
+				for i := range tw.V {
+					tw.V[i][isa.AttrPos] = vmath.Vec4{5, 0, 0, 1}
 				}
 			}
 		} else {
-			clock = NewSetup(sim, in, out).Clock
-			spoil = func(tw *TriWork) { tw.V[0].Out[isa.AttrPos][3] = 0 } // behind the eye
+			clock = NewSetup(sim, &pipePool{}, in, out).Clock
+			spoil = func(tw *TriWork) { tw.V[0][isa.AttrPos][3] = 0 } // behind the eye
 		}
 		batch := &BatchState{State: st}
 		first, second := insideTri(batch, &sim.IDs), insideTri(batch, &sim.IDs)
@@ -236,11 +231,11 @@ func TestParkedFlowsMatchEveryBox(t *testing.T) {
 			sim.Register(src)
 			if hasty {
 				// Built by hand: NewClipper would register the honest box.
-				c := &Clipper{triIn: in, triOut: out}
+				c := &Clipper{pool: &pipePool{}, triIn: in, triOut: out}
 				c.Init("Clipper")
 				sim.Register(hastyClipper{c})
 			} else {
-				NewClipper(sim, in, out)
+				NewClipper(sim, &pipePool{}, in, out)
 			}
 			dst := &triDst{in: out}
 			dst.Init("Dst")

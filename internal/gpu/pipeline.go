@@ -217,13 +217,12 @@ func New(cfg Config, width, height int) (*Pipeline, error) {
 
 	// Boxes. Registration order is the clocking order; with all
 	// signal latencies >= 1 it does not affect results.
-	// Shared free lists for tiles, quads, input blocks and shader-work
-	// wrappers.
+	// Shared free lists for the geometry and fragment paths' objects.
 	pool := &pipePool{}
-	p.streamer = NewStreamer(sim, &cfg, p.Mem, drawFlow, shadeOut, vtxShaded, vtxOut)
-	NewPrimAssembly(sim, vtxOut, paOut)
-	NewClipper(sim, paOut, clipOut)
-	p.setupBox = NewSetup(sim, clipOut, setupOut)
+	p.streamer = NewStreamer(sim, &cfg, pool, p.Mem, drawFlow, shadeOut, vtxShaded, vtxOut)
+	NewPrimAssembly(sim, pool, vtxOut, paOut)
+	NewClipper(sim, pool, paOut, clipOut)
+	p.setupBox = NewSetup(sim, pool, clipOut, setupOut)
 	NewFragmentGenerator(sim, &cfg, pool, setupOut, fgenOut)
 	p.hz = NewHierarchicalZ(sim, &cfg, pool, p.FB.Z(), fgenOut, hzEarly, hzLate)
 	p.ropzs = make([]*ZStencil, nROP)

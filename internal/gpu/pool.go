@@ -1,26 +1,54 @@
 package gpu
 
-// pipePool recycles the high-churn fragment-pipeline objects — tiles,
-// quads, their fragment input blocks and shader-work wrappers, the
-// bulk of the simulator's per-frame heap traffic. One goroutine clocks
-// every allocation and release site, so the free lists need no
-// locking; each pipeline has its own pool.
+import "unsafe"
+
+// pipePool recycles the pipeline's high-churn dynamic objects: the
+// geometry path's vertex groups, shaded vertices, triangles and set-up
+// triangles, and the fragment path's tiles, quads, their fragment
+// input blocks and shader-work wrappers — the bulk of the simulator's
+// per-frame heap traffic. One goroutine clocks every allocation and
+// release site, so the free lists need no locking; each pipeline has
+// its own pool.
 //
 // Ownership and release rules (see DESIGN.md §10):
 //
+//   - The Streamer allocates VtxGroups and releases each one when it
+//     comes back shaded, once it has copied the outputs into its
+//     reorder ring and vertex cache.
+//   - The Streamer allocates a ShadedVertex per committed vertex;
+//     Primitive Assembly releases it once it has copied the outputs
+//     into its window.
+//   - Primitive Assembly allocates TriWorks, which carry their three
+//     vertices' outputs. The Clipper releases the ones it rejects,
+//     Triangle Setup the ones it culls or sets up.
+//   - Triangle Setup allocates SetupTris. A SetupTri counts its
+//     holders: the FragmentGenerator, until it has traversed the
+//     triangle, and each live quad. It goes back with the last of
+//     them.
 //   - The FragmentGenerator allocates tiles and quads (buildTile).
 //   - HierarchicalZ releases each tile once it has culled or
 //     forwarded the tile's quads.
 //   - A quad is released at exactly one of its four terminal sites,
 //     the places that account it in Batch.QuadsRetired: HZ cull,
 //     Z/stencil cull, every-lane-killed in the FragmentFIFO's route,
-//     or ColorWrite retire.
+//     or ColorWrite retire (retireQuad).
 //   - The Interpolator gives a quad its QuadInputs block, and the
 //     FragmentFIFO releases the block once it has routed the shaded
 //     quad (to a ROP, or to its every-lane-killed retirement). Outside
 //     those two points Quad.In is nil.
 //   - The FragmentFIFO allocates one ShaderWork wrapper per arriving
 //     thread input and releases it after routing the completed thread.
+//
+// Vertex outputs are copied, never pointed to, across a release: the
+// reorder ring, the vertex cache, the assembly window and a TriWork
+// each hold their own copy, so no object is read after it went back.
+//
+// A signal trace reads an object's DynObject at the end of the cycle
+// it left a wire, so a geometry object is not taken again in the cycle
+// it went back: the boxes that take vertices, triangles and set-up
+// triangles are clocked before those that release them, and the
+// Streamer releases its groups at the end of its Clock. (The
+// FragmentFIFO's wrappers break the rule: ROADMAP item 23.)
 //
 // A recycled object is fully zeroed before reuse (a tile keeps its
 // Quads backing array), so pooling is invisible to the simulation:
@@ -31,19 +59,40 @@ package gpu
 // free lists carry no simulation state and are not serialized; after
 // a restore they start empty and refill.
 type pipePool struct {
-	quads  freeList[Quad]
-	tiles  freeList[Tile]
-	works  freeList[ShaderWork]
-	inputs freeList[QuadInputs]
+	groups   freeList[VtxGroup]
+	vertices freeList[ShadedVertex]
+	tris     freeList[TriWork]
+	setups   freeList[SetupTri]
+	quads    freeList[Quad]
+	tiles    freeList[Tile]
+	works    freeList[ShaderWork]
+	inputs   freeList[QuadInputs]
 }
 
-// poolSlab is how many objects an empty free list makes at once.
-const poolSlab = 64
+// retireQuad releases a quad at one of its terminal sites, and with it
+// the quad's hold on its SetupTri.
+func (p *pipePool) retireQuad(q *Quad) {
+	p.releaseTri(q.Tri)
+	p.quads.put(q)
+}
+
+// releaseTri drops one hold on a SetupTri and recycles it with the
+// last.
+func (p *pipePool) releaseTri(t *SetupTri) {
+	if t.holders--; t.holders == 0 {
+		p.setups.put(t)
+	}
+}
+
+// slabBytes is how much an empty free list makes at once: 89 quads,
+// or 7 vertex groups, so a scene that draws a handful of vertices does
+// not pay for a working set of them.
+const slabBytes = 16 << 10
 
 // freeList recycles one kind of object. An empty list makes a slab of
-// poolSlab objects in one allocation and hands out pointers into it;
-// made counts every object it has made, so at drain a list whose
-// objects all came back holds made of them.
+// slabBytes (one object at least) in one allocation and hands out
+// pointers into it; made counts every object it has made, so at drain
+// a list whose objects all came back holds made of them.
 type freeList[T any] struct {
 	free []*T
 	slab []T // the rest of the last slab, not yet handed out
@@ -59,18 +108,18 @@ func (l *freeList[T]) get() *T {
 		return x
 	}
 	if len(l.slab) == 0 {
-		l.slab = make([]T, poolSlab)
-		l.made += poolSlab
+		var zero T
+		n := max(1, slabBytes/int(unsafe.Sizeof(zero)))
+		l.slab = make([]T, n)
+		l.made += n
 	}
 	x := &l.slab[0]
 	l.slab = l.slab[1:]
 	return x
 }
 
-// put returns an object. The caller must hold the only reference: a
-// quad popped from its input queue with its credit released, a tile
-// whose quads were all culled or forwarded (they are released at their
-// own sites), a wrapper or input block whose work was routed.
+// put returns an object. The caller must hold the only reference (the
+// rules above say who that is for each kind).
 func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
 
 // reset zeroes a recycled object; a tile keeps its Quads backing array

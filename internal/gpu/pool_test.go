@@ -10,9 +10,10 @@ import (
 )
 
 // checkPoolsDrained fails t unless every free list of the drained
-// pipeline holds every object it made: a quad, tile, input block or
-// shader-work wrapper that no release site returned is missing from
-// its list. It returns the bytes the pool made.
+// pipeline holds every object it made: a vertex group, shaded vertex,
+// triangle, set-up triangle, quad, tile, input block or shader-work
+// wrapper that no release site returned is missing from its list. It
+// returns the bytes the pool made.
 func checkPoolsDrained(t *testing.T, pipe *gpu.Pipeline) (bytes uintptr) {
 	t.Helper()
 	for _, k := range pipe.Pools() {
@@ -30,8 +31,11 @@ func checkPoolsDrained(t *testing.T, pipe *gpu.Pipeline) (bytes uintptr) {
 // what the pool made: a quad no longer carries its 1 KiB of fragment
 // inputs, and only the quads between the Interpolator and the
 // FragmentFIFO's routing hold an input block, so the thousands of
-// quads queued ahead of interpolation cost 184 bytes each. Chaos runs
-// are not drained here: a dropped object leaks by design.
+// quads queued ahead of interpolation cost 184 bytes each. The pool
+// made 2.05 MiB there: 1.64 MiB of fragment-path kinds and 0.41 MiB of
+// geometry kinds, most of it the 391 set-up triangles that queued quads
+// hold. Chaos runs are not drained here: a dropped object leaks by
+// design.
 func TestPipelinePoolsDrain(t *testing.T) {
 	if size := unsafe.Sizeof(gpu.Quad{}); size > 192 {
 		t.Errorf("a Quad is %d bytes, want <= 192: its inputs belong in a QuadInputs block", size)
@@ -42,7 +46,7 @@ func TestPipelinePoolsDrain(t *testing.T) {
 		w, h, n   int
 		maxBytes  uintptr // 0: not bounded
 	}{
-		{"ut2004", gpu.BaselineUnified(), 256, 192, 4, 5 << 19}, // 2.5 MiB
+		{"ut2004", gpu.BaselineUnified(), 256, 192, 4, 9 << 18}, // 2.25 MiB: 2.05 measured + 10 %
 		{"doom3", gpu.CaseStudy(1, gpu.ScheduleWindow), 320, 240, 3, 0},
 		{"spinner", gpu.Embedded(), 256, 192, 48, 0},
 	}

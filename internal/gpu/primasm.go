@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"attila/internal/core"
+	"attila/internal/isa"
+	"attila/internal/vmath"
 )
 
 // PrimAssembly stores incoming shaded vertices and assembles them
@@ -10,23 +12,25 @@ import (
 // strips.
 type PrimAssembly struct {
 	core.BoxBase
-	ids *core.IDSource
+	ids  *core.IDSource
+	pool *pipePool
 
 	vtxIn  *Flow
 	triOut *Flow
 
-	queue   core.FIFO[*ShadedVertex] // input queue (Table 1: 8 entries)
-	window  []*ShadedVertex          // primitive assembly window
-	count   int                      // vertices consumed for the current batch
-	pending *TriWork                 // second triangle of a completed quad
+	queue   core.FIFO[*ShadedVertex]      // input queue (Table 1: 8 entries)
+	window  [3][isa.MaxOutputs]vmath.Vec4 // primitive assembly window: its vertices' outputs
+	held    int                           // vertices in the window
+	count   int                           // vertices consumed for the current batch
+	pending *TriWork                      // second triangle of a completed quad
 
 	statTris core.Counter
 	statBusy core.Counter
 }
 
 // NewPrimAssembly builds the box.
-func NewPrimAssembly(sim *core.Simulator, vtxIn, triOut *Flow) *PrimAssembly {
-	p := &PrimAssembly{ids: &sim.IDs, vtxIn: vtxIn, triOut: triOut}
+func NewPrimAssembly(sim *core.Simulator, pool *pipePool, vtxIn, triOut *Flow) *PrimAssembly {
+	p := &PrimAssembly{ids: &sim.IDs, pool: pool, vtxIn: vtxIn, triOut: triOut}
 	p.Init("PrimAssembly")
 	sim.Stats.ShadowCounter(&p.statTris, "PrimAssembly.triangles")
 	sim.Stats.ShadowCounter(&p.statBusy, "PrimAssembly.busyCycles")
@@ -71,16 +75,18 @@ func (p *PrimAssembly) Clock(cycle int64) {
 	}
 	p.queue.Pop()
 	p.vtxIn.Release(1)
+	b := v.Batch
 	if emits {
 		var tri *TriWork
 		tri, p.pending = p.assemble(v) // from the window as it is before v
 		p.triOut.Send(cycle, tri)
-		v.Batch.TrisIn++
+		b.TrisIn++
 		p.statTris.Inc()
 	}
 	p.commit(v)
+	p.pool.vertices.put(v) // its outputs are in the window or a triangle
 	p.statBusy.Inc()
-	p.finishBatch(v.Batch)
+	p.finishBatch(b)
 }
 
 // finishBatch marks the batch through primitive assembly once every
@@ -88,7 +94,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 func (p *PrimAssembly) finishBatch(b *BatchState) {
 	if p.pending == nil && p.count == b.State.Count {
 		b.assembled()
-		p.window = p.window[:0]
+		p.held = 0
 		p.count = 0
 	}
 }
@@ -113,74 +119,76 @@ func completesTriangle(mode PrimMode, n int) bool {
 // triangle to send now and, for quads, the second triangle held for
 // the next cycle. It reads the window as it is before v is committed.
 func (p *PrimAssembly) assemble(v *ShadedVertex) (tri, second *TriWork) {
-	w := p.window
+	w := &p.window
 	n := p.count // vertices consumed before v
-	mk := func(a, b, c *ShadedVertex) *TriWork {
-		return &TriWork{
-			DynObject: core.DynObject{ID: p.ids.Next(), Parent: v.ID, Tag: "tri"},
-			Batch:     v.Batch,
-			V:         [3]*ShadedVertex{a, b, c},
-		}
+	mk := func(a, b, c *[isa.MaxOutputs]vmath.Vec4) *TriWork {
+		t := p.pool.tris.get()
+		t.DynObject = core.DynObject{ID: p.ids.Next(), Parent: v.ID, Tag: "tri"}
+		t.Batch = v.Batch
+		t.V[0], t.V[1], t.V[2] = *a, *b, *c
+		return t
 	}
 	switch v.Batch.State.Primitive {
 	case TriangleStrip:
 		if n%2 == 1 {
-			return mk(w[1], w[0], v), nil
+			return mk(&w[1], &w[0], &v.Out), nil
 		}
 	case Quads:
 		// Quad (0,1,2,3) becomes triangles (0,1,2) and (0,2,3).
-		tri = mk(w[0], w[1], w[2])
-		return tri, mk(w[0], w[2], v)
+		tri = mk(&w[0], &w[1], &w[2])
+		return tri, mk(&w[0], &w[2], &v.Out)
 	case QuadStrip:
 		// Quad i has perimeter (2i, 2i+1, 2i+3, 2i+2), split along
 		// the 2i+1..2i+2 diagonal so each arriving vertex from the
 		// third on completes exactly one triangle: (2i, 2i+1, 2i+2),
 		// then (2i+1, 2i+3, 2i+2).
 		if n%2 == 1 {
-			return mk(w[1], v, w[2]), nil
+			return mk(&w[1], &v.Out, &w[2]), nil
 		}
 	}
-	return mk(w[0], w[1], v), nil
+	return mk(&w[0], &w[1], &v.Out), nil
 }
 
 // commit updates the assembly window after consuming v.
 func (p *PrimAssembly) commit(v *ShadedVertex) {
-	mode := v.Batch.State.Primitive
 	n := p.count
-	switch mode {
+	switch v.Batch.State.Primitive {
 	case Triangles:
 		if n%3 == 2 {
-			p.window = p.window[:0]
+			p.held = 0
 		} else {
-			p.window = append(p.window, v)
+			p.keep(v)
 		}
 	case TriangleStrip:
 		if n < 2 {
-			p.window = append(p.window, v)
+			p.keep(v)
 		} else {
-			p.window = []*ShadedVertex{p.window[1], v}
+			p.window[0], p.window[1] = p.window[1], v.Out
 		}
 	case TriangleFan:
-		if n == 0 {
-			p.window = append(p.window, v)
-		} else if n == 1 {
-			p.window = append(p.window, v)
+		if n < 2 {
+			p.keep(v)
 		} else {
-			p.window = []*ShadedVertex{p.window[0], v}
+			p.window[1] = v.Out // [0, n]
 		}
 	case Quads:
-		switch n % 4 {
-		case 3:
-			p.window = p.window[:0]
-		default:
-			p.window = append(p.window, v)
+		if n%4 == 3 {
+			p.held = 0
+		} else {
+			p.keep(v)
 		}
 	case QuadStrip:
 		if n < 2 || n%2 == 0 {
-			p.window = append(p.window, v) // [2i, 2i+1] or [2i, 2i+1, 2i+2]
+			p.keep(v) // [2i, 2i+1] or [2i, 2i+1, 2i+2]
 		} else {
-			p.window = []*ShadedVertex{p.window[2], v} // [2i+2, 2i+3]
+			p.window[0], p.window[1], p.held = p.window[2], v.Out, 2 // [2i+2, 2i+3]
 		}
 	}
 	p.count = n + 1
+}
+
+// keep appends v's outputs to the window.
+func (p *PrimAssembly) keep(v *ShadedVertex) {
+	p.window[p.held] = v.Out
+	p.held++
 }

@@ -15,6 +15,7 @@ import (
 // two-phase batch pipelining of §2.2.
 type Setup struct {
 	core.BoxBase
+	pool   *pipePool
 	triIn  *Flow
 	triOut *Flow
 	queue  core.FIFO[*TriWork]
@@ -34,8 +35,8 @@ type Setup struct {
 
 // NewSetup builds the box; the output flow's latency models the
 // 10-cycle setup pipeline (Table 1).
-func NewSetup(sim *core.Simulator, triIn, triOut *Flow) *Setup {
-	s := &Setup{triIn: triIn, triOut: triOut}
+func NewSetup(sim *core.Simulator, pool *pipePool, triIn, triOut *Flow) *Setup {
+	s := &Setup{pool: pool, triIn: triIn, triOut: triOut}
 	s.Init("TriangleSetup")
 	sim.Stats.ShadowCounter(&s.statIn, "Setup.triangles")
 	sim.Stats.ShadowCounter(&s.statCulled, "Setup.culled")
@@ -73,7 +74,7 @@ func (s *Setup) Clock(cycle int64) {
 	if s.headOf != tw {
 		clip := [3]vmath.Vec4{}
 		for i := 0; i < 3; i++ {
-			clip[i] = tw.V[i].Out[isa.AttrPos]
+			clip[i] = tw.V[i][isa.AttrPos]
 		}
 		s.headOf = tw
 		s.headTri, s.headOK = rastemu.Setup(clip, st.Viewport, st.CullFront, st.CullBack)
@@ -92,14 +93,15 @@ func (s *Setup) Clock(cycle int64) {
 	if !ok {
 		tw.Batch.retireTris(1)
 		s.statCulled.Inc()
+		s.pool.tris.put(tw)
 		return
 	}
 
-	out := &SetupTri{
-		DynObject: core.DynObject{ID: tw.ID, Parent: tw.Parent, Tag: "setup"},
-		Batch:     tw.Batch,
-		Tri:       s.headTri,
-	}
+	out := s.pool.setups.get()
+	out.DynObject = core.DynObject{ID: tw.ID, Parent: tw.Parent, Tag: "setup"}
+	out.Batch = tw.Batch
+	out.Tri = s.headTri
+	out.holders = 1 // the FragmentGenerator, until it has traversed it
 	// Copy the vertex attributes the interpolator will need: the
 	// fragment program's inputs (position is handled separately).
 	mask := st.InterpAttrs()
@@ -108,8 +110,9 @@ func (s *Setup) Clock(cycle int64) {
 			continue
 		}
 		for v := 0; v < 3; v++ {
-			out.Attr[slot][v] = tw.V[v].Out[slot]
+			out.Attr[slot][v] = tw.V[v][slot]
 		}
 	}
+	s.pool.tris.put(tw)
 	s.triOut.Send(cycle, out)
 }

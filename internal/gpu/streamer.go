@@ -20,6 +20,7 @@ type Streamer struct {
 	cfg   *Config
 	gm    *mem.GPUMemory
 	ids   *core.IDSource
+	pool  *pipePool
 	fetch *mem.Cache // 64-byte attribute/index fetch buffer
 
 	cmdIn    *Flow // draw commands from CP
@@ -27,20 +28,21 @@ type Streamer struct {
 	shadeIn  *Flow // shaded groups back
 	vtxOut   *Flow // ordered vertices to Primitive Assembly
 
-	cmdQ  []*BatchState
+	cmdQ  core.FIFO[*BatchState]
 	batch *BatchState
 	seq   int // next vertex ordinal to fetch
 
-	// Post-shading vertex cache: index -> shaded outputs.
-	vcache   map[uint32]*vcacheEntry
-	vcacheQ  []uint32         // FIFO replacement order
-	pendingV map[uint32][]int // index -> seqs waiting on a shading miss
+	// Post-shading vertex cache, oldest entry first, at most
+	// Config.VertexCacheEntries of them; each batch starts it empty.
+	vcache []vcacheEntry
 
 	// Group being accumulated for shading.
 	group *VtxGroup
 
-	// Reorder buffer: seq -> shaded outputs ready to commit.
-	ready   map[int]*[isa.MaxOutputs]vmath.Vec4
+	// Reorder ring: seq's shaded outputs wait in rob[seq&(len(rob)-1)]
+	// until every earlier seq is committed. It has a slot for every seq
+	// in [commit, seq] and doubles when it would not.
+	rob     []robSlot
 	commit  int // next seq to send to PA
 	fetchSt struct {
 		active bool
@@ -55,19 +57,30 @@ type Streamer struct {
 	statBusy      core.Counter
 }
 
+// vcacheEntry is one vertex of the post-shading cache: pending while
+// its shading is in flight, collecting the seqs that hit it meanwhile.
 type vcacheEntry struct {
-	out     [isa.MaxOutputs]vmath.Vec4
-	ready   bool
+	index   uint32
 	pending bool
+	waiters []int
+	out     [isa.MaxOutputs]vmath.Vec4
+}
+
+// robSlot is one seq of the reorder ring.
+type robSlot struct {
+	ready bool
+	out   [isa.MaxOutputs]vmath.Vec4
 }
 
 // NewStreamer builds the box; flows are provided by the pipeline
 // wiring.
-func NewStreamer(sim *core.Simulator, cfg *Config, gm *mem.GPUMemory,
+func NewStreamer(sim *core.Simulator, cfg *Config, pool *pipePool, gm *mem.GPUMemory,
 	cmdIn, shadeOut, shadeIn, vtxOut *Flow) *Streamer {
 	s := &Streamer{
-		cfg: cfg, gm: gm, ids: &sim.IDs,
+		cfg: cfg, gm: gm, ids: &sim.IDs, pool: pool,
 		cmdIn: cmdIn, shadeOut: shadeOut, shadeIn: shadeIn, vtxOut: vtxOut,
+		vcache: make([]vcacheEntry, 0, max(cfg.VertexCacheEntries, 0)),
+		rob:    make([]robSlot, 16),
 	}
 	s.Init("Streamer")
 	fc := mem.CacheConfig{
@@ -90,29 +103,39 @@ func (s *Streamer) Clock(cycle int64) {
 	// Drain the command wire every cycle; start the next batch when
 	// idle.
 	for _, obj := range s.cmdIn.Recv(cycle) {
-		s.cmdQ = append(s.cmdQ, obj.(*BatchState))
+		s.cmdQ.Push(obj.(*BatchState))
 	}
-	if s.batch == nil && len(s.cmdQ) > 0 {
-		s.startBatch(s.cmdQ[0])
-		s.cmdQ = s.cmdQ[1:]
+	if s.batch == nil && s.cmdQ.Len() > 0 {
+		s.startBatch(s.cmdQ.Pop())
 		s.cmdIn.Release(1)
 	}
 
-	// Collect shaded vertex groups.
-	for _, obj := range s.shadeIn.Recv(cycle) {
+	// Collect shaded vertex groups: their outputs are copied into the
+	// reorder ring and the vertex cache. The groups go back to the pool
+	// only after this cycle's fetch, so none is reused, its DynObject
+	// rewritten, before the cycle's signal trace has read it.
+	shaded := s.shadeIn.Recv(cycle)
+	for _, obj := range shaded {
 		g := obj.(*VtxGroup)
 		s.shadeIn.Release(1)
 		for l := 0; l < g.Count; l++ {
-			s.ready[g.Seq[l]] = &g.Out[l]
+			s.setReady(g.Seq[l], &g.Out[l])
 			g.Batch.ShadedVerts++
 		}
 		s.resolveShaded(g)
 	}
+	s.step(cycle)
+	for _, obj := range shaded {
+		s.pool.groups.put(obj.(*VtxGroup))
+	}
+}
 
+// step commits, fetches and finishes the current batch.
+func (s *Streamer) step(cycle int64) {
 	if s.batch == nil {
 		// Until a draw is written to cmdIn (shadeIn is silent between
 		// batches) or a reply to the fetch cache's port.
-		if len(s.cmdQ) == 0 && s.fetch.Still() {
+		if s.cmdQ.Len() == 0 && s.fetch.Still() {
 			s.Park()
 		}
 		return
@@ -120,13 +143,11 @@ func (s *Streamer) Clock(cycle int64) {
 	busy := false
 
 	// Commit shaded vertices to Primitive Assembly in order.
-	if out, ok := s.ready[s.commit]; ok && s.vtxOut.CanSend(cycle, 1) {
-		sv := &ShadedVertex{
-			DynObject: core.DynObject{ID: s.ids.Next(), Tag: "vtx"},
-			Batch:     s.batch, Seq: s.commit,
-		}
-		sv.Out = *out
-		delete(s.ready, s.commit)
+	if r := s.slot(s.commit); r.ready && s.vtxOut.CanSend(cycle, 1) {
+		sv := s.pool.vertices.get()
+		sv.DynObject = core.DynObject{ID: s.ids.Next(), Tag: "vtx"}
+		sv.Batch, sv.Seq, sv.Out = s.batch, s.commit, r.out
+		r.ready = false
 		s.vtxOut.Send(cycle, sv)
 		s.commit++
 		busy = true
@@ -152,16 +173,24 @@ func (s *Streamer) Clock(cycle int64) {
 	}
 }
 
+// startBatch begins b with an empty vertex cache. The reorder ring is
+// empty already: the last batch committed every seq it issued.
 func (s *Streamer) startBatch(b *BatchState) {
 	s.batch = b
 	s.seq = 0
 	s.commit = 0
-	s.vcache = make(map[uint32]*vcacheEntry)
-	s.vcacheQ = nil
-	s.pendingV = make(map[uint32][]int)
-	s.ready = make(map[int]*[isa.MaxOutputs]vmath.Vec4)
+	s.vcache = s.vcache[:0]
 	s.group = nil
 	s.fetchSt.active = false
+}
+
+// slot returns seq's slot of the reorder ring.
+func (s *Streamer) slot(seq int) *robSlot { return &s.rob[seq&(len(s.rob)-1)] }
+
+// setReady copies seq's shaded outputs into the reorder ring.
+func (s *Streamer) setReady(seq int, out *[isa.MaxOutputs]vmath.Vec4) {
+	r := s.slot(seq)
+	r.out, r.ready = *out, true
 }
 
 func (s *Streamer) stepFetch(cycle int64, busy *bool) {
@@ -188,21 +217,17 @@ func (s *Streamer) stepFetch(cycle int64, busy *bool) {
 
 	// Post-shading vertex cache: only meaningful for indexed draws.
 	if st.IndexAddr != 0 {
-		if e, ok := s.vcache[idx]; ok {
+		if e := s.cached(idx); e != nil {
+			s.statVCacheHit.Inc()
 			if e.pending {
 				// Another copy of this vertex is being shaded; queue
 				// this seq on its completion.
-				s.pendingV[idx] = append(s.pendingV[idx], s.seq)
-				s.statVCacheHit.Inc()
-				s.advance()
-				return
+				e.waiters = append(e.waiters, s.seq)
+			} else {
+				s.setReady(s.seq, &e.out)
 			}
-			if e.ready {
-				s.statVCacheHit.Inc()
-				s.ready[s.seq] = &e.out
-				s.advance()
-				return
-			}
+			s.advance()
+			return
 		}
 	}
 
@@ -233,10 +258,9 @@ func (s *Streamer) stepFetch(cycle int64, busy *bool) {
 
 	// Build the vertex input and add it to the shading group.
 	if s.group == nil {
-		s.group = &VtxGroup{
-			DynObject: core.DynObject{ID: s.ids.Next(), Tag: "vtxgroup"},
-			Batch:     s.batch,
-		}
+		s.group = s.pool.groups.get()
+		s.group.DynObject = core.DynObject{ID: s.ids.Next(), Tag: "vtxgroup"}
+		s.group.Batch = s.batch
 	}
 	if s.group.Count == shaderLanes {
 		// Group full and not yet sent: wait for shadeOut space.
@@ -264,17 +288,25 @@ func (s *Streamer) advance() {
 	s.seq++
 	s.batch.VtxIssued++
 	s.fetchSt.active = false
+	if s.seq-s.commit == len(s.rob) {
+		s.growRing()
+	}
 }
 
+// growRing doubles the reorder ring, moving the seqs in flight.
+func (s *Streamer) growRing() {
+	rob := make([]robSlot, 2*len(s.rob))
+	for seq := s.commit; seq < s.seq; seq++ {
+		rob[seq&(len(rob)-1)] = *s.slot(seq)
+	}
+	s.rob = rob
+}
+
+// flushGroup sends the group being accumulated when it is full, or
+// when force is set, and shadeOut has room. A group is made for the
+// vertex that joins it first, so it is never empty.
 func (s *Streamer) flushGroup(cycle int64, force bool) {
-	if s.group == nil || s.group.Count == 0 {
-		s.group = nil
-		return
-	}
-	if !force && s.group.Count < shaderLanes {
-		return
-	}
-	if !s.shadeOut.CanSend(cycle, 1) {
+	if s.group == nil || !force && s.group.Count < shaderLanes || !s.shadeOut.CanSend(cycle, 1) {
 		return
 	}
 	s.shadeOut.Send(cycle, s.group)
@@ -320,42 +352,52 @@ func (s *Streamer) attrLines(idx uint32) []uint32 {
 	return lines
 }
 
-func (s *Streamer) vcacheInsert(idx uint32) {
-	s.statVCacheMis.Inc()
-	if len(s.vcacheQ) >= s.cfg.VertexCacheEntries {
-		// Evict the oldest non-pending entry; pending entries have
-		// waiters that must still be woken by resolveShaded.
-		evicted := false
-		for i, old := range s.vcacheQ {
-			if e := s.vcache[old]; e != nil && !e.pending {
-				delete(s.vcache, old)
-				s.vcacheQ = append(s.vcacheQ[:i], s.vcacheQ[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // cache full of pending entries: shade uncached
+// cached returns the vertex cache's entry for idx, or nil.
+func (s *Streamer) cached(idx uint32) *vcacheEntry {
+	for i := range s.vcache {
+		if s.vcache[i].index == idx {
+			return &s.vcache[i]
 		}
 	}
-	s.vcache[idx] = &vcacheEntry{pending: true}
-	s.vcacheQ = append(s.vcacheQ, idx)
+	return nil
 }
 
-// resolveShaded is called (via the FragmentFIFO result routing) when
-// a vertex group completes: it fills the vertex cache and wakes any
-// seqs waiting on the same index.
+func (s *Streamer) vcacheInsert(idx uint32) {
+	s.statVCacheMis.Inc()
+	n := len(s.vcache)
+	if n == cap(s.vcache) {
+		// Evict the oldest non-pending entry; pending entries have
+		// waiters that must still be woken by resolveShaded. Its slot,
+		// waiters' storage and all, moves to the end for idx.
+		i := 0
+		for i < n && s.vcache[i].pending {
+			i++
+		}
+		if i == n {
+			return // cache full of pending entries: shade uncached
+		}
+		e := s.vcache[i]
+		copy(s.vcache[i:], s.vcache[i+1:])
+		s.vcache[n-1] = e
+		n--
+	}
+	s.vcache = s.vcache[:n+1]
+	e := &s.vcache[n]
+	e.index, e.pending, e.waiters = idx, true, e.waiters[:0]
+}
+
+// resolveShaded is called when a vertex group comes back shaded: it
+// fills the vertex cache and readies any seqs waiting on the same
+// index.
 func (s *Streamer) resolveShaded(g *VtxGroup) {
 	for l := 0; l < g.Count; l++ {
-		idx := g.Index[l]
-		if e, ok := s.vcache[idx]; ok && e.pending {
+		if e := s.cached(g.Index[l]); e != nil && e.pending {
 			e.out = g.Out[l]
-			e.ready = true
 			e.pending = false
-			for _, seq := range s.pendingV[idx] {
-				s.ready[seq] = &e.out
+			for _, seq := range e.waiters {
+				s.setReady(seq, &e.out)
 			}
-			delete(s.pendingV, idx)
+			e.waiters = e.waiters[:0]
 		}
 	}
 }

@@ -228,7 +228,7 @@ func (z *ZStencil) Clock(cycle int64) {
 		q.Batch.ZCulledQuads++
 		z.statCulled.Inc()
 		z.pop()
-		z.pool.quads.put(q)
+		z.pool.retireQuad(q)
 		return
 	}
 	if z.forward(cycle, q) {
