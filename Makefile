@@ -28,11 +28,13 @@ test:
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
 # also fails if planning a quad allocates), the texture unit's
-# request benchmark and the workload build's benchmark, so they cannot
-# rot;
-# then fuzz smokes over the trace reader, the checkpoint's GPU memory
-# section decoder, the decoded shader interpreter against its
-# reference evaluator, and the DXT encoder against its model.
+# request benchmark, the workload build's benchmark and the checkpoint
+# capture+encode benchmark (a first capture, and one carrying 48
+# frames), so they cannot rot;
+# then fuzz smokes over the trace reader, the checkpoint container
+# reader (version 1 and 2 seeds) and section codec, the checkpoint's
+# GPU memory section decoder, the decoded shader interpreter against
+# its reference evaluator, and the DXT encoder against its model.
 # Everything else, byte identity included, is in `make test`.
 check:
 	$(gofmt_gate)
@@ -47,7 +49,10 @@ check:
 	$(GO) test -run '^$$' -bench BenchmarkPlanQuad -benchtime 1x ./internal/emu/texemu
 	$(GO) test -run '^$$' -bench BenchmarkTextureUnitQuad -benchtime 1x ./internal/gpu
 	$(GO) test -run '^$$' -bench BenchmarkBuild -benchtime 1x ./internal/workload
+	$(GO) test -run '^$$' -bench BenchmarkCaptureEncode -benchtime 1x ./internal/chkpt
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/chkpt
+	$(GO) test -run '^$$' -fuzz=FuzzDecoder -fuzztime=10s ./internal/chkpt
 	$(GO) test -run '^$$' -fuzz=FuzzGPUMemoryRestore -fuzztime=10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzDecodedMatchesReference -fuzztime=10s ./internal/emu/shaderemu
 	$(GO) test -run '^$$' -fuzz=FuzzEncodeDXTMatchesModel -fuzztime=10s ./internal/emu/texemu

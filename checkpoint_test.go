@@ -2,10 +2,12 @@ package attila_test
 
 // Golden checkpoint/restore round trips through the differential oracle
 // (coretest.Check), on runs watched the way cmd/attilasim watches them:
-// every capture, the final barrier's included, restores into a freshly
-// built pipeline that must run to the end with every output
-// byte-identical to the uninterrupted run's — frames, statistics, the
-// metrics bus's windows and totals and, traced, the span dump.
+// every capture restores into a freshly built pipeline that must run to
+// the end with every output byte-identical to the uninterrupted run's —
+// frames, statistics, the metrics bus's windows and totals and, traced,
+// the span dump. A pipeline takes no capture after its last command, so
+// none at the final barrier; a file an older binary wrote there is
+// restored from testdata (TestTracingCheckpointRoundTrip).
 
 import (
 	"bytes"
@@ -97,6 +99,7 @@ func observed(tb testing.TB, name string, frames, workers int, rate uint64, inte
 	if interval > 0 {
 		m.Path = filepath.Join(tb.TempDir(), "run.ckpt")
 		m.Checkpoints = pipe.EnableCheckpoints(m.Path, name, interval, extra...)
+		m.NoFinalCapture = true
 	}
 	return m
 }

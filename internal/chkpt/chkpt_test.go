@@ -281,16 +281,35 @@ func FuzzRead(f *testing.F) {
 	if err := Capture(Meta{Cycle: 7, Config: "cfg", Workload: "wl"}, testParts()).Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
+	// Version 2 as Encode writes it, and by hand with the epoch slot
+	// an older writer stamped; version 1, which has no slot.
+	files := [][]byte{buf.Bytes()}
+	for _, ver := range []uint32{1, 2} {
+		var p Encoder
+		p.I64(7)
+		p.Str("cfg")
+		p.Str("wl")
+		if ver == 2 {
+			p.I64(42)
+		}
+		p.U32(2)
+		p.Str("a")
+		p.Blob([]byte{1, 2, 3})
+		p.Str("b")
+		p.Blob(nil)
+		files = append(files, encodeRawContainer(f, ver, p.Bytes()))
+	}
+	for _, valid := range files {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		for i := 0; i < len(valid); i += 7 {
+			mut := append([]byte(nil), valid...)
+			mut[i] ^= 0x40
+			f.Add(mut)
+		}
+	}
 	f.Add([]byte(magic))
 	f.Add([]byte{})
-	for i := 0; i < len(valid); i += 7 {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x40
-		f.Add(mut)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))
 		if err == nil {
@@ -391,7 +410,7 @@ func TestEpochSlotSkippedAndV1Compat(t *testing.T) {
 
 // encodeRawContainer writes a container with an explicit version
 // number around a raw payload (test helper for compatibility checks).
-func encodeRawContainer(t *testing.T, ver uint32, raw []byte) []byte {
+func encodeRawContainer(t testing.TB, ver uint32, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var hdr [len(magic) + 4 + 4 + 8]byte
@@ -505,5 +524,56 @@ func TestEncodeReusesCompressor(t *testing.T) {
 	}
 	if least >= 64<<10 {
 		t.Errorf("an Encode allocates %d bytes after a warm-up call, want under 64 KiB", least)
+	}
+}
+
+// framesPart is a Snapshotter shaped like the DAC's section: a count,
+// then every frame dumped so far.
+type framesPart struct{ frames [][]byte }
+
+func (f *framesPart) SnapshotName() string { return "frames" }
+
+func (f *framesPart) SnapshotState(e *Encoder) {
+	e.U32(uint32(len(f.frames)))
+	for _, pix := range f.frames {
+		e.Blob(pix)
+	}
+}
+
+func (f *framesPart) RestoreState(d *Decoder) error {
+	f.frames = make([][]byte, d.Len(4))
+	for i := range f.frames {
+		f.frames[i] = d.Blob()
+	}
+	return d.Err()
+}
+
+// BenchmarkCaptureEncode is a checkpoint's capture and encode: first
+// is a capture early in a run, the fake parts and no frame dumped yet;
+// frames48 is a supervised spinner run's last capture, which carries
+// the 48 frames of 256x192 pixels dumped so far. Bytes are the frames'.
+func BenchmarkCaptureEncode(b *testing.B) {
+	frames := &framesPart{frames: make([][]byte, 48)}
+	for i := range frames.frames {
+		pix := make([]byte, 256*192*4)
+		for j := range pix {
+			pix[j] = byte(j/4%256 ^ (j/1024+i)%256)
+		}
+		frames.frames[i] = pix
+	}
+	for _, bc := range []struct {
+		name   string
+		frames [][]byte
+	}{{"first", nil}, {"frames48", frames.frames}} {
+		b.Run(bc.name, func(b *testing.B) {
+			parts := append(testParts(), &framesPart{frames: bc.frames})
+			b.SetBytes(int64(len(bc.frames) * 256 * 192 * 4))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Capture(Meta{Cycle: int64(i)}, parts).Encode(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -52,9 +52,12 @@ type Signal struct {
 	traceBuf []traceEntry
 }
 
+// traceEntry holds the object's record by value, as it was read: a
+// pooled object released and taken again later in the cycle is traced
+// under the identity it had on this signal, not its next one.
 type traceEntry struct {
 	cycle int64
-	obj   *DynObject
+	obj   DynObject
 }
 
 // SimError reports a violation of the simulation model (bandwidth
@@ -188,7 +191,7 @@ func (s *Signal) Read(cycle int64) []Dynamic {
 	}
 	if s.tracer != nil {
 		for _, o := range out {
-			s.traceBuf = append(s.traceBuf, traceEntry{cycle, o.DynInfo()})
+			s.traceBuf = append(s.traceBuf, traceEntry{cycle, *o.DynInfo()})
 		}
 	}
 	return out
@@ -254,7 +257,8 @@ func (s *Signal) CorruptOne() bool {
 // Visualizer (cmd/sigtrace) is produced through this interface.
 // Tracers are shared by every signal; the framework buffers trace
 // entries per signal and drains them in signal-name order at the end
-// of each cycle.
+// of each cycle. obj is a copy of the object's record as it was read,
+// valid for the call only.
 type Tracer interface {
 	Trace(cycle int64, signal string, obj *DynObject)
 }
@@ -267,8 +271,8 @@ func (s *Signal) flushTrace() {
 	if s.tracer == nil || len(s.traceBuf) == 0 {
 		return
 	}
-	for _, e := range s.traceBuf {
-		s.tracer.Trace(e.cycle, s.name, e.obj)
+	for i := range s.traceBuf {
+		s.tracer.Trace(s.traceBuf[i].cycle, s.name, &s.traceBuf[i].obj)
 	}
 	s.traceBuf = s.traceBuf[:0]
 }

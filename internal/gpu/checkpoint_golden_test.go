@@ -10,8 +10,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,6 +147,7 @@ func pipeMachine(tb testing.TB, pipe *gpu.Pipeline, cmds []gpu.Command, workload
 	if interval > 0 {
 		m.Path = filepath.Join(tb.TempDir(), "scene.ckpt")
 		m.Checkpoints = pipe.EnableCheckpoints(m.Path, workload, interval)
+		m.NoFinalCapture = true
 	}
 	return m
 }
@@ -257,33 +259,39 @@ func TestParkedClockIsNoOp(t *testing.T) {
 
 // TestGoldenCheckpoints pins the golden scenes' checkpoint files, as a
 // parked run with a row every 1000 cycles writes them: which cycles
-// capture, and every byte the files say, computed at 91dbc46.
+// capture, and every byte the files say. No scene captures after its
+// last command; every capture before it is the one 91dbc46 wrote.
 // ut2004-par2 is the benchmark's workload of that name, which still sets
 // the ignored Workers: 2 (ROADMAP item 7): its files are ut2004-tex's,
-// byte for byte.
+// byte for byte. spinner-geom's one frame ends with its one safe point,
+// so it captures nothing.
+//
+// The last subtest restores a file an older attilasim wrote after the
+// last command (lastCommandFixture) into the same scene, beside every
+// capture of its own, to the outputs of the uninterrupted run.
 func TestGoldenCheckpoints(t *testing.T) {
 	pinned := map[string]struct {
 		cycles []int64
 		sha    string
 	}{
-		"ut2004-tex": {[]int64{39895, 95851},
-			"1b181cca910a43110823af84f01e82e9682d56040ba860debef8af274b8f20e6"},
-		"doom3-stencil": {[]int64{69549, 111120},
+		"ut2004-tex": {[]int64{39895},
+			"4c0bba342072ce5d91ee97f2ce4f52954bf37502448b53b258cb975732511db0"},
+		"doom3-stencil": {[]int64{69549},
+			"9446094f637b7b70d3f94b8a37abf3b7355890c33d330b50b00d2da06c05703c"},
+		"spinner-geom": {nil,
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		"ut2004-par2": {[]int64{39895},
+			"4c0bba342072ce5d91ee97f2ce4f52954bf37502448b53b258cb975732511db0"},
+		"ut2004-inorder": {[]int64{39208},
+			"b43b50d8622ec2050c98e989ae7abd4b5eebb8069cfe9613a05919e3d91fdd8f"},
+		"spinner-3f": {[]int64{9573, 14300},
+			"06682f295ff77a0db772d3453a2931b347456c904592748ee9a73e4e9238e0f8"},
+		"doom3-2f": {[]int64{69549, 111120},
 			"129d95ca6a0cb1b5ca1d63946b5824ddbb0e3993d5cab5740e92ae31ab22d5f6"},
-		"spinner-geom": {[]int64{9573},
-			"2605ff41095dccffe3d7e0921f056b0c9a4c7270e93d9819770c099e43a07e6f"},
-		"ut2004-par2": {[]int64{39895, 95851},
-			"1b181cca910a43110823af84f01e82e9682d56040ba860debef8af274b8f20e6"},
-		"ut2004-inorder": {[]int64{39208, 115384},
-			"31c707d119449801b7c7a8caea5e8514656854936385cfc396a8fec14daba443"},
-		"spinner-3f": {[]int64{9573, 14300, 19758},
-			"cb57acf797db8d0346f2751028dddb341e09014f8ddfa4909c82ae5bff5ff1b8"},
-		"doom3-2f": {[]int64{69549, 111120, 150043},
-			"4ff55b8f5835370717cd8610cb69d5cc7a980e0f9e28a656710337cb182f06e3"},
-		"ut2004-3f": {[]int64{39895, 95851, 155592, 212752},
-			"e294ba368db5a0677a9ac1e1b63d99205a1565965be9e8bbe91b8e5d6a1a6f64"},
-		"ut2004-1tu": {[]int64{39208, 122445, 210916},
-			"444055dd4a4f2fe413e3cfc0f1d3b808630223b8c6f3da21e95e7c50fe026f4f"},
+		"ut2004-3f": {[]int64{39895, 95851, 155592},
+			"a381015a3031773512a5fe52f8a915a1e682164e4ec2de78f839295d7d511020"},
+		"ut2004-1tu": {[]int64{39208, 122445},
+			"94be47c4e1cd45e031a496eb7998ff4384257d6abe8841f9010dff97f9ef2588"},
 	}
 	for _, c := range goldenScenes {
 		t.Run(c.name, func(t *testing.T) {
@@ -299,7 +307,7 @@ func TestGoldenCheckpoints(t *testing.T) {
 				cycles = append(cycles, cp.Cycle)
 				checkpointIdentity(t, h, cp)
 			}
-			if !reflect.DeepEqual(cycles, pin.cycles) {
+			if !slices.Equal(cycles, pin.cycles) {
 				t.Errorf("captured at cycles %v, pinned %v", cycles, pin.cycles)
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != pin.sha {
@@ -307,29 +315,66 @@ func TestGoldenCheckpoints(t *testing.T) {
 			}
 		})
 	}
+	t.Run("older-binary-fixture", func(t *testing.T) {
+		t.Parallel()
+		fixture := lastCommandFixture(t)
+		out := coretest.Check(t, func(tb testing.TB) *coretest.Machine {
+			m := cliMachine(tb, 0, goldenInterval(goldenScenes[0]))
+			m.Fixtures = [][]byte{fixture}
+			return m
+		})
+		if len(out.Captures) == 0 {
+			t.Error("the scene captures nothing of its own to restore beside the fixture")
+		}
+	})
+}
+
+// lastCommandFixture reads a checkpoint that attilasim wrote at
+// 01f498b, in container version 2, of ut2004 at 64x48, one frame:
+//
+//	tracegen -workload ut2004 -width 64 -height 48 -frames 1 -out ut.attila
+//	attilasim -trace ut.attila -config baseline-unified \
+//	    -checkpoint-interval 20000 -checkpoint ut2004-64x48-final-v2.ckpt
+//
+// It holds the run's last capture, at cycle 95851, the barrier its last
+// command completed on, taken without a watchdog.
+// Pipeline.EnableCheckpoints takes no capture there any more.
+func lastCommandFixture(tb testing.TB) []byte {
+	tb.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "ut2004-64x48-final-v2.ckpt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(file[10:]); v != 2 {
+		tb.Fatalf("the fixture is container version %d, not 2", v)
+	}
+	return file
+}
+
+// cliMachine is the golden ut2004-tex scene as attilasim runs it, with
+// the preset's own statistics interval and the given watchdog window and
+// checkpoint interval (0: none of either).
+func cliMachine(tb testing.TB, window, interval int64) *coretest.Machine {
+	c := goldenScenes[0]
+	cfg := c.cfg
+	cfg.WatchdogWindow = window
+	pipe, cmds := buildGolden(tb, c, cfg)
+	return pipeMachine(tb, pipe, cmds, c.generator, interval)
 }
 
 // A file written without a watchdog holds no progress view, so a
 // pipeline that arms one cannot tell from it the barrier the last
 // command completed on from the final barrier: restored there, it must
-// run the cycle the command processor still needs, not stop. ut2004-tex
-// captures at 95851, its completion barrier, and ends on 95853.
+// run the cycle the command processor still needs, not stop. The
+// fixture an older attilasim wrote is such a file: it captures at
+// 95851, the scene's completion barrier, and the scene ends on 95853.
 func TestUnguardedCaptureRestoresIntoGuardedRun(t *testing.T) {
-	c := goldenScenes[0]
-	build := func(window int64) *coretest.Machine {
-		cfg := c.cfg
-		cfg.StatInterval = 1000
-		cfg.WatchdogWindow = window
-		pipe, cmds := buildGolden(t, c, cfg)
-		return pipeMachine(t, pipe, cmds, c.generator, goldenInterval(c))
+	ref := coretest.Record(t, cliMachine(t, 0, 0))
+	if ref.Err != "" || ref.Cycles != 95853 {
+		t.Fatalf("the uninterrupted run: %d cycles (%q), the fixture's ran 95853", ref.Cycles, ref.Err)
 	}
-	ref := coretest.Record(t, build(0))
-	last := ref.Captures[len(ref.Captures)-1]
-	if ref.Err != "" || last.Cycle != 95851 || ref.Cycles != 95853 {
-		t.Fatalf("%s: last capture at %d of %d cycles (%q), the pins say 95851 of 95853", c.name, last.Cycle, ref.Cycles, ref.Err)
-	}
-	m := build(1_000_000)
-	if err := m.Restore(last.File); err != nil {
+	m := cliMachine(t, 1_000_000, 0)
+	if err := m.Restore(lastCommandFixture(t)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Resume(); err != nil {
@@ -342,6 +387,37 @@ func TestUnguardedCaptureRestoresIntoGuardedRun(t *testing.T) {
 	if got := m.Sim.Cycle(); got != ref.Cycles || !bytes.Equal(csv.Bytes(), ref.CSV) {
 		t.Errorf("restored with a watchdog armed: %d cycles (CSV equal: %v), the uninterrupted run %d",
 			got, bytes.Equal(csv.Bytes(), ref.CSV), ref.Cycles)
+	}
+}
+
+// Once the command processor has taken its last command no capture is
+// taken, a forced one included: golden scenes asked for one at every
+// barrier capture at every safe point before it and at none after,
+// though there are safe points after it too.
+func TestNoCaptureAfterLastCommand(t *testing.T) {
+	for _, c := range []goldenScene{goldenScenes[0], goldenScenes[1], goldenScenes[5]} {
+		pipe, cmds := buildGolden(t, c, c.cfg)
+		eng := pipe.EnableCheckpoints(filepath.Join(t.TempDir(), "last.ckpt"), c.generator, 0)
+		var captured, safeAfter int64
+		pipe.Sim.OnEndCycle(func(cycle int64) { // after the engine's
+			done := pipe.CP.Taken() == len(cmds)
+			if eng.Count() != captured {
+				captured = eng.Count()
+				if done {
+					t.Errorf("%s: a capture at cycle %d, after the last command", c.name, cycle)
+				}
+			}
+			if done && pipe.Quiesced() {
+				safeAfter++
+			}
+			eng.ForceNext()
+		})
+		if err := pipe.Run(cmds, 500_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if captured == 0 || safeAfter == 0 {
+			t.Errorf("%s: %d captures, %d safe points after the last command: the scene shows nothing", c.name, captured, safeAfter)
+		}
 	}
 }
 

@@ -45,6 +45,9 @@ func (t *TextureUnit) LiveIdle() bool { return t.idle() }
 // Streaming reports that the command processor feeds the system bus.
 func (cp *CommandProcessor) Streaming() bool { return cp.streaming() }
 
+// Taken reports how many commands the command processor has taken.
+func (cp *CommandProcessor) Taken() int { return cp.pc }
+
 // ResetWorkersWarning forgets that this process warned about an
 // ignored Config.Workers, so a test can count the warnings of a fresh
 // process.

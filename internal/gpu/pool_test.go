@@ -1,9 +1,11 @@
 package gpu_test
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
+	"attila/internal/core"
 	"attila/internal/core/coretest"
 	"attila/internal/gpu"
 	"attila/internal/workload"
@@ -101,4 +103,44 @@ func TestPipelinePoolsDrain(t *testing.T) {
 			t.Error("the restored run pooled nothing")
 		}
 	})
+}
+
+// shaderWorkTracer records the IDs the FragmentFIFO sends to the shader
+// units and counts the ones that come back on their outputs without
+// having gone in.
+type shaderWorkTracer struct {
+	sent            map[core.DynObject]bool
+	back, strangers int
+}
+
+func (tr *shaderWorkTracer) Trace(_ int64, signal string, obj *core.DynObject) {
+	switch {
+	case strings.HasPrefix(signal, "FFIFO.ShaderIn."):
+		tr.sent[*obj] = true
+	case strings.HasPrefix(signal, "Shader.Out."):
+		tr.back++
+		if !tr.sent[*obj] {
+			tr.strangers++
+		}
+	}
+}
+
+// The FragmentFIFO releases a shader-work wrapper as it drains the
+// shader's output and takes it again for new work in the same Clock.
+// The signal trace, drained at the end of the cycle, must show the
+// wrapper on Shader.Out.* under the identity it came back with, one the
+// FFIFO sent, not the next work's.
+func TestTracedShaderWorkKeepsItsIDs(t *testing.T) {
+	cfg := gpu.Baseline()
+	cfg.StatInterval = 0
+	pipe, cmds := buildGolden(t, goldenScene{"ut2004", "ut2004", cfg, 0, 2}, cfg)
+	tr := &shaderWorkTracer{sent: map[core.DynObject]bool{}}
+	pipe.TraceSignals(tr)
+	if err := pipe.Run(cmds, 50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d shader outputs traced", tr.back)
+	if tr.back == 0 || tr.strangers != 0 {
+		t.Errorf("%d shader outputs traced, %d of them under an ID the FFIFO never sent", tr.back, tr.strangers)
+	}
 }

@@ -58,12 +58,14 @@ func (cp *CommandProcessor) RestoreState(d *chkpt.Decoder) error {
 	}
 	cp.pc = pc
 	cp.nextBatchID = next
-	// At the end of the stream a safe point is the barrier of the cycle
-	// the last command completed in, or the next, the final one: the CP
-	// finishes on a clock of its own. Only that completion's progress
-	// tells them apart, so the watchdog's view does when the file holds
-	// one and a watchdog is armed to load it; otherwise a capture at the
-	// final barrier restores unfinished, and runs a cycle long.
+	// Only a file an older binary wrote holds a capture at the end of
+	// the stream: EnableCheckpoints takes none there. Such a safe point
+	// is the barrier of the cycle the last command completed in, or the
+	// next, the final one: the CP finishes on a clock of its own. Only
+	// that completion's progress tells them apart, so the watchdog's view
+	// does when the file holds one and a watchdog is armed to load it;
+	// otherwise a capture at the final barrier restores unfinished, and
+	// runs a cycle long.
 	since, _, known := cp.sim.WatchdogProgress()
 	cp.finished = pc == len(cp.cmds) && known && since < cp.sim.Cycle()-1
 	return nil
@@ -467,11 +469,16 @@ func (p *Pipeline) Checkpoint(workload string) (*chkpt.Snapshot, error) {
 // previous checkpoint, the machine state is written atomically to
 // path. extra snapshotters (e.g. the metrics bus) are captured along
 // with the machine. Returns the engine for progress/error inspection.
+//
+// No capture is taken, ForceNext included, once the command processor
+// has taken its last command: what is left of the run is that
+// command's own work, so a capture there saves a resumed run little,
+// and a drain requested then lets the run finish instead of parking it.
 func (p *Pipeline) EnableCheckpoints(path, workload string, interval int64, extra ...chkpt.Snapshotter) *chkpt.Engine {
 	eng := &chkpt.Engine{
 		Interval: interval,
 		Path:     path,
-		Quiesced: p.Quiesced,
+		Quiesced: func() bool { return p.CP.pc < len(p.CP.cmds) && p.Quiesced() },
 		Capture: func() (*chkpt.Snapshot, error) {
 			meta := chkpt.Meta{
 				Cycle:    p.Sim.Cycle(),

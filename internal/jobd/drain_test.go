@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"attila/internal/gpu"
 	"attila/internal/obsv"
+	"attila/internal/workload"
 )
 
 // SIGTERM graceful drain (the satellite this test exists for): an
@@ -129,4 +131,89 @@ func TestJobdSigtermDrainResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "drain-summary.txt")); err != nil {
 		t.Errorf("sweep summary missing after resume: %v", err)
 	}
+}
+
+// A drain requested once a job's command processor has taken its last
+// command finds no safe point left to checkpoint at — the run takes no
+// capture from then on — so the job finishes done, with the clean run's
+// CSV, instead of parking preempted. The drain starts at the barrier of
+// the cycle the last command is taken in, as measured on a bare run of
+// the same job: the server's cycle hook holds the clock loop there until
+// Drain has begun, so the job's own hook sees it at that very barrier.
+func TestDrainAfterLastCommandFinishes(t *testing.T) {
+	spec := testSpec("late")
+	spec.Width, spec.Height, spec.Frames = 256, 192, 1
+	cfg, err := ResolveConfig(spec.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := gpu.New(cfg, spec.Width, spec.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds, _, err := workload.Build(spec.Workload, pipe, workload.Params{
+		Width: spec.Width, Height: spec.Height, Frames: spec.Frames, Aniso: spec.Aniso, Seed: spec.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken := pipe.Sim.Stats.Lookup("CP.commands")
+	var last int64
+	var n float64
+	pipe.Sim.OnEndCycle(func(cycle int64) {
+		if v := taken.Value(); v != n {
+			n, last = v, cycle
+		}
+	})
+	if err := pipe.Run(cmds, spec.MaxCycles); err != nil {
+		t.Fatal(err)
+	}
+	if int(n) != len(cmds) {
+		t.Fatalf("CP.commands reads %v of %d commands", n, len(cmds))
+	}
+	var cleanCSV bytes.Buffer
+	if err := pipe.DumpCSV(&cleanCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Options{OutDir: t.TempDir(), Workers: 1, Retries: -1, CheckpointInterval: pipe.Cycles() / 8, Logf: t.Logf})
+	reached := make(chan struct{})
+	s.cycleHook = func(_ string, cycle int64) {
+		if cycle != last {
+			return
+		}
+		close(reached)
+		for !s.draining.Load() {
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.SubmitSweep(SweepSpec{Name: "late", Jobs: []JobSpec{spec}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(time.Minute):
+		t.Fatalf("the job never reached cycle %d", last)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.JobStatus("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.CheckpointCycle > last {
+		t.Fatalf("drained after its last command: state %s, checkpoint at cycle %d; want done, nothing captured after cycle %d", st.State, st.CheckpointCycle, last)
+	}
+	csv, err := os.ReadFile(filepath.Join(s.opts.OutDir, "late.csv"))
+	if err != nil || !bytes.Equal(csv, cleanCSV.Bytes()) {
+		t.Errorf("late.csv differs from the clean run's (%v)", err)
+	}
+	t.Logf("last command taken at cycle %d of %d, drained there", last, pipe.Cycles())
 }

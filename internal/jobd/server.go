@@ -150,6 +150,11 @@ type Server struct {
 	draining atomic.Bool
 	stopCh   chan struct{} // closed when a drain or close begins
 	wg       sync.WaitGroup
+
+	// cycleHook, when set before Start, runs first at every barrier of
+	// every attempt, in the clock loop: a test's way to act at an exact
+	// cycle of a job.
+	cycleHook func(job string, cycle int64)
 }
 
 // New builds a server; call Start to load persisted state and spawn

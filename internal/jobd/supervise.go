@@ -244,6 +244,9 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 	reached := j.progress.Load() // a run that reaches no barrier leaves it be
 	var ckptSeen int64
 	pipe.Sim.OnEndCycle(func(cycle int64) {
+		if s.cycleHook != nil {
+			s.cycleHook(spec.Name, cycle)
+		}
 		reached = cycle
 		if cycle&(progressEvery-1) == 0 {
 			j.progress.Store(cycle)
