@@ -16,8 +16,9 @@ test:
 
 # check is the concurrency and robustness gate: vet, then the race
 # detector over the code that really runs goroutines — the simulator
-# core, the observability layer (the status server reads the bus and
-# profiler live), the one durable writer, the cancel watcher through the
+# core, the observability layer (one Profiler is shared by runs that
+# clock it concurrently, as the benchmark's bare sweep pool does), the
+# one durable writer, the cancel watcher through the
 # GPU pipeline, the shader helper that runs segments ahead of the timing
 # model (inline, handed off and with the helper stalled, its panics and
 # its lifecycle), and the jobd worker pool (chaos kill/panic/yank ->

@@ -4,8 +4,8 @@ package attila_test
 // (coretest.Check), on runs watched the way cmd/attilasim watches them:
 // every capture restores into a freshly built pipeline that must run to
 // the end with every output byte-identical to the uninterrupted run's —
-// frames, statistics, the metrics bus's windows and totals and, traced,
-// the span dump. A pipeline takes no capture after its last command, so
+// frames, statistics, the metrics bus's windows and, traced, the span
+// dump. A pipeline takes no capture after its last command, so
 // none at the final barrier; a file an older binary wrote there is
 // restored from testdata (TestTracingCheckpointRoundTrip).
 
@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -35,8 +34,8 @@ import (
 // so its NDJSON is a pure function of simulation state), spans sampled
 // one in rate (0: none) and, with interval > 0, both checkpointed with
 // the pipeline every interval cycles. Its frames are the rendered ones,
-// then the span NDJSON, the metrics NDJSON and the bus's totals (what
-// /metrics.prom serves, restored or not).
+// then the span NDJSON and the metrics NDJSON; the cumulative
+// statistics are the oracle's own summary comparison.
 func observed(tb testing.TB, name string, frames, workers int, rate uint64, interval int64) *coretest.Machine {
 	tb.Helper()
 	p := benchParams()
@@ -56,7 +55,6 @@ func observed(tb testing.TB, name string, frames, workers int, rate uint64, inte
 	frozen := time.Unix(1000, 0)
 	bus := obsv.NewBus(pipe.Sim, obsv.BusOptions{
 		Frames: func() int64 { return int64(pipe.CP.Frames()) },
-		Goal:   p.MaxCycles,
 		Spans:  col,
 		Now:    func() time.Time { return frozen },
 	})
@@ -82,7 +80,6 @@ func observed(tb testing.TB, name string, frames, workers int, rate uint64, inte
 			for _, f := range pipe.Frames() {
 				out = append(out, f.Pix)
 			}
-			bus.Flush()
 			var spans, metrics bytes.Buffer
 			if col != nil {
 				if err := col.WriteSpansNDJSON(&spans); err != nil {
@@ -92,8 +89,7 @@ func observed(tb testing.TB, name string, frames, workers int, rate uint64, inte
 			if err := bus.WriteNDJSON(&metrics); err != nil {
 				tb.Fatal(err)
 			}
-			totals, _ := bus.StatTotals()
-			return append(out, spans.Bytes(), metrics.Bytes(), fmt.Append(nil, totals))
+			return append(out, spans.Bytes(), metrics.Bytes())
 		},
 	}
 	if interval > 0 {
@@ -107,7 +103,7 @@ func observed(tb testing.TB, name string, frames, workers int, rate uint64, inte
 // exports returns the span and metrics NDJSON of an observed run.
 func exports(out *coretest.Outputs) (spans, metrics []byte) {
 	n := len(out.Frames)
-	return out.Frames[n-3], out.Frames[n-2]
+	return out.Frames[n-2], out.Frames[n-1]
 }
 
 // The three-frame run captures at quiesced barriers — batch drains,

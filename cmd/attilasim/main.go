@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"attila/internal/chaos"
 	"attila/internal/core"
@@ -65,9 +64,7 @@ func simulate() int {
 	watchdog := flag.Int64("watchdog", 0, "abort with a deadlock report after this many cycles without progress (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the simulation (0 = none)")
 	blackbox := flag.String("blackbox", "", "write a JSON crash report here when the run fails")
-	httpAddr := flag.String("http", "", "serve live status on this address (e.g. :6060): /metrics, /progress, /crash, /debug/pprof")
-	httpLinger := flag.Duration("http-linger", 0, "keep the status server up this long after the run ends (inspect /crash post-mortem)")
-	metricsOut := flag.String("metrics", "", "write the metrics bus as NDJSON to file: one window per stats interval row")
+	metricsOut := flag.String("metrics", "", "write the metrics bus as NDJSON to file: one window per stats interval row, the newest 512")
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes (sampled; prints a ranked table)")
 	perfettoOut := flag.String("perfetto", "", "write a Perfetto/Chrome trace-event JSON of box activity to file")
 	manifestOut := flag.String("manifest", "auto", "run manifest path; auto = run-manifest.json next to the first output, none = disabled")
@@ -196,18 +193,11 @@ func simulate() int {
 		sigWriter = core.NewSigTraceWriter(sf)
 		spec.SigTrace = sigWriter
 	}
-	// Observability: the metrics bus reads every stats interval row, the
-	// profiler times sampled box clocks, and the status server makes
-	// both (plus the crash black box) reachable while the run is live.
-	if *httpAddr != "" || *metricsOut != "" || *perfettoOut != "" {
-		goalFrames := int64(hdr.Frames - *start)
-		if *end >= 0 && *end < hdr.Frames {
-			goalFrames = int64(*end - *start)
-		}
-		if goalFrames < 0 {
-			goalFrames = 0
-		}
-		spec.Bus = &obsv.BusOptions{Goal: *maxCycles, GoalFrames: goalFrames}
+	// Observability: the metrics bus reads every stats interval row and
+	// the profiler times sampled box clocks; once the run ends the bus
+	// is written to -metrics/-perfetto and the profiler's table printed.
+	if *metricsOut != "" || *perfettoOut != "" {
+		spec.Bus = &obsv.BusOptions{}
 	}
 	if *profileBoxes {
 		spec.Profiler = obsv.NewProfiler()
@@ -230,37 +220,6 @@ func simulate() int {
 		man.RestoredFrom = *restoreFrom
 		man.RestoredCycle = sess.RestoredCycle
 		fmt.Printf("restored %s: resuming at cycle %d\n", *restoreFrom, sess.RestoredCycle)
-	}
-
-	var srv *obsv.Server
-	if *httpAddr != "" {
-		srv = obsv.NewServer(*httpAddr, obsv.ServerOptions{
-			Bus:      bus,
-			Profiler: prof,
-			Spans:    col,
-			Crash:    pipe.Sim.Crash,
-			Manifest: func() *obsv.Manifest { return man },
-			Checkpoint: func() *obsv.CheckpointStatus {
-				st := &obsv.CheckpointStatus{
-					Path:          ckptPath,
-					Interval:      *ckptInterval,
-					RestoredFrom:  *restoreFrom,
-					RestoredCycle: sess.RestoredCycle,
-				}
-				if eng != nil {
-					st.Count = eng.Count()
-					st.LastCycle = eng.LastCycle()
-					if err := eng.Err(); err != nil {
-						st.Err = err.Error()
-					}
-				}
-				return st
-			},
-		})
-		if err := srv.Start(); err != nil {
-			return fail(run.ExitUsage, err)
-		}
-		fmt.Println("status server listening on", srv.Addr())
 	}
 
 	// SIGINT/SIGTERM and -timeout cancel the run cooperatively: the
@@ -417,22 +376,6 @@ func simulate() int {
 		}
 	}
 
-	// Keep the status server reachable after the run so /crash and
-	// /metrics can be inspected post-mortem — timed-out and deadlocked
-	// runs are exactly when that matters. A fresh signal context lets
-	// Ctrl-C cut the wait short.
-	if srv != nil {
-		if *httpLinger > 0 {
-			lingerCtx, lingerStop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			fmt.Printf("status server lingering for %v on %s (Ctrl-C to exit)\n", *httpLinger, srv.Addr())
-			select {
-			case <-time.After(*httpLinger):
-			case <-lingerCtx.Done():
-			}
-			lingerStop()
-		}
-		srv.Close()
-	}
 	return code
 }
 

@@ -526,8 +526,8 @@ func (d *Decoder) F64s() []float64 {
 // frame — so the effective checkpoint cadence is max(Interval, frame
 // length).
 //
-// The count/cycle/error accessors are safe to call from other
-// goroutines (the status server reads them live).
+// The count/cycle/error accessors are safe to call from any
+// goroutine.
 type Engine struct {
 	// Interval is the minimum cycle distance between checkpoints.
 	Interval int64
@@ -589,8 +589,7 @@ func (e *Engine) Count() int64 { return e.count.Load() }
 func (e *Engine) LastCycle() int64 { return e.lastCycle.Load() }
 
 // Err returns the most recent capture/write failure, or nil.
-// Checkpoint failures never interrupt the run; they surface here and
-// in /progress.
+// Checkpoint failures never interrupt the run; they surface here.
 func (e *Engine) Err() error {
 	if v := e.errv.Load(); v != nil {
 		return v.(error)

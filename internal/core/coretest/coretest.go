@@ -203,7 +203,7 @@ func record(tb testing.TB, m *Machine, from *Capture, forceAt int64, chains map[
 		frozen := time.Unix(1000, 0)
 		bus := obsv.NewBus(m.Sim, obsv.BusOptions{Depth: 1, Now: func() time.Time { return frozen }})
 		enc := json.NewEncoder(nd)
-		m.Sim.Stats.OnRow(func(int64, []float64, []float64, bool) { // after the bus's own reader
+		m.Sim.Stats.OnRow(func(int64, []float64, bool) { // after the bus's own reader
 			if err := enc.Encode(bus.Snapshot()[0]); err != nil {
 				tb.Fatal(err)
 			}

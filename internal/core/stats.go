@@ -160,11 +160,10 @@ type sampleRow struct {
 }
 
 // RowFunc reads one row as the manager records it: the row's cycle
-// stamp, the per-stat deltas (gauges by value) and the cumulative
-// values, both in registration order (Registered), and whether it is
-// Flush's partial row. The slices are the manager's: deltas is the
-// row itself and never changes; totals is overwritten by the next row.
-type RowFunc func(cycle int64, deltas, totals []float64, final bool)
+// stamp, the per-stat deltas (gauges by value) in registration order
+// (Registered), and whether it is Flush's partial row. deltas is the
+// manager's row itself and never changes.
+type RowFunc func(cycle int64, deltas []float64, final bool)
 
 // NewStatManager creates a manager sampling every interval cycles.
 // Pass interval 0 to disable interval sampling (cumulative values are
@@ -229,11 +228,6 @@ func (m *StatManager) Lookup(name string) Stat { return m.byName[name] }
 // Registered returns the stats in registration order, the order of a
 // row's columns. The slice is shared: do not modify it.
 func (m *StatManager) Registered() []Stat { return m.stats }
-
-// Totals returns every stat's cumulative value at the last recorded
-// row, in registration order (zeros before the first row). The slice
-// is the manager's: do not modify it; the next row overwrites it.
-func (m *StatManager) Totals() []float64 { return m.last }
 
 // OnRow registers fn to be called for every row recorded from now on,
 // after the row is stored, in registration order.
@@ -300,7 +294,7 @@ func (m *StatManager) sample(cycle int64, final bool) {
 	m.lastSample = cycle
 	m.hasSample = true
 	for _, fn := range m.readers {
-		fn(cycle, row.deltas, m.last, final)
+		fn(cycle, row.deltas, final)
 	}
 }
 

@@ -43,12 +43,11 @@ import "unsafe"
 // reorder ring, the vertex cache, the assembly window and a TriWork
 // each hold their own copy, so no object is read after it went back.
 //
-// A signal trace reads an object's DynObject at the end of the cycle
-// it left a wire, so a geometry object is not taken again in the cycle
-// it went back: the boxes that take vertices, triangles and set-up
-// triangles are clocked before those that release them, and the
-// Streamer releases its groups at the end of its Clock. (The
-// FragmentFIFO's wrappers break the rule: ROADMAP item 23.)
+// A signal trace is a reader like any other: it copies an object's
+// DynObject at the Read that takes it off a wire, so an object may go
+// back and be taken again in the cycle it was read and is still traced
+// under the identity it had on that wire. What must hold is only the
+// rule above: nothing reads an object after it went back.
 //
 // A recycled object is fully zeroed before reuse (a tile keeps its
 // Quads backing array), so pooling is invisible to the simulation:

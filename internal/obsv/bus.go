@@ -1,13 +1,13 @@
-// Package obsv is the live observability layer of the simulator: a
-// windowed metrics bus reading the statistics interval rows, a per-box
-// host-time profiler, a Perfetto/Chrome trace-event exporter, the
-// attilasim status server, and the run manifest.
+// Package obsv is the observability layer of the simulator: a windowed
+// metrics bus reading the statistics interval rows, a per-box host-time
+// profiler, a Perfetto/Chrome trace-event exporter, and the run
+// manifest. Everything it records reaches the user as a file written
+// when the run ends.
 //
 // Everything here is stdlib-only and reads simulation state only at
-// the cycle barrier (the bus as a statistics row is recorded) or
-// through atomics, so attaching any of it never changes simulation
-// results — the paper's end-of-run CSV and the signal trace stay
-// bit-identical.
+// the cycle barrier (the bus as a statistics row is recorded), so
+// attaching any of it never changes simulation results — the paper's
+// end-of-run CSV and the signal trace stay bit-identical.
 package obsv
 
 import (
@@ -23,20 +23,16 @@ import (
 
 // BusOptions configures the windowed metrics bus. A window is the
 // simulator's statistics interval: the bus records one window per row
-// of the stats CSV.
+// of the stats CSV, and keeps the newest Depth of them.
 type BusOptions struct {
-	// Depth is the ring capacity in windows; older windows are evicted.
+	// Depth is the ring capacity in windows; older windows are evicted,
+	// so a run with more stats rows than Depth loses its leading ones.
 	// <= 0 selects 512.
 	Depth int
 	// Frames, when non-nil, is read at every window boundary (at the
 	// cycle barrier) to record rendering progress — typically
 	// CommandProcessor.Frames.
 	Frames func() int64
-	// Goal, when > 0, is the cycle budget used for the ETA estimate.
-	Goal int64
-	// GoalFrames, when > 0, is the total frame count of the workload;
-	// frame-based ETA is preferred over the cycle budget when known.
-	GoalFrames int64
 	// Now overrides the wall-clock source, for deterministic tests.
 	// Nil selects time.Now.
 	Now func() time.Time
@@ -58,7 +54,7 @@ type LatencyWindow struct {
 }
 
 // WatchdogStatus is the watchdog fingerprint snapshot embedded in
-// window samples and /progress responses.
+// window samples.
 type WatchdogStatus struct {
 	LastProgress int64  `json:"lastProgress"` // last cycle with observed activity
 	Fingerprint  uint64 `json:"fingerprint"`  // cumulative activity count
@@ -96,16 +92,14 @@ type busyEntry struct {
 // Bus turns every statistics row into a window of a ring of
 // time-series windows, with derived rates beside the row. It attaches
 // to a built simulator with NewBus and from then on reads each row as
-// the StatManager records it; readers (the status server, the
-// NDJSON/Perfetto exporters) take snapshots under a mutex the bus
-// holds only while it records a window.
+// the StatManager records it; readers (the NDJSON and Perfetto
+// exporters, the checkpoint section) take snapshots under a mutex the
+// bus holds only while it records a window.
 type Bus struct {
 	sim    *core.Simulator
 	depth  int
 	now    func() time.Time
 	frames func() int64
-	goal   int64
-	goalFr int64
 
 	// Captured at attach time; simulation wiring is immutable during a
 	// run.
@@ -120,11 +114,8 @@ type Bus struct {
 	mu        sync.Mutex
 	ring      []*WindowSample
 	seq       int64
-	prevCycle int64     // last sampled cycle (-1 before the first window)
-	totals    []float64 // every stat's cumulative value at the last window, for StatTotals
+	prevCycle int64 // last sampled cycle (-1 before the first window)
 	lastWall  time.Time
-	startWall time.Time
-	flushed   bool
 }
 
 // NewBus attaches a metrics bus to the simulator. Call after the
@@ -144,8 +135,6 @@ func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
 		depth:  opts.Depth,
 		now:    now,
 		frames: opts.Frames,
-		goal:   opts.Goal,
-		goalFr: opts.GoalFrames,
 		stats:  sim.Stats.Registered(),
 		sigs:   sim.Binder.Signals(),
 		spans:  opts.Spans,
@@ -159,7 +148,6 @@ func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
 		b.gauge = append(b.gauge, isGauge)
 		col[st] = i
 	}
-	b.totals = make([]float64, len(b.stats))
 	for _, box := range sim.Boxes() {
 		info := core.InfoOf(box)
 		// A busy counter is a registered stat (its box's busyCycles);
@@ -173,23 +161,15 @@ func NewBus(sim *core.Simulator, opts BusOptions) *Bus {
 	}
 	b.prevCycle = -1
 	b.lastWall = now()
-	b.startWall = b.lastWall
 	sim.Stats.OnRow(b.row)
 	return b
 }
 
-// Flush marks the run done, for /progress. Call once Run has returned.
-// The final partial window is the row StatManager.Flush records, which
-// RunContext does on every path.
-func (b *Bus) Flush() {
-	b.mu.Lock()
-	b.flushed = true
-	b.mu.Unlock()
-}
-
 // row is the bus's core.RowFunc: it records the row as a window, with
-// the derived state read at the same barrier.
-func (b *Bus) row(cycle int64, deltas, totals []float64, final bool) {
+// the derived state read at the same barrier. The run's final partial
+// window is the row StatManager.Flush records, which RunContext does
+// on every path.
+func (b *Bus) row(cycle int64, deltas []float64, final bool) {
 	now := b.now()
 	s := &WindowSample{
 		Cycle:  cycle,
@@ -264,7 +244,6 @@ func (b *Bus) row(cycle int64, deltas, totals []float64, final bool) {
 			s.Busy[e.name] = d / float64(s.Cycles)
 		}
 	}
-	copy(b.totals, totals)
 	b.prevCycle = cycle
 	b.lastWall = now
 	b.ring = append(b.ring, s)
@@ -281,120 +260,17 @@ func (b *Bus) Snapshot() []*WindowSample {
 	return append([]*WindowSample(nil), b.ring...)
 }
 
-// Cycle returns the cycle of the latest window (0 before the first):
-// at most one statistics interval behind the run. Safe from any
-// goroutine.
-func (b *Bus) Cycle() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return max(b.prevCycle, 0)
-}
-
-// StatTotals returns every statistic's cumulative value as of the
-// last window (counters monotonically non-decreasing, gauges by value)
-// and whether each is a gauge. Safe from any goroutine — it reads only
-// the copy taken with the window, which is what makes it usable from
-// the status server mid-run.
-func (b *Bus) StatTotals() (vals map[string]float64, gauges map[string]bool) {
-	vals = make(map[string]float64, len(b.stats))
-	gauges = make(map[string]bool, len(b.stats))
-	b.mu.Lock()
-	for i, st := range b.stats {
-		vals[st.StatName()] = b.totals[i]
-		gauges[st.StatName()] = b.gauge[i]
-	}
-	b.mu.Unlock()
-	return vals, gauges
-}
-
 // WriteNDJSON writes every recorded window as one JSON object per
 // line (newline-delimited JSON), oldest first. Map keys are emitted
 // sorted, so the output for a given simulation is deterministic up to
 // the wall-clock fields.
 func (b *Bus) WriteNDJSON(w io.Writer) error {
-	return writeNDJSON(w, b.Snapshot())
-}
-
-func writeNDJSON(w io.Writer, samples []*WindowSample) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
-	for _, s := range samples {
+	for _, s := range b.Snapshot() {
 		if err := enc.Encode(s); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// Progress is the /progress payload: where the run is, how fast it is
-// going, and when it should finish.
-type Progress struct {
-	Cycle      int64           `json:"cycle"` // the latest window's
-	Frames     int64           `json:"frames"`
-	GoalFrames int64           `json:"goalFrames,omitempty"`
-	MaxCycles  int64           `json:"maxCycles,omitempty"`
-	Windows    int64           `json:"windows"`
-	CPS        float64         `json:"cps"`    // latest window rate
-	AvgCPS     float64         `json:"avgCps"` // whole-run rate
-	WallNs     int64           `json:"wallNs"` // host time since attach
-	ETA        string          `json:"eta,omitempty"`
-	EtaNs      int64           `json:"etaNs,omitempty"`
-	Done       bool            `json:"done"`
-	Watchdog   *WatchdogStatus `json:"watchdog,omitempty"`
-}
-
-// Progress summarizes the run state for the status server. Safe from
-// any goroutine.
-func (b *Bus) Progress() Progress {
-	b.mu.Lock()
-	cycle := max(b.prevCycle, 0)
-	var last *WindowSample
-	if n := len(b.ring); n > 0 {
-		last = b.ring[n-1]
-	}
-	seq := b.seq
-	start := b.startWall
-	done := b.flushed
-	b.mu.Unlock()
-
-	p := Progress{
-		Cycle:      cycle,
-		GoalFrames: b.goalFr,
-		MaxCycles:  b.goal,
-		Windows:    seq,
-		Done:       done,
-	}
-	p.WallNs = b.now().Sub(start).Nanoseconds()
-	if p.WallNs > 0 && cycle > 0 {
-		p.AvgCPS = float64(cycle) / (float64(p.WallNs) / 1e9)
-	}
-	if last != nil {
-		p.CPS = last.CPS
-		p.Frames = last.Frames
-		p.Watchdog = last.Watchdog
-	}
-	if !done {
-		p.EtaNs = b.eta(p)
-		if p.EtaNs > 0 {
-			p.ETA = time.Duration(p.EtaNs).Round(time.Second).String()
-		}
-	}
-	return p
-}
-
-// eta estimates the remaining host time: frame-based when the total
-// frame count is known and at least one frame finished, else
-// cycle-budget based. 0 means unknown.
-func (b *Bus) eta(p Progress) int64 {
-	if b.goalFr > 0 && p.Frames > 0 {
-		if p.Frames >= b.goalFr {
-			return 0
-		}
-		perFrame := float64(p.WallNs) / float64(p.Frames)
-		return int64(perFrame * float64(b.goalFr-p.Frames))
-	}
-	if b.goal > 0 && p.AvgCPS > 0 && p.Cycle < b.goal {
-		return int64(float64(b.goal-p.Cycle) / p.AvgCPS * 1e9)
-	}
-	return 0
 }

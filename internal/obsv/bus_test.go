@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,13 +93,14 @@ func fakeClock(step time.Duration) func() time.Time {
 }
 
 func TestBusWindowsAndFlush(t *testing.T) {
-	sim, _, _ := buildTestSim(25)
+	sim, _, c := buildTestSim(25)
 	sim.SetWatchdog(1000)
-	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
+	// The consumer's count stands in for the frame counter: it is read
+	// at each window's barrier.
+	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond), Frames: func() int64 { return int64(c.got) }})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	bus.Flush()
 
 	samples := bus.Snapshot()
 	if len(samples) != 3 {
@@ -126,6 +130,9 @@ func TestBusWindowsAndFlush(t *testing.T) {
 	if w0.Signals["pipe"] != 2 {
 		t.Fatalf("in-flight objects: want 2, got %v", w0.Signals)
 	}
+	if w0.Frames != 9 || fin.Frames != 25 {
+		t.Fatalf("frames read at the barrier: want 9 and 25, got %d and %d", w0.Frames, fin.Frames)
+	}
 	if _, ok := w0.Queues["Consumer.queue"]; !ok {
 		t.Fatalf("stall-reporter occupancy missing: %v", w0.Queues)
 	}
@@ -144,15 +151,13 @@ func TestBusWindowsAndFlush(t *testing.T) {
 }
 
 func TestBusFlushIdempotentAndCoversBoundary(t *testing.T) {
-	// 15 objects, latency 2: the run ends mid-window; Flush records it
-	// once and further flushes are no-ops.
+	// 15 objects, latency 2: the run ends mid-window; the stats flush
+	// at the end of the run records that window once.
 	sim, _, _ := buildTestSim(15)
 	bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 	if err := sim.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	bus.Flush()
-	bus.Flush()
 	samples := bus.Snapshot()
 	if len(samples) != 2 {
 		t.Fatalf("want 2 windows, got %d", len(samples))
@@ -163,21 +168,17 @@ func TestBusFlushIdempotentAndCoversBoundary(t *testing.T) {
 
 	// A run whose last cycle is a boundary (n objects end at cycle n+1)
 	// has its last window already: it is the boundary's row, and the
-	// run is still done once flushed.
+	// flush adds no partial one after it.
 	for _, n := range []int{9, 19, 29} {
 		sim, _, _ := buildTestSim(n)
-		bus := NewBus(sim, BusOptions{Goal: 100, Now: fakeClock(time.Millisecond)})
+		bus := NewBus(sim, BusOptions{Now: fakeClock(time.Millisecond)})
 		if err := sim.Run(100); err != nil {
 			t.Fatal(err)
 		}
-		bus.Flush()
 		samples := bus.Snapshot()
 		last := samples[len(samples)-1]
-		if len(samples) != (n+1)/10 || last.Cycle != sim.Cycle()-1 || last.Cycle%10 != 0 {
+		if len(samples) != (n+1)/10 || last.Cycle != sim.Cycle()-1 || last.Cycle%10 != 0 || last.Final {
 			t.Fatalf("n=%d: %d windows, last %+v (sim cycle %d)", n, len(samples), last, sim.Cycle())
-		}
-		if p := bus.Progress(); !p.Done || p.EtaNs != 0 {
-			t.Fatalf("n=%d: run ended on a boundary is not done: %+v", n, p)
 		}
 	}
 }
@@ -188,7 +189,6 @@ func TestBusRingDepthEviction(t *testing.T) {
 	if err := sim.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	bus.Flush()
 	samples := bus.Snapshot()
 	if len(samples) != 3 {
 		t.Fatalf("ring depth 3 not enforced: got %d windows", len(samples))
@@ -212,7 +212,6 @@ func TestBusNDJSONDeterministicAcrossRuns(t *testing.T) {
 		if err := sim.Run(100); err != nil {
 			t.Fatal(err)
 		}
-		bus.Flush()
 		var buf bytes.Buffer
 		if err := bus.WriteNDJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -223,8 +222,12 @@ func TestBusNDJSONDeterministicAcrossRuns(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("NDJSON not reproducible with a deterministic clock:\n%s\nvs\n%s", a, b)
 	}
-	// Every line is a standalone JSON object.
-	for _, line := range strings.Split(strings.TrimSpace(string(a)), "\n") {
+	// Every line is a standalone JSON object, one per window.
+	lines := strings.Split(strings.TrimSpace(string(a)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want 3 NDJSON lines (2 full windows + final partial), got %d", len(lines))
+	}
+	for _, line := range lines {
 		var s WindowSample
 		if err := json.Unmarshal([]byte(line), &s); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
@@ -232,79 +235,17 @@ func TestBusNDJSONDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBusProgressAndETA(t *testing.T) {
-	sim, _, _ := buildTestSim(25)
-	bus := NewBus(sim, BusOptions{Goal: 100, Now: fakeClock(time.Millisecond)})
-
-	var mid Progress
-	sim.OnEndCycle(func(cycle int64) {
-		if cycle == 19 {
-			mid = bus.Progress()
-		}
-	})
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	bus.Flush()
-
-	// Progress reports the latest window's cycle.
-	if mid.Cycle != 10 || mid.Done {
-		t.Fatalf("mid-run progress: %+v", mid)
-	}
-	if mid.CPS <= 0 || mid.AvgCPS <= 0 {
-		t.Fatalf("mid-run rates missing: %+v", mid)
-	}
-	if mid.EtaNs <= 0 || mid.ETA == "" {
-		t.Fatalf("cycle-budget ETA missing: %+v", mid)
-	}
-
-	final := bus.Progress()
-	if !final.Done || final.EtaNs != 0 {
-		t.Fatalf("final progress: %+v", final)
-	}
-}
-
-func TestBusFrameETAPreferred(t *testing.T) {
-	sim, _, _ := buildTestSim(25)
-	frames := int64(0)
-	sim.OnEndCycle(func(cycle int64) {
-		if cycle == 9 {
-			frames = 1
-		}
-	})
-	bus := NewBus(sim, BusOptions{
-		Goal: 1_000_000, GoalFrames: 4, Frames: func() int64 { return frames },
-		Now: fakeClock(time.Millisecond),
-	})
-	var mid Progress
-	sim.OnEndCycle(func(cycle int64) {
-		if cycle == 19 {
-			mid = bus.Progress()
-		}
-	})
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if mid.Frames != 1 || mid.EtaNs <= 0 {
-		t.Fatalf("frame-based progress: %+v", mid)
-	}
-	// Frame-based ETA: 3 remaining frames at the observed per-frame
-	// rate — far below the absurd cycle-budget estimate, proving the
-	// frame path was taken.
-	budgetEta := int64(float64(1_000_000-mid.Cycle) / mid.AvgCPS * 1e9)
-	if mid.EtaNs >= budgetEta/10 {
-		t.Fatalf("ETA %d looks cycle-budget based (budget estimate %d)", mid.EtaNs, budgetEta)
-	}
-}
-
 func TestProfilerAttributesBoxes(t *testing.T) {
-	sim, _, _ := buildTestSim(25)
+	profile := func(prof *Profiler) {
+		sim, _, _ := buildTestSim(25)
+		prof.Attach(sim)
+		if err := sim.Run(100); err != nil {
+			t.Error(err)
+		}
+	}
 	prof := NewProfiler()
 	prof.SampleEvery = 1 // time every cycle in the test
-	prof.Attach(sim)
-	if err := sim.Run(100); err != nil {
-		t.Fatal(err)
-	}
+	profile(prof)
 	rows := prof.Report()
 	if len(rows) != 2 {
 		t.Fatalf("want 2 profiled boxes, got %+v", rows)
@@ -319,8 +260,29 @@ func TestProfilerAttributesBoxes(t *testing.T) {
 	if share < 0.999 || share > 1.001 {
 		t.Fatalf("shares must sum to 1, got %g", share)
 	}
-	if top := prof.Top(1); len(top) != 1 || top[0].HostNs < rows[1].HostNs {
-		t.Fatalf("Top(1) not the most expensive box: %+v", top)
+	if rows[0].HostNs < rows[1].HostNs {
+		t.Fatalf("Report()[0] not the most expensive box: %+v", rows)
+	}
+	// One profiler clocked by two runs at once (a pool's) aggregates
+	// both runs' samples by box name; the race detector watches it in
+	// make check.
+	shared := NewProfiler()
+	shared.SampleEvery = 1
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			profile(shared)
+		}()
+	}
+	wg.Wait()
+	for _, r := range shared.Report() {
+		for _, one := range rows {
+			if one.Box == r.Box && r.Samples != 2*one.Samples {
+				t.Errorf("%s: %d samples over two concurrent runs, want 2x%d", r.Box, r.Samples, one.Samples)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if err := prof.WriteTable(&buf); err != nil {
@@ -376,7 +338,7 @@ func TestProfilerOffByDefault(t *testing.T) {
 
 func TestBusOnDeadlockedRun(t *testing.T) {
 	// The bus must keep its windows (and flush the partial one) when
-	// the run dies; that is what the status server serves post-mortem.
+	// the run dies; that is what -metrics writes after a failed run.
 	sim, _, _ := buildTestSim(5)
 	sim.SetDone(func() bool { return false }) // never done: traffic dies after delivery
 	sim.SetWatchdog(20)
@@ -385,12 +347,21 @@ func TestBusOnDeadlockedRun(t *testing.T) {
 	if !errors.Is(err, core.ErrDeadlock) {
 		t.Fatalf("want deadlock, got %v", err)
 	}
-	bus.Flush()
 	samples := bus.Snapshot()
 	if len(samples) < 2 || !samples[len(samples)-1].Final {
 		t.Fatalf("windows missing after deadlock: %d", len(samples))
 	}
-	if sim.Crash() == nil {
+	// The -blackbox file of the failed run: the crash report as JSON.
+	path := filepath.Join(t.TempDir(), "crash.json")
+	if sim.Crash() == nil || sim.Crash().WriteFile(path) != nil {
 		t.Fatal("deadlocked run left no crash report")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep core.CrashReport
+	if err := json.Unmarshal(data, &rep); err != nil || rep.Kind != "deadlock" || rep.Deadlock == nil {
+		t.Fatalf("crash report JSON: %v %+v", err, rep)
 	}
 }

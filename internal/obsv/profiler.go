@@ -105,15 +105,6 @@ func (p *Profiler) Report() []BoxTime {
 	return rows
 }
 
-// Top returns the n most expensive boxes (all rows when n <= 0).
-func (p *Profiler) Top(n int) []BoxTime {
-	rows := p.Report()
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
-	return rows
-}
-
 // WriteTable renders the ranked attribution table for humans.
 func (p *Profiler) WriteTable(w io.Writer) error {
 	rows := p.Report()

@@ -48,10 +48,7 @@ func (b *Bus) SnapshotState(e *chkpt.Encoder) {
 	e.Blob(hists)
 }
 
-// RestoreState implements chkpt.Snapshotter. The bus must be attached
-// to the machine whose statistics the checkpoint restores (core.Stats
-// restores first): StatTotals is refilled from their last row, what an
-// uninterrupted run's bus copied at its last window.
+// RestoreState implements chkpt.Snapshotter.
 func (b *Bus) RestoreState(d *chkpt.Decoder) error {
 	seq := d.I64()
 	prevCycle := d.I64()
@@ -72,7 +69,6 @@ func (b *Bus) RestoreState(d *chkpt.Decoder) error {
 	defer b.mu.Unlock()
 	b.seq = seq
 	b.prevCycle = prevCycle
-	copy(b.totals, b.sim.Stats.Totals())
 	b.ring = samples
 	if len(b.ring) > b.depth {
 		b.ring = b.ring[len(b.ring)-b.depth:]
@@ -83,23 +79,7 @@ func (b *Bus) RestoreState(d *chkpt.Decoder) error {
 		}
 		b.hists = hists
 	}
-	b.flushed = false
 	// Re-anchor the wall clock: host time starts over in this process.
-	wall := b.now()
-	b.lastWall = wall
-	b.startWall = wall
+	b.lastWall = b.now()
 	return nil
-}
-
-// CheckpointStatus is the /checkpoint payload of the status server:
-// how many checkpoints the engine has written, where, and whether this
-// run itself was restored from one.
-type CheckpointStatus struct {
-	Path          string `json:"path,omitempty"`          // checkpoint file being written
-	Count         int64  `json:"count"`                   // checkpoints written so far
-	LastCycle     int64  `json:"lastCycle,omitempty"`     // cycle of the newest checkpoint
-	Interval      int64  `json:"interval,omitempty"`      // requested cadence in cycles
-	RestoredFrom  string `json:"restoredFrom,omitempty"`  // checkpoint this run resumed from
-	RestoredCycle int64  `json:"restoredCycle,omitempty"` // cycle the restore landed on
-	Err           string `json:"error,omitempty"`         // last write failure, if any
 }

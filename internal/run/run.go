@@ -221,13 +221,8 @@ func (s *Session) restore(path, fingerprint string, extras []chkpt.Snapshotter) 
 }
 
 // Run executes the command stream to completion, from the restored
-// cycle when the session was restored, and marks the metrics bus done
-// whether or not the run succeeded (its final partial window is the
-// stats row RunContext flushes on every path).
+// cycle when the session was restored.
 func (s *Session) Run(ctx context.Context) error {
-	if s.Bus != nil {
-		defer s.Bus.Flush()
-	}
 	if s.RestoredCycle > 0 {
 		return s.Pipe.ResumeContext(ctx, s.maxCycles)
 	}

@@ -54,7 +54,7 @@ func testSpans() trace.Options { return trace.Options{SampleRate: 64, Seed: 1} }
 // NDJSON is a pure function of simulation state.
 func frozenBus() *obsv.BusOptions {
 	frozen := time.Unix(1000, 0)
-	return &obsv.BusOptions{Goal: testBudget, Now: func() time.Time { return frozen }}
+	return &obsv.BusOptions{Now: func() time.Time { return frozen }}
 }
 
 // assembly is what either side hands back: the wired machine and how
@@ -165,14 +165,10 @@ func wireCLI(t *testing.T, workers int, cmds []gpu.Command, fingerprint, ckptPat
 	}
 	eng := pipe.EnableCheckpoints(ckptPath, fingerprint, interval, busExtra...)
 	return &assembly{pipe: pipe, bus: bus, col: col, eng: eng, run: func(ctx context.Context) error {
-		var err error
 		if restored {
-			err = pipe.ResumeContext(ctx, testBudget)
-		} else {
-			err = pipe.RunContext(ctx, cmds, testBudget)
+			return pipe.ResumeContext(ctx, testBudget)
 		}
-		bus.Flush()
-		return err
+		return pipe.RunContext(ctx, cmds, testBudget)
 	}}
 }
 

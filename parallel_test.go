@@ -32,8 +32,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, workload := range []string{"simple", "ut2004"} {
 		t.Run(workload, func(t *testing.T) {
 			serial := coretest.Record(t, observed(t, workload, 1, 0, 0, 0))
-			if len(serial.Frames) != 1+3 || serial.Err != "" {
-				t.Fatalf("%d frames rendered (%s)", len(serial.Frames)-3, serial.Err)
+			if len(serial.Frames) != 1+2 || serial.Err != "" {
+				t.Fatalf("%d frames rendered (%s)", len(serial.Frames)-2, serial.Err)
 			}
 			for _, workers := range []int{2, 3, 4} {
 				for _, d := range serial.Diff(fmt.Sprintf("with workers=%d", workers), coretest.Record(t, observed(t, workload, 1, workers, 0, 0))) {
