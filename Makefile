@@ -29,9 +29,10 @@ test:
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
 # also fails if planning a quad allocates), the texture unit's
-# request benchmark, the workload build's benchmark and the checkpoint
+# request benchmark, the workload build's benchmark, the checkpoint
 # capture+encode benchmark (a first capture, and one carrying 48
-# frames), so they cannot rot;
+# frames) and the job construction benchmark (run.Start for each of
+# the benchmark sweep's four job kinds), so they cannot rot;
 # then fuzz smokes over the trace reader, the checkpoint container
 # reader (version 1 and 2 seeds) and section codec, the checkpoint's
 # GPU memory section decoder, the decoded shader interpreter against
@@ -51,6 +52,7 @@ check:
 	$(GO) test -run '^$$' -bench BenchmarkTextureUnitQuad -benchtime 1x ./internal/gpu
 	$(GO) test -run '^$$' -bench BenchmarkBuild -benchtime 1x ./internal/workload
 	$(GO) test -run '^$$' -bench BenchmarkCaptureEncode -benchtime 1x ./internal/chkpt
+	$(GO) test -run '^$$' -bench BenchmarkStart -benchtime 1x ./internal/run
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/chkpt
 	$(GO) test -run '^$$' -fuzz=FuzzDecoder -fuzztime=10s ./internal/chkpt

@@ -33,8 +33,9 @@ func mallocsDuring(f func()) uint64 {
 // On the simple scene, per extra cycle: once the pools are warm the
 // clock loop allocates almost nothing (< 0.05 allocs/cycle); before the
 // purge it was ~2.5 per cycle, every cycle. The first frame's own
-// allocations are held to a ratchet, the 3 160 measured with the
-// geometry path pooled, plus 10 %: lower it when a change lowers them.
+// allocations are held to a ratchet, the 1 603 measured with the
+// machine built from slabs (3 155 before, with the geometry path
+// pooled), plus 10 %: lower it when a change lowers them.
 //
 // The simple scene draws a handful of vertices, so a per-vertex
 // allocation is invisible there. On ut2004 the bound is per extra
@@ -67,7 +68,7 @@ func TestPipelineRunAllocBudget(t *testing.T) {
 		t.Errorf("allocation budget exceeded: %.4f allocs/cycle > %.2f — a hot-path allocation crept back in",
 			perCycle, budget)
 	}
-	const firstFrame = 3480
+	const firstFrame = 1763
 	if allocs1 > firstFrame {
 		t.Errorf("the first frame made %d allocations, more than %d — a pool lost its slabs, or a set-up path began to allocate",
 			allocs1, firstFrame)

@@ -133,15 +133,40 @@ func (s *Snapshot) Section(name string) []byte { return s.sections[name] }
 func (s *Snapshot) Sections() []string { return append([]string(nil), s.order...) }
 
 // Capture serializes every Snapshotter into a fresh snapshot.
+//
+// Each part's encoder is given its room before the part writes: the
+// rest of an arena of arenaBytes, which the small sections a capture is
+// mostly made of share, one allocation between them. A part that
+// outgrows the rest — the GPU memory, which sizes its own encoder with
+// Grow, or a long frame list — moves to a buffer of its own and leaves
+// the rest to the next part; less than sectionRoom left starts a new
+// arena. (A counting pass could size every section exactly, but would
+// run each part twice, the trace collector's JSON encoding included.)
 func Capture(meta Meta, parts []Snapshotter) *Snapshot {
-	snap := NewSnapshot(meta)
+	snap := &Snapshot{Meta: meta, sections: make(map[string][]byte, len(parts)), order: make([]string, 0, len(parts))}
+	var rest []byte
 	for _, p := range parts {
-		var e Encoder
+		if cap(rest) < sectionRoom {
+			rest = make([]byte, 0, arenaBytes)
+		}
+		e := Encoder{buf: rest}
 		p.SnapshotState(&e)
-		snap.Add(p.SnapshotName(), e.Bytes())
+		n := len(e.buf)
+		if cap(e.buf) == cap(rest) { // written in place: the arena moves past it
+			e.buf = e.buf[:n:n]
+			rest = rest[n:n]
+		}
+		snap.Add(p.SnapshotName(), e.buf)
 	}
 	return snap
 }
+
+// arenaBytes is the arena Capture's sections share; sectionRoom is the
+// least room a part starts with.
+const (
+	arenaBytes  = 64 << 10
+	sectionRoom = 4 << 10
+)
 
 // Restore applies a snapshot to freshly built components. Every
 // registered Snapshotter must find its section and every section must
@@ -183,21 +208,27 @@ func Restore(snap *Snapshot, parts []Snapshotter, lenient bool) error {
 // and length are taken over the pieces, which then stream into the
 // compressor.
 func (s *Snapshot) Encode(w io.Writer) error {
-	var meta Encoder
-	meta.I64(s.Meta.Cycle)
-	meta.Str(s.Meta.Config)
-	meta.Str(s.Meta.Workload)
-	meta.I64(0) // the version 2 epoch slot
-	meta.U32(uint32(len(s.order)))
 	// The payload is meta, then per section its name and length (a
-	// small prefix) and its bytes.
-	pieces := make([][]byte, 0, 1+2*len(s.order))
-	pieces = append(pieces, meta.Bytes())
+	// small prefix) and its bytes. Meta and the prefixes are written
+	// into one encoder sized for them beforehand.
+	headBytes := 8 + 4 + len(s.Meta.Config) + 4 + len(s.Meta.Workload) + 8 + 4
 	for _, name := range s.order {
-		var prefix Encoder
-		prefix.Str(name)
-		prefix.U32(uint32(len(s.sections[name])))
-		pieces = append(pieces, prefix.Bytes(), s.sections[name])
+		headBytes += 4 + len(name) + 4
+	}
+	var head Encoder
+	head.Grow(headBytes)
+	head.I64(s.Meta.Cycle)
+	head.Str(s.Meta.Config)
+	head.Str(s.Meta.Workload)
+	head.I64(0) // the version 2 epoch slot
+	head.U32(uint32(len(s.order)))
+	pieces := make([][]byte, 0, 1+2*len(s.order))
+	pieces = append(pieces, head.buf)
+	for _, name := range s.order {
+		start := len(head.buf)
+		head.Str(name)
+		head.U32(uint32(len(s.sections[name])))
+		pieces = append(pieces, head.buf[start:], s.sections[name])
 	}
 	var crc uint32
 	var size uint64

@@ -8,11 +8,16 @@ package core
 // `q = append(q, v)` / `q = q[1:]` pair strands its capacity behind
 // the advancing head and allocates forever).
 //
-// The zero value is an empty queue.
+// The zero value is an empty queue. The first Push gives it room for
+// fifoStart elements, so a queue that never holds more allocates once.
 type FIFO[T any] struct {
 	buf  []T
 	head int
 }
+
+// fifoStart is a FIFO's first capacity: a small power of two, so that
+// growth by append keeps doubling from there.
+const fifoStart = 8
 
 // Len returns the number of queued elements.
 func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
@@ -24,6 +29,9 @@ func (q *FIFO[T]) Push(v T) {
 		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
+	}
+	if q.buf == nil {
+		q.buf = make([]T, 0, fifoStart)
 	}
 	q.buf = append(q.buf, v)
 }

@@ -22,16 +22,23 @@ import (
 // collide only if L == 0 mod N, which L in [1, maxLat] rules out for
 // any N > maxLat. produced/consumed count the traffic, and Read uses
 // them to leave an empty wire without touching the ring.
+//
+// Every slot's objects live in one backing array, room per slot, each
+// slot capped at its own room. Room is what slots hold, not the
+// bandwidth: it starts at one object and doubles, for every slot at
+// once, the first time a write finds its slot full (grow). A wire that
+// carries one object per cycle keeps one object of room however wide
+// it is.
 type Signal struct {
 	name     string
 	bw       int
 	lat      int
 	maxLat   int
-	ring     [][]Dynamic // indexed by cycle & mask
-	stamp    []int64     // cycle each ring slot was last written for
-	mask     int64       // len(ring)-1; len(ring) is a power of two
-	wrCycle  int64       // cycle of the most recent writes
-	wrCount  int         // writes performed during wrCycle
+	ring     []ringSlot // indexed by cycle & mask
+	room     int        // capacity of every slot's window of the backing array
+	mask     int64      // len(ring)-1; len(ring) is a power of two
+	wrCycle  int64      // cycle of the most recent writes
+	wrCount  int        // writes performed during wrCycle
 	produced uint64
 	consumed uint64
 	// reader is the consuming box, resolved from the Binder when a Run
@@ -50,6 +57,13 @@ type Signal struct {
 	// the order boxes are clocked in.
 	tracer   Tracer
 	traceBuf []traceEntry
+}
+
+// ringSlot is what arrives at one cycle: the objects, and the cycle they
+// were written for.
+type ringSlot struct {
+	objs  []Dynamic
+	stamp int64
 }
 
 // traceEntry holds the object's record by value, as it was read: a
@@ -93,14 +107,29 @@ func NewSignal(name string, bandwidth, latency, maxLat int) *Signal {
 		maxLat = latency
 	}
 	n := ringLen(maxLat + 1)
-	return &Signal{
+	s := &Signal{
 		name:   name,
 		bw:     bandwidth,
 		lat:    latency,
 		maxLat: maxLat,
-		ring:   make([][]Dynamic, n),
-		stamp:  make([]int64, n),
+		ring:   make([]ringSlot, n),
 		mask:   int64(n - 1),
+	}
+	s.grow()
+	return s
+}
+
+// grow doubles every slot's room (the first call gives each one object
+// of room) in a new backing array, copying what the slots hold. The
+// slot a reader took this cycle is empty by then: the reader's slice
+// keeps the old array alive until it is done with it.
+func (s *Signal) grow() {
+	s.room = max(1, 2*s.room)
+	backing := make([]Dynamic, len(s.ring)*s.room)
+	for i := range s.ring {
+		sl := &s.ring[i]
+		w := backing[i*s.room : i*s.room : (i+1)*s.room]
+		sl.objs = append(w, sl.objs...)
 	}
 }
 
@@ -143,12 +172,15 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 		s.wrCount = 1
 	}
 	arrive := cycle + int64(lat)
-	slot := arrive & s.mask
-	if len(s.ring[slot]) > 0 && s.stamp[slot] != arrive {
-		simFail(s.name, cycle, "data lost: %d unread objects from cycle %d", len(s.ring[slot]), s.stamp[slot])
+	sl := &s.ring[arrive&s.mask]
+	if len(sl.objs) > 0 && sl.stamp != arrive {
+		simFail(s.name, cycle, "data lost: %d unread objects from cycle %d", len(sl.objs), sl.stamp)
 	}
-	s.stamp[slot] = arrive
-	s.ring[slot] = append(s.ring[slot], obj)
+	if len(sl.objs) == s.room {
+		s.grow()
+	}
+	sl.stamp = arrive
+	sl.objs = append(sl.objs, obj)
 	s.produced++
 	if t := s.prodTally; t != nil {
 		*t++
@@ -167,9 +199,8 @@ func (s *Signal) WriteLat(cycle int64, lat int, obj Dynamic) {
 // reused for later writes into the same ring slot; the consumer must
 // finish with it during the clock cycle it was read on (which every
 // box does — the earliest conflicting write lands at cycle+1). This
-// keeps the steady state
-// allocation-free: the ring reaches its high-water capacity once and
-// never reallocates.
+// keeps the steady state allocation-free: the slots' room reaches what
+// the busiest one holds and never grows again.
 //
 // Nothing in flight (produced == consumed) means nothing can arrive:
 // an object arriving at cycle C was written during an earlier cycle,
@@ -179,12 +210,12 @@ func (s *Signal) Read(cycle int64) []Dynamic {
 	if s.produced == s.consumed {
 		return nil
 	}
-	slot := cycle & s.mask
-	if len(s.ring[slot]) == 0 || s.stamp[slot] != cycle {
+	sl := &s.ring[cycle&s.mask]
+	if len(sl.objs) == 0 || sl.stamp != cycle {
 		return nil
 	}
-	out := s.ring[slot]
-	s.ring[slot] = out[:0]
+	out := sl.objs
+	sl.objs = out[:0]
 	s.consumed += uint64(len(out))
 	if t := s.consTally; t != nil {
 		*t += uint64(len(out))
@@ -217,16 +248,12 @@ const inFlightMax = 8
 func (s *Signal) InFlight() []string {
 	var out []string
 	total := 0
-	for slot, objs := range s.ring {
-		if len(objs) == 0 {
-			continue
-		}
-		arrive := s.stamp[slot]
-		for _, o := range objs {
+	for _, sl := range s.ring {
+		for _, o := range sl.objs {
 			total++
 			if len(out) < inFlightMax {
 				d := o.DynInfo()
-				out = append(out, fmt.Sprintf("%s#%d @%d", d.Tag, d.ID, arrive))
+				out = append(out, fmt.Sprintf("%s#%d @%d", d.Tag, d.ID, sl.stamp))
 			}
 		}
 	}
@@ -243,9 +270,9 @@ func (s *Signal) InFlight() []string {
 // which the simulator converts into a *CrashError naming the consumer
 // box. Call at the end of a cycle.
 func (s *Signal) CorruptOne() bool {
-	for slot, objs := range s.ring {
-		if len(objs) > 0 {
-			s.ring[slot][0] = nil
+	for _, sl := range s.ring {
+		if len(sl.objs) > 0 {
+			sl.objs[0] = nil
 			return true
 		}
 	}

@@ -225,7 +225,7 @@ func TestSignalReadReusesBacking(t *testing.T) {
 		t.Fatalf("read: %v", got)
 	}
 	s.Write(2, newObj(&ids, 2)) // arrives cycle 3, same slot as cycle 1
-	if &got[:1][0] != &s.ring[1][0] {
+	if &got[:1][0] != &s.ring[1].objs[0] {
 		t.Fatal("ring slot did not reuse the returned slice's backing array")
 	}
 	if got2 := s.Read(3); len(got2) != 1 || got2[0].(*testObj).val != 2 {

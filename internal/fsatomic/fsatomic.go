@@ -11,7 +11,9 @@
 package fsatomic
 
 import (
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -27,19 +29,34 @@ func WriteFile(path string, data []byte) error {
 
 // WriteTo atomically and durably replaces path with whatever write
 // streams into w (the checkpoint container gzips straight into the temp
-// file). The parent directory is created if missing. On any error,
-// write's included, the temp file is removed and the previous contents
-// of path (if any) are untouched.
+// file). The parent directory is created if missing: only when making
+// the temp file finds it gone, so a write into a directory that exists
+// pays no Stat for it. On any error, write's included, the temp file is
+// removed and the previous contents of path (if any) are untouched.
+//
+// Every call writes its own temp file (os.CreateTemp's unique name), so
+// concurrent writers of one path never write into each other's.
 func WriteTo(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	pattern := filepath.Base(path) + ".tmp*"
+	tmp, err := os.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		// Never made, or removed mid-run (disk yanked, cleanup raced):
+		// make it and try once more.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		tmp, err = os.CreateTemp(dir, pattern)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // gone already once the rename succeeded
+	renamed := false
+	defer func() {
+		if !renamed {
+			os.Remove(tmp.Name())
+		}
+	}()
 	err = write(tmp)
 	if err == nil {
 		err = tmp.Sync()
@@ -53,6 +70,7 @@ func WriteTo(path string, write func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
+	renamed = true
 	return SyncDir(dir)
 }
 

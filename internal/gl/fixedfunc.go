@@ -70,8 +70,12 @@ func (c *Context) fixedFunction() *ffPrograms {
 	return p
 }
 
+// ffSourceBytes holds the longest generated program's source.
+const ffSourceBytes = 512
+
 func buildFFVertex(k ffKey) *isa.Program {
 	var b strings.Builder
+	b.Grow(ffSourceBytes)
 	b.WriteString("!!ATTILAvp\n")
 	// Position transform.
 	b.WriteString("DP4 o0.x, v0, c0\n")
@@ -109,6 +113,7 @@ func buildFFVertex(k ffKey) *isa.Program {
 
 func buildFFFragment(k ffKey, c *Context) *isa.Program {
 	var b strings.Builder
+	b.Grow(ffSourceBytes)
 	b.WriteString("!!ATTILAfp\n")
 	b.WriteString("MOV r0, v1\n")
 	if k.tex0 {

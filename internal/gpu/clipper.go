@@ -67,7 +67,7 @@ func (c *Clipper) Clock(cycle int64) {
 	if c.rejected {
 		tri.Batch.retireTris(1)
 		c.statRejected.Inc()
-		c.pool.tris.put(tri)
+		c.pool.tris.Put(tri)
 		return
 	}
 	c.triOut.Send(cycle, tri)

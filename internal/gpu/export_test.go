@@ -82,7 +82,7 @@ func (p *Pipeline) Pools() []PoolKind {
 		poolKind("works", &pl.works), poolKind("inputs", &pl.inputs)}
 }
 
-func poolKind[T any](name string, l *freeList[T]) PoolKind {
+func poolKind[T any](name string, l *core.FreeList[T]) PoolKind {
 	var x T
-	return PoolKind{name, l.made, len(l.free) + len(l.slab), unsafe.Sizeof(x)}
+	return PoolKind{name, l.Made(), l.Idle(), unsafe.Sizeof(x)}
 }

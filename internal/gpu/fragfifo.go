@@ -140,7 +140,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 	// credit until admitted into the thread window.
 	for _, obj := range f.vtxIn.Recv(cycle) {
 		g := obj.(*VtxGroup)
-		w := f.pool.works.get()
+		w := f.pool.works.Get()
 		w.DynObject = core.DynObject{ID: g.ID, Parent: g.Parent, Tag: "vwork"}
 		w.Batch, w.Kind, w.Vtx = g.Batch, workVertex, g
 		if f.trVtx != nil {
@@ -151,7 +151,7 @@ func (f *FragmentFIFO) acceptInputs(cycle int64) {
 	}
 	for _, obj := range f.fragIn.Recv(cycle) {
 		q := obj.(*Quad)
-		w := f.pool.works.get()
+		w := f.pool.works.Get()
 		w.DynObject = core.DynObject{ID: q.ID, Parent: q.Parent, Tag: "fwork"}
 		w.Batch, w.Kind, w.Frag = q.Batch, workFragment, q
 		if f.trFrag != nil {
@@ -317,7 +317,7 @@ func (f *FragmentFIFO) drainOutbox(cycle int64) {
 			w.span = nil
 			sp.Finish(cycle)
 		}
-		f.pool.works.put(w)
+		f.pool.works.Put(w)
 	}
 }
 
@@ -347,7 +347,7 @@ func (f *FragmentFIFO) route(cycle int64, w *ShaderWork) bool {
 	// while the consumer is full, and each quad is shaded once. Routed
 	// or retired, the shaded quad needs its inputs no more.
 	q.Batch.ShadedQuads++
-	f.pool.inputs.put(q.In)
+	f.pool.inputs.Put(q.In)
 	q.In = nil
 	if out == nil {
 		// The quad retires here.

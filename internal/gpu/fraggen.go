@@ -155,11 +155,12 @@ func (f *FragmentGenerator) nextTile() (x, y int, ok bool) {
 func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 	st := f.cur.Batch.State
 	tri := &f.cur.Tri
-	tile := f.pool.tiles.get()
+	tile := f.pool.tiles.Get()
 	tile.DynObject = core.DynObject{ID: f.ids.Next(), Parent: f.cur.ID, Tag: "tile"}
 	tile.Batch = f.cur.Batch
 	tile.X = x0
 	tile.Y = y0
+	tile.Quads = tile.room[:0]
 	for qy := 0; qy < SurfaceTile; qy += 2 {
 		for qx := 0; qx < SurfaceTile; qx += 2 {
 			var q *Quad
@@ -174,7 +175,7 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 					continue
 				}
 				if q == nil {
-					q = f.pool.quads.get()
+					q = f.pool.quads.Get()
 					q.DynObject = core.DynObject{ID: f.ids.Next(), Parent: tile.ID, Tag: "quad"}
 					q.Batch = f.cur.Batch
 					q.Tri = f.cur
@@ -192,7 +193,7 @@ func (f *FragmentGenerator) buildTile(x0, y0 int) *Tile {
 		}
 	}
 	if len(tile.Quads) == 0 {
-		f.pool.tiles.put(tile)
+		f.pool.tiles.Put(tile)
 		return nil
 	}
 	minD := tri.TileMinDepth(x0, y0, SurfaceTile)

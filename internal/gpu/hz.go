@@ -93,7 +93,7 @@ func (h *HierarchicalZ) Clock(cycle int64) {
 		h.queue.Pop()
 		h.tileIn.Release(1)
 		h.statTiles.Inc()
-		h.pool.tiles.put(tile) // quads culled or forwarded; wrapper done
+		h.pool.tiles.Put(tile) // quads culled or forwarded; wrapper done
 	}
 	// A cycle spent entirely blocked on a full consumer is not busy:
 	// busyCycles must reflect tiles actually tested, or utilization

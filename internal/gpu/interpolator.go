@@ -74,7 +74,7 @@ func (ip *Interpolator) Clock(cycle int64) {
 func (ip *Interpolator) interpolate(q *Quad) int {
 	mask := q.Batch.State.InterpAttrs()
 	tri := &q.Tri.Tri
-	q.In = ip.pool.inputs.get()
+	q.In = ip.pool.inputs.Get()
 	for l := 0; l < 4; l++ {
 		px, py := q.X+l%2, q.Y+l/2
 		e := tri.EvalEdges(px, py)

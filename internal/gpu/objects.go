@@ -295,7 +295,8 @@ type SetupTri struct {
 
 // Tile is an 8x8 fragment tile ("stamp" pair of the generator): the
 // generator emits up to two per cycle. Quads lists the covered 2x2
-// quads with per-fragment coverage and depth already evaluated.
+// quads with per-fragment coverage and depth already evaluated; the
+// generator points it into room, which holds a tile's most quads.
 type Tile struct {
 	core.DynObject
 	Batch *BatchState
@@ -303,7 +304,11 @@ type Tile struct {
 	Quads []*Quad
 	// MinDepth is the conservative tile depth bound for HZ.
 	MinDepth uint32
+	room     [quadsPerTile]*Quad
 }
+
+// quadsPerTile is how many 2x2 quads an 8x8 tile holds.
+const quadsPerTile = SurfaceTile * SurfaceTile / 4
 
 // Quad is the 2x2 fragment work unit of the fragment pipeline
 // (§2.2).

@@ -1,6 +1,6 @@
 package gpu
 
-import "unsafe"
+import "attila/internal/core"
 
 // pipePool recycles the pipeline's high-churn dynamic objects: the
 // geometry path's vertex groups, shaded vertices, triangles and set-up
@@ -49,85 +49,36 @@ import "unsafe"
 // under the identity it had on that wire. What must hold is only the
 // rule above: nothing reads an object after it went back.
 //
-// A recycled object is fully zeroed before reuse (a tile keeps its
-// Quads backing array), so pooling is invisible to the simulation:
-// results and statistics are bit-identical with the pool disabled.
+// A recycled object is fully zeroed before reuse, so pooling is
+// invisible to the simulation: results and statistics are
+// bit-identical with the pool disabled.
 // Chaos faults that drop or corrupt objects in flight simply leak
 // them — the pool makes replacements on demand. Checkpoints only
 // happen at quiesced command boundaries with no objects in flight, so
 // free lists carry no simulation state and are not serialized; after
 // a restore they start empty and refill.
 type pipePool struct {
-	groups   freeList[VtxGroup]
-	vertices freeList[ShadedVertex]
-	tris     freeList[TriWork]
-	setups   freeList[SetupTri]
-	quads    freeList[Quad]
-	tiles    freeList[Tile]
-	works    freeList[ShaderWork]
-	inputs   freeList[QuadInputs]
+	groups   core.FreeList[VtxGroup]
+	vertices core.FreeList[ShadedVertex]
+	tris     core.FreeList[TriWork]
+	setups   core.FreeList[SetupTri]
+	quads    core.FreeList[Quad]
+	tiles    core.FreeList[Tile]
+	works    core.FreeList[ShaderWork]
+	inputs   core.FreeList[QuadInputs]
 }
 
 // retireQuad releases a quad at one of its terminal sites, and with it
 // the quad's hold on its SetupTri.
 func (p *pipePool) retireQuad(q *Quad) {
 	p.releaseTri(q.Tri)
-	p.quads.put(q)
+	p.quads.Put(q)
 }
 
 // releaseTri drops one hold on a SetupTri and recycles it with the
 // last.
 func (p *pipePool) releaseTri(t *SetupTri) {
 	if t.holders--; t.holders == 0 {
-		p.setups.put(t)
+		p.setups.Put(t)
 	}
-}
-
-// slabBytes is how much an empty free list makes at once: 89 quads,
-// or 7 vertex groups, so a scene that draws a handful of vertices does
-// not pay for a working set of them.
-const slabBytes = 16 << 10
-
-// freeList recycles one kind of object. An empty list makes a slab of
-// slabBytes (one object at least) in one allocation and hands out
-// pointers into it; made counts every object it has made, so at drain
-// a list whose objects all came back holds made of them.
-type freeList[T any] struct {
-	free []*T
-	slab []T // the rest of the last slab, not yet handed out
-	made int
-}
-
-// get returns a zeroed object.
-func (l *freeList[T]) get() *T {
-	if n := len(l.free); n > 0 {
-		x := l.free[n-1]
-		l.free = l.free[:n-1]
-		reset(x)
-		return x
-	}
-	if len(l.slab) == 0 {
-		var zero T
-		n := max(1, slabBytes/int(unsafe.Sizeof(zero)))
-		l.slab = make([]T, n)
-		l.made += n
-	}
-	x := &l.slab[0]
-	l.slab = l.slab[1:]
-	return x
-}
-
-// put returns an object. The caller must hold the only reference (the
-// rules above say who that is for each kind).
-func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
-
-// reset zeroes a recycled object; a tile keeps its Quads backing array
-// across reuses.
-func reset[T any](x *T) {
-	if t, ok := any(x).(*Tile); ok {
-		*t = Tile{Quads: t.Quads[:0]}
-		return
-	}
-	var zero T
-	*x = zero
 }

@@ -84,7 +84,7 @@ func (p *PrimAssembly) Clock(cycle int64) {
 		p.statTris.Inc()
 	}
 	p.commit(v)
-	p.pool.vertices.put(v) // its outputs are in the window or a triangle
+	p.pool.vertices.Put(v) // its outputs are in the window or a triangle
 	p.statBusy.Inc()
 	p.finishBatch(b)
 }
@@ -122,7 +122,7 @@ func (p *PrimAssembly) assemble(v *ShadedVertex) (tri, second *TriWork) {
 	w := &p.window
 	n := p.count // vertices consumed before v
 	mk := func(a, b, c *[isa.MaxOutputs]vmath.Vec4) *TriWork {
-		t := p.pool.tris.get()
+		t := p.pool.tris.Get()
 		t.DynObject = core.DynObject{ID: p.ids.Next(), Parent: v.ID, Tag: "tri"}
 		t.Batch = v.Batch
 		t.V[0], t.V[1], t.V[2] = *a, *b, *c

@@ -93,11 +93,11 @@ func (s *Setup) Clock(cycle int64) {
 	if !ok {
 		tw.Batch.retireTris(1)
 		s.statCulled.Inc()
-		s.pool.tris.put(tw)
+		s.pool.tris.Put(tw)
 		return
 	}
 
-	out := s.pool.setups.get()
+	out := s.pool.setups.Get()
 	out.DynObject = core.DynObject{ID: tw.ID, Parent: tw.Parent, Tag: "setup"}
 	out.Batch = tw.Batch
 	out.Tri = s.headTri
@@ -113,6 +113,6 @@ func (s *Setup) Clock(cycle int64) {
 			out.Attr[slot][v] = tw.V[v][slot]
 		}
 	}
-	s.pool.tris.put(tw)
+	s.pool.tris.Put(tw)
 	s.triOut.Send(cycle, out)
 }

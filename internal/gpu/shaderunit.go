@@ -107,9 +107,14 @@ type ShaderUnit struct {
 
 	// Texture message recycling (no simulation state): completed
 	// requests come back on TexRepMsg.spent; consumed replies ride out
-	// on the next TexReqMsg.spent. Both lists are this box's alone.
-	freeReqs  []*TexReqMsg
+	// on the next TexReqMsg.spent. Both lists are this box's alone. A
+	// slab of requests is one per thread, the most a unit has out.
+	reqs      core.FreeList[TexReqMsg]
 	spentReps []*TexRepMsg
+
+	// A slot's thread comes from a slab, on first use, with room for
+	// its temporaries.
+	slotThreads core.FreeList[slotThread]
 
 	statInstr   core.Progress
 	statBusy    core.Counter
@@ -132,6 +137,8 @@ func NewShaderUnit(sim *core.Simulator, cfg *Config, idx int, vertexOnly bool,
 		threads: make([]shaderThread, threads),
 		sched:   newIssueSched(threads, cfg.Schedule == ScheduleInOrderQueue),
 	}
+	s.reqs.Slab = threads
+	s.slotThreads.Slab = 4
 	s.execLat = [...]int64{
 		isa.LatSimple:  int64(max(cfg.ExecLatSimple, 1)),
 		isa.LatMAD:     int64(max(cfg.ExecLatMAD, 1)),
@@ -248,7 +255,7 @@ func (s *ShaderUnit) completeTextures(cycle int64) {
 		s.setState(rep.Slot, threadRunning)
 		if sp := rep.spent; sp != nil {
 			rep.spent = nil
-			s.freeReqs = append(s.freeReqs, sp)
+			s.reqs.Put(sp)
 		}
 		s.spentReps = append(s.spentReps, rep)
 	}
@@ -279,10 +286,11 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 		th.clean = clean
 		th.raised, th.faultPC = nil, math.MaxInt
 		if th.t == nil {
-			th.t = emu.NewThread()
-		} else {
-			th.t.Reset(emu.Program().TempsUsed())
+			st := s.slotThreads.Get()
+			st.t.Temp = st.regs[:0]
+			th.t = &st.t
 		}
+		th.t.Reset(emu.Program().TempsUsed())
 		for i := range th.ready {
 			th.ready[i] = 0
 		}
@@ -305,18 +313,19 @@ func (s *ShaderUnit) acceptWork(cycle int64) {
 	}
 }
 
-// getTexReq pops a recycled request message (fully zeroed) or
-// allocates one, and gives a waiting spent reply its ride back to the
-// texture units.
+// slotThread is a thread with room for eight temporaries, what real
+// programs use at most (isa.MaxTemps): Reset keeps a program that fits
+// in that room from allocating. Slabs of four of them keep a unit that
+// fills few of its slots from paying for the rest.
+type slotThread struct {
+	t    shaderemu.Thread
+	regs [8]shaderemu.Reg
+}
+
+// getTexReq takes a zeroed request message and gives a waiting spent
+// reply its ride back to the texture units.
 func (s *ShaderUnit) getTexReq() *TexReqMsg {
-	var msg *TexReqMsg
-	if n := len(s.freeReqs); n > 0 {
-		msg = s.freeReqs[n-1]
-		s.freeReqs = s.freeReqs[:n-1]
-		*msg = TexReqMsg{}
-	} else {
-		msg = &TexReqMsg{}
-	}
+	msg := s.reqs.Get()
 	if n := len(s.spentReps); n > 0 {
 		msg.spent = s.spentReps[n-1]
 		s.spentReps = s.spentReps[:n-1]

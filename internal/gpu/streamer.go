@@ -126,7 +126,7 @@ func (s *Streamer) Clock(cycle int64) {
 	}
 	s.step(cycle)
 	for _, obj := range shaded {
-		s.pool.groups.put(obj.(*VtxGroup))
+		s.pool.groups.Put(obj.(*VtxGroup))
 	}
 }
 
@@ -144,7 +144,7 @@ func (s *Streamer) step(cycle int64) {
 
 	// Commit shaded vertices to Primitive Assembly in order.
 	if r := s.slot(s.commit); r.ready && s.vtxOut.CanSend(cycle, 1) {
-		sv := s.pool.vertices.get()
+		sv := s.pool.vertices.Get()
 		sv.DynObject = core.DynObject{ID: s.ids.Next(), Tag: "vtx"}
 		sv.Batch, sv.Seq, sv.Out = s.batch, s.commit, r.out
 		r.ready = false
@@ -258,7 +258,7 @@ func (s *Streamer) stepFetch(cycle int64, busy *bool) {
 
 	// Build the vertex input and add it to the shading group.
 	if s.group == nil {
-		s.group = s.pool.groups.get()
+		s.group = s.pool.groups.Get()
 		s.group.DynObject = core.DynObject{ID: s.ids.Next(), Tag: "vtxgroup"}
 		s.group.Batch = s.batch
 	}

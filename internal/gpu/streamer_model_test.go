@@ -466,7 +466,7 @@ func streamerRun(t *testing.T, seed int64, model bool) (r *geomRig, outs [][isa.
 		r.log = append(r.log, fmt.Sprintf("%d vertex %d seq %d %v", cycle, sv.ID, sv.Seq, sv.Out))
 		outs = append(outs, sv.Out)
 		if !model {
-			r.pool.vertices.put(sv)
+			r.pool.vertices.Put(sv)
 		}
 	})
 	mem.NewController(r.sim, cfg.Memory, r.gm, []string{"Streamer"})

@@ -111,10 +111,11 @@ type TextureUnit struct {
 	queue   core.FIFO[*TexReqMsg]
 	current *texWork
 	work    texWork // the single in-flight request's reusable scratch
-	// freeReps holds recycled reply messages: a consumed TexRepMsg
-	// rides back from its shader on the next TexReqMsg's spent field
-	// (any unit may receive it — the free lists are per-box).
-	freeReps []*TexRepMsg
+	// replies recycles reply messages: a consumed TexRepMsg rides back
+	// from its shader on the next TexReqMsg's spent field (any unit may
+	// receive it — the free lists are per-box). A slab is a shader's
+	// threads' worth.
+	replies core.FreeList[TexRepMsg]
 	// quiesced is the end-of-cycle snapshot of the idle condition,
 	// read by the command processor from the next cycle on, as if it
 	// came down a wire of latency 1. Nothing but the unit's own Clock
@@ -168,6 +169,7 @@ func (h *texHooks) Encode(key uint32, line []byte) (uint32, []byte) {
 // NewTextureUnit builds texture unit idx.
 func NewTextureUnit(sim *core.Simulator, cfg *Config, idx int, reqIn, repOut *Flow) *TextureUnit {
 	t := &TextureUnit{cfg: cfg, idx: idx, reqIn: reqIn, repOut: repOut, quiesced: true}
+	t.replies.Slab = cfg.ThreadsPerShader
 	t.Init(nameIdx("TextureUnit", idx))
 	// The quiesce flag is read by the command processor outside the
 	// signal model; a CP parked waiting for it is woken by the fold.
@@ -222,7 +224,7 @@ func (t *TextureUnit) clock(cycle int64) {
 		msg := obj.(*TexReqMsg)
 		if sp := msg.spent; sp != nil {
 			msg.spent = nil
-			t.freeReps = append(t.freeReps, sp)
+			t.replies.Put(sp)
 		}
 		t.queue.Push(msg)
 	}
@@ -292,7 +294,7 @@ func (t *TextureUnit) clock(cycle int64) {
 	if w.ahead > 0 || w.peekTexel() != nil || !t.repOut.CanSend(cycle, 1) {
 		return
 	}
-	rep := t.getRep()
+	rep := t.replies.Get()
 	rep.DynObject = core.DynObject{ID: w.msg.ID, Parent: w.msg.Parent, Tag: "texrep"}
 	rep.Shader, rep.Slot = w.msg.Shader, w.msg.Slot
 	rep.Result = w.acc
@@ -305,17 +307,6 @@ func (t *TextureUnit) clock(cycle int64) {
 	}
 	t.repOut.SendLat(cycle, rep, lat)
 	t.current = nil
-}
-
-// getRep pops a recycled reply message (fully zeroed) or allocates one.
-func (t *TextureUnit) getRep() *TexRepMsg {
-	if n := len(t.freeReps); n > 0 {
-		r := t.freeReps[n-1]
-		t.freeReps = t.freeReps[:n-1]
-		*r = TexRepMsg{}
-		return r
-	}
-	return &TexRepMsg{}
 }
 
 // startWork computes the LOD and sample plans for a quad request into

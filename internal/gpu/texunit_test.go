@@ -111,7 +111,7 @@ func (m *tuModel) Clock(cycle int64) {
 		msg := obj.(*TexReqMsg)
 		if sp := msg.spent; sp != nil {
 			msg.spent = nil
-			t.freeReps = append(t.freeReps, sp)
+			t.replies.Put(sp)
 		}
 		t.queue.Push(msg)
 	}
@@ -161,7 +161,7 @@ func (m *tuModel) Clock(cycle int64) {
 	if !t.repOut.CanSend(cycle, 1) {
 		return
 	}
-	rep := t.getRep()
+	rep := t.replies.Get()
 	rep.DynObject = core.DynObject{ID: w.msg.ID, Parent: w.msg.Parent, Tag: "texrep"}
 	rep.Shader, rep.Slot = w.msg.Shader, w.msg.Slot
 	for l := 0; l < shaderLanes; l++ {

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,20 +25,24 @@ import (
 // single broadcast component .x) and a leading '-'. A destination may
 // carry a write-mask suffix (.xyz). kind selects the validation rules
 // when no header line is present.
+//
+// The source is read in place, a line and an operand at a time, so
+// assembling allocates the program and little else.
 func Assemble(kind ProgramKind, name, text string) (*Program, error) {
 	p := &Program{Kind: kind, Name: name}
-	lines := strings.Split(text, "\n")
-	for ln, raw := range lines {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
+	p.Instr = make([]Instruction, 0, strings.Count(text, "\n")+1)
+	for ln, rest := 0, text; rest != ""; ln++ {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "!!") {
-			switch strings.ToUpper(line) {
-			case "!!ATTILAVP", "!!ARBVP1.0":
+			switch {
+			case strings.EqualFold(line, "!!ATTILAVP"), strings.EqualFold(line, "!!ARBVP1.0"):
 				p.Kind = VertexProgram
-			case "!!ATTILAFP", "!!ARBFP1.0":
+			case strings.EqualFold(line, "!!ATTILAFP"), strings.EqualFold(line, "!!ARBFP1.0"):
 				p.Kind = FragmentProgram
 			default:
 				return nil, fmt.Errorf("%s:%d: unknown header %q", name, ln+1, line)
@@ -85,25 +90,41 @@ var mnemonics = func() map[string]Opcode {
 	return m
 }()
 
+// mnemonicKey upper-cases a mnemonic into buf for the table lookup (a
+// map index by string(bytes) does not allocate); one too long for buf
+// is no mnemonic.
+func mnemonicKey(buf *[16]byte, mn string) []byte {
+	if len(mn) > len(buf) {
+		return nil
+	}
+	for i := 0; i < len(mn); i++ {
+		c := mn[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return buf[:len(mn)]
+}
+
 func parseInstruction(line string) (Instruction, error) {
 	var in Instruction
-	fields := strings.SplitN(line, " ", 2)
-	mn := strings.ToUpper(strings.TrimSpace(fields[0]))
-	if strings.HasSuffix(mn, "_SAT") {
+	mn, operands, hasOperands := strings.Cut(line, " ")
+	var buf [16]byte
+	key := mnemonicKey(&buf, strings.TrimSpace(mn))
+	if bytes.HasSuffix(key, []byte("_SAT")) {
 		in.Saturate = true
-		mn = strings.TrimSuffix(mn, "_SAT")
+		key = key[:len(key)-len("_SAT")]
 	}
-	op, ok := mnemonics[mn]
+	op, ok := mnemonics[string(key)]
 	if !ok {
-		return in, fmt.Errorf("unknown mnemonic %q", mn)
+		return in, fmt.Errorf("unknown mnemonic %q", strings.TrimSuffix(strings.ToUpper(strings.TrimSpace(mn)), "_SAT"))
 	}
 	in.Op = op
 	info := op.Info()
-	var args []string
-	if len(fields) == 2 {
-		for _, a := range strings.Split(fields[1], ",") {
-			args = append(args, strings.TrimSpace(a))
-		}
+	nargs := 0
+	if hasOperands {
+		nargs = strings.Count(operands, ",") + 1
 	}
 	want := info.NSrc
 	if info.HasDst {
@@ -112,28 +133,30 @@ func parseInstruction(line string) (Instruction, error) {
 	if info.Texture {
 		want += 2 // sampler, target
 	}
-	if len(args) != want {
-		return in, fmt.Errorf("%s: want %d operands, got %d", mn, want, len(args))
+	if nargs != want {
+		return in, fmt.Errorf("%s: want %d operands, got %d", info.Name, want, nargs)
 	}
-	i := 0
+	next := func() string {
+		var a string
+		a, operands, _ = strings.Cut(operands, ",")
+		return strings.TrimSpace(a)
+	}
 	if info.HasDst {
-		dst, err := parseDst(args[i])
+		dst, err := parseDst(next())
 		if err != nil {
 			return in, err
 		}
 		in.Dst = dst
-		i++
 	}
 	for s := 0; s < info.NSrc; s++ {
-		src, err := parseSrc(args[i])
+		src, err := parseSrc(next())
 		if err != nil {
 			return in, err
 		}
 		in.Src[s] = src
-		i++
 	}
 	if info.Texture {
-		smp := args[i]
+		smp := next()
 		if len(smp) < 2 || (smp[0] != 't' && smp[0] != 'T') {
 			return in, fmt.Errorf("bad sampler %q", smp)
 		}
@@ -142,18 +165,17 @@ func parseInstruction(line string) (Instruction, error) {
 			return in, fmt.Errorf("bad sampler %q", smp)
 		}
 		in.Sampler = uint8(n)
-		i++
-		switch strings.ToUpper(args[i]) {
-		case "1D":
+		switch target := next(); {
+		case strings.EqualFold(target, "1D"):
 			in.Target = Tex1D
-		case "2D":
+		case strings.EqualFold(target, "2D"):
 			in.Target = Tex2D
-		case "3D":
+		case strings.EqualFold(target, "3D"):
 			in.Target = Tex3D
-		case "CUBE":
+		case strings.EqualFold(target, "CUBE"):
 			in.Target = TexCube
 		default:
-			return in, fmt.Errorf("bad texture target %q", args[i])
+			return in, fmt.Errorf("bad texture target %q", target)
 		}
 	}
 	return in, nil

@@ -17,11 +17,7 @@ func refControllerClock(c *Controller, cycle int64) {
 			req := obj.(*Request)
 			if sp := req.spent; sp != nil {
 				req.spent = nil
-				if sp.Data != nil {
-					c.bufs = append(c.bufs, sp.Data)
-					sp.Data = nil
-				}
-				c.freeReps = append(c.freeReps, sp)
+				c.replies.Put(sp)
 			}
 			cl.queue.Push(req)
 		}

@@ -154,12 +154,17 @@ func NewCache(sim *core.Simulator, cfg CacheConfig, hooks Hooks) *Cache {
 	if cfg.Owner != "" {
 		sim.Binder.Own(cfg.Owner, cfg.Name)
 	}
+	// Every set is a window of one line array and every line's data a
+	// window of one byte array, each capped at its own length: three
+	// allocations however large the cache.
+	lines := make([]Line, cfg.Sets*cfg.Assoc)
+	data := make([]byte, len(lines)*cfg.LineBytes)
+	for i := range lines {
+		lines[i].data = data[i*cfg.LineBytes : (i+1)*cfg.LineBytes : (i+1)*cfg.LineBytes]
+	}
 	c.sets = make([][]Line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Assoc)
-		for j := range c.sets[i] {
-			c.sets[i][j].data = make([]byte, cfg.LineBytes)
-		}
+		c.sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	sim.Stats.ShadowCounter(&c.statHits, cfg.Name+".hits")
 	sim.Stats.ShadowCounter(&c.statMisses, cfg.Name+".misses")

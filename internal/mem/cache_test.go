@@ -303,3 +303,67 @@ func TestCacheHitRate(t *testing.T) {
 		t.Fatalf("hit rate: %v", r)
 	}
 }
+
+// TestCacheLinesDoNotAlias checks the slab the cache carves its lines
+// from: every line's data is exactly LineBytes long with no room past
+// it, and filling one line through the write path leaves every other
+// line's bytes as they were — also after a real fill through the miss
+// path.
+func TestCacheLinesDoNotAlias(t *testing.T) {
+	cfg := DefaultCacheConfig("C")
+	h := newCacheHarness(t, cfg, PassThrough{})
+	var lines []*Line
+	for s := range h.cache.sets {
+		for w := range h.cache.sets[s] {
+			lines = append(lines, &h.cache.sets[s][w])
+		}
+	}
+	if len(lines) != cfg.Sets*cfg.Assoc {
+		t.Fatalf("%d lines, want %d", len(lines), cfg.Sets*cfg.Assoc)
+	}
+	for i, ln := range lines {
+		if d := ln.Data(); len(d) != cfg.LineBytes || cap(d) != cfg.LineBytes {
+			t.Fatalf("line %d: len %d cap %d, want both %d", i, len(d), cap(d), cfg.LineBytes)
+		}
+	}
+	pattern := func(i int) []byte {
+		b := make([]byte, cfg.LineBytes)
+		for k := range b {
+			b[k] = byte(i*7 + k + 1)
+		}
+		return b
+	}
+	check := func(filled int) {
+		t.Helper()
+		for j, ln := range lines {
+			want := make([]byte, cfg.LineBytes)
+			if j <= filled {
+				want = pattern(j)
+			}
+			if string(ln.Data()) != string(want) {
+				t.Fatalf("after filling line %d, line %d changed", filled, j)
+			}
+		}
+	}
+	for i, ln := range lines {
+		ln.Write(0, pattern(i))
+		check(i)
+	}
+
+	src := make([]byte, cfg.LineBytes)
+	for k := range src {
+		src[k] = byte(0xC3 ^ k)
+	}
+	h.gm.WriteBytes(0x4000, src)
+	h.fetchLine(t, 0x4000)
+	got := h.cache.Resident(0x4000)
+	for j, ln := range lines {
+		want := pattern(j)
+		if ln == got {
+			want = src
+		}
+		if string(ln.Data()) != string(want) {
+			t.Fatalf("after a fill, line %d holds the wrong bytes", j)
+		}
+	}
+}

@@ -18,14 +18,15 @@ const (
 
 // Request is a memory transaction travelling from a client unit to
 // the memory controller. The port owns Data: Port.Write copies the
-// caller's payload into a request-owned buffer, so callers are free
+// caller's payload into the request's own buffer, so callers are free
 // to reuse theirs immediately.
 type Request struct {
 	core.DynObject
 	Op   Op
 	Addr uint32
 	Size int    // bytes, <= TransactionSize
-	Data []byte // writes only; owned by the request
+	Data []byte // writes only; a window of buf
+	buf  [TransactionSize]byte
 
 	// spent piggybacks a consumed Reply back to the controller for
 	// recycling. Carries no simulation state; see the recycling notes
@@ -47,7 +48,8 @@ type Reply struct {
 	Op    Op
 	Addr  uint32
 	Size  int
-	Data  []byte // reads only
+	Data  []byte // reads only; a window of buf
+	buf   [TransactionSize]byte
 
 	// spent piggybacks the completed Request back to its issuing port
 	// for recycling.
@@ -149,9 +151,8 @@ type Controller struct {
 	// rides back to its issuing port on Reply.spent; a consumed Reply
 	// rides back here on Request.spent, through the signals like any
 	// other payload. Chaos faults that drop or corrupt objects in flight
-	// simply leak them.
-	freeReps []*Reply
-	bufs     [][]byte // read-data buffers stripped from recycled replies
+	// simply leak them. Replies come a client queue's worth at a time.
+	replies core.FreeList[Reply]
 
 	statReadBytes  core.Progress
 	statWriteBytes core.Progress
@@ -175,6 +176,7 @@ type mcClient struct {
 // endpoints for every client name.
 func NewController(sim *core.Simulator, cfg ControllerConfig, mem *GPUMemory, clients []string) *Controller {
 	c := &Controller{cfg: cfg, mem: mem, ids: &sim.IDs}
+	c.replies.Slab = cfg.QueuePerUnit
 	c.Init("MemoryController")
 	c.chans = make([]channelState, cfg.Channels)
 	// One transaction can complete on each channel in the same cycle,
@@ -262,11 +264,7 @@ func (c *Controller) Clock(cycle int64) {
 			}
 			if sp := req.spent; sp != nil {
 				req.spent = nil
-				if sp.Data != nil {
-					c.bufs = append(c.bufs, sp.Data)
-					sp.Data = nil
-				}
-				c.freeReps = append(c.freeReps, sp)
+				c.replies.Put(sp)
 			}
 			if req.span != nil {
 				req.span.Enqueue = cycle
@@ -405,7 +403,7 @@ func (c *Controller) schedule(cycle int64, chIdx int, ch *channelState) {
 func (c *Controller) complete(cycle int64, fl *inflight) {
 	req := fl.req
 	cl := c.clients[fl.client]
-	reply := c.getReply()
+	reply := c.replies.Get()
 	reply.DynObject = core.DynObject{ID: c.ids.Next(), Parent: req.ID, Tag: "memreply"}
 	reply.ReqID = req.ID
 	reply.Op = req.Op
@@ -416,7 +414,7 @@ func (c *Controller) complete(cycle int64, fl *inflight) {
 		c.statWriteBytes.Add(float64(req.Size))
 		c.clientWrite[fl.client].Add(float64(req.Size))
 	} else {
-		reply.Data = c.getBuf(req.Size)
+		reply.Data = reply.buf[:req.Size]
 		c.mem.ReadBytes(req.Addr, reply.Data)
 		c.statReadBytes.Add(float64(req.Size))
 		c.clientRead[fl.client].Add(float64(req.Size))
@@ -442,34 +440,10 @@ func (c *Controller) complete(cycle int64, fl *inflight) {
 		echo.spent = nil
 		echo.span = nil
 		if reply.Data != nil {
-			echo.Data = append([]byte(nil), reply.Data...)
+			echo.Data = echo.buf[:len(reply.Data)]
 		}
 		cl.reply.Write(cycle, &echo)
 	}
-}
-
-// getReply pops a recycled Reply (fully zeroed) or allocates one.
-func (c *Controller) getReply() *Reply {
-	if n := len(c.freeReps); n > 0 {
-		r := c.freeReps[n-1]
-		c.freeReps = c.freeReps[:n-1]
-		*r = Reply{}
-		return r
-	}
-	return &Reply{}
-}
-
-// getBuf returns a read-data buffer of the given size, reusing a
-// recycled buffer's backing array when it is large enough.
-func (c *Controller) getBuf(size int) []byte {
-	if n := len(c.bufs); n > 0 {
-		b := c.bufs[n-1]
-		c.bufs = c.bufs[:n-1]
-		if cap(b) >= size {
-			return b[:size]
-		}
-	}
-	return make([]byte, size)
 }
 
 // Port is a client-side connection to the memory controller: it owns
@@ -490,9 +464,9 @@ type Port struct {
 	limit       int
 	tr          *trace.Tracer // nil: tracing off, one branch per issue
 
-	freeReqs []*Request
-	spentRep []*Reply // consumed replies awaiting a ride back
-	out      []*Reply // reusable result buffer for Replies
+	reqs     core.FreeList[Request] // a slab holds the most a port has out
+	spentRep []*Reply               // consumed replies awaiting a ride back
+	out      []*Reply               // reusable result buffer for Replies
 }
 
 // NewPort registers the client side of a controller connection. Call
@@ -500,6 +474,7 @@ type Port struct {
 // the controller's QueuePerUnit.
 func NewPort(sim *core.Simulator, client string, limit int) *Port {
 	p := &Port{name: client, ids: &sim.IDs, limit: limit}
+	p.reqs.Slab = limit
 	// The request wire can burst up to the outstanding budget in one
 	// cycle (cache flushes issue a whole line's transactions at
 	// once); the controller's queues provide the real throttling.
@@ -520,20 +495,10 @@ func (p *Port) CanIssue() bool { return p.outstanding < p.limit }
 // Free returns how many transactions may still be issued.
 func (p *Port) Free() int { return p.limit - p.outstanding }
 
-// getReq pops a recycled Request (zeroed, keeping its payload
-// buffer's backing array) or allocates one, and gives a waiting spent
-// Reply its ride back to the controller.
+// getReq takes a zeroed Request and gives a waiting spent Reply its
+// ride back to the controller.
 func (p *Port) getReq() *Request {
-	var req *Request
-	if n := len(p.freeReqs); n > 0 {
-		req = p.freeReqs[n-1]
-		p.freeReqs = p.freeReqs[:n-1]
-		data := req.Data[:0]
-		*req = Request{}
-		req.Data = data
-	} else {
-		req = &Request{}
-	}
+	req := p.reqs.Get()
 	if n := len(p.spentRep); n > 0 {
 		req.spent = p.spentRep[n-1]
 		p.spentRep = p.spentRep[:n-1]
@@ -562,7 +527,7 @@ func (p *Port) Write(cycle int64, addr uint32, data []byte, parent uint64) uint6
 	req := p.getReq()
 	req.DynObject = core.DynObject{ID: p.ids.Next(), Parent: parent, Tag: "wr"}
 	req.Op, req.Addr, req.Size = OpWrite, addr, len(data)
-	req.Data = append(req.Data[:0], data...)
+	req.Data = append(req.buf[:0], data...)
 	if p.tr != nil {
 		req.span = p.tr.Start(trace.KindWrite, cycle, addr)
 	}
@@ -589,7 +554,7 @@ func (p *Port) Replies(cycle int64) []*Reply {
 		rep := o.(*Reply)
 		if sp := rep.spent; sp != nil {
 			rep.spent = nil
-			p.freeReqs = append(p.freeReqs, sp)
+			p.reqs.Put(sp)
 		}
 		if sp := rep.span; sp != nil {
 			rep.span = nil
