@@ -25,7 +25,8 @@ test:
 # auto-resume -> byte-identical convergence, the SIGTERM drain/resume
 # path, the replay on a fresh machine when a checkpoint is refused, two
 # workers writing traced jobs' span dumps and a crash report at once,
-# monotone progress, torn and out-of-order state-file saves);
+# monotone progress, nothing written once Close returns, and a sweep
+# restarted from its manifests, five times over);
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
 # also fails if planning a quad allocates), the texture unit's
@@ -44,8 +45,8 @@ check:
 	$(GO) test -race ./internal/core/ ./internal/obsv/... ./internal/fsatomic/...
 	$(GO) test -race -run 'Cancel' -count=1 .
 	$(GO) test -race -run '^TestRunAhead' -count=1 ./internal/gpu/
-	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestJobArtifacts$$|^TestFleetMetricsMergeAcrossJobs$$|^TestStateFileTornWrite$$' -count=1 ./internal/jobd/
-	$(GO) test -race -run '^TestStateFileNeverGoesBack$$' -count=20 ./internal/jobd/
+	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestJobArtifacts$$|^TestFleetMetricsMergeAcrossJobs$$|^TestClosedServerWritesNothing$$' -count=1 ./internal/jobd/
+	$(GO) test -race -run '^TestJobdRestartFromManifests$$' -count=5 ./internal/jobd/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem
 	$(GO) test -run '^$$' -bench BenchmarkPlanQuad -benchtime 1x ./internal/emu/texemu

@@ -53,7 +53,7 @@ func main() {
 	var o jobd.Options
 	flag.Int64Var(&o.WatchdogWindow, "watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off; under -sweep 0 = jobd's default 50000000, negative = off)")
 	sweepFile := flag.String("sweep", "", "run this sweep spec (JSON) as a supervised sweep and exit")
-	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -sweep (stats CSVs, manifests, span dumps, crash reports, state file, checkpoints)")
+	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -sweep (stats CSVs, manifests, span dumps, crash reports, checkpoints)")
 	flag.IntVar(&o.Workers, "job-workers", 0, "worker pool size for -sweep (0 = half the CPUs)")
 	flag.Int64Var(&o.CheckpointInterval, "checkpoint-interval", 0, "checkpoint -sweep jobs at this cycle cadence so retries resume instead of replaying (<= 0 = default 100000; jobs always checkpoint)")
 	flag.IntVar(&o.Retries, "job-retries", 0, "default per-job retry budget for -sweep (0 = default 2, negative = fail fast)")
@@ -260,7 +260,7 @@ func main() {
 func runSweep(o jobd.Options, sweepFile, traceSample, chaosServer string) int {
 	usage := func(err error) int {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 4
+		return run.ExitUsage
 	}
 	rate, err := trace.ParseSampleRate(traceSample)
 	if err != nil {
@@ -292,12 +292,12 @@ func runSweep(o jobd.Options, sweepFile, traceSample, chaosServer string) int {
 	case err == nil:
 		fmt.Printf("sweep %s: %d jobs done; summary at %s\n",
 			st.Name, st.Done, filepath.Join(o.OutDir, st.Name+"-summary.txt"))
-		return 0
+		return run.ExitOK
 	case errors.Is(err, context.Canceled):
-		fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; state saved, re-run to resume\n")
-		return 3
+		fmt.Fprintf(os.Stderr, "experiments: sweep interrupted; jobs parked, re-run to resume\n")
+		return run.ExitInterrupted
 	default:
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
+		return run.ExitSimFailure
 	}
 }

@@ -1,9 +1,9 @@
 // Package fsatomic provides the single durable atomic-write primitive
 // every file that must survive a crash goes through: checkpoints, run
-// manifests, lease files, queue specs, sweep records,
-// results, and the jobd state file. The sequence is write-to-temp,
-// fsync the temp, rename over the target, then fsync the parent
-// directory so the rename itself survives a power cut. Skipping either
+// manifests, and jobd's per-job outputs and sweep summaries. The
+// sequence is write-to-temp, fsync the temp, rename over the target,
+// then fsync the parent directory so the rename itself survives a
+// power cut. Skipping either
 // fsync reintroduces the torn-lease bug this package exists to close:
 // after a crash the rename can surface an empty or partial file that
 // readers then treat as corrupt — and a corrupt lease is stealable, so a

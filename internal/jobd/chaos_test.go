@@ -3,9 +3,11 @@ package jobd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +18,8 @@ import (
 // a worker killed mid-run, a box panic injected into another job, and
 // the output directory yanked mid-sweep — must converge to a sweep
 // summary and per-run stats CSVs byte-identical to a clean one-shot
-// run of the same sweep.
+// run of the same sweep. The log must name each fault's cause, and the
+// convergence pass must put back what the yank took.
 func TestJobdChaosConvergence(t *testing.T) {
 	total, _ := cleanRun(t)
 	spec := SweepSpec{Name: "conv", Jobs: []JobSpec{
@@ -45,12 +48,13 @@ func TestJobdChaosConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirChaos := t.TempDir()
+	logf, lines := captureLog(t)
 	s := New(Options{
 		OutDir: dirChaos, Workers: 2, Retries: 3,
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
 		CheckpointInterval: total / 8,
 		Chaos:              plan,
-		Logf:               t.Logf,
+		Logf:               logf,
 	})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -75,6 +79,25 @@ func TestJobdChaosConvergence(t *testing.T) {
 				t.Errorf("%s took %d attempts, want >= 2 (its fault should have fired)", j.Name, j.Attempts)
 			}
 		}
+	}
+	logged := lines()
+	for _, cause := range [][]string{
+		{"job conv-1 attempt 1 failed (killed)"},
+		{"job conv-2 attempt 1 failed (panic)", "CommandProcessor"},
+	} {
+		if lineWith(logged, cause...) < 0 {
+			t.Errorf("no log line says %q", cause)
+		}
+	}
+	yank := lineWith(logged, "chaos: yanking output directory")
+	if yank < 0 || lineWith(logged[yank:], "restored missing/damaged", "conv-1.csv") < 0 {
+		t.Errorf("no restore of conv-1.csv follows the yank (yank at line %d):\n%s", yank, strings.Join(logged, "\n"))
+	}
+	var man jobManifest
+	if data, err := os.ReadFile(filepath.Join(dirChaos, "conv-1-manifest.json")); err != nil || json.Unmarshal(data, &man) != nil {
+		t.Errorf("conv-1's manifest unreadable after the yank: %v", err)
+	} else if norm, _ := NormalizeSweep(spec); man.State != string(StateDone) || man.Spec == nil || *man.Spec != norm[0] {
+		t.Errorf("conv-1's manifest after the yank: state %q spec %+v, want done with its spec", man.State, man.Spec)
 	}
 
 	// Convergence: every output byte-identical to the clean run.

@@ -12,15 +12,14 @@ import (
 	"time"
 
 	"attila/internal/gpu"
-	"attila/internal/obsv"
 	"attila/internal/workload"
 )
 
 // SIGTERM graceful drain (the satellite this test exists for): an
 // in-flight sweep gets SIGTERM, the running job checkpoints at its
-// next quiesced barrier and stamps its manifest "preempted", the queue
-// persists to the state file, and a restarted invocation resumes the
-// sweep to results byte-identical to a never-interrupted run.
+// next quiesced barrier and stamps its manifest "preempted" with its
+// spec, and a restarted invocation resumes the sweep from the manifests
+// to results byte-identical to a never-interrupted run.
 func TestJobdSigtermDrainResume(t *testing.T) {
 	total, cleanCSV := cleanRun(t)
 	dir := t.TempDir()
@@ -79,7 +78,7 @@ func TestJobdSigtermDrainResume(t *testing.T) {
 		t.Errorf("drained job's checkpoint file missing: %v", err)
 	}
 	// …stamped its manifest with the drain state…
-	var man obsv.Manifest
+	var man jobManifest
 	manData, err := os.ReadFile(filepath.Join(dir, "drain-1-manifest.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -90,17 +89,17 @@ func TestJobdSigtermDrainResume(t *testing.T) {
 	if man.State != string(StatePreempted) {
 		t.Errorf("manifest state %q, want %q", man.State, StatePreempted)
 	}
-	// …and the state file records a resumable sweep.
-	if _, err := os.Stat(filepath.Join(dir, "jobd-state.json")); err != nil {
-		t.Fatalf("state file missing after drain: %v", err)
+	// …with the spec a restart resumes it by.
+	if man.Spec == nil || man.Spec.Name != "drain-1" {
+		t.Fatalf("drained job's manifest holds spec %+v, want drain-1's", man.Spec)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart over the same output directory: the state loads, the
-	// interrupted job resumes from its checkpoint, and re-submitting
-	// the same sweep attaches to it instead of colliding.
+	// Restart over the same output directory: re-submitting the same
+	// sweep reads the manifests, and the interrupted job resumes from
+	// its checkpoint.
 	s2 := New(opts)
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 package jobd
 
-// A job's terminal transitions, a sweep's finalization and summary, and
-// every file the server writes besides the state file.
+// A job's terminal transitions, a sweep's finalization and summary,
+// every file the server writes, and how a resubmitted sweep reads its
+// jobs' manifests back.
 
 import (
 	"bytes"
@@ -99,7 +100,6 @@ func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	if sw != nil {
 		s.maybeFinalize(sw)
 	}
-	s.saveState()
 }
 
 // maybeYank applies the chaos output-directory yank after the named
@@ -120,10 +120,10 @@ func (s *Server) maybeYank(j *Job) {
 }
 
 // maybeFinalize runs the sweep's convergence pass once every job is
-// terminal: rewrite any stats CSV that is missing or differs from the
-// in-memory result (a chaos yank or disk fault may have destroyed
-// them), then write the deterministic sweep summary and release
-// waiters.
+// terminal: rewrite any done job's stats CSV or manifest that is
+// missing or differs from the bytes kept in memory (a chaos yank or
+// disk fault may have destroyed them), then write the deterministic
+// sweep summary and release waiters.
 func (s *Server) maybeFinalize(sw *Sweep) {
 	s.mu.Lock()
 	if sw.finalizing || sw.finalized {
@@ -142,19 +142,11 @@ func (s *Server) maybeFinalize(sw *Sweep) {
 
 	for _, j := range jobs {
 		s.mu.Lock()
-		st, data := j.State, j.csv
+		st, csv, manifest := j.State, j.csv, j.manifest
 		s.mu.Unlock()
-		if st != StateDone || len(data) == 0 {
-			continue
-		}
-		path := s.outPath(j, ".csv")
-		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, data) {
-			continue
-		}
-		if err := s.writeDurable("stats csv", path, data); err != nil {
-			s.logf("jobd: degraded: sweep %s could not restore %s: %v", sw.Name, path, err)
-		} else {
-			s.logf("jobd: sweep %s: restored missing/damaged %s", sw.Name, path)
+		if st == StateDone {
+			s.converge(sw, "stats csv", s.outPath(j, ".csv"), csv)
+			s.converge(sw, "manifest", s.outPath(j, "-manifest.json"), manifest)
 		}
 	}
 	summary := s.buildSummary(sw, jobs)
@@ -166,7 +158,21 @@ func (s *Server) maybeFinalize(sw *Sweep) {
 	sw.summary = summary
 	s.mu.Unlock()
 	close(sw.done)
-	s.saveState()
+}
+
+// converge rewrites the file at path unless it already holds data.
+func (s *Server) converge(sw *Sweep, op, path string, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, data) {
+		return
+	}
+	if err := s.writeDurable(op, path, data); err != nil {
+		s.logf("jobd: degraded: sweep %s could not restore %s: %v", sw.Name, path, err)
+	} else {
+		s.logf("jobd: sweep %s: restored missing/damaged %s", sw.Name, path)
+	}
 }
 
 // buildSummary renders the deterministic sweep summary: only job specs
@@ -206,10 +212,26 @@ func (s *Server) summaryPath(sw *Sweep) string {
 	return filepath.Join(s.opts.OutDir, sw.Name+"-summary.txt")
 }
 
-// stampManifest writes the job's provenance manifest. Its loss never
-// fails the job — the manifest is audit metadata, not the result.
+// jobManifest is a job's <name>-manifest.json: the run's provenance
+// and the job's durable record. Besides obsv.Manifest's fields it
+// carries the job's normalized spec and the two record fields the
+// manifest has no key for, which is all a resubmitted sweep needs to
+// pick the job up again (readJobs). The record itself is not
+// embedded: its "state" and "error" keys are obsv.Manifest's too, and
+// encoding/json drops both fields of a colliding pair.
+type jobManifest struct {
+	obsv.Manifest
+	Spec     *JobSpec `json:"spec"`
+	FPS      float64  `json:"fps,omitempty"`
+	FailKind string   `json:"failKind,omitempty"`
+}
+
+// stampManifest writes the job's manifest, and keeps a done job's
+// bytes for the sweep's convergence pass. Its loss never fails the
+// job: a job without a manifest runs again on a resubmit, to the same
+// result.
 func (s *Server) stampManifest(j *Job, state string, cause error) {
-	m := obsv.NewManifest("jobd", nil)
+	m := jobManifest{Manifest: *obsv.NewManifest("jobd", nil), Spec: &j.Spec}
 	m.State = state
 	m.Config = j.Spec.Config
 	m.Trace = j.Spec.Workload
@@ -218,9 +240,9 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 	m.Attempt = j.Attempts
 	m.Cycles = j.progress.Load()
 	if j.State == StateDone {
-		m.Cycles = j.Cycles
+		m.Cycles, m.FPS = j.Cycles, j.FPS
 	}
-	m.Error = j.Error
+	m.Error, m.FailKind = j.Error, j.FailKind
 	resumable := j.Resumable
 	s.mu.Unlock()
 	if cause != nil {
@@ -235,7 +257,62 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 	if err != nil {
 		return
 	}
-	s.keep("manifest", s.outPath(j, "-manifest.json"), append(data, '\n'))
+	data = append(data, '\n')
+	if state == string(StateDone) {
+		s.mu.Lock()
+		j.manifest = data
+		s.mu.Unlock()
+	}
+	s.keep("manifest", s.outPath(j, "-manifest.json"), data)
+}
+
+// readJobs builds a sweep's jobs from their normalized specs, each
+// picking up from the files an earlier run left of it in OutDir. The
+// directory is listed once; only manifests present are read. A job
+// whose manifest is missing, unreadable or has no spec (an older
+// binary's) runs afresh. A manifest whose spec differs from the job's
+// is ErrDuplicate. Otherwise the manifest's state decides:
+//
+//   - done: the job stays done, its stats CSV reloaded — unless the CSV
+//     is gone, and then it runs again, to the same bytes;
+//   - failed or canceled: the job keeps that outcome;
+//   - preempted: the job resumes from its checkpoint.
+func (s *Server) readJobs(norm []JobSpec) ([]*Job, error) {
+	present := map[string]bool{}
+	if entries, err := os.ReadDir(s.opts.OutDir); err == nil {
+		for _, e := range entries {
+			present[e.Name()] = true
+		}
+	}
+	jobs := make([]*Job, len(norm))
+	for i, spec := range norm {
+		j := &Job{Spec: spec, record: record{State: StateQueued}}
+		jobs[i] = j
+		if !present[spec.Name+"-manifest.json"] {
+			continue
+		}
+		data, err := os.ReadFile(s.outPath(j, "-manifest.json"))
+		var m jobManifest
+		if err != nil || json.Unmarshal(data, &m) != nil || m.Spec == nil {
+			continue
+		}
+		if *m.Spec != spec {
+			return nil, fmt.Errorf("%w: job %s exists with a different spec", ErrDuplicate, spec.Name)
+		}
+		switch st := State(m.State); st {
+		case StateDone:
+			if csv, err := os.ReadFile(s.outPath(j, ".csv")); err == nil {
+				j.record = record{State: st, Attempts: m.Attempt, Cycles: m.Cycles, FPS: m.FPS}
+				j.csv, j.manifest = csv, data
+				j.progress.Store(m.Cycles)
+			}
+		case StateFailed, StateCanceled:
+			j.record = record{State: st, FailKind: m.FailKind, Error: m.Error, Attempts: m.Attempt}
+		case StatePreempted:
+			j.Attempts, j.Resumable = m.Attempt, true
+		}
+	}
+	return jobs, nil
 }
 
 // keep writes a file whose loss costs provenance or resumability, never

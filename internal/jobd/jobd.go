@@ -46,8 +46,8 @@ const (
 	StateQueued State = "queued"
 	// StateRunning: a worker is simulating it.
 	StateRunning State = "running"
-	// StatePreempted: parked resumable by a drain, under the name the
-	// state files and manifests of older binaries carry.
+	// StatePreempted: parked resumable by a drain, the state its
+	// manifest is stamped with.
 	StatePreempted State = "preempted"
 	// StateDone: completed; stats CSV written.
 	StateDone State = "done"
@@ -91,7 +91,7 @@ var ErrDisk = errors.New("jobd: disk write failed")
 // DiskError is a failed durable write, wrapping the underlying OS
 // error and matching ErrDisk.
 type DiskError struct {
-	Op   string // "stats csv", "manifest", "state", ...
+	Op   string // "stats csv", "manifest", "sweep summary", ...
 	Path string
 	Err  error
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,6 +60,33 @@ func cleanRun(t *testing.T) (int64, []byte) {
 		t.Fatal("clean reference run reported zero cycles")
 	}
 	return totalCycles, totalCSV
+}
+
+// captureLog returns a Logf that logs through t and keeps each line,
+// and a function that returns the lines kept so far.
+func captureLog(t *testing.T) (logf func(string, ...any), lines func() []string) {
+	var mu sync.Mutex
+	var kept []string
+	logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		mu.Lock()
+		kept = append(kept, line)
+		mu.Unlock()
+	}
+	return logf, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(kept)
+	}
+}
+
+// lineWith is the index of the first line containing every one of
+// parts, or -1.
+func lineWith(lines []string, parts ...string) int {
+	return slices.IndexFunc(lines, func(l string) bool {
+		return !slices.ContainsFunc(parts, func(p string) bool { return !strings.Contains(l, p) })
+	})
 }
 
 // waitState polls until the job reaches a state (or any terminal one
@@ -124,7 +152,7 @@ func TestJobdDiskDegradation(t *testing.T) {
 	// fails with ENOTDIR, even running as root.
 	s := New(Options{
 		OutDir:  filepath.Join(out, "blocked"),
-		CkptDir: filepath.Join(base, "ckpt"), StatePath: filepath.Join(base, "state.json"),
+		CkptDir: filepath.Join(base, "ckpt"),
 		Workers: 1, Retries: -1, Logf: t.Logf,
 	})
 	if err := os.WriteFile(out, nil, 0o644); err != nil {

@@ -2,73 +2,18 @@ package jobd
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
-	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
+	"time"
+
+	"attila/internal/chaos"
 )
-
-// TestStateFileTornWrite pins the corrupt-state quarantine: a
-// half-written jobd-state.json must not brick startup — the bytes are
-// quarantined to .corrupt and the server starts fresh.
-func TestStateFileTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{OutDir: dir, Workers: 1, Retries: -1})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SubmitSweep(SweepSpec{Name: "torn", Jobs: []JobSpec{testSpec("torn-1")}}); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, "torn-1", StateDone)
-	s.Close()
-
-	// Tear the state file mid-JSON, as a crash mid-write would.
-	statePath := dir + "/jobd-state.json"
-	data, err := os.ReadFile(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(statePath, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := New(Options{OutDir: dir, Workers: 1, Retries: -1})
-	lerr := s2.loadState()
-	if lerr == nil {
-		t.Fatal("loadState accepted a torn state file")
-	}
-	if !errors.Is(lerr, ErrStateCorrupt) {
-		t.Fatalf("torn state error = %v, want ErrStateCorrupt", lerr)
-	}
-	var sfe *StateFileError
-	if !errors.As(lerr, &sfe) || sfe.Quarantine == "" {
-		t.Fatalf("torn state error missing quarantine path: %v", lerr)
-	}
-	quarantined, err := os.ReadFile(sfe.Quarantine)
-	if err != nil {
-		t.Fatalf("quarantined bytes not preserved: %v", err)
-	}
-	if !bytes.Equal(quarantined, data[:len(data)/2]) {
-		t.Fatal("quarantined bytes differ from the torn file")
-	}
-	if _, err := os.Stat(statePath); !os.IsNotExist(err) {
-		t.Fatal("torn state file still in place after quarantine")
-	}
-
-	// A fresh server over the same directory starts clean.
-	s3 := New(Options{OutDir: dir, Workers: 1, Retries: -1})
-	if err := s3.Start(); err != nil {
-		t.Fatalf("Start after quarantine: %v", err)
-	}
-	if len(s3.Jobs()) != 0 {
-		t.Fatalf("expected fresh state after quarantine, got %d jobs", len(s3.Jobs()))
-	}
-	s3.Close()
-}
 
 // TestDispatchIsFIFO drives nextJobLocked directly: jobs dispatch in
 // submission order, and a parked job requeues behind every job already
@@ -76,7 +21,7 @@ func TestStateFileTornWrite(t *testing.T) {
 func TestDispatchIsFIFO(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()})
 	for _, name := range []string{"j1", "j2", "j3"} {
-		s.submitLocked(testSpec(name), nil)
+		s.submitLocked(&Job{Spec: testSpec(name)}, nil)
 	}
 	first := s.nextJobLocked()
 	s.queue = append(s.queue, first) // what park does
@@ -89,50 +34,139 @@ func TestDispatchIsFIFO(t *testing.T) {
 	}
 }
 
-// TestStateFileNeverGoesBack races saveState: each goroutine moves its
-// own job to a terminal state and saves. Whatever the interleaving, the
-// file left by the last save must hold every job's final state; an
-// older snapshot renamed over a newer one would make a restarted server
-// re-run a done job or resurrect a canceled one.
-func TestStateFileNeverGoesBack(t *testing.T) {
-	s := New(Options{OutDir: t.TempDir()}) // no Start: no worker touches the jobs
-	const n = 8
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("save-%d", i)
-		s.submitLocked(testSpec(names[i]), nil)
-	}
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.mu.Lock()
-			j := s.jobs[name]
-			j.State = StateDone
-			if i%2 == 1 {
-				j.State = StateCanceled
-			}
-			s.mu.Unlock()
-			s.saveState()
-		}()
-	}
-	wg.Wait()
-
-	data, err := os.ReadFile(s.opts.StatePath)
+// One sweep across two server lives over one output directory. Life 1
+// finishes r-done, fails r-fail fast on an injected panic and drains
+// r-drain mid-run. Life 2 resubmits the sweep and reads each job's
+// manifest: r-done is not run again and its files are untouched,
+// r-fail stays failed, r-drain resumes from its checkpoint, and the
+// summary is a one-shot run's. Life 3, over the finished sweep, runs
+// nothing and only rewrites a lost summary. A resubmit with a changed
+// spec is refused.
+func TestJobdRestartFromManifests(t *testing.T) {
+	total, cleanCSV := cleanRun(t)
+	spec := SweepSpec{Name: "restart", Jobs: []JobSpec{testSpec("r-done"), testSpec("r-fail"), testSpec("r-drain")}}
+	spec.Jobs[1].Retries = -1
+	plan, err := chaos.ParseServer("panic=r-fail@" + strconv.FormatInt(total/2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st persistedState
-	if err := json.Unmarshal(data, &st); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	opts := Options{OutDir: t.TempDir(), Workers: 1, CheckpointInterval: total / 8, Chaos: plan}
+	if _, err := RunSweep(ctx, opts, spec); err == nil {
+		t.Fatal("one-shot run: r-fail did not fail")
+	}
+	oneShot, err := os.ReadFile(filepath.Join(opts.OutDir, "restart-summary.txt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Jobs) != n {
-		t.Fatalf("state file has %d jobs, want %d", len(st.Jobs), n)
+
+	opts.OutDir, opts.Logf = t.TempDir(), t.Logf
+	s := New(opts)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
 	}
-	for _, pj := range st.Jobs {
-		if want := s.jobs[pj.Spec.Name].State; pj.State != want {
-			t.Errorf("state file: %s is %s, in memory %s", pj.Spec.Name, pj.State, want)
+	if _, err := s.SubmitSweep(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, "r-drain", StateRunning)
+	for {
+		if st, _ := s.JobStatus("r-drain"); st.Cycle > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.JobStatus("r-drain"); st.State != StatePreempted {
+		t.Fatalf("drained job: %+v, want preempted", st)
+	}
+	s.Close()
+	doneFiles := func() [][]byte {
+		var got [][]byte
+		for _, f := range []string{"r-done.csv", "r-done-manifest.json"} {
+			data, err := os.ReadFile(filepath.Join(opts.OutDir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, data)
+		}
+		return got
+	}
+	before := doneFiles()
+
+	logf, lines := captureLog(t)
+	opts.Logf = logf
+	s2 := New(opts)
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	sw, err := s2.SubmitSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.WaitSweep(ctx, sw); err != nil {
+		t.Fatal(err)
+	}
+	if i := lineWith(lines(), "r-done"); i >= 0 {
+		t.Errorf("the done job ran again: %s", lines()[i])
+	}
+	if !slices.EqualFunc(doneFiles(), before, bytes.Equal) {
+		t.Error("the done job's CSV or manifest changed")
+	}
+	if st, _ := s2.JobStatus("r-fail"); st.State != StateFailed || st.FailKind != FailPanic {
+		t.Errorf("failed job after the restart: %s/%s, want failed/panic", st.State, st.FailKind)
+	}
+	if lineWith(lines(), "job r-drain resuming from checkpoint") < 0 {
+		t.Errorf("the drained job did not resume from its checkpoint:\n%s", strings.Join(lines(), "\n"))
+	}
+	if csv, err := os.ReadFile(filepath.Join(opts.OutDir, "r-drain.csv")); err != nil || !bytes.Equal(csv, cleanCSV) {
+		t.Errorf("r-drain.csv differs from the clean run (%v)", err)
+	}
+	if sum, err := os.ReadFile(filepath.Join(opts.OutDir, "restart-summary.txt")); err != nil || !bytes.Equal(sum, oneShot) {
+		t.Errorf("summary after the restart (%v):\n%s\none-shot:\n%s", err, sum, oneShot)
+	}
+
+	s2.Close()
+	os.Remove(filepath.Join(opts.OutDir, "restart-summary.txt"))
+	logf, lines = captureLog(t)
+	opts.Logf = logf
+	if _, err := RunSweep(ctx, opts, spec); err == nil || lineWith(lines(), "job r-") >= 0 {
+		t.Errorf("life 3 over the finished sweep: %v, want r-fail's failure and no job run:\n%s", err, strings.Join(lines(), "\n"))
+	}
+	if sum, err := os.ReadFile(filepath.Join(opts.OutDir, "restart-summary.txt")); err != nil || !bytes.Equal(sum, oneShot) {
+		t.Errorf("life 3 did not rewrite the summary (%v)", err)
+	}
+
+	changed := spec
+	changed.Jobs = slices.Clone(spec.Jobs)
+	changed.Jobs[0].Frames = 2
+	if _, err := New(opts).SubmitSweep(changed); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("resubmit with r-done's frames changed: %v, want ErrDuplicate", err)
+	}
+}
+
+// Once Close returns, nothing the server started writes any more: a
+// caller may remove OutDir, and it stays gone.
+func TestClosedServerWritesNothing(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		dir := filepath.Join(t.TempDir(), "out")
+		s := New(Options{OutDir: dir, Workers: 1, Retries: -1})
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SubmitSweep(SweepSpec{Name: "gone", Jobs: []JobSpec{testSpec("gone-1")}}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatalf("run %d: something still writes after Close: %v", i, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("run %d: %s is back after Close and RemoveAll (%v)", i, dir, err)
 		}
 	}
 }

@@ -25,13 +25,10 @@ type Options struct {
 	// manifests (<name>-manifest.json), span dumps of traced jobs
 	// (<name>-spans.ndjson), black boxes of failed ones
 	// (<name>-crash.json), sweep summaries (<sweep>-summary.txt) and,
-	// by default, the state file and checkpoint directory. Required.
+	// by default, the checkpoint directory. Required.
 	OutDir string
 	// CkptDir holds per-job checkpoint files; default OutDir/checkpoints.
 	CkptDir string
-	// StatePath is the durable queue/state file that makes a drained or
-	// killed server resumable; default OutDir/jobd-state.json.
-	StatePath string
 	// Workers bounds the pool; default half of GOMAXPROCS, minimum 1.
 	Workers int
 	// Retries is the default per-job retry budget after a failed
@@ -72,9 +69,6 @@ type Options struct {
 func (o *Options) norm() {
 	if o.CkptDir == "" {
 		o.CkptDir = filepath.Join(o.OutDir, "checkpoints")
-	}
-	if o.StatePath == "" {
-		o.StatePath = filepath.Join(o.OutDir, "jobd-state.json")
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0) / 2
@@ -125,11 +119,6 @@ type SweepStatus struct {
 type Server struct {
 	opts Options
 
-	// saveMu serializes saveState. It is taken before mu and held across
-	// the snapshot and the write, so the state file only moves forward:
-	// an older snapshot can never be renamed over a newer one.
-	saveMu sync.Mutex
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*Job
@@ -157,8 +146,7 @@ type Server struct {
 	cycleHook func(job string, cycle int64)
 }
 
-// New builds a server; call Start to load persisted state and spawn
-// the worker pool.
+// New builds a server; call Start to spawn the worker pool.
 func New(opts Options) *Server {
 	opts.norm()
 	s := &Server{
@@ -177,9 +165,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Start creates the output tree, loads the state file from a previous
-// life (requeuing interrupted jobs as resumable), and spawns the
-// worker pool.
+// Start creates the output tree and spawns the worker pool.
 func (s *Server) Start() error {
 	if s.opts.OutDir == "" {
 		return fmt.Errorf("jobd: Options.OutDir is required")
@@ -189,76 +175,78 @@ func (s *Server) Start() error {
 			return err
 		}
 	}
-	if err := s.loadState(); err != nil {
-		s.logf("jobd: state file unusable, starting fresh: %v", err)
-	}
 	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	// Sweeps that were already complete when the previous life ended
-	// still need their convergence pass (the summary write may have
-	// been interrupted).
-	s.mu.Lock()
-	sweeps := append([]*Sweep(nil), s.sweeps...)
-	s.mu.Unlock()
-	for _, sw := range sweeps {
-		s.maybeFinalize(sw)
 	}
 	return nil
 }
 
 // SubmitSweep queues a named set of jobs atomically: either every job
 // is admitted or none is. Resubmitting a sweep whose name and
-// normalized job specs equal an existing one's returns the existing
-// sweep — that is how a restarted one-shot invocation attaches to the
-// persisted state instead of colliding with it. Any other sweep under
-// an existing name is ErrDuplicate.
+// normalized job specs equal one the server holds returns that sweep;
+// any other sweep under a held name is ErrDuplicate.
+//
+// A sweep the server does not hold picks up from what an earlier run
+// left in OutDir (readJobs): a job whose manifest says it is done,
+// failed or canceled keeps that outcome, a preempted one resumes from
+// its checkpoint, and the rest run. That is how a restarted one-shot
+// invocation finishes a drained or killed sweep.
 func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	norm, err := NormalizeSweep(spec)
 	if err != nil {
 		return nil, err
 	}
+	jobs, err := s.readJobs(norm)
+	if err != nil {
+		return nil, err
+	}
+	finished := !slices.ContainsFunc(jobs, func(j *Job) bool { return !j.State.terminal() })
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, sw := range s.sweeps {
 		if sw.Name != spec.Name {
 			continue
 		}
-		// Continuation: the same sweep resubmitted after a restart.
+		s.mu.Unlock()
 		if !slices.EqualFunc(sw.jobs, norm, func(j *Job, n JobSpec) bool { return j.Spec == n }) {
 			return nil, fmt.Errorf("%w: sweep %s exists with different jobs", ErrDuplicate, spec.Name)
 		}
 		return sw, nil
 	}
 	if s.draining.Load() || s.closed {
+		s.mu.Unlock()
 		return nil, ErrDraining
 	}
 	for _, js := range norm {
 		if _, dup := s.jobs[js.Name]; dup {
+			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s", ErrDuplicate, js.Name)
 		}
 	}
 	s.nextID++
-	sw := &Sweep{ID: s.nextID, Name: spec.Name, done: make(chan struct{})}
-	for _, js := range norm {
-		sw.jobs = append(sw.jobs, s.submitLocked(js, sw))
+	sw := &Sweep{ID: s.nextID, Name: spec.Name, jobs: jobs, done: make(chan struct{})}
+	for _, j := range jobs {
+		s.submitLocked(j, sw)
 	}
 	s.sweeps = append(s.sweeps, sw)
 	s.cond.Broadcast()
-	go s.saveState()
+	s.mu.Unlock()
+	if finished { // by an earlier run: only the convergence pass is left
+		s.maybeFinalize(sw)
+	}
 	return sw, nil
 }
 
-// submitLocked queues one normalized job spec, whose name no job has,
-// as a job of sweep sw. Caller holds mu.
-func (s *Server) submitLocked(spec JobSpec, sw *Sweep) *Job {
+// submitLocked admits job j, whose name no job has, as a job of sweep
+// sw, and queues it unless an earlier run finished it. Caller holds mu.
+func (s *Server) submitLocked(j *Job, sw *Sweep) {
 	s.nextID++
-	j := &Job{ID: s.nextID, Spec: spec, record: record{State: StateQueued}, sweep: sw}
-	s.jobs[spec.Name] = j
+	j.ID, j.sweep = s.nextID, sw
+	s.jobs[j.Spec.Name] = j
 	s.order = append(s.order, j)
-	s.queue = append(s.queue, j)
-	return j
+	if !j.State.terminal() {
+		s.queue = append(s.queue, j)
+	}
 }
 
 // nextJobLocked pops the queue head, or returns nil when the queue is
@@ -339,11 +327,10 @@ func (s *Server) WaitSweep(ctx context.Context, sw *Sweep) error {
 
 // Drain gracefully shuts the pool down: submits start failing with
 // ErrDraining, every running job checkpoints at its next quiesced
-// barrier, stamps its manifest, and is parked resumable; the queue and
-// every job's state persist to the state file so a restarted server
-// resumes where this one stopped. If ctx expires first, in-flight jobs
-// are hard-stopped and resume from their last periodic checkpoint
-// instead of a fresh one.
+// barrier, stamps its manifest "preempted", and is parked resumable,
+// so a server restarted over OutDir resumes it from that checkpoint.
+// If ctx expires first, in-flight jobs are hard-stopped and resume
+// from their last periodic checkpoint instead of a fresh one.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed || s.draining.Load() {
@@ -369,7 +356,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.stopRuns(errDrained)
 		<-done
 	}
-	s.saveState()
 	return nil
 }
 
@@ -414,8 +400,8 @@ func (s *Server) worker() {
 }
 
 // RunSweep runs the sweep to completion on a local pool and returns its
-// final status. A re-invocation over the same output directory attaches
-// to the persisted state and resumes instead of restarting.
+// final status. A re-invocation over the same output directory picks
+// up from the manifests the earlier one left instead of restarting.
 func RunSweep(ctx context.Context, opts Options, spec SweepSpec) (SweepStatus, error) {
 	s := New(opts)
 	if err := s.Start(); err != nil {
@@ -428,7 +414,7 @@ func RunSweep(ctx context.Context, opts Options, spec SweepSpec) (SweepStatus, e
 	}
 	if err := s.WaitSweep(ctx, sw); err != nil {
 		// Interrupted (SIGTERM/timeout): drain so every in-flight job
-		// checkpoints and the state file records a resumable sweep.
+		// checkpoints and its manifest records it preempted.
 		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = s.Drain(dctx)

@@ -3,8 +3,6 @@ package jobd
 import (
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -40,9 +38,6 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 // any other job list is a conflict, and nothing of it is admitted.
 func TestResubmitSweepMustMatch(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()}) // no Start: every job stays queued
-	// No state file: SubmitSweep saves it from a goroutine that could
-	// outlive the test's temp directory.
-	s.opts.StatePath = ""
 	spec := SweepSpec{Name: "x", Jobs: []JobSpec{testSpec("x-1")}}
 	sw, err := s.SubmitSweep(spec)
 	if err != nil {
@@ -69,42 +64,6 @@ func TestResubmitSweepMustMatch(t *testing.T) {
 	}
 	if st, _ := s.JobStatus("x-1"); st.Workload != "simple" {
 		t.Errorf("x-1 runs %q after a refused resubmit, want simple", st.Workload)
-	}
-}
-
-// TestRestoredSweepsKeepDistinctRefs: sweeps reloaded from a state file
-// get IDs of their own, as jobs do: non-zero, and shared with no other
-// sweep or job.
-func TestRestoredSweepsKeepDistinctRefs(t *testing.T) {
-	dir := t.TempDir()
-	state := `{"nextId": 4, "sweeps": ["a", "b"], "jobs": [
-		{"spec": {"name": "a-1"}, "state": "failed", "sweep": "a"},
-		{"spec": {"name": "b-1"}, "state": "failed", "sweep": "b"}]}`
-	if err := os.WriteFile(filepath.Join(dir, "jobd-state.json"), []byte(state), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Options{OutDir: dir})
-	if err := s.loadState(); err != nil {
-		t.Fatal(err)
-	}
-	sweepIDs, jobIDs := map[int64]string{}, map[int64]string{}
-	for _, sw := range s.sweeps {
-		st := s.SweepStatus(sw)
-		if st.ID == 0 || sweepIDs[st.ID] != "" {
-			t.Errorf("sweep %s restored with ID %d, already taken or zero", st.Name, st.ID)
-		}
-		sweepIDs[st.ID] = st.Name
-		for _, j := range st.Jobs {
-			jobIDs[j.ID] = j.Name
-		}
-	}
-	for id, job := range jobIDs {
-		if sw := sweepIDs[id]; sw != "" {
-			t.Errorf("job %s shares ID %d with sweep %s", job, id, sw)
-		}
-	}
-	if len(sweepIDs) != 2 || len(jobIDs) != 2 {
-		t.Errorf("restored %d sweeps and %d jobs, want 2 of each", len(sweepIDs), len(jobIDs))
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 	"attila/internal/workload"
 )
 
-// record is a job's outcome so far: what its status shows, the state
-// file keeps and a restarted server reloads.
+// record is a job's outcome so far: what its status shows and its
+// manifest records (jobManifest) for a resubmitted sweep to reload.
 type record struct {
 	State     State   `json:"state"`
 	FailKind  string  `json:"failKind,omitempty"`
@@ -42,8 +42,9 @@ type Job struct {
 
 	// Guarded by Server.mu.
 	record
-	sweep *Sweep
-	csv   []byte
+	sweep    *Sweep
+	csv      []byte
+	manifest []byte // a done job's manifest, as written
 
 	// Written by the running simulation.
 	progress  atomic.Int64
@@ -138,8 +139,8 @@ func (s *Server) supervise(j *Job) {
 
 // park requeues a job that stopped without failing — drained or
 // interrupted mid-backoff — resumable, with the attempt it was on not
-// counted. Its state is StatePreempted, the on-disk name of a parked
-// job.
+// counted. Its state is StatePreempted, the name its manifest gives a
+// parked job.
 func (s *Server) park(j *Job) {
 	s.mu.Lock()
 	j.Attempts--
@@ -148,7 +149,6 @@ func (s *Server) park(j *Job) {
 	s.queue = append(s.queue, j)
 	s.mu.Unlock()
 	s.stampManifest(j, string(StatePreempted), nil)
-	s.saveState()
 }
 
 // failKind maps a failed attempt's error and stop cause to a FailKind.
