@@ -35,7 +35,7 @@ test:
 # frames) and the job construction benchmark (run.Start for each of
 # the benchmark sweep's four job kinds), so they cannot rot;
 # then fuzz smokes over the trace reader, the checkpoint container
-# reader (version 1 and 2 seeds) and section codec, the checkpoint's
+# reader (version 1, 2 and 3 seeds) and section codec, the checkpoint's
 # GPU memory section decoder, the decoded shader interpreter against
 # its reference evaluator, and the DXT encoder against its model.
 # Everything else, byte identity included, is in `make test`.

@@ -1,7 +1,8 @@
 // Package chkpt implements the checkpoint/restore subsystem: a
-// versioned, CRC-guarded, gzip-compressed container of named state
-// sections, a bounded binary codec for writing them, and a cycle
-// barrier engine that captures checkpoints at quiesced safe points.
+// versioned, CRC-guarded container of named state sections, written
+// uncompressed (the gzipped files of container versions 1 and 2 still
+// read), a bounded binary codec for writing them, and a cycle barrier
+// engine that captures checkpoints at quiesced safe points.
 //
 // The design leans on the same property that makes clocking order
 // irrelevant (every signal has latency >= 1): at a cycle barrier where the
@@ -32,7 +33,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"attila/internal/fsatomic"
@@ -75,15 +75,15 @@ type Snapshotter interface {
 // Format constants.
 const (
 	magic = "ATTILACKPT"
-	// version 2 added an int64 slot after the workload fingerprint that
-	// once held a lease epoch. Encode writes 0 there and Read skips it;
-	// version 1 files have no slot. The next container version drops
-	// the slot (ROADMAP item 5).
-	version    = 2
+	// Version 3 writes the payload as it is; versions 1 and 2 gzipped
+	// it, and Read still inflates theirs. Version 2 added an int64 slot
+	// after the workload fingerprint that once held a lease epoch, which
+	// Read skips; versions 1 and 3 have no slot.
+	version    = 3
 	minVersion = 1
-	// maxPayload caps the decompressed payload so a corrupt or
-	// malicious length field cannot balloon memory (the decoder is
-	// fuzzed against exactly that).
+	// maxPayload caps the payload (inflated, for versions 1 and 2) so a
+	// corrupt or malicious length field cannot balloon memory (the
+	// decoder is fuzzed against exactly that).
 	maxPayload = 1 << 30
 	// maxSections caps the section count.
 	maxSections = 1 << 16
@@ -203,15 +203,15 @@ func Restore(snap *Snapshot, parts []Snapshotter, lenient bool) error {
 }
 
 // Encode serializes the snapshot: magic, version, CRC32-Castagnoli of
-// the uncompressed payload, payload length, then the gzip-compressed
-// payload (meta + sections). The payload is never assembled: its CRC
-// and length are taken over the pieces, which then stream into the
-// compressor.
+// the payload, payload length, then the payload itself (meta and
+// sections), uncompressed. The payload is never assembled: its CRC and
+// length are taken over the pieces, which are then written as they
+// are.
 func (s *Snapshot) Encode(w io.Writer) error {
 	// The payload is meta, then per section its name and length (a
 	// small prefix) and its bytes. Meta and the prefixes are written
 	// into one encoder sized for them beforehand.
-	headBytes := 8 + 4 + len(s.Meta.Config) + 4 + len(s.Meta.Workload) + 8 + 4
+	headBytes := 8 + 4 + len(s.Meta.Config) + 4 + len(s.Meta.Workload) + 4
 	for _, name := range s.order {
 		headBytes += 4 + len(name) + 4
 	}
@@ -220,7 +220,6 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	head.I64(s.Meta.Cycle)
 	head.Str(s.Meta.Config)
 	head.Str(s.Meta.Workload)
-	head.I64(0) // the version 2 epoch slot
 	head.U32(uint32(len(s.order)))
 	pieces := make([][]byte, 0, 1+2*len(s.order))
 	pieces = append(pieces, head.buf)
@@ -245,15 +244,12 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	zw := gzipWriters.Get().(*gzip.Writer)
-	defer gzipWriters.Put(zw)
-	zw.Reset(w)
 	for _, p := range pieces {
-		if _, err := zw.Write(p); err != nil {
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
 	}
-	return zw.Close()
+	return nil
 }
 
 // WriteFile writes the snapshot atomically and durably through the
@@ -268,14 +264,6 @@ func (s *Snapshot) WriteFile(path string) error {
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// gzipWriters keeps Encode's BestSpeed compressors, about 1.2 MB of
-// tables each, for the next checkpoint: Reset gives the stream a writer
-// would start anew, header included. jobd workers encode side by side.
-var gzipWriters = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level: no error
-	return zw
-}}
 
 // Read parses a checkpoint stream, verifying magic, version, payload
 // length and CRC before decoding any structure. All failures carry a
@@ -298,19 +286,30 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if size > maxPayload {
 		return nil, fmt.Errorf("%w: declared payload %d exceeds limit", ErrCorrupt, size)
 	}
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
+	src := r
+	if v < 3 {
+		zr, err := gzip.NewReader(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
+		}
+		defer zr.Close()
+		src = zr
 	}
-	defer zr.Close()
-	raw := make([]byte, 0, min64(size, 1<<20))
+	// Room for the payload, up to 1 MiB, and for the read past its end
+	// that finds EOF: the buffer asks for bytes.MinRead free bytes before
+	// every read, and without them would copy the payload into a buffer
+	// twice its size.
+	raw := make([]byte, 0, min64(size, 1<<20)+bytes.MinRead)
 	buf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(buf, io.LimitReader(zr, int64(size)+1)); err != nil {
-		return nil, fmt.Errorf("%w: gzip payload: %v", ErrCorrupt, err)
+	if _, err := io.Copy(buf, io.LimitReader(src, int64(size)+1)); err != nil {
+		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
 	raw = buf.Bytes()
-	if uint64(len(raw)) != size {
+	if uint64(len(raw)) < size {
 		return nil, fmt.Errorf("%w: payload is %d bytes, header declares %d", ErrTruncated, len(raw), size)
+	}
+	if uint64(len(raw)) > size {
+		return nil, fmt.Errorf("%w: payload runs past the %d bytes the header declares", ErrCorrupt, size)
 	}
 	if got := crc32.Checksum(raw, crcTable); got != wantCRC {
 		return nil, fmt.Errorf("%w: CRC mismatch (file %08x, computed %08x)", ErrCorrupt, wantCRC, got)
@@ -322,7 +321,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	snap.Meta.Cycle = d.I64()
 	snap.Meta.Config = d.Str()
 	snap.Meta.Workload = d.Str()
-	if v >= 2 {
+	if v == 2 {
 		d.I64() // the epoch slot: provenance an older writer stamped, not machine state
 	}
 	n := d.U32()

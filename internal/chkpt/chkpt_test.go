@@ -7,11 +7,11 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -139,13 +139,18 @@ func TestReadTypedErrors(t *testing.T) {
 	badVersion[len(magic)] = 0xEE
 	check("bad version", badVersion, ErrFormat)
 
-	// Flipping a compressed payload byte breaks the gzip stream or the
-	// CRC; either way it is corruption.
+	// The payload is written as it is: a flipped byte fails the CRC, a
+	// file cut inside it or one that runs on past it fails typed.
 	badPayload := append([]byte(nil), valid...)
 	badPayload[len(badPayload)-5] ^= 0x01
 	check("damaged payload", badPayload, ErrCorrupt)
+	if _, err := Read(bytes.NewReader(badPayload)); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Errorf("damaged payload: got %v, want a CRC mismatch", err)
+	}
 
 	check("cut header", valid[:8], ErrTruncated)
+	check("cut payload", valid[:len(valid)-1], ErrTruncated)
+	check("trailing byte", append(append([]byte(nil), valid...), 0), ErrCorrupt)
 
 	hugeLen := append([]byte(nil), valid...)
 	for i := 0; i < 8; i++ {
@@ -281,8 +286,9 @@ func FuzzRead(f *testing.F) {
 	if err := Capture(Meta{Cycle: 7, Config: "cfg", Workload: "wl"}, testParts()).Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
-	// Version 2 as Encode writes it, and by hand with the epoch slot
-	// an older writer stamped; version 1, which has no slot.
+	// Version 3 as Encode writes it, and by hand the gzipped versions
+	// older writers left: version 2 with the epoch slot they stamped,
+	// version 1, which has no slot.
 	files := [][]byte{buf.Bytes()}
 	for _, ver := range []uint32{1, 2} {
 		var p Encoder
@@ -297,7 +303,7 @@ func FuzzRead(f *testing.F) {
 		p.Blob([]byte{1, 2, 3})
 		p.Str("b")
 		p.Blob(nil)
-		files = append(files, encodeRawContainer(f, ver, p.Bytes()))
+		files = append(files, encodeGzipContainer(f, ver, p.Bytes()))
 	}
 	for _, valid := range files {
 		f.Add(valid)
@@ -385,7 +391,7 @@ func TestEpochSlotSkippedAndV1Compat(t *testing.T) {
 		ver  uint32
 		slot bool
 	}{{2, true}, {1, false}} {
-		got, err := Read(bytes.NewReader(encodeRawContainer(t, c.ver, payload(c.slot))))
+		got, err := Read(bytes.NewReader(encodeGzipContainer(t, c.ver, payload(c.slot))))
 		if err != nil {
 			t.Fatalf("version-%d container rejected: %v", c.ver, err)
 		}
@@ -402,15 +408,16 @@ func TestEpochSlotSkippedAndV1Compat(t *testing.T) {
 		}
 	}
 
-	v9 := encodeRawContainer(t, 9, payload(true))
+	v9 := encodeGzipContainer(t, 9, payload(true))
 	if _, err := Read(bytes.NewReader(v9)); !errors.Is(err, ErrFormat) {
 		t.Errorf("version 9: got %v, want ErrFormat", err)
 	}
 }
 
-// encodeRawContainer writes a container with an explicit version
-// number around a raw payload (test helper for compatibility checks).
-func encodeRawContainer(t testing.TB, ver uint32, raw []byte) []byte {
+// encodeGzipContainer writes a container the way versions 1 and 2 did,
+// the payload gzipped, with an explicit version number (test helper for
+// compatibility checks).
+func encodeGzipContainer(t testing.TB, ver uint32, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var hdr [len(magic) + 4 + 4 + 8]byte
@@ -429,16 +436,13 @@ func encodeRawContainer(t testing.TB, ver uint32, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// concatEncode is Snapshot.Encode of 91dbc46, kept as the model: it
-// assembled the whole payload in one buffer, took its CRC, and handed
-// it to the compressor in one Write.
-func concatEncode(t *testing.T, s *Snapshot) []byte {
-	t.Helper()
+// concatEncode is the model of Snapshot.Encode: it assembles the whole
+// payload in one buffer, takes its CRC, and writes header and payload.
+func concatEncode(s *Snapshot) []byte {
 	var payload Encoder
 	payload.I64(s.Meta.Cycle)
 	payload.Str(s.Meta.Config)
 	payload.Str(s.Meta.Workload)
-	payload.I64(0) // the epoch slot
 	payload.U32(uint32(len(s.order)))
 	for _, name := range s.order {
 		payload.Str(name)
@@ -446,30 +450,17 @@ func concatEncode(t *testing.T, s *Snapshot) []byte {
 	}
 	raw := payload.Bytes()
 
-	var buf bytes.Buffer
 	var hdr [len(magic) + 4 + 4 + 8]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint32(hdr[len(magic):], version)
 	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.Checksum(raw, crcTable))
 	binary.LittleEndian.PutUint64(hdr[len(magic)+8:], uint64(len(raw)))
-	buf.Write(hdr[:])
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return append(hdr[:], raw...)
 }
 
-// Encode streams the payload into the compressor piece by piece. The
-// file must not show it: same CRC, same length, same compressed bytes
-// as one Write of the assembled payload — over sections that are
-// empty, tiny, longer than a deflate block, compressible and not.
+// Encode writes the payload piece by piece, each section straight from
+// its buffer. The file must not show it: the same bytes as the
+// assembled payload, over sections that are empty, tiny and long.
 func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 	noise := make([]byte, 300_000)
 	state := uint32(1)
@@ -482,7 +473,7 @@ func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 		{{}},
 		{{1}, {}, {2, 3}},
 		{make([]byte, 200_000), noise, []byte("tail")},
-		{noise[:65535], noise[:65536], make([]byte, 65537), noise[:1]},
+		{noise[:65535], {}, noise[:65536], make([]byte, 65537), noise[:1]},
 	} {
 		snap := NewSnapshot(Meta{Cycle: 123456, Config: "64x48 {Name:baseline}", Workload: "ut2004"})
 		for i, data := range sections {
@@ -492,7 +483,7 @@ func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 		if err := snap.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if want := concatEncode(t, snap); !bytes.Equal(buf.Bytes(), want) {
+		if want := concatEncode(snap); !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("%d sections: Encode wrote %d bytes, the concatenating Encode %d, or they differ", len(sections), buf.Len(), len(want))
 		}
 		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
@@ -501,39 +492,42 @@ func TestEncodeMatchesConcatenatedPayload(t *testing.T) {
 	}
 }
 
-// Encode keeps its compressor for the next checkpoint: after a warm-up
-// call, encoding a small snapshot allocates the pieces and section
-// prefixes, not the ~1.2 MB of tables a fresh BestSpeed writer brings.
-// The least of ten calls is taken: a collection may empty the pool, and
-// under the race detector the pool drops a quarter of what it is given.
-func TestEncodeReusesCompressor(t *testing.T) {
-	snap := Capture(Meta{Cycle: 1, Config: "c", Workload: "w"}, testParts())
-	encode := func() {
-		if err := snap.Encode(io.Discard); err != nil {
-			t.Fatal(err)
-		}
+// Encode allocates its pieces and the run of prefixes, nothing in
+// proportion to the sections: encoding a snapshot with a 1 MB section
+// allocates under 64 KiB. It is measured
+// right after two collections, which leave nothing in any pool (a pool
+// keeps what it holds through one), so a compressor kept between calls
+// would show here too.
+func TestEncodeAllocatesLittle(t *testing.T) {
+	snap := Capture(Meta{Cycle: 1, Config: "c", Workload: "w"}, append(testParts(), &framesPart{frames: [][]byte{make([]byte, 1<<20)}}))
+	if err := snap.Encode(io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	encode()
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 10; i++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		encode()
-		runtime.ReadMemStats(&m1)
-		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	runtime.GC()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := snap.Encode(io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if least >= 64<<10 {
-		t.Errorf("an Encode allocates %d bytes after a warm-up call, want under 64 KiB", least)
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n >= 64<<10 {
+		t.Errorf("an Encode allocates %d bytes, want under 64 KiB", n)
 	}
 }
 
 // framesPart is a Snapshotter shaped like the DAC's section: a count,
-// then every frame dumped so far.
+// then every frame dumped so far, its encoder sized for all of them.
 type framesPart struct{ frames [][]byte }
 
 func (f *framesPart) SnapshotName() string { return "frames" }
 
 func (f *framesPart) SnapshotState(e *Encoder) {
+	n := 4
+	for _, pix := range f.frames {
+		n += 4 + len(pix)
+	}
+	e.Grow(n)
 	e.U32(uint32(len(f.frames)))
 	for _, pix := range f.frames {
 		e.Blob(pix)

@@ -28,10 +28,10 @@ func WriteFile(path string, data []byte) error {
 }
 
 // WriteTo atomically and durably replaces path with whatever write
-// streams into w (the checkpoint container gzips straight into the temp
-// file). The parent directory is created if missing: only when making
-// the temp file finds it gone, so a write into a directory that exists
-// pays no Stat for it. On any error, write's included, the temp file is
+// streams into w (a checkpoint's encoder writes its pieces straight
+// into the temp file). The parent directory is created if missing:
+// only when making the temp file finds it gone, so a write into a
+// directory that exists pays no Stat for it. On any error, write's included, the temp file is
 // removed and the previous contents of path (if any) are untouched.
 //
 // Every call writes its own temp file (os.CreateTemp's unique name), so

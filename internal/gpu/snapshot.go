@@ -116,8 +116,15 @@ func (d *DAC) SnapshotName() string { return "DAC" }
 
 // SnapshotState implements chkpt.Snapshotter: the refresh scan cursor
 // and the frames dumped so far (so a restored run's frame outputs are
-// identical to an uninterrupted one's).
+// identical to an uninterrupted one's). The encoder is sized for every
+// frame first: the section grows by a frame per dump, and appending
+// frame by frame would regrow and copy it several times a capture.
 func (d *DAC) SnapshotState(e *chkpt.Encoder) {
+	n := 8
+	for _, f := range d.frames {
+		n += 12 + len(f.Pix)
+	}
+	e.Grow(n)
 	e.U32(uint32(d.refreshAddr))
 	e.U32(uint32(len(d.frames)))
 	for _, f := range d.frames {

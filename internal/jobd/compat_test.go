@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,5 +97,53 @@ func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 	}
 	if csv, err := os.ReadFile(filepath.Join(dir, "compat-1.csv")); err != nil || !bytes.Equal(csv, cleanCSV) {
 		t.Errorf("compat-1 replayed over the old directory: CSV differs from the clean run (%v)", err)
+	}
+}
+
+// Older binaries kept a queue file, jobd-state.json, in OutDir beside
+// the manifests. Nothing reads it: a resubmit over such a directory
+// removes it, says so in one log line, and leaves the jobs' CSVs and
+// the sweep summary as they were.
+func TestResubmitRemovesStaleStateFile(t *testing.T) {
+	_, cleanCSV := cleanRun(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	opts := Options{OutDir: t.TempDir(), Workers: 1, Retries: -1}
+	spec := SweepSpec{Name: "stale", Jobs: []JobSpec{testSpec("stale-1"), testSpec("stale-2")}}
+	if _, err := RunSweep(ctx, opts, spec); err != nil {
+		t.Fatal(err)
+	}
+	files := func() (got [][]byte) {
+		for _, f := range []string{"stale-1.csv", "stale-2.csv", "stale-summary.txt"} {
+			data, err := os.ReadFile(filepath.Join(opts.OutDir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, data)
+		}
+		return got
+	}
+	before := files()
+	if !bytes.Equal(before[0], cleanCSV) {
+		t.Fatal("stale-1's CSV differs from the clean run's")
+	}
+	state := filepath.Join(opts.OutDir, "jobd-state.json")
+	if err := os.WriteFile(state, []byte(`{"jobs": [{"spec": {"name": "stale-1"}, "state": "preempted"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	logf, lines := captureLog(t)
+	opts.Logf = logf
+	if _, err := RunSweep(ctx, opts, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(state); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("jobd-state.json is still there after the resubmit (%v)", err)
+	}
+	if n := len(slices.DeleteFunc(lines(), func(l string) bool { return !strings.Contains(l, "jobd-state.json") })); n != 1 {
+		t.Errorf("%d log lines name jobd-state.json, want 1: %q", n, lines())
+	}
+	if !slices.EqualFunc(files(), before, bytes.Equal) {
+		t.Error("the resubmit changed the jobs' CSVs or the sweep summary")
 	}
 }

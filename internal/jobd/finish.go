@@ -277,11 +277,23 @@ func (s *Server) stampManifest(j *Job, state string, cause error) {
 //     is gone, and then it runs again, to the same bytes;
 //   - failed or canceled: the job keeps that outcome;
 //   - preempted: the job resumes from its checkpoint.
+//
+// The state file older binaries kept beside the manifests,
+// jobd-state.json, is read by nothing; it is removed, so a finished
+// directory does not go on saying its jobs are queued or preempted.
 func (s *Server) readJobs(norm []JobSpec) ([]*Job, error) {
 	present := map[string]bool{}
 	if entries, err := os.ReadDir(s.opts.OutDir); err == nil {
 		for _, e := range entries {
 			present[e.Name()] = true
+		}
+	}
+	if present["jobd-state.json"] {
+		path := filepath.Join(s.opts.OutDir, "jobd-state.json")
+		if err := os.Remove(path); err != nil {
+			s.logf("jobd: %v", err)
+		} else {
+			s.logf("jobd: removed %s, an older binary's state file", path)
 		}
 	}
 	jobs := make([]*Job, len(norm))
