@@ -26,13 +26,15 @@ test:
 # path, the replay on a fresh machine when a checkpoint is refused, two
 # workers writing traced jobs' span dumps and a crash report at once,
 # monotone progress, nothing written once Close returns, and a sweep
-# restarted from its manifests, five times over);
+# restarted from its manifests, five times over), and the process-wide
+# texture cache every workload build goes through, which jobd's workers
+# share (concurrent builds of one texture wait for one build);
 # one pass each of the shader emulator's step benchmark, the GPU
 # memory's accessor benchmark, the texture planner's benchmark (which
 # also fails if planning a quad allocates), the texture unit's
-# request benchmark, the workload build's benchmark, the checkpoint
-# capture+encode benchmark (a first capture, and one carrying 48
-# frames) and the job construction benchmark (run.Start for each of
+# request benchmark, the workload build's benchmark (cold and warm),
+# the checkpoint capture+encode benchmark (a first capture, and one
+# carrying 48 frames) and the job construction benchmark (run.Start for each of
 # the benchmark sweep's four job kinds), so they cannot rot;
 # then fuzz smokes over the trace reader, the checkpoint container
 # reader (version 1, 2 and 3 seeds) and section codec, the checkpoint's
@@ -47,6 +49,7 @@ check:
 	$(GO) test -race -run '^TestRunAhead' -count=1 ./internal/gpu/
 	$(GO) test -race -run '^TestJobd(ChaosConvergence|SigtermDrainResume|UnusableCheckpointReplays|ProgressIsMonotone)$$|^TestJobArtifacts$$|^TestFleetMetricsMergeAcrossJobs$$|^TestClosedServerWritesNothing$$' -count=1 ./internal/jobd/
 	$(GO) test -race -run '^TestJobdRestartFromManifests$$' -count=5 ./internal/jobd/
+	$(GO) test -race -run '^TestTextureCache' -count=1 ./internal/workload/
 	$(GO) test -run '^$$' -bench BenchmarkStep -benchtime 1x ./internal/emu/shaderemu
 	$(GO) test -run '^$$' -bench BenchmarkGPUMemoryAccess -benchtime 1x ./internal/mem
 	$(GO) test -run '^$$' -bench BenchmarkPlanQuad -benchtime 1x ./internal/emu/texemu

@@ -126,7 +126,8 @@ func (s *Snapshot) Add(name string, data []byte) {
 	s.order = append(s.order, name)
 }
 
-// Section returns a named section's bytes, or nil.
+// Section returns a named section's bytes, or nil. They may share
+// memory with the other sections: read them, do not write them.
 func (s *Snapshot) Section(name string) []byte { return s.sections[name] }
 
 // Sections returns the section names in capture order.
@@ -268,7 +269,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Read parses a checkpoint stream, verifying magic, version, payload
 // length and CRC before decoding any structure. All failures carry a
 // typed sentinel; no input can make it panic or allocate beyond the
-// declared (capped) payload size.
+// declared (capped) payload size. The payload is held once: each
+// section is a capped window of the buffer Read reads it into. Nothing
+// writes a section (a Decoder only reads, and Blob copies), so one
+// Snapshot restores any number of machines.
 func Read(r io.Reader) (*Snapshot, error) {
 	var hdr [len(magic) + 4 + 4 + 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -330,7 +334,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
 		name := d.Str()
-		data := d.Blob()
+		data := d.window()
 		if d.Err() != nil {
 			break
 		}
@@ -508,17 +512,19 @@ func (d *Decoder) Str() string {
 }
 
 // Blob reads a length-prefixed byte slice (copied).
-func (d *Decoder) Blob() []byte {
+func (d *Decoder) Blob() []byte { return append([]byte(nil), d.window()...) }
+
+// window reads a length-prefixed byte slice as a window of the input,
+// not a copy, capped at its length so that no append reaches the bytes
+// after it.
+func (d *Decoder) window() []byte {
 	n := d.U32()
 	if n > maxBlob {
 		d.fail("blob length %d exceeds limit", n)
 		return nil
 	}
 	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return b[:len(b):len(b)]
 }
 
 // Len reads a slice length, validating it against the caps and the

@@ -516,6 +516,52 @@ func TestEncodeAllocatesLittle(t *testing.T) {
 	}
 }
 
+// Read holds the payload once: every section is a window of the
+// buffer it reads the payload into, so reading 20 sections of 30 kB
+// allocates under 1.2 times the payload. The sections are capped
+// windows (an append to one cannot reach the next) and hold the bytes
+// Encode wrote.
+func TestReadHoldsThePayloadOnce(t *testing.T) {
+	snap := NewSnapshot(Meta{Cycle: 9, Config: "c", Workload: "w"})
+	want := make([][]byte, 20)
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{byte(i), byte(i * 7)}, 15_000)
+		snap.Add(strings.Repeat("s", i+1), want[i])
+	}
+	var file bytes.Buffer
+	if err := snap.Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	payload := file.Len() - (len(magic) + 4 + 4 + 8)
+
+	var got *Snapshot
+	least := uint64(1 << 62)
+	for try := 0; try < 3; try++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var err error
+		got, err = Read(bytes.NewReader(file.Bytes()))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if limit := uint64(payload) * 12 / 10; least >= limit {
+		t.Errorf("a Read of a %d-byte payload allocates %d bytes, want under %d", payload, least, limit)
+	}
+	for i, name := range got.Sections() {
+		sec := got.Section(name)
+		if !bytes.Equal(sec, want[i]) {
+			t.Fatalf("section %q: bytes differ from the encoded ones", name)
+		}
+		if cap(sec) != len(sec) {
+			t.Fatalf("section %q: capacity %d past its %d bytes", name, cap(sec), len(sec))
+		}
+	}
+}
+
 // framesPart is a Snapshotter shaped like the DAC's section: a count,
 // then every frame dumped so far, its encoder sized for all of them.
 type framesPart struct{ frames [][]byte }

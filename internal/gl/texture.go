@@ -99,37 +99,76 @@ func DefaultTexParams() TexParams {
 	}
 }
 
-// TexImage2D creates a 2D texture object from an image, generating
-// mipmaps when requested, encoding texel tiles in the given format
-// (compressed formats are compressed here, in the "driver"), and
-// uploading every level with buffer write commands. It returns the
-// texture id.
-func (c *Context) TexImage2D(img *Image, format texemu.Format, params TexParams) uint32 {
+// Levels is a 2D texture's mip chain as memory holds it: each level
+// tiled and, for a compressed format, compressed — what TexImage2D
+// uploads. EncodeLevels makes it and nothing writes it afterwards
+// (uploading copies it into GPU memory), so one Levels may be uploaded
+// by any number of contexts, concurrently too.
+type Levels struct {
+	Format        texemu.Format
+	Width, Height int
+	Data          [][]byte // one per mip level, base first
+}
+
+// Bytes returns the encoded size of every level.
+func (lv *Levels) Bytes() int {
+	n := 0
+	for _, d := range lv.Data {
+		n += len(d)
+	}
+	return n
+}
+
+// descriptor returns the texture lv describes, its addresses unset.
+func (lv *Levels) descriptor() *texemu.Texture {
+	return &texemu.Texture{
+		Target: isa.Tex2D, Format: lv.Format,
+		Width: lv.Width, Height: lv.Height, Depth: 1, Levels: len(lv.Data),
+		MaxAniso: 1,
+	}
+}
+
+// EncodeLevels builds an image's mip chain, the full chain when mipmap
+// is set and the base level alone otherwise, and encodes each level's
+// tiles in the given format (compressed formats are compressed here, in
+// the "driver"). An image that makes no valid texture (no texels, a bad
+// format) encodes nothing: its levels are empty, and TexImageLevels
+// refuses them with the reason.
+func EncodeLevels(img *Image, format texemu.Format, mipmap bool) *Levels {
 	levels := 1
-	if params.Mipmap {
-		w, h := img.W, img.H
-		for w > 1 || h > 1 {
+	if mipmap {
+		for w, h := img.W, img.H; w > 1 || h > 1; w, h = max(w/2, 1), max(h/2, 1) {
 			levels++
-			w /= 2
-			h /= 2
-			if w < 1 {
-				w = 1
-			}
-			if h < 1 {
-				h = 1
-			}
 		}
 	}
-	tex := &texemu.Texture{
-		Target: isa.Tex2D, Format: format,
-		Width: img.W, Height: img.H, Depth: 1, Levels: levels,
-		WrapS: params.WrapS, WrapT: params.WrapT,
-		MinFilter: params.MinFilter, MagFilter: params.MagFilter,
-		MaxAniso: params.MaxAniso,
+	lv := &Levels{Format: format, Width: img.W, Height: img.H, Data: make([][]byte, levels)}
+	if tex := lv.descriptor(); tex.Validate() == nil {
+		var scratch mipScratch
+		encodeChain(lv.Data, tex, img, &scratch)
 	}
-	if tex.MaxAniso < 1 {
-		tex.MaxAniso = 1
+	return lv
+}
+
+// encodeChain encodes img as level 0 of tex and the levels halved from
+// it as the next ones, one per element of dst.
+func encodeChain(dst [][]byte, tex *texemu.Texture, img *Image, scratch *mipScratch) {
+	for l := range dst {
+		if l > 0 {
+			img = scratch.next(l-1, img)
+		}
+		dst[l] = encodeLevel(tex, l, img)
 	}
+}
+
+// TexImageLevels creates a 2D texture object from an encoded mip chain
+// with the given sampler state: it reserves the chain's memory and
+// uploads every level with a buffer write command. It returns the
+// texture id. The commands carry lv's bytes, not a copy.
+func (c *Context) TexImageLevels(lv *Levels, params TexParams) uint32 {
+	tex := lv.descriptor()
+	tex.WrapS, tex.WrapT = params.WrapS, params.WrapT
+	tex.MinFilter, tex.MagFilter = params.MinFilter, params.MagFilter
+	tex.MaxAniso = max(params.MaxAniso, 1)
 	if err := tex.Validate(); err != nil {
 		c.fail("TexImage2D: %v", err)
 		return 0
@@ -140,20 +179,20 @@ func (c *Context) TexImage2D(img *Image, format texemu.Format, params TexParams)
 		return 0
 	}
 	addr := base
-	level := img
-	var scratch mipScratch
-	for l := 0; l < levels; l++ {
+	for l, data := range lv.Data {
 		tex.Base[0][l] = addr
-		data := encodeLevel(tex, l, level)
 		c.cmds = append(c.cmds, gpu.CmdBufferWrite{Addr: addr, Data: data})
 		addr += uint32(tex.LevelBytes(l))
-		if l+1 < levels {
-			level = scratch.next(l, level)
-		}
 	}
 	c.nextID++
 	c.textures[c.nextID] = tex
 	return c.nextID
+}
+
+// TexImage2D creates a 2D texture object from an image: EncodeLevels,
+// with params.Mipmap choosing the chain, then TexImageLevels.
+func (c *Context) TexImage2D(img *Image, format texemu.Format, params TexParams) uint32 {
+	return c.TexImageLevels(EncodeLevels(img, format, params.Mipmap), params)
 }
 
 // Texture returns the descriptor for a texture id (diagnostics and
@@ -194,16 +233,13 @@ func (c *Context) TexImageCube(faces *[6]*Image, format texemu.Format, params Te
 	}
 	addr := base
 	var scratch mipScratch
+	chain := make([][]byte, levels)
 	for face := 0; face < texemu.CubeFaces; face++ {
-		level := faces[face]
-		for l := 0; l < levels; l++ {
+		encodeChain(chain, tex, faces[face], &scratch)
+		for l, data := range chain {
 			tex.Base[face][l] = addr
-			data := encodeLevel(tex, l, level)
 			c.cmds = append(c.cmds, gpu.CmdBufferWrite{Addr: addr, Data: data})
 			addr += uint32(tex.LevelBytes(l))
-			if l+1 < levels {
-				level = scratch.next(l, level)
-			}
 		}
 	}
 	c.nextID++

@@ -135,6 +135,65 @@ func TestUnusableCheckpointReplaysOnFreshMachine(t *testing.T) {
 	}
 }
 
+// One Snapshot restores into two fresh machines, which then run to
+// the same cycle count, stats CSV and frames. chkpt.Read hands out the
+// sections as windows of one payload buffer, so this holds only while
+// no Restore writes into its section; every section also keeps its
+// bytes through both restores.
+func TestSnapshotRestoresTwoMachines(t *testing.T) {
+	snap, err := chkpt.ReadFile(firstCheckpoint(t, testSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string][]byte{}
+	for _, name := range snap.Sections() {
+		sections[name] = bytes.Clone(snap.Section(name))
+	}
+	type outputs struct {
+		cycles int64
+		csv    []byte
+		frames [][]byte
+	}
+	var out [2]outputs
+	for i := range out {
+		pipe, err := gpu.New(testConfig(0), testW, testH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds, _, err := workload.Build(testWorkload, pipe, testParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.RestoreCheckpoint(snap, cmds); err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.ResumeContext(context.Background(), testBudget); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = outputs{cycles: pipe.Cycles(), csv: csvOf(t, pipe)}
+		for _, f := range pipe.Frames() {
+			out[i].frames = append(out[i].frames, f.Pix)
+		}
+	}
+	t.Logf("restored at %d, ran to %d, %d frames", snap.Meta.Cycle, out[0].cycles, len(out[0].frames))
+	if out[0].cycles != out[1].cycles || !bytes.Equal(out[0].csv, out[1].csv) {
+		t.Errorf("second restore: %d cycles, first %d; CSVs equal: %v", out[1].cycles, out[0].cycles, bytes.Equal(out[0].csv, out[1].csv))
+	}
+	if len(out[0].frames) == 0 || len(out[0].frames) != len(out[1].frames) {
+		t.Fatalf("frames: %d and %d", len(out[0].frames), len(out[1].frames))
+	}
+	for i := range out[0].frames {
+		if !bytes.Equal(out[0].frames[i], out[1].frames[i]) {
+			t.Errorf("frame %d differs between the two restores", i)
+		}
+	}
+	for name, want := range sections {
+		if !bytes.Equal(snap.Section(name), want) {
+			t.Errorf("section %q was written by a restore", name)
+		}
+	}
+}
+
 // Where the restore is required (attilasim -restore), a refusal is a
 // typed *RestoreError with no session — nothing to run by mistake — and
 // the checkpoint file is left as it was.

@@ -14,27 +14,27 @@ import (
 // streamHash builds a workload against a fresh unified-baseline
 // pipeline and returns the SHA-256 of its trace (header, commands and
 // end record) as trace.Writer writes it.
-func streamHash(t *testing.T, name string, p Params) string {
+func streamHash(name string, p Params) (string, error) {
 	pipe, err := gpu.New(gpu.BaselineUnified(), p.Width, p.Height)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	cmds, hdr, err := Build(name, pipe, p)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	h := sha256.New()
 	w, err := trace.NewWriter(h, hdr)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	if err := w.WriteCommands(cmds); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // pinnedStreams are the trace hashes of every workload at 128x96x2,
@@ -62,23 +62,41 @@ var pinnedStreams = map[string]string{
 
 // TestBuildStreamsPinned proves the texture kernels exact without
 // running the simulator: every workload's command stream, mip chains
-// and compressed tiles included, must hash as it always has.
+// and compressed tiles included, must hash as it always has. It runs
+// twice in one process: cold, from an empty texture cache, so every
+// texture is synthesised and encoded at its first use, and then warm,
+// every texture coming from the cache and none built again.
 func TestBuildStreamsPinned(t *testing.T) {
-	for _, name := range Names() {
-		for _, seed := range []int64{1, 2, 7} {
-			key := fmt.Sprintf("%s/seed%d", name, seed)
-			p := Params{Width: 128, Height: 96, Frames: 2, Aniso: 8, Seed: seed}
-			got := streamHash(t, name, p)
-			if want := pinnedStreams[key]; got != want {
-				t.Errorf("%s: stream hash %s, pinned %s", key, got, want)
+	textures.reset()
+	for _, pass := range []string{"cold", "warm"} {
+		t.Run(pass, func(t *testing.T) {
+			built := textures.kept()
+			for _, name := range Names() {
+				for _, seed := range []int64{1, 2, 7} {
+					key := fmt.Sprintf("%s/seed%d", name, seed)
+					p := Params{Width: 128, Height: 96, Frames: 2, Aniso: 8, Seed: seed}
+					got, err := streamHash(name, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := pinnedStreams[key]; got != want {
+						t.Errorf("%s: stream hash %s, pinned %s", key, got, want)
+					}
+				}
 			}
-		}
+			if pass == "warm" && textures.kept() != built {
+				t.Errorf("warm pass: the cache went from %d to %d textures", built, textures.kept())
+			}
+		})
 	}
 }
 
 // BenchmarkBuild times workload.Build at the benchmark's scene sizes:
 // the command stream, texture synthesis, mip chains and tile encoding
 // included; the machine it builds against is made outside the timer.
+// The cold sub-benchmarks empty the texture cache before every op, so
+// every texture is synthesised and encoded inside the timer; the warm
+// ones fill it once, untimed, and every op takes its textures from it.
 // texels/s counts every texel of every mip level the scene uploads.
 func BenchmarkBuild(b *testing.B) {
 	for _, bc := range []struct {
@@ -88,25 +106,34 @@ func BenchmarkBuild(b *testing.B) {
 		{"ut2004", Params{Width: 256, Height: 192, Frames: 4, Aniso: 8, Seed: 1}},
 		{"doom3", Params{Width: 320, Height: 240, Frames: 3, Aniso: 8, Seed: 1}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var texels int
-			for i := 0; i < b.N; i++ {
+		for _, mode := range []string{"cold", "warm"} {
+			cold := mode == "cold"
+			b.Run(bc.name+"/"+mode, func(b *testing.B) {
+				build := func() []gpu.Command {
+					pipe, err := gpu.New(gpu.BaselineUnified(), bc.p.Width, bc.p.Height)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if cold {
+						textures.reset()
+					}
+					b.StartTimer()
+					cmds, _, err := Build(bc.name, pipe, bc.p)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					return cmds
+				}
 				b.StopTimer()
-				pipe, err := gpu.New(gpu.BaselineUnified(), bc.p.Width, bc.p.Height)
-				if err != nil {
-					b.Fatal(err)
+				texels := uploadedTexels(build())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
 				}
-				b.StartTimer()
-				cmds, _, err := Build(bc.name, pipe, bc.p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					texels = uploadedTexels(cmds)
-				}
-			}
-			b.ReportMetric(float64(texels)*float64(b.N)/b.Elapsed().Seconds(), "texels/s")
-		})
+				b.ReportMetric(float64(texels)*float64(b.N)/b.Elapsed().Seconds(), "texels/s")
+			})
+		}
 	}
 }
 

@@ -25,9 +25,10 @@ func Doom3TwoSided(ctx *gl.Context, p Params) error { return doom3(ctx, p, true)
 func doom3(ctx *gl.Context, p Params, twoSided bool) error {
 	texParams := gl.DefaultTexParams()
 	texParams.MaxAniso = p.Aniso
-	wallTex := ctx.TexImage2D(rockTexture(256, p.Seed+11), texemu.FmtDXT1, texParams)
-	floorTex := ctx.TexImage2D(checkerTexture(256, 16,
-		texemu.RGBA{110, 105, 95, 255}, texemu.RGBA{70, 66, 60, 255}), texemu.FmtRGBA8, texParams)
+	wallTex := texImage(ctx, texKey{gen: genRock, size: 256, seed: p.Seed + 11, format: texemu.FmtDXT1}, texParams)
+	floorTex := texImage(ctx, texKey{gen: genChecker, size: 256, square: 16,
+		a: texemu.RGBA{110, 105, 95, 255}, b: texemu.RGBA{70, 66, 60, 255},
+		format: texemu.FmtRGBA8}, texParams)
 
 	// Room interior (normals pointing inward) and two box occluders.
 	const roomW, roomH, roomD = 24.0, 10.0, 28.0

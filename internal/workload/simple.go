@@ -12,11 +12,11 @@ import (
 // smallest workload that touches both shading paths; used by the
 // quickstart example and smoke tests.
 func Simple(ctx *gl.Context, p Params) error {
-	floorImg := checkerTexture(64, 8,
-		texemu.RGBA{200, 200, 200, 255}, texemu.RGBA{40, 40, 80, 255})
 	params := gl.DefaultTexParams()
 	params.MaxAniso = p.Aniso
-	floorTex := ctx.TexImage2D(floorImg, texemu.FmtRGBA8, params)
+	floorTex := texImage(ctx, texKey{gen: genChecker, size: 64, square: 8,
+		a: texemu.RGBA{200, 200, 200, 255}, b: texemu.RGBA{40, 40, 80, 255},
+		format: texemu.FmtRGBA8}, params)
 
 	var floor Mesh
 	fv := func(x, z, u, v float32) Vertex {

@@ -18,12 +18,12 @@ func UT2004Like(ctx *gl.Context, p Params) error {
 	texParams := gl.DefaultTexParams()
 	texParams.MaxAniso = p.Aniso
 
-	grass := ctx.TexImage2D(grassTexture(256, p.Seed), texemu.FmtDXT1, texParams)
-	rock := ctx.TexImage2D(rockTexture(256, p.Seed+1), texemu.FmtDXT1, texParams)
-	lightmap := ctx.TexImage2D(lightmapTexture(128, p.Seed+2), texemu.FmtRGBA8, texParams)
+	grass := texImage(ctx, texKey{gen: genGrass, size: 256, seed: p.Seed, format: texemu.FmtDXT1}, texParams)
+	rock := texImage(ctx, texKey{gen: genRock, size: 256, seed: p.Seed + 1, format: texemu.FmtDXT1}, texParams)
+	lightmap := texImage(ctx, texKey{gen: genLightmap, size: 128, seed: p.Seed + 2, format: texemu.FmtRGBA8}, texParams)
 	leafParams := texParams
 	leafParams.MaxAniso = 1
-	foliage := ctx.TexImage2D(foliageTexture(128, p.Seed+3), texemu.FmtDXT3, leafParams)
+	foliage := texImage(ctx, texKey{gen: genFoliage, size: 128, seed: p.Seed + 3, format: texemu.FmtDXT3}, leafParams)
 
 	// Terrain: a grid with a noise heightfield, tiled diffuse UVs
 	// and a single lightmap chart over the whole patch.
@@ -153,9 +153,9 @@ func UT2004Like(ctx *gl.Context, p Params) error {
 func Spinner(ctx *gl.Context, p Params) error {
 	texParams := gl.DefaultTexParams()
 	texParams.MaxAniso = 1
-	tex := ctx.TexImage2D(checkerTexture(32, 4,
-		texemu.RGBA{220, 220, 220, 255}, texemu.RGBA{60, 60, 120, 255}),
-		texemu.FmtRGBA8, texParams)
+	tex := texImage(ctx, texKey{gen: genChecker, size: 32, square: 4,
+		a: texemu.RGBA{220, 220, 220, 255}, b: texemu.RGBA{60, 60, 120, 255},
+		format: texemu.FmtRGBA8}, texParams)
 
 	var cube Mesh
 	faces := [6][4]v3{
