@@ -37,7 +37,8 @@ test:
 # carrying 48 frames) and the job construction benchmark (run.Start for each of
 # the benchmark sweep's four job kinds), so they cannot rot;
 # then fuzz smokes over the trace reader, the checkpoint container
-# reader (version 1, 2 and 3 seeds) and section codec, the checkpoint's
+# reader (a version 3 file, and the same file patched to versions 1, 2
+# and 4, which must fail typed) and section codec, the checkpoint's
 # GPU memory section decoder, the decoded shader interpreter against
 # its reference evaluator, and the DXT encoder against its model.
 # Everything else, byte identity included, is in `make test`.

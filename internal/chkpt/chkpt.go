@@ -1,8 +1,7 @@
 // Package chkpt implements the checkpoint/restore subsystem: a
 // versioned, CRC-guarded container of named state sections, written
-// uncompressed (the gzipped files of container versions 1 and 2 still
-// read), a bounded binary codec for writing them, and a cycle barrier
-// engine that captures checkpoints at quiesced safe points.
+// uncompressed, a bounded binary codec for writing them, and a cycle
+// barrier engine that captures checkpoints at quiesced safe points.
 //
 // The design leans on the same property that makes clocking order
 // irrelevant (every signal has latency >= 1): at a cycle barrier where the
@@ -23,7 +22,6 @@ package chkpt
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,15 +73,12 @@ type Snapshotter interface {
 // Format constants.
 const (
 	magic = "ATTILACKPT"
-	// Version 3 writes the payload as it is; versions 1 and 2 gzipped
-	// it, and Read still inflates theirs. Version 2 added an int64 slot
-	// after the workload fingerprint that once held a lease epoch, which
-	// Read skips; versions 1 and 3 have no slot.
-	version    = 3
-	minVersion = 1
-	// maxPayload caps the payload (inflated, for versions 1 and 2) so a
-	// corrupt or malicious length field cannot balloon memory (the
-	// decoder is fuzzed against exactly that).
+	// Version 3 writes the payload as it is. Versions 1 and 2, which
+	// gzipped it, are refused like any other: nothing writes them.
+	version = 3
+	// maxPayload caps the payload so a corrupt or malicious length
+	// field cannot balloon memory (the decoder is fuzzed against exactly
+	// that).
 	maxPayload = 1 << 30
 	// maxSections caps the section count.
 	maxSections = 1 << 16
@@ -281,23 +276,13 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if string(hdr[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	v := binary.LittleEndian.Uint32(hdr[len(magic):])
-	if v < minVersion || v > version {
-		return nil, fmt.Errorf("%w: unsupported version %d (want %d..%d)", ErrFormat, v, minVersion, version)
+	if v := binary.LittleEndian.Uint32(hdr[len(magic):]); v != version {
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrFormat, v, version)
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[len(magic)+4:])
 	size := binary.LittleEndian.Uint64(hdr[len(magic)+8:])
 	if size > maxPayload {
 		return nil, fmt.Errorf("%w: declared payload %d exceeds limit", ErrCorrupt, size)
-	}
-	src := r
-	if v < 3 {
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-		}
-		defer zr.Close()
-		src = zr
 	}
 	// Room for the payload, up to 1 MiB, and for the read past its end
 	// that finds EOF: the buffer asks for bytes.MinRead free bytes before
@@ -305,7 +290,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	// twice its size.
 	raw := make([]byte, 0, min64(size, 1<<20)+bytes.MinRead)
 	buf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(buf, io.LimitReader(src, int64(size)+1)); err != nil {
+	if _, err := io.Copy(buf, io.LimitReader(r, int64(size)+1)); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
 	raw = buf.Bytes()
@@ -325,9 +310,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	snap.Meta.Cycle = d.I64()
 	snap.Meta.Config = d.Str()
 	snap.Meta.Workload = d.Str()
-	if v == 2 {
-		d.I64() // the epoch slot: provenance an older writer stamped, not machine state
-	}
 	n := d.U32()
 	if n > maxSections {
 		return nil, fmt.Errorf("%w: %d sections exceeds limit", ErrCorrupt, n)

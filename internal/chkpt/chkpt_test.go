@@ -2,15 +2,14 @@ package chkpt
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -135,9 +134,10 @@ func TestReadTypedErrors(t *testing.T) {
 	badMagic[0] ^= 0xFF
 	check("bad magic", badMagic, ErrFormat)
 
-	badVersion := append([]byte(nil), valid...)
-	badVersion[len(magic)] = 0xEE
-	check("bad version", badVersion, ErrFormat)
+	// The gzipped versions 1 and 2 are refused like any other.
+	for _, v := range []uint32{1, 2, 4, 0xEE} {
+		check(fmt.Sprintf("version %d", v), withVersion(valid, v), ErrFormat)
+	}
 
 	// The payload is written as it is: a flipped byte fails the CRC, a
 	// file cut inside it or one that runs on past it fails typed.
@@ -286,24 +286,12 @@ func FuzzRead(f *testing.F) {
 	if err := Capture(Meta{Cycle: 7, Config: "cfg", Workload: "wl"}, testParts()).Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
-	// Version 3 as Encode writes it, and by hand the gzipped versions
-	// older writers left: version 2 with the epoch slot they stamped,
-	// version 1, which has no slot.
+	// Version 3 as Encode writes it, and the same file with its version
+	// word patched to the gzipped versions 1 and 2 and to a future 4:
+	// those, and any other version, must fail with ErrFormat.
 	files := [][]byte{buf.Bytes()}
-	for _, ver := range []uint32{1, 2} {
-		var p Encoder
-		p.I64(7)
-		p.Str("cfg")
-		p.Str("wl")
-		if ver == 2 {
-			p.I64(42)
-		}
-		p.U32(2)
-		p.Str("a")
-		p.Blob([]byte{1, 2, 3})
-		p.Str("b")
-		p.Blob(nil)
-		files = append(files, encodeGzipContainer(f, ver, p.Bytes()))
+	for _, v := range []uint32{1, 2, 4} {
+		files = append(files, withVersion(buf.Bytes(), v))
 	}
 	for _, valid := range files {
 		f.Add(valid)
@@ -325,6 +313,10 @@ func FuzzRead(f *testing.F) {
 				t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 			}
 			return
+		}
+		if len(data) >= len(magic)+4+4+8 && string(data[:len(magic)]) == magic &&
+			binary.LittleEndian.Uint32(data[len(magic):]) != version && !errors.Is(err, ErrFormat) {
+			t.Fatalf("a version-%d file: got %v, want ErrFormat", binary.LittleEndian.Uint32(data[len(magic):]), err)
 		}
 		for _, want := range []error{ErrFormat, ErrCorrupt, ErrTruncated} {
 			if errors.Is(err, want) {
@@ -363,77 +355,11 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// TestEpochSlotSkippedAndV1Compat: version 2 containers carry an int64
-// slot after the workload fingerprint that older writers stamped with a
-// lease epoch. A hand-built v2 file whose slot holds 42 must read back
-// with its meta and sections intact, a version-1 file (no slot) must
-// read the same way, and an unknown future version must fail typed.
-func TestEpochSlotSkippedAndV1Compat(t *testing.T) {
-	meta := Meta{Cycle: 7, Config: "c", Workload: "w"}
-	sections := map[string][]byte{"a.section": {1, 2, 3}, "b.section": {}}
-	names := []string{"a.section", "b.section"}
-	payload := func(slot bool) []byte {
-		var e Encoder
-		e.I64(meta.Cycle)
-		e.Str(meta.Config)
-		e.Str(meta.Workload)
-		if slot {
-			e.I64(42)
-		}
-		e.U32(uint32(len(names)))
-		for _, name := range names {
-			e.Str(name)
-			e.Blob(sections[name])
-		}
-		return e.Bytes()
-	}
-	for _, c := range []struct {
-		ver  uint32
-		slot bool
-	}{{2, true}, {1, false}} {
-		got, err := Read(bytes.NewReader(encodeGzipContainer(t, c.ver, payload(c.slot))))
-		if err != nil {
-			t.Fatalf("version-%d container rejected: %v", c.ver, err)
-		}
-		if got.Meta != meta {
-			t.Errorf("v%d meta %+v, want %+v", c.ver, got.Meta, meta)
-		}
-		if !slices.Equal(got.Sections(), names) {
-			t.Errorf("v%d sections %v, want %v", c.ver, got.Sections(), names)
-		}
-		for _, name := range names {
-			if !bytes.Equal(got.Section(name), sections[name]) {
-				t.Errorf("v%d section %s = %v, want %v", c.ver, name, got.Section(name), sections[name])
-			}
-		}
-	}
-
-	v9 := encodeGzipContainer(t, 9, payload(true))
-	if _, err := Read(bytes.NewReader(v9)); !errors.Is(err, ErrFormat) {
-		t.Errorf("version 9: got %v, want ErrFormat", err)
-	}
-}
-
-// encodeGzipContainer writes a container the way versions 1 and 2 did,
-// the payload gzipped, with an explicit version number (test helper for
-// compatibility checks).
-func encodeGzipContainer(t testing.TB, ver uint32, raw []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	var hdr [len(magic) + 4 + 4 + 8]byte
-	copy(hdr[:], magic)
-	binary.LittleEndian.PutUint32(hdr[len(magic):], ver)
-	binary.LittleEndian.PutUint32(hdr[len(magic)+4:], crc32.Checksum(raw, crcTable))
-	binary.LittleEndian.PutUint64(hdr[len(magic)+8:], uint64(len(raw)))
-	buf.Write(hdr[:])
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// withVersion returns a copy of file with its version word set to v.
+func withVersion(file []byte, v uint32) []byte {
+	out := append([]byte(nil), file...)
+	binary.LittleEndian.PutUint32(out[len(magic):], v)
+	return out
 }
 
 // concatEncode is the model of Snapshot.Encode: it assembles the whole

@@ -63,11 +63,6 @@ type Machine struct {
 	// the capture it asks for at the final barrier, instead of to taking
 	// it.
 	NoFinalCapture bool
-	// Fixtures are checkpoint files of this machine's run that an older
-	// binary wrote, each restored like a capture: one at the final
-	// barrier restores what a machine that declines to capture there
-	// cannot write.
-	Fixtures [][]byte
 }
 
 // A Scenario builds a fresh machine on every call: the parked one
@@ -105,30 +100,16 @@ type Outputs struct {
 // Diff runs the scenario parked and under PassAll, the every-box run
 // also asked for a capture at the parked run's final barrier; then,
 // when the machine checkpoints, it restores a fresh machine from every
-// capture and every fixture and runs it to its end. It returns the
+// capture and runs it to its end. It returns the
 // parked run's outputs and every way the other runs differ from it: a
 // restored run must end as the parked run did, on the same barriers on
 // the way.
 func Diff(tb testing.TB, s Scenario) (*Outputs, []string) {
 	tb.Helper()
-	first := s(tb)
-	chains := map[int64]uint64{} // the parked run's Barriers at each fixture's cycle
-	var fixtures []Capture
-	for _, file := range first.Fixtures {
-		snap, err := chkpt.Read(bytes.NewReader(file))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		// A file holds the cycle after its barrier: the clock advances
-		// before the barrier's hooks run.
-		barrier := snap.Meta.Cycle - 1
-		fixtures = append(fixtures, Capture{Cycle: barrier, File: file})
-		chains[barrier] = 0
-	}
-	parked := record(tb, first, nil, -1, chains)
+	parked := record(tb, s(tb), nil, -1)
 	m := s(tb)
 	m.Sim.SetClockGate(PassAll{})
-	every := record(tb, m, nil, parked.Cycles-2, nil)
+	every := record(tb, m, nil, parked.Cycles-2)
 	var forced []Capture
 	if n := len(parked.Captures); len(every.Captures) > n {
 		forced, every.Captures = every.Captures[n:], every.Captures[:n]
@@ -149,15 +130,8 @@ func Diff(tb testing.TB, s Scenario) (*Outputs, []string) {
 	default:
 		diffs = append(diffs, fmt.Sprintf("no capture at the final barrier, cycle %d", final))
 	}
-	for _, f := range fixtures {
-		if f.chain = chains[f.Cycle]; f.chain == 0 {
-			diffs = append(diffs, fmt.Sprintf("a fixture at cycle %d, not a barrier of the run", f.Cycle))
-			continue
-		}
-		captures = append(captures[:len(captures):len(captures)], f)
-	}
 	for _, c := range captures {
-		restored := record(tb, s(tb), &c, -1, nil)
+		restored := record(tb, s(tb), &c, -1)
 		restored.Windows, restored.NDJSON, restored.Captures = parked.Windows, parked.NDJSON, parked.Captures
 		diffs = append(diffs, parked.Diff(fmt.Sprintf("restored at cycle %d", c.Cycle), restored)...)
 	}
@@ -182,13 +156,12 @@ func Check(tb testing.TB, s Scenario) *Outputs {
 // left.
 func Record(tb testing.TB, m *Machine) *Outputs {
 	tb.Helper()
-	return record(tb, m, nil, -1, nil)
+	return record(tb, m, nil, -1)
 }
 
 // record runs m, restored from a capture when from is set, and at the
 // barrier forceAt asks its checkpoint engine for a capture at the next.
-// It notes Barriers in chains at every barrier chains has a key for.
-func record(tb testing.TB, m *Machine, from *Capture, forceAt int64, chains map[int64]uint64) *Outputs {
+func record(tb testing.TB, m *Machine, from *Capture, forceAt int64) *Outputs {
 	tb.Helper()
 	out := &Outputs{Barriers: 14695981039346656037} // FNV-1a's offset basis; its prime below
 	nd := fnv.New64a()
@@ -224,9 +197,6 @@ func record(tb testing.TB, m *Machine, from *Capture, forceAt int64, chains map[
 			p, c := sig.Traffic()
 			fold(p)
 			fold(c)
-		}
-		if _, ok := chains[cycle]; ok {
-			chains[cycle] = out.Barriers
 		}
 		eng := m.Checkpoints
 		if eng == nil {

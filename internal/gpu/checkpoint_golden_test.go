@@ -2,15 +2,14 @@ package gpu_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -194,30 +193,28 @@ func goldenMachine(tb testing.TB, c goldenScene, workers int, rows, interval int
 	return m
 }
 
-// checkpointIdentity hashes what a checkpoint file says: its header
-// (magic, version, payload CRC and length) and its payload, which
-// container version 3 writes as it is and versions 1 and 2 gzipped (the
-// deflated bytes followed from the payload and the toolchain's deflate).
-// The chkpt tests hold Encode to the bytes of the assembled payload.
-func checkpointIdentity(t *testing.T, h io.Writer, c coretest.Capture) {
+// checkpointIdentity hashes what a checkpoint says of the machine, as
+// chkpt.Read decodes it: the capture's barrier and meta cycle, its
+// workload, and every section's name and bytes. The configuration string, which names the
+// model revision, is held to the pipeline's fingerprint instead, so a
+// revision bump moves no pin.
+func checkpointIdentity(t *testing.T, h io.Writer, c coretest.Capture, fingerprint string) {
 	t.Helper()
-	const header = 10 + 4 + 4 + 8
-	if len(c.File) < header {
-		t.Fatalf("checkpoint at cycle %d is %d bytes", c.Cycle, len(c.File))
+	snap, err := chkpt.Read(bytes.NewReader(c.File))
+	if err != nil {
+		t.Fatal(err)
 	}
-	payload := c.File[header:]
-	if binary.LittleEndian.Uint32(c.File[10:]) < 3 {
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload, err = io.ReadAll(zr); err != nil {
-			t.Fatal(err)
-		}
+	if snap.Meta.Config != fingerprint {
+		t.Errorf("checkpoint at cycle %d is for configuration %q, the pipeline's is %q", c.Cycle, snap.Meta.Config, fingerprint)
 	}
 	binary.Write(h, binary.LittleEndian, c.Cycle)
-	h.Write(c.File[:header])
-	h.Write(payload)
+	binary.Write(h, binary.LittleEndian, snap.Meta.Cycle)
+	fmt.Fprintf(h, "%s\x00", snap.Meta.Workload)
+	for _, name := range snap.Sections() {
+		sec := snap.Section(name)
+		fmt.Fprintf(h, "%s\x00%d\x00", name, len(sec))
+		h.Write(sec)
+	}
 }
 
 // goldenInterval is a golden scene's checkpoint interval: the spinner
@@ -259,48 +256,47 @@ func TestParkedClockIsNoOp(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpoints pins the golden scenes' checkpoint files, as a
+// TestGoldenCheckpoints pins the golden scenes' checkpoints, as a
 // parked run with a row every 1000 cycles writes them: which cycles
-// capture, and every byte the files say. No scene captures after its
-// last command; every capture before it holds the meta and sections
-// 91dbc46 wrote (the pins moved once since, when container version 3
-// stopped gzipping the payload and dropped the epoch slot).
-// ut2004-par2 is the benchmark's workload of that name, which still sets
-// the ignored Workers: 2 (ROADMAP item 7): its files are ut2004-tex's,
-// byte for byte. spinner-geom's one frame ends with its one safe point,
-// so it captures nothing.
-//
-// The last subtest restores a file an older attilasim wrote after the
-// last command (lastCommandFixture) into the same scene, beside every
-// capture of its own, to the outputs of the uninterrupted run.
+// capture, and what each capture holds (checkpointIdentity). No scene
+// captures after its last command; every capture before it holds the
+// sections 91dbc46 wrote. ut2004-par2 is the benchmark's workload of
+// that name, which still sets the ignored Workers: 2 (ROADMAP item 7):
+// its captures are ut2004-tex's, byte for byte. spinner-geom's one frame
+// ends with its one safe point, so it captures nothing.
 func TestGoldenCheckpoints(t *testing.T) {
 	pinned := map[string]struct {
 		cycles []int64
 		sha    string
 	}{
 		"ut2004-tex": {[]int64{39895},
-			"1891a0d6b1d65e8e41974ba39db6bc5f81c8de3bc05f6b213b162f8a350b8893"},
+			"d5d89c6410a704a732a8ccae47681738282d94b75c003e329ba67381bfe1b4fb"},
 		"doom3-stencil": {[]int64{69549},
-			"df8529b2dbd701b3f35edad649cef776329050618b0ffc6b38874cef2f631b7f"},
+			"1c02771ef4590d8709315526a5a2bf2d63bcc01e3682cb46cac266c468c9711e"},
 		"spinner-geom": {nil,
 			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 		"ut2004-par2": {[]int64{39895},
-			"1891a0d6b1d65e8e41974ba39db6bc5f81c8de3bc05f6b213b162f8a350b8893"},
+			"d5d89c6410a704a732a8ccae47681738282d94b75c003e329ba67381bfe1b4fb"},
 		"ut2004-inorder": {[]int64{39208},
-			"3afd72517d04124b6661cc41887634a91db51ceb41cc85fb6104010ea85c111c"},
+			"309ffe3603b2b26e0481031a0ee294ed5094e078618db5e6f5d5be6232408a68"},
 		"spinner-3f": {[]int64{9573, 14300},
-			"88c2c7f88b14f565a9c020f3881f37190b2df44483a0020b899e0fb7f2bdfea8"},
+			"6f960c0599adbd123eca3e497d7c2aae58531a54ab0fc4d8f20218ce59391b70"},
 		"doom3-2f": {[]int64{69549, 111120},
-			"42b7b59b28da486e57b649227b1e6d8914a6f0e3760727719da132b7bbc04341"},
+			"b4c480a5da7823b66eb082cf345f4ca1bb3bd129ba1cbf7408118c4421533c67"},
 		"ut2004-3f": {[]int64{39895, 95851, 155592},
-			"568dfee7a15d62fa98c564aea3c7dd822567bf2436715ff09f1526c86bcd5c7a"},
+			"79a6615473fb6f00997df89e8b92e9a63c2123e664a1ec169943277b93987e05"},
 		"ut2004-1tu": {[]int64{39208, 122445},
-			"2b8e5d867312c94c4a9a13643ec344b4e19f6eb4a6a56947d9c949226ab275c3"},
+			"c078b817ce777cce99e8d3aabcde80bfa80a59c5ac36a2a15973000db1193d04"},
 	}
 	for _, c := range goldenScenes {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			pin := pinned[c.name]
+			// The fingerprint leaves out the watchdog window and Workers
+			// goldenMachine sets.
+			cfg := c.cfg
+			cfg.StatInterval = 1000
+			pipe, _ := buildGolden(t, c, cfg)
 			out := coretest.Record(t, goldenMachine(t, c, c.workers, 1000, goldenInterval(c)))
 			if out.Err != "" {
 				t.Fatal(out.Err)
@@ -309,7 +305,7 @@ func TestGoldenCheckpoints(t *testing.T) {
 			h := sha256.New()
 			for _, cp := range out.Captures {
 				cycles = append(cycles, cp.Cycle)
-				checkpointIdentity(t, h, cp)
+				checkpointIdentity(t, h, cp, pipe.ConfigFingerprint())
 			}
 			if !slices.Equal(cycles, pin.cycles) {
 				t.Errorf("captured at cycles %v, pinned %v", cycles, pin.cycles)
@@ -319,78 +315,61 @@ func TestGoldenCheckpoints(t *testing.T) {
 			}
 		})
 	}
-	t.Run("older-binary-fixture", func(t *testing.T) {
-		t.Parallel()
-		fixture := lastCommandFixture(t)
-		out := coretest.Check(t, func(tb testing.TB) *coretest.Machine {
-			m := cliMachine(tb, 0, goldenInterval(goldenScenes[0]))
-			m.Fixtures = [][]byte{fixture}
-			return m
-		})
-		if len(out.Captures) == 0 {
-			t.Error("the scene captures nothing of its own to restore beside the fixture")
-		}
-	})
-}
-
-// lastCommandFixture reads a checkpoint that attilasim wrote at
-// 01f498b, in container version 2, of ut2004 at 64x48, one frame:
-//
-//	tracegen -workload ut2004 -width 64 -height 48 -frames 1 -out ut.attila
-//	attilasim -trace ut.attila -config baseline-unified \
-//	    -checkpoint-interval 20000 -checkpoint ut2004-64x48-final-v2.ckpt
-//
-// It holds the run's last capture, at cycle 95851, the barrier its last
-// command completed on, taken without a watchdog.
-// Pipeline.EnableCheckpoints takes no capture there any more.
-func lastCommandFixture(tb testing.TB) []byte {
-	tb.Helper()
-	file, err := os.ReadFile(filepath.Join("testdata", "ut2004-64x48-final-v2.ckpt"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(file[10:]); v != 2 {
-		tb.Fatalf("the fixture is container version %d, not 2", v)
-	}
-	return file
 }
 
 // cliMachine is the golden ut2004-tex scene as attilasim runs it, with
-// the preset's own statistics interval and the given watchdog window and
-// checkpoint interval (0: none of either).
-func cliMachine(tb testing.TB, window, interval int64) *coretest.Machine {
+// the preset's own statistics interval and the given checkpoint interval
+// (0: none).
+func cliMachine(tb testing.TB, interval int64) *coretest.Machine {
 	c := goldenScenes[0]
-	cfg := c.cfg
-	cfg.WatchdogWindow = window
-	pipe, cmds := buildGolden(tb, c, cfg)
+	pipe, cmds := buildGolden(tb, c, c.cfg)
 	return pipeMachine(tb, pipe, cmds, c.generator, interval)
 }
 
-// A file written without a watchdog holds no progress view, so a
-// pipeline that arms one cannot tell from it the barrier the last
-// command completed on from the final barrier: restored there, it must
-// run the cycle the command processor still needs, not stop. The
-// fixture an older attilasim wrote is such a file: it captures at
-// 95851, the scene's completion barrier, and the scene ends on 95853.
-func TestUnguardedCaptureRestoresIntoGuardedRun(t *testing.T) {
-	ref := coretest.Record(t, cliMachine(t, 0, 0))
-	if ref.Err != "" || ref.Cycles != 95853 {
-		t.Fatalf("the uninterrupted run: %d cycles (%q), the fixture's ran 95853", ref.Cycles, ref.Err)
+// A restore takes only a checkpoint of its own container version and
+// model revision. The scene's first capture, with its version word
+// patched to 1 or 2 (the gzipped containers older binaries wrote), is
+// refused by chkpt.Read with ErrFormat; written at the next model
+// revision, or before fingerprints named one, it is refused by
+// RestoreCheckpoint with ErrMismatch naming both revisions.
+func TestOtherRevisionOrVersionRefused(t *testing.T) {
+	out := coretest.Record(t, cliMachine(t, goldenInterval(goldenScenes[0])))
+	if out.Err != "" || len(out.Captures) == 0 {
+		t.Fatalf("%d captures, error %q: nothing to restore", len(out.Captures), out.Err)
 	}
-	m := cliMachine(t, 1_000_000, 0)
-	if err := m.Restore(lastCommandFixture(t)); err != nil {
+	file := out.Captures[0].File
+	if err := cliMachine(t, 0).Restore(file); err != nil {
+		t.Fatalf("the capture as written: %v", err)
+	}
+	for _, v := range []uint32{1, 2} {
+		patched := slices.Clone(file)
+		binary.LittleEndian.PutUint32(patched[len("ATTILACKPT"):], v)
+		if _, err := chkpt.Read(bytes.NewReader(patched)); !errors.Is(err, chkpt.ErrFormat) {
+			t.Errorf("version %d: %v, want ErrFormat", v, err)
+		}
+	}
+
+	snap, err := chkpt.Read(bytes.NewReader(file))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Resume(); err != nil {
-		t.Fatal(err)
+	this, next := fmt.Sprintf("revision %d", gpu.ModelRevision), fmt.Sprintf("revision %d", gpu.ModelRevision+1)
+	if !strings.HasPrefix(snap.Meta.Config, this+" ") {
+		t.Fatalf("fingerprint %q does not start with %q", snap.Meta.Config, this)
 	}
-	var csv bytes.Buffer
-	if err := m.Sim.Stats.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Sim.Cycle(); got != ref.Cycles || !bytes.Equal(csv.Bytes(), ref.CSV) {
-		t.Errorf("restored with a watchdog armed: %d cycles (CSV equal: %v), the uninterrupted run %d",
-			got, bytes.Equal(csv.Bytes(), ref.CSV), ref.Cycles)
+	for _, c := range []struct{ config, names string }{
+		{next + strings.TrimPrefix(snap.Meta.Config, this), next},
+		{strings.TrimPrefix(snap.Meta.Config, this+" "), "revision 0"},
+	} {
+		snap.Meta.Config = c.config
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		err := cliMachine(t, 0).Restore(buf.Bytes())
+		if !errors.Is(err, chkpt.ErrMismatch) || !strings.Contains(err.Error(), c.names) || !strings.Contains(err.Error(), this) {
+			t.Errorf("a file of %s: %v, want ErrMismatch naming %s and %s", c.names, err, c.names, this)
+		}
 	}
 }
 

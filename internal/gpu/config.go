@@ -140,9 +140,9 @@ type Config struct {
 	ClockMHz int
 
 	// Workers is ignored: a vestige of the parallel clock loop, kept
-	// where it was because ConfigFingerprint formats this struct and old
-	// checkpoints carry it (ROADMAP item 7). > 1 logs one warning per
-	// process; a run always uses one clock goroutine.
+	// because bench/scenes.go still sets it for ut2004-par2 (ROADMAP
+	// item 7). > 1 logs one warning per process; a run always uses one
+	// clock goroutine.
 	Workers int
 
 	// WatchdogWindow arms the no-progress watchdog: a run with no

@@ -56,18 +56,10 @@ func (cp *CommandProcessor) RestoreState(d *chkpt.Decoder) error {
 	if pc < 0 || pc > len(cp.cmds) {
 		return fmt.Errorf("%w: command pc %d outside the %d-command stream", chkpt.ErrMismatch, pc, len(cp.cmds))
 	}
+	// finished is not in the section: a capture at pc == len(cmds), which
+	// only a direct Checkpoint takes, restores unfinished.
 	cp.pc = pc
 	cp.nextBatchID = next
-	// Only a file an older binary wrote holds a capture at the end of
-	// the stream: EnableCheckpoints takes none there. Such a safe point
-	// is the barrier of the cycle the last command completed in, or the
-	// next, the final one: the CP finishes on a clock of its own. Only
-	// that completion's progress tells them apart, so the watchdog's view
-	// does when the file holds one and a watchdog is armed to load it;
-	// otherwise a capture at the final barrier restores unfinished, and
-	// runs a cycle long.
-	since, _, known := cp.sim.WatchdogProgress()
-	cp.finished = pc == len(cp.cmds) && known && since < cp.sim.Cycle()-1
 	return nil
 }
 
@@ -445,15 +437,22 @@ func (p *Pipeline) resolveCheckpointing() {
 // not modify it.
 func (p *Pipeline) Snapshotters() []chkpt.Snapshotter { return p.parts }
 
-// ConfigFingerprint identifies the machine configuration a checkpoint
-// belongs to. Host-only knobs (the ignored Workers, the watchdog
+// ModelRevision names the timing model a checkpoint was written by. Any
+// change that moves a golden cycle count or frame on purpose bumps it:
+// a file of another revision would restore the old model's state into
+// the new one, and the run would finish as neither.
+const ModelRevision = 1
+
+// ConfigFingerprint identifies the machine a checkpoint belongs to: the
+// model revision, the frame size and the Config fields. Host-only knobs
+// (the ignored Workers, which bench/ still sets, and the watchdog
 // window) are zeroed: they do not affect simulated state, so a
 // checkpoint restores whatever either side set them to.
 func (p *Pipeline) ConfigFingerprint() string {
 	c := *p.Cfg
 	c.Workers = 0
 	c.WatchdogWindow = 0
-	return fmt.Sprintf("%dx%d %+v", p.w, p.h, c)
+	return fmt.Sprintf("revision %d %dx%d %+v", ModelRevision, p.w, p.h, c)
 }
 
 // Checkpoint captures the full machine state. It fails unless the
@@ -507,6 +506,11 @@ func (p *Pipeline) EnableCheckpoints(path, workload string, interval int64, extr
 // does not have) are ignored. Continue with ResumeContext — not Run or
 // RunContext, which would reset the command stream position.
 func (p *Pipeline) RestoreCheckpoint(snap *chkpt.Snapshot, cmds []Command, extra ...chkpt.Snapshotter) error {
+	var rev int // 0 for a file written before fingerprints named one
+	fmt.Sscanf(snap.Meta.Config, "revision %d ", &rev)
+	if rev != ModelRevision {
+		return fmt.Errorf("%w: checkpoint is of model revision %d, this binary's is revision %d", chkpt.ErrMismatch, rev, ModelRevision)
+	}
 	if cfg := p.ConfigFingerprint(); snap.Meta.Config != cfg {
 		return fmt.Errorf("%w: checkpoint is for configuration %q, machine is %q", chkpt.ErrMismatch, snap.Meta.Config, cfg)
 	}

@@ -3,13 +3,18 @@ package jobd
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"attila/internal/chkpt"
+	"attila/internal/gpu"
 )
 
 // A failed restore must not poison the replay. Life 1 samples spans
@@ -125,5 +130,96 @@ func TestJobdUnusableCheckpointReplays(t *testing.T) {
 	}
 	if !said {
 		t.Errorf("no log line says the checkpoint was unusable and the run replayed:\n%s", strings.Join(logged, "\n"))
+	}
+}
+
+// A checkpoint of another container version or model revision is
+// refused, and the job replays. A drained job's checkpoint is swapped
+// for its own bytes with the version word patched to 1 or 2 (the gzipped
+// containers older binaries wrote), then for the same capture written at
+// the next model revision, and each time the sweep is resubmitted over
+// the drained directory: the job replays from cycle 0, no log line says
+// it resumed, and its CSV is the clean run's.
+func TestJobdOtherRevisionCheckpointReplays(t *testing.T) {
+	total, cleanCSV := cleanRun(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	dir := t.TempDir()
+	opts := Options{OutDir: dir, Workers: 1, Retries: -1, CheckpointInterval: total / 8, Logf: t.Logf}
+	spec := SweepSpec{Name: "rev", Jobs: []JobSpec{testSpec("rev-1")}}
+	s := New(opts)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitSweep(spec); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, "rev-1", StateRunning)
+	for {
+		if st, _ := s.JobStatus("rev-1"); st.Cycle > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.JobStatus("rev-1"); st.State != StatePreempted || st.CheckpointCycle <= 0 {
+		t.Fatalf("drained job: state %s, checkpoint at cycle %d; want preempted on a checkpoint", st.State, st.CheckpointCycle)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	manifestPath := filepath.Join(dir, "rev-1-manifest.json")
+	ckptPath := filepath.Join(dir, "checkpoints", "rev-1.ckpt")
+	manifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := chkpt.Read(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	this, next := fmt.Sprintf("revision %d ", gpu.ModelRevision), fmt.Sprintf("revision %d ", gpu.ModelRevision+1)
+	if !strings.HasPrefix(snap.Meta.Config, this) {
+		t.Fatalf("fingerprint %q does not start with %q", snap.Meta.Config, this)
+	}
+	snap.Meta.Config = next + strings.TrimPrefix(snap.Meta.Config, this)
+	var other bytes.Buffer
+	if err := snap.Encode(&other); err != nil {
+		t.Fatal(err)
+	}
+	swaps := map[string][]byte{"model " + next: other.Bytes()}
+	for _, v := range []uint32{1, 2} {
+		patched := slices.Clone(file)
+		binary.LittleEndian.PutUint32(patched[len("ATTILACKPT"):], v)
+		swaps[fmt.Sprintf("container version %d", v)] = patched
+	}
+	for what, swap := range swaps {
+		if err := os.WriteFile(manifestPath, manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckptPath, swap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		logf, lines := captureLog(t)
+		opts.Logf = logf
+		if _, err := RunSweep(ctx, opts, spec); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if i := lineWith(lines(), "resuming"); i >= 0 {
+			t.Errorf("%s: the job resumed instead of replaying: %s", what, lines()[i])
+		}
+		if lineWith(lines(), "rev-1", "checkpoint unusable", "replaying") < 0 {
+			t.Errorf("%s: no log line says the checkpoint was unusable and the job replayed", what)
+		}
+		if csv, err := os.ReadFile(filepath.Join(dir, "rev-1.csv")); err != nil || !bytes.Equal(csv, cleanCSV) {
+			t.Errorf("%s: the replayed job's CSV differs from the clean run's (%v)", what, err)
+		}
 	}
 }

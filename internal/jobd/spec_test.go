@@ -3,12 +3,17 @@ package jobd
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // TestSubmitRejectsBadSpecs: a sweep file is input from outside the
 // program, so a job spec that cannot run is refused when the sweep is
-// submitted, not admitted to fail every attempt.
+// submitted, not admitted to fail every attempt. Keys a spec does not
+// have are not a reason to refuse it: a sweep file whose job carries
+// "tenant", "priority" and "resume", as older sweep files did, parses
+// and normalizes.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()}) // no Start: nothing runs
 	for _, body := range []string{
@@ -30,6 +35,19 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Errorf("refused specs left %d jobs behind", len(jobs))
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte(`{"name": "keys", "jobs": [
+		{"name": "with-tenant", "tenant": "a", "priority": 9, "resume": true}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSweepFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs, err := NormalizeSweep(spec); err != nil || len(jobs) != 1 || jobs[0].Name != "with-tenant" {
+		t.Errorf("sweep file with tenant/priority/resume keys: %+v, %v", jobs, err)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -202,6 +204,60 @@ func TestCoreInterfaces(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("internal/core exports interfaces %v, want exactly %v", got, want)
+	}
+}
+
+// DESIGN.md names the tests that hold each mechanism and the files that
+// implement it; a name or path that no longer exists makes the text
+// stale without anything failing. Every backticked Test*, Benchmark* or
+// Fuzz* name must be a function some _test.go defines (followed by "_"
+// or "*" it is a prefix of one, by "/sub" a subtest of it), and every
+// backticked path under internal/, cmd/, bench/ or testdata/ must exist
+// (a glob must match; a trailing ".Ident" names a declaration in it).
+func TestDesignReferencesExist(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(n string, prefix bool) bool {
+		for d := range defined {
+			if d == n || prefix && strings.HasPrefix(d, n) {
+				return true
+			}
+		}
+		return false
+	}
+	name := regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)\w*?)(_?)(\*?)(?:\W|$)`)
+	path := regexp.MustCompile(`^(?:internal|cmd|bench|testdata)/\S*`)
+	selector := regexp.MustCompile(`\.[A-Z]\w*$`)
+	design = regexp.MustCompile("(?s)```.*?```").ReplaceAll(design, nil) // code blocks
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllSubmatch(design, -1) {
+		ref := strings.Join(strings.Fields(string(m[1])), " ")
+		if n := name.FindStringSubmatch(ref); n != nil && !exists(n[1], n[2]+n[3] != "") {
+			t.Errorf("DESIGN.md cites %s, which no _test.go defines", ref)
+		}
+		if p := strings.TrimSuffix(path.FindString(ref), "/"); p != "" {
+			if matches, _ := filepath.Glob(p); len(matches) == 0 {
+				if matches, _ = filepath.Glob(selector.ReplaceAllString(p, "")); len(matches) == 0 {
+					t.Errorf("DESIGN.md cites %s, which does not exist", ref)
+				}
+			}
+		}
 	}
 }
 
