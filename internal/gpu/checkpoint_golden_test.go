@@ -318,11 +318,13 @@ func TestGoldenCheckpoints(t *testing.T) {
 }
 
 // cliMachine is the golden ut2004-tex scene as attilasim runs it, with
-// the preset's own statistics interval and the given checkpoint interval
-// (0: none).
-func cliMachine(tb testing.TB, interval int64) *coretest.Machine {
+// the preset's own statistics interval, the given watchdog window and
+// checkpoint interval (0: none).
+func cliMachine(tb testing.TB, window, interval int64) *coretest.Machine {
 	c := goldenScenes[0]
-	pipe, cmds := buildGolden(tb, c, c.cfg)
+	cfg := c.cfg
+	cfg.WatchdogWindow = window
+	pipe, cmds := buildGolden(tb, c, cfg)
 	return pipeMachine(tb, pipe, cmds, c.generator, interval)
 }
 
@@ -333,12 +335,12 @@ func cliMachine(tb testing.TB, interval int64) *coretest.Machine {
 // revision, or before fingerprints named one, it is refused by
 // RestoreCheckpoint with ErrMismatch naming both revisions.
 func TestOtherRevisionOrVersionRefused(t *testing.T) {
-	out := coretest.Record(t, cliMachine(t, goldenInterval(goldenScenes[0])))
+	out := coretest.Record(t, cliMachine(t, 0, goldenInterval(goldenScenes[0])))
 	if out.Err != "" || len(out.Captures) == 0 {
 		t.Fatalf("%d captures, error %q: nothing to restore", len(out.Captures), out.Err)
 	}
 	file := out.Captures[0].File
-	if err := cliMachine(t, 0).Restore(file); err != nil {
+	if err := cliMachine(t, 0, 0).Restore(file); err != nil {
 		t.Fatalf("the capture as written: %v", err)
 	}
 	for _, v := range []uint32{1, 2} {
@@ -366,9 +368,37 @@ func TestOtherRevisionOrVersionRefused(t *testing.T) {
 		if err := snap.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		err := cliMachine(t, 0).Restore(buf.Bytes())
+		err := cliMachine(t, 0, 0).Restore(buf.Bytes())
 		if !errors.Is(err, chkpt.ErrMismatch) || !strings.Contains(err.Error(), c.names) || !strings.Contains(err.Error(), this) {
 			t.Errorf("a file of %s: %v, want ErrMismatch naming %s and %s", c.names, err, c.names, this)
+		}
+	}
+}
+
+// The watchdog window is a host knob the fingerprint leaves out: every
+// capture of a run with no watchdog restores into one with a watchdog
+// armed, and the restored run ends on the uninterrupted run's cycle and
+// statistics CSV.
+func TestUnguardedCaptureRestoresIntoGuardedRun(t *testing.T) {
+	ref := coretest.Record(t, cliMachine(t, 0, goldenInterval(goldenScenes[0])))
+	if ref.Err != "" || len(ref.Captures) == 0 {
+		t.Fatalf("the unguarded run: %d captures, error %q: nothing to restore", len(ref.Captures), ref.Err)
+	}
+	for _, c := range ref.Captures {
+		m := cliMachine(t, 1_000_000, 0)
+		if err := m.Restore(c.File); err != nil {
+			t.Fatalf("the capture at cycle %d: %v", c.Cycle, err)
+		}
+		if err := m.Resume(); err != nil {
+			t.Fatalf("restored at cycle %d: %v", c.Cycle, err)
+		}
+		var csv bytes.Buffer
+		if err := m.Sim.Stats.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Sim.Cycle(); got != ref.Cycles || !bytes.Equal(csv.Bytes(), ref.CSV) {
+			t.Errorf("restored at cycle %d with a watchdog armed: %d cycles (CSV equal: %v), the uninterrupted run %d",
+				c.Cycle, got, bytes.Equal(csv.Bytes(), ref.CSV), ref.Cycles)
 		}
 	}
 }

@@ -10,10 +10,7 @@ import (
 
 // TestSubmitRejectsBadSpecs: a sweep file is input from outside the
 // program, so a job spec that cannot run is refused when the sweep is
-// submitted, not admitted to fail every attempt. Keys a spec does not
-// have are not a reason to refuse it: a sweep file whose job carries
-// "tenant", "priority" and "resume", as older sweep files did, parses
-// and normalizes.
+// submitted, not admitted to fail every attempt.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()}) // no Start: nothing runs
 	for _, body := range []string{
@@ -36,7 +33,13 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Errorf("refused specs left %d jobs behind", len(jobs))
 	}
+}
 
+// TestOldFilesWithTenantKeysLoad: keys a spec does not have are not a
+// reason to refuse it. A sweep file whose job carries "tenant",
+// "priority" and "resume", as sweep files written for older binaries
+// did, parses and normalizes, and the keys are ignored.
+func TestOldFilesWithTenantKeysLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
 	if err := os.WriteFile(path, []byte(`{"name": "keys", "jobs": [
 		{"name": "with-tenant", "tenant": "a", "priority": 9, "resume": true}]}`), 0o644); err != nil {
