@@ -121,22 +121,22 @@ bench:
 # profile is the three commands every performance change starts and
 # ends with: generate one of the benchmark's scenes at the benchmark's
 # size as a trace, run it under the CPU profiler, and print the
-# cumulative top of the profile (DESIGN.md section 10 reads from it).
+# cumulative top of the profile.
 # SUPERVISED=1 runs the scene the way jobd runs a job: watchdog armed,
 # a checkpoint every 50000 cycles, spans sampled 1 in 64.
 # make profile SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
 #
 # allocs is the same run under -allocprofile, every allocation recorded,
 # and prints pprof's allocation sites by count, one line of code each:
-# the table an allocation change is measured with (DESIGN.md section 10
+# the table an allocation change is measured with (DESIGN.md §10
 # "Pooled pipeline objects"). The counts cover the whole process, trace
 # loading included.
 # make allocs SCENE=doom3|spinner|ut2004 [SUPERVISED=1] [PROFILE_DIR=dir]
 #
-# awake is the same run under -profile-boxes, reduced to the table
-# DESIGN.md section 10 "What a quiet cycle costs" keeps: per box, the
-# share of cycles it was clocked on (its samples over the sampled
-# cycles), and their sum, the box clocks an average cycle makes. With
+# awake is the same run under -profile-boxes, reduced to a table: per
+# box, the share of cycles it was clocked on (its samples over the
+# sampled cycles; DESIGN.md §6 "Who gets clocked" says when a box
+# sleeps), and their sum, the box clocks an average cycle makes. With
 # no SCENE it runs doom3, spinner and ut2004 in turn: a change to a park
 # or wake site is measured on all three.
 # make awake [SCENE=doom3|spinner|ut2004] [PROFILE_DIR=dir]

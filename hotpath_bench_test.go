@@ -41,9 +41,10 @@ func mallocsDuring(f func()) uint64 {
 // allocation is invisible there. On ut2004 the bound is per extra
 // vertex shaded (Streamer.vertices): a marginal vertex made ~6.8
 // allocations when the geometry path allocated a vertex, a cache entry,
-// a triangle and a set-up triangle per hop, and makes ~0.11 now, the
-// extra frames' command stream and statistics rows among them; the
-// bound leaves a little over 2x of that.
+// a triangle and a set-up triangle per hop, and ~0.11 once that path
+// was pooled, the extra frames' command stream and statistics rows
+// among them; the bound leaves a little over 2x of that. It reads
+// ~0.02 since machines are built from slabs.
 func TestPipelineRunAllocBudget(t *testing.T) {
 	cfg := gpu.Baseline()
 	measure := func(scene string, frames int) (allocs uint64, pipe *gpu.Pipeline) {

@@ -27,10 +27,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"attila/internal/fsatomic"
@@ -165,15 +165,13 @@ const (
 )
 
 // Restore applies a snapshot to freshly built components. Every
-// registered Snapshotter must find its section and every section must
-// find its Snapshotter; set lenient to tolerate extra sections
-// (forward compatibility for observers that were attached on capture
-// but not on restore).
-func Restore(snap *Snapshot, parts []Snapshotter, lenient bool) error {
-	seen := make(map[string]bool, len(parts))
+// registered Snapshotter must find its section. A section no part
+// claims is ignored: it belongs to an observer the capturing run had
+// attached and the restoring run has not (a metrics bus restored
+// without -metrics), whose state the machine does not depend on.
+func Restore(snap *Snapshot, parts []Snapshotter) error {
 	for _, p := range parts {
 		name := p.SnapshotName()
-		seen[name] = true
 		data, ok := snap.sections[name]
 		if !ok {
 			return fmt.Errorf("%w: missing section %q", ErrMismatch, name)
@@ -181,18 +179,6 @@ func Restore(snap *Snapshot, parts []Snapshotter, lenient bool) error {
 		d := NewDecoder(data)
 		if err := p.RestoreState(d); err != nil {
 			return fmt.Errorf("chkpt: section %q: %w", name, err)
-		}
-	}
-	if !lenient {
-		var extra []string
-		for name := range snap.sections {
-			if !seen[name] {
-				extra = append(extra, name)
-			}
-		}
-		if len(extra) > 0 {
-			sort.Strings(extra)
-			return fmt.Errorf("%w: unknown sections %v", ErrMismatch, extra)
 		}
 	}
 	return nil
@@ -332,18 +318,19 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// ReadFile reads and verifies a checkpoint file.
+// ReadFile reads and verifies a checkpoint file. Its errors do not
+// name the file: the caller, who chose it, does.
 func ReadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			err = fmt.Errorf("%s: %w", pe.Op, pe.Err)
+		}
 		return nil, err
 	}
 	defer f.Close()
-	snap, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, nil
+	return Read(f)
 }
 
 func min64(a uint64, b int) int {

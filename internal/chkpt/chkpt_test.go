@@ -65,7 +65,7 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 		&fakePart{name: "alpha"},
 		&fakePart{name: "beta"},
 	}
-	if err := Restore(snap, dst, false); err != nil {
+	if err := Restore(snap, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -101,17 +101,13 @@ func TestFileRoundTrip(t *testing.T) {
 func TestRestoreMismatch(t *testing.T) {
 	snap := Capture(Meta{}, testParts())
 	// A part with no matching section must fail.
-	err := Restore(snap, []Snapshotter{&fakePart{name: "gamma"}}, true)
+	err := Restore(snap, []Snapshotter{&fakePart{name: "gamma"}})
 	if !errors.Is(err, ErrMismatch) {
 		t.Errorf("missing section: got %v, want ErrMismatch", err)
 	}
-	// Extra sections fail strict, pass lenient.
-	only := []Snapshotter{&fakePart{name: "alpha"}}
-	if err := Restore(snap, only, false); !errors.Is(err, ErrMismatch) {
-		t.Errorf("strict extra sections: got %v, want ErrMismatch", err)
-	}
-	if err := Restore(snap, only, true); err != nil {
-		t.Errorf("lenient extra sections: got %v, want nil", err)
+	// A section no part claims is ignored.
+	if err := Restore(snap, []Snapshotter{&fakePart{name: "alpha"}}); err != nil {
+		t.Errorf("extra section: got %v, want nil", err)
 	}
 }
 

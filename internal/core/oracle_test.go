@@ -86,7 +86,7 @@ func TestCheckpointRoundTripCore(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return chkpt.Restore(snap, parts, false)
+				return chkpt.Restore(snap, parts)
 			}}
 	}
 	out := coretest.Check(t, func(testing.TB) *coretest.Machine { return machine(7) })

@@ -515,7 +515,7 @@ func (p *Pipeline) RestoreCheckpoint(snap *chkpt.Snapshot, cmds []Command, extra
 		return fmt.Errorf("%w: checkpoint is for configuration %q, machine is %q", chkpt.ErrMismatch, snap.Meta.Config, cfg)
 	}
 	p.CP.SetCommands(cmds)
-	return chkpt.Restore(snap, append(p.Snapshotters(), extra...), true)
+	return chkpt.Restore(snap, append(p.Snapshotters(), extra...))
 }
 
 // ResumeContext continues a restored run: the cycle budget counts from

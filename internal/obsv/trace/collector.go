@@ -22,14 +22,17 @@ type Options struct {
 	// pure function of (Seed, client name, per-client issue number), so
 	// every run of the same workload traces the same requests.
 	Seed uint64
+}
+
+const (
 	// SpanDepth bounds the ring of retained terminated spans (the
 	// -spans dump, jobd's <job>-spans.ndjson, and the flight recorder
-	// source). <= 0 selects 4096.
-	SpanDepth int
-	// FlightDepth bounds how many recent span terminations and notes
-	// the crash black box embeds. <= 0 selects 64.
-	FlightDepth int
-}
+	// source).
+	SpanDepth = 4096
+	// FlightDepth bounds the flight recorder's notes (Note), which the
+	// crash black box embeds beside the newest span terminations.
+	FlightDepth = 64
+)
 
 // Tracer is one client's tracing handle: it owns the client's span
 // free list, issue counter and terminated-span buffer. All methods
@@ -117,17 +120,8 @@ type Collector struct {
 // NewCollector builds a collector. Register clients with Client
 // before the run starts.
 func NewCollector(opts Options) *Collector {
-	if opts.SpanDepth <= 0 {
-		opts.SpanDepth = 4096
-	}
-	if opts.FlightDepth <= 0 {
-		opts.FlightDepth = 64
-	}
 	return &Collector{opts: opts, index: make(map[string]*Tracer)}
 }
-
-// Options returns the collector's resolved configuration.
-func (c *Collector) Options() Options { return c.opts }
 
 // Client registers (or returns) the tracing handle for a client name.
 // Registration order is the fold order; register during pipeline
@@ -181,7 +175,7 @@ func (c *Collector) push(sp *Span) {
 	v := *sp
 	v.owner = nil
 	v.KindS = v.Kind.String()
-	if len(c.ring) < c.opts.SpanDepth {
+	if len(c.ring) < SpanDepth {
 		c.ring = append(c.ring, v)
 		return
 	}
@@ -198,8 +192,8 @@ func (c *Collector) push(sp *Span) {
 func (c *Collector) Note(cycle int64, what string) {
 	c.mu.Lock()
 	c.notes = append(c.notes, note{cycle: cycle, what: what})
-	if len(c.notes) > c.opts.FlightDepth {
-		c.notes = c.notes[len(c.notes)-c.opts.FlightDepth:]
+	if len(c.notes) > FlightDepth {
+		c.notes = c.notes[len(c.notes)-FlightDepth:]
 	}
 	c.mu.Unlock()
 }
@@ -214,7 +208,7 @@ func (c *Collector) Spans() []Span {
 
 func (c *Collector) orderedLocked() []Span {
 	out := make([]Span, 0, len(c.ring))
-	if len(c.ring) == c.opts.SpanDepth && c.head > 0 {
+	if len(c.ring) == SpanDepth && c.head > 0 {
 		out = append(out, c.ring[c.head:]...)
 		out = append(out, c.ring[:c.head]...)
 		return out
@@ -413,8 +407,8 @@ func (c *Collector) RestoreState(d *chkpt.Decoder) error {
 	if err := json.Unmarshal(blob, &spans); err != nil {
 		return fmt.Errorf("%w: span ring: %v", chkpt.ErrCorrupt, err)
 	}
-	if len(spans) > c.opts.SpanDepth {
-		spans = spans[len(spans)-c.opts.SpanDepth:]
+	if len(spans) > SpanDepth {
+		spans = spans[len(spans)-SpanDepth:]
 	}
 	for i := range spans {
 		// KindS is the serialized form; re-derive the enum.

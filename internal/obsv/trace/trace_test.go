@@ -148,10 +148,12 @@ func buildCollector(opts Options, spans int) *Collector {
 }
 
 func TestCollectorFoldRingAndSummary(t *testing.T) {
-	c := buildCollector(Options{SampleRate: 1, Seed: 1, SpanDepth: 8}, 20)
+	// Each of the two clients retires n spans, so the ring wraps.
+	n := SpanDepth/2 + 4
+	c := buildCollector(Options{SampleRate: 1, Seed: 1}, n)
 	sum := c.Snapshot()
-	if sum.Spans != 40 {
-		t.Fatalf("total spans = %d, want 40", sum.Spans)
+	if sum.Spans != uint64(2*n) {
+		t.Fatalf("total spans = %d, want %d", sum.Spans, 2*n)
 	}
 	if len(sum.Clients) != 2 || sum.Clients[0].Name != "MC0" || sum.Clients[1].Name != "TexCache0" {
 		t.Fatalf("clients = %+v, want MC0 then TexCache0 (registration order)", sum.Clients)
@@ -160,8 +162,8 @@ func TestCollectorFoldRingAndSummary(t *testing.T) {
 		t.Errorf("tex p50 = %d, want 7", sum.Clients[1].Total.P50)
 	}
 	spans := c.Spans()
-	if len(spans) != 8 {
-		t.Fatalf("ring kept %d spans, want SpanDepth=8", len(spans))
+	if len(spans) != SpanDepth {
+		t.Fatalf("ring kept %d spans, want SpanDepth=%d", len(spans), SpanDepth)
 	}
 	for i := 1; i < len(spans); i++ {
 		if spans[i].Retire < spans[i-1].Retire-8 { // same-cycle pairs interleave
@@ -176,17 +178,17 @@ func TestCollectorFoldRingAndSummary(t *testing.T) {
 	if err := c.WriteSpansNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Count(buf.Bytes(), []byte("\n")); got != 8 {
-		t.Errorf("NDJSON lines = %d, want 8", got)
+	if got := bytes.Count(buf.Bytes(), []byte("\n")); got != SpanDepth {
+		t.Errorf("NDJSON lines = %d, want %d", got, SpanDepth)
 	}
 	hists := c.TotalHists(nil)
-	if len(hists) != 2 || hists["MC0"].N != 20 {
-		t.Errorf("TotalHists = %v, want 2 clients with 20 spans each", hists)
+	if len(hists) != 2 || hists["MC0"].N != uint64(n) {
+		t.Errorf("TotalHists = %v, want 2 clients with %d spans each", hists, n)
 	}
 }
 
 func TestCollectorFlightRecorder(t *testing.T) {
-	c := buildCollector(Options{SampleRate: 1, Seed: 1, SpanDepth: 16, FlightDepth: 8}, 5)
+	c := buildCollector(Options{SampleRate: 1, Seed: 1}, 5)
 	c.Note(1000, "restore landed")
 	ev := c.Recent(6)
 	if len(ev) != 6 {
@@ -206,17 +208,37 @@ func TestCollectorFlightRecorder(t *testing.T) {
 	if !foundNote {
 		t.Error("note missing from flight recorder window")
 	}
+
+	// The recorder keeps the newest FlightDepth notes.
+	for i := 0; i < FlightDepth; i++ {
+		c.Note(2000+int64(i), "filler")
+	}
+	notes := 0
+	for _, e := range c.Recent(SpanDepth + 2*FlightDepth) {
+		if e.Kind == "note" {
+			notes++
+			if strings.Contains(e.What, "restore") {
+				t.Error("the oldest note outlived FlightDepth newer ones")
+			}
+		}
+	}
+	if notes != FlightDepth {
+		t.Errorf("flight recorder kept %d notes, want FlightDepth=%d", notes, FlightDepth)
+	}
 }
 
 func TestCollectorCheckpointRoundTrip(t *testing.T) {
-	opts := Options{SampleRate: 2, Seed: 9, SpanDepth: 16}
-	a := buildCollector(opts, 30)
+	opts := Options{SampleRate: 2, Seed: 9}
+	a := buildCollector(opts, SpanDepth+SpanDepth/2) // about 1.5 SpanDepth sampled
+	if len(a.Spans()) != SpanDepth {
+		t.Fatalf("ring kept %d spans, want a wrapped ring of %d", len(a.Spans()), SpanDepth)
+	}
 	snap := chkpt.Capture(chkpt.Meta{Cycle: 90}, []chkpt.Snapshotter{a})
 
 	b := NewCollector(opts)
 	b.Client("MC0")
 	b.Client("TexCache0")
-	if err := chkpt.Restore(snap, []chkpt.Snapshotter{b}, false); err != nil {
+	if err := chkpt.Restore(snap, []chkpt.Snapshotter{b}); err != nil {
 		t.Fatal(err)
 	}
 	aj, _ := json.Marshal(a.Snapshot())
@@ -241,7 +263,7 @@ func TestCollectorCheckpointRoundTrip(t *testing.T) {
 	c := NewCollector(Options{SampleRate: 4, Seed: 9})
 	c.Client("MC0")
 	c.Client("TexCache0")
-	if err := chkpt.Restore(snap, []chkpt.Snapshotter{c}, false); !errors.Is(err, chkpt.ErrMismatch) {
+	if err := chkpt.Restore(snap, []chkpt.Snapshotter{c}); !errors.Is(err, chkpt.ErrMismatch) {
 		t.Fatalf("restore with different rate: %v, want ErrMismatch", err)
 	}
 }

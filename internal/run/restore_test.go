@@ -3,6 +3,7 @@ package run
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -203,6 +204,20 @@ func TestRestoreErrorIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Damaged copies: the last payload byte flipped, and the container
+	// version word (after the 10-byte magic) set to the gzipped 2.
+	dir := filepath.Dir(ckpt)
+	corrupt, other := filepath.Join(dir, "corrupt.ckpt"), filepath.Join(dir, "v2.ckpt")
+	bad := bytes.Clone(before)
+	bad[len(bad)-1] ^= 0xFF
+	v2 := bytes.Clone(before)
+	binary.LittleEndian.PutUint32(v2[len("ATTILACKPT"):], 2)
+	if err := os.WriteFile(corrupt, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(other, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		edit func(*Spec)
@@ -210,6 +225,8 @@ func TestRestoreErrorIsTyped(t *testing.T) {
 		msg  string
 	}{
 		{"missing file", func(s *Spec) { s.RestoreFrom = ckpt + ".gone" }, fs.ErrNotExist, "restore " + ckpt + ".gone: "},
+		{"corrupt file", func(s *Spec) { s.RestoreFrom = corrupt }, chkpt.ErrCorrupt, "CRC mismatch"},
+		{"other version", func(s *Spec) { s.RestoreFrom = other }, chkpt.ErrFormat, "unsupported version 2"},
 		{"missing section", func(s *Spec) { s.Spans = testSpans() }, chkpt.ErrMismatch, `missing section "obsv.Spans"`},
 		{"other workload", func(s *Spec) {
 			s.Source = Commands(nil, "another stream")
@@ -236,6 +253,9 @@ func TestRestoreErrorIsTyped(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.msg) {
 				t.Errorf("error %q lacks %q", err, tc.msg)
 			}
+			if n := strings.Count(err.Error(), spec.RestoreFrom); n != 1 {
+				t.Errorf("error %q names the checkpoint %d times, want once", err, n)
+			}
 		})
 	}
 	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(before, after) {
@@ -261,7 +281,7 @@ func TestRestoreErrorIsTyped(t *testing.T) {
 // own; it is "obsv.Windows" since it reads the stats rows. A file with
 // the old section is refused, typed, by a run with a bus, which jobd's
 // retries turn into a replay. A file with the new section restores on a
-// run without a bus: the restore is lenient.
+// run without a bus: a section no observer claims is ignored.
 func TestBusSectionFromOtherLayoutIsRefused(t *testing.T) {
 	withBus := testSpec()
 	withBus.Bus = frozenBus()

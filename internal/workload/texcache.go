@@ -15,7 +15,7 @@ import (
 // gl.EncodeLevels returns: its levels travel as CmdBufferWrite data,
 // which GPU memory copies, the command processor slices into copied
 // transactions, and trace encoding and the reference renderer only
-// read (DESIGN.md §10 "What a build costs").
+// read (DESIGN.md §10 "Built once per process").
 
 // texGen names the generator that synthesises a texture's image.
 type texGen uint8

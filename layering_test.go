@@ -1,6 +1,7 @@
 package attila_test
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -208,26 +209,92 @@ func TestCoreInterfaces(t *testing.T) {
 }
 
 // DESIGN.md names the tests that hold each mechanism and the files that
-// implement it; a name or path that no longer exists makes the text
-// stale without anything failing. Every backticked Test*, Benchmark* or
-// Fuzz* name must be a function some _test.go defines (followed by "_"
-// or "*" it is a prefix of one, by "/sub" a subtest of it), and every
-// backticked path under internal/, cmd/, bench/ or testdata/ must exist
-// (a glob must match; a trailing ".Ident" names a declaration in it).
+// implement it, and the rest of the tree cites its sections; a name,
+// path or heading that no longer exists makes the text stale without
+// anything failing. So:
+//   - every backticked Test*, Benchmark* or Fuzz* name must be a
+//     function some _test.go defines (followed by "_" or "*" it is a
+//     prefix of one, by "/sub" a subtest of it);
+//   - every backticked path under internal/, cmd/, bench/ or testdata/
+//     must exist (a glob must match; a trailing ".Ident" names a
+//     declaration in it);
+//   - every numbered section ("## N. ...") must name a Test* or Fuzz*
+//     function: the test that holds its mechanism;
+//   - a `DESIGN §N` or `§N "Title"` citation in a Go file, in DESIGN.md
+//     itself or in the documents listed below must name a numbered
+//     section, and its Title a heading of that section. A bare §N with
+//     no DESIGN before it cites the paper. CHANGES.md is history, and
+//     cites what has since gone.
 func TestDesignReferencesExist(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	design = regexp.MustCompile("(?s)```.*?```").ReplaceAll(design, nil) // code blocks
+	sections := map[string]map[string]bool{}                             // number -> its headings
+	sectionText := map[string]string{}
+	numbered := regexp.MustCompile(`^## (\d+)\. `)
+	heading := regexp.MustCompile(`^###+ (.+)$`)
+	var current string
+	for _, line := range strings.Split(string(design), "\n") {
+		if m := numbered.FindStringSubmatch(line); m != nil {
+			current = m[1]
+			sections[current] = map[string]bool{}
+		} else if m := heading.FindStringSubmatch(line); m != nil && current != "" {
+			title, _, _ := strings.Cut(m[1], " (") // a citation may leave out a parenthesis
+			sections[current][m[1]] = true
+			sections[current][title] = true
+		}
+		sectionText[current] += line + "\n"
+	}
+	names := regexp.MustCompile("`(?:Test|Fuzz)\\w+")
+	for n := range sections {
+		if !names.MatchString(sectionText[n]) {
+			t.Errorf("DESIGN.md §%s names no test that holds it", n)
+		}
+	}
+
+	// A citation may wrap onto the next line of a comment or paragraph.
+	wrap := regexp.MustCompile(`\s*\n\s*(?:(?://|#)\s*)?`)
+	citation := regexp.MustCompile(`(DESIGN(?:\.md)? )?§(\d+)(?: "([^"]+)")?`)
+	checkCitations := func(file string, text []byte) {
+		for _, m := range citation.FindAllSubmatch(wrap.ReplaceAll(text, []byte(" ")), -1) {
+			n, title := string(m[2]), string(m[3])
+			if len(m[1]) == 0 && title == "" {
+				continue
+			}
+			switch headings, ok := sections[n]; {
+			case !ok:
+				t.Errorf("%s cites DESIGN §%s, which DESIGN.md does not have", file, n)
+			case title != "" && !headings[title]:
+				t.Errorf("%s cites DESIGN §%s %q, which is no heading of that section", file, n, title)
+			}
+		}
+	}
+	checkCitations("DESIGN.md", design)
+	for _, doc := range []string{"README.md", "ROADMAP.md", "EXPERIMENTS.md", "Makefile", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCitations(doc, text)
+	}
+
 	defined := map[string]bool{}
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
 		src, err := os.ReadFile(path)
-		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			defined[string(m[1])] = true
+		checkCitations(path, src)
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				defined[string(m[1])] = true
+			}
 		}
 		return err
 	})
@@ -245,7 +312,6 @@ func TestDesignReferencesExist(t *testing.T) {
 	name := regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)\w*?)(_?)(\*?)(?:\W|$)`)
 	path := regexp.MustCompile(`^(?:internal|cmd|bench|testdata)/\S*`)
 	selector := regexp.MustCompile(`\.[A-Z]\w*$`)
-	design = regexp.MustCompile("(?s)```.*?```").ReplaceAll(design, nil) // code blocks
 	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllSubmatch(design, -1) {
 		ref := strings.Join(strings.Fields(string(m[1])), " ")
 		if n := name.FindStringSubmatch(ref); n != nil && !exists(n[1], n[2]+n[3] != "") {
