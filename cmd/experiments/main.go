@@ -26,7 +26,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"attila/internal/chaos"
 	"attila/internal/experiments"
@@ -49,17 +48,16 @@ func main() {
 	profileBoxes := flag.Bool("profile-boxes", false, "attribute host time to boxes across all runs (sampled; prints a ranked table)")
 	manifestOut := flag.String("manifest", "", "write a sweep manifest JSON here (args, outcome)")
 
-	// Sweep mode (internal/jobd): the flags fill its Options.
+	// Sweep mode (internal/jobd): the flags fill its Options; -watchdog
+	// arms the -exp runs too.
 	var o jobd.Options
-	flag.Int64Var(&o.WatchdogWindow, "watchdog", 0, "abort a hung run with a deadlock report after this many cycles without progress (0 = off; under -sweep 0 = jobd's default 50000000, negative = off)")
+	flag.Int64Var(&o.WatchdogWindow, "watchdog", 50_000_000, "abort a hung run with a deadlock report after this many cycles without progress (<= 0 = off)")
 	sweepFile := flag.String("sweep", "", "run this sweep spec (JSON) as a supervised sweep and exit")
 	flag.StringVar(&o.OutDir, "job-out", "", "output directory for -sweep (stats CSVs, manifests, span dumps, crash reports, checkpoints)")
 	flag.IntVar(&o.Workers, "job-workers", 0, "worker pool size for -sweep (0 = half the CPUs)")
 	flag.Int64Var(&o.CheckpointInterval, "checkpoint-interval", 0, "checkpoint -sweep jobs at this cycle cadence so retries resume instead of replaying (<= 0 = default 100000; jobs always checkpoint)")
-	flag.IntVar(&o.Retries, "job-retries", 0, "default per-job retry budget for -sweep (0 = default 2, negative = fail fast)")
-	flag.DurationVar(&o.RetryBackoff, "retry-backoff", 100*time.Millisecond, "wait before a -sweep job's first retry; doubles on each further retry")
-	flag.DurationVar(&o.RetryBackoffMax, "retry-backoff-max", run.DefaultRetryBackoffMax, "cap for the doubling -sweep retry backoff (jitter is seeded)")
-	flag.DurationVar(&o.JobTimeout, "job-timeout", 0, "default per-attempt wall-clock limit for -sweep (0 = none)")
+	flag.IntVar(&o.Retries, "job-retries", 0, "retry budget of each -sweep job, retried at once (0 = default 2, negative = fail fast)")
+	flag.DurationVar(&o.JobTimeout, "job-timeout", 0, "per-attempt wall-clock limit of each -sweep job (0 = none)")
 	chaosServer := flag.String("chaos-server", "", "jobd-level fault plan: seed=N,kill=JOB@CYCLE,panic=JOB@CYCLE[:BOX],yank=JOB (see internal/chaos)")
 	traceSample := flag.String("trace-sample", "", "request tracing for -sweep jobs: keep 1/N spans, written to <job>-spans.ndjson (e.g. 1/64; off by default)")
 	flag.Uint64Var(&o.TraceSeed, "trace-seed", 1, "seed for the deterministic span sampler")
@@ -82,7 +80,7 @@ func main() {
 		defer cancel()
 	}
 
-	p.WatchdogWindow = o.WatchdogWindow
+	p.WatchdogWindow = max(o.WatchdogWindow, 0)
 	p.Ctx = ctx
 	var prof *obsv.Profiler
 	if *profileBoxes {
@@ -270,6 +268,9 @@ func runSweep(o jobd.Options, sweepFile, traceSample, chaosServer string) int {
 		return usage(errors.New("-sweep needs -job-out DIR"))
 	}
 	o.TraceSample, o.Logf = rate, log.New(os.Stderr, "", log.LstdFlags).Printf
+	if o.WatchdogWindow <= 0 {
+		o.WatchdogWindow = -1 // jobd reads 0 as its default
+	}
 	if chaosServer != "" {
 		if o.Chaos, err = chaos.ParseServer(chaosServer); err != nil {
 			return usage(err)

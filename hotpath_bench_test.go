@@ -41,10 +41,14 @@ func mallocsDuring(f func()) uint64 {
 // allocation is invisible there. On ut2004 the bound is per extra
 // vertex shaded (Streamer.vertices): a marginal vertex made ~6.8
 // allocations when the geometry path allocated a vertex, a cache entry,
-// a triangle and a set-up triangle per hop, and ~0.11 once that path
-// was pooled, the extra frames' command stream and statistics rows
-// among them; the bound leaves a little over 2x of that. It reads
-// ~0.02 since machines are built from slabs.
+// a triangle and a set-up triangle per hop, ~0.11 once that path was
+// pooled, and ~0.063 since machines are built from slabs, the extra
+// frames' command stream and statistics rows among them. A warm-up run
+// builds the scene's textures into the process-wide cache first: left
+// in the one-frame run, their build made the rate read ~0.021 when the
+// test ran alone and ~0.063 in the whole suite. The bound is a ratchet
+// like the first frame's, a little over twice the measured rate: lower
+// it when a change lowers the rate.
 func TestPipelineRunAllocBudget(t *testing.T) {
 	cfg := gpu.Baseline()
 	measure := func(scene string, frames int) (allocs uint64, pipe *gpu.Pipeline) {
@@ -76,12 +80,13 @@ func TestPipelineRunAllocBudget(t *testing.T) {
 	}
 
 	vertices := func(p *gpu.Pipeline) float64 { return p.Sim.Stats.Lookup("Streamer.vertices").Value() }
+	measure("ut2004", 1) // build the scene's textures
 	allocs1, pipe1 = measure("ut2004", 1)
 	allocs3, pipe3 := measure("ut2004", 3)
 	perVertex := float64(allocs3-allocs1) / (vertices(pipe3) - vertices(pipe1))
 	t.Logf("ut2004: marginal %d allocs over %.0f vertices = %.3f allocs/vertex",
 		allocs3-allocs1, vertices(pipe3)-vertices(pipe1), perVertex)
-	const vertexBudget = 0.25
+	const vertexBudget = 0.13
 	if perVertex > vertexBudget {
 		t.Errorf("vertex allocation budget exceeded: %.3f allocs/vertex > %.2f — the geometry path allocates per vertex again",
 			perVertex, vertexBudget)

@@ -25,10 +25,6 @@ func TestJobdChaosConvergence(t *testing.T) {
 	spec := SweepSpec{Name: "conv", Jobs: []JobSpec{
 		testSpec("conv-1"), testSpec("conv-2"), testSpec("conv-3"),
 	}}
-	// Chaos jobs inherit the server's retry budget.
-	for i := range spec.Jobs {
-		spec.Jobs[i].Retries = 0
-	}
 
 	// Clean reference: the one-shot CLI path, no faults.
 	dirClean := t.TempDir()
@@ -51,7 +47,6 @@ func TestJobdChaosConvergence(t *testing.T) {
 	logf, lines := captureLog(t)
 	s := New(Options{
 		OutDir: dirChaos, Workers: 2, Retries: 3,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 5 * time.Millisecond,
 		CheckpointInterval: total / 8,
 		Chaos:              plan,
 		Logf:               logf,

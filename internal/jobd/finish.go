@@ -23,7 +23,6 @@ import (
 // (rewriting any stats CSV a fault destroyed) and writes the sweep
 // summary.
 type Sweep struct {
-	ID   int64
 	Name string
 
 	// Guarded by Server.mu.
@@ -84,7 +83,6 @@ func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	if st == StateDone {
 		j.Resumable = false
 	}
-	sw := j.sweep
 	s.mu.Unlock()
 	switch st {
 	case StateDone:
@@ -97,9 +95,7 @@ func (s *Server) finishJob(j *Job, st State, kind string, err error) {
 	if st == StateDone {
 		s.maybeYank(j)
 	}
-	if sw != nil {
-		s.maybeFinalize(sw)
-	}
+	s.maybeFinalize()
 }
 
 // maybeYank applies the chaos output-directory yank after the named
@@ -124,8 +120,9 @@ func (s *Server) maybeYank(j *Job) {
 // missing or differs from the bytes kept in memory (a chaos yank or
 // disk fault may have destroyed them), then write the deterministic
 // sweep summary and release waiters.
-func (s *Server) maybeFinalize(sw *Sweep) {
+func (s *Server) maybeFinalize() {
 	s.mu.Lock()
+	sw := s.sweep
 	if sw.finalizing || sw.finalized {
 		s.mu.Unlock()
 		return
@@ -205,7 +202,7 @@ func (s *Server) outPath(j *Job, suffix string) string {
 }
 
 func (s *Server) ckptPath(j *Job) string {
-	return filepath.Join(s.opts.CkptDir, j.Spec.Name+".ckpt")
+	return filepath.Join(s.opts.OutDir, "checkpoints", j.Spec.Name+".ckpt")
 }
 
 func (s *Server) summaryPath(sw *Sweep) string {

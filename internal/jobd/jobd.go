@@ -4,10 +4,11 @@
 // and supervises each job with the robustness primitives the
 // repository already has:
 //
-//   - per-job wall-clock timeout and no-progress watchdog window;
-//   - bounded retries with capped, seeded-jitter exponential backoff,
-//     each retry resuming from the job's last checkpoint
-//     (internal/chkpt) instead of replaying from cycle zero;
+//   - a wall-clock timeout per attempt and a no-progress watchdog
+//     window, one each for every job;
+//   - a bounded number of immediate retries, each resuming from the
+//     job's last checkpoint (internal/chkpt) instead of replaying from
+//     cycle zero;
 //   - panic and deadlock isolation: a crashing box surfaces as a
 //     core.CrashError black box in the job's <name>-crash.json, never
 //     as a dead process;
@@ -109,7 +110,7 @@ func (e *DiskError) Is(target error) bool { return target == ErrDisk }
 // the sweep's Defaults, then from run.Defaults (the settings the
 // experiments CLI uses) on the baseline machine running "simple".
 type JobSpec struct {
-	// Name uniquely identifies the job on the server; it is also the
+	// Name uniquely identifies the job in its sweep; it is also the
 	// stem of the job's output files (<name>.csv, <name>-manifest.json).
 	Name string `json:"name"`
 	// Config names the machine: baseline, baseline-unified (or
@@ -127,15 +128,6 @@ type JobSpec struct {
 	// MaxCycles bounds the simulation; 0 inherits the default budget
 	// (run.MaxCycles), and a negative budget is refused.
 	MaxCycles int64 `json:"maxCycles,omitempty"`
-	// WatchdogWindow arms the per-job no-progress watchdog; 0 inherits
-	// the server default.
-	WatchdogWindow int64 `json:"watchdogWindow,omitempty"`
-	// TimeoutSec bounds the job's wall clock per attempt; 0 inherits
-	// the server default, negative means no limit.
-	TimeoutSec float64 `json:"timeoutSec,omitempty"`
-	// Retries bounds re-attempts after a failure: 0 inherits the server
-	// default, negative means fail fast.
-	Retries int `json:"retries,omitempty"`
 }
 
 // SweepSpec is a named set of jobs submitted and summarized together.
@@ -187,9 +179,6 @@ func (s JobSpec) withDefaults(d JobSpec) JobSpec {
 	s.Aniso = cmp.Or(s.Aniso, d.Aniso)
 	s.Seed = cmp.Or(s.Seed, d.Seed)
 	s.MaxCycles = cmp.Or(s.MaxCycles, d.MaxCycles)
-	s.WatchdogWindow = cmp.Or(s.WatchdogWindow, d.WatchdogWindow)
-	s.TimeoutSec = cmp.Or(s.TimeoutSec, d.TimeoutSec)
-	s.Retries = cmp.Or(s.Retries, d.Retries)
 	return s
 }
 

@@ -15,13 +15,13 @@ import (
 	"attila/internal/chaos"
 )
 
-// TestDispatchIsFIFO drives nextJobLocked directly: jobs dispatch in
-// submission order, and a parked job requeues behind every job already
-// waiting.
+// TestDispatchIsFIFO drives nextJobLocked directly on a server with no
+// workers: jobs dispatch in submission order, and a parked job requeues
+// behind every job already waiting.
 func TestDispatchIsFIFO(t *testing.T) {
 	s := New(Options{OutDir: t.TempDir()})
-	for _, name := range []string{"j1", "j2", "j3"} {
-		s.submitLocked(&Job{Spec: testSpec(name)}, nil)
+	if _, err := s.SubmitSweep(SweepSpec{Name: "fifo", Jobs: []JobSpec{testSpec("j1"), testSpec("j2"), testSpec("j3")}}); err != nil {
+		t.Fatal(err)
 	}
 	first := s.nextJobLocked()
 	s.queue = append(s.queue, first) // what park does
@@ -45,14 +45,13 @@ func TestDispatchIsFIFO(t *testing.T) {
 func TestJobdRestartFromManifests(t *testing.T) {
 	total, cleanCSV := cleanRun(t)
 	spec := SweepSpec{Name: "restart", Jobs: []JobSpec{testSpec("r-done"), testSpec("r-fail"), testSpec("r-drain")}}
-	spec.Jobs[1].Retries = -1
 	plan, err := chaos.ParseServer("panic=r-fail@" + strconv.FormatInt(total/2, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	opts := Options{OutDir: t.TempDir(), Workers: 1, CheckpointInterval: total / 8, Chaos: plan}
+	opts := Options{OutDir: t.TempDir(), Workers: 1, Retries: -1, CheckpointInterval: total / 8, Chaos: plan}
 	if _, err := RunSweep(ctx, opts, spec); err == nil {
 		t.Fatal("one-shot run: r-fail did not fail")
 	}

@@ -19,37 +19,30 @@ import (
 )
 
 // Options configures a Server. Zero values select the documented
-// defaults.
+// defaults; every setting applies to every job alike.
 type Options struct {
 	// OutDir receives per-job stats CSVs (<name>.csv), per-job
 	// manifests (<name>-manifest.json), span dumps of traced jobs
 	// (<name>-spans.ndjson), black boxes of failed ones
-	// (<name>-crash.json), sweep summaries (<sweep>-summary.txt) and,
-	// by default, the checkpoint directory. Required.
+	// (<name>-crash.json), the sweep summary (<sweep>-summary.txt) and
+	// per-job checkpoints (checkpoints/<name>.ckpt). Required.
 	OutDir string
-	// CkptDir holds per-job checkpoint files; default OutDir/checkpoints.
-	CkptDir string
 	// Workers bounds the pool; default half of GOMAXPROCS, minimum 1.
 	Workers int
-	// Retries is the default per-job retry budget after a failed
-	// attempt; default 2, negative means fail fast. JobSpec.Retries
-	// overrides per job.
+	// Retries is each job's retry budget after a failed attempt;
+	// default 2, negative means fail fast. A retry starts at once: runs
+	// are deterministic, so waiting changes no outcome.
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubling
-	// per attempt up to RetryBackoffMax with seeded jitter
-	// (run.RetryDelay). Zero retries immediately.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// CheckpointInterval is the per-job checkpoint cadence in cycles;
 	// default (and any value <= 0) 100k. Checkpoints are what make
 	// retries resume instead of replay and what a drain parks jobs
 	// with.
 	CheckpointInterval int64
 	// WatchdogWindow arms each job's no-progress watchdog; default 50M
-	// cycles, negative disables. JobSpec.WatchdogWindow overrides.
+	// cycles, negative disables.
 	WatchdogWindow int64
 	// JobTimeout bounds each attempt's wall clock; zero means no
-	// limit. JobSpec.TimeoutSec overrides.
+	// limit.
 	JobTimeout time.Duration
 	// TraceSample, when > 0, turns on request tracing for every job:
 	// 1-in-N memory transactions and shader work items carry latency
@@ -67,9 +60,6 @@ type Options struct {
 }
 
 func (o *Options) norm() {
-	if o.CkptDir == "" {
-		o.CkptDir = filepath.Join(o.OutDir, "checkpoints")
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0) / 2
 		if o.Workers < 1 {
@@ -89,19 +79,16 @@ func (o *Options) norm() {
 
 // JobStatus is what JobStatus and Jobs report of a job.
 type JobStatus struct {
-	ID       int64  `json:"id"`
 	Name     string `json:"name"`
 	Config   string `json:"config"`
 	Workload string `json:"workload"`
 	record
-	Cycle           int64  `json:"cycle"`
-	CheckpointCycle int64  `json:"checkpointCycle,omitempty"`
-	Sweep           string `json:"sweep,omitempty"`
+	Cycle           int64 `json:"cycle"`
+	CheckpointCycle int64 `json:"checkpointCycle,omitempty"`
 }
 
 // SweepStatus is a sweep's status with every job's.
 type SweepStatus struct {
-	ID        int64       `json:"id"`
 	Name      string      `json:"name"`
 	Total     int         `json:"total"`
 	Queued    int         `json:"queued"`
@@ -115,17 +102,14 @@ type SweepStatus struct {
 	Jobs      []JobStatus `json:"jobs"`
 }
 
-// Server runs supervised sweeps on a worker pool of one host.
+// Server runs one supervised sweep on a worker pool of one host.
 type Server struct {
 	opts Options
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	jobs     map[string]*Job
-	order    []*Job
+	sweep    *Sweep // the one sweep admitted; nil until SubmitSweep
 	queue    []*Job // FIFO: submission order, requeued jobs at the back
-	sweeps   []*Sweep
-	nextID   int64
 	closed   bool
 	yanked   bool
 	stopOnce sync.Once
@@ -151,7 +135,6 @@ func New(opts Options) *Server {
 	opts.norm()
 	s := &Server{
 		opts:   opts,
-		jobs:   make(map[string]*Job),
 		stopCh: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -170,10 +153,8 @@ func (s *Server) Start() error {
 	if s.opts.OutDir == "" {
 		return fmt.Errorf("jobd: Options.OutDir is required")
 	}
-	for _, dir := range []string{s.opts.OutDir, s.opts.CkptDir} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+	if err := os.MkdirAll(filepath.Join(s.opts.OutDir, "checkpoints"), 0o755); err != nil {
+		return err
 	}
 	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
@@ -183,15 +164,14 @@ func (s *Server) Start() error {
 }
 
 // SubmitSweep queues a named set of jobs atomically: either every job
-// is admitted or none is. Resubmitting a sweep whose name and
-// normalized job specs equal one the server holds returns that sweep;
-// any other sweep under a held name is ErrDuplicate.
+// is admitted or none is. A server runs one sweep: a second submit is
+// refused and admits nothing.
 //
-// A sweep the server does not hold picks up from what an earlier run
-// left in OutDir (readJobs): a job whose manifest says it is done,
-// failed or canceled keeps that outcome, a preempted one resumes from
-// its checkpoint, and the rest run. That is how a restarted one-shot
-// invocation finishes a drained or killed sweep.
+// The sweep picks up from what an earlier run left in OutDir
+// (readJobs): a job whose manifest says it is done, failed or canceled
+// keeps that outcome, a preempted one resumes from its checkpoint, and
+// the rest run. That is how a restarted one-shot invocation finishes a
+// drained or killed sweep.
 func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	norm, err := NormalizeSweep(spec)
 	if err != nil {
@@ -203,50 +183,28 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	}
 	finished := !slices.ContainsFunc(jobs, func(j *Job) bool { return !j.State.terminal() })
 	s.mu.Lock()
-	for _, sw := range s.sweeps {
-		if sw.Name != spec.Name {
-			continue
-		}
-		s.mu.Unlock()
-		if !slices.EqualFunc(sw.jobs, norm, func(j *Job, n JobSpec) bool { return j.Spec == n }) {
-			return nil, fmt.Errorf("%w: sweep %s exists with different jobs", ErrDuplicate, spec.Name)
-		}
-		return sw, nil
-	}
 	if s.draining.Load() || s.closed {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	for _, js := range norm {
-		if _, dup := s.jobs[js.Name]; dup {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s", ErrDuplicate, js.Name)
+	if s.sweep != nil {
+		held := s.sweep.Name
+		s.mu.Unlock()
+		return nil, fmt.Errorf("jobd: sweep %s: the server already runs sweep %s", spec.Name, held)
+	}
+	sw := &Sweep{Name: spec.Name, jobs: jobs, done: make(chan struct{})}
+	s.sweep = sw
+	for _, j := range jobs {
+		if !j.State.terminal() {
+			s.queue = append(s.queue, j)
 		}
 	}
-	s.nextID++
-	sw := &Sweep{ID: s.nextID, Name: spec.Name, jobs: jobs, done: make(chan struct{})}
-	for _, j := range jobs {
-		s.submitLocked(j, sw)
-	}
-	s.sweeps = append(s.sweeps, sw)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if finished { // by an earlier run: only the convergence pass is left
-		s.maybeFinalize(sw)
+		s.maybeFinalize()
 	}
 	return sw, nil
-}
-
-// submitLocked admits job j, whose name no job has, as a job of sweep
-// sw, and queues it unless an earlier run finished it. Caller holds mu.
-func (s *Server) submitLocked(j *Job, sw *Sweep) {
-	s.nextID++
-	j.ID, j.sweep = s.nextID, sw
-	s.jobs[j.Spec.Name] = j
-	s.order = append(s.order, j)
-	if !j.State.terminal() {
-		s.queue = append(s.queue, j)
-	}
 }
 
 // nextJobLocked pops the queue head, or returns nil when the queue is
@@ -260,12 +218,22 @@ func (s *Server) nextJobLocked() *Job {
 	return j
 }
 
+// jobsLocked is the sweep's jobs in submission order, none before
+// SubmitSweep. Caller holds mu.
+func (s *Server) jobsLocked() []*Job {
+	if s.sweep == nil {
+		return nil
+	}
+	return s.sweep.jobs
+}
+
 // Jobs lists every job in submission order.
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, j := range s.order {
+	jobs := s.jobsLocked()
+	out := make([]JobStatus, 0, len(jobs))
+	for _, j := range jobs {
 		out = append(out, s.statusLocked(j))
 	}
 	return out
@@ -275,18 +243,18 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) JobStatus(name string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[name]
-	if !ok {
+	jobs := s.jobsLocked()
+	i := slices.IndexFunc(jobs, func(j *Job) bool { return j.Spec.Name == name })
+	if i < 0 {
 		return JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, name)
 	}
-	return s.statusLocked(j), nil
+	return s.statusLocked(jobs[i]), nil
 }
 
 func (s *Server) statusLocked(j *Job) JobStatus {
 	return JobStatus{
-		ID: j.ID, Name: j.Spec.Name, Config: j.Spec.Config, Workload: j.Spec.Workload,
+		Name: j.Spec.Name, Config: j.Spec.Config, Workload: j.Spec.Workload,
 		record: j.record, Cycle: j.progress.Load(), CheckpointCycle: j.ckptCycle.Load(),
-		Sweep: j.sweepName(),
 	}
 }
 
@@ -294,7 +262,7 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 func (s *Server) SweepStatus(sw *Sweep) SweepStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SweepStatus{ID: sw.ID, Name: sw.Name, Total: len(sw.jobs), Finalized: sw.finalized, Summary: string(sw.summary)}
+	st := SweepStatus{Name: sw.Name, Total: len(sw.jobs), Finalized: sw.finalized, Summary: string(sw.summary)}
 	for _, j := range sw.jobs {
 		st.Jobs = append(st.Jobs, s.statusLocked(j))
 		switch j.State {

@@ -5,14 +5,11 @@ package jobd
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync/atomic"
-	"time"
 
 	"attila/internal/chaos"
 	"attila/internal/core"
@@ -37,25 +34,16 @@ type record struct {
 // server's mutex except the atomics, which the simulation's cycle hook
 // writes and JobStatus reads live.
 type Job struct {
-	ID   int64
 	Spec JobSpec
 
 	// Guarded by Server.mu.
 	record
-	sweep    *Sweep
 	csv      []byte
 	manifest []byte // a done job's manifest, as written
 
 	// Written by the running simulation.
 	progress  atomic.Int64
 	ckptCycle atomic.Int64
-}
-
-func (j *Job) sweepName() string {
-	if j.sweep == nil {
-		return ""
-	}
-	return j.sweep.Name
 }
 
 // Why an attempt stopped early: the cause its context is canceled with.
@@ -73,26 +61,16 @@ var (
 // loop itself polls its context.
 const progressEvery = 1 << 10
 
-// inherit is the one override rule of a per-job setting (retries,
-// timeout, watchdog): 0 takes the server's value, and a negative value,
-// the job's or the server's, turns the setting off.
-func inherit[T ~int | ~int64](job, server T) T { return max(cmp.Or(job, server), 0) }
-
 // supervise owns one job until it parks or reaches a terminal state:
-// it retries failed attempts with capped jittered backoff, parks
-// drained runs, and — via the deferred recover — guarantees
-// that nothing a job does can take the worker (or the server) down.
+// it retries failed attempts at once, parks drained runs, and — via
+// the deferred recover — guarantees that nothing a job does can take
+// the worker (or the server) down.
 func (s *Server) supervise(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.finishJob(j, StateFailed, FailPanic, fmt.Errorf("jobd: supervisor panic: %v", r))
 		}
 	}()
-	seed := int64(1)
-	if s.opts.Chaos != nil {
-		seed = s.opts.Chaos.Seed
-	}
-	rng := rand.New(rand.NewSource(seed + j.ID))
 	for {
 		ctx, stop := context.WithCancelCause(s.runs)
 		s.mu.Lock()
@@ -117,7 +95,7 @@ func (s *Server) supervise(j *Job) {
 			return
 		}
 		kind := failKind(runErr, cause)
-		if attempt > inherit(j.Spec.Retries, s.opts.Retries) {
+		if attempt > max(s.opts.Retries, 0) {
 			s.failJob(j, kind, runErr, crash)
 			return
 		}
@@ -126,20 +104,18 @@ func (s *Server) supervise(j *Job) {
 		s.mu.Unlock()
 		s.logf("jobd: job %s attempt %d failed (%s): %v; retrying from checkpoint",
 			j.Spec.Name, attempt, kind, runErr)
-		if d := run.RetryDelay(s.opts.RetryBackoff, s.opts.RetryBackoffMax, attempt, rng); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-s.stopCh:
-				s.park(j) // the server is draining or closing
-				return
-			}
+		select {
+		case <-s.stopCh:
+			s.park(j) // the server is draining or closing
+			return
+		default:
 		}
 	}
 }
 
-// park requeues a job that stopped without failing — drained or
-// interrupted mid-backoff — resumable, with the attempt it was on not
-// counted. Its state is StatePreempted, the name its manifest gives a
+// park requeues a job that stopped without failing — drained, or
+// stopped between two attempts — resumable, with the attempt it was on
+// not counted. Its state is StatePreempted, the name its manifest gives a
 // parked job.
 func (s *Server) park(j *Job) {
 	s.mu.Lock()
@@ -178,7 +154,7 @@ func failKind(err, cause error) string {
 // finished traced one.
 func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *Job, n int, resume bool) (runErr, cause error, crash *core.CrashReport, spans []byte) {
 	spec := j.Spec
-	if d := inherit(time.Duration(spec.TimeoutSec*float64(time.Second)), s.opts.JobTimeout); d > 0 {
+	if d := s.opts.JobTimeout; d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, d, errTimeout)
 		defer cancel()
@@ -188,7 +164,7 @@ func (s *Server) attempt(ctx context.Context, stop context.CancelCauseFunc, j *J
 	if err != nil {
 		return err, nil, nil, nil
 	}
-	cfg.WatchdogWindow = inherit(spec.WatchdogWindow, s.opts.WatchdogWindow)
+	cfg.WatchdogWindow = max(s.opts.WatchdogWindow, 0)
 	ckptPath := s.ckptPath(j)
 	rs := run.Spec{
 		Config: cfg, Width: spec.Width, Height: spec.Height,

@@ -224,7 +224,13 @@ func TestCoreInterfaces(t *testing.T) {
 //     itself or in the documents listed below must name a numbered
 //     section, and its Title a heading of that section. A bare §N with
 //     no DESIGN before it cites the paper. CHANGES.md is history, and
-//     cites what has since gone.
+//     cites what has since gone;
+//   - every alternative of a Makefile -run, -bench or -fuzz pattern
+//     must match a Test*, Benchmark* or Fuzz* function defined in the
+//     package directory its line tests: go test passes a pattern that
+//     matches nothing, so a renamed test would silently drop out of
+//     `make check`. '^$' (no tests, only benchmarks or fuzzing) is the
+//     one pattern meant to match nothing.
 func TestDesignReferencesExist(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -284,6 +290,7 @@ func TestDesignReferencesExist(t *testing.T) {
 	}
 
 	defined := map[string]bool{}
+	definedIn := map[string][]string{} // package directory -> its test functions
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -294,6 +301,7 @@ func TestDesignReferencesExist(t *testing.T) {
 		if strings.HasSuffix(path, "_test.go") {
 			for _, m := range testFunc.FindAllSubmatch(src, -1) {
 				defined[string(m[1])] = true
+				definedIn[filepath.Dir(path)] = append(definedIn[filepath.Dir(path)], string(m[1]))
 			}
 		}
 		return err
@@ -325,6 +333,54 @@ func TestDesignReferencesExist(t *testing.T) {
 			}
 		}
 	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := regexp.MustCompile(`-(?:run|bench|fuzz)[ =]('[^']*'|\S+)`)
+	for _, line := range strings.Split(strings.ReplaceAll(string(makefile), "$$", "$"), "\n") {
+		var dirs []string
+		for _, f := range strings.Fields(line) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				dirs = append(dirs, filepath.Clean(f))
+			}
+		}
+		for _, m := range pattern.FindAllStringSubmatch(line, -1) {
+			pat := strings.Trim(m[1], "'")
+			if pat == "^$" {
+				continue
+			}
+			for _, alt := range alternatives(pat) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile pattern %q: %v", pat, err)
+					continue
+				}
+				for _, dir := range dirs {
+					if !slices.ContainsFunc(definedIn[dir], re.MatchString) {
+						t.Errorf("Makefile runs %q in ./%s, which defines no test it matches", alt, dir)
+					}
+				}
+			}
+		}
+	}
+}
+
+// alternatives splits a go test pattern into the patterns it ORs
+// together, each group expanded into its members: "^A(B|C)$|^D$"
+// gives "^AB$", "^AC$" and "^D$".
+func alternatives(pat string) []string {
+	g := regexp.MustCompile(`\(([^()]*)\)`).FindStringSubmatchIndex(pat)
+	if g == nil {
+		return strings.Split(pat, "|")
+	}
+	var out []string
+	for _, member := range strings.Split(pat[g[2]:g[3]], "|") {
+		out = append(out, alternatives(pat[:g[0]]+member+pat[g[1]:])...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // under reports whether the slash-separated path lies inside dir.
